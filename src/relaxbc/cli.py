@@ -35,8 +35,6 @@ from .reduction import derive_all, render_reduced_bc
 from .spectral import SamplingSpec, build_kernel_frame, check_gkc
 from .sim import Scenario, run_convergence_study, solve_relaxation
 
-log = logging.getLogger("relaxbc")
-
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
@@ -459,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=20240817,
                        help="seed for randomized sampling")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="maximum worker count for sampling/studies")
 
     def sampling(p):
         p.add_argument("--resolution", type=int, default=24,
@@ -512,12 +508,6 @@ def main(argv=None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=_sys.stderr)
-        return EXIT_CONFIG
-    if args.jobs > 1:
-        log.info("jobs capped at %d; runs at this size are sequential",
-                 args.jobs)
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)

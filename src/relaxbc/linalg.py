@@ -14,7 +14,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NearImaginaryEigenvalue, RankDeficient, RankMismatch
-from .tolerances import spectral_norm, tau_axis, tau_eig, tau_rank
+from .tolerances import (
+    AXIS_MARGIN,
+    EIGVEC_COND_MAX,
+    spectral_norm,
+    tau_axis,
+    tau_eig,
+    tau_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,40 @@ def stable_basis_real(M, tol_axis: float | None = None) -> np.ndarray:
         raise NearImaginaryEigenvalue(worst, tol)
     _, Z, sdim = sla.schur(M, output="real", sort=lambda re, im: re < 0)
     return Z[:, : int(sdim)]
+
+
+def stable_eigvecs(M: np.ndarray, n_s: int):
+    """Stable eigenvectors of a stack M of shape (N, k, k), for a batch of
+    points at which the stable subspace has dimension n_s.
+
+    Returns ``(V_s, vol, ok)``: V_s (N, k, n_s) holds unit eigenvectors for the
+    eigenvalues of M[i] with negative real part, vol[i] = sqrt(det(V_s^* V_s))
+    from the singular values of V_s[i], and ``ok`` marks the points where V_s
+    may stand in for ``split_invariant_subspaces(M[i]).basis_s``.  A
+    determinant ratio |det(X V_s)| / vol does not depend on the basis of the
+    stable subspace, so the eigenvectors need no orthonormalisation.
+
+    A point is not ok, and must go through split_invariant_subspaces, which
+    then returns or raises exactly what it does on its own, when
+      - an eigenvalue lies within AXIS_MARGIN * tau_axis(||M[i]||_2) of the
+        imaginary axis, so the scalar axis guard decides it;
+      - it has other than n_s stable eigenvalues;
+      - its eigenvector matrix has condition number above EIGVEC_COND_MAX,
+        as at a (nearly) defective M.
+    """
+    k = M.shape[1]
+    w, V = np.linalg.eig(M)
+    stable = w.real < 0
+    ok = stable.sum(axis=1) == n_s
+    if k:
+        norms = np.linalg.svd(M, compute_uv=False)[:, 0]
+        ok &= np.abs(w.real).min(axis=1) >= AXIS_MARGIN * tau_axis(norms)
+        sv = np.linalg.svd(V, compute_uv=False)
+        ok &= sv[:, -1] * EIGVEC_COND_MAX >= sv[:, 0]
+    order = np.argsort(~stable, axis=1, kind="stable")[:, :n_s]
+    V_s = np.take_along_axis(V, order[:, None, :], axis=2)
+    vol = np.prod(np.linalg.svd(V_s, compute_uv=False), axis=1)
+    return V_s, vol, ok
 
 
 def orthonormal_kernel(A, tol: float | None = None) -> np.ndarray:

@@ -423,5 +423,5 @@ def system_to_dict(sys: RelaxationSystem) -> dict:
         "A": [Aj.tolist() for Aj in sys.A],
         "Q": sys.Q.tolist(),
         "B": sys.B.tolist(),
-        "labels": list(sys.labels),
+        "labels": list(sys.labels or ()),
     }

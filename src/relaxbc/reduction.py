@@ -29,9 +29,18 @@ from .linalg import (
     orthonormal_complement,
     split_invariant_subspaces,
     stable_basis_real,
+    stable_eigvecs,
 )
-from .model import RelaxationSystem, classify_spectrum, compute_indices
-from .spectral import FrequencyPoint, KernelFrame, SamplingSpec, _angles_to_unit, build_M
+from .model import RelaxationSystem, compute_indices
+from .spectral import (
+    FrequencyPoint,
+    KernelFrame,
+    SamplingSpec,
+    build_M,
+    det_ratio,
+    map_chunks,
+    xi_omega_directions,
+)
 from .tolerances import C_THRESHOLD, spectral_norm, tau_eig, tau_rank
 
 
@@ -74,6 +83,7 @@ class ReducedBC:
     annihilation_residual: float
     p0_residual: float
     coefficient: np.ndarray = field(default=None)  # B_o B_u, convenience
+    ukc_skipped: int = 0  # UKC directions skipped near the imaginary axis
 
     def to_dict(self) -> dict:
         return {
@@ -81,6 +91,7 @@ class ReducedBC:
             "coefficient": self.coefficient.tolist(),
             "ukc_min_ratio": float(self.ukc_min_ratio),
             "ukc_samples": int(self.ukc_samples),
+            "ukc_skipped": int(self.ukc_skipped),
             "annihilation_residual": float(self.annihilation_residual),
             "p0_residual": float(self.p0_residual),
         }
@@ -259,6 +270,99 @@ def _ukc_ratio(sys, eq, B_o_Bu, xi, omega) -> float:
     return 0.0 if den == 0.0 else float(num / den)
 
 
+def _M1_stack(sys: RelaxationSystem, eq: EquilibriumFrame):
+    """Batched ``_M1``: a function of the rows (Re xi, Im xi, omega...) of a
+    direction array returning the stack M1 (N, k1, k1) and the stack
+    X = [xi I + P0^T C P0]^{-1} P0^T C P1 (N, n10, k1)."""
+    n1 = sys.n - sys.r
+    k1 = eq.P1.shape[1]
+    F = np.hstack([eq.P1, eq.P0])
+    # C(omega) = i sum_j omega_j A_{j,11}, projected onto (P1, P0)
+    terms = np.array([F.T @ Aj[:n1, :n1] @ F for Aj in sys.A[1:]]).reshape(-1, n1, n1)
+    inv_lam = (1.0 / eq.Lam1)[:, None]
+
+    def evaluate(u):
+        xi = (u[:, 0] + 1j * u[:, 1])[:, None, None]
+        C = 1j * np.einsum("nj,jab->nab", u[:, 2:], terms)
+        X = np.linalg.solve(xi * np.eye(n1 - k1) + C[:, k1:, k1:], C[:, k1:, :k1])
+        core = xi * np.eye(k1) + C[:, :k1, :k1] - C[:, :k1, k1:] @ X
+        return -inv_lam * core, X
+
+    return evaluate
+
+
+def eta_inf_ratios(
+    sys: RelaxationSystem,
+    frame: KernelFrame,
+    eq: EquilibriumFrame,
+    data: ReductionData,
+    units: np.ndarray,
+) -> np.ndarray:
+    """The eta = infinity GKC ratio |det(B R1 L)| / sqrt(det(L^* L)), with L
+    the limit stable basis of ``limit_stable_matrix``, at every row
+    (Re xi, Im xi, omega...) of ``units``, batched.  NaN marks a point skipped
+    for an eigenvalue of M1 near the imaginary axis."""
+    n1 = sys.n - sys.r
+    n10 = eq.P0.shape[1]
+    R2S = (
+        stable_basis_real(data.M2)
+        if data.M2.shape[0]
+        else np.zeros((data.M2.shape[0], 0))
+    )
+    n_plus = sys.B.shape[0]
+    n1s = n_plus - n10 - R2S.shape[1]  # stable dimension of M1
+    # the columns of L that do not depend on (xi, omega)
+    fixed = np.zeros((sys.n - frame.n0, n_plus - n1s), dtype=complex)
+    fixed[:n1, :n10] = eq.P0
+    if R2S.shape[1] > 0:
+        fixed[:n1, n10:] = data.N @ R2S
+        fixed[n1:, n10:] = data.K_tilde @ R2S
+    BR1 = sys.B @ frame.R1
+    m1_stack = _M1_stack(sys, eq)
+
+    def batch(u):
+        M1, X = m1_stack(u)
+        V_s, _, ok = stable_eigvecs(M1, n1s)
+        L = np.zeros((len(u), fixed.shape[0], n_plus), dtype=complex)
+        L[:, :n1, :n1s] = (eq.P1 - eq.P0 @ X) @ V_s
+        L[:, :, n1s:] = fixed
+        num = np.abs(np.linalg.det(BR1 @ L))
+        return det_ratio(num, np.prod(np.linalg.svd(L, compute_uv=False), axis=1)), ok
+
+    def scalar(u):
+        try:
+            R_inf = limit_stable_matrix(sys, frame, eq, data, complex(u[0], u[1]), u[2:])
+        except NearImaginaryEigenvalue:
+            return math.nan
+        num = abs(np.linalg.det(sys.B @ frame.R1 @ R_inf))
+        den = math.sqrt(max(np.linalg.det(R_inf.conj().T @ R_inf).real, 0.0))
+        return 0.0 if den == 0.0 else num / den
+
+    return map_chunks(units, batch, scalar)
+
+
+def ukc_ratios(
+    sys: RelaxationSystem, eq: EquilibriumFrame, B_o_Bu: np.ndarray, units: np.ndarray
+) -> np.ndarray:
+    """``_ukc_ratio`` at every row (Re xi, Im xi, omega...) of ``units``,
+    batched.  NaN marks a point skipped for an eigenvalue of M1 near the
+    imaginary axis."""
+    CP1 = B_o_Bu @ eq.P1
+    m1_stack = _M1_stack(sys, eq)
+
+    def batch(u):
+        V_s, vol, ok = stable_eigvecs(m1_stack(u)[0], B_o_Bu.shape[0])
+        return det_ratio(np.abs(np.linalg.det(CP1 @ V_s)), vol), ok
+
+    def scalar(u):
+        try:
+            return _ukc_ratio(sys, eq, B_o_Bu, complex(u[0], u[1]), u[2:])
+        except NearImaginaryEigenvalue:
+            return math.nan
+
+    return map_chunks(units, batch, scalar)
+
+
 def derive_reduced_bc(
     sys: RelaxationSystem,
     frame: KernelFrame,
@@ -316,31 +420,10 @@ def derive_reduced_bc(
 
     # UKC sampling over the (Re xi, Im xi, omega) hemisphere
     coeff = B_o @ B_u
-    m = sys.d + 1
-    if m >= 2:
-        grids = [np.linspace(0.0, math.acos(spec.delta), spec.resolution)]
-        for _ in range(m - 2):
-            grids.append(np.linspace(0.0, math.pi, spec.resolution))
-        mesh = np.meshgrid(*grids, indexing="ij")
-        angles = np.stack([g.ravel() for g in mesh], axis=1)
-        units = _angles_to_unit(angles, m)
-    else:
-        units = np.array([[1.0]])
-    best = math.inf
-    count = 0
-    for u in units:
-        xi = complex(u[0], u[1]) if m >= 2 else complex(u[0], 0.0)
-        omega = np.asarray(u[2:], dtype=float)
-        if xi.real <= 0:
-            continue
-        try:
-            val = _ukc_ratio(sys, eq, coeff, xi, omega)
-        except NearImaginaryEigenvalue:
-            continue
-        count += 1
-        best = min(best, val)
-    if math.isinf(best):
-        best = 0.0 if n1_plus else 1.0
+    vals = ukc_ratios(sys, eq, coeff, xi_omega_directions(sys.d, spec))
+    skipped = int(np.count_nonzero(np.isnan(vals)))
+    count = len(vals) - skipped
+    best = float(np.nanmin(vals)) if count else (0.0 if n1_plus else 1.0)
     if n1_plus > 0 and best <= C_THRESHOLD:
         raise GkcFailed(
             f"uniform Kreiss condition fails for the reduced condition: "
@@ -353,6 +436,7 @@ def derive_reduced_bc(
         Y3=Y3,
         ukc_min_ratio=best,
         ukc_samples=count,
+        ukc_skipped=skipped,
         annihilation_residual=float(ann),
         p0_residual=float(p0_res),
         coefficient=coeff,
@@ -573,6 +657,8 @@ __all__ = [
     "build_reduction_data",
     "equilibrium_reduced_matrix",
     "limit_stable_matrix",
+    "eta_inf_ratios",
+    "ukc_ratios",
     "derive_reduced_bc",
     "build_closure",
     "solve_closure",

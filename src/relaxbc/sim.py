@@ -30,7 +30,7 @@ from .layers import (
     build_second_correction,
     solve_sqrt_eps_layer,
 )
-from .model import RelaxationSystem, classify_spectrum, compute_indices
+from .model import RelaxationSystem, compute_indices
 from .reduction import (
     ClosureSolve,
     EquilibriumFrame,

@@ -19,6 +19,16 @@ EIG_REL = 1e-9
 #: distance-to-imaginary-axis tolerance for invariant-subspace splits
 AXIS_REL = 1e-8
 
+#: a batched eigen-split defers a point to the scalar Schur split when one of
+#: its eigenvalues lies within this multiple of the axis tolerance, so that
+#: the scalar axis guard alone decides the points near it
+AXIS_MARGIN = 2.0
+
+#: largest eigenvector-matrix condition number at which a batched eigen-split
+#: stands in for the Schur split: eigenvalues move by at most this factor
+#: times round-off, and determinant ratios on the eigenvectors lose about it
+EIGVEC_COND_MAX = 1e4
+
 #: default lower bound c_K for declaring the sampled Kreiss ratio positive
 C_THRESHOLD = 1e-6
 
@@ -42,5 +52,6 @@ def tau_eig(scale: float) -> float:
     return EIG_REL * max(scale, 1e-300)
 
 
-def tau_axis(scale: float) -> float:
-    return AXIS_REL * max(scale, 1e-300)
+def tau_axis(scale):
+    """Axis tolerance for a scalar or an array of spectral norms."""
+    return AXIS_REL * np.maximum(scale, 1e-300)

@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from relaxbc.errors import AmbiguousSpectrum, ParseError, ValidationFailed
-from relaxbc.fixtures import example_system
+from relaxbc.fixtures import example_system, random_system
 from relaxbc.model import (
     RawSystem,
     RelaxationSystem,
     canonicalize,
     check_sk_condition,
     compute_indices,
+    load_system,
     system_from_dict,
     system_to_dict,
     validate_structural_stability,
@@ -159,6 +162,18 @@ class TestSerialization:
         again = system_from_dict(system_to_dict(sys_obj))
         assert np.allclose(again.A1, sys_obj.A1)
         assert np.allclose(again.B, sys_obj.B)
+
+    def test_random_fixture_file_round_trip(self, tmp_path):
+        # random fixtures carry labels=None
+        sys_obj = random_system(np.random.default_rng(7))
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system_to_dict(sys_obj)))
+        again = load_system(str(path))
+        assert again.labels == ()
+        for Aj, Bj in zip(again.A, sys_obj.A):
+            assert np.array_equal(Aj, Bj)
+        assert np.array_equal(again.Q, sys_obj.Q)
+        assert np.array_equal(again.B, sys_obj.B)
 
     def test_ragged_matrix_rejected(self):
         doc = system_to_dict(example_system())
