@@ -397,7 +397,12 @@ def cmd_converge(args) -> int:
     )
 
     threshold = args.threshold
-    if args.negative_control:
+    if args.negative_control and not study.control_applicable:
+        # the naive closure equals the derived one: nothing to judge
+        print("negative control not applicable: no row of B acts on v, or the "
+              "reduced boundary condition has no rows (n1_+ = 0)")
+        passed = False
+    elif args.negative_control:
         slope = study.control_slope
         passed = slope is not None and slope >= threshold
     else:

@@ -14,14 +14,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import AssumptionViolated, UnresolvedLayerWarning
 from .linalg import ExpActionEvaluator, stable_basis_real
 from .model import RelaxationSystem
 from .reduction import EquilibriumFrame, ReductionData
 from .spectral import KernelFrame
-from .tolerances import tau_eig
+from .tolerances import SAVE_TIME_ABS, tau_eig
 
 
 @dataclass
@@ -132,10 +132,12 @@ def solve_sqrt_eps_layer(
 ) -> SqrtEpsLayer:
     """Crank-Nicolson solve of  m_t = (-D) m_zz  on (0, z_max) x (0, T].
 
-    Dirichlet data m(0, t) = boundary(t) (an (n10,) vector), m(z_max, t) = 0,
-    m(z, 0) = 0.  The domain length defaults to 12 sqrt(lam_max T) and is
-    doubled (re-solving) while the tail of the final-time profile is not
-    negligible; an UnresolvedLayerWarning is emitted if it never becomes so.
+    Dirichlet data m(0, t) = boundary(t), m(z_max, t) = 0, m(z, 0) = 0;
+    ``boundary`` maps an array of times to their (len(t), n10) data and is
+    called once, for all nt time levels.  The domain length defaults to
+    12 sqrt(lam_max T) and is doubled (re-solving) while the tail of the
+    final-time profile is not negligible; an UnresolvedLayerWarning is
+    emitted if it never becomes so.
     """
     D = diffusion_matrix(sys, eq)
     n10 = D.shape[0]
@@ -150,11 +152,13 @@ def solve_sqrt_eps_layer(
     if z_max is None:
         z_max = 12.0 * math.sqrt(lam.max() * T)
     save_times = sorted(set(save_times or [])) or []
+    # eigen-coordinates V^T m(0, t) at the end of every time step
+    g = np.asarray(boundary(np.arange(1, nt + 1) * (T / nt)), dtype=float) @ V
 
     doublings = 0
     while True:
         z = np.linspace(0.0, z_max, nz)
-        m, snaps = _cn_solve(lam, V, boundary, T, z, nt, save_times)
+        m, snaps = _cn_solve(lam, V, g, T, z, save_times)
         tail = np.abs(m[int(0.95 * nz) :, :]).max(initial=0.0)
         scale = max(np.abs(m).max(initial=0.0), 1e-30)
         frac = tail / scale
@@ -180,44 +184,35 @@ def solve_sqrt_eps_layer(
     )
 
 
-def _cn_solve(lam, V, boundary, T, z, nt, save_times):
-    """Per-eigenmode scalar Crank-Nicolson with Dirichlet ends."""
-    nz = z.size
-    dz = z[1] - z[0]
+def _cn_solve(lam, V, g, T, z, save_times):
+    """Scalar Crank-Nicolson for every eigenmode q_k = (V^T m)_k at once, with
+    Dirichlet ends q_k(0, t_j) = g[j - 1, k] and q_k(z_max, t) = 0 over the
+    len(g) steps of size T / len(g).
+
+    The modes' matrices (I - r_k/2 L), L the Dirichlet Laplacian, stack into
+    one block-diagonal matrix, itself symmetric positive definite and
+    tridiagonal, factored once."""
+    nt, n10 = g.shape
+    m = z.size - 2
     dt = T / nt
-    n10 = lam.size
-    q = np.zeros((nz, n10))  # eigen-coordinates V^T m
-    t = 0.0
+    r = lam * dt / (z[1] - z[0]) ** 2
+    off = np.repeat(-r / 2, m)
+    off[m - 1 :: m] = 0.0  # no coupling between the modes' blocks
+    d, e, info = lapack.dpttrf(np.repeat(1.0 + r, m), off[:-1])
+    if info:
+        raise np.linalg.LinAlgError(f"Crank-Nicolson matrix not factored (info {info})")
+    q = np.zeros((z.size, n10))
     want = list(save_times)
     snaps = {}
-
-    # banded factorizations of (I - r/2 L) per mode, L the Dirichlet Laplacian
-    solvers = []
-    rs = []
-    for k in range(n10):
-        r = lam[k] * dt / dz**2
-        rs.append(r)
-        ab = np.zeros((3, nz - 2))
-        ab[0, 1:] = -r / 2
-        ab[1, :] = 1 + r
-        ab[2, :-1] = -r / 2
-        solvers.append(ab)
-
-    def bvec(tt):
-        return V.T @ np.asarray(boundary(tt), dtype=float)
-
     for step in range(nt):
         t_new = (step + 1) * dt
-        g_old = bvec(step * dt)
-        g_new = bvec(t_new)
-        for k in range(n10):
-            r = rs[k]
-            interior = q[1:-1, k]
-            rhs = interior + (r / 2) * (q[2:, k] - 2 * interior + q[:-2, k])
-            rhs[0] += (r / 2) * g_new[k]  # q[:-2] already carries g_old
-            q[1:-1, k] = sla.solve_banded((1, 1), solvers[k], rhs)
-            q[0, k] = g_new[k]
-        while want and t_new >= want[0] - 1e-12:
+        interior = q[1:-1]
+        rhs = interior + (r / 2) * (q[2:] - 2 * interior + q[:-2])
+        rhs[0] += (r / 2) * g[step]  # q[:-2] already carries the old boundary
+        sol, _ = lapack.dpttrs(d, e, rhs.T.ravel())
+        q[1:-1] = sol.reshape(n10, m).T
+        q[0] = g[step]
+        while want and t_new >= want[0] - SAVE_TIME_ABS:
             snaps[want.pop(0)] = q @ V.T
     return q @ V.T, snaps
 

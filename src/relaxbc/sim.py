@@ -4,8 +4,10 @@ between the stiff solution and the composite layer expansion.
 
 The relaxation solver uses characteristic upwinding on a boundary-graded mesh
 (first order) with Lie splitting; the stiff source is applied exactly through
-exp(S dt / eps).  The equilibrium solver uses the same transport scheme with
-the derived reduced boundary condition.
+exp(S dt / eps), and one step is one sparse matrix.  The equilibrium system
+has constant coefficients, so its solver evaluates the method-of-
+characteristics solution with the derived reduced boundary condition in
+closed form, with no time stepping.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import (
     BoundarySolveSingular,
@@ -25,6 +28,9 @@ from .errors import (
     UnresolvedLayerWarning,
 )
 from .layers import (
+    EpsLayer,
+    SecondCorrection,
+    SqrtEpsLayer,
     assemble_composite,
     build_eps_layer,
     build_second_correction,
@@ -39,7 +45,12 @@ from .reduction import (
     solve_closure,
 )
 from .spectral import KernelFrame
-from .tolerances import tau_eig
+from .tolerances import (
+    BOUNDARY_SINGULAR_REL,
+    DEGENERATE_ERROR_ABS,
+    TOUCHES_V_ABS,
+    tau_eig,
+)
 
 
 @dataclass
@@ -119,18 +130,57 @@ def measure_error(result: SimResult, composite: np.ndarray) -> float:
     return l2_error(result.x, result.U, composite)
 
 
-def _upwind_step(chi, lam, pos, neg, dxm, dxp, dt):
-    """One explicit upwind transport step in characteristic variables.
+def _inflow_factor(M: np.ndarray, message: str):
+    """LU factors and condition number of an inflow boundary block M; raises
+    BoundarySolveSingular when M is singular."""
+    s = sla.svdvals(M)
+    if s.size < min(M.shape) or s[-1] <= BOUNDARY_SINGULAR_REL * max(s[0], 1.0):
+        raise BoundarySolveSingular(message)
+    return sla.lu_factor(M), float(s[0] / s[-1])
 
-    Interior update only; boundary rows are handled by the callers."""
-    new = chi.copy()
-    if pos.size:
-        grad = (chi[1:, pos] - chi[:-1, pos]) / dxm[:, None]
-        new[1:, pos] -= dt * lam[pos][None, :] * grad
-    if neg.size:
-        grad = (chi[1:, neg] - chi[:-1, neg]) / dxp[:, None]
-        new[:-1, neg] -= dt * lam[neg][None, :] * grad
-    return new
+
+def _stiff_step_operator(lam, R, pos, neg, dx, dt, E, r):
+    """One stiff step on the characteristic state chi = U R, flattened node by
+    node (entry i * n + k is mode k at node i), as one CSR matrix: upwind
+    transport, the zero-gradient extrapolation of outgoing characteristics
+    at x_max, then the exact source P = R^T blockdiag(I, E) R at every node.
+
+    Node 0 keeps its incoming characteristics; the caller replaces them by
+    the inflow solve."""
+    nx, n = dx.size + 1, lam.size
+    i = np.arange(nx)
+    # transport sends mode j at node i to
+    # w[i, j, 0] chi[left[i, j], j] + w[i, j, 1] chi[left[i, j] + 1, j]
+    left = np.repeat(i[:, None], n, axis=1)
+    w = np.zeros((nx, n, 2))
+    w[:, :, 0] = 1.0
+    for k in pos:  # node i >= 1 upwinds from the cell on its left
+        c = dt * lam[k] / dx
+        left[1:, k] = i[:-1]
+        w[1:, k] = np.column_stack([c, 1.0 - c])
+    for k in neg:  # node nx - 1 copies the update of node nx - 2
+        c = dt * lam[k] / dx
+        c = np.append(c, c[-1])
+        left[-1, k] = nx - 2
+        w[:, k] = np.column_stack([1.0 + c, -c])
+    used = np.zeros((nx, n, 2), dtype=bool)
+    used[:, :, 0] = True
+    used[1:, pos, 1] = True
+    used[:, neg, 1] = True
+    # row (i, k) of the step is the sum over j of P[k, j] times the
+    # transport of mode j at node i; its entries are ordered (slot, j), so
+    # that their columns nearly ascend
+    source = np.eye(n)
+    source[n - r :, n - r :] = E
+    P = R.T @ source @ R
+    shape = (nx, n, 2, n)
+    keep = np.broadcast_to(used.transpose(0, 2, 1)[:, None], shape)
+    cols = (left[:, None, :] + np.arange(2)[:, None]) * n + np.arange(n)
+    data = (P[None, :, None, :] * w.transpose(0, 2, 1)[:, None])[keep]
+    indices = np.broadcast_to(cols.astype(np.int32)[:, None], shape)[keep]
+    indptr = np.zeros(nx * n + 1, dtype=np.int32)
+    np.cumsum(keep.reshape(nx * n, -1).sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(nx * n, nx * n))
 
 
 def solve_relaxation(
@@ -147,7 +197,9 @@ def solve_relaxation(
 
     The mesh is graded with dx_min = eps / 4 so the eps-layer is represented;
     the time step obeys dt <= cfl * dx_min / rho(A1).  Outgoing characteristics
-    are extrapolated at x_max.
+    are extrapolated at x_max.  Transport and the exact stiff source
+    exp(S dt / eps) make one sparse step matrix, built once; each step applies
+    it and then solves (B R_+) chi_+ = b - (B R_rest) chi_rest at x = 0.
     """
     t_start = time.perf_counter()
     n = sys.n
@@ -157,17 +209,17 @@ def solve_relaxation(
     pos = np.where(lam > tol)[0]
     neg = np.where(lam < -tol)[0]
     zer = np.where(np.abs(lam) <= tol)[0]
+    rest = np.concatenate([neg, zer])
 
     # the boundary cell scales with eps so the eps-layer is always represented
     # with the same number of cells per decay length
     dx_min = eps / 4.0
     x = graded_mesh(scenario.x_max, dx_min, max(dx_max, dx_min), ratio)
-    dxm = np.diff(x)
-    dxp = dxm
+    dx = np.diff(x)
     rho = np.abs(lam).max()
     if rho <= tol:
         raise CflViolation("A1 has no nonzero characteristic speed")
-    dt_cap = cfl * dxm.min() / rho
+    dt_cap = cfl * dx.min() / rho
     steps = max(int(math.ceil(scenario.T / dt_cap)), 1)
     dt = scenario.T / steps
 
@@ -187,20 +239,19 @@ def solve_relaxation(
         )
 
     # boundary solve for incoming characteristics: (B R_+) chi_+ = rhs
-    BRp = sys.B @ R[:, pos]
     boundary_cond = None
     if pos.size:
-        s = sla.svdvals(BRp)
-        if s.size < min(BRp.shape) or s[-1] <= 1e-12 * max(s[0], 1.0):
-            raise BoundarySolveSingular(
-                "B restricted to incoming characteristics is singular"
-            )
-        boundary_cond = float(s[0] / s[-1])
-        BRp_lu = sla.lu_factor(BRp)
-    B_Rrest = sys.B @ R[:, np.concatenate([neg, zer])]
+        BRp_lu, boundary_cond = _inflow_factor(
+            sys.B @ R[:, pos],
+            "B restricted to incoming characteristics is singular",
+        )
+        # the LAPACK solve behind sla.lu_solve, without its per-call checks
+        getrs = sla.get_lapack_funcs("getrs", BRp_lu[:1])
+    B_Rrest = sys.B @ R[:, rest]
 
-    # exact stiff source over one step, in the original variables
-    E = sla.expm(sys.S * dt / eps)
+    step_op = _stiff_step_operator(
+        lam, R, pos, neg, dx, dt, sla.expm(sys.S * dt / eps), sys.r
+    )
 
     U = np.empty((x.size, n))
     U[:, : n - sys.r] = np.atleast_2d(scenario.u0(x).T).T
@@ -209,30 +260,23 @@ def solve_relaxation(
     else:
         U[:, n - sys.r :] = 0.0
 
-    rest = np.concatenate([neg, zer])
-    times = np.empty(steps + 1)
+    chi = (U @ R).ravel()
+    times = np.arange(steps + 1, dtype=float)
+    times *= dt
     trace = np.empty((steps + 1, n))
-    times[0], trace[0] = 0.0, U[0]
+    trace[0] = U[0]
     for step in range(steps):
-        t_new = (step + 1) * dt
-        chi = U @ R
-        chi = _upwind_step(chi, lam, pos, neg, dxm, dxp, dt)
-        # outflow extrapolation for outgoing characteristics at x_max
-        if neg.size:
-            chi[-1, neg] = chi[-2, neg]
-        U = chi @ R.T
-        U[:, n - sys.r :] = U[:, n - sys.r :] @ E.T
+        chi = step_op @ chi
         # inflow boundary condition last, so B U(0, t_new) = b(t_new) holds
         # exactly at the end of the step (the stiff source must not spoil it)
         if pos.size:
-            chi0 = U[0] @ R
-            rhs = scenario.b(t_new) - B_Rrest @ chi0[rest]
-            chi0[pos] = sla.lu_solve(BRp_lu, rhs)
-            U[0] = chi0 @ R.T
-        times[step + 1], trace[step + 1] = t_new, U[0]
+            chi0 = chi[:n]
+            rhs = scenario.b(times[step + 1]) - B_Rrest @ chi0[rest]
+            chi0[pos] = getrs(*BRp_lu, rhs)[0]
+        trace[step + 1] = R @ chi[:n]
     return SimResult(
-        x=x, U=U, t_final=scenario.T, steps=steps, dt=dt, eps=eps,
-        boundary_times=times, boundary_values=trace,
+        x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
+        dt=dt, eps=eps, boundary_times=times, boundary_values=trace,
         wall_time=time.perf_counter() - t_start, boundary_cond=boundary_cond,
     )
 
@@ -246,68 +290,77 @@ def solve_equilibrium(
     dx: float = 1e-3,
     cfl: float = 0.9,
 ) -> SimResult:
-    """Upwind solve of the equilibrium system  ubar_t + A11 ubar_x = 0  with
-    the reduced boundary condition (B_o B_u) ubar(0, t) = B_o b(t).
+    """Method-of-characteristics solution at t = T of the equilibrium system
+    ubar_t + A11 ubar_x = 0 with the reduced boundary condition
+    C ubar(0, t) = B_o b(t), C = B_o B_u.
 
-    ``rhs`` overrides the boundary right-hand side t -> B_o b(t); it is used
-    by the naive-closure negative control.  The boundary trace ubar(0, t) is
-    recorded at every step for the layer closure.
+    In the eigenbasis A11 = W diag(lam) W^T each mode chi_k is transported
+    exactly, with no time stepping:
+
+    - zero-speed modes keep their initial data;
+    - lam < 0 modes read initial data at min(x + |lam| T, x_max), the
+      constant state a zero-gradient outflow holds at x_max;
+    - lam > 0 modes read initial data at x - lam T where x >= lam T, and
+      elsewhere the inflow value g(T - x / lam), where
+      g(s) = (C W_+)^{-1} (rhs(s) - C W_rest chi_rest(0, s)).
+
+    ``dx`` spaces the nodes where the solution is sampled.  The boundary
+    trace ubar(0, t), for the layer closure, is sampled every
+    dt = T / ceil(T / (cfl dx / rho(A11))); the inflow values between the
+    samples are read from it by linear interpolation, as the closure reads
+    it.  ``rhs`` overrides the boundary right-hand side t -> B_o b(t); it is
+    used by the naive-closure negative control.
     """
     t_start = time.perf_counter()
     n1 = sys.n - sys.r
-    A11 = sys.A11
-    lam, W = np.linalg.eigh(A11)
+    lam, W = np.linalg.eigh(sys.A11)
     scale = max(np.abs(lam).max(initial=0.0), 1.0)
     tol = tau_eig(scale)
     pos = np.where(lam > tol)[0]
-    neg = np.where(lam < -tol)[0]
-    zer = np.where(np.abs(lam) <= tol)[0]
-    rest = np.concatenate([neg, zer])
+    rest = np.where(lam <= tol)[0]
+    speed = np.where(np.abs(lam) <= tol, 0.0, lam)
 
-    x = np.arange(0.0, scenario.x_max + dx / 2, dx)
+    T, x_max = scenario.T, scenario.x_max
+    x = np.arange(0.0, x_max + dx / 2, dx)
     rho = np.abs(lam).max(initial=0.0)
-    if rho > tol:
-        dt_cap = cfl * dx / rho
-        steps = max(int(math.ceil(scenario.T / dt_cap)), 1)
-    else:
-        steps = 100
-    dt = scenario.T / steps
-    dxm = np.diff(x)
+    steps = max(int(math.ceil(T / (cfl * dx / rho))), 1) if rho > tol else 100
+    dt = T / steps
+    times = np.arange(steps + 1) * dt
 
-    coeff = rbc.coefficient  # B_o B_u, shape n1_+ x n1
-    CWp = coeff @ W[:, pos]
+    def initial_mode(k, points):
+        u = np.atleast_2d(scenario.u0(points).T).T
+        return u @ W[:, k]
+
+    # chi(0, t) at the trace times: outgoing and zero-speed modes carry
+    # initial data, the incoming ones solve the reduced condition
+    chi0 = np.empty((times.size, n1))
+    for k in rest:
+        chi0[:, k] = initial_mode(k, np.minimum(-speed[k] * times, x_max))
     boundary_cond = None
     if pos.size:
-        s = sla.svdvals(CWp)
-        if s.size < min(CWp.shape) or s[-1] <= 1e-12 * max(s[0], 1.0):
-            raise BoundarySolveSingular(
-                "reduced boundary condition is singular on incoming modes"
-            )
-        boundary_cond = float(s[0] / s[-1])
-        CWp_lu = sla.lu_factor(CWp)
-    C_rest = coeff @ W[:, rest]
+        coeff = rbc.coefficient
+        CWp_lu, boundary_cond = _inflow_factor(
+            coeff @ W[:, pos],
+            "reduced boundary condition is singular on incoming modes",
+        )
+        if rhs is None:
+            rhs = lambda t: rbc.B_o @ scenario.b(t)
+        r = np.empty((pos.size, times.size))
+        for j, t in enumerate(times):
+            r[:, j] = rhs(t)
+        r -= (coeff @ W[:, rest]) @ chi0[:, rest].T
+        chi0[:, pos] = sla.lu_solve(CWp_lu, r).T
 
-    if rhs is None:
-        rhs = lambda t: rbc.B_o @ scenario.b(t)
-
-    u = np.atleast_2d(scenario.u0(x).T).T.copy()
-    times = np.empty(steps + 1)
-    trace = np.empty((steps + 1, n1))
-    times[0], trace[0] = 0.0, u[0]
-    for step in range(steps):
-        t_new = (step + 1) * dt
-        chi = u @ W
-        chi = _upwind_step(chi, lam, pos, neg, dxm, dxm, dt)
-        if neg.size:
-            chi[-1, neg] = chi[-2, neg]
-        if pos.size:
-            r = rhs(t_new) - C_rest @ chi[0, rest]
-            chi[0, pos] = sla.lu_solve(CWp_lu, r)
-        u = chi @ W.T
-        times[step + 1], trace[step + 1] = t_new, u[0]
+    chi = np.empty((x.size, n1))
+    for k in range(n1):
+        foot = np.minimum(x - speed[k] * T, x_max)
+        chi[:, k] = initial_mode(k, np.maximum(foot, 0.0))
+    for k in pos:
+        inflow = x < lam[k] * T
+        chi[inflow, k] = np.interp(T - x[inflow] / lam[k], times, chi0[:, k])
     return SimResult(
-        x=x, U=u, t_final=scenario.T, steps=steps, dt=dt,
-        boundary_times=times, boundary_values=trace,
+        x=x, U=chi @ W.T, t_final=T, steps=steps, dt=dt,
+        boundary_times=times, boundary_values=chi0 @ W.T,
         wall_time=time.perf_counter() - t_start, boundary_cond=boundary_cond,
     )
 
@@ -320,6 +373,7 @@ class ConvergenceStudy:
     fit_residual: float | None = None  # 95% bound on the log-log fit residual
     outer_errors: list | None = None  # against the bare outer solution
     outer_slope: float | None = None
+    control_applicable: bool = True  # whether the naive closure differs
     control_errors: list | None = None
     control_slope: float | None = None
     degenerate: bool = False  # all errors at round-off: slope undefined
@@ -335,6 +389,7 @@ class ConvergenceStudy:
             "fit_residual": opt(self.fit_residual),
             "outer_errors": opt_list(self.outer_errors),
             "outer_slope": opt(self.outer_slope),
+            "control_applicable": bool(self.control_applicable),
             "control_errors": opt_list(self.control_errors),
             "control_slope": opt(self.control_slope),
             "degenerate": bool(self.degenerate),
@@ -346,7 +401,7 @@ def _fit_slope(eps, errors):
     """Least-squares slope of log error vs log eps with a 95% residual bound;
     (None, None) when the data are degenerate (errors at round-off level)."""
     errors = np.asarray(errors, dtype=float)
-    if np.all(errors < 1e-14):
+    if np.all(errors < DEGENERATE_ERROR_ABS):
         return None, None
     le, lr = np.log(np.asarray(eps, dtype=float)), np.log(errors)
     slope, intercept = np.polyfit(le, lr, 1)
@@ -354,12 +409,17 @@ def _fit_slope(eps, errors):
     return float(slope), float(2.0 * np.std(resid))
 
 
+def _touches_v(sys: RelaxationSystem) -> np.ndarray:
+    """Rows of B that act on the relaxed variables v."""
+    return np.any(np.abs(sys.B_v) > TOUCHES_V_ABS, axis=1)
+
+
 def naive_rhs(sys: RelaxationSystem, rbc: ReducedBC, scenario: Scenario):
     """Negative-control right-hand side: pretend the boundary data rows that
     act on the relaxed variables carry no information, i.e. zero every
     component of b whose row of B touches v.  For B = I this reproduces the
     naive condition ubar(0) = g."""
-    touches_v = np.any(np.abs(sys.B_v) > 1e-14, axis=1)
+    touches_v = _touches_v(sys)
     def f(t):
         b = np.array(scenario.b(t), dtype=float)
         b[touches_v] = 0.0
@@ -367,44 +427,74 @@ def naive_rhs(sys: RelaxationSystem, rbc: ReducedBC, scenario: Scenario):
     return f
 
 
-def composite_at_final_time(
+def control_applicable(sys: RelaxationSystem, rbc: ReducedBC) -> bool:
+    """Whether the naive closure of ``naive_rhs`` can differ from the derived
+    one.  It cannot when no row of B touches v, or when the reduced condition
+    has no rows (n1_+ = 0): a control would then only repeat the study."""
+    return rbc.B_o.shape[0] > 0 and bool(np.any(_touches_v(sys)))
+
+
+@dataclass
+class FinalTimeLayers:
+    """The eps-independent parts of the composite expansion at t = T for one
+    equilibrium solution: the outer solution ubar on its nodes x, the
+    eps-layer with its closure amplitude w_s(T), and the sqrt(eps)-layer
+    with its second correction (None without zero-speed equilibrium modes)."""
+
+    x: np.ndarray
+    ubar: np.ndarray
+    eps_layer: EpsLayer
+    w_s: np.ndarray
+    sqrt_layer: SqrtEpsLayer | None
+    second: SecondCorrection | None
+
+    def outer_on(self, x: np.ndarray) -> np.ndarray:
+        """The outer solution sampled on ``x``, shape (len(x), n - r)."""
+        return np.column_stack(
+            [np.interp(x, self.x, u) for u in self.ubar.T]
+        )
+
+
+def layers_at_final_time(
     sys: RelaxationSystem,
-    frame: KernelFrame,
     eq: EquilibriumFrame,
-    data: ReductionData,
-    rbc: ReducedBC,
     closure: ClosureSolve,
     scenario: Scenario,
     equil: SimResult,
-    x: np.ndarray,
-    eps: float,
-) -> np.ndarray:
-    """Evaluate the composite expansion at t = T on the mesh ``x``."""
-    idx = compute_indices(sys)
-    n10 = idx.n10
+    eps_layer: EpsLayer,
+) -> FinalTimeLayers:
+    """Solve the layers of the composite expansion that do not depend on eps,
+    once per equilibrium solution ``equil``.  The sqrt(eps)-layer takes its
+    boundary data at every Crank-Nicolson time from one closure solve."""
+    n10 = compute_indices(sys).n10
     ubar0 = equil.boundary_interp()
 
-    def layer_data(t):
-        mu, _ = solve_closure(closure, sys, scenario.b(t), ubar0(t), n10)
-        return mu
+    def layer_data(ts):
+        b = np.array([scenario.b(t) for t in ts])
+        mu, _ = solve_closure(closure, sys, b.T, ubar0(ts), n10)
+        return mu.T
 
-    sqrt_layer = None
-    second = None
+    sqrt_layer = second = None
     if n10 > 0:
         sqrt_layer = solve_sqrt_eps_layer(sys, eq, layer_data, scenario.T)
         second = build_second_correction(sys, eq, sqrt_layer)
-    eps_layer = build_eps_layer(sys, frame, data)
     _, w_s = solve_closure(
         closure, sys, scenario.b(scenario.T), ubar0(scenario.T), n10
     )
-
-    ubar_x = np.empty((x.size, sys.n - sys.r))
-    for k in range(sys.n - sys.r):
-        ubar_x[:, k] = np.interp(x, equil.x, equil.U[:, k])
-    return assemble_composite(
-        sys, x, ubar_x, eps,
-        eps_layer=eps_layer, w_s=w_s,
+    return FinalTimeLayers(
+        x=equil.x, ubar=equil.U, eps_layer=eps_layer, w_s=w_s,
         sqrt_layer=sqrt_layer, second=second,
+    )
+
+
+def composite_at_final_time(
+    sys: RelaxationSystem, layers: FinalTimeLayers, x: np.ndarray, eps: float
+) -> np.ndarray:
+    """Evaluate the composite expansion at t = T on the mesh ``x``."""
+    return assemble_composite(
+        sys, x, layers.outer_on(x), eps,
+        eps_layer=layers.eps_layer, w_s=layers.w_s,
+        sqrt_layer=layers.sqrt_layer, second=layers.second,
     )
 
 
@@ -424,23 +514,33 @@ def run_convergence_study(
 ) -> ConvergenceStudy:
     """Measure ||U^eps - U_eps||_{L2} at t = T for each eps and fit the decay
     slope; optionally repeat against the naive-closure equilibrium solution
-    as a negative control (its error should plateau).
+    as a negative control (its error should plateau).  The control is skipped
+    when it is not applicable (``control_applicable``).
+
+    ``dx_max`` is the largest cell of the stiff solver's graded mesh;
+    ``equilibrium_dx`` spaces the nodes where the closed-form equilibrium
+    solution is sampled (see ``solve_equilibrium``).
 
     ``scenario.u0``/``scenario.v0`` describe the outer initial data.  With
     ``well_prepared`` the stiff runs start from data that already carry the
     eps-layer at its t = 0 amplitude, so the measured gap is the expansion
     error rather than an initial-relaxation transient.
     """
-    equil = solve_equilibrium(sys, eq, rbc, scenario, dx=equilibrium_dx)
-    control_equil = None
-    if with_control:
-        control_equil = solve_equilibrium(
-            sys, eq, rbc, scenario,
-            rhs=naive_rhs(sys, rbc, scenario), dx=equilibrium_dx,
-        )
-
     idx = compute_indices(sys)
     layer0 = build_eps_layer(sys, frame, data)
+
+    def layers_for(rhs):
+        equil = solve_equilibrium(
+            sys, eq, rbc, scenario, rhs=rhs, dx=equilibrium_dx
+        )
+        return layers_at_final_time(sys, eq, closure, scenario, equil, layer0)
+
+    layers = layers_for(None)
+    applicable = control_applicable(sys, rbc)
+    control = None
+    if with_control and applicable:
+        control = layers_for(naive_rhs(sys, rbc, scenario))
+
     u0_at_0 = np.atleast_1d(np.asarray(scenario.u0(np.zeros(1))).ravel())
     _, w_s0 = solve_closure(
         closure, sys, scenario.b(0.0), u0_at_0, idx.n10
@@ -468,16 +568,13 @@ def run_convergence_study(
             stiff_scenario = scenario
         t0 = time.perf_counter()
         stiff = solve_relaxation(sys, stiff_scenario, eps, dx_max=dx_max)
-        comp = composite_at_final_time(
-            sys, frame, eq, data, rbc, closure, scenario, equil, stiff.x, eps
-        )
+        comp = composite_at_final_time(sys, layers, stiff.x, eps)
         err = measure_error(stiff, comp)
         errors.append(err)
         # against the bare outer solution (ubar; 0): same rate away from the
         # boundary layers, slower globally
         outer = np.zeros_like(stiff.U)
-        for k in range(n1):
-            outer[:, k] = np.interp(stiff.x, equil.x, equil.U[:, k])
+        outer[:, :n1] = layers.outer_on(stiff.x)
         outer_err = measure_error(stiff, outer)
         outer_errors.append(outer_err)
         entry = {
@@ -487,11 +584,8 @@ def run_convergence_study(
             "steps": stiff.steps,
             "nodes": int(stiff.x.size),
         }
-        if with_control:
-            ctrl = composite_at_final_time(
-                sys, frame, eq, data, rbc, closure, scenario,
-                control_equil, stiff.x, eps,
-            )
+        if control is not None:
+            ctrl = composite_at_final_time(sys, control, stiff.x, eps)
             cerr = l2_error(stiff.x, stiff.U, ctrl)
             control_errors.append(cerr)
             entry["control_error"] = float(cerr)
@@ -501,7 +595,7 @@ def run_convergence_study(
     slope, fit_residual = _fit_slope(eps_list, errors)
     outer_slope, _ = _fit_slope(eps_list, outer_errors)
     cslope = None
-    if with_control:
+    if control is not None:
         cslope, _ = _fit_slope(eps_list, control_errors)
     return ConvergenceStudy(
         eps=list(eps_list),
@@ -510,7 +604,8 @@ def run_convergence_study(
         fit_residual=fit_residual,
         outer_errors=outer_errors,
         outer_slope=outer_slope,
-        control_errors=control_errors if with_control else None,
+        control_applicable=applicable,
+        control_errors=control_errors if control is not None else None,
         control_slope=cslope,
         degenerate=slope is None,
         details=details,
@@ -521,12 +616,15 @@ __all__ = [
     "Scenario",
     "SimResult",
     "ConvergenceStudy",
+    "FinalTimeLayers",
     "graded_mesh",
     "l2_error",
     "measure_error",
     "solve_relaxation",
     "solve_equilibrium",
+    "layers_at_final_time",
     "composite_at_final_time",
     "naive_rhs",
+    "control_applicable",
     "run_convergence_study",
 ]

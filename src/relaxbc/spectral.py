@@ -441,12 +441,11 @@ def check_gkc(
 
     eta_inf_min, eta_inf_skipped, eta_inf_error = None, 0, None
     if spec.include_eta_infinity:
-        eta_inf_min, eta_inf_skipped, eta_inf_error = _eta_infinity_min_ratio(
-            sys, frame, spec
+        eta_inf_min, eta_inf_point, eta_inf_skipped, eta_inf_error = (
+            _eta_infinity_min_ratio(sys, frame, spec)
         )
         if eta_inf_min is not None and eta_inf_min < best:
-            best = eta_inf_min
-            best_point = FrequencyPoint(xi=1.0 + 0j, omega=np.zeros(sys.d - 1), eta=math.inf)
+            best, best_point = eta_inf_min, eta_inf_point
 
     # local refinement: distinguish a true zero from slow decay
     if best_point is not None and math.isfinite(best_point.eta) and best < 10 * spec.c_threshold:
@@ -497,13 +496,17 @@ def _refine_minimum(sys, frame, spec, best, best_point):
     return best, best_point, sub
 
 
-def _eta_infinity_min_ratio(sys, frame, spec) -> tuple[float | None, int, str | None]:
+def _eta_infinity_min_ratio(
+    sys, frame, spec
+) -> tuple[float | None, FrequencyPoint | None, int, str | None]:
     """Min of the limit ratio |det(B R1 R_M^S(xi, omega, inf))| / sqrt(det(.))
     over the (xi, omega) hemisphere, via the large-eta limit matrix.
 
-    Returns ``(minimum, skipped, error)``: the minimum is None and ``error``
-    says why when the limit cannot be formed for this system, or when every
-    direction was skipped for an eigenvalue near the imaginary axis.
+    Returns ``(minimum, argmin, skipped, error)``, ``argmin`` the point
+    (xi, omega, eta = inf) of the first direction attaining the minimum.
+    The minimum and argmin are None and ``error`` says why when the limit
+    cannot be formed for this system, or when every direction was skipped
+    for an eigenvalue near the imaginary axis.
     """
     from . import reduction  # local import: reduction builds on this module
 
@@ -511,14 +514,16 @@ def _eta_infinity_min_ratio(sys, frame, spec) -> tuple[float | None, int, str | 
         eq = reduction.build_equilibrium_frame(sys)
         data = reduction.build_reduction_data(sys, frame, eq)
     except RelaxbcError as exc:
-        return None, 0, f"{type(exc).__name__}: {exc}"
+        return None, None, 0, f"{type(exc).__name__}: {exc}"
 
     units = xi_omega_directions(sys.d, spec)
     vals = reduction.eta_inf_ratios(sys, frame, eq, data, units)
     skipped = int(np.count_nonzero(np.isnan(vals)))
     if skipped == len(vals):
-        return None, skipped, "every eta = inf direction was skipped"
-    return float(np.nanmin(vals)), skipped, None
+        return None, None, skipped, "every eta = inf direction was skipped"
+    i = int(np.nanargmin(vals))
+    point = _unit_to_point(np.append(units[i], math.inf), sys.d)
+    return float(vals[i]), point, skipped, None
 
 
 def frame_independence_check(

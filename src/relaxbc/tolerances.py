@@ -32,6 +32,23 @@ EIGVEC_COND_MAX = 1e4
 #: default lower bound c_K for declaring the sampled Kreiss ratio positive
 C_THRESHOLD = 1e-6
 
+#: an inflow boundary block (B R_+ for the stiff solver, B_o B_u W_+ for the
+#: equilibrium solver) is singular when its smallest singular value is at
+#: most this fraction of max(largest singular value, 1)
+BOUNDARY_SINGULAR_REL = 1e-12
+
+#: convergence errors all below this are round-off: the fitted slope is
+#: undefined
+DEGENERATE_ERROR_ABS = 1e-14
+
+#: an entry of B_v larger than this in magnitude makes its row of B act on
+#: the relaxed variables v
+TOUCHES_V_ABS = 1e-14
+
+#: a Crank-Nicolson step ending this close before a requested save time
+#: saves the snapshot for it
+SAVE_TIME_ABS = 1e-12
+
 
 def spectral_norm(a) -> float:
     a = np.asarray(a)

@@ -165,6 +165,29 @@ class TestConverge:
         assert report["negative_control"] is True
         assert report["passed"] is False
 
+    def test_vacuous_negative_control_is_refused(self, sys3, tmp_path, capsys):
+        # n1_+ = 0: the naive closure equals the derived one, so the control
+        # is neither computed nor judged
+        sys_file = tmp_path / "sys3.json"
+        sys_file.write_text(json.dumps(system_to_dict(sys3)))
+        scen = self._scenario(
+            tmp_path,
+            boundary=[{"kind": "sin"}] * sys3.B.shape[0],
+            u0=[{"kind": "bump", "amplitude": 0.5, "center": 0.6,
+                 "width": 0.05}] * (sys3.n - sys3.r),
+        )
+        out = tmp_path / "out"
+        argv = ["converge", str(sys_file), "--scenario", scen,
+                "--out", str(out), "--resolution", "8", "--rim-points", "0"]
+        assert _run(argv + ["--negative-control"]) == 1
+        assert "not applicable" in capsys.readouterr().out
+        report = _read(out / "converge.json")
+        assert report["control_applicable"] is False
+        assert report["control_errors"] is None
+        assert report["control_slope"] is None
+        assert report["passed"] is False
+        assert _run(argv) == 0
+
     def test_empty_epsilons_is_config_error(self, sys2x2_file, tmp_path):
         scen = self._scenario(tmp_path, epsilons=[])
         assert _run(

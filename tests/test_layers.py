@@ -11,6 +11,7 @@ from scipy.special import erfc
 from relaxbc.errors import AssumptionViolated
 from relaxbc.layers import (
     SqrtEpsLayer,
+    _cn_solve,
     assemble_composite,
     build_eps_layer,
     build_second_correction,
@@ -98,17 +99,56 @@ class TestDiffusionMatrix:
             diffusion_matrix(sys_obj, eq)
 
 
+def _cn_per_mode(lam, V, g, T, z, save_times):
+    """Reference Crank-Nicolson: one banded solve per mode and step."""
+    nt, n10 = g.shape
+    nz, dz, dt = z.size, z[1] - z[0], T / nt
+    q = np.zeros((nz, n10))
+    want, snaps = list(save_times), {}
+    for step in range(nt):
+        for k in range(n10):
+            r = lam[k] * dt / dz**2
+            ab = np.zeros((3, nz - 2))
+            ab[0, 1:] = -r / 2
+            ab[1, :] = 1 + r
+            ab[2, :-1] = -r / 2
+            interior = q[1:-1, k]
+            rhs = interior + (r / 2) * (q[2:, k] - 2 * interior + q[:-2, k])
+            rhs[0] += (r / 2) * g[step, k]
+            q[1:-1, k] = sla.solve_banded((1, 1), ab, rhs)
+            q[0, k] = g[step, k]
+        while want and (step + 1) * dt >= want[0] - 1e-12:
+            snaps[want.pop(0)] = q @ V.T
+    return q @ V.T, snaps
+
+
 class TestSqrtEpsLayer:
+    def test_batched_modes_match_per_mode_loop(self, rng):
+        lam = np.array([0.4, 1.3, 2.5])
+        V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        T, nt = 0.4, 300
+        t = np.arange(1, nt + 1) * (T / nt)
+        g = np.column_stack([np.sin(3 * t), 1 - np.cos(t), t**2])
+        z = np.linspace(0.0, 4.0, 250)
+        m, snaps = _cn_solve(lam, V, g, T, z, [0.1, 0.3])
+        m_ref, snaps_ref = _cn_per_mode(lam, V, g, T, z, [0.1, 0.3])
+        scale = np.abs(m_ref).max()
+        assert scale > 0.1
+        assert np.abs(m - m_ref).max() <= 1e-12 * scale
+        assert set(snaps) == set(snaps_ref) == {0.1, 0.3}
+        for s in snaps:
+            assert np.abs(snaps[s] - snaps_ref[s]).max() <= 1e-12 * scale
+
     def test_zero_boundary_is_zero(self, pipe3):
         layer = solve_sqrt_eps_layer(
-            pipe3.sys, pipe3.eq, lambda t: np.zeros(1), T=0.4
+            pipe3.sys, pipe3.eq, lambda t: np.zeros((np.size(t), 1)), T=0.4
         )
         assert np.abs(layer.m).max() == 0.0
         assert layer.tail_fraction <= 1e-8
 
     def test_empty_when_no_zero_speed_modes(self, pipe2x2):
         layer = solve_sqrt_eps_layer(
-            pipe2x2.sys, pipe2x2.eq, lambda t: np.zeros(0), T=0.4
+            pipe2x2.sys, pipe2x2.eq, lambda t: np.zeros((np.size(t), 0)), T=0.4
         )
         assert layer.m.shape[1] == 0
         assert layer.interp_m(np.array([0.0, 1.0])).shape == (2, 0)
@@ -119,14 +159,14 @@ class TestSqrtEpsLayer:
         D = diffusion_matrix(pipe3.sys, pipe3.eq)
         delta, T, m0 = -D[0, 0], 0.3, 1.7
         layer = solve_sqrt_eps_layer(
-            pipe3.sys, pipe3.eq, lambda t: np.array([m0]), T=T
+            pipe3.sys, pipe3.eq, lambda t: np.full((np.size(t), 1), m0), T=T
         )
         exact = m0 * erfc(layer.z / (2.0 * math.sqrt(delta * T)))
         assert np.abs(layer.m[:, 0] - exact).max() < 1e-3
 
     def test_maximum_principle(self, pipe3):
         layer = solve_sqrt_eps_layer(
-            pipe3.sys, pipe3.eq, lambda t: np.array([math.sin(t)]), T=1.0
+            pipe3.sys, pipe3.eq, lambda t: np.sin(t)[:, None], T=1.0
         )
         assert np.abs(layer.m).max() <= math.sin(1.0) + 1e-9
 
@@ -134,7 +174,7 @@ class TestSqrtEpsLayer:
         layer = solve_sqrt_eps_layer(
             pipe3.sys,
             pipe3.eq,
-            lambda t: np.array([math.sin(t)]),
+            lambda t: np.sin(t)[:, None],
             T=0.5,
             save_times=[0.25, 0.5],
         )
@@ -150,7 +190,7 @@ class TestSecondCorrection:
     def test_coefficient_formulas(self, pipe3):
         sys_obj, eq = pipe3.sys, pipe3.eq
         layer = solve_sqrt_eps_layer(
-            sys_obj, eq, lambda t: np.array([1.0]), T=0.2
+            sys_obj, eq, lambda t: np.ones((np.size(t), 1)), T=0.2
         )
         second = build_second_correction(sys_obj, eq, layer)
         want_nu2 = np.linalg.solve(sys_obj.S, sys_obj.A12.T @ eq.P0)
@@ -213,7 +253,7 @@ class TestComposite:
         sys_obj, eq = pipe3.sys, pipe3.eq
         layer = build_eps_layer(sys_obj, pipe3.frame, pipe3.data)
         sqrt_layer = solve_sqrt_eps_layer(
-            sys_obj, eq, lambda t: np.array([0.4]), T=0.3
+            sys_obj, eq, lambda t: np.full((np.size(t), 1), 0.4), T=0.3
         )
         second = build_second_correction(sys_obj, eq, sqrt_layer)
         x = np.array([0.9 * sqrt_layer.z_max * math.sqrt(1e-4), 50.0])

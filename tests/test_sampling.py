@@ -9,7 +9,7 @@ import pytest
 
 from relaxbc import reduction
 from relaxbc.errors import AssumptionViolated, NearImaginaryEigenvalue
-from relaxbc.fixtures import example_system
+from relaxbc.fixtures import example_system, random_admissible_bundle
 from relaxbc.linalg import stable_eigvecs
 from relaxbc.model import RelaxationSystem
 from relaxbc.reduction import (
@@ -200,6 +200,23 @@ class TestReportedGaps:
         assert report.eta_inf_skipped == len(xi_omega_directions(1, SPEC8))
         assert report.eta_inf_error is not None
         assert not report.includes_eta_infinity and not report.passed
+
+    def test_eta_infinity_argmin_is_the_attaining_direction(self):
+        # the first bundle of the rng-1234 pool (d = 3) takes its overall
+        # minimum at eta = inf, away from (xi, omega) = (1, 0)
+        b = random_admissible_bundle(np.random.default_rng(1234))
+        report = check_gkc(b.sys, b.frame, SPEC8)
+        point = report.argmin_point
+        assert math.isinf(point.eta)
+        assert report.min_ratio == report.eta_inf_min_ratio
+        u = np.array(point.as_tuple()[:-1])
+        assert _scalar_eta_inf(b, [u])[0] == pytest.approx(
+            report.min_ratio, rel=REL
+        )
+        corner = np.zeros_like(u)
+        corner[0] = 1.0
+        assert _scalar_eta_inf(b, [corner])[0] > 2.0 * report.min_ratio
+        assert report.to_dict()["argmin_point"] == list(point.as_tuple())
 
     def test_skipped_points_are_counted(self):
         # at Re xi = delta = 1e-12 the eigenvalues of M and M1 sit within the

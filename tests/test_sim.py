@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from relaxbc import fixtures
+from relaxbc import fixtures, sim
 from relaxbc.errors import GridMismatch, UnresolvedLayerWarning
 from relaxbc.model import RelaxationSystem
 from relaxbc.reduction import derive_all
 from relaxbc.sim import (
     Scenario,
     SimResult,
+    control_applicable,
     graded_mesh,
     l2_error,
     measure_error,
@@ -21,10 +23,104 @@ from relaxbc.sim import (
     solve_equilibrium,
     solve_relaxation,
 )
+from relaxbc.tolerances import tau_eig
 
 
 def _bump(x, center=1.0, width=0.05):
     return np.exp(-((np.asarray(x, dtype=float) - center) ** 2) / width)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the per-step loops the package used before the
+# sparse stiff step and the closed-form equilibrium solution
+
+
+def _split(a):
+    lam, R = np.linalg.eigh(a)
+    tol = tau_eig(max(np.abs(lam).max(initial=0.0), 1.0))
+    pos = np.where(lam > tol)[0]
+    neg = np.where(lam < -tol)[0]
+    zer = np.where(np.abs(lam) <= tol)[0]
+    return lam, R, pos, neg, np.concatenate([neg, zer])
+
+
+def _upwind_step(chi, lam, pos, neg, dxm, dxp, dt):
+    new = chi.copy()
+    if pos.size:
+        grad = (chi[1:, pos] - chi[:-1, pos]) / dxm[:, None]
+        new[1:, pos] -= dt * lam[pos][None, :] * grad
+    if neg.size:
+        grad = (chi[1:, neg] - chi[:-1, neg]) / dxp[:, None]
+        new[:-1, neg] -= dt * lam[neg][None, :] * grad
+    return new
+
+
+def _stiff_loop(sys_obj, scenario, eps, dx_max, ratio=1.05, cfl=0.9):
+    """Upwind + Lie splitting, one dense update per step: (x, U, trace)."""
+    n, r = sys_obj.n, sys_obj.r
+    lam, R, pos, neg, rest = _split(sys_obj.A1)
+    x = graded_mesh(scenario.x_max, eps / 4.0, max(dx_max, eps / 4.0), ratio)
+    dxm = np.diff(x)
+    steps = max(int(math.ceil(scenario.T / (cfl * dxm.min() / np.abs(lam).max()))), 1)
+    dt = scenario.T / steps
+    BRp_lu = sla.lu_factor(sys_obj.B @ R[:, pos])
+    B_Rrest = sys_obj.B @ R[:, rest]
+    E = sla.expm(sys_obj.S * dt / eps)
+    U = np.zeros((x.size, n))
+    U[:, : n - r] = np.atleast_2d(scenario.u0(x).T).T
+    if scenario.v0 is not None:
+        U[:, n - r :] = np.atleast_2d(scenario.v0(x).T).T
+    trace = [U[0].copy()]
+    for step in range(steps):
+        chi = _upwind_step(U @ R, lam, pos, neg, dxm, dxm, dt)
+        if neg.size:
+            chi[-1, neg] = chi[-2, neg]
+        U = chi @ R.T
+        U[:, n - r :] = U[:, n - r :] @ E.T
+        chi0 = U[0] @ R
+        rhs = scenario.b((step + 1) * dt) - B_Rrest @ chi0[rest]
+        chi0[pos] = sla.lu_solve(BRp_lu, rhs)
+        U[0] = chi0 @ R.T
+        trace.append(U[0].copy())
+    return x, U, np.array(trace)
+
+
+def _upwind_equilibrium(pipe, scenario, dx, cfl=0.9):
+    """Upwind time stepping of ubar_t + A11 ubar_x = 0 with the reduced
+    boundary condition: (x, ubar(., T))."""
+    lam, W, pos, neg, rest = _split(pipe.sys.A11)
+    x = np.arange(0.0, scenario.x_max + dx / 2, dx)
+    dxm = np.diff(x)
+    steps = max(int(math.ceil(scenario.T / (cfl * dx / np.abs(lam).max()))), 1)
+    dt = scenario.T / steps
+    coeff = pipe.rbc.coefficient
+    CWp_lu = sla.lu_factor(coeff @ W[:, pos])
+    C_rest = coeff @ W[:, rest]
+    u = np.atleast_2d(scenario.u0(x).T).T.copy()
+    for step in range(steps):
+        chi = _upwind_step(u @ W, lam, pos, neg, dxm, dxm, dt)
+        if neg.size:
+            chi[-1, neg] = chi[-2, neg]
+        rhs = pipe.rbc.B_o @ scenario.b((step + 1) * dt)
+        chi[0, pos] = sla.lu_solve(CWp_lu, rhs - C_rest @ chi[0, rest])
+        u = chi @ W.T
+    return x, u
+
+
+def _rel_l2(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _neg_mode_pipe():
+    """A11 = diag(1, -1): one incoming and one outgoing equilibrium mode; the
+    reduced condition u1(0) + 0.3 u2(0) = b couples the outgoing one into
+    the inflow."""
+    A1 = np.array([[1.0, 0.0, 1.0], [0.0, -1.0, 0.5], [1.0, 0.5, 0.0]])
+    sys_obj = RelaxationSystem(
+        d=1, n=3, r=1, A=(A1,), Q=np.diag([0.0, 0.0, -1.0]),
+        B=np.array([[1.0, 0.3, 0.2]]),
+    )
+    return derive_all(sys_obj)
 
 
 class TestGradedMesh:
@@ -128,6 +224,27 @@ class TestSolveRelaxation:
         assert l2_error(res.x, res.U, zero) < l2_error(res.x, U0, zero)
 
 
+class TestSparseStepOracle:
+    """The one-matrix stiff step against the dense per-step loop."""
+
+    @pytest.mark.parametrize("eps, T", [(1e-2, 0.3), (3e-4, 0.03)])
+    @pytest.mark.parametrize("which", ["2x2", "3x3"])
+    def test_matches_per_step_loop(self, which, eps, T, pipe2x2, sys3):
+        if which == "2x2":
+            sys_obj = pipe2x2.sys
+            scen = fixtures.example_scenario(T=T, x_max=1.2)
+        else:  # outgoing characteristics: the x_max extrapolation matters
+            sys_obj = sys3
+            scen = fixtures.scenario_double_characteristic(sys3, T=T, x_max=1.2)
+        res = solve_relaxation(sys_obj, scen, eps, dx_max=2e-3)
+        x, U, trace = _stiff_loop(sys_obj, scen, eps, dx_max=2e-3)
+        np.testing.assert_array_equal(res.x, x)
+        assert res.steps + 1 == len(trace)
+        assert np.abs(U).max() > 1e-3
+        assert _rel_l2(res.U, U) <= 1e-12
+        assert _rel_l2(res.boundary_values, trace) <= 1e-12
+
+
 class TestSolveEquilibrium:
     def test_matches_method_of_characteristics(self, pipe2x2):
         # ubar_t + 3 ubar_x = 0 with ubar(0, t) = g(t) + h(t)/3: the exact
@@ -168,6 +285,57 @@ class TestSolveEquilibrium:
         )
         res = solve_equilibrium(sys_obj, pipe.eq, pipe.rbc, scen, dx=2e-3)
         np.testing.assert_allclose(res.U[:, 1], _bump(res.x), atol=1e-14)
+
+    def test_closed_form_is_the_upwind_limit(self, pipe2x2):
+        # first-order upwinding converges to the closed form: their distance
+        # halves with the mesh width
+        scen = fixtures.example_scenario()
+        dist = []
+        for dx in (4e-3, 2e-3, 1e-3):
+            x, u = _upwind_equilibrium(pipe2x2, scen, dx)
+            res = solve_equilibrium(
+                pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, dx=dx
+            )
+            np.testing.assert_array_equal(res.x, x)
+            dist.append(l2_error(x, res.U, u))
+        for coarse, fine in zip(dist, dist[1:]):
+            assert 1.7 <= coarse / fine <= 2.3
+
+    def test_outgoing_mode_clamp_and_inflow_coupling(self):
+        pipe = _neg_mode_pipe()
+        np.testing.assert_allclose(np.linalg.eigvalsh(pipe.sys.A11), [-1.0, 1.0])
+        np.testing.assert_allclose(pipe.rbc.coefficient, [[1.0, 0.3]])
+        T, x_max = 0.5, 1.0
+        u2 = lambda x: 1.0 + np.sin(3.0 * np.asarray(x, dtype=float))
+        scen = Scenario(
+            b=lambda t: np.array([0.5 + math.sin(2.0 * t)]),
+            u0=lambda x: np.column_stack([_bump(x, 0.6), u2(x)]),
+            T=T, x_max=x_max,
+        )
+        res = solve_equilibrium(pipe.sys, pipe.eq, pipe.rbc, scen, dx=1e-3)
+        x = res.x
+        # the outgoing mode u2 moves left at speed 1 and holds u2(x_max)
+        # where its characteristic starts beyond x_max
+        np.testing.assert_allclose(
+            res.U[:, 1], u2(np.minimum(x + T, x_max)), rtol=0, atol=1e-14
+        )
+        # the boundary trace solves u1 + 0.3 u2 = B_o b at every sample,
+        # with u2(0, t) = u2(t) carried in from the interior
+        t = res.boundary_times
+        rhs = np.array([pipe.rbc.B_o @ scen.b(s) for s in t])[:, 0]
+        np.testing.assert_allclose(res.boundary_values[:, 1], u2(t), atol=1e-14)
+        np.testing.assert_allclose(
+            res.boundary_values @ pipe.rbc.coefficient[0], rhs, atol=1e-12
+        )
+        # the incoming mode u1 carries that trace into x < T and its initial
+        # data beyond
+        inflow = x < T
+        s = T - x[inflow]
+        want = np.array([pipe.rbc.B_o @ scen.b(v) for v in s])[:, 0] - 0.3 * u2(s)
+        np.testing.assert_allclose(res.U[inflow, 0], want, atol=1e-6)
+        np.testing.assert_allclose(
+            res.U[~inflow, 0], _bump(x[~inflow] - T, 0.6), atol=1e-14
+        )
 
     def test_naive_rhs_zeroes_relaxed_rows(self, pipe2x2):
         # for B = I the second row of b acts on v, so the naive closure
@@ -210,6 +378,63 @@ class TestConvergenceStudy:
         assert len(study.details["per_eps"]) == 2
         entry = study.details["per_eps"][0]
         assert {"eps", "error", "outer_error", "steps", "nodes"} <= set(entry)
+
+    def test_one_sqrt_layer_solve_per_equilibrium_solution(
+        self, pipe3, monkeypatch
+    ):
+        calls = {"equilibrium": 0, "sqrt_layer": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            sim, "solve_equilibrium",
+            counted("equilibrium", sim.solve_equilibrium),
+        )
+        monkeypatch.setattr(
+            sim, "solve_sqrt_eps_layer",
+            counted("sqrt_layer", sim.solve_sqrt_eps_layer),
+        )
+        scen = fixtures.scenario_double_characteristic(pipe3.sys)
+        study = run_convergence_study(
+            pipe3.sys, pipe3.frame, pipe3.eq, pipe3.data,
+            pipe3.rbc, pipe3.closure, scen,
+            eps_list=(1e-2, 3e-3, 1e-3),
+            dx_max=2e-3, equilibrium_dx=1e-3,
+        )
+        assert len(study.errors) == 3
+        assert calls == {"equilibrium": 1, "sqrt_layer": 1}
+
+    def test_vacuous_control_is_not_computed(self, pipe3):
+        # n1_+ = 0: B_o has no rows, so the naive closure changes nothing
+        assert pipe3.rbc.B_o.shape[0] == 0
+        assert not control_applicable(pipe3.sys, pipe3.rbc)
+        scen = fixtures.scenario_double_characteristic(pipe3.sys)
+        study = run_convergence_study(
+            pipe3.sys, pipe3.frame, pipe3.eq, pipe3.data,
+            pipe3.rbc, pipe3.closure, scen,
+            eps_list=(1e-2, 3e-3),
+            dx_max=2e-3, equilibrium_dx=1e-3,
+        )
+        doc = study.to_dict()
+        assert doc["control_applicable"] is False
+        assert doc["control_errors"] is None and doc["control_slope"] is None
+        assert all("control_error" not in e for e in doc["details"]["per_eps"])
+
+    def test_control_applicable_when_b_rows_touch_v(self, pipe2x2):
+        assert control_applicable(pipe2x2.sys, pipe2x2.rbc)
+        # a boundary operator acting on u alone leaves the control vacuous
+        pipe = derive_all(
+            RelaxationSystem(
+                d=1, n=3, r=1, A=_neg_mode_pipe().sys.A,
+                Q=np.diag([0.0, 0.0, -1.0]), B=np.array([[1.0, 0.3, 0.0]]),
+            )
+        )
+        assert pipe.rbc.B_o.shape[0] == 1
+        assert not control_applicable(pipe.sys, pipe.rbc)
 
     def test_zero_data_is_degenerate(self, pipe2x2):
         scen = Scenario(
