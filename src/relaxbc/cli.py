@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ParseError, RelaxbcError
+from .linalg import orthonormal_kernel
 from .model import (
     RawSystem,
     check_sk_condition,
@@ -34,6 +35,7 @@ from .model import (
 from .reduction import derive_all, render_reduced_bc
 from .spectral import SamplingSpec, build_kernel_frame, check_gkc
 from .sim import Scenario, run_convergence_study, solve_relaxation
+from .tolerances import REPORT_IMAG_REL, spectral_norm, tau_rank, tau_sym
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -196,18 +198,17 @@ def cmd_validate(args) -> int:
     structural = validate_structural_stability(raw)
     sk = check_sk_condition(sys_obj)
 
-    w, V = np.linalg.eigh(sys_obj.A1)
-    scale = max(np.abs(w).max(), 1.0)
-    R0 = V[:, np.abs(w) <= 1e-10 * scale]
+    # the kernel and the rank tolerance of RelaxationSystem.validate
+    R0 = orthonormal_kernel(sys_obj.A1)
     br0 = float(np.linalg.norm(sys_obj.B @ R0)) if R0.shape[1] else 0.0
     idx = compute_indices(sys_obj)
-    rank_b = int(np.linalg.matrix_rank(sys_obj.B))
+    rank_b = int(np.linalg.matrix_rank(sys_obj.B, tol=tau_rank(spectral_norm(sys_obj.B))))
 
     checks = {
         "structural_stability": structural.passed,
         "onsager": structural.onsager,
         "sk_like": sk,
-        "br0_zero": br0 <= 1e-10 * max(float(np.linalg.norm(sys_obj.B)), 1.0),
+        "br0_zero": br0 <= tau_sym(max(float(np.linalg.norm(sys_obj.B)), 1.0)),
         "rank_b": rank_b == idx.n_plus,
     }
     report = {
@@ -318,7 +319,7 @@ def cmd_reduce(args) -> int:
 def _complex_to_lists(a: np.ndarray):
     a = np.asarray(a)
     if np.iscomplexobj(a):
-        if a.size and np.max(np.abs(a.imag)) > 1e-14 * max(np.max(np.abs(a)), 1.0):
+        if a.size and np.max(np.abs(a.imag)) > REPORT_IMAG_REL * max(np.max(np.abs(a)), 1.0):
             return {"real": a.real.tolist(), "imag": a.imag.tolist()}
         a = a.real
     return a.tolist()

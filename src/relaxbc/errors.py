@@ -70,10 +70,6 @@ class SingularKtXKt(RelaxbcError):
     pass
 
 
-class SingularShift(RelaxbcError):
-    pass
-
-
 class GkcFailed(RelaxbcError):
     pass
 

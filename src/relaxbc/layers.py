@@ -17,11 +17,15 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import AssumptionViolated, UnresolvedLayerWarning
+# stable_basis_real is not called here; perfbench/spans.py wraps it by this name
 from .linalg import ExpActionEvaluator, stable_basis_real
 from .model import RelaxationSystem
 from .reduction import EquilibriumFrame, ReductionData
 from .spectral import KernelFrame
-from .tolerances import SAVE_TIME_ABS, tau_eig
+from .tolerances import SAVE_TIME_ABS, SQRT_LAYER_TAIL_REL, tau_eig
+
+#: nodes, time steps and most domain doublings of the sqrt(eps)-layer solve
+SQRT_LAYER_NZ, SQRT_LAYER_NT, SQRT_LAYER_MAX_DOUBLINGS = 600, 800, 4
 
 
 @dataclass
@@ -65,12 +69,7 @@ def build_eps_layer(
         amp = R1 @ V1 + R0 @ V0
     else:
         amp = R1 @ V1
-    R2S = (
-        stable_basis_real(data.M2)
-        if data.M2.shape[0]
-        else np.zeros((data.M2.shape[0], 0))
-    )
-    return EpsLayer(amplitude=amp, M2=data.M2, R2S=R2S)
+    return EpsLayer(amplitude=amp, M2=data.M2, R2S=data.R2S)
 
 
 @dataclass
@@ -124,20 +123,17 @@ def solve_sqrt_eps_layer(
     boundary,
     T: float,
     z_max: float | None = None,
-    nz: int = 600,
-    nt: int = 800,
     save_times=None,
-    max_doublings: int = 4,
-    tail_tol: float = 1e-8,
 ) -> SqrtEpsLayer:
     """Crank-Nicolson solve of  m_t = (-D) m_zz  on (0, z_max) x (0, T].
 
     Dirichlet data m(0, t) = boundary(t), m(z_max, t) = 0, m(z, 0) = 0;
     ``boundary`` maps an array of times to their (len(t), n10) data and is
-    called once, for all nt time levels.  The domain length defaults to
-    12 sqrt(lam_max T) and is doubled (re-solving) while the tail of the
-    final-time profile is not negligible; an UnresolvedLayerWarning is
-    emitted if it never becomes so.
+    called once, for all SQRT_LAYER_NT time levels.  The domain length
+    defaults to 12 sqrt(lam_max T) and is doubled (re-solving) up to
+    SQRT_LAYER_MAX_DOUBLINGS times while the tail of the final-time profile
+    is above SQRT_LAYER_TAIL_REL; an UnresolvedLayerWarning is emitted if it
+    never falls below it.
     """
     D = diffusion_matrix(sys, eq)
     n10 = D.shape[0]
@@ -152,6 +148,7 @@ def solve_sqrt_eps_layer(
     if z_max is None:
         z_max = 12.0 * math.sqrt(lam.max() * T)
     save_times = sorted(set(save_times or [])) or []
+    nz, nt = SQRT_LAYER_NZ, SQRT_LAYER_NT
     # eigen-coordinates V^T m(0, t) at the end of every time step
     g = np.asarray(boundary(np.arange(1, nt + 1) * (T / nt)), dtype=float) @ V
 
@@ -162,12 +159,12 @@ def solve_sqrt_eps_layer(
         tail = np.abs(m[int(0.95 * nz) :, :]).max(initial=0.0)
         scale = max(np.abs(m).max(initial=0.0), 1e-30)
         frac = tail / scale
-        if frac <= tail_tol or doublings >= max_doublings:
+        if frac <= SQRT_LAYER_TAIL_REL or doublings >= SQRT_LAYER_MAX_DOUBLINGS:
             break
         z_max *= 2.0
         nz *= 2
         doublings += 1
-    if frac > tail_tol:
+    if frac > SQRT_LAYER_TAIL_REL:
         warnings.warn(
             f"sqrt(eps)-layer tail not resolved: relative tail {frac:.2e} "
             f"after {doublings} domain doublings",

@@ -1,9 +1,10 @@
-"""Dense linear-algebra kernels: invariant-subspace splits, orthonormal
-kernels and complements, left null spaces, and matrix-exponential actions.
+"""Dense linear-algebra kernels: invariant-subspace splits (per matrix, or
+stable eigenvectors of a stack), orthonormal kernels and complements, and
+matrix-exponential actions over many arguments.
 
-All routines are pure and reentrant; callers may fan them out over a worker
-pool.  Bases are always returned with orthonormal columns (or rows, for left
-null spaces), so downstream determinant ratios are basis-independent.
+All routines are pure.  Bases have orthonormal columns, so determinant ratios
+are basis-independent; ratios on the batched eigenvectors divide by their
+volume.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import NearImaginaryEigenvalue, RankDeficient, RankMismatch
 from .tolerances import (
     AXIS_MARGIN,
     EIGVEC_COND_MAX,
+    EXP_EIGVEC_COND_MAX,
     spectral_norm,
     tau_axis,
     tau_eig,
@@ -47,38 +49,16 @@ class StableSubspace:
     coupling: np.ndarray
     k: int
 
-    @property
-    def combined(self) -> np.ndarray:
-        return np.hstack([self.basis_s, self.basis_u])
 
-    @property
-    def spectral_gap(self) -> float:
-        res = np.inf
-        if self.block_u.size:
-            res = float(np.min(np.linalg.eigvals(self.block_u).real))
-        lhs = -np.inf
-        if self.block_s.size:
-            lhs = float(np.max(np.linalg.eigvals(self.block_s).real))
-        return res - lhs
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A full-column-rank matrix together with a left inverse."""
-
-    columns: np.ndarray
-    left_inverse: np.ndarray
-
-
-def split_invariant_subspaces(M, tol_axis: float | None = None) -> StableSubspace:
+def split_invariant_subspaces(M) -> StableSubspace:
     """Split C^n into stable/unstable invariant subspaces of a square matrix.
 
     Uses a unitary (complex Schur) triangularization with the stable block
     leading, which avoids ill-conditioned eigenvector matrices for defective M.
 
     Raises NearImaginaryEigenvalue if any eigenvalue of M lies within
-    ``tol_axis`` (default 1e-8 * ||M||) of the imaginary axis: that signals the
-    caller drifted to an inadmissible parameter point.
+    tau_axis(||M||_2) of the imaginary axis: that signals the caller drifted
+    to an inadmissible parameter point.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
@@ -88,7 +68,7 @@ def split_invariant_subspaces(M, tol_axis: float | None = None) -> StableSubspac
         e = np.zeros((0, 0), dtype=complex)
         return StableSubspace(e, e, e, e, e, 0)
 
-    tol = tau_axis(spectral_norm(M)) if tol_axis is None else tol_axis
+    tol = tau_axis(spectral_norm(M))
     eigs = np.linalg.eigvals(M)
     worst = eigs[np.argmin(np.abs(eigs.real))]
     if abs(worst.real) < tol:
@@ -106,8 +86,9 @@ def split_invariant_subspaces(M, tol_axis: float | None = None) -> StableSubspac
     )
 
 
-def stable_basis_real(M, tol_axis: float | None = None) -> np.ndarray:
-    """Real orthonormal basis of the stable invariant subspace of a real M.
+def stable_basis_real(M) -> np.ndarray:
+    """Real orthonormal basis of the stable invariant subspace of a real M,
+    with the axis guard of ``split_invariant_subspaces``.
 
     The stable subspace of a real matrix is closed under conjugation, so a
     real basis exists; it is extracted from the sorted real Schur form.
@@ -116,7 +97,7 @@ def stable_basis_real(M, tol_axis: float | None = None) -> np.ndarray:
     n = M.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    tol = tau_axis(spectral_norm(M)) if tol_axis is None else tol_axis
+    tol = tau_axis(spectral_norm(M))
     eigs = np.linalg.eigvals(M)
     worst = eigs[np.argmin(np.abs(eigs.real))]
     if abs(worst.real) < tol:
@@ -159,11 +140,11 @@ def stable_eigvecs(M: np.ndarray, n_s: int):
     return V_s, vol, ok
 
 
-def orthonormal_kernel(A, tol: float | None = None) -> np.ndarray:
+def orthonormal_kernel(A) -> np.ndarray:
     """Orthonormal basis of the kernel of a real symmetric matrix.
 
     Returns an n x n0 matrix (possibly with zero columns) whose columns are
-    eigenvectors of A for eigenvalues inside (-tol, tol).
+    eigenvectors of A for eigenvalues of magnitude at most tau_eig(max |w|).
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -171,8 +152,7 @@ def orthonormal_kernel(A, tol: float | None = None) -> np.ndarray:
         return np.zeros((0, 0))
     w, V = np.linalg.eigh(A)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    t = tau_eig(scale) if tol is None else tol
-    mask = np.abs(w) <= t
+    mask = np.abs(w) <= tau_eig(scale)
     return V[:, mask]
 
 
@@ -196,54 +176,22 @@ def orthonormal_complement(V) -> np.ndarray:
     return comp
 
 
-def left_nullspace(Y, target_dim: int) -> np.ndarray:
-    """Full-rank matrix N with orthonormal rows and N Y = 0.
-
-    Y must have full column rank k with m - k = target_dim; the rows of the
-    returned target_dim x m matrix span the left null space of Y.
-    """
-    Y = np.asarray(Y)
-    m, k = Y.shape
-    if m - k != target_dim:
-        raise RankMismatch(
-            f"target_dim {target_dim} inconsistent with shape {Y.shape}"
-        )
-    if k == 0:
-        return np.eye(m)
-    U, s, _ = sla.svd(Y, full_matrices=True)
-    rank = int(np.sum(s > tau_rank(s[0])))
-    if rank != k:
-        raise RankMismatch(f"numerical rank {rank} != column count {k}")
-    N = U[:, k:].conj().T
-    if np.isrealobj(Y):
-        N = N.real
-    return N
-
-
-def matrix_exponential_action(M, y: float, v) -> np.ndarray:
-    """exp(M y) v for a square matrix M and nonnegative scalar y."""
-    M = np.atleast_2d(np.asarray(M))
-    v = np.asarray(v)
-    if M.shape[0] == 0:
-        return v.copy()
-    return sla.expm(M * y) @ v
-
-
 class ExpActionEvaluator:
     """Vectorized exp(M y) v over many y values.
 
-    Diagonalizes M once when the eigenvector matrix is well conditioned and
-    falls back to per-point scaling-and-squaring otherwise.
+    Diagonalizes M once when the eigenvector matrix is well conditioned
+    (condition number below EXP_EIGVEC_COND_MAX) and falls back to per-point
+    scaling-and-squaring otherwise.
     """
 
-    def __init__(self, M, cond_cap: float = 1e8):
+    def __init__(self, M):
         self.M = np.atleast_2d(np.asarray(M, dtype=float))
         self._diag = None
         m = self.M.shape[0]
         if m == 0:
             return
         w, V = np.linalg.eig(self.M)
-        if np.linalg.cond(V) < cond_cap:
+        if np.linalg.cond(V) < EXP_EIGVEC_COND_MAX:
             self._diag = (w, V, np.linalg.inv(V))
 
     def apply(self, ys, v) -> np.ndarray:

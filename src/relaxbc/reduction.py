@@ -1,7 +1,7 @@
 """Derivation of the reduced boundary condition for the equilibrium system.
 
 Starting from the full boundary condition B U(0) = b, the large-eta limit of
-the stable subspace of M(xi, omega, eta) yields matrices Y1, Y2, Y3; the left
+the stable subspace of M(xi, omega, eta) yields matrices Y2, Y3; the left
 null space B_o of (Y2 Y3) turns the full condition into a well-posed boundary
 condition B_o B_u ubar(0) = B_o b for the equilibrium system, certified by a
 uniform Kreiss condition (UKC).  The same algebra provides the closure solve
@@ -36,12 +36,16 @@ from .spectral import (
     FrequencyPoint,
     KernelFrame,
     SamplingSpec,
+    _G,
     build_M,
     det_ratio,
     map_chunks,
     xi_omega_directions,
 )
-from .tolerances import C_THRESHOLD, spectral_norm, tau_eig, tau_rank
+from .tolerances import (
+    B_O_ENTRY_ABS, C_THRESHOLD, CLOSURE_IMAG_REL, EXPANSION_EXACT_REL,
+    Y3_REAL_IF_CLOSE_EPS, spectral_norm, tau_eig, tau_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,7 @@ class ReductionData:
     N: np.ndarray
     M2: np.ndarray  # (K~^T X K~)^{-1} (K~^T S_hat K~), governs the eps-layer ODE
     M2_stable_dim: int
+    R2S: np.ndarray  # real orthonormal basis of the stable subspace of M2
 
 
 @dataclass
@@ -75,7 +80,6 @@ class ReducedBC:
     """B_o B_u ubar(0, t) = B_o b(t), with the UKC certificate."""
 
     B_o: np.ndarray
-    Y1: np.ndarray
     Y2: np.ndarray
     Y3: np.ndarray
     ukc_min_ratio: float
@@ -124,7 +128,7 @@ def build_equilibrium_frame(sys: RelaxationSystem) -> EquilibriumFrame:
 def build_reduction_data(
     sys: RelaxationSystem, frame: KernelFrame, eq: EquilibriumFrame
 ) -> ReductionData:
-    """Assemble K, K~, X, N, M2 from the reduced coefficients.
+    """Assemble K, K~, X, N, M2 and R2^S from the reduced coefficients.
 
     Raises RankDeficientK if K = A12_hat^T P0 loses column rank and
     SingularKtXKt if K~^T X K~ is singular; both indicate the system
@@ -171,109 +175,26 @@ def build_reduction_data(
         N = N0
 
     expected = idx.n_plus - idx.n1_plus - idx.n10
-    if M2.shape[0] > 0:
-        eigs = np.linalg.eigvals(M2)
-        k_s = int(np.sum(eigs.real < 0))
-    else:
-        k_s = 0
-    if k_s != expected:
+    R2S = stable_basis_real(M2)
+    if R2S.shape[1] != expected:
         raise AssumptionViolated(
-            f"M2 has {k_s} stable eigenvalues, expected "
+            f"M2 has {R2S.shape[1]} stable eigenvalues, expected "
             f"n_+ - n1_+ - n10 = {expected}"
         )
     return ReductionData(
-        K=K, K_tilde=K_tilde, X=X, N=N, M2=M2, M2_stable_dim=expected
+        K=K, K_tilde=K_tilde, X=X, N=N, M2=M2, M2_stable_dim=expected, R2S=R2S
     )
-
-
-def _M1(sys: RelaxationSystem, eq: EquilibriumFrame, xi: complex, omega) -> np.ndarray:
-    """Reduced matrix of the equilibrium system in the (P1, P0) frame:
-    M1(xi, omega) = -Lam1^{-1}([xi I + P1^T C P1] - P1^T C P0 [xi I + P0^T C P0]^{-1} P0^T C P1)
-    with C(omega) = i sum_j omega_j A_{j,11}."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    n1 = sys.n - sys.r
-    C = np.zeros((n1, n1), dtype=complex)
-    for j in range(1, sys.d):
-        C += 1j * omega[j - 1] * sys.A[j][:n1, :n1]
-    P1, P0, Lam1 = eq.P1, eq.P0, eq.Lam1
-    k1 = P1.shape[1]
-    core = xi * np.eye(k1) + P1.T @ C @ P1
-    if P0.shape[1] > 0:
-        inner = xi * np.eye(P0.shape[1]) + P0.T @ C @ P0
-        core = core - P1.T @ C @ P0 @ np.linalg.solve(inner, P0.T @ C @ P1)
-    return -np.diag(1.0 / Lam1).astype(complex) @ core
-
-
-def equilibrium_reduced_matrix(sys, eq, xi, omega):
-    """Public alias for the equilibrium-system reduced matrix M1."""
-    return _M1(sys, eq, xi, omega)
-
-
-def limit_stable_matrix(
-    sys: RelaxationSystem,
-    frame: KernelFrame,
-    eq: EquilibriumFrame,
-    data: ReductionData,
-    xi: complex,
-    omega,
-) -> np.ndarray:
-    """The eta -> infinity limit of a stable basis of M, an
-    (n - n0) x n_+ matrix in the R1 frame:
-
-        [ (P1 - P0 [xi I + P0^T C P0]^{-1} P0^T C P1) R1^S    P0    N R2^S ]
-        [                 0                                    0   K~ R2^S ]
-
-    where R1^S spans the stable subspace of M1(xi, omega) and R2^S that of M2.
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    n1 = sys.n - sys.r
-    P1, P0 = eq.P1, eq.P0
-
-    M1 = _M1(sys, eq, xi, omega)
-    R1S = split_invariant_subspaces(M1).basis_s if M1.shape[0] else np.zeros((0, 0))
-    R2S = (
-        stable_basis_real(data.M2)
-        if data.M2.shape[0]
-        else np.zeros((data.M2.shape[0], 0))
-    )
-
-    C = np.zeros((n1, n1), dtype=complex)
-    for j in range(1, sys.d):
-        C += 1j * omega[j - 1] * sys.A[j][:n1, :n1]
-
-    top_left = P1.astype(complex)
-    if P0.shape[1] > 0:
-        inner = xi * np.eye(P0.shape[1]) + P0.T @ C @ P0
-        top_left = top_left - P0 @ np.linalg.solve(inner, P0.T @ C @ P1)
-    top_left = top_left @ R1S
-
-    rows = sys.n - frame.n0
-    k_low = frame.R02_perp.shape[1]
-    cols = R1S.shape[1] + P0.shape[1] + R2S.shape[1]
-    out = np.zeros((rows, cols), dtype=complex)
-    c0 = 0
-    out[:n1, c0 : c0 + R1S.shape[1]] = top_left
-    c0 += R1S.shape[1]
-    out[:n1, c0 : c0 + P0.shape[1]] = P0
-    c0 += P0.shape[1]
-    if R2S.shape[1] > 0:
-        out[:n1, c0:] = data.N @ R2S
-        out[n1:, c0:] = data.K_tilde @ R2S
-    return out
-
-
-def _ukc_ratio(sys, eq, B_o_Bu, xi, omega) -> float:
-    M1 = _M1(sys, eq, xi, omega)
-    R1S = split_invariant_subspaces(M1).basis_s
-    num = abs(np.linalg.det(B_o_Bu @ eq.P1 @ R1S))
-    den = math.sqrt(max(np.linalg.det(R1S.conj().T @ R1S).real, 0.0))
-    return 0.0 if den == 0.0 else float(num / den)
 
 
 def _M1_stack(sys: RelaxationSystem, eq: EquilibriumFrame):
-    """Batched ``_M1``: a function of the rows (Re xi, Im xi, omega...) of a
-    direction array returning the stack M1 (N, k1, k1) and the stack
-    X = [xi I + P0^T C P0]^{-1} P0^T C P1 (N, n10, k1)."""
+    """The reduced matrix of the equilibrium system in the (P1, P0) frame,
+
+        M1(xi, omega) = -Lam1^{-1}([xi I + P1^T C P1] - P1^T C P0 X),
+        X = [xi I + P0^T C P0]^{-1} P0^T C P1,
+
+    with C(omega) = i sum_j omega_j A_{j,11}, as a function of the rows
+    (Re xi, Im xi, omega...) of a direction array returning the stacks
+    M1 (N, k1, k1) and X (N, n10, k1)."""
     n1 = sys.n - sys.r
     k1 = eq.P1.shape[1]
     F = np.hstack([eq.P1, eq.P0])
@@ -291,6 +212,58 @@ def _M1_stack(sys: RelaxationSystem, eq: EquilibriumFrame):
     return evaluate
 
 
+def _M1_at(sys, eq, xi, omega):
+    """``_M1_stack`` at the single point (xi, omega): (M1, X)."""
+    xi = complex(xi)
+    M1, X = _M1_stack(sys, eq)(np.array([[xi.real, xi.imag, *np.atleast_1d(omega)]]))
+    return M1[0], X[0]
+
+
+def equilibrium_reduced_matrix(sys, eq, xi, omega):
+    """The equilibrium-system reduced matrix M1(xi, omega) (see ``_M1_stack``)."""
+    return _M1_at(sys, eq, xi, omega)[0]
+
+
+def _limit_basis(sys, frame, eq, data, X, V_s) -> np.ndarray:
+    """The eta -> infinity limit of a stable basis of M in the R1 frame,
+
+        [ (P1 - P0 X) V_s    P0    N R2^S ]
+        [        0           0    K~ R2^S ],
+
+    for the stacks X (N, n10, k1) of ``_M1_stack`` and V_s (N, k1, k) of
+    stable vectors of M1: a stack of (n - n0) x (k + n10 + dim R2^S) bases."""
+    n1, n10, k = sys.n - sys.r, eq.P0.shape[1], V_s.shape[2]
+    L = np.zeros((len(X), sys.n - frame.n0, k + n10 + data.R2S.shape[1]), dtype=complex)
+    L[:, :n1, :k] = (eq.P1 - eq.P0 @ X) @ V_s
+    L[:, :n1, k : k + n10] = eq.P0
+    L[:, :n1, k + n10 :] = data.N @ data.R2S
+    L[:, n1:, k + n10 :] = data.K_tilde @ data.R2S
+    return L
+
+
+def limit_stable_matrix(
+    sys: RelaxationSystem,
+    frame: KernelFrame,
+    eq: EquilibriumFrame,
+    data: ReductionData,
+    xi: complex,
+    omega,
+) -> np.ndarray:
+    """The eta -> infinity limit of a stable basis of M at (xi, omega), an
+    (n - n0) x n_+ matrix (see ``_limit_basis``), with the stable subspace of
+    M1 from the Schur split."""
+    M1, X = _M1_at(sys, eq, xi, omega)
+    R1S = split_invariant_subspaces(M1).basis_s
+    return _limit_basis(sys, frame, eq, data, X[None], R1S[None])[0]
+
+
+def _ukc_ratio(sys, eq, B_o_Bu, xi, omega) -> float:
+    R1S = split_invariant_subspaces(equilibrium_reduced_matrix(sys, eq, xi, omega)).basis_s
+    num = abs(np.linalg.det(B_o_Bu @ eq.P1 @ R1S))
+    den = math.sqrt(max(np.linalg.det(R1S.conj().T @ R1S).real, 0.0))
+    return 0.0 if den == 0.0 else float(num / den)
+
+
 def eta_inf_ratios(
     sys: RelaxationSystem,
     frame: KernelFrame,
@@ -302,30 +275,14 @@ def eta_inf_ratios(
     the limit stable basis of ``limit_stable_matrix``, at every row
     (Re xi, Im xi, omega...) of ``units``, batched.  NaN marks a point skipped
     for an eigenvalue of M1 near the imaginary axis."""
-    n1 = sys.n - sys.r
-    n10 = eq.P0.shape[1]
-    R2S = (
-        stable_basis_real(data.M2)
-        if data.M2.shape[0]
-        else np.zeros((data.M2.shape[0], 0))
-    )
-    n_plus = sys.B.shape[0]
-    n1s = n_plus - n10 - R2S.shape[1]  # stable dimension of M1
-    # the columns of L that do not depend on (xi, omega)
-    fixed = np.zeros((sys.n - frame.n0, n_plus - n1s), dtype=complex)
-    fixed[:n1, :n10] = eq.P0
-    if R2S.shape[1] > 0:
-        fixed[:n1, n10:] = data.N @ R2S
-        fixed[n1:, n10:] = data.K_tilde @ R2S
+    n1s = sys.B.shape[0] - eq.P0.shape[1] - data.R2S.shape[1]  # stable dimension of M1
     BR1 = sys.B @ frame.R1
     m1_stack = _M1_stack(sys, eq)
 
     def batch(u):
         M1, X = m1_stack(u)
         V_s, _, ok = stable_eigvecs(M1, n1s)
-        L = np.zeros((len(u), fixed.shape[0], n_plus), dtype=complex)
-        L[:, :n1, :n1s] = (eq.P1 - eq.P0 @ X) @ V_s
-        L[:, :, n1s:] = fixed
+        L = _limit_basis(sys, frame, eq, data, X, V_s)
         num = np.abs(np.linalg.det(BR1 @ L))
         return det_ratio(num, np.prod(np.linalg.svd(L, compute_uv=False), axis=1)), ok
 
@@ -334,7 +291,7 @@ def eta_inf_ratios(
             R_inf = limit_stable_matrix(sys, frame, eq, data, complex(u[0], u[1]), u[2:])
         except NearImaginaryEigenvalue:
             return math.nan
-        num = abs(np.linalg.det(sys.B @ frame.R1 @ R_inf))
+        num = abs(np.linalg.det(BR1 @ R_inf))
         den = math.sqrt(max(np.linalg.det(R_inf.conj().T @ R_inf).real, 0.0))
         return 0.0 if den == 0.0 else num / den
 
@@ -382,13 +339,8 @@ def derive_reduced_bc(
     idx = compute_indices(sys)
     B_u, B_v = sys.B_u, sys.B_v
 
-    R2S = (
-        stable_basis_real(data.M2)
-        if data.M2.shape[0]
-        else np.zeros((data.M2.shape[0], 0))
-    )
     Y2 = B_u @ eq.P0
-    Y3 = (B_u @ data.N + B_v @ frame.R02_perp @ data.K_tilde) @ R2S
+    Y3 = (B_u @ data.N + B_v @ frame.R02_perp @ data.K_tilde) @ data.R2S
     Y23 = np.hstack([Y2, Y3])
 
     n_plus, n1_plus = idx.n_plus, idx.n1_plus
@@ -410,7 +362,7 @@ def derive_reduced_bc(
             f"B_o has {B_o.shape[0]} rows, expected n1_+ = {n1_plus}"
         )
     if np.iscomplexobj(B_o) and (
-        B_o.size == 0 or np.max(np.abs(B_o.imag)) < 1e-12
+        B_o.size == 0 or np.max(np.abs(B_o.imag)) < B_O_ENTRY_ABS
     ):
         B_o = B_o.real
     B_o = _normalize_rows(B_o)
@@ -431,7 +383,6 @@ def derive_reduced_bc(
         )
     return ReducedBC(
         B_o=B_o,
-        Y1=_Y1(sys, eq, 1.0 + 0j, np.zeros(sys.d - 1)),
         Y2=Y2,
         Y3=Y3,
         ukc_min_ratio=best,
@@ -441,20 +392,6 @@ def derive_reduced_bc(
         p0_residual=float(p0_res),
         coefficient=coeff,
     )
-
-
-def _Y1(sys, eq, xi, omega):
-    M1 = _M1(sys, eq, xi, omega)
-    R1S = split_invariant_subspaces(M1).basis_s if M1.shape[0] else np.zeros((0, 0))
-    n1 = sys.n - sys.r
-    C = np.zeros((n1, n1), dtype=complex)
-    for j in range(1, sys.d):
-        C += 1j * np.atleast_1d(omega)[j - 1] * sys.A[j][:n1, :n1]
-    top = eq.P1.astype(complex)
-    if eq.P0.shape[1] > 0:
-        inner = xi * np.eye(eq.P0.shape[1]) + eq.P0.T @ C @ eq.P0
-        top = top - eq.P0 @ np.linalg.solve(inner, eq.P0.T @ C @ eq.P1)
-    return sys.B_u @ top @ R1S
 
 
 def _normalize_rows(B_o: np.ndarray) -> np.ndarray:
@@ -468,7 +405,7 @@ def _normalize_rows(B_o: np.ndarray) -> np.ndarray:
         if nrm == 0:
             continue
         row = row / nrm
-        nz = np.nonzero(np.abs(row) > 1e-12)[0]
+        nz = np.nonzero(np.abs(row) > B_O_ENTRY_ABS)[0]
         if nz.size and row[nz[0]].real < 0:
             row = -row
         out[i] = row
@@ -493,7 +430,7 @@ def build_closure(
         B_tilde_o = orthonormal_complement(rbc.B_o.T).T
     else:
         B_tilde_o = np.eye(n_plus)
-    coeff = B_tilde_o @ np.hstack([rbc.Y2, np.real_if_close(rbc.Y3, tol=1e4)])
+    coeff = B_tilde_o @ np.hstack([rbc.Y2, np.real_if_close(rbc.Y3, tol=Y3_REAL_IF_CLOSE_EPS)])
     if coeff.shape[0] != coeff.shape[1]:
         raise SingularClosure(
             f"closure coefficient is {coeff.shape[0]}x{coeff.shape[1]}, not square"
@@ -522,7 +459,7 @@ def solve_closure(
     if closure.coefficient.size == 0:
         return np.zeros(0), np.zeros(0)
     sol = np.linalg.solve(closure.coefficient, rhs.astype(closure.coefficient.dtype))
-    if np.max(np.abs(np.imag(sol)), initial=0.0) < 1e-10 * max(np.max(np.abs(sol)), 1.0):
+    if np.max(np.abs(np.imag(sol)), initial=0.0) < CLOSURE_IMAG_REL * max(np.max(np.abs(sol)), 1.0):
         sol = sol.real
     return sol[:n10], sol[n10:]
 
@@ -537,15 +474,12 @@ def large_eta_expansion_check(
 
     Returns the fitted decay slope of || M(eta) - A1_hat^{-1}(eta Q_hat + H_hat) ||
     against eta (expected near -1) and the residual of the top-left block of
-    H_hat against -(xi I + C(omega)).
+    H_hat against that of H = G(xi, omega, eta = 0), which is -(xi I + C(omega)).
     """
-    n, r, n0 = sys.n, sys.r, frame.n0
+    n1, n0 = sys.n - sys.r, frame.n0
     R0, R1 = frame.R0, frame.R1
     Q = sys.Q
-    omega = np.atleast_1d(p.omega)
-    H = -p.xi * np.eye(n, dtype=complex)
-    for j in range(1, sys.d):
-        H = H - 1j * omega[j - 1] * sys.A[j]
+    H = _G(sys, FrequencyPoint(xi=p.xi, omega=p.omega, eta=0.0))
     if n0 > 0:
         QR00_inv = np.linalg.inv(R0.T @ Q @ R0)
         left = R1.T - (R1.T @ Q @ R0) @ QR00_inv @ R0.T
@@ -553,13 +487,7 @@ def large_eta_expansion_check(
     else:
         left, right = R1.T, R1
     H_hat = left @ H @ right
-
-    n1 = n - r
-    C = np.zeros((n1, n1), dtype=complex)
-    for j in range(1, sys.d):
-        C += 1j * omega[j - 1] * sys.A[j][:n1, :n1]
-    top_left_target = -(p.xi * np.eye(n1) + C)
-    top_left_residual = spectral_norm(H_hat[:n1, :n1] - top_left_target)
+    top_left_residual = spectral_norm(H_hat[:n1, :n1] - H[:n1, :n1])
 
     A1_hat_inv = np.linalg.inv(frame.A1_hat)
     resids = []
@@ -572,7 +500,7 @@ def large_eta_expansion_check(
         m_norms.append(spectral_norm(M))
     # when the remainder vanishes identically the measured residual is pure
     # round-off, which grows with ||M(eta)||; judge exactness relative to it
-    exact = all(r <= 1e-11 * max(m, 1.0) for r, m in zip(resids, m_norms))
+    exact = all(r <= EXPANSION_EXACT_REL * max(m, 1.0) for r, m in zip(resids, m_norms))
     if exact:
         slope = None
     else:

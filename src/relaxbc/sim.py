@@ -52,6 +52,9 @@ from .tolerances import (
     tau_eig,
 )
 
+#: Courant number of the stiff step and of the equilibrium trace sampling
+CFL = 0.9
+
 
 @dataclass
 class Scenario:
@@ -189,7 +192,7 @@ def solve_relaxation(
     eps: float,
     dx_max: float = 1e-3,
     ratio: float = 1.05,
-    cfl: float = 0.9,
+    cfl: float = CFL,
 ) -> SimResult:
     """First-order characteristic upwind + Lie splitting for
 
@@ -288,7 +291,6 @@ def solve_equilibrium(
     scenario: Scenario,
     rhs=None,
     dx: float = 1e-3,
-    cfl: float = 0.9,
 ) -> SimResult:
     """Method-of-characteristics solution at t = T of the equilibrium system
     ubar_t + A11 ubar_x = 0 with the reduced boundary condition
@@ -306,7 +308,7 @@ def solve_equilibrium(
 
     ``dx`` spaces the nodes where the solution is sampled.  The boundary
     trace ubar(0, t), for the layer closure, is sampled every
-    dt = T / ceil(T / (cfl dx / rho(A11))); the inflow values between the
+    dt = T / ceil(T / (CFL dx / rho(A11))); the inflow values between the
     samples are read from it by linear interpolation, as the closure reads
     it.  ``rhs`` overrides the boundary right-hand side t -> B_o b(t); it is
     used by the naive-closure negative control.
@@ -323,7 +325,7 @@ def solve_equilibrium(
     T, x_max = scenario.T, scenario.x_max
     x = np.arange(0.0, x_max + dx / 2, dx)
     rho = np.abs(lam).max(initial=0.0)
-    steps = max(int(math.ceil(T / (cfl * dx / rho))), 1) if rho > tol else 100
+    steps = max(int(math.ceil(T / (CFL * dx / rho))), 1) if rho > tol else 100
     dt = T / steps
     times = np.arange(steps + 1) * dt
 
@@ -510,7 +512,6 @@ def run_convergence_study(
     dx_max: float = 5e-4,
     equilibrium_dx: float = 1e-4,
     with_control: bool = True,
-    well_prepared: bool = True,
 ) -> ConvergenceStudy:
     """Measure ||U^eps - U_eps||_{L2} at t = T for each eps and fit the decay
     slope; optionally repeat against the naive-closure equilibrium solution
@@ -521,10 +522,10 @@ def run_convergence_study(
     ``equilibrium_dx`` spaces the nodes where the closed-form equilibrium
     solution is sampled (see ``solve_equilibrium``).
 
-    ``scenario.u0``/``scenario.v0`` describe the outer initial data.  With
-    ``well_prepared`` the stiff runs start from data that already carry the
-    eps-layer at its t = 0 amplitude, so the measured gap is the expansion
-    error rather than an initial-relaxation transient.
+    ``scenario.u0``/``scenario.v0`` describe the outer initial data.  The
+    stiff runs start from well-prepared data that already carry the eps-layer
+    at its t = 0 amplitude, so the measured gap is the expansion error rather
+    than an initial-relaxation transient.
     """
     idx = compute_indices(sys)
     layer0 = build_eps_layer(sys, frame, data)
@@ -550,7 +551,7 @@ def run_convergence_study(
     details = {"per_eps": []}
     n1 = sys.n - sys.r
     for eps in eps_list:
-        if well_prepared and np.size(w_s0):
+        if np.size(w_s0):
             def u0_eps(x, _e=eps):
                 base = np.atleast_2d(scenario.u0(x).T).T
                 return base + layer0.evaluate(x / _e, w_s0)[:, :n1]

@@ -32,6 +32,9 @@ from .linalg import (
 from .model import RelaxationSystem, check_sk_condition, compute_indices
 from .tolerances import C_THRESHOLD, spectral_norm, tau_axis, tau_rank
 
+#: perturbed directions per unit of resolution refining a near-threshold minimum
+REFINE_FACTOR = 4
+
 #: directions per batched evaluation.  It bounds the memory of the stacked
 #: eigenproblems: evaluating a d = 3 grid at resolution 12 (16,233
 #: directions) in one stack raised the peak resident memory by 44 MB, in
@@ -85,15 +88,12 @@ class FrequencyPoint:
 
 @dataclass
 class SamplingSpec:
-    """Resolution and thresholds for the hemisphere GKC sampler."""
+    """Grid of the hemisphere GKC sampler; its threshold is C_THRESHOLD."""
 
     resolution: int = 24
     delta: float = 1e-3  # smallest Re(xi) slice, relative to sphere radius
-    c_threshold: float = C_THRESHOLD
     rim_points: int = 64  # low-discrepancy points near each degenerate rim
-    refine_factor: int = 4
     seed: int = 20240817
-    include_eta_infinity: bool = True
 
 
 @dataclass
@@ -422,8 +422,7 @@ def check_gkc(
     unit hemisphere plus the eta = infinity limit point (evaluated through
     the large-eta limit matrix).  If the minimum is merely close to the
     threshold, the grid is refined around the argmin before declaring failure.
-    The check fails when the eta = infinity limit was asked for but could not
-    be formed.
+    The check fails when the eta = infinity limit could not be formed.
     """
     spec = spec or SamplingSpec()
     units = directions(sys.d + 2, spec)
@@ -432,37 +431,35 @@ def check_gkc(
     units, vals = units[kept], vals[kept]
     # a point's as_tuple() is its unit row
     ratios = list(zip(map(tuple, units.tolist()), vals.tolist()))
-    sub = [(p, v) for p, v in ratios if v <= spec.c_threshold]
+    sub = [(p, v) for p, v in ratios if v <= C_THRESHOLD]
 
     best, best_point = math.inf, None
     if vals.size:
         i = int(np.argmin(vals))  # first occurrence, as a strict-< scan
         best, best_point = ratios[i][1], _unit_to_point(units[i], sys.d)
 
-    eta_inf_min, eta_inf_skipped, eta_inf_error = None, 0, None
-    if spec.include_eta_infinity:
-        eta_inf_min, eta_inf_point, eta_inf_skipped, eta_inf_error = (
-            _eta_infinity_min_ratio(sys, frame, spec)
-        )
-        if eta_inf_min is not None and eta_inf_min < best:
-            best, best_point = eta_inf_min, eta_inf_point
+    eta_inf_min, eta_inf_point, eta_inf_skipped, eta_inf_error = (
+        _eta_infinity_min_ratio(sys, frame, spec)
+    )
+    if eta_inf_min is not None and eta_inf_min < best:
+        best, best_point = eta_inf_min, eta_inf_point
 
     # local refinement: distinguish a true zero from slow decay
-    if best_point is not None and math.isfinite(best_point.eta) and best < 10 * spec.c_threshold:
+    if best_point is not None and math.isfinite(best_point.eta) and best < 10 * C_THRESHOLD:
         best, best_point, extra_sub = _refine_minimum(sys, frame, spec, best, best_point)
         sub.extend(extra_sub)
 
-    passed = best > spec.c_threshold and not math.isinf(best) and eta_inf_error is None
+    passed = best > C_THRESHOLD and not math.isinf(best) and eta_inf_error is None
     return GkcReport(
         min_ratio=best if math.isfinite(best) else 0.0,
         argmin_point=best_point,
         samples=len(ratios),
-        includes_eta_infinity=spec.include_eta_infinity and eta_inf_error is None,
+        includes_eta_infinity=eta_inf_error is None,
         eta_inf_min_ratio=eta_inf_min,
         eta_inf_skipped=eta_inf_skipped,
         eta_inf_error=eta_inf_error,
         passed=bool(passed),
-        c_threshold=spec.c_threshold,
+        c_threshold=C_THRESHOLD,
         subthreshold_points=sub,
         failures=failures,
         ratios=ratios,
@@ -474,7 +471,7 @@ def _refine_minimum(sys, frame, spec, best, best_point):
     center = np.array(best_point.as_tuple())
     scale = max(np.linalg.norm(center), 1.0)
     rng = np.random.default_rng(spec.seed + 1)
-    n_local = spec.refine_factor * spec.resolution
+    n_local = REFINE_FACTOR * spec.resolution
     u = center + rng.normal(
         scale=scale / (4 * spec.resolution), size=(n_local, center.size)
     )
@@ -487,7 +484,7 @@ def _refine_minimum(sys, frame, spec, best, best_point):
     sub = [
         (tuple(row), val)
         for row, val in zip(u.tolist(), vals.tolist())
-        if val <= spec.c_threshold
+        if val <= C_THRESHOLD
     ]
     if vals.size:
         i = int(np.argmin(vals))

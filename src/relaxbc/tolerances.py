@@ -49,6 +49,27 @@ TOUCHES_V_ABS = 1e-14
 #: saves the snapshot for it
 SAVE_TIME_ABS = 1e-12
 
+#: largest relative tail (last 5% of the domain) of a resolved sqrt(eps) layer
+SQRT_LAYER_TAIL_REL = 1e-8
+
+#: ExpActionEvaluator diagonalises M below this eigenvector condition number
+EXP_EIGVEC_COND_MAX = 1e8
+
+#: entries of B_o this small in magnitude count as zero (realness, row signs)
+B_O_ENTRY_ABS = 1e-12
+
+#: ``np.real_if_close`` tolerance, in machine epsilons, for taking Y3 as real
+Y3_REAL_IF_CLOSE_EPS = 1e4
+
+#: relative imaginary part below which a closure solution is taken as real
+CLOSURE_IMAG_REL = 1e-10
+
+#: relative residual up to which the large-eta expansion counts as exact
+EXPANSION_EXACT_REL = 1e-11
+
+#: relative imaginary part above which a report matrix is written as complex
+REPORT_IMAG_REL = 1e-14
+
 
 def spectral_norm(a) -> float:
     a = np.asarray(a)

@@ -194,3 +194,21 @@ class TestConverge:
             ["converge", sys2x2_file, "--scenario", scen,
              "--out", str(tmp_path)]
         ) == 2
+
+
+def test_perfbench_wrapped_attributes_resolve():
+    """perfbench/spans.py wraps package functions by (module, attribute)
+    name; a missing one breaks benchmark runs with ``--trace 1``."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        (mod, attr) for mod, attr, _ in spans.WRAPPED
+        if not callable(getattr(importlib.import_module(f"relaxbc.{mod}"), attr, None))
+    ]
+    assert spans.WRAPPED and missing == []

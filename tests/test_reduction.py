@@ -198,3 +198,75 @@ class TestEquilibriumReducedMatrix:
         M1 = equilibrium_reduced_matrix(pipe2x2.sys, pipe2x2.eq, 2.0, np.zeros(0))
         # -Lam1^{-1} xi = -2/3
         assert np.allclose(M1, [[-2.0 / 3.0]], atol=1e-12)
+
+
+def _dense_m1(sys_obj, eq, xi, omega):
+    """M1(xi, omega) and X = [xi I + P0^T C P0]^{-1} P0^T C P1 by the dense
+    formula, with C(omega) = i sum_j omega_j A_{j,11} built from sys.A."""
+    n1 = sys_obj.n - sys_obj.r
+    C = np.zeros((n1, n1), dtype=complex)
+    for w, Aj in zip(omega, sys_obj.A[1:]):
+        C += 1j * w * Aj[:n1, :n1]
+    P1, P0 = eq.P1, eq.P0
+    X = np.linalg.solve(xi * np.eye(P0.shape[1]) + P0.T @ C @ P0, P0.T @ C @ P1)
+    core = xi * np.eye(P1.shape[1]) + P1.T @ C @ P1 - P1.T @ C @ P0 @ X
+    return -np.diag(1.0 / eq.Lam1) @ core, X
+
+
+def _dense_limit(sys_obj, frame, eq, data, xi, omega):
+    """The eta = infinity limit basis from eigenvectors of M1 and M2."""
+    M1, X = _dense_m1(sys_obj, eq, xi, omega)
+    w1, V1 = np.linalg.eig(M1)
+    w2, V2 = np.linalg.eig(data.M2)
+    R1S, R2S = V1[:, w1.real < 0], V2[:, w2.real < 0]
+    n10 = eq.P0.shape[1]
+    top = np.hstack([(eq.P1 - eq.P0 @ X) @ R1S, eq.P0, data.N @ R2S])
+    low = np.hstack([
+        np.zeros((data.K_tilde.shape[0], R1S.shape[1] + n10)), data.K_tilde @ R2S,
+    ])
+    return np.vstack([top, low])
+
+
+def _mixed_block_d2(rng):
+    """d = 2, A11 = diag(2, 0): one nonzero and one zero equilibrium speed,
+    so M1 carries the coupling through X."""
+    A1 = np.zeros((3, 3))
+    A1[0, 0] = 2.0
+    A1[1, 2] = A1[2, 1] = 1.0
+    W = rng.normal(size=(3, 3))
+    return _plain(
+        A1, np.diag([0.0, 0.0, -1.0]), np.eye(2, 3), r=1, d=2,
+        A_rest=(0.5 * (W + W.T),),
+    )
+
+
+class TestSharedM1Builder:
+    """The per-point and batched paths share one M1 builder; these check it
+    against the dense formula at omega != 0."""
+
+    def _cases(self, random_bundles, rng):
+        cases = [(b.sys, b.frame, b.eq, b.data) for b in random_bundles if b.sys.d >= 2]
+        sys_obj = _mixed_block_d2(rng)
+        frame = build_kernel_frame(sys_obj)
+        eq = build_equilibrium_frame(sys_obj)
+        cases.append((sys_obj, frame, eq, build_reduction_data(sys_obj, frame, eq)))
+        # the pool has no zero equilibrium speed; the last case does
+        assert eq.P0.shape[1] == 1 and eq.P1.shape[1] == 1
+        return cases
+
+    def test_equilibrium_reduced_matrix(self, random_bundles, rng):
+        for sys_obj, _, eq, _ in self._cases(random_bundles, rng):
+            xi = complex(rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0))
+            omega = rng.uniform(-1.0, 1.0, size=sys_obj.d - 1)
+            got = equilibrium_reduced_matrix(sys_obj, eq, xi, omega)
+            want, _ = _dense_m1(sys_obj, eq, xi, omega)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_limit_stable_matrix(self, random_bundles, rng):
+        for sys_obj, frame, eq, data in self._cases(random_bundles, rng):
+            xi = complex(rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0))
+            omega = rng.uniform(-1.0, 1.0, size=sys_obj.d - 1)
+            got = limit_stable_matrix(sys_obj, frame, eq, data, xi, omega)
+            want = _dense_limit(sys_obj, frame, eq, data, xi, omega)
+            assert got.shape == want.shape
+            assert np.max(sla.subspace_angles(got, want), initial=0.0) < 1e-10
