@@ -9,8 +9,6 @@ admissibility conditions and are the workhorses of the property tests.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import RelaxbcError
@@ -46,7 +44,7 @@ def example_scenario(T: float = 0.5, x_max: float = 2.0) -> Scenario:
     condition at t = 0 (value 1/3, slope -1/3)."""
 
     def b(t):
-        return np.array([math.sin(t), math.cos(t)])
+        return np.stack([np.sin(t), np.cos(t)], axis=-1)
 
     def u0(x):
         x = np.asarray(x, dtype=float)
@@ -125,7 +123,7 @@ def scenario_double_characteristic(
     m = sys.B.shape[0]
 
     def b(t):
-        return math.sin(t) * np.ones(m)
+        return np.multiply.outer(np.sin(t), np.ones(m))
 
     def u0(x):
         x = np.asarray(x, dtype=float)

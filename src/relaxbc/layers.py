@@ -5,27 +5,33 @@ solution
     U_eps(x, t) = (ubar; 0) + (mu0; nu0)(x/eps, t)
                   + (mu1; 0)(x/sqrt(eps), t)
                   + sqrt(eps) (mu2; nu2)(x/sqrt(eps), t).
+
+The sqrt(eps)-layer solves a constant-coefficient heat equation on the half
+line; it is evaluated in closed form (Duhamel's erfc superposition), with no
+time stepping and no truncation boundary.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.special import erfc
 
-from .errors import AssumptionViolated, UnresolvedLayerWarning
+from .errors import AssumptionViolated
 # stable_basis_real is not called here; perfbench/spans.py wraps it by this name
 from .linalg import ExpActionEvaluator, stable_basis_real
 from .model import RelaxationSystem
 from .reduction import EquilibriumFrame, ReductionData
 from .spectral import KernelFrame
-from .tolerances import SAVE_TIME_ABS, SQRT_LAYER_TAIL_REL, tau_eig
+from .tolerances import tau_eig
 
-#: nodes, time steps and most domain doublings of the sqrt(eps)-layer solve
-SQRT_LAYER_NZ, SQRT_LAYER_NT, SQRT_LAYER_MAX_DOUBLINGS = 600, 800, 4
+#: z nodes of the sqrt(eps)-layer table and intervals of its boundary data
+SQRT_LAYER_NZ, SQRT_LAYER_NT = 600, 800
+
+#: z rows per block of the erfc superposition
+_Z_BLOCK = 64
 
 
 @dataclass
@@ -82,9 +88,9 @@ class SqrtEpsLayer:
     P0: np.ndarray
     D: np.ndarray
     z_max: float
-    doublings: int
-    tail_fraction: float
-    snapshots: dict  # time -> (m, dm_dz)
+    # always 0, as the closed form has no domain to double; kept, like the
+    # stable_basis_real import above, only because perfbench/spans.py reads it
+    doublings: int = 0
 
     def interp_m(self, z: np.ndarray) -> np.ndarray:
         return self._interp(z, self.m)
@@ -118,100 +124,73 @@ def diffusion_matrix(sys: RelaxationSystem, eq: EquilibriumFrame) -> np.ndarray:
 
 
 def solve_sqrt_eps_layer(
-    sys: RelaxationSystem,
-    eq: EquilibriumFrame,
-    boundary,
-    T: float,
-    z_max: float | None = None,
-    save_times=None,
+    sys: RelaxationSystem, eq: EquilibriumFrame, boundary, T: float
 ) -> SqrtEpsLayer:
-    """Crank-Nicolson solve of  m_t = (-D) m_zz  on (0, z_max) x (0, T].
+    """Exact final-time solution of  m_t = (-D) m_zz  on z > 0, t in (0, T],
+    with m(z, 0) = 0 and m(0, t) = boundary(t) interpolated linearly between
+    the SQRT_LAYER_NT + 1 equispaced times 0, T / SQRT_LAYER_NT, ..., T.
 
-    Dirichlet data m(0, t) = boundary(t), m(z_max, t) = 0, m(z, 0) = 0;
     ``boundary`` maps an array of times to their (len(t), n10) data and is
-    called once, for all SQRT_LAYER_NT time levels.  The domain length
-    defaults to 12 sqrt(lam_max T) and is doubled (re-solving) up to
-    SQRT_LAYER_MAX_DOUBLINGS times while the tail of the final-time profile
-    is above SQRT_LAYER_TAIL_REL; an UnresolvedLayerWarning is emitted if it
-    never falls below it.
+    called once.  In each eigenmode q_k = (V^T m)_k, -D = V diag(lam) V^T, the
+    solution is Duhamel's erfc superposition (``_erfc_superposition``),
+    tabulated with its exact z-derivative on SQRT_LAYER_NZ nodes of
+    [0, 12 sqrt(lam_max T)].  |q_k(z, T)| <= max |g_k| erfc(z / 2 sqrt(lam_k T))
+    bounds the profile beyond the table by 2e-17 max |g_k|, so no truncation
+    boundary enters the solution.
     """
     D = diffusion_matrix(sys, eq)
-    n10 = D.shape[0]
-    if n10 == 0:
+    if D.shape[0] == 0:
         z = np.linspace(0.0, 1.0, 2)
         empty = np.zeros((2, 0))
-        return SqrtEpsLayer(
-            z=z, m=empty, dm_dz=empty, P0=eq.P0, D=D,
-            z_max=1.0, doublings=0, tail_fraction=0.0, snapshots={},
-        )
+        return SqrtEpsLayer(z=z, m=empty, dm_dz=empty, P0=eq.P0, D=D, z_max=1.0)
     lam, V = np.linalg.eigh(-D)  # lam > 0
-    if z_max is None:
-        z_max = 12.0 * math.sqrt(lam.max() * T)
-    save_times = sorted(set(save_times or [])) or []
-    nz, nt = SQRT_LAYER_NZ, SQRT_LAYER_NT
-    # eigen-coordinates V^T m(0, t) at the end of every time step
-    g = np.asarray(boundary(np.arange(1, nt + 1) * (T / nt)), dtype=float) @ V
-
-    doublings = 0
-    while True:
-        z = np.linspace(0.0, z_max, nz)
-        m, snaps = _cn_solve(lam, V, g, T, z, save_times)
-        tail = np.abs(m[int(0.95 * nz) :, :]).max(initial=0.0)
-        scale = max(np.abs(m).max(initial=0.0), 1e-30)
-        frac = tail / scale
-        if frac <= SQRT_LAYER_TAIL_REL or doublings >= SQRT_LAYER_MAX_DOUBLINGS:
-            break
-        z_max *= 2.0
-        nz *= 2
-        doublings += 1
-    if frac > SQRT_LAYER_TAIL_REL:
-        warnings.warn(
-            f"sqrt(eps)-layer tail not resolved: relative tail {frac:.2e} "
-            f"after {doublings} domain doublings",
-            UnresolvedLayerWarning,
-        )
-    dm = np.gradient(m, z, axis=0)
-    snapshots = {
-        t: (sm, np.gradient(sm, z, axis=0)) for t, sm in snaps.items()
-    }
+    z_max = 12.0 * math.sqrt(lam.max() * T)
+    z = np.linspace(0.0, z_max, SQRT_LAYER_NZ)
+    times = np.arange(SQRT_LAYER_NT + 1) * (T / SQRT_LAYER_NT)
+    g = np.asarray(boundary(times), dtype=float) @ V
+    q, dq = _erfc_superposition(lam, g, T, z)
     return SqrtEpsLayer(
-        z=z, m=m, dm_dz=dm, P0=eq.P0, D=D,
-        z_max=float(z_max), doublings=doublings, tail_fraction=float(frac),
-        snapshots=snapshots,
+        z=z, m=q @ V.T, dm_dz=dq @ V.T, P0=eq.P0, D=D, z_max=float(z_max)
     )
 
 
-def _cn_solve(lam, V, g, T, z, save_times):
-    """Scalar Crank-Nicolson for every eigenmode q_k = (V^T m)_k at once, with
-    Dirichlet ends q_k(0, t_j) = g[j - 1, k] and q_k(z_max, t) = 0 over the
-    len(g) steps of size T / len(g).
+def _erfc_superposition(lam, g, T, z):
+    """q_k(z, T) and dq_k/dz for  q_t = lam_k q_zz,  q(z, 0) = 0, with q(0, t)
+    the piecewise-linear interpolant of g[:, k] at s_j = j T / (len(g) - 1)
+    (Carslaw & Jaeger, Conduction of Heat in Solids, 1959, sec. 2.5).
 
-    The modes' matrices (I - r_k/2 L), L the Dirichlet Laplacian, stack into
-    one block-diagonal matrix, itself symmetric positive definite and
-    tridiagonal, factored once."""
-    nt, n10 = g.shape
-    m = z.size - 2
-    dt = T / nt
-    r = lam * dt / (z[1] - z[0]) ** 2
-    off = np.repeat(-r / 2, m)
-    off[m - 1 :: m] = 0.0  # no coupling between the modes' blocks
-    d, e, info = lapack.dpttrf(np.repeat(1.0 + r, m), off[:-1])
-    if info:
-        raise np.linalg.LinAlgError(f"Crank-Nicolson matrix not factored (info {info})")
-    q = np.zeros((z.size, n10))
-    want = list(save_times)
-    snaps = {}
-    for step in range(nt):
-        t_new = (step + 1) * dt
-        interior = q[1:-1]
-        rhs = interior + (r / 2) * (q[2:] - 2 * interior + q[:-2])
-        rhs[0] += (r / 2) * g[step]  # q[:-2] already carries the old boundary
-        sol, _ = lapack.dpttrs(d, e, rhs.T.ravel())
-        q[1:-1] = sol.reshape(n10, m).T
-        q[0] = g[step]
-        while want and t_new >= want[0] - SAVE_TIME_ABS:
-            snaps[want.pop(0)] = q @ V.T
-    return q @ V.T, snaps
+    The data g_0 H(t) + sum_j c_j [(t - s_j)_+ - (t - s_{j+1})_+], c_j the
+    slope on [s_j, s_{j+1}], superpose the step response erfc(z / 2 sqrt(lam t))
+    and the ramp response
+
+        F(tau) = (tau + z^2 / 2 lam) erfc(z / 2 sqrt(lam tau))
+                 - z sqrt(tau / pi lam) exp(-z^2 / 4 lam tau),
+        dF/dz  = (z / lam) erfc(z / 2 sqrt(lam tau))
+                 - 2 sqrt(tau / pi lam) exp(-z^2 / 4 lam tau),
+
+    so q = g_0 erfc(z / 2 sqrt(lam T)) + sum_j (c_j - c_{j-1}) F(T - s_j),
+    with c_{-1} = 0 and F(0) = 0.  Returns two (len(z), len(lam)) arrays."""
+    nt = g.shape[0] - 1
+    tau = T - np.arange(nt) * (T / nt)  # T - s_j > 0
+    c = np.diff(g, axis=0) / (T / nt)
+    dc = np.diff(c, axis=0, prepend=0.0)
+    q = np.empty((z.size, lam.size))
+    dq = np.empty_like(q)
+    for k, lk in enumerate(lam):
+        x_T = z / (2.0 * math.sqrt(lk * T))
+        q[:, k] = g[0, k] * erfc(x_T)
+        dq[:, k] = -g[0, k] * np.exp(-(x_T**2)) / math.sqrt(math.pi * lk * T)
+        root = np.sqrt(tau / (math.pi * lk))
+        # blocks of z rows keep the (rows, nt) temporaries small
+        for rows in range(0, z.size, _Z_BLOCK):
+            zb = z[rows : rows + _Z_BLOCK, None]
+            x = zb / (2.0 * np.sqrt(lk * tau))
+            e, gauss = erfc(x), np.exp(-(x**2)) * root
+            F = (tau + zb**2 / (2.0 * lk)) * e - zb * gauss
+            dF = (zb / lk) * e - 2.0 * gauss
+            q[rows : rows + _Z_BLOCK, k] += F @ dc[:, k]
+            dq[rows : rows + _Z_BLOCK, k] += dF @ dc[:, k]
+    return q, dq
 
 
 @dataclass

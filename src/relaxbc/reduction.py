@@ -193,8 +193,8 @@ def _M1_stack(sys: RelaxationSystem, eq: EquilibriumFrame):
         X = [xi I + P0^T C P0]^{-1} P0^T C P1,
 
     with C(omega) = i sum_j omega_j A_{j,11}, as a function of the rows
-    (Re xi, Im xi, omega...) of a direction array returning the stacks
-    M1 (N, k1, k1) and X (N, n10, k1)."""
+    (Re xi, Im xi, omega...) of a direction array returning the stack
+    M1 (N, k1, k1)."""
     n1 = sys.n - sys.r
     k1 = eq.P1.shape[1]
     F = np.hstack([eq.P1, eq.P0])
@@ -207,34 +207,33 @@ def _M1_stack(sys: RelaxationSystem, eq: EquilibriumFrame):
         C = 1j * np.einsum("nj,jab->nab", u[:, 2:], terms)
         X = np.linalg.solve(xi * np.eye(n1 - k1) + C[:, k1:, k1:], C[:, k1:, :k1])
         core = xi * np.eye(k1) + C[:, :k1, :k1] - C[:, :k1, k1:] @ X
-        return -inv_lam * core, X
+        return -inv_lam * core
 
     return evaluate
 
 
-def _M1_at(sys, eq, xi, omega):
-    """``_M1_stack`` at the single point (xi, omega): (M1, X)."""
-    xi = complex(xi)
-    M1, X = _M1_stack(sys, eq)(np.array([[xi.real, xi.imag, *np.atleast_1d(omega)]]))
-    return M1[0], X[0]
-
-
 def equilibrium_reduced_matrix(sys, eq, xi, omega):
     """The equilibrium-system reduced matrix M1(xi, omega) (see ``_M1_stack``)."""
-    return _M1_at(sys, eq, xi, omega)[0]
+    xi = complex(xi)
+    return _M1_stack(sys, eq)(np.array([[xi.real, xi.imag, *np.atleast_1d(omega)]]))[0]
 
 
-def _limit_basis(sys, frame, eq, data, X, V_s) -> np.ndarray:
+def _limit_basis(sys, frame, eq, data, V_s) -> np.ndarray:
     """The eta -> infinity limit of a stable basis of M in the R1 frame,
 
-        [ (P1 - P0 X) V_s    P0    N R2^S ]
-        [        0           0    K~ R2^S ],
+        [ P1 V_s    P0    N R2^S ]
+        [   0       0    K~ R2^S ],
 
-    for the stacks X (N, n10, k1) of ``_M1_stack`` and V_s (N, k1, k) of
-    stable vectors of M1: a stack of (n - n0) x (k + n10 + dim R2^S) bases."""
+    for a stack V_s (N, k1, k) of stable vectors of M1: a stack of
+    (n - n0) x (k + n10 + dim R2^S) bases.
+
+    The paper's first column block is (P1 - P0 X) V_s, X as in ``_M1_stack``.
+    Adding P0 X V_s, a combination of the P0 columns of the same basis, is a
+    column operation of determinant 1: it changes neither the span nor
+    |det(B R1 L)| / sqrt(det(L^* L)), so the P0 X term is dropped."""
     n1, n10, k = sys.n - sys.r, eq.P0.shape[1], V_s.shape[2]
-    L = np.zeros((len(X), sys.n - frame.n0, k + n10 + data.R2S.shape[1]), dtype=complex)
-    L[:, :n1, :k] = (eq.P1 - eq.P0 @ X) @ V_s
+    L = np.zeros((len(V_s), sys.n - frame.n0, k + n10 + data.R2S.shape[1]), dtype=complex)
+    L[:, :n1, :k] = eq.P1 @ V_s
     L[:, :n1, k : k + n10] = eq.P0
     L[:, :n1, k + n10 :] = data.N @ data.R2S
     L[:, n1:, k + n10 :] = data.K_tilde @ data.R2S
@@ -252,9 +251,8 @@ def limit_stable_matrix(
     """The eta -> infinity limit of a stable basis of M at (xi, omega), an
     (n - n0) x n_+ matrix (see ``_limit_basis``), with the stable subspace of
     M1 from the Schur split."""
-    M1, X = _M1_at(sys, eq, xi, omega)
-    R1S = split_invariant_subspaces(M1).basis_s
-    return _limit_basis(sys, frame, eq, data, X[None], R1S[None])[0]
+    R1S = split_invariant_subspaces(equilibrium_reduced_matrix(sys, eq, xi, omega)).basis_s
+    return _limit_basis(sys, frame, eq, data, R1S[None])[0]
 
 
 def _ukc_ratio(sys, eq, B_o_Bu, xi, omega) -> float:
@@ -280,9 +278,8 @@ def eta_inf_ratios(
     m1_stack = _M1_stack(sys, eq)
 
     def batch(u):
-        M1, X = m1_stack(u)
-        V_s, _, ok = stable_eigvecs(M1, n1s)
-        L = _limit_basis(sys, frame, eq, data, X, V_s)
+        V_s, _, ok = stable_eigvecs(m1_stack(u), n1s)
+        L = _limit_basis(sys, frame, eq, data, V_s)
         num = np.abs(np.linalg.det(BR1 @ L))
         return det_ratio(num, np.prod(np.linalg.svd(L, compute_uv=False), axis=1)), ok
 
@@ -308,7 +305,7 @@ def ukc_ratios(
     m1_stack = _M1_stack(sys, eq)
 
     def batch(u):
-        V_s, vol, ok = stable_eigvecs(m1_stack(u)[0], B_o_Bu.shape[0])
+        V_s, vol, ok = stable_eigvecs(m1_stack(u), B_o_Bu.shape[0])
         return det_ratio(np.abs(np.linalg.det(CP1 @ V_s)), vol), ok
 
     def scalar(u):

@@ -30,7 +30,9 @@ from .linalg import (
     stable_eigvecs,
 )
 from .model import RelaxationSystem, check_sk_condition, compute_indices
-from .tolerances import C_THRESHOLD, spectral_norm, tau_axis, tau_rank
+from .tolerances import (
+    C_THRESHOLD, FRAME_KERNEL_REL, spectral_norm, tau_axis, tau_rank,
+)
 
 #: perturbed directions per unit of resolution refining a near-threshold minimum
 REFINE_FACTOR = 4
@@ -545,7 +547,7 @@ def frame_independence_check(
     C0 = L0a @ R1b
     if n0 > 0:
         D0, *_ = np.linalg.lstsq(R0a, R0b, rcond=None)
-        if spectral_norm(R0a @ D0 - R0b) > 1e-8 * max(spectral_norm(R0b), 1.0):
+        if spectral_norm(R0a @ D0 - R0b) > FRAME_KERNEL_REL * max(spectral_norm(R0b), 1.0):
             raise FrameMismatch("frame_b kernel basis is not expressible over frame_a")
 
     Ma = build_M(sys, frame_a, p)

@@ -45,13 +45,6 @@ DEGENERATE_ERROR_ABS = 1e-14
 #: the relaxed variables v
 TOUCHES_V_ABS = 1e-14
 
-#: a Crank-Nicolson step ending this close before a requested save time
-#: saves the snapshot for it
-SAVE_TIME_ABS = 1e-12
-
-#: largest relative tail (last 5% of the domain) of a resolved sqrt(eps) layer
-SQRT_LAYER_TAIL_REL = 1e-8
-
 #: ExpActionEvaluator diagonalises M below this eigenvector condition number
 EXP_EIGVEC_COND_MAX = 1e8
 
@@ -69,6 +62,10 @@ EXPANSION_EXACT_REL = 1e-11
 
 #: relative imaginary part above which a report matrix is written as complex
 REPORT_IMAG_REL = 1e-14
+
+#: largest residual of R0_a D0 - R0_b, relative to max(||R0_b||, 1), at which
+#: two kernel frames span the same kernel
+FRAME_KERNEL_REL = 1e-8
 
 
 def spectral_norm(a) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relaxbc import fixtures
+from relaxbc.model import RelaxationSystem
 from relaxbc.reduction import derive_all
 from relaxbc.spectral import SamplingSpec
 
@@ -45,6 +46,25 @@ def random_bundles():
         except Exception:
             continue
     return bundles
+
+
+@pytest.fixture(scope="session")
+def zero_speed_bundle():
+    """d = 2 with A11 = diag(2, -1, 0): one incoming, one outgoing and one
+    zero equilibrium speed (n10 = 1, n1_+ = 1), so M1 is 2 x 2, carries the
+    coupling through X, and its stable vector, hence the UKC ratio, varies
+    with (xi, omega).  No member of ``random_bundles`` has a zero
+    equilibrium speed."""
+    gen = np.random.default_rng(0)
+    A1 = np.zeros((4, 4))
+    A1[0, 0], A1[1, 1] = 2.0, -1.0
+    A1[2, 3] = A1[3, 2] = 1.0
+    W = gen.normal(size=(4, 4))
+    sys_obj = RelaxationSystem(
+        d=2, n=4, r=1, A=(A1, 0.5 * (W + W.T)), Q=np.diag([0.0, 0.0, 0.0, -1.0]),
+        B=gen.normal(size=(2, 4)), labels=(), transform=np.eye(4),
+    )
+    return derive_all(sys_obj, spec=SamplingSpec(resolution=8, rim_points=0))
 
 
 def write_system_file(path, sys_obj):

@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import erfc
 
 from relaxbc.errors import AssumptionViolated
 from relaxbc.layers import (
     SqrtEpsLayer,
-    _cn_solve,
+    _erfc_superposition,
     assemble_composite,
     build_eps_layer,
     build_second_correction,
@@ -99,12 +102,13 @@ class TestDiffusionMatrix:
             diffusion_matrix(sys_obj, eq)
 
 
-def _cn_per_mode(lam, V, g, T, z, save_times):
-    """Reference Crank-Nicolson: one banded solve per mode and step."""
+def _cn_per_mode(lam, V, g, T, z):
+    """Reference Crank-Nicolson: one banded solve per mode and step, with
+    q_k(0, t_j) = g[j - 1, k] over the len(g) steps of size T / len(g) and
+    q_k(z[-1], t) = 0."""
     nt, n10 = g.shape
     nz, dz, dt = z.size, z[1] - z[0], T / nt
     q = np.zeros((nz, n10))
-    want, snaps = list(save_times), {}
     for step in range(nt):
         for k in range(n10):
             r = lam[k] * dt / dz**2
@@ -117,34 +121,53 @@ def _cn_per_mode(lam, V, g, T, z, save_times):
             rhs[0] += (r / 2) * g[step, k]
             q[1:-1, k] = sla.solve_banded((1, 1), ab, rhs)
             q[0, k] = g[step, k]
-        while want and (step + 1) * dt >= want[0] - 1e-12:
-            snaps[want.pop(0)] = q @ V.T
-    return q @ V.T, snaps
+    return q @ V.T
 
 
 class TestSqrtEpsLayer:
-    def test_batched_modes_match_per_mode_loop(self, rng):
+    def test_closed_form_is_the_crank_nicolson_limit(self, rng):
+        # second-order Crank-Nicolson converges to the closed form: the
+        # distance of the profiles, and of their z-derivatives against second-
+        # order differences of the reference, falls about fourfold per halving
+        # of dz and dt
         lam = np.array([0.4, 1.3, 2.5])
         V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        T, nt = 0.4, 300
-        t = np.arange(1, nt + 1) * (T / nt)
-        g = np.column_stack([np.sin(3 * t), 1 - np.cos(t), t**2])
-        z = np.linspace(0.0, 4.0, 250)
-        m, snaps = _cn_solve(lam, V, g, T, z, [0.1, 0.3])
-        m_ref, snaps_ref = _cn_per_mode(lam, V, g, T, z, [0.1, 0.3])
-        scale = np.abs(m_ref).max()
-        assert scale > 0.1
-        assert np.abs(m - m_ref).max() <= 1e-12 * scale
-        assert set(snaps) == set(snaps_ref) == {0.1, 0.3}
-        for s in snaps:
-            assert np.abs(snaps[s] - snaps_ref[s]).max() <= 1e-12 * scale
+        T, z_max = 0.4, 12.0 * math.sqrt(2.5 * 0.4)
+        data = lambda t: np.column_stack([np.sin(3 * t), 1 - np.cos(t), t**2])
+        dist, dist_dz = [], []
+        for nt, nz in ((50, 61), (100, 121), (200, 241)):
+            z = np.linspace(0.0, z_max, nz)
+            t = np.arange(nt + 1) * (T / nt)
+            q, dq = _erfc_superposition(lam, data(t) @ V, T, z)
+            ref = _cn_per_mode(lam, V, data(t[1:]) @ V, T, z)
+            dist.append(np.abs(q @ V.T - ref).max())
+            ref_dz = np.gradient(ref, z, axis=0, edge_order=2)
+            dist_dz.append(np.abs(dq @ V.T - ref_dz).max())
+        assert dist[0] < 1e-2 and dist_dz[0] < 0.1
+        for d in (dist, dist_dz):
+            for coarse, fine in zip(d, d[1:]):
+                assert coarse / fine >= 3.0
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        lam=st.floats(0.05, 20.0),
+        T=st.floats(0.01, 5.0),
+        g=arrays(np.float64, st.integers(2, 40), elements=st.floats(-10.0, 10.0)),
+    )
+    def test_bounded_by_erfc_of_max_data(self, lam, T, g):
+        # |q(z, T)| <= max |g| erfc(z / 2 sqrt(lam T)), up to rounding: the
+        # comparison solution max |g| erfc(z / 2 sqrt(lam t)) dominates the
+        # data at z = 0
+        z = np.linspace(0.0, 16.0 * math.sqrt(lam * T), 200)
+        q, _ = _erfc_superposition(np.array([lam]), g[:, None], T, z)
+        bound = np.abs(g).max() * erfc(z / (2.0 * math.sqrt(lam * T)))
+        assert np.all(np.abs(q[:, 0]) <= bound + 1e-12 * np.abs(g).max())
 
     def test_zero_boundary_is_zero(self, pipe3):
         layer = solve_sqrt_eps_layer(
             pipe3.sys, pipe3.eq, lambda t: np.zeros((np.size(t), 1)), T=0.4
         )
         assert np.abs(layer.m).max() == 0.0
-        assert layer.tail_fraction <= 1e-8
 
     def test_empty_when_no_zero_speed_modes(self, pipe2x2):
         layer = solve_sqrt_eps_layer(
@@ -161,29 +184,16 @@ class TestSqrtEpsLayer:
         layer = solve_sqrt_eps_layer(
             pipe3.sys, pipe3.eq, lambda t: np.full((np.size(t), 1), m0), T=T
         )
-        exact = m0 * erfc(layer.z / (2.0 * math.sqrt(delta * T)))
-        assert np.abs(layer.m[:, 0] - exact).max() < 1e-3
+        x = layer.z / (2.0 * math.sqrt(delta * T))
+        assert np.abs(layer.m[:, 0] - m0 * erfc(x)).max() <= 1e-12 * m0
+        dm = -m0 * np.exp(-(x**2)) / math.sqrt(math.pi * delta * T)
+        assert np.abs(layer.dm_dz[:, 0] - dm).max() <= 1e-12 * m0
 
     def test_maximum_principle(self, pipe3):
         layer = solve_sqrt_eps_layer(
             pipe3.sys, pipe3.eq, lambda t: np.sin(t)[:, None], T=1.0
         )
         assert np.abs(layer.m).max() <= math.sin(1.0) + 1e-9
-
-    def test_snapshots_saved(self, pipe3):
-        layer = solve_sqrt_eps_layer(
-            pipe3.sys,
-            pipe3.eq,
-            lambda t: np.sin(t)[:, None],
-            T=0.5,
-            save_times=[0.25, 0.5],
-        )
-        assert set(layer.snapshots) == {0.25, 0.5}
-        m_quarter, dm_quarter = layer.snapshots[0.25]
-        assert m_quarter.shape == layer.m.shape
-        assert dm_quarter.shape == layer.m.shape
-        # the boundary forcing grows, so the earlier profile is smaller
-        assert np.abs(m_quarter).max() < np.abs(layer.m).max()
 
 
 class TestSecondCorrection:
@@ -209,9 +219,6 @@ class TestSecondCorrection:
             P0=pipe3.eq.P0,
             D=diffusion_matrix(pipe3.sys, pipe3.eq),
             z_max=8.0,
-            doublings=0,
-            tail_fraction=0.0,
-            snapshots={},
         )
         second = build_second_correction(pipe3.sys, pipe3.eq, synthetic)
         zq = z[[0, 50, 150]]  # on-grid queries keep the interpolation exact

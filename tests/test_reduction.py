@@ -244,26 +244,31 @@ class TestSharedM1Builder:
     """The per-point and batched paths share one M1 builder; these check it
     against the dense formula at omega != 0."""
 
-    def _cases(self, random_bundles, rng):
+    def _cases(self, random_bundles, zero_speed_bundle, rng):
         cases = [(b.sys, b.frame, b.eq, b.data) for b in random_bundles if b.sys.d >= 2]
         sys_obj = _mixed_block_d2(rng)
         frame = build_kernel_frame(sys_obj)
         eq = build_equilibrium_frame(sys_obj)
         cases.append((sys_obj, frame, eq, build_reduction_data(sys_obj, frame, eq)))
-        # the pool has no zero equilibrium speed; the last case does
+        b = zero_speed_bundle
+        cases.append((b.sys, b.frame, b.eq, b.data))
+        # the pool has no zero equilibrium speed; the last two cases do
         assert eq.P0.shape[1] == 1 and eq.P1.shape[1] == 1
+        assert b.eq.P0.shape[1] == 1 and b.eq.P1.shape[1] == 2
         return cases
 
-    def test_equilibrium_reduced_matrix(self, random_bundles, rng):
-        for sys_obj, _, eq, _ in self._cases(random_bundles, rng):
+    def test_equilibrium_reduced_matrix(self, random_bundles, zero_speed_bundle, rng):
+        cases = self._cases(random_bundles, zero_speed_bundle, rng)
+        for sys_obj, _, eq, _ in cases:
             xi = complex(rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0))
             omega = rng.uniform(-1.0, 1.0, size=sys_obj.d - 1)
             got = equilibrium_reduced_matrix(sys_obj, eq, xi, omega)
             want, _ = _dense_m1(sys_obj, eq, xi, omega)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_limit_stable_matrix(self, random_bundles, rng):
-        for sys_obj, frame, eq, data in self._cases(random_bundles, rng):
+    def test_limit_stable_matrix(self, random_bundles, zero_speed_bundle, rng):
+        cases = self._cases(random_bundles, zero_speed_bundle, rng)
+        for sys_obj, frame, eq, data in cases:
             xi = complex(rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0))
             omega = rng.uniform(-1.0, 1.0, size=sys_obj.d - 1)
             got = limit_stable_matrix(sys_obj, frame, eq, data, xi, omega)

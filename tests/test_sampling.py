@@ -105,10 +105,11 @@ class TestDirections:
         assert np.array_equal(shared, tensor)
 
 
-def test_batched_gkc_matches_scalar_on_random_pool(random_bundles):
+def test_batched_gkc_matches_scalar_on_random_pool(random_bundles, zero_speed_bundle):
     """Batched GKC ratios agree with per-point gkc_ratio to 1e-10 relative,
-    with the same skipped points, on the 100-bundle pool at resolution 8."""
-    for b in random_bundles:
+    with the same skipped points, on the 100-bundle pool and a system with a
+    zero equilibrium speed, at resolution 8."""
+    for b in [*random_bundles, zero_speed_bundle]:
         units = directions(b.sys.d + 2, SPEC8)
         vals, failures = gkc_ratios(b.sys, b.frame, units)
         want, want_failures = _scalar_gkc(b.sys, b.frame, units)
@@ -116,10 +117,12 @@ def test_batched_gkc_matches_scalar_on_random_pool(random_bundles):
         assert failures == want_failures
 
 
-def test_batched_limits_match_scalar_on_random_pool(random_bundles):
+def test_batched_limits_match_scalar_on_random_pool(random_bundles, zero_speed_bundle):
     """The batched eta = infinity and UKC ratios, hence their minima, agree
-    with the limit_stable_matrix and _ukc_ratio loops to 1e-10 relative."""
-    for b in random_bundles:
+    with the limit_stable_matrix and _ukc_ratio loops to 1e-10 relative, on
+    the pool and on a system with a zero equilibrium speed and a UKC ratio
+    that varies over the directions."""
+    for b in [*random_bundles, zero_speed_bundle]:
         units = xi_omega_directions(b.sys.d, SPEC8)
         _close(eta_inf_ratios(b.sys, b.frame, b.eq, b.data, units),
                _scalar_eta_inf(b, units))

@@ -172,7 +172,7 @@ class TestMeasureError:
 class TestSolveRelaxation:
     def test_zero_data_stays_zero(self, pipe2x2):
         scen = Scenario(
-            b=lambda t: np.zeros(2),
+            b=lambda t: np.zeros(np.shape(t) + (2,)),
             u0=lambda x: np.zeros((np.size(x), 1)),
             T=0.3,
             x_max=2.0,
@@ -213,7 +213,7 @@ class TestSolveRelaxation:
 
     def test_energy_decays_with_homogeneous_boundary(self, pipe2x2):
         scen = Scenario(
-            b=lambda t: np.zeros(2),
+            b=lambda t: np.zeros(np.shape(t) + (2,)),
             u0=lambda x: _bump(x)[:, None],
             T=0.4,
             x_max=2.0,
@@ -276,7 +276,7 @@ class TestSolveEquilibrium:
         )
         pipe = derive_all(sys_obj)
         scen = Scenario(
-            b=lambda t: np.array([math.sin(t), 0.0]),
+            b=lambda t: np.stack([np.sin(t), np.zeros_like(t)], axis=-1),
             u0=lambda x: np.column_stack(
                 [np.zeros(np.size(x)), _bump(x)]
             ),
@@ -308,7 +308,7 @@ class TestSolveEquilibrium:
         T, x_max = 0.5, 1.0
         u2 = lambda x: 1.0 + np.sin(3.0 * np.asarray(x, dtype=float))
         scen = Scenario(
-            b=lambda t: np.array([0.5 + math.sin(2.0 * t)]),
+            b=lambda t: np.expand_dims(0.5 + np.sin(2.0 * t), -1),
             u0=lambda x: np.column_stack([_bump(x, 0.6), u2(x)]),
             T=T, x_max=x_max,
         )
@@ -438,7 +438,7 @@ class TestConvergenceStudy:
 
     def test_zero_data_is_degenerate(self, pipe2x2):
         scen = Scenario(
-            b=lambda t: np.zeros(2),
+            b=lambda t: np.zeros(np.shape(t) + (2,)),
             u0=lambda x: np.zeros((np.size(x), 1)),
             T=0.2,
             x_max=1.0,
