@@ -51,7 +51,12 @@ class RankMismatch(RelaxbcError):
 
 
 class SpectralCountMismatch(RelaxbcError):
-    pass
+    """A matrix has other than the expected number of stable eigenvalues;
+    ``row`` is its index when it came from a stack."""
+
+    def __init__(self, message, row=None):
+        self.row = row
+        super().__init__(message)
 
 
 class SkConditionViolated(RelaxbcError):

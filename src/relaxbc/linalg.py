@@ -2,8 +2,8 @@
 stable eigenvectors of a stack), orthonormal kernels and complements, and
 matrix-exponential actions over many arguments.
 
-All routines are pure.  Bases have orthonormal columns, so determinant ratios
-are basis-independent; ratios on the batched eigenvectors divide by their
+All routines are pure.  Schur bases have orthonormal columns; the stacked
+stable eigenvectors do not, so determinant ratios on them divide by their
 volume.
 """
 
@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NearImaginaryEigenvalue, RankDeficient, RankMismatch
+from .errors import (
+    NearImaginaryEigenvalue, RankDeficient, RankMismatch, SpectralCountMismatch,
+)
 from .tolerances import (
     AXIS_MARGIN,
     EIGVEC_COND_MAX,
@@ -50,15 +52,27 @@ class StableSubspace:
     k: int
 
 
+def guarded_eigvals(M) -> np.ndarray:
+    """Eigenvalues of a square matrix M.
+
+    Raises NearImaginaryEigenvalue if one lies within tau_axis(||M||_2) of the
+    imaginary axis: that signals the caller drifted to an inadmissible
+    parameter point.
+    """
+    eigs = np.linalg.eigvals(M)
+    tol = tau_axis(spectral_norm(M))
+    worst = eigs[np.argmin(np.abs(eigs.real))]
+    if abs(worst.real) < tol:
+        raise NearImaginaryEigenvalue(worst, tol)
+    return eigs
+
+
 def split_invariant_subspaces(M) -> StableSubspace:
     """Split C^n into stable/unstable invariant subspaces of a square matrix.
 
     Uses a unitary (complex Schur) triangularization with the stable block
     leading, which avoids ill-conditioned eigenvector matrices for defective M.
-
-    Raises NearImaginaryEigenvalue if any eigenvalue of M lies within
-    tau_axis(||M||_2) of the imaginary axis: that signals the caller drifted
-    to an inadmissible parameter point.
+    Raises NearImaginaryEigenvalue as ``guarded_eigvals`` does.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
@@ -68,12 +82,7 @@ def split_invariant_subspaces(M) -> StableSubspace:
         e = np.zeros((0, 0), dtype=complex)
         return StableSubspace(e, e, e, e, e, 0)
 
-    tol = tau_axis(spectral_norm(M))
-    eigs = np.linalg.eigvals(M)
-    worst = eigs[np.argmin(np.abs(eigs.real))]
-    if abs(worst.real) < tol:
-        raise NearImaginaryEigenvalue(worst, tol)
-
+    guarded_eigvals(M)
     T, Z, sdim = sla.schur(M, output="complex", sort=lambda z: z.real < 0)
     k = int(sdim)
     return StableSubspace(
@@ -88,56 +97,64 @@ def split_invariant_subspaces(M) -> StableSubspace:
 
 def stable_basis_real(M) -> np.ndarray:
     """Real orthonormal basis of the stable invariant subspace of a real M,
-    with the axis guard of ``split_invariant_subspaces``.
+    with the axis guard of ``guarded_eigvals``.
 
     The stable subspace of a real matrix is closed under conjugation, so a
     real basis exists; it is extracted from the sorted real Schur form.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    if n == 0:
+    if M.shape[0] == 0:
         return np.zeros((0, 0))
-    tol = tau_axis(spectral_norm(M))
-    eigs = np.linalg.eigvals(M)
-    worst = eigs[np.argmin(np.abs(eigs.real))]
-    if abs(worst.real) < tol:
-        raise NearImaginaryEigenvalue(worst, tol)
+    guarded_eigvals(M)
     _, Z, sdim = sla.schur(M, output="real", sort=lambda re, im: re < 0)
     return Z[:, : int(sdim)]
 
 
 def stable_eigvecs(M: np.ndarray, n_s: int):
-    """Stable eigenvectors of a stack M of shape (N, k, k), for a batch of
-    points at which the stable subspace has dimension n_s.
+    """Bases of the stable invariant subspaces of a stack M (N, k, k) at
+    points where that subspace has dimension n_s.
 
-    Returns ``(V_s, vol, ok)``: V_s (N, k, n_s) holds unit eigenvectors for the
-    eigenvalues of M[i] with negative real part, vol[i] = sqrt(det(V_s^* V_s))
-    from the singular values of V_s[i], and ``ok`` marks the points where V_s
-    may stand in for ``split_invariant_subspaces(M[i]).basis_s``.  A
-    determinant ratio |det(X V_s)| / vol does not depend on the basis of the
-    stable subspace, so the eigenvectors need no orthonormalisation.
+    Returns ``(V_s, skipped)``.  V_s (N, k, n_s) holds the unit stable
+    eigenvectors of each M[i] from one stacked ``eig`` or, where they cannot
+    stand in, ``split_invariant_subspaces(M[i]).basis_s``: when an eigenvalue
+    lies within AXIS_MARGIN * tau_axis(||M[i]||_2) of the imaginary axis, when
+    M[i] has other than n_s stable eigenvalues, when its eigenvector matrix
+    has condition number above EIGVEC_COND_MAX (a nearly defective M[i]), or
+    when the stacked ``eig`` raised LinAlgError.  A ratio |det(X V_s)| /
+    vol(V_s) does not depend on the basis, so neither is orthonormalised.
 
-    A point is not ok, and must go through split_invariant_subspaces, which
-    then returns or raises exactly what it does on its own, when
-      - an eigenvalue lies within AXIS_MARGIN * tau_axis(||M[i]||_2) of the
-        imaginary axis, so the scalar axis guard decides it;
-      - it has other than n_s stable eigenvalues;
-      - its eigenvector matrix has condition number above EIGVEC_COND_MAX,
-        as at a (nearly) defective M.
+    ``skipped`` maps each i whose Schur split raised NearImaginaryEigenvalue
+    to that exception; its row of V_s is meaningless.  A Schur split with
+    other than n_s stable eigenvalues raises SpectralCountMismatch, ``row`` i.
     """
-    k = M.shape[1]
-    w, V = np.linalg.eig(M)
-    stable = w.real < 0
-    ok = stable.sum(axis=1) == n_s
-    if k:
-        norms = np.linalg.svd(M, compute_uv=False)[:, 0]
-        ok &= np.abs(w.real).min(axis=1) >= AXIS_MARGIN * tau_axis(norms)
-        sv = np.linalg.svd(V, compute_uv=False)
-        ok &= sv[:, -1] * EIGVEC_COND_MAX >= sv[:, 0]
-    order = np.argsort(~stable, axis=1, kind="stable")[:, :n_s]
-    V_s = np.take_along_axis(V, order[:, None, :], axis=2)
-    vol = np.prod(np.linalg.svd(V_s, compute_uv=False), axis=1)
-    return V_s, vol, ok
+    N, k = M.shape[:2]
+    try:
+        w, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError:
+        V_s, ok = np.zeros((N, k, n_s), dtype=complex), np.zeros(N, dtype=bool)
+    else:
+        stable = w.real < 0
+        ok = stable.sum(axis=1) == n_s
+        if k:
+            norms = np.linalg.svd(M, compute_uv=False)[:, 0]
+            ok &= np.abs(w.real).min(axis=1) >= AXIS_MARGIN * tau_axis(norms)
+            sv = np.linalg.svd(V, compute_uv=False)
+            ok &= sv[:, -1] * EIGVEC_COND_MAX >= sv[:, 0]
+        order = np.argsort(~stable, axis=1, kind="stable")[:, :n_s]
+        V_s = np.take_along_axis(V, order[:, None, :], axis=2)
+    skipped = {}
+    for i in np.flatnonzero(~ok):
+        try:
+            sub = split_invariant_subspaces(M[i])
+        except NearImaginaryEigenvalue as exc:
+            skipped[int(i)] = exc
+            continue
+        if sub.k != n_s:
+            raise SpectralCountMismatch(
+                f"{sub.k} stable eigenvalues, expected {n_s}", row=int(i)
+            )
+        V_s[i] = sub.basis_s
+    return V_s, skipped
 
 
 def orthonormal_kernel(A) -> np.ndarray:

@@ -386,7 +386,8 @@ def load_system(path) -> RelaxationSystem:
     return system_from_dict(doc)
 
 
-def system_from_dict(doc: dict) -> RelaxationSystem:
+def raw_system_from_dict(doc: dict) -> RawSystem:
+    """The system a parsed file describes, before validation."""
     for key in ("d", "n", "r", "A", "B"):
         if key not in doc:
             raise ParseError(f"missing field '{key}'")
@@ -411,8 +412,11 @@ def system_from_dict(doc: dict) -> RelaxationSystem:
 
     A0 = _as_matrix(doc["A0"], "A0") if "A0" in doc else np.eye(n)
     P = _as_matrix(doc["P"], "P") if "P" in doc else None
-    raw = RawSystem(A0=A0, A=A, Q=Q, B=B, d=d, n=n, r=r, P=P, labels=labels)
-    return canonicalize(raw)
+    return RawSystem(A0=A0, A=A, Q=Q, B=B, d=d, n=n, r=r, P=P, labels=labels)
+
+
+def system_from_dict(doc: dict) -> RelaxationSystem:
+    return canonicalize(raw_system_from_dict(doc))
 
 
 def system_to_dict(sys: RelaxationSystem) -> dict:

@@ -10,7 +10,7 @@ that recovers the boundary-layer degrees of freedom.
 
 from __future__ import annotations
 
-import math
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +20,6 @@ from .errors import (
     AssumptionViolated,
     DegenerateY,
     GkcFailed,
-    NearImaginaryEigenvalue,
     RankDeficientK,
     SingularClosure,
     SingularKtXKt,
@@ -29,16 +28,14 @@ from .linalg import (
     orthonormal_complement,
     split_invariant_subspaces,
     stable_basis_real,
-    stable_eigvecs,
 )
 from .model import RelaxationSystem, compute_indices
 from .spectral import (
     FrequencyPoint,
     KernelFrame,
     SamplingSpec,
-    _G,
+    _M_stack,
     build_M,
-    det_ratio,
     map_chunks,
     xi_omega_directions,
 )
@@ -46,6 +43,8 @@ from .tolerances import (
     B_O_ENTRY_ABS, C_THRESHOLD, CLOSURE_IMAG_REL, EXPANSION_EXACT_REL,
     Y3_REAL_IF_CLOSE_EPS, spectral_norm, tau_eig, tau_rank,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -212,12 +211,6 @@ def _M1_stack(sys: RelaxationSystem, eq: EquilibriumFrame):
     return evaluate
 
 
-def equilibrium_reduced_matrix(sys, eq, xi, omega):
-    """The equilibrium-system reduced matrix M1(xi, omega) (see ``_M1_stack``)."""
-    xi = complex(xi)
-    return _M1_stack(sys, eq)(np.array([[xi.real, xi.imag, *np.atleast_1d(omega)]]))[0]
-
-
 def _limit_basis(sys, frame, eq, data, V_s) -> np.ndarray:
     """The eta -> infinity limit of a stable basis of M in the R1 frame,
 
@@ -251,15 +244,10 @@ def limit_stable_matrix(
     """The eta -> infinity limit of a stable basis of M at (xi, omega), an
     (n - n0) x n_+ matrix (see ``_limit_basis``), with the stable subspace of
     M1 from the Schur split."""
-    R1S = split_invariant_subspaces(equilibrium_reduced_matrix(sys, eq, xi, omega)).basis_s
+    xi = complex(xi)
+    M1 = _M1_stack(sys, eq)(np.array([[xi.real, xi.imag, *np.atleast_1d(omega)]]))[0]
+    R1S = split_invariant_subspaces(M1).basis_s
     return _limit_basis(sys, frame, eq, data, R1S[None])[0]
-
-
-def _ukc_ratio(sys, eq, B_o_Bu, xi, omega) -> float:
-    R1S = split_invariant_subspaces(equilibrium_reduced_matrix(sys, eq, xi, omega)).basis_s
-    num = abs(np.linalg.det(B_o_Bu @ eq.P1 @ R1S))
-    den = math.sqrt(max(np.linalg.det(R1S.conj().T @ R1S).real, 0.0))
-    return 0.0 if den == 0.0 else float(num / den)
 
 
 def eta_inf_ratios(
@@ -270,51 +258,26 @@ def eta_inf_ratios(
     units: np.ndarray,
 ) -> np.ndarray:
     """The eta = infinity GKC ratio |det(B R1 L)| / sqrt(det(L^* L)), with L
-    the limit stable basis of ``limit_stable_matrix``, at every row
-    (Re xi, Im xi, omega...) of ``units``, batched.  NaN marks a point skipped
-    for an eigenvalue of M1 near the imaginary axis."""
+    the limit stable basis of ``_limit_basis``, at every row
+    (Re xi, Im xi, omega...) of ``units``.  NaN marks a point skipped for an
+    eigenvalue of M1 near the imaginary axis."""
     n1s = sys.B.shape[0] - eq.P0.shape[1] - data.R2S.shape[1]  # stable dimension of M1
-    BR1 = sys.B @ frame.R1
-    m1_stack = _M1_stack(sys, eq)
-
-    def batch(u):
-        V_s, _, ok = stable_eigvecs(m1_stack(u), n1s)
-        L = _limit_basis(sys, frame, eq, data, V_s)
-        num = np.abs(np.linalg.det(BR1 @ L))
-        return det_ratio(num, np.prod(np.linalg.svd(L, compute_uv=False), axis=1)), ok
-
-    def scalar(u):
-        try:
-            R_inf = limit_stable_matrix(sys, frame, eq, data, complex(u[0], u[1]), u[2:])
-        except NearImaginaryEigenvalue:
-            return math.nan
-        num = abs(np.linalg.det(BR1 @ R_inf))
-        den = math.sqrt(max(np.linalg.det(R_inf.conj().T @ R_inf).real, 0.0))
-        return 0.0 if den == 0.0 else num / den
-
-    return map_chunks(units, batch, scalar)
+    vals, _ = map_chunks(
+        units, _M1_stack(sys, eq), sys.B @ frame.R1, n1s,
+        basis=lambda V_s: _limit_basis(sys, frame, eq, data, V_s),
+    )
+    return vals
 
 
 def ukc_ratios(
     sys: RelaxationSystem, eq: EquilibriumFrame, B_o_Bu: np.ndarray, units: np.ndarray
 ) -> np.ndarray:
-    """``_ukc_ratio`` at every row (Re xi, Im xi, omega...) of ``units``,
-    batched.  NaN marks a point skipped for an eigenvalue of M1 near the
+    """The UKC ratio |det(B_o B_u P1 V_s)| / vol(V_s), V_s a basis of the
+    stable subspace of M1, at every row (Re xi, Im xi, omega...) of
+    ``units``.  NaN marks a point skipped for an eigenvalue of M1 near the
     imaginary axis."""
-    CP1 = B_o_Bu @ eq.P1
-    m1_stack = _M1_stack(sys, eq)
-
-    def batch(u):
-        V_s, vol, ok = stable_eigvecs(m1_stack(u), B_o_Bu.shape[0])
-        return det_ratio(np.abs(np.linalg.det(CP1 @ V_s)), vol), ok
-
-    def scalar(u):
-        try:
-            return _ukc_ratio(sys, eq, B_o_Bu, complex(u[0], u[1]), u[2:])
-        except NearImaginaryEigenvalue:
-            return math.nan
-
-    return map_chunks(units, batch, scalar)
+    vals, _ = map_chunks(units, _M1_stack(sys, eq), B_o_Bu @ eq.P1, B_o_Bu.shape[0])
+    return vals
 
 
 def derive_reduced_bc(
@@ -373,6 +336,7 @@ def derive_reduced_bc(
     skipped = int(np.count_nonzero(np.isnan(vals)))
     count = len(vals) - skipped
     best = float(np.nanmin(vals)) if count else (0.0 if n1_plus else 1.0)
+    log.debug("ukc: %d directions, %d skipped, minimum %.6g", len(vals), skipped, best)
     if n1_plus > 0 and best <= C_THRESHOLD:
         raise GkcFailed(
             f"uniform Kreiss condition fails for the reduced condition: "
@@ -476,7 +440,8 @@ def large_eta_expansion_check(
     n1, n0 = sys.n - sys.r, frame.n0
     R0, R1 = frame.R0, frame.R1
     Q = sys.Q
-    H = _G(sys, FrequencyPoint(xi=p.xi, omega=p.omega, eta=0.0))
+    C = sum(w * Aj for w, Aj in zip(np.atleast_1d(p.omega), sys.A[1:]))
+    H = -(p.xi * np.eye(sys.n) + 1j * C)
     if n0 > 0:
         QR00_inv = np.linalg.inv(R0.T @ Q @ R0)
         left = R1.T - (R1.T @ Q @ R0) @ QR00_inv @ R0.T
@@ -487,14 +452,10 @@ def large_eta_expansion_check(
     top_left_residual = spectral_norm(H_hat[:n1, :n1] - H[:n1, :n1])
 
     A1_hat_inv = np.linalg.inv(frame.A1_hat)
-    resids = []
-    m_norms = []
-    for eta in etas:
-        pe = FrequencyPoint(xi=p.xi, omega=p.omega, eta=float(eta))
-        M = build_M(sys, frame, pe)
-        approx = A1_hat_inv @ (eta * frame.Q_hat.astype(complex) + H_hat)
-        resids.append(spectral_norm(M - approx))
-        m_norms.append(spectral_norm(M))
+    Ms = _M_stack(sys, frame)(np.array([[*p.as_tuple()[:-1], eta] for eta in etas]))
+    resids = [spectral_norm(M - A1_hat_inv @ (eta * frame.Q_hat + H_hat))
+              for M, eta in zip(Ms, etas)]
+    m_norms = [spectral_norm(M) for M in Ms]
     # when the remainder vanishes identically the measured residual is pure
     # round-off, which grows with ||M(eta)||; judge exactness relative to it
     exact = all(r <= EXPANSION_EXACT_REL * max(m, 1.0) for r, m in zip(resids, m_norms))
@@ -580,7 +541,6 @@ __all__ = [
     "ClosureSolve",
     "build_equilibrium_frame",
     "build_reduction_data",
-    "equilibrium_reduced_matrix",
     "limit_stable_matrix",
     "eta_inf_ratios",
     "ukc_ratios",

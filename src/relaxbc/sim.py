@@ -12,6 +12,7 @@ closed form, with no time stepping.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -50,6 +51,8 @@ from .tolerances import (
     TOUCHES_V_ABS,
     tau_eig,
 )
+
+log = logging.getLogger(__name__)
 
 #: Courant number of the stiff step and of the equilibrium trace sampling
 CFL = 0.9
@@ -561,6 +564,7 @@ def run_convergence_study(
         else:
             stiff_scenario = scenario
         stiff = solve_relaxation(sys, stiff_scenario, eps, dx_max=dx_max)
+        log.debug("eps %g: %d steps on %d nodes", eps, stiff.steps, stiff.x.size)
         comp = composite_at_final_time(sys, layers, stiff.x, eps)
         err = measure_error(stiff, comp)
         errors.append(err)

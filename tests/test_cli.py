@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, and determinism."""
 
 import json
+import logging
 
 import numpy as np
 
@@ -40,6 +41,21 @@ class TestValidate:
         assert _run(["validate", str(path), "--out", str(out)]) == 1
         report = _read(out / "validate.json")
         assert report["passed"] is False
+
+    def test_splitting_matrix_is_used(self, tmp_path):
+        # item (iii) holds with the given P = diag(1, 0.3) but not with P = I
+        doc = {
+            "d": 1, "n": 2, "r": 1, "A": [[[3.0, 1.0], [1.0, 1.0]]],
+            "Q": [[0.0, 0.0], [0.0, -0.1]], "P": [[1.0, 0.0], [0.0, 0.3]],
+            "B": [[1.0, 0.0], [0.0, 1.0]],
+        }
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert _run(["validate", str(path), "--out", str(out)]) == 0
+        report = _read(out / "validate.json")
+        assert report["checks"]["structural_stability"] is True
+        assert report["structural"]["residuals"]["coupling_lambda_max"] <= 0.0
 
     def test_ragged_matrix_is_config_error(self, tmp_path):
         doc = system_to_dict(fixtures.example_system())
@@ -187,6 +203,20 @@ class TestConverge:
         assert report["control_slope"] is None
         assert report["passed"] is False
         assert _run(argv) == 0
+
+    def test_debug_log_leaves_reports_unchanged(self, sys2x2_file, tmp_path, caplog):
+        scen = self._scenario(tmp_path)
+        argv = ["converge", sys2x2_file, "--scenario", scen,
+                "--resolution", "8", "--rim-points", "0"]
+        assert _run(argv + ["--out", str(tmp_path / "quiet")]) == 0
+        caplog.set_level(logging.DEBUG, logger="relaxbc")
+        assert _run(argv + ["--out", str(tmp_path / "debug")]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.name.startswith("relaxbc")]
+        for head in ("gkc: ", "gkc eta = inf: ", "ukc: ", "eps 0.01: ", "eps 0.003: "):
+            assert any(line.startswith(head) for line in lines), head
+        assert (tmp_path / "quiet" / "converge.json").read_bytes() == (
+            tmp_path / "debug" / "converge.json"
+        ).read_bytes()
 
     def test_empty_epsilons_is_config_error(self, sys2x2_file, tmp_path):
         scen = self._scenario(tmp_path, epsilons=[])

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from oracles import dense_limit, dense_m1
 from relaxbc import fixtures
 from relaxbc.model import RelaxationSystem, compute_indices
 from relaxbc.reduction import (
+    _M1_stack,
     build_closure,
     build_equilibrium_frame,
     build_reduction_data,
     derive_all,
     derive_reduced_bc,
-    equilibrium_reduced_matrix,
     large_eta_expansion_check,
     limit_stable_matrix,
     limit_subspace_angle,
@@ -195,36 +196,21 @@ class TestClosure:
 
 class TestEquilibriumReducedMatrix:
     def test_scalar_case(self, pipe2x2):
-        M1 = equilibrium_reduced_matrix(pipe2x2.sys, pipe2x2.eq, 2.0, np.zeros(0))
+        M1 = _M1_at(pipe2x2.sys, pipe2x2.eq, 2.0 + 0j, np.zeros(0))
         # -Lam1^{-1} xi = -2/3
         assert np.allclose(M1, [[-2.0 / 3.0]], atol=1e-12)
 
 
-def _dense_m1(sys_obj, eq, xi, omega):
-    """M1(xi, omega) and X = [xi I + P0^T C P0]^{-1} P0^T C P1 by the dense
-    formula, with C(omega) = i sum_j omega_j A_{j,11} built from sys.A."""
-    n1 = sys_obj.n - sys_obj.r
-    C = np.zeros((n1, n1), dtype=complex)
-    for w, Aj in zip(omega, sys_obj.A[1:]):
-        C += 1j * w * Aj[:n1, :n1]
-    P1, P0 = eq.P1, eq.P0
-    X = np.linalg.solve(xi * np.eye(P0.shape[1]) + P0.T @ C @ P0, P0.T @ C @ P1)
-    core = xi * np.eye(P1.shape[1]) + P1.T @ C @ P1 - P1.T @ C @ P0 @ X
-    return -np.diag(1.0 / eq.Lam1) @ core, X
+def _M1_at(sys_obj, eq, xi, omega):
+    return _M1_stack(sys_obj, eq)(np.array([[xi.real, xi.imag, *omega]]))[0]
 
 
 def _dense_limit(sys_obj, frame, eq, data, xi, omega):
     """The eta = infinity limit basis from eigenvectors of M1 and M2."""
-    M1, X = _dense_m1(sys_obj, eq, xi, omega)
+    M1, X = dense_m1(sys_obj, eq, xi, omega)
     w1, V1 = np.linalg.eig(M1)
     w2, V2 = np.linalg.eig(data.M2)
-    R1S, R2S = V1[:, w1.real < 0], V2[:, w2.real < 0]
-    n10 = eq.P0.shape[1]
-    top = np.hstack([(eq.P1 - eq.P0 @ X) @ R1S, eq.P0, data.N @ R2S])
-    low = np.hstack([
-        np.zeros((data.K_tilde.shape[0], R1S.shape[1] + n10)), data.K_tilde @ R2S,
-    ])
-    return np.vstack([top, low])
+    return dense_limit(eq, data, V1[:, w1.real < 0], V2[:, w2.real < 0], X)
 
 
 def _mixed_block_d2(rng):
@@ -262,8 +248,8 @@ class TestSharedM1Builder:
         for sys_obj, _, eq, _ in cases:
             xi = complex(rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0))
             omega = rng.uniform(-1.0, 1.0, size=sys_obj.d - 1)
-            got = equilibrium_reduced_matrix(sys_obj, eq, xi, omega)
-            want, _ = _dense_m1(sys_obj, eq, xi, omega)
+            got = _M1_at(sys_obj, eq, xi, omega)
+            want, _ = dense_m1(sys_obj, eq, xi, omega)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_limit_stable_matrix(self, random_bundles, zero_speed_bundle, rng):

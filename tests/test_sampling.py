@@ -1,24 +1,20 @@
-"""The batched frequency sampler against the scalar per-point oracles:
-direction grid, GKC ratios, eta = infinity and UKC minima, the fallback to the
-Schur path, and the report fields for skipped or unformed limits."""
+"""The batched frequency sampler against dense per-point oracles that share
+none of its builders: direction grid, GKC ratios, eta = infinity and UKC
+minima, the per-row Schur fallback, and the report fields for skipped or
+unformed limits."""
 
 import math
 
 import numpy as np
 import pytest
 
+from oracles import dense_limit, dense_M, dense_m1, ratio, schur_stable_basis
 from relaxbc import reduction
-from relaxbc.errors import AssumptionViolated, NearImaginaryEigenvalue
+from relaxbc.errors import AssumptionViolated, SpectralCountMismatch
 from relaxbc.fixtures import example_system, random_admissible_bundle
 from relaxbc.linalg import stable_eigvecs
 from relaxbc.model import RelaxationSystem
-from relaxbc.reduction import (
-    _ukc_ratio,
-    derive_all,
-    eta_inf_ratios,
-    limit_stable_matrix,
-    ukc_ratios,
-)
+from relaxbc.reduction import derive_all, eta_inf_ratios, ukc_ratios
 from relaxbc.spectral import (
     SamplingSpec,
     _unit_to_point,
@@ -42,42 +38,35 @@ def _close(batched, scalar):
 
 
 def _scalar_gkc(sys_obj, frame, units):
-    vals, failures = [], []
+    """Dense GKC ratio per direction, NaN where the split is skipped."""
+    vals = []
     for u in units:
-        p = _unit_to_point(u, sys_obj.d)
-        try:
-            vals.append(gkc_ratio(sys_obj, frame, p))
-        except NearImaginaryEigenvalue as exc:
-            vals.append(math.nan)
-            failures.append(f"{p.as_tuple()}: {exc}")
-    return np.array(vals), failures
+        M = dense_M(sys_obj, frame, complex(u[0], u[1]), u[2:-1], u[-1])
+        V = schur_stable_basis(M)
+        vals.append(math.nan if V is None else ratio(sys_obj.B @ frame.R1, V))
+    return np.array(vals)
 
 
 def _scalar_eta_inf(b, units):
+    R2S = schur_stable_basis(b.data.M2)
     vals = []
     for u in units:
-        try:
-            R = limit_stable_matrix(
-                b.sys, b.frame, b.eq, b.data, complex(u[0], u[1]), u[2:]
-            )
-        except NearImaginaryEigenvalue:
+        M1, X = dense_m1(b.sys, b.eq, complex(u[0], u[1]), u[2:])
+        R1S = schur_stable_basis(M1)
+        if R1S is None:
             vals.append(math.nan)
             continue
-        num = abs(np.linalg.det(b.sys.B @ b.frame.R1 @ R))
-        den = math.sqrt(max(np.linalg.det(R.conj().T @ R).real, 0.0))
-        vals.append(0.0 if den == 0.0 else num / den)
+        L = dense_limit(b.eq, b.data, R1S, R2S, X)
+        vals.append(ratio(b.sys.B @ b.frame.R1, L))
     return np.array(vals)
 
 
 def _scalar_ukc(b, units):
     vals = []
     for u in units:
-        try:
-            vals.append(_ukc_ratio(
-                b.sys, b.eq, b.rbc.coefficient, complex(u[0], u[1]), u[2:]
-            ))
-        except NearImaginaryEigenvalue:
-            vals.append(math.nan)
+        M1, _ = dense_m1(b.sys, b.eq, complex(u[0], u[1]), u[2:])
+        R1S = schur_stable_basis(M1)
+        vals.append(math.nan if R1S is None else ratio(b.rbc.coefficient @ b.eq.P1, R1S))
     return np.array(vals)
 
 
@@ -106,20 +95,22 @@ class TestDirections:
 
 
 def test_batched_gkc_matches_scalar_on_random_pool(random_bundles, zero_speed_bundle):
-    """Batched GKC ratios agree with per-point gkc_ratio to 1e-10 relative,
+    """Batched GKC ratios agree with the dense oracle to 1e-10 relative,
     with the same skipped points, on the 100-bundle pool and a system with a
     zero equilibrium speed, at resolution 8."""
     for b in [*random_bundles, zero_speed_bundle]:
         units = directions(b.sys.d + 2, SPEC8)
         vals, failures = gkc_ratios(b.sys, b.frame, units)
-        want, want_failures = _scalar_gkc(b.sys, b.frame, units)
+        want = _scalar_gkc(b.sys, b.frame, units)
         _close(vals, want)
-        assert failures == want_failures
+        assert [f.split(": eigenvalue")[0] for f in failures] == [
+            str(tuple(u)) for u in units[np.isnan(want)].tolist()
+        ]
 
 
 def test_batched_limits_match_scalar_on_random_pool(random_bundles, zero_speed_bundle):
     """The batched eta = infinity and UKC ratios, hence their minima, agree
-    with the limit_stable_matrix and _ukc_ratio loops to 1e-10 relative, on
+    with the dense oracles to 1e-10 relative, on
     the pool and on a system with a zero equilibrium speed and a UKC ratio
     that varies over the directions."""
     for b in [*random_bundles, zero_speed_bundle]:
@@ -139,15 +130,30 @@ def _plain(Q, A2, B):
     )
 
 
+def _orthonormal(V):
+    return np.allclose(np.linalg.svd(V, compute_uv=False), 1.0, atol=1e-12)
+
+
 class TestFallback:
     def test_defective_and_count_masks(self):
+        # a (nearly) defective row takes the orthonormal Schur basis in place
+        # of its near-parallel eigenvectors
         jordan = np.array([[[-1.0, 1.0], [0.0, -1.0]]], dtype=complex)
-        assert not stable_eigvecs(jordan, 2)[2][0]
         near = jordan + np.array([[[0.0, 0.0], [1e-14, 0.0]]])
-        assert not stable_eigvecs(near, 2)[2][0]
+        for M in (jordan, near):
+            V_s, skipped = stable_eigvecs(M, 2)
+            assert skipped == {} and _orthonormal(V_s[0])
         split = np.array([[[-1.0, 0.0], [0.0, 2.0]]], dtype=complex)
-        assert stable_eigvecs(split, 1)[2][0]
-        assert not stable_eigvecs(split, 2)[2][0]
+        V_s, _ = stable_eigvecs(split, 1)
+        assert np.allclose(np.abs(V_s[0, :, 0]), [1.0, 0.0])
+        with pytest.raises(SpectralCountMismatch) as exc:
+            stable_eigvecs(np.concatenate([jordan, split]), 2)
+        assert exc.value.row == 1
+
+    def test_near_axis_row_is_skipped(self):
+        M = np.array([[[-1.0, 0.0], [0.0, 2.0]], [[-1e-17, 0.0], [0.0, 2.0]]], dtype=complex)
+        V_s, skipped = stable_eigvecs(M, 1)
+        assert list(skipped) == [1] and "imaginary axis" in str(skipped[1])
 
     def test_defective_M_gives_scalar_value(self):
         # M = G = eta Q - xi I - i omega A2 is defective where eta = 2 |omega|
@@ -156,22 +162,22 @@ class TestFallback:
         frame = build_kernel_frame(sys_obj)
         units = np.array([[1.0, 0.0, 0.5, 1.0], [1.0, 0.2, 0.3, 1.0]])
         M = -units[0, 0] * np.eye(2) + np.diag([0.0, -1.0]) - 0.5j * sys_obj.A[1]
-        assert not stable_eigvecs(M[None], 2)[2][0]
+        assert _orthonormal(stable_eigvecs(M[None], 2)[0][0])
         vals, failures = gkc_ratios(sys_obj, frame, units)
-        want, _ = _scalar_gkc(sys_obj, frame, units)
         assert failures == []
-        _close(vals, want)
+        _close(vals, _scalar_gkc(sys_obj, frame, units))
 
     def test_stable_count_mismatch_raises_as_scalar(self):
         # an anti-damped Q leaves one stable eigenvalue where n_+ = 2
         sys_obj = _plain(np.diag([0.0, 1.0]), np.zeros((2, 2)), np.eye(2))
         frame = build_kernel_frame(sys_obj)
         units = np.array([[1.0, 0.0, 0.0, 2.0]])
-        with pytest.raises(np.linalg.LinAlgError) as scalar_exc:
-            _scalar_gkc(sys_obj, frame, units)
-        with pytest.raises(np.linalg.LinAlgError) as batched_exc:
+        with pytest.raises(SpectralCountMismatch) as scalar_exc:
+            gkc_ratio(sys_obj, frame, _unit_to_point(units[0], 2))
+        with pytest.raises(SpectralCountMismatch) as batched_exc:
             gkc_ratios(sys_obj, frame, units)
         assert str(batched_exc.value) == str(scalar_exc.value)
+        assert str(batched_exc.value).startswith("(1.0, 0.0, 0.0, 2.0): 1 stable")
 
 
 class TestReportedGaps:
@@ -238,3 +244,4 @@ class TestReportedGaps:
         assert report.to_dict()["eta_inf_skipped"] == rim
         assert len(report.failures) > 0
         assert report.samples + len(report.failures) == len(directions(3, spec))
+        assert report.min_ratio > 0.5 and not report.passed

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from oracles import dense_M
 from relaxbc import fixtures
 from relaxbc.errors import FrameMismatch, SpectralCountMismatch
 from relaxbc.fixtures import example_system
@@ -10,7 +11,6 @@ from relaxbc.spectral import (
     FrequencyPoint,
     PlainFrame,
     SamplingSpec,
-    assemble_G,
     build_kernel_frame,
     build_M,
     check_gkc,
@@ -62,27 +62,6 @@ class TestKernelFrame:
         assert np.allclose(f.Q_hat, 0.0)
 
 
-class TestAssembleG:
-    def test_eta_zero_identity_block(self, pipe2x2):
-        blocks = assemble_G(pipe2x2.sys, pipe2x2.frame, FrequencyPoint(1.0, np.zeros(0), 0.0))
-        assert blocks["G00"].size == 0
-        assert np.allclose(blocks["G11"], -np.eye(2))
-
-    def test_blocks_match_dense_oracle(self, pipe3):
-        sys_obj, frame = pipe3.sys, pipe3.frame
-        omega = 0.3 * np.ones(sys_obj.d - 1)
-        p = FrequencyPoint(1.0 + 1.0j, omega, 2.0)
-        G = 2.0 * sys_obj.Q - (1 + 1j) * np.eye(sys_obj.n)
-        for j in range(1, sys_obj.d):
-            G = G - 1j * omega[j - 1] * sys_obj.A[j]
-        assert np.allclose(blocksub(frame.R1, G, frame.R1), assemble_G(sys_obj, frame, p)["G11"])
-        assert np.allclose(blocksub(frame.R0, G, frame.R0), assemble_G(sys_obj, frame, p)["G00"])
-
-
-def blocksub(L, G, R):
-    return L.T @ G @ R
-
-
 class TestBuildM:
     def test_hand_formula(self, pipe2x2):
         for xi, eta in [(1.0, 1.0), (0.7 + 0.2j, 3.0), (2.0, 0.0)]:
@@ -92,6 +71,22 @@ class TestBuildM:
                 [xi, -3 * (eta + xi)],
             ])
             assert np.allclose(M, want, atol=1e-12)
+
+    def test_matches_dense_schur_complement(self, pipe3, zero_speed_bundle, rng):
+        for b in (pipe3, zero_speed_bundle):
+            for _ in range(5):
+                p = fixtures.random_frequency_point(rng, b.sys.d)
+                want = dense_M(b.sys, b.frame, p.xi, np.atleast_1d(p.omega), p.eta)
+                got = build_M(b.sys, b.frame, p)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_plain_frame_matches_dense(self, pipe3, rng):
+        # a bare (R0, R1) pair carries no A1_hat; build_M forms R1^T A1 R1
+        frame = fixtures.random_frame_pair(rng, pipe3.frame)
+        p = fixtures.random_frequency_point(rng, pipe3.sys.d)
+        want = dense_M(pipe3.sys, frame, p.xi, np.atleast_1d(p.omega), p.eta)
+        got = build_M(pipe3.sys, frame, p)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_omega_eta_zero_gives_scaled_inverse(self):
         # with the kernel orthogonal to the retained directions the Schur
