@@ -331,6 +331,7 @@ def cmd_simulate(args) -> int:
         "steps": result.steps,
         "dt": result.dt,
         "nodes": int(result.x.size),
+        "node_steps": result.node_steps,
         "l2_norm": norm,
         "boundary_cond": result.boundary_cond,
         "provenance": _provenance(

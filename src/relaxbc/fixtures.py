@@ -22,6 +22,13 @@ from .model import (
 from .reduction import Pipeline, derive_all
 from .sim import Scenario
 from .spectral import FrequencyPoint, PlainFrame, SamplingSpec
+from .tolerances import (
+    FIXTURE_BOUNDARY_ROW_MIN,
+    FIXTURE_FIRST_COMPONENT_MIN,
+    FIXTURE_KERNEL_RELAXED_MIN,
+    FIXTURE_ORTHOGONAL_MIN,
+    FIXTURE_ZERO_EIG_ABS,
+)
 
 
 def example_system() -> RelaxationSystem:
@@ -71,7 +78,11 @@ def make_double_characteristic(
         q = rng.normal(size=3)
         q -= p * (p @ q)
         nq = np.linalg.norm(q)
-        if nq < 1e-3 or abs(q[0]) < 0.2 or abs(p[0]) < 0.2:
+        if (
+            nq < FIXTURE_ORTHOGONAL_MIN
+            or abs(q[0]) < FIXTURE_FIRST_COMPONENT_MIN
+            or abs(p[0]) < FIXTURE_FIRST_COMPONENT_MIN
+        ):
             continue
         q /= nq
         alpha = rng.uniform(0.5, 2.0)
@@ -81,7 +92,7 @@ def make_double_characteristic(
         A1 = alpha * np.outer(p, p) - beta * np.outer(q, q)
         A1 = 0.5 * (A1 + A1.T)
         k = np.cross(p, q)  # kernel direction of A1
-        if np.linalg.norm(k[1:]) < 0.2:  # kernel-overlap oracle (relaxed part)
+        if np.linalg.norm(k[1:]) < FIXTURE_KERNEL_RELAXED_MIN:
             continue
         S = -np.eye(2)
         Q = np.zeros((3, 3))
@@ -89,7 +100,7 @@ def make_double_characteristic(
         # one incoming characteristic: B is 1 x 3 and must annihilate the kernel
         g = rng.normal(size=3)
         b_row = g - k * (k @ g) / (k @ k)
-        if np.linalg.norm(b_row) < 1e-2:
+        if np.linalg.norm(b_row) < FIXTURE_BOUNDARY_ROW_MIN:
             continue
         b_row /= np.linalg.norm(b_row)
         raw = RawSystem(
@@ -185,7 +196,7 @@ def random_system(
         n_plus = int(np.sum(eigs > 0))
         # kernel basis and the B-operator annihilating it
         w, V = np.linalg.eigh(A1)
-        R0 = V[:, np.abs(w) < 1e-8]
+        R0 = V[:, np.abs(w) < FIXTURE_ZERO_EIG_ABS]
         B = rng.normal(size=(n_plus, n))
         if R0.shape[1]:
             B = B - (B @ R0) @ R0.T
@@ -246,7 +257,7 @@ def well_conditioned(bundle: Pipeline, cond_max: float = 1e3, gap_min: float = 0
     if np.linalg.cond(frame.A1_hat) >= cond_max:
         return False
     lam = np.linalg.eigvals(np.linalg.solve(frame.A1_hat, frame.Q_hat))
-    nz = lam[np.abs(lam) > 1e-8]
+    nz = lam[np.abs(lam) > FIXTURE_ZERO_EIG_ABS]
     if nz.size and np.min(np.abs(nz.real)) < gap_min:
         return False
     return True

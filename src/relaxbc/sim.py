@@ -4,7 +4,12 @@ between the stiff solution and the composite layer expansion.
 
 The relaxation solver uses characteristic upwinding on a boundary-graded mesh
 (first order) with Lie splitting; the stiff source is applied exactly through
-exp(S dt / eps), and one step is one sparse matrix.  The equilibrium system
+exp(S dt / eps), and one step is one sparse matrix.  Time steps are local, by
+power-of-two levels (Osher & Sanders, Math. Comp. 41, 1983): a node whose
+adjacent cells are at least 2^k times the smallest cell steps by 2^k times
+the finest dt, so the bulk of the mesh, past the cells graded down to the
+boundary, takes one step where the boundary cell takes 2^K; every level
+updates through row views of the one step matrix.  The equilibrium system
 has constant coefficients, so its solver evaluates the method-of-
 characteristics solution with the derived reduced boundary condition in
 closed form, with no time stepping.
@@ -48,6 +53,7 @@ from .spectral import KernelFrame
 from .tolerances import (
     BOUNDARY_SINGULAR_REL,
     DEGENERATE_ERROR_ABS,
+    MESH_ROUNDOFF_REL,
     TOUCHES_V_ABS,
     tau_eig,
 )
@@ -82,6 +88,7 @@ class SimResult:
     boundary_times: np.ndarray | None = None
     boundary_values: np.ndarray | None = None  # trace of the state at x = 0
     boundary_cond: float | None = None  # conditioning of the inflow extraction
+    node_steps: int | None = None  # node updates the stiff solver made
 
     def boundary_interp(self):
         ts, vs = self.boundary_times, self.boundary_values
@@ -94,15 +101,17 @@ class SimResult:
 
 def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = 1.05):
     """Nodes on [0, x_max]: spacing grows geometrically from dx_min at the
-    boundary to dx_max, then stays uniform; the last cell is clipped."""
+    boundary to dx_max, then stays uniform; the last cell is clipped, and a
+    remainder shorter than dx_min is merged into the cell before it, so no
+    cell is shorter than dx_min."""
     xs = [0.0]
     dx = dx_min
     while xs[-1] + dx < x_max:
         xs.append(xs[-1] + dx)
         dx = min(dx * ratio, dx_max)
-    # absorb a too-short final cell into its neighbor to keep the CFL bound
-    # controlled by dx_min, not by a clipping artifact
-    if len(xs) > 1 and x_max - xs[-1] < 0.5 * dx_min:
+    # the smallest cell sets the time step: a remainder short of dx_min by
+    # more than round-off would shrink it below dx_min
+    if len(xs) > 1 and x_max - xs[-1] < dx_min * (1.0 - MESH_ROUNDOFF_REL):
         xs[-1] = x_max
     else:
         xs.append(x_max)
@@ -144,11 +153,25 @@ def _inflow_factor(M: np.ndarray, message: str):
     return sla.lu_factor(M), float(s[0] / s[-1])
 
 
-def _stiff_step_operator(lam, R, pos, neg, dx, dt, E, r):
+def _time_levels(dx: np.ndarray) -> np.ndarray:
+    """Time level of each node of a mesh with cells ``dx``: the largest k with
+    2^k times the smallest cell at most its smaller adjacent cell (up to
+    round-off).  The outflow node copies the update of its neighbour, so it
+    shares that neighbour's level."""
+    adjacent = np.minimum(np.append(dx, np.inf), np.insert(dx, 0, np.inf))
+    ratio = adjacent / dx.min() * (1.0 + MESH_ROUNDOFF_REL)
+    level = np.floor(np.log2(ratio)).astype(int)
+    level[-1] = level[-2]
+    return level
+
+
+def _stiff_step_operator(lam, R, pos, neg, dx, dt, level, E, r):
     """One stiff step on the characteristic state chi = U R, flattened node by
     node (entry i * n + k is mode k at node i), as one CSR matrix: upwind
     transport, the zero-gradient extrapolation of outgoing characteristics
     at x_max, then the exact source P = R^T blockdiag(I, E) R at every node.
+    Node i steps by dt[i] and takes the source E[level[i]] = exp(S dt[i] / eps)
+    of its time level, so the row of each node is its own time step.
 
     Node 0 keeps its incoming characteristics; the caller replaces them by
     the inflow solve."""
@@ -160,11 +183,11 @@ def _stiff_step_operator(lam, R, pos, neg, dx, dt, E, r):
     w = np.zeros((nx, n, 2))
     w[:, :, 0] = 1.0
     for k in pos:  # node i >= 1 upwinds from the cell on its left
-        c = dt * lam[k] / dx
+        c = dt[1:] * lam[k] / dx
         left[1:, k] = i[:-1]
         w[1:, k] = np.column_stack([c, 1.0 - c])
     for k in neg:  # node nx - 1 copies the update of node nx - 2
-        c = dt * lam[k] / dx
+        c = dt[:-1] * lam[k] / dx
         c = np.append(c, c[-1])
         left[-1, k] = nx - 2
         w[:, k] = np.column_stack([1.0 + c, -c])
@@ -175,17 +198,42 @@ def _stiff_step_operator(lam, R, pos, neg, dx, dt, E, r):
     # row (i, k) of the step is the sum over j of P[k, j] times the
     # transport of mode j at node i; its entries are ordered (slot, j), so
     # that their columns nearly ascend
-    source = np.eye(n)
-    source[n - r :, n - r :] = E
-    P = R.T @ source @ R
+    P = np.empty((len(E), n, n))
+    for lev, E_lev in enumerate(E):
+        source = np.eye(n)
+        source[n - r :, n - r :] = E_lev
+        P[lev] = R.T @ source @ R
     shape = (nx, n, 2, n)
     keep = np.broadcast_to(used.transpose(0, 2, 1)[:, None], shape)
     cols = (left[:, None, :] + np.arange(2)[:, None]) * n + np.arange(n)
-    data = (P[None, :, None, :] * w.transpose(0, 2, 1)[:, None])[keep]
+    data = (P[level][:, :, None, :] * w.transpose(0, 2, 1)[:, None])[keep]
     indices = np.broadcast_to(cols.astype(np.int32)[:, None], shape)[keep]
     indptr = np.zeros(nx * n + 1, dtype=np.int32)
     np.cumsum(keep.reshape(nx * n, -1).sum(axis=1), out=indptr[1:])
     return sp.csr_matrix((data, indices, indptr), shape=(nx * n, nx * n))
+
+
+def _level_blocks(step_op, level, n):
+    """For each level v, the rows of the nodes at level <= v as CSR views of
+    ``step_op``, one (first entry, end entry, matrix) per contiguous run of
+    nodes; the views share the data and column indices of ``step_op``."""
+    blocks = []
+    for v in range(int(level.max()) + 1):
+        active = np.concatenate([[False], level <= v, [False]])
+        edges = np.flatnonzero(np.diff(active.astype(np.int8)))
+        runs = []
+        for lo, hi in (edges.reshape(-1, 2) * n).tolist():
+            a, b = step_op.indptr[lo], step_op.indptr[hi]
+            view = sp.csr_matrix(
+                (step_op.data[a:b], step_op.indices[a:b],
+                 step_op.indptr[lo : hi + 1] - a),
+                shape=(hi - lo, step_op.shape[1]),
+            )
+            # the constructor copies short slices; share those of step_op
+            view.data, view.indices = step_op.data[a:b], step_op.indices[a:b]
+            runs.append((lo, hi, view))
+        blocks.append(runs)
+    return blocks
 
 
 def solve_relaxation(
@@ -200,11 +248,21 @@ def solve_relaxation(
 
         U_t + A1 U_x = Q U / eps,  B U(0, t) = b(t).
 
-    The mesh is graded with dx_min = eps / 4 so the eps-layer is represented;
-    the time step obeys dt <= cfl * dx_min / rho(A1).  Outgoing characteristics
-    are extrapolated at x_max.  Transport and the exact stiff source
-    exp(S dt / eps) make one sparse step matrix, built once; each step applies
-    it and then solves (B R_+) chi_+ = b - (B R_rest) chi_rest at x = 0.
+    The mesh is graded with dx_min = eps / 4 so the eps-layer is represented.
+    Time steps are local, by power-of-two levels: with h the smallest cell,
+    node i takes level k_i = floor(log2(smaller adjacent cell / h)) and steps
+    by dt_k = 2^k dt, so dt_k <= cfl * (smaller adjacent cell) / rho(A1) holds
+    on every level; dt <= cfl * h / rho(A1), and the number of finest steps
+    is a multiple of 2^K for the top level K.  Outgoing characteristics are
+    extrapolated at x_max.  Transport and the exact stiff source
+    exp(S dt_k / eps) make one sparse step matrix whose row of each node
+    carries the node's own dt_k, built once.  At finest step m = 0, 1, ...
+    the nodes of level k <= v_2(m) (2^k divides m; every node at m = 0)
+    advance by their dt_k together from the current state, reading their
+    neighbours as last updated; then every finest step solves
+    (B R_+) chi_+ = b - (B R_rest) chi_rest at x = 0.  ``steps``, ``dt`` and
+    the boundary trace count finest steps; ``node_steps`` counts the node
+    updates made.
     """
     n = sys.n
     lam, R = np.linalg.eigh(sys.A1)
@@ -223,8 +281,11 @@ def solve_relaxation(
     rho = np.abs(lam).max()
     if rho <= tol:
         raise CflViolation("A1 has no nonzero characteristic speed")
+    level = _time_levels(dx)
+    top = 2 ** int(level.max())
     dt_cap = cfl * dx.min() / rho
     steps = max(int(math.ceil(scenario.T / dt_cap)), 1)
+    steps = -(-steps // top) * top
     dt = scenario.T / steps
 
     if scenario.T > 0.9 * scenario.x_max / rho:
@@ -253,8 +314,15 @@ def solve_relaxation(
         getrs = sla.get_lapack_funcs("getrs", BRp_lu[:1])
     B_Rrest = sys.B @ R[:, rest]
 
+    sources = [sla.expm(sys.S * (dt * 2**k) / eps) for k in range(level.max() + 1)]
     step_op = _stiff_step_operator(
-        lam, R, pos, neg, dx, dt, sla.expm(sys.S * dt / eps), sys.r
+        lam, R, pos, neg, dx, dt * 2.0**level, level, sources, sys.r
+    )
+    blocks = _level_blocks(step_op, level, n)
+    node_steps = int(np.sum(steps >> level))
+    log.debug(
+        "eps %g: %d steps on %d nodes, %d time levels, %d node-steps",
+        eps, steps, x.size, len(blocks), node_steps,
     )
 
     U = np.empty((x.size, n))
@@ -272,7 +340,13 @@ def solve_relaxation(
     if pos.size:
         b = np.asarray(scenario.b(times[1:]), dtype=float)
     for step in range(steps):
-        chi = step_op @ chi
+        # the lowest set bit of step | 2^K is bit min(v_2(step), K)
+        m = step | top
+        # runs of one level are at least one idle node apart and a row reads
+        # only its node's neighbours, so updating run by run is the same as
+        # updating them all from one state
+        for lo, hi, op in blocks[(m & -m).bit_length() - 1]:
+            chi[lo:hi] = op @ chi
         # inflow boundary condition last, so B U(0, t_new) = b(t_new) holds
         # exactly at the end of the step (the stiff source must not spoil it)
         if pos.size:
@@ -283,7 +357,7 @@ def solve_relaxation(
     return SimResult(
         x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
         dt=dt, eps=eps, boundary_times=times, boundary_values=trace,
-        boundary_cond=boundary_cond,
+        boundary_cond=boundary_cond, node_steps=node_steps,
     )
 
 
@@ -564,7 +638,6 @@ def run_convergence_study(
         else:
             stiff_scenario = scenario
         stiff = solve_relaxation(sys, stiff_scenario, eps, dx_max=dx_max)
-        log.debug("eps %g: %d steps on %d nodes", eps, stiff.steps, stiff.x.size)
         comp = composite_at_final_time(sys, layers, stiff.x, eps)
         err = measure_error(stiff, comp)
         errors.append(err)
@@ -580,6 +653,7 @@ def run_convergence_study(
             "outer_error": float(outer_err),
             "steps": stiff.steps,
             "nodes": int(stiff.x.size),
+            "node_steps": stiff.node_steps,
         }
         if control is not None:
             ctrl = composite_at_final_time(sys, control, stiff.x, eps)

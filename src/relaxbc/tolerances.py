@@ -37,6 +37,12 @@ C_THRESHOLD = 1e-6
 #: most this fraction of max(largest singular value, 1)
 BOUNDARY_SINGULAR_REL = 1e-12
 
+#: relative round-off of the stiff mesh's cell lengths: ``graded_mesh`` keeps
+#: a final cell that falls short of dx_min by at most this fraction and merges
+#: a shorter one; a cell within this fraction of 2^k times the smallest cell
+#: takes time level k
+MESH_ROUNDOFF_REL = 1e-9
+
 #: convergence errors all below this are round-off: the fitted slope is
 #: undefined
 DEGENERATE_ERROR_ABS = 1e-14
@@ -66,6 +72,26 @@ REPORT_IMAG_REL = 1e-14
 #: largest residual of R0_a D0 - R0_b, relative to max(||R0_b||, 1), at which
 #: two kernel frames span the same kernel
 FRAME_KERNEL_REL = 1e-8
+
+#: ``make_double_characteristic`` rejects a draw whose second direction q has
+#: a part orthogonal to p shorter than this
+FIXTURE_ORTHOGONAL_MIN = 1e-3
+
+#: ``make_double_characteristic`` rejects a draw where |p_1| or |q_1| is
+#: below this, so the scaling beta = alpha p_1^2 / q_1^2 stays moderate
+FIXTURE_FIRST_COMPONENT_MIN = 0.2
+
+#: ``make_double_characteristic`` rejects a draw whose kernel direction of A1
+#: has a relaxed part shorter than this (the kernel-overlap oracle)
+FIXTURE_KERNEL_RELAXED_MIN = 0.2
+
+#: ``make_double_characteristic`` rejects a draw whose boundary row, with the
+#: kernel direction projected out, is shorter than this
+FIXTURE_BOUNDARY_ROW_MIN = 1e-2
+
+#: the fixture generators count an eigenvalue this small in magnitude as
+#: zero: the planted zero speeds of A1 and the zero rates of A1_hat^-1 Q_hat
+FIXTURE_ZERO_EIG_ABS = 1e-8
 
 
 def spectral_norm(a) -> float:

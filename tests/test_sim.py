@@ -85,6 +85,43 @@ def _stiff_loop(sys_obj, scenario, eps, dx_max, ratio=1.05, cfl=0.9):
     return x, U, np.array(trace)
 
 
+def _global_dt_relaxation(sys_obj, scenario, eps, dx_max=1e-3, ratio=1.05, cfl=0.9):
+    """Reference stiff solver with one global time step: every node steps by
+    the dt of the smallest cell, through the package's step matrix on one
+    time level."""
+    n, r = sys_obj.n, sys_obj.r
+    lam, R, pos, neg, rest = _split(sys_obj.A1)
+    x = graded_mesh(scenario.x_max, eps / 4.0, max(dx_max, eps / 4.0), ratio)
+    dx = np.diff(x)
+    steps = max(int(math.ceil(scenario.T / (cfl * dx.min() / np.abs(lam).max()))), 1)
+    dt = scenario.T / steps
+    step_op = sim._stiff_step_operator(
+        lam, R, pos, neg, dx, np.full(x.size, dt), np.zeros(x.size, dtype=int),
+        [sla.expm(sys_obj.S * dt / eps)], r,
+    )
+    BRp_lu = sla.lu_factor(sys_obj.B @ R[:, pos])
+    B_Rrest = sys_obj.B @ R[:, rest]
+    U = np.zeros((x.size, n))
+    U[:, : n - r] = np.atleast_2d(scenario.u0(x).T).T
+    if scenario.v0 is not None:
+        U[:, n - r :] = np.atleast_2d(scenario.v0(x).T).T
+    chi = (U @ R).ravel()
+    times = np.arange(steps + 1) * dt
+    b = scenario.b(times[1:])
+    trace = np.empty((steps + 1, n))
+    trace[0] = U[0]
+    for step in range(steps):
+        chi = step_op @ chi
+        chi0 = chi[:n]
+        chi0[pos] = sla.lu_solve(BRp_lu, b[step] - B_Rrest @ chi0[rest])
+        trace[step + 1] = R @ chi0
+    return SimResult(
+        x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
+        dt=dt, eps=eps, boundary_times=times, boundary_values=trace,
+        node_steps=steps * x.size,
+    )
+
+
 def _upwind_equilibrium(pipe, scenario, dx, cfl=0.9):
     """Upwind time stepping of ubar_t + A11 ubar_x = 0 with the reduced
     boundary condition: (x, ubar(., T))."""
@@ -109,6 +146,14 @@ def _upwind_equilibrium(pipe, scenario, dx, cfl=0.9):
 
 def _rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _distance(res, other):
+    """L2 distance on the mesh of ``res`` to ``other`` interpolated onto it."""
+    on_mesh = np.column_stack(
+        [np.interp(res.x, other.x, u) for u in other.U.T]
+    )
+    return l2_error(res.x, res.U, on_mesh)
 
 
 def _neg_mode_pipe():
@@ -141,6 +186,17 @@ class TestGradedMesh:
     def test_uniform_when_limits_agree(self):
         x = graded_mesh(1.0, 1e-2, 1e-2)
         np.testing.assert_allclose(np.diff(x), 1e-2, rtol=1e-10)
+
+    def test_short_remainder_does_not_set_dt(self, pipe2x2):
+        # eps = 3e-3 on [0, 2]: cells of dx_min = 7.5e-4 leave a remainder of
+        # 0.67 dx_min, which is merged, so dx_min sets the time step
+        eps, T = 3e-3, 0.05
+        dx_min = eps / 4.0
+        assert np.diff(graded_mesh(2.0, dx_min, dx_min)).min() >= dx_min * (1 - 1e-9)
+        scen = fixtures.example_scenario(T=T)
+        res = solve_relaxation(pipe2x2.sys, scen, eps, dx_max=5e-4)
+        rho = max(abs(np.linalg.eigvalsh(pipe2x2.sys.A1)))
+        assert res.steps == math.ceil(T / (0.9 * dx_min / rho))
 
 
 class TestMeasureError:
@@ -225,7 +281,8 @@ class TestSolveRelaxation:
 
 
 class TestSparseStepOracle:
-    """The one-matrix stiff step against the dense per-step loop."""
+    """The one-matrix stiff step with one global dt against the dense
+    per-step loop, and the local time steps against that global-dt oracle."""
 
     @pytest.mark.parametrize("eps, T", [(1e-2, 0.3), (3e-4, 0.03)])
     @pytest.mark.parametrize("which", ["2x2", "3x3"])
@@ -237,12 +294,23 @@ class TestSparseStepOracle:
             sys_obj = sys3
             scen = fixtures.scenario_double_characteristic(sys3, T=T, x_max=1.2)
         res = solve_relaxation(sys_obj, scen, eps, dx_max=2e-3)
+        ref = _global_dt_relaxation(sys_obj, scen, eps, dx_max=2e-3)
         x, U, trace = _stiff_loop(sys_obj, scen, eps, dx_max=2e-3)
         np.testing.assert_array_equal(res.x, x)
-        assert res.steps + 1 == len(trace)
+        np.testing.assert_array_equal(ref.x, x)
+        assert ref.steps + 1 == len(trace)
         assert np.abs(U).max() > 1e-3
-        assert _rel_l2(res.U, U) <= 1e-12
-        assert _rel_l2(res.boundary_values, trace) <= 1e-12
+        assert _rel_l2(ref.U, U) <= 1e-12
+        assert _rel_l2(ref.boundary_values, trace) <= 1e-12
+        if eps == 1e-2:
+            # dx_min = 2.5e-3 > dx_max: a uniform mesh, one time level
+            assert res.node_steps == res.steps * res.x.size
+            np.testing.assert_array_equal(res.U, ref.U)
+            np.testing.assert_array_equal(res.boundary_values, ref.boundary_values)
+        else:
+            # graded from dx_min = 7.5e-5 to dx_max = 2e-3: levels 0 to 4
+            assert 3 * res.node_steps <= ref.node_steps
+            assert _rel_l2(res.U, ref.U) <= 3e-3
 
 
 class TestSolveEquilibrium:
@@ -349,19 +417,31 @@ class TestSolveEquilibrium:
 
 class TestGridRefinement:
     def test_first_order_in_dx(self, pipe2x2):
+        # the global-dt oracle against a reference at the same dx_min
         scen = fixtures.example_scenario()
         eps = 4e-3
-        ref = solve_relaxation(pipe2x2.sys, scen, eps, dx_max=5e-4)
+        ref = _global_dt_relaxation(pipe2x2.sys, scen, eps, dx_max=5e-4)
         errs = []
         steps = (8e-3, 4e-3, 2e-3)
         for dxm in steps:
-            res = solve_relaxation(pipe2x2.sys, scen, eps, dx_max=dxm)
-            on_mesh = np.column_stack(
-                [np.interp(res.x, ref.x, ref.U[:, k]) for k in range(2)]
-            )
-            errs.append(l2_error(res.x, res.U, on_mesh))
+            res = _global_dt_relaxation(pipe2x2.sys, scen, eps, dx_max=dxm)
+            errs.append(_distance(res, ref))
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert 0.7 <= slope <= 1.3
+
+    def test_local_steps_self_convergence(self, pipe2x2):
+        # local time steps leave an error of about 3e-4 from the graded
+        # region that does not depend on dx_max, so against the reference of
+        # test_first_order_in_dx the fitted slope reads about 0.5; the
+        # distances between successive meshes still halve with dx_max
+        scen = fixtures.example_scenario()
+        eps = 4e-3
+        u8, u4, u2 = (
+            solve_relaxation(pipe2x2.sys, scen, eps, dx_max=dxm)
+            for dxm in (8e-3, 4e-3, 2e-3)
+        )
+        rate = math.log2(_distance(u8, u4) / _distance(u4, u2))
+        assert 0.7 <= rate <= 1.3
 
 
 class TestConvergenceStudy:
@@ -377,7 +457,29 @@ class TestConvergenceStudy:
         assert not study.degenerate
         assert len(study.details["per_eps"]) == 2
         entry = study.details["per_eps"][0]
-        assert {"eps", "error", "outer_error", "steps", "nodes"} <= set(entry)
+        assert {"eps", "error", "outer_error", "steps", "nodes", "node_steps"} <= set(entry)
+
+    def test_local_and_global_steps_approach_composite(self, pipe2x2, monkeypatch):
+        # both stiff solvers' errors decay at the rate the 2x2 gate asks for
+        scen = fixtures.example_scenario()
+
+        def study():
+            return run_convergence_study(
+                pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
+                pipe2x2.rbc, pipe2x2.closure, scen,
+                eps_list=(1e-2, 3e-3, 1e-3, 3e-4), with_control=False,
+            )
+
+        local = study()
+        monkeypatch.setattr(sim, "solve_relaxation", _global_dt_relaxation)
+        global_dt = study()
+        for s in (local, global_dt):
+            assert 0.45 <= s.slope <= 0.65
+        work = [
+            [e["node_steps"] for e in s.details["per_eps"]]
+            for s in (local, global_dt)
+        ]
+        assert 3 * work[0][-1] <= work[1][-1]
 
     def test_one_sqrt_layer_solve_per_equilibrium_solution(
         self, pipe3, monkeypatch
