@@ -163,10 +163,11 @@ def _load_scenario(path: str, sys_obj) -> tuple[Scenario, dict]:
             x = np.asarray(x)
             return np.column_stack([p(x) for p in v_profiles])
 
-    scenario = Scenario(
-        b=b, u0=u0, v0=v0,
-        T=float(doc["T"]), x_max=float(doc.get("x_max", 2.0)),
-    )
+    T, x_max = float(doc["T"]), float(doc.get("x_max", 2.0))
+    for key, value in (("T", T), ("x_max", x_max)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{key!r} must be finite and positive, got {value}")
+    scenario = Scenario(b=b, u0=u0, v0=v0, T=T, x_max=x_max)
     return scenario, doc
 
 

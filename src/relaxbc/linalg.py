@@ -117,7 +117,7 @@ def stable_eigvecs(M: np.ndarray, n_s: int):
     Returns ``(V_s, skipped)``.  V_s (N, k, n_s) holds the unit stable
     eigenvectors of each M[i] from one stacked ``eig`` or, where they cannot
     stand in, ``split_invariant_subspaces(M[i]).basis_s``: when an eigenvalue
-    lies within AXIS_MARGIN * tau_axis(||M[i]||_2) of the imaginary axis, when
+    lies within AXIS_MARGIN * tau_axis(||M[i]||_F) of the imaginary axis, when
     M[i] has other than n_s stable eigenvalues, when its eigenvector matrix
     has condition number above EIGVEC_COND_MAX (a nearly defective M[i]), or
     when the stacked ``eig`` raised LinAlgError.  A ratio |det(X V_s)| /
@@ -136,7 +136,9 @@ def stable_eigvecs(M: np.ndarray, n_s: int):
         stable = w.real < 0
         ok = stable.sum(axis=1) == n_s
         if k:
-            norms = np.linalg.svd(M, compute_uv=False)[:, 0]
+            # the Frobenius norm bounds the spectral norm of the Schur guard
+            # from above, so this screen passes no row that guard would skip
+            norms = np.linalg.norm(M, axis=(1, 2))
             ok &= np.abs(w.real).min(axis=1) >= AXIS_MARGIN * tau_axis(norms)
             sv = np.linalg.svd(V, compute_uv=False)
             ok &= sv[:, -1] * EIGVEC_COND_MAX >= sv[:, 0]

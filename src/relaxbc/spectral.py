@@ -19,6 +19,7 @@ import scipy.linalg as sla
 from scipy.stats import qmc
 
 from .errors import (
+    AssumptionViolated,
     FrameMismatch,
     RelaxbcError,
     SkConditionViolated,
@@ -263,7 +264,17 @@ def gkc_ratio(sys: RelaxationSystem, frame, p: FrequencyPoint) -> float:
 
 
 def directions(m: int, spec: SamplingSpec) -> np.ndarray:
-    """Distinct unit directions on {u in R^m : |u| = 1, u_0 >= delta, u_{m-1} >= 0}.
+    """Distinct unit directions on {u in R^m : |u| = 1, u_0 >= delta, u_{m-1} >= 0}:
+    the rows of ``conjugate_grid``.  In GKC coordinates the grid holds
+    (xi, omega, eta) and its conjugate (conj xi, -omega, eta) as exact
+    mirror rows wherever both are kept; for real A, Q and B the GKC ratio is
+    equal at the two."""
+    return conjugate_grid(m, spec)[0]
+
+
+def conjugate_grid(m: int, spec: SamplingSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct unit directions on {u in R^m : |u| = 1, u_0 >= delta, u_{m-1} >= 0},
+    and per row the row of its mirror u * (1, -1, ..., -1, 1), or -1.
 
     Coordinates are ordered (Re xi, Im xi, omega..., eta) for the GKC
     hemisphere, (Re xi, Im xi, omega...) for the eta = infinity and UKC
@@ -274,6 +285,15 @@ def directions(m: int, spec: SamplingSpec) -> np.ndarray:
     grid repeats its pole points; a row equal to an earlier one (with -0.0
     read as 0.0) is dropped, so every direction is evaluated once, in
     first-occurrence order.
+
+    Reflecting phi_2 ... phi_{m-1} to pi - phi, that is reversing their grid
+    indices, maps a tensor row u to u * (1, -1, ..., -1, 1).  Where both rows
+    are kept they form a mirror pair, and the later row is set to the exact
+    mirror of the earlier (it moves by at most an ulp).  In GKC coordinates
+    the mirror is (xi, omega, eta) -> (conj xi, -omega, eta).  For real A, Q
+    and B, M there is the complex conjugate of M, so the GKC ratio is equal
+    at the two rows.  Rim rows, self-mirrored rows (the pole) and rows whose
+    mirror is a dropped repeat have mirror -1.
     """
     res = spec.resolution
     phi_max = math.acos(spec.delta)
@@ -283,6 +303,7 @@ def directions(m: int, spec: SamplingSpec) -> np.ndarray:
 
     mesh = np.meshgrid(*grids, indexing="ij")
     angles = np.stack([g.ravel() for g in mesh], axis=1)  # (N, m-1)
+    n_tensor = len(angles)
 
     if spec.rim_points > 0 and m >= 2:
         sob = qmc.Sobol(d=m - 1, scramble=True, seed=spec.seed)
@@ -299,12 +320,34 @@ def directions(m: int, spec: SamplingSpec) -> np.ndarray:
 
     units = _angles_to_unit(angles, m) + 0.0  # + 0.0 turns -0.0 into 0.0
     _, first = np.unique(units, axis=0, return_index=True)
-    return units[np.sort(first)]
+    kept = np.sort(first)
+    rows = np.arange(len(kept))
+    row_of = np.full(len(units), -1)
+    row_of[kept] = rows
+    # the reflection reverses the index i -> res - 1 - i of every angle but
+    # phi_1: the trailing m - 2 base-res digits t of a flat grid index go to
+    # res^(m-2) - 1 - t
+    tail = res ** (m - 2)
+    flat = kept[kept < n_tensor]
+    mirror = np.full(len(kept), -1)
+    mirror[: len(flat)] = row_of[flat - 2 * (flat % tail) + tail - 1]
+    mirror[mirror == rows] = -1
+    units = units[kept]
+    later = rows[(mirror >= 0) & (mirror < rows)]
+    units[later] = units[mirror[later]] * np.r_[1.0, -np.ones(m - 2), 1.0] + 0.0
+    return units, mirror
 
 
 def xi_omega_directions(d: int, spec: SamplingSpec) -> np.ndarray:
     """The (Re xi, Im xi, omega) grid shared by the eta = infinity and UKC
-    samples: the tensor part of ``directions``, restricted to Re xi > 0."""
+    samples: the tensor part of ``directions``, restricted to Re xi > 0.
+
+    For real A, Q and B, M1 at (conj xi, -omega) is the complex conjugate
+    of M1 at (xi, omega), and so is the eta = infinity limit basis; both
+    ratios are equal at the two points.  That conjugation negates every
+    coordinate but Re xi, the last one too, so the half u_{m-1} >= 0
+    (omega_{d-1} >= 0, or Im xi >= 0 when d = 1) holds a member of every
+    pair."""
     units = directions(d + 1, replace(spec, rim_points=0))
     return units[units[:, 0] > 0]
 
@@ -391,14 +434,17 @@ def check_gkc(
     the large-eta limit matrix).  If the minimum is merely close to the
     threshold, the grid is refined around the argmin before declaring failure.
     The check fails when the eta = infinity limit could not be formed, and
-    when a grid direction or an eta = infinity direction was skipped for an
+    when a grid, refinement or eta = infinity direction was skipped for an
     eigenvalue near the imaginary axis.
     """
     spec = spec or SamplingSpec()
-    ratios, failures, best, best_point = _sample(sys, frame, directions(sys.d + 2, spec))
+    units, mirror = conjugate_grid(sys.d + 2, spec)
+    vals, failures, copied = _mirrored_gkc_ratios(sys, frame, units, mirror)
+    ratios, best, best_point = _collect(units, vals, sys.d)
     sub = [(p, v) for p, v in ratios if v <= C_THRESHOLD]
-    log.debug("gkc: %d directions, %d skipped, minimum %.6g",
-              len(ratios) + len(failures), len(failures), best)
+    log.debug("gkc: %d directions, %d representatives evaluated, %d mirrored copies, "
+              "%d skipped, minimum %.6g",
+              len(units), len(units) - copied, copied, len(failures), best)
 
     eta_inf_min, eta_inf_point, eta_inf_skipped, eta_inf_error = (
         _eta_infinity_min_ratio(sys, frame, spec)
@@ -408,8 +454,11 @@ def check_gkc(
 
     # local refinement: distinguish a true zero from slow decay
     if best_point is not None and math.isfinite(best_point.eta) and best < 10 * C_THRESHOLD:
-        best, best_point, extra_sub = _refine_minimum(sys, frame, spec, best, best_point)
+        best, best_point, extra_sub, extra_failures = _refine_minimum(
+            sys, frame, spec, best, best_point
+        )
         sub.extend(extra_sub)
+        failures.extend(extra_failures)
 
     passed = (
         best > C_THRESHOLD and not math.isinf(best) and eta_inf_error is None
@@ -431,23 +480,48 @@ def check_gkc(
     )
 
 
-def _sample(sys, frame, units):
-    """``gkc_ratios`` at the rows of ``units``: the (row, ratio) pairs of the
-    points not skipped, the failures, and the first minimum with its point
-    (inf and None when every point was skipped)."""
-    vals, failures = gkc_ratios(sys, frame, units)
+def _mirrored_gkc_ratios(sys, frame, units, mirror):
+    """``gkc_ratios`` at the rows of ``units``, evaluating the earlier member
+    of each mirror pair of ``conjugate_grid`` and copying its ratio to the
+    later one, which is exact for real A, Q, B and frame (raises
+    AssumptionViolated otherwise).  The mirror of a skipped row is evaluated
+    on its own, for its own failure entry.  Returns ``(ratios, failures,
+    copied)``, failures in row order and ``copied`` the rows not evaluated."""
+    if not all(map(np.isrealobj, (*sys.A, sys.Q, sys.B, frame.R0, frame.R1))):
+        raise AssumptionViolated("the conjugate mirror of the GKC grid needs real matrices")
+    rows = np.arange(len(units))
+    copy = (mirror >= 0) & (mirror < rows)
+    vals = np.empty(len(units))
+    failures = {}
+
+    def evaluate(idx):
+        vals[idx], fails = gkc_ratios(sys, frame, units[idx])
+        failures.update(zip(idx[np.isnan(vals[idx])].tolist(), fails))
+
+    evaluate(rows[~copy])
+    vals[copy] = vals[mirror[copy]]
+    redo = rows[copy & np.isnan(vals)]
+    evaluate(redo)
+    return vals, [failures[i] for i in sorted(failures)], int(copy.sum()) - redo.size
+
+
+def _collect(units, vals, d):
+    """The (row, ratio) pairs of the rows not skipped (NaN), and the first
+    minimum with its point (inf and None when every row was skipped)."""
     kept = ~np.isnan(vals)
     units, vals = units[kept], vals[kept]
     # a point's as_tuple() is its unit row
     ratios = list(zip(map(tuple, units.tolist()), vals.tolist()))
     if not vals.size:
-        return ratios, failures, math.inf, None
+        return ratios, math.inf, None
     i = int(np.argmin(vals))  # first occurrence, as a strict-< scan
-    return ratios, failures, ratios[i][1], _unit_to_point(units[i], sys.d)
+    return ratios, ratios[i][1], _unit_to_point(units[i], d)
 
 
 def _refine_minimum(sys, frame, spec, best, best_point):
-    """Refine the sampling x4 locally around the current argmin."""
+    """Refine the sampling x4 locally around the current argmin.  Returns the
+    new minimum and its point, the subthreshold (row, ratio) pairs and the
+    failures of the skipped refinement points."""
     center = np.array(best_point.as_tuple())
     scale = max(np.linalg.norm(center), 1.0)
     rng = np.random.default_rng(spec.seed + 1)
@@ -458,10 +532,11 @@ def _refine_minimum(sys, frame, spec, best, best_point):
     u[:, 0] = np.maximum(u[:, 0], spec.delta * scale)  # keep Re xi positive
     u[:, -1] = np.maximum(u[:, -1], 0.0)
     u = u / np.linalg.norm(u, axis=1, keepdims=True)
-    ratios, _, val, point = _sample(sys, frame, u)
+    vals, failures = gkc_ratios(sys, frame, u)
+    ratios, val, point = _collect(u, vals, sys.d)
     if val < best:
         best, best_point = val, point
-    return best, best_point, [(p, v) for p, v in ratios if v <= C_THRESHOLD]
+    return best, best_point, [(p, v) for p, v in ratios if v <= C_THRESHOLD], failures
 
 
 def _eta_infinity_min_ratio(
@@ -563,6 +638,7 @@ __all__ = [
     "gkc_ratio",
     "check_gkc",
     "directions",
+    "conjugate_grid",
     "gkc_ratios",
     "frame_independence_check",
     "verify_stable_count",

@@ -4,6 +4,7 @@ import json
 import logging
 
 import numpy as np
+import pytest
 
 from relaxbc import cli
 from relaxbc import fixtures
@@ -135,6 +136,25 @@ class TestSimulate:
             ["simulate", sys2x2_file, "--scenario", scen2x2_file,
              "--eps=-1e-3", "--out", str(tmp_path)]
         ) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("x_max", 0.0), ("x_max", -1.0), ("x_max", "inf"),
+        ("T", 0.0), ("T", -0.5), ("T", "nan"),
+    ])
+    def test_nonpositive_or_nonfinite_extent_is_config_error(
+        self, sys2x2_file, scen2x2_file, tmp_path, capsys, key, value
+    ):
+        # x_max = 0 would grade the mesh into one zero-length cell
+        with open(scen2x2_file) as fh:
+            doc = json.load(fh)
+        doc[key] = float(value)
+        scen = tmp_path / "bad_scenario.json"
+        scen.write_text(json.dumps(doc))
+        assert _run(
+            ["simulate", sys2x2_file, "--scenario", str(scen),
+             "--eps", "1e-2", "--out", str(tmp_path / "out")]
+        ) == 2
+        assert f"'{key}' must be finite and positive" in capsys.readouterr().err
 
 
 class TestConverge:

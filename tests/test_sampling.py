@@ -1,25 +1,30 @@
 """The batched frequency sampler against dense per-point oracles that share
-none of its builders: direction grid, GKC ratios, eta = infinity and UKC
-minima, the per-row Schur fallback, and the report fields for skipped or
-unformed limits."""
+none of its builders: direction grid and its conjugate mirror pairs, GKC
+ratios, eta = infinity and UKC minima, the per-row Schur fallback, and the
+report fields for skipped or unformed limits."""
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from oracles import dense_limit, dense_M, dense_m1, ratio, schur_stable_basis
-from relaxbc import reduction
+from relaxbc import reduction, spectral
 from relaxbc.errors import AssumptionViolated, SpectralCountMismatch
 from relaxbc.fixtures import example_system, random_admissible_bundle
 from relaxbc.linalg import stable_eigvecs
 from relaxbc.model import RelaxationSystem
 from relaxbc.reduction import derive_all, eta_inf_ratios, ukc_ratios
 from relaxbc.spectral import (
+    FrequencyPoint,
     SamplingSpec,
+    _refine_minimum,
     _unit_to_point,
     build_kernel_frame,
     check_gkc,
+    conjugate_grid,
     directions,
     gkc_ratio,
     gkc_ratios,
@@ -86,6 +91,21 @@ class TestDirections:
         spec = SamplingSpec(resolution=12, rim_points=64)
         assert len(directions(5, spec)) == 16233
         assert len(xi_omega_directions(3, spec)) == 1464
+        # rows whose index mirror is a dropped pole repeat stay unpaired
+        assert np.count_nonzero(conjugate_grid(5, spec)[1] >= 0) == 2 * 6721
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_mirror_rows_are_exact_conjugates(self, m):
+        spec = SamplingSpec(resolution=7, rim_points=8)
+        u, mirror = conjugate_grid(m, spec)
+        assert np.array_equal(u, directions(m, spec))
+        rows = np.arange(len(u))
+        paired = mirror >= 0
+        assert paired.any() and np.all(mirror != rows)
+        assert np.array_equal(mirror[mirror[paired]], rows[paired])
+        s = np.r_[1.0, -np.ones(m - 2), 1.0]
+        assert np.array_equal(u[mirror[paired]], u[paired] * s + 0.0)
+        assert np.all(mirror[-2 * spec.rim_points :] == -1)  # rim rows
 
     def test_shared_grid_has_no_rim_points(self):
         spec = SamplingSpec(resolution=5, rim_points=16)
@@ -121,6 +141,44 @@ def test_batched_limits_match_scalar_on_random_pool(random_bundles, zero_speed_b
         want = _scalar_ukc(b, units)
         _close(got, want)
         assert abs(b.rbc.ukc_min_ratio - np.nanmin(want)) <= REL * np.nanmin(want)
+
+
+def test_ratios_are_equal_at_conjugate_mirrors(random_bundles):
+    """For real A, Q and B, M(conj xi, -omega, eta) = conj M(xi, omega, eta),
+    and M1(conj xi, -omega) = conj M1(xi, omega): the GKC, eta = infinity and
+    UKC ratios agree at a direction and at its mirror.  ``check_gkc`` copies
+    ratios to mirror rows on that account, and the eta = infinity and UKC
+    grids keep only omega_{d-1} >= 0 (Im xi >= 0 when d = 1)."""
+    assert {b.sys.d for b in random_bundles} == {1, 2, 3}
+    spec = SamplingSpec(resolution=6, rim_points=4)
+    for b in random_bundles:
+        d = b.sys.d
+        units = directions(d + 2, spec)
+        mirrored = units * np.r_[1.0, -np.ones(d), 1.0]
+        _close(gkc_ratios(b.sys, b.frame, mirrored)[0],
+               gkc_ratios(b.sys, b.frame, units)[0])
+        half = xi_omega_directions(d, spec)
+        conj = half * np.r_[1.0, -np.ones(d)]
+        assert np.all(conj[:, -1] <= 0.0)  # the half the grids leave out
+        _close(eta_inf_ratios(b.sys, b.frame, b.eq, b.data, conj),
+               eta_inf_ratios(b.sys, b.frame, b.eq, b.data, half))
+        coeff = b.rbc.coefficient
+        _close(ukc_ratios(b.sys, b.eq, coeff, conj), ukc_ratios(b.sys, b.eq, coeff, half))
+
+
+def test_mirrored_check_gkc_matches_dense_oracle(random_bundles, zero_speed_bundle):
+    """Every (row, ratio) pair that ``check_gkc`` reports, mirror copies
+    included, agrees to 1e-10 relative with the dense oracle evaluated at
+    that row."""
+    spec = SamplingSpec(resolution=8, rim_points=8)
+    picks = {}
+    for b in random_bundles:
+        picks.setdefault(b.sys.d, b)
+    for b in [*picks.values(), zero_speed_bundle]:
+        report = check_gkc(b.sys, b.frame, spec)
+        rows = np.array([row for row, _ in report.ratios])
+        assert report.failures == [] and len(rows) == len(directions(b.sys.d + 2, spec))
+        _close(np.array([v for _, v in report.ratios]), _scalar_gkc(b.sys, b.frame, rows))
 
 
 def _plain(Q, A2, B):
@@ -245,3 +303,45 @@ class TestReportedGaps:
         assert len(report.failures) > 0
         assert report.samples + len(report.failures) == len(directions(3, spec))
         assert report.min_ratio > 0.5 and not report.passed
+
+    def test_skipped_refinement_points_are_failures(self, monkeypatch):
+        # refining around a skipped grid point of the test above, at
+        # Re xi = delta = 1e-12 and eta = 0, clamps perturbed directions onto
+        # that corner, where the split is skipped
+        spec = SamplingSpec(resolution=6, rim_points=0, delta=1e-12)
+        sys_obj = example_system()
+        frame = build_kernel_frame(sys_obj)
+        corner = FrequencyPoint(xi=complex(1e-12, 1.0), omega=np.zeros(0), eta=0.0)
+        best, point, sub, failures = _refine_minimum(sys_obj, frame, spec, 1.0, corner)
+        assert 0 < len(failures) < 4 * spec.resolution
+        assert all("imaginary axis" in f for f in failures)
+        assert best < 1.0 and point.xi.real > 0 and sub == []
+
+        # check_gkc lists them after the grid's own failures
+        monkeypatch.setattr(spectral, "C_THRESHOLD", 2.0)  # forces a refinement
+        monkeypatch.setattr(
+            spectral, "_refine_minimum",
+            lambda s, f, sp, best, _: _refine_minimum(s, f, sp, best, corner),
+        )
+        report = check_gkc(sys_obj, frame, spec)
+        assert report.failures[-len(failures):] == failures
+        assert report.samples + len(report.failures) == (
+            len(directions(3, spec)) + len(failures)
+        )
+
+
+class TestConjugateMirror:
+    def test_complex_system_is_refused(self, pipe2x2):
+        sys_c = dataclasses.replace(pipe2x2.sys, B=pipe2x2.sys.B + 0j)
+        with pytest.raises(AssumptionViolated, match="real"):
+            check_gkc(sys_c, pipe2x2.frame, SPEC8)
+
+    def test_debug_line_counts_the_mirrored_rows(self, pipe2x2, caplog):
+        units, mirror = conjugate_grid(3, SPEC8)
+        copied = int(np.count_nonzero(mirror >= 0)) // 2
+        with caplog.at_level(logging.DEBUG, logger="relaxbc.spectral"):
+            check_gkc(pipe2x2.sys, pipe2x2.frame, SPEC8)
+        assert (
+            f"gkc: {len(units)} directions, {len(units) - copied} representatives "
+            f"evaluated, {copied} mirrored copies, 0 skipped" in caplog.text
+        )
