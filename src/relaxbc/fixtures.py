@@ -252,7 +252,13 @@ def well_conditioned(bundle: Pipeline, cond_max: float = 1e3, gap_min: float = 0
     eta scales like 1/(eta * gap), so fixtures with a weakly damped fast mode
     converge with an arbitrarily large constant even when ``A1_hat`` itself is
     well conditioned.
+
+    A system with a zero equilibrium speed (n10 >= 1) is never well
+    conditioned: its diffusive layer makes the approach go like eta^{-1/2},
+    not 1/(eta * gap).
     """
+    if bundle.eq.n10 > 0:
+        return False
     frame = bundle.frame
     if np.linalg.cond(frame.A1_hat) >= cond_max:
         return False

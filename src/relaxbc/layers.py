@@ -86,8 +86,6 @@ class SqrtEpsLayer:
     m: np.ndarray  # (nz, n10)
     dm_dz: np.ndarray  # (nz, n10)
     P0: np.ndarray
-    D: np.ndarray
-    z_max: float
     # always 0, as the closed form has no domain to double; kept, like the
     # stable_basis_real import above, only because perfbench/spans.py reads it
     doublings: int = 0
@@ -142,16 +140,13 @@ def solve_sqrt_eps_layer(
     if D.shape[0] == 0:
         z = np.linspace(0.0, 1.0, 2)
         empty = np.zeros((2, 0))
-        return SqrtEpsLayer(z=z, m=empty, dm_dz=empty, P0=eq.P0, D=D, z_max=1.0)
+        return SqrtEpsLayer(z=z, m=empty, dm_dz=empty, P0=eq.P0)
     lam, V = np.linalg.eigh(-D)  # lam > 0
-    z_max = 12.0 * math.sqrt(lam.max() * T)
-    z = np.linspace(0.0, z_max, SQRT_LAYER_NZ)
+    z = np.linspace(0.0, 12.0 * math.sqrt(lam.max() * T), SQRT_LAYER_NZ)
     times = np.arange(SQRT_LAYER_NT + 1) * (T / SQRT_LAYER_NT)
     g = np.asarray(boundary(times), dtype=float) @ V
     q, dq = _erfc_superposition(lam, g, T, z)
-    return SqrtEpsLayer(
-        z=z, m=q @ V.T, dm_dz=dq @ V.T, P0=eq.P0, D=D, z_max=float(z_max)
-    )
+    return SqrtEpsLayer(z=z, m=q @ V.T, dm_dz=dq @ V.T, P0=eq.P0)
 
 
 def _erfc_superposition(lam, g, T, z):

@@ -30,25 +30,10 @@ from .tolerances import (
 
 @dataclass(frozen=True)
 class StableSubspace:
-    """Unitary split of C^n into the stable invariant subspace of M and its
-    orthogonal complement.
-
-    ``basis_s`` spans the stable invariant subspace: M basis_s = basis_s block_s.
-    ``basis_u`` completes [basis_s | basis_u] to a unitary matrix; the combined
-    basis brings M to block upper-triangular form with coupling ``coupling``:
-
-        M [basis_s | basis_u] = [basis_s | basis_u] [[block_s, coupling],
-                                                     [0,       block_u]]
-
-    The unstable column block is therefore not itself M-invariant unless M is
-    normal; exact invariance holds for the stable side only.
-    """
+    """Orthonormal basis ``basis_s`` of the stable invariant subspace of M,
+    of dimension ``k``: M basis_s = basis_s (basis_s^* M basis_s)."""
 
     basis_s: np.ndarray
-    basis_u: np.ndarray
-    block_s: np.ndarray
-    block_u: np.ndarray
-    coupling: np.ndarray
     k: int
 
 
@@ -79,20 +64,12 @@ def split_invariant_subspaces(M) -> StableSubspace:
     if M.shape != (n, n):
         raise RankMismatch(f"expected square matrix, got {M.shape}")
     if n == 0:
-        e = np.zeros((0, 0), dtype=complex)
-        return StableSubspace(e, e, e, e, e, 0)
+        return StableSubspace(np.zeros((0, 0), dtype=complex), 0)
 
     guarded_eigvals(M)
-    T, Z, sdim = sla.schur(M, output="complex", sort=lambda z: z.real < 0)
+    _, Z, sdim = sla.schur(M, output="complex", sort=lambda z: z.real < 0)
     k = int(sdim)
-    return StableSubspace(
-        basis_s=Z[:, :k],
-        basis_u=Z[:, k:],
-        block_s=T[:k, :k],
-        block_u=T[k:, k:],
-        coupling=T[:k, k:],
-        k=k,
-    )
+    return StableSubspace(basis_s=Z[:, :k], k=k)
 
 
 def stable_basis_real(M) -> np.ndarray:

@@ -70,7 +70,6 @@ class ReductionData:
     X: np.ndarray  # A22_hat - A12_hat^T P1 Lam1^{-1} P1^T A12_hat
     N: np.ndarray
     M2: np.ndarray  # (K~^T X K~)^{-1} (K~^T S_hat K~), governs the eps-layer ODE
-    M2_stable_dim: int
     R2S: np.ndarray  # real orthonormal basis of the stable subspace of M2
 
 
@@ -180,9 +179,7 @@ def build_reduction_data(
             f"M2 has {R2S.shape[1]} stable eigenvalues, expected "
             f"n_+ - n1_+ - n10 = {expected}"
         )
-    return ReductionData(
-        K=K, K_tilde=K_tilde, X=X, N=N, M2=M2, M2_stable_dim=expected, R2S=R2S
-    )
+    return ReductionData(K=K, K_tilde=K_tilde, X=X, N=N, M2=M2, R2S=R2S)
 
 
 def _M1_stack(sys: RelaxationSystem, eq: EquilibriumFrame):

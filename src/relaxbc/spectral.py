@@ -43,9 +43,8 @@ log = logging.getLogger(__name__)
 REFINE_FACTOR = 4
 
 #: directions per batched evaluation.  It bounds the memory of the stacked
-#: eigenproblems: evaluating a d = 3 grid at resolution 12 (16,233
-#: directions) in one stack raised the peak resident memory by 44 MB, in
-#: chunks of this size by 0.2 MB.
+#: eigenproblems: evaluating 16,233 d = 3 directions in one stack raised the
+#: peak resident memory by 44 MB, in chunks of this size by 0.2 MB.
 CHUNK = 1024
 
 
@@ -103,6 +102,11 @@ class SamplingSpec:
 
 @dataclass
 class GkcReport:
+    """Outcome of ``check_gkc``.  ``samples`` and ``ratios`` cover the GKC
+    grid of ``directions``, which lists one member of each conjugate pair
+    (xi, omega, eta), (conj xi, -omega, eta): for real A, Q and B the ratio
+    is equal at the two."""
+
     min_ratio: float
     argmin_point: FrequencyPoint | None
     samples: int
@@ -263,18 +267,8 @@ def gkc_ratio(sys: RelaxationSystem, frame, p: FrequencyPoint) -> float:
     return float(vals[0])
 
 
-def directions(m: int, spec: SamplingSpec) -> np.ndarray:
-    """Distinct unit directions on {u in R^m : |u| = 1, u_0 >= delta, u_{m-1} >= 0}:
-    the rows of ``conjugate_grid``.  In GKC coordinates the grid holds
-    (xi, omega, eta) and its conjugate (conj xi, -omega, eta) as exact
-    mirror rows wherever both are kept; for real A, Q and B the GKC ratio is
-    equal at the two."""
-    return conjugate_grid(m, spec)[0]
-
-
-def conjugate_grid(m: int, spec: SamplingSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct unit directions on {u in R^m : |u| = 1, u_0 >= delta, u_{m-1} >= 0},
-    and per row the row of its mirror u * (1, -1, ..., -1, 1), or -1.
+def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.ndarray:
+    """Distinct unit directions on {u in R^m : |u| = 1, u_0 >= delta, u_{m-1} >= 0}.
 
     Coordinates are ordered (Re xi, Im xi, omega..., eta) for the GKC
     hemisphere, (Re xi, Im xi, omega...) for the eta = infinity and UKC
@@ -286,24 +280,26 @@ def conjugate_grid(m: int, spec: SamplingSpec) -> tuple[np.ndarray, np.ndarray]:
     read as 0.0) is dropped, so every direction is evaluated once, in
     first-occurrence order.
 
-    Reflecting phi_2 ... phi_{m-1} to pi - phi, that is reversing their grid
-    indices, maps a tensor row u to u * (1, -1, ..., -1, 1).  Where both rows
-    are kept they form a mirror pair, and the later row is set to the exact
-    mirror of the earlier (it moves by at most an ulp).  In GKC coordinates
-    the mirror is (xi, omega, eta) -> (conj xi, -omega, eta).  For real A, Q
-    and B, M there is the complex conjugate of M, so the GKC ratio is equal
-    at the two rows.  Rim rows, self-mirrored rows (the pole) and rows whose
-    mirror is a dropped repeat have mirror -1.
+    The grid is a conjugate half: phi_2 takes the first ceil(res / 2) of its
+    res points, so Im xi >= 0 on the tensor rows; the rim rows are kept
+    whole.  Reflecting phi_2 ... phi_{m-1} to pi - phi maps u to its mirror
+    u * (1, -1, ..., -1, 1), in GKC coordinates
+    (xi, omega, eta) -> (conj xi, -omega, eta).  For real A, Q and B, M
+    there is the complex conjugate of M and the GKC ratio is equal at the
+    two, so the grid holds one member of each conjugate pair (both only on
+    the slice phi_2 = pi / 2).  ``_conjugate_half=False`` keeps all of phi_2,
+    as ``xi_omega_directions`` needs.
     """
     res = spec.resolution
     phi_max = math.acos(spec.delta)
     grids = [np.linspace(0.0, phi_max, res)]
     for _ in range(m - 2):
         grids.append(np.linspace(0.0, math.pi, res))
+    if _conjugate_half and m > 2:
+        grids[1] = grids[1][: (res + 1) // 2]
 
     mesh = np.meshgrid(*grids, indexing="ij")
     angles = np.stack([g.ravel() for g in mesh], axis=1)  # (N, m-1)
-    n_tensor = len(angles)
 
     if spec.rim_points > 0 and m >= 2:
         sob = qmc.Sobol(d=m - 1, scramble=True, seed=spec.seed)
@@ -320,22 +316,7 @@ def conjugate_grid(m: int, spec: SamplingSpec) -> tuple[np.ndarray, np.ndarray]:
 
     units = _angles_to_unit(angles, m) + 0.0  # + 0.0 turns -0.0 into 0.0
     _, first = np.unique(units, axis=0, return_index=True)
-    kept = np.sort(first)
-    rows = np.arange(len(kept))
-    row_of = np.full(len(units), -1)
-    row_of[kept] = rows
-    # the reflection reverses the index i -> res - 1 - i of every angle but
-    # phi_1: the trailing m - 2 base-res digits t of a flat grid index go to
-    # res^(m-2) - 1 - t
-    tail = res ** (m - 2)
-    flat = kept[kept < n_tensor]
-    mirror = np.full(len(kept), -1)
-    mirror[: len(flat)] = row_of[flat - 2 * (flat % tail) + tail - 1]
-    mirror[mirror == rows] = -1
-    units = units[kept]
-    later = rows[(mirror >= 0) & (mirror < rows)]
-    units[later] = units[mirror[later]] * np.r_[1.0, -np.ones(m - 2), 1.0] + 0.0
-    return units, mirror
+    return units[np.sort(first)]
 
 
 def xi_omega_directions(d: int, spec: SamplingSpec) -> np.ndarray:
@@ -348,7 +329,7 @@ def xi_omega_directions(d: int, spec: SamplingSpec) -> np.ndarray:
     coordinate but Re xi, the last one too, so the half u_{m-1} >= 0
     (omega_{d-1} >= 0, or Im xi >= 0 when d = 1) holds a member of every
     pair."""
-    units = directions(d + 1, replace(spec, rim_points=0))
+    units = directions(d + 1, replace(spec, rim_points=0), _conjugate_half=False)
     return units[units[:, 0] > 0]
 
 
@@ -357,8 +338,11 @@ def _angles_to_unit(angles: np.ndarray, m: int) -> np.ndarray:
     u = np.zeros((n_pts, m))
     sin_prod = np.ones(n_pts)
     for k in range(m - 1):
-        u[:, k] = sin_prod * np.cos(angles[:, k])
-        sin_prod = sin_prod * np.sin(angles[:, k])
+        a = angles[:, k]
+        u[:, k] = sin_prod * np.cos(a)
+        # sin(pi - a) is exactly 0 at a = pi, where sin(a) is 1.2e-16: rows
+        # repeating a pole are then exact repeats, which the dedup drops
+        sin_prod = sin_prod * np.sin(np.minimum(a, math.pi - a))
     u[:, m - 1] = sin_prod
     return u
 
@@ -431,20 +415,25 @@ def check_gkc(
     By homogeneity the ratio depends only on the direction of
     (Re xi, Im xi, omega, eta), so the unbounded quantifier reduces to the
     unit hemisphere plus the eta = infinity limit point (evaluated through
-    the large-eta limit matrix).  If the minimum is merely close to the
-    threshold, the grid is refined around the argmin before declaring failure.
+    the large-eta limit matrix).  For real A, Q and B the ratio is equal at
+    (xi, omega, eta) and (conj xi, -omega, eta), so the hemisphere grid, and
+    the report, list one member of each conjugate pair (see ``directions``);
+    AssumptionViolated is raised when a matrix is not real.  If the minimum
+    is merely close to the threshold, the grid is refined around the argmin
+    before declaring failure.
     The check fails when the eta = infinity limit could not be formed, and
     when a grid, refinement or eta = infinity direction was skipped for an
     eigenvalue near the imaginary axis.
     """
     spec = spec or SamplingSpec()
-    units, mirror = conjugate_grid(sys.d + 2, spec)
-    vals, failures, copied = _mirrored_gkc_ratios(sys, frame, units, mirror)
+    if not all(map(np.isrealobj, (*sys.A, sys.Q, sys.B, frame.R0, frame.R1))):
+        raise AssumptionViolated("the conjugate half of the GKC grid needs real matrices")
+    units = directions(sys.d + 2, spec)
+    vals, failures = gkc_ratios(sys, frame, units)
     ratios, best, best_point = _collect(units, vals, sys.d)
     sub = [(p, v) for p, v in ratios if v <= C_THRESHOLD]
-    log.debug("gkc: %d directions, %d representatives evaluated, %d mirrored copies, "
-              "%d skipped, minimum %.6g",
-              len(units), len(units) - copied, copied, len(failures), best)
+    log.debug("gkc: %d directions, %d skipped, minimum %.6g",
+              len(units), len(failures), best)
 
     eta_inf_min, eta_inf_point, eta_inf_skipped, eta_inf_error = (
         _eta_infinity_min_ratio(sys, frame, spec)
@@ -478,31 +467,6 @@ def check_gkc(
         failures=failures,
         ratios=ratios,
     )
-
-
-def _mirrored_gkc_ratios(sys, frame, units, mirror):
-    """``gkc_ratios`` at the rows of ``units``, evaluating the earlier member
-    of each mirror pair of ``conjugate_grid`` and copying its ratio to the
-    later one, which is exact for real A, Q, B and frame (raises
-    AssumptionViolated otherwise).  The mirror of a skipped row is evaluated
-    on its own, for its own failure entry.  Returns ``(ratios, failures,
-    copied)``, failures in row order and ``copied`` the rows not evaluated."""
-    if not all(map(np.isrealobj, (*sys.A, sys.Q, sys.B, frame.R0, frame.R1))):
-        raise AssumptionViolated("the conjugate mirror of the GKC grid needs real matrices")
-    rows = np.arange(len(units))
-    copy = (mirror >= 0) & (mirror < rows)
-    vals = np.empty(len(units))
-    failures = {}
-
-    def evaluate(idx):
-        vals[idx], fails = gkc_ratios(sys, frame, units[idx])
-        failures.update(zip(idx[np.isnan(vals[idx])].tolist(), fails))
-
-    evaluate(rows[~copy])
-    vals[copy] = vals[mirror[copy]]
-    redo = rows[copy & np.isnan(vals)]
-    evaluate(redo)
-    return vals, [failures[i] for i in sorted(failures)], int(copy.sum()) - redo.size
 
 
 def _collect(units, vals, d):
@@ -638,7 +602,6 @@ __all__ = [
     "gkc_ratio",
     "check_gkc",
     "directions",
-    "conjugate_grid",
     "gkc_ratios",
     "frame_independence_check",
     "verify_stable_count",

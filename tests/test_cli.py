@@ -55,7 +55,7 @@ class TestValidate:
         out = tmp_path / "out"
         assert _run(["validate", str(path), "--out", str(out)]) == 0
         report = _read(out / "validate.json")
-        assert report["checks"]["structural_stability"] is True
+        assert report["structural"]["passed"] is True
         assert report["structural"]["residuals"]["coupling_lambda_max"] <= 0.0
 
     def test_ragged_matrix_is_config_error(self, tmp_path):

@@ -217,8 +217,6 @@ class TestSecondCorrection:
             m=m,
             dm_dz=-m,
             P0=pipe3.eq.P0,
-            D=diffusion_matrix(pipe3.sys, pipe3.eq),
-            z_max=8.0,
         )
         second = build_second_correction(pipe3.sys, pipe3.eq, synthetic)
         zq = z[[0, 50, 150]]  # on-grid queries keep the interpolation exact
@@ -263,7 +261,7 @@ class TestComposite:
             sys_obj, eq, lambda t: np.full((np.size(t), 1), 0.4), T=0.3
         )
         second = build_second_correction(sys_obj, eq, sqrt_layer)
-        x = np.array([0.9 * sqrt_layer.z_max * math.sqrt(1e-4), 50.0])
+        x = np.array([0.9 * sqrt_layer.z[-1] * math.sqrt(1e-4), 50.0])
         n1 = sys_obj.n - sys_obj.r
         ubar = np.ones((x.size, n1))
         U = assemble_composite(

@@ -74,7 +74,7 @@ class TestReductionData:
         for b in random_bundles[:25]:
             idx = compute_indices(b.sys)
             expected = idx.n_plus - idx.n1_plus - idx.n10
-            assert b.data.M2_stable_dim == expected
+            assert b.data.R2S.shape[1] == expected
 
 
 class TestLimitStableMatrix:
@@ -100,6 +100,11 @@ class TestLimitStableMatrix:
         # the coalescing boundary characteristic halves the approach order,
         # so each decade of eta buys ~sqrt(10) in angle
         assert angles[2] < angles[0] / 8.0
+
+    def test_zero_speed_systems_are_not_well_conditioned(self, pipe3, zero_speed_bundle):
+        # at n10 >= 1 the limit is approached like eta^{-1/2}, not 1/(eta * gap)
+        for b in (pipe3, zero_speed_bundle):
+            assert b.eq.n10 > 0 and not fixtures.well_conditioned(b)
 
 
 class TestLargeEtaExpansion:

@@ -1,7 +1,7 @@
 """The batched frequency sampler against dense per-point oracles that share
-none of its builders: direction grid and its conjugate mirror pairs, GKC
-ratios, eta = infinity and UKC minima, the per-row Schur fallback, and the
-report fields for skipped or unformed limits."""
+none of its builders: direction grids and the conjugate half of the GKC
+grid, GKC ratios, eta = infinity and UKC minima, the per-row Schur
+fallback, and the report fields for skipped or unformed limits."""
 
 import dataclasses
 import logging
@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from oracles import dense_limit, dense_M, dense_m1, ratio, schur_stable_basis
 from relaxbc import reduction, spectral
@@ -24,7 +25,6 @@ from relaxbc.spectral import (
     _unit_to_point,
     build_kernel_frame,
     check_gkc,
-    conjugate_grid,
     directions,
     gkc_ratio,
     gkc_ratios,
@@ -89,28 +89,35 @@ class TestDirections:
 
     def test_counts_at_resolution_12(self):
         spec = SamplingSpec(resolution=12, rim_points=64)
-        assert len(directions(5, spec)) == 16233
-        assert len(xi_omega_directions(3, spec)) == 1464
-        # rows whose index mirror is a dropped pole repeat stay unpaired
-        assert np.count_nonzero(conjugate_grid(5, spec)[1] >= 0) == 2 * 6721
+        assert len(directions(5, spec)) == 6850
+        assert len(xi_omega_directions(3, spec)) == 1343
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("res", [7, 12])
+    def test_no_near_repeats(self, d, res):
+        # a polar angle of pi leaves no ulp-sized coordinates, so a pole
+        # repeat is an exact repeat and the dedup drops it
+        spec = SamplingSpec(resolution=res)
+        for units in (directions(d + 2, spec), xi_omega_directions(d, spec)):
+            assert cKDTree(units).query_pairs(1e-12) == set()
 
     @pytest.mark.parametrize("m", [3, 4, 5])
-    def test_mirror_rows_are_exact_conjugates(self, m):
-        spec = SamplingSpec(resolution=7, rim_points=8)
-        u, mirror = conjugate_grid(m, spec)
-        assert np.array_equal(u, directions(m, spec))
-        rows = np.arange(len(u))
-        paired = mirror >= 0
-        assert paired.any() and np.all(mirror != rows)
-        assert np.array_equal(mirror[mirror[paired]], rows[paired])
+    @pytest.mark.parametrize("res", [6, 7])
+    def test_half_grid_covers_the_full_grid(self, m, res):
+        # every row of the full hemisphere grid, rim rows included, is a row
+        # of the conjugate half or the mirror u * (1, -1, ..., -1, 1) of one
+        spec = SamplingSpec(resolution=res, rim_points=8)
+        half = directions(m, spec)
+        full = directions(m, spec, _conjugate_half=False)
+        assert len(half) < len(full)
         s = np.r_[1.0, -np.ones(m - 2), 1.0]
-        assert np.array_equal(u[mirror[paired]], u[paired] * s + 0.0)
-        assert np.all(mirror[-2 * spec.rim_points :] == -1)  # rim rows
+        dist, _ = cKDTree(np.vstack([half, half * s])).query(full)
+        assert dist.max() <= 1e-14
 
     def test_shared_grid_has_no_rim_points(self):
         spec = SamplingSpec(resolution=5, rim_points=16)
         shared = xi_omega_directions(2, spec)
-        tensor = directions(3, SamplingSpec(resolution=5, rim_points=0))
+        tensor = directions(3, SamplingSpec(resolution=5, rim_points=0), _conjugate_half=False)
         assert np.array_equal(shared, tensor)
 
 
@@ -146,8 +153,8 @@ def test_batched_limits_match_scalar_on_random_pool(random_bundles, zero_speed_b
 def test_ratios_are_equal_at_conjugate_mirrors(random_bundles):
     """For real A, Q and B, M(conj xi, -omega, eta) = conj M(xi, omega, eta),
     and M1(conj xi, -omega) = conj M1(xi, omega): the GKC, eta = infinity and
-    UKC ratios agree at a direction and at its mirror.  ``check_gkc`` copies
-    ratios to mirror rows on that account, and the eta = infinity and UKC
+    UKC ratios agree at a direction and at its mirror.  The GKC grid keeps
+    one member of each pair on that account, and the eta = infinity and UKC
     grids keep only omega_{d-1} >= 0 (Im xi >= 0 when d = 1)."""
     assert {b.sys.d for b in random_bundles} == {1, 2, 3}
     spec = SamplingSpec(resolution=6, rim_points=4)
@@ -167,18 +174,25 @@ def test_ratios_are_equal_at_conjugate_mirrors(random_bundles):
 
 
 def test_mirrored_check_gkc_matches_dense_oracle(random_bundles, zero_speed_bundle):
-    """Every (row, ratio) pair that ``check_gkc`` reports, mirror copies
-    included, agrees to 1e-10 relative with the dense oracle evaluated at
-    that row."""
+    """``check_gkc`` samples the conjugate half of the grid: every
+    (row, ratio) pair it reports agrees to 1e-10 relative with the dense
+    oracle evaluated at that row, and its ``min_ratio`` is the dense
+    minimum over the full grid and the eta = infinity sample to 1e-12
+    relative."""
     spec = SamplingSpec(resolution=8, rim_points=8)
     picks = {}
     for b in random_bundles:
         picks.setdefault(b.sys.d, b)
     for b in [*picks.values(), zero_speed_bundle]:
+        d = b.sys.d
         report = check_gkc(b.sys, b.frame, spec)
         rows = np.array([row for row, _ in report.ratios])
-        assert report.failures == [] and len(rows) == len(directions(b.sys.d + 2, spec))
+        assert report.failures == [] and len(rows) == len(directions(d + 2, spec))
         _close(np.array([v for _, v in report.ratios]), _scalar_gkc(b.sys, b.frame, rows))
+        full = directions(d + 2, spec, _conjugate_half=False)
+        want = min(np.nanmin(_scalar_gkc(b.sys, b.frame, full)),
+                   np.nanmin(_scalar_eta_inf(b, xi_omega_directions(d, spec))))
+        assert abs(report.min_ratio - want) <= 1e-12 * want
 
 
 def _plain(Q, A2, B):
@@ -336,12 +350,9 @@ class TestConjugateMirror:
         with pytest.raises(AssumptionViolated, match="real"):
             check_gkc(sys_c, pipe2x2.frame, SPEC8)
 
-    def test_debug_line_counts_the_mirrored_rows(self, pipe2x2, caplog):
-        units, mirror = conjugate_grid(3, SPEC8)
-        copied = int(np.count_nonzero(mirror >= 0)) // 2
+    def test_debug_line_counts_the_half_grid(self, pipe2x2, caplog):
         with caplog.at_level(logging.DEBUG, logger="relaxbc.spectral"):
-            check_gkc(pipe2x2.sys, pipe2x2.frame, SPEC8)
-        assert (
-            f"gkc: {len(units)} directions, {len(units) - copied} representatives "
-            f"evaluated, {copied} mirrored copies, 0 skipped" in caplog.text
-        )
+            report = check_gkc(pipe2x2.sys, pipe2x2.frame, SPEC8)
+        n = len(directions(3, SPEC8))
+        assert report.samples == n
+        assert f"gkc: {n} directions, 0 skipped, minimum " in caplog.text
