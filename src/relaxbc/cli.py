@@ -124,6 +124,19 @@ def _make_profile(spec: dict):
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
+def _finite_positive(key: str, value) -> float:
+    """``value`` as a float; a ConfigError unless it is a finite, positive
+    number (a NaN or infinite length or epsilon would run a meaningless
+    mesh)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not (np.isfinite(number) and number > 0):
+        raise ConfigError(f"{key!r} must be finite and positive, got {value!r}")
+    return number
+
+
 def _load_scenario(path: str, sys_obj) -> tuple[Scenario, dict]:
     doc = _read_json(path)
     for key in ("boundary", "u0", "T"):
@@ -163,10 +176,8 @@ def _load_scenario(path: str, sys_obj) -> tuple[Scenario, dict]:
             x = np.asarray(x)
             return np.column_stack([p(x) for p in v_profiles])
 
-    T, x_max = float(doc["T"]), float(doc.get("x_max", 2.0))
-    for key, value in (("T", T), ("x_max", x_max)):
-        if not (np.isfinite(value) and value > 0):
-            raise ConfigError(f"{key!r} must be finite and positive, got {value}")
+    T = _finite_positive("T", doc["T"])
+    x_max = _finite_positive("x_max", doc.get("x_max", 2.0))
     scenario = Scenario(b=b, u0=u0, v0=v0, T=T, x_max=x_max)
     return scenario, doc
 
@@ -313,10 +324,10 @@ def cmd_simulate(args) -> int:
     doc = _read_json(args.system)
     sys_obj = load_system(args.system)
     scenario, scen_doc = _load_scenario(args.scenario, sys_obj)
-    if args.eps <= 0:
-        raise ConfigError("epsilon must be positive")
+    eps = _finite_positive("--eps", args.eps)
+    dx_max = _finite_positive("--dx-max", args.dx_max)
 
-    result = solve_relaxation(sys_obj, scenario, args.eps, dx_max=args.dx_max)
+    result = solve_relaxation(sys_obj, scenario, eps, dx_max=dx_max)
     if not np.all(np.isfinite(result.U)):
         print("simulation produced non-finite values")
         return EXIT_NUMERICAL
@@ -363,10 +374,12 @@ def cmd_converge(args) -> int:
     eps_list = scen_doc.get("epsilons")
     if not eps_list:
         raise ConfigError("scenario file must list nonempty 'epsilons'")
-    eps_list = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_list):
-        raise ConfigError("all epsilons must be positive")
+    eps_list = [_finite_positive("epsilons", e) for e in eps_list]
     grid = scen_doc.get("grid", {})
+    dx_max = _finite_positive("grid.dx_max", grid.get("dx_max", 5e-4))
+    equilibrium_dx = _finite_positive(
+        "grid.equilibrium_dx", grid.get("equilibrium_dx", 1e-4)
+    )
 
     frame, gkc_report = _run_gkc(args, sys_obj)
     if not gkc_report.passed and not args.force:
@@ -378,8 +391,8 @@ def cmd_converge(args) -> int:
         pipeline.sys, pipeline.frame, pipeline.eq, pipeline.data,
         pipeline.rbc, pipeline.closure, scenario,
         eps_list=eps_list,
-        dx_max=float(grid.get("dx_max", 5e-4)),
-        equilibrium_dx=float(grid.get("equilibrium_dx", 1e-4)),
+        dx_max=dx_max,
+        equilibrium_dx=equilibrium_dx,
     )
 
     threshold = args.threshold

@@ -8,11 +8,15 @@ exp(S dt / eps), and one step is one sparse matrix.  Time steps are local, by
 power-of-two levels (Osher & Sanders, Math. Comp. 41, 1983): a node whose
 adjacent cells are at least 2^k times the smallest cell steps by 2^k times
 the finest dt, so the bulk of the mesh, past the cells graded down to the
-boundary, takes one step where the boundary cell takes 2^K; every level
-updates through row views of the one step matrix.  The equilibrium system
-has constant coefficients, so its solver evaluates the method-of-
-characteristics solution with the derived reduced boundary condition in
-closed form, with no time stepping.
+boundary, takes one step where the boundary cell takes 2^K.  The scheme is
+linear, so the 2^K finest steps of one cycle, with the inflow solves of all
+but the last, are one affine map: one sparse matrix, whose rows differ from
+the step matrix only at the nodes below the top level, plus a small forcing
+by the boundary data.  The solver takes one iteration per cycle.
+
+The equilibrium system has constant coefficients, so its solver evaluates
+the method-of-characteristics solution with the derived reduced boundary
+condition in closed form, with no time stepping.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import (
     BoundarySolveSingular,
@@ -50,6 +53,7 @@ from .reduction import (
     solve_closure,
 )
 from .spectral import KernelFrame
+from .stepping import cycle_operator, time_levels
 from .tolerances import (
     BOUNDARY_SINGULAR_REL,
     DEGENERATE_ERROR_ABS,
@@ -62,6 +66,10 @@ log = logging.getLogger(__name__)
 
 #: Courant number of the stiff step and of the equilibrium trace sampling
 CFL = 0.9
+
+#: local-time-stepping cycles per block of the stiff time loop, which holds
+#: the block's boundary forcing and trace inputs
+CYCLE_BLOCK = 128
 
 
 @dataclass
@@ -153,89 +161,6 @@ def _inflow_factor(M: np.ndarray, message: str):
     return sla.lu_factor(M), float(s[0] / s[-1])
 
 
-def _time_levels(dx: np.ndarray) -> np.ndarray:
-    """Time level of each node of a mesh with cells ``dx``: the largest k with
-    2^k times the smallest cell at most its smaller adjacent cell (up to
-    round-off).  The outflow node copies the update of its neighbour, so it
-    shares that neighbour's level."""
-    adjacent = np.minimum(np.append(dx, np.inf), np.insert(dx, 0, np.inf))
-    ratio = adjacent / dx.min() * (1.0 + MESH_ROUNDOFF_REL)
-    level = np.floor(np.log2(ratio)).astype(int)
-    level[-1] = level[-2]
-    return level
-
-
-def _stiff_step_operator(lam, R, pos, neg, dx, dt, level, E, r):
-    """One stiff step on the characteristic state chi = U R, flattened node by
-    node (entry i * n + k is mode k at node i), as one CSR matrix: upwind
-    transport, the zero-gradient extrapolation of outgoing characteristics
-    at x_max, then the exact source P = R^T blockdiag(I, E) R at every node.
-    Node i steps by dt[i] and takes the source E[level[i]] = exp(S dt[i] / eps)
-    of its time level, so the row of each node is its own time step.
-
-    Node 0 keeps its incoming characteristics; the caller replaces them by
-    the inflow solve."""
-    nx, n = dx.size + 1, lam.size
-    i = np.arange(nx)
-    # transport sends mode j at node i to
-    # w[i, j, 0] chi[left[i, j], j] + w[i, j, 1] chi[left[i, j] + 1, j]
-    left = np.repeat(i[:, None], n, axis=1)
-    w = np.zeros((nx, n, 2))
-    w[:, :, 0] = 1.0
-    for k in pos:  # node i >= 1 upwinds from the cell on its left
-        c = dt[1:] * lam[k] / dx
-        left[1:, k] = i[:-1]
-        w[1:, k] = np.column_stack([c, 1.0 - c])
-    for k in neg:  # node nx - 1 copies the update of node nx - 2
-        c = dt[:-1] * lam[k] / dx
-        c = np.append(c, c[-1])
-        left[-1, k] = nx - 2
-        w[:, k] = np.column_stack([1.0 + c, -c])
-    used = np.zeros((nx, n, 2), dtype=bool)
-    used[:, :, 0] = True
-    used[1:, pos, 1] = True
-    used[:, neg, 1] = True
-    # row (i, k) of the step is the sum over j of P[k, j] times the
-    # transport of mode j at node i; its entries are ordered (slot, j), so
-    # that their columns nearly ascend
-    P = np.empty((len(E), n, n))
-    for lev, E_lev in enumerate(E):
-        source = np.eye(n)
-        source[n - r :, n - r :] = E_lev
-        P[lev] = R.T @ source @ R
-    shape = (nx, n, 2, n)
-    keep = np.broadcast_to(used.transpose(0, 2, 1)[:, None], shape)
-    cols = (left[:, None, :] + np.arange(2)[:, None]) * n + np.arange(n)
-    data = (P[level][:, :, None, :] * w.transpose(0, 2, 1)[:, None])[keep]
-    indices = np.broadcast_to(cols.astype(np.int32)[:, None], shape)[keep]
-    indptr = np.zeros(nx * n + 1, dtype=np.int32)
-    np.cumsum(keep.reshape(nx * n, -1).sum(axis=1), out=indptr[1:])
-    return sp.csr_matrix((data, indices, indptr), shape=(nx * n, nx * n))
-
-
-def _level_blocks(step_op, level, n):
-    """For each level v, the rows of the nodes at level <= v as CSR views of
-    ``step_op``, one (first entry, end entry, matrix) per contiguous run of
-    nodes; the views share the data and column indices of ``step_op``."""
-    blocks = []
-    for v in range(int(level.max()) + 1):
-        active = np.concatenate([[False], level <= v, [False]])
-        edges = np.flatnonzero(np.diff(active.astype(np.int8)))
-        runs = []
-        for lo, hi in (edges.reshape(-1, 2) * n).tolist():
-            a, b = step_op.indptr[lo], step_op.indptr[hi]
-            view = sp.csr_matrix(
-                (step_op.data[a:b], step_op.indices[a:b],
-                 step_op.indptr[lo : hi + 1] - a),
-                shape=(hi - lo, step_op.shape[1]),
-            )
-            # the constructor copies short slices; share those of step_op
-            view.data, view.indices = step_op.data[a:b], step_op.indices[a:b]
-            runs.append((lo, hi, view))
-        blocks.append(runs)
-    return blocks
-
-
 def solve_relaxation(
     sys: RelaxationSystem,
     scenario: Scenario,
@@ -256,13 +181,21 @@ def solve_relaxation(
     is a multiple of 2^K for the top level K.  Outgoing characteristics are
     extrapolated at x_max.  Transport and the exact stiff source
     exp(S dt_k / eps) make one sparse step matrix whose row of each node
-    carries the node's own dt_k, built once.  At finest step m = 0, 1, ...
-    the nodes of level k <= v_2(m) (2^k divides m; every node at m = 0)
-    advance by their dt_k together from the current state, reading their
-    neighbours as last updated; then every finest step solves
-    (B R_+) chi_+ = b - (B R_rest) chi_rest at x = 0.  ``steps``, ``dt`` and
-    the boundary trace count finest steps; ``node_steps`` counts the node
-    updates made.
+    carries the node's own dt_k.  At finest step m = 0, 1, ... the nodes of
+    level k <= v_2(m) (2^k divides m; every node at m = 0) advance by their
+    dt_k together from the current state, reading their neighbours as last
+    updated; then every finest step solves (B R_+) chi_+ = b - (B R_rest)
+    chi_rest at x = 0.
+
+    The solver runs that scheme one cycle of 2^K finest steps per
+    iteration (see ``stepping.cycle_operator``): one product with the cycle matrix,
+    the forcing of the cycle's inner boundary data on the first entries,
+    the inflow solve of its last finest step and its last trace row.  The
+    trace at the inner finest steps is evaluated after the loop from the
+    first state entries at each cycle start and the boundary data.  On a
+    one-level mesh the cycle matrix is the step matrix.  ``steps``, ``dt``
+    and the boundary trace count finest steps; ``node_steps`` counts the
+    node updates of the scheme.
     """
     n = sys.n
     lam, R = np.linalg.eigh(sys.A1)
@@ -281,11 +214,11 @@ def solve_relaxation(
     rho = np.abs(lam).max()
     if rho <= tol:
         raise CflViolation("A1 has no nonzero characteristic speed")
-    level = _time_levels(dx)
-    top = 2 ** int(level.max())
+    level = time_levels(dx)
+    cycle = 2 ** int(level.max())
     dt_cap = cfl * dx.min() / rho
     steps = max(int(math.ceil(scenario.T / dt_cap)), 1)
-    steps = -(-steps // top) * top
+    steps = -(-steps // cycle) * cycle
     dt = scenario.T / steps
 
     if scenario.T > 0.9 * scenario.x_max / rho:
@@ -303,8 +236,11 @@ def solve_relaxation(
             UnresolvedLayerWarning,
         )
 
-    # boundary solve for incoming characteristics: (B R_+) chi_+ = rhs
+    # boundary solve for incoming characteristics: (B R_+) chi_+ = rhs, that
+    # is chi_+ = inflow_b b + inflow_rest chi_rest
     boundary_cond = None
+    B_Rrest = sys.B @ R[:, rest]
+    inflow_b, inflow_rest = np.zeros((0, 0)), np.zeros((0, rest.size))
     if pos.size:
         BRp_lu, boundary_cond = _inflow_factor(
             sys.B @ R[:, pos],
@@ -312,17 +248,24 @@ def solve_relaxation(
         )
         # the LAPACK solve behind sla.lu_solve, without its per-call checks
         getrs = sla.get_lapack_funcs("getrs", BRp_lu[:1])
-    B_Rrest = sys.B @ R[:, rest]
+        # (B R_+)^-1 one column per call: getrs with several right-hand
+        # sides runs on every OpenBLAS thread, which then spin against the
+        # single-threaded time loop
+        inflow_b = np.column_stack([getrs(*BRp_lu, e)[0] for e in np.eye(pos.size)])
+        inflow_rest = -inflow_b @ B_Rrest
 
     sources = [sla.expm(sys.S * (dt * 2**k) / eps) for k in range(level.max() + 1)]
-    step_op = _stiff_step_operator(
-        lam, R, pos, neg, dx, dt * 2.0**level, level, sources, sys.r
+    step_args = (lam, R, pos, neg, dx, dt * 2.0**level, level, sources, sys.r)
+    C, H, G, step_nnz = cycle_operator(
+        step_args, level, n, pos, rest, inflow_b, inflow_rest, R
     )
-    blocks = _level_blocks(step_op, level, n)
+    cycles = steps // cycle
     node_steps = int(np.sum(steps >> level))
     log.debug(
-        "eps %g: %d steps on %d nodes, %d time levels, %d node-steps",
-        eps, steps, x.size, len(blocks), node_steps,
+        "eps %g: %d steps on %d nodes, %d time levels, %d node-steps, "
+        "%d cycles, cycle map nnz %d (step matrix %d)",
+        eps, steps, x.size, level.max() + 1, node_steps,
+        cycles, C.nnz, step_nnz,
     )
 
     U = np.empty((x.size, n))
@@ -337,23 +280,37 @@ def solve_relaxation(
     times *= dt
     trace = np.empty((steps + 1, n))
     trace[0] = U[0]
+    # boundary data by cycle: those of its inner finest steps, beta, and of
+    # its last, whose inflow solve runs in the loop
+    b = np.zeros((cycles, cycle, 0))
     if pos.size:
-        b = np.asarray(scenario.b(times[1:]), dtype=float)
-    for step in range(steps):
-        # the lowest set bit of step | 2^K is bit min(v_2(step), K)
-        m = step | top
-        # runs of one level are at least one idle node apart and a row reads
-        # only its node's neighbours, so updating run by run is the same as
-        # updating them all from one state
-        for lo, hi, op in blocks[(m & -m).bit_length() - 1]:
-            chi[lo:hi] = op @ chi
-        # inflow boundary condition last, so B U(0, t_new) = b(t_new) holds
-        # exactly at the end of the step (the stiff source must not spoil it)
-        if pos.size:
-            chi0 = chi[:n]
-            rhs = b[step] - B_Rrest @ chi0[rest]
-            chi0[pos] = getrs(*BRp_lu, rhs)[0]
-        trace[step + 1] = R @ chi[:n]
+        b = np.reshape(
+            np.asarray(scenario.b(times[1:]), dtype=float), (cycles, cycle, -1)
+        )
+    beta = b[:, :-1].reshape(cycles, H.shape[1])
+    h, g = H.shape[0], G.shape[1] - H.shape[1]
+    ends = trace[cycle::cycle]
+    inner = trace[1:].reshape(cycles, cycle * n)[:, : (cycle - 1) * n]
+    # a block of cycles at a time holds its forcing H beta and its inputs
+    # (chi[:g] at the cycle start, beta) to the inner traces G (head, beta);
+    # einsum, not BLAS, whose threads would spin against the loop
+    for first in range(0, cycles, CYCLE_BLOCK):
+        part = slice(first, first + CYCLE_BLOCK)
+        forcing = np.einsum("ck,hk->ch", beta[part], H)
+        inputs = np.empty((forcing.shape[0], G.shape[1]))
+        inputs[:, g:] = beta[part]
+        for head, f, b_end, end in zip(inputs, forcing, b[part, -1], ends[part]):
+            head[:g] = chi[:g]
+            chi = C @ chi
+            chi[:h] += f
+            # inflow boundary condition last, so B U(0, t_new) = b(t_new)
+            # holds exactly at the end of the cycle (the stiff source must
+            # not spoil it)
+            if pos.size:
+                chi0 = chi[:n]
+                chi0[pos] = getrs(*BRp_lu, b_end - B_Rrest @ chi0[rest])[0]
+            end[:] = R @ chi[:n]
+        np.einsum("ck,ik->ci", inputs, G, out=inner[part])
     return SimResult(
         x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
         dt=dt, eps=eps, boundary_times=times, boundary_values=trace,

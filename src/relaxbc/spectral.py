@@ -280,26 +280,37 @@ def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.n
     read as 0.0) is dropped, so every direction is evaluated once, in
     first-occurrence order.
 
-    The grid is a conjugate half: phi_2 takes the first ceil(res / 2) of its
-    res points, so Im xi >= 0 on the tensor rows; the rim rows are kept
-    whole.  Reflecting phi_2 ... phi_{m-1} to pi - phi maps u to its mirror
-    u * (1, -1, ..., -1, 1), in GKC coordinates
-    (xi, omega, eta) -> (conj xi, -omega, eta).  For real A, Q and B, M
-    there is the complex conjugate of M and the GKC ratio is equal at the
-    two, so the grid holds one member of each conjugate pair (both only on
-    the slice phi_2 = pi / 2).  ``_conjugate_half=False`` keeps all of phi_2,
-    as ``xi_omega_directions`` needs.
+    The grid is a conjugate half.  Reflecting phi_2 ... phi_{m-1} to
+    pi - phi maps u to its mirror u * (1, -1, ..., -1, 1), in GKC
+    coordinates (xi, omega, eta) -> (conj xi, -omega, eta).  For real A, Q
+    and B, M there is the complex conjugate of M and the GKC ratio is equal
+    at the two.  The tensor rows keep phi_2 < pi / 2 (Im xi > 0); at odd
+    resolutions, on the slice phi_2 = pi / 2 they keep phi_3 < pi / 2, on
+    phi_2 = phi_3 = pi / 2 phi_4 < pi / 2, and so on, down to the one row
+    that is its own mirror.  So the grid holds one member of each conjugate
+    pair; the rim rows are kept whole.  ``_conjugate_half=False`` keeps the
+    whole tensor grid, as ``xi_omega_directions`` needs.
     """
     res = spec.resolution
     phi_max = math.acos(spec.delta)
-    grids = [np.linspace(0.0, phi_max, res)]
-    for _ in range(m - 2):
-        grids.append(np.linspace(0.0, math.pi, res))
+    # phi_2 ... phi_{m-1} on [0, pi] as grid indices, in tensor order; an odd
+    # grid has pi / 2 exactly at its middle index
+    line = np.linspace(0.0, math.pi, res)
+    if res % 2:
+        line[res // 2] = math.pi / 2
+    idx = np.indices((res,) * (m - 2)).reshape(m - 2, res ** (m - 2)).T
     if _conjugate_half and m > 2:
-        grids[1] = grids[1][: (res + 1) // 2]
-
-    mesh = np.meshgrid(*grids, indexing="ij")
-    angles = np.stack([g.ravel() for g in mesh], axis=1)  # (N, m-1)
+        # the reflection phi -> pi - phi maps index i to res - 1 - i: keep
+        # the rows whose first index off the middle lies below it, and the
+        # row with every index there, which is its own mirror
+        lead = np.zeros(len(idx), dtype=int)
+        for side in np.sign(res - 1 - 2 * idx).T[::-1]:
+            lead = np.where(side != 0, side, lead)
+        idx = idx[lead >= 0]
+    angles = np.column_stack([
+        np.repeat(np.linspace(0.0, phi_max, res), len(idx)),
+        np.tile(line[idx], (res, 1)),
+    ])  # (N, m-1), phi_1 outermost
 
     if spec.rim_points > 0 and m >= 2:
         sob = qmc.Sobol(d=m - 1, scramble=True, seed=spec.seed)
@@ -339,7 +350,9 @@ def _angles_to_unit(angles: np.ndarray, m: int) -> np.ndarray:
     sin_prod = np.ones(n_pts)
     for k in range(m - 1):
         a = angles[:, k]
-        u[:, k] = sin_prod * np.cos(a)
+        # cos(a) is 6e-17 at a = pi / 2: taken as 0 there, a row on the
+        # middle slices of an odd grid is its own mirror exactly
+        u[:, k] = sin_prod * np.where(a == math.pi / 2, 0.0, np.cos(a))
         # sin(pi - a) is exactly 0 at a = pi, where sin(a) is 1.2e-16: rows
         # repeating a pole are then exact repeats, which the dedup drops
         sin_prod = sin_prod * np.sin(np.minimum(a, math.pi - a))

@@ -1,0 +1,178 @@
+"""Discrete operators of the stiff solver's local time stepping (Osher &
+Sanders, Math. Comp. 41, 1983) on a boundary-graded mesh: the time level of
+each node, the sparse matrix of one step, and the affine map of one cycle
+of 2^K finest steps, which ``sim.solve_relaxation`` applies once per
+iteration."""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from .tolerances import MESH_ROUNDOFF_REL
+
+#: nodes per block when a step or cycle matrix is assembled: the products of
+#: one block, not of the whole mesh, are held at a time
+NODE_BLOCK = 256
+
+
+def time_levels(dx: np.ndarray) -> np.ndarray:
+    """Time level of each node of a mesh with cells ``dx``: the largest k with
+    2^k times the smallest cell at most its smaller adjacent cell (up to
+    round-off).  The outflow node copies the update of its neighbour, so it
+    shares that neighbour's level."""
+    adjacent = np.minimum(np.append(dx, np.inf), np.insert(dx, 0, np.inf))
+    ratio = adjacent / dx.min() * (1.0 + MESH_ROUNDOFF_REL)
+    level = np.floor(np.log2(ratio)).astype(int)
+    level[-1] = level[-2]
+    return level
+
+
+def step_operator(lam, R, pos, neg, dx, dt, level, E, r, nodes=None, replace=None):
+    """One stiff step on the characteristic state chi = U R, flattened node by
+    node (entry i * n + k is mode k at node i), as one CSR matrix: upwind
+    transport, the zero-gradient extrapolation of outgoing characteristics
+    at x_max, then the exact source P = R^T blockdiag(I, E) R at every node.
+    Node i steps by dt[i] and takes the source E[level[i]] = exp(S dt[i] / eps)
+    of its time level, so the row of each node is its own time step.
+
+    Node 0 keeps its incoming characteristics; the caller replaces them by
+    the inflow solve.
+
+    ``nodes`` (ascending) keeps the rows of those nodes only.  ``replace`` =
+    (rows, block, cols) puts the nonzeros of the dense ``block``, whose
+    columns are ``cols`` (ascending), in place of the rows ``rows``.  The
+    matrix is assembled a block of nodes at a time into arrays of its final
+    size, so no full-size temporary is made."""
+    nx, n = dx.size + 1, lam.size
+    i = np.arange(nx)
+    # transport sends mode j at node i to
+    # w[i, j, 0] chi[left[i, j], j] + w[i, j, 1] chi[left[i, j] + 1, j]
+    left = np.repeat(i[:, None], n, axis=1)
+    w = np.zeros((nx, n, 2))
+    w[:, :, 0] = 1.0
+    for k in pos:  # node i >= 1 upwinds from the cell on its left
+        c = dt[1:] * lam[k] / dx
+        left[1:, k] = i[:-1]
+        w[1:, k] = np.column_stack([c, 1.0 - c])
+    for k in neg:  # node nx - 1 copies the update of node nx - 2
+        c = dt[:-1] * lam[k] / dx
+        c = np.append(c, c[-1])
+        left[-1, k] = nx - 2
+        w[:, k] = np.column_stack([1.0 + c, -c])
+    used = np.zeros((nx, n, 2), dtype=bool)
+    used[:, :, 0] = True
+    used[1:, pos, 1] = True
+    used[:, neg, 1] = True
+    P = np.empty((len(E), n, n))
+    for lev, E_lev in enumerate(E):
+        source = np.eye(n)
+        source[n - r :, n - r :] = E_lev
+        P[lev] = R.T @ source @ R
+    if nodes is not None:
+        left, w, used, level = left[nodes], w[nodes], used[nodes], level[nodes]
+    m = level.size
+    # row (i, k) is the sum over j of P[k, j] times the transport of mode j
+    # at node i: entry (slot, j) is P[level[i], k, j] w[i, j, slot], where
+    # used[i, j, slot], at column (left[i, j] + slot) n + j, so that the
+    # columns of a row nearly ascend
+    keep = used.transpose(0, 2, 1).reshape(m, 1, 2 * n)
+    cols = (left[:, None, :] + np.arange(2)[:, None]) * n + np.arange(n)
+    cols = cols.astype(np.int32).reshape(m, 1, 2 * n)
+    counts = np.repeat(keep.sum(axis=(1, 2)), n)
+    stay = np.ones(m * n, dtype=bool)  # rows taken from the step
+    if replace is not None:
+        rows, block, block_cols = replace
+        nz_row, nz_col = np.nonzero(block)
+        first = np.searchsorted(nz_row, np.arange(rows.size))
+        counts[rows] = np.bincount(nz_row, minlength=rows.size)
+        stay[rows] = False
+    indptr = np.zeros(m * n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    if replace is not None:
+        at = indptr[rows][nz_row] + np.arange(nz_row.size) - first[nz_row]
+        data[at], indices[at] = block[nz_row, nz_col], block_cols[nz_col]
+    for a in range(0, m, NODE_BLOCK):
+        b = min(a + NODE_BLOCK, m)
+        lo, hi = indptr[a * n], indptr[b * n]
+        take = keep[a:b] & stay[a * n : b * n].reshape(b - a, n, 1)
+        own = np.repeat(stay[a * n : b * n], counts[a * n : b * n])
+        values = P[level[a:b]][:, :, None, :] * w[a:b].transpose(0, 2, 1)[:, None]
+        data[lo:hi][own] = values.reshape(b - a, n, 2 * n)[take]
+        indices[lo:hi][own] = np.broadcast_to(cols[a:b], take.shape)[take]
+    return sp.csr_matrix((data, indices, indptr), shape=(m * n, nx * n))
+
+
+def cycle_operator(step_args, level, n, pos, rest, inflow_b, inflow_rest, R):
+    """One local-time-stepping cycle, the 2^K finest steps for K =
+    level.max(), as an affine map of the state chi at its start and of the
+    boundary data beta = (b_0, ..., b_{2^K - 2}) of its first 2^K - 1
+    finest steps, whose inflow solves chi_+ = inflow_b b + inflow_rest
+    chi_rest at node 0 it folds in.  The last inflow solve of the cycle is
+    left to the caller.  ``step_args`` are the arguments of
+    ``step_operator``.
+
+    Returns ``(C, H, G, step_nnz)``: the state before the last inflow solve
+    is C chi plus H beta on its first H.shape[0] entries; the boundary
+    traces at the inner finest steps s < 2^K - 1, stacked, are
+    G (chi[:g], beta) with g = G.shape[1] - H.shape[1]; step_nnz counts the
+    nonzeros of the step matrix.
+
+    The scheme is linear, so the map is exact.  Nodes at the top level update
+    once, at the start of the cycle, so their rows of C are those of the
+    step matrix; only the nodes below it (node 0 among them: it is at level
+    0) and the boundary data need products.  Those are formed densely on
+    these nodes and their neighbours, whose rows read one node further, and
+    C is assembled once, with no full step matrix beside it."""
+    top = int(level.max())
+    cycle = 2**top
+    nb = pos.size
+
+    def spread(nodes):  # node mask -> flat state indices
+        return (np.flatnonzero(nodes)[:, None] * n + np.arange(n)).ravel()
+
+    def widen(nodes):
+        out = nodes.copy()
+        out[1:] |= nodes[:-1]
+        out[:-1] |= nodes[1:]
+        return out
+
+    low = level < top
+    ext = widen(low)
+    rows, cols = spread(ext), spread(widen(ext))
+    ncol = cols.size
+    head = step_operator(*step_args, nodes=np.flatnonzero(ext))
+    X = np.zeros((rows.size, ncol + (cycle - 1) * nb))
+    X[:, :ncol] = head[:, cols].toarray()
+    within = head[:, rows]
+    row_level = np.repeat(level[ext], n)
+    active = [np.flatnonzero(row_level <= v) for v in range(top)]
+    ops = [within[a] for a in active]
+    traces = []
+    # X holds the rows of ``rows``, of which node 0 is the first n when the
+    # cycle has inner steps
+    for s in range(cycle):
+        if s:  # the nodes of level <= v_2(s) advance from the current state
+            v = (s & -s).bit_length() - 1
+            X[active[v]] = ops[v] @ X
+        if s < cycle - 1:
+            X[pos] = inflow_rest @ X[rest]
+            X[pos, ncol + s * nb : ncol + (s + 1) * nb] += inflow_b
+            traces.append(R @ X[:n])
+    # the rows that changed: C takes their state columns, and H those that
+    # the boundary data reach, up to the last
+    low_rows, lows = spread(low), np.repeat(low[ext], n)
+    Y = X[lows]
+    C = step_operator(*step_args, replace=(low_rows, Y[:, :ncol], cols))
+    step_nnz = C.nnz - np.count_nonzero(Y[:, :ncol]) + head[lows].nnz
+    hit = np.any(Y[:, ncol:] != 0, axis=1)
+    H = np.zeros((low_rows[hit].max(initial=-1) + 1, Y.shape[1] - ncol))
+    H[low_rows[hit]] = Y[hit, ncol:]
+    # the inner traces read the state up to the last column they touch
+    G = np.reshape(traces, ((cycle - 1) * n, X.shape[1]))
+    hit = np.any(G[:, :ncol] != 0, axis=0)
+    G_head = np.zeros((G.shape[0], cols[hit].max(initial=-1) + 1))
+    G_head[:, cols[hit]] = G[:, :ncol][:, hit]
+    return C, H, np.hstack([G_head, G[:, ncol:]]), step_nnz

@@ -157,6 +157,21 @@ class TestSimulate:
         assert f"'{key}' must be finite and positive" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "inf"), ("--eps", "nan"),
+        ("--dx-max", "nan"), ("--dx-max", "inf"), ("--dx-max", "0"),
+    ])
+    def test_nonfinite_or_nonpositive_flag_is_config_error(
+        self, sys2x2_file, scen2x2_file, tmp_path, capsys, flag, value
+    ):
+        # eps = inf would run a two-node mesh, dx_max = nan uncap the grading
+        argv = ["simulate", sys2x2_file, "--scenario", scen2x2_file,
+                "--eps", "1e-2", "--dx-max", "2e-3", "--out", str(tmp_path)]
+        argv[argv.index(flag) + 1] = value
+        assert _run(argv) == 2
+        assert f"'{flag}' must be finite and positive" in capsys.readouterr().err
+
+
 class TestConverge:
     def _scenario(self, tmp_path, **overrides):
         doc = {
@@ -237,6 +252,27 @@ class TestConverge:
         assert (tmp_path / "quiet" / "converge.json").read_bytes() == (
             tmp_path / "debug" / "converge.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("epsilons", {"epsilons": [1e-2, float("nan")]}),
+        ("epsilons", {"epsilons": [float("inf"), 1e-2]}),
+        ("grid.dx_max", {"grid": {"dx_max": float("nan")}}),
+        ("grid.dx_max", {"grid": {"dx_max": 0.0}}),
+        ("grid.dx_max", {"grid": {"dx_max": "fine"}}),
+        ("grid.equilibrium_dx", {"grid": {"equilibrium_dx": float("inf")}}),
+        ("grid.equilibrium_dx", {"grid": {"equilibrium_dx": -1e-3}}),
+    ])
+    def test_nonfinite_or_nonpositive_input_is_config_error(
+        self, sys2x2_file, tmp_path, capsys, key, overrides
+    ):
+        # grid.dx_max = nan uncaps the grading (the 2x2 study then fails
+        # with slope 0.27); a NaN epsilon fails inside LAPACK
+        scen = self._scenario(tmp_path, **overrides)
+        assert _run(
+            ["converge", sys2x2_file, "--scenario", scen,
+             "--out", str(tmp_path / "out")]
+        ) == 2
+        assert f"'{key}' must be finite and positive" in capsys.readouterr().err
 
     def test_empty_epsilons_is_config_error(self, sys2x2_file, tmp_path):
         scen = self._scenario(tmp_path, epsilons=[])

@@ -114,6 +114,27 @@ class TestDirections:
         dist, _ = cKDTree(np.vstack([half, half * s])).query(full)
         assert dist.max() <= 1e-14
 
+    @pytest.mark.parametrize("m, res", [
+        (3, 7), (4, 7), (5, 7), (3, 13), (4, 13), (5, 13), (3, 51),
+    ])
+    def test_no_row_has_its_mirror_in_the_grid(self, m, res):
+        # odd resolutions put pi / 2 on the grid of phi_2, phi_3, ...: the
+        # slices there are halved in the next angle, down to the row that
+        # is exactly its own mirror (at resolution 51 linspace misses pi / 2
+        # by an ulp)
+        units = directions(m, SamplingSpec(resolution=res))
+        s = np.r_[1.0, -np.ones(m - 2), 1.0]
+        hits = cKDTree(units).query_ball_point(units * s, 1e-14)
+        for i, hit in enumerate(hits):
+            assert hit == [] or (hit == [i] and np.array_equal(units[i] * s, units[i]))
+
+    def test_counts_at_odd_resolution_and_even_resolution_24(self):
+        # d = 3 at resolution 13: 864 of the 10,581 rows were the second
+        # member of a pair on the slice phi_2 = pi / 2; even grids have no
+        # such slice
+        assert len(directions(5, SamplingSpec(resolution=13, rim_points=64))) == 9717
+        assert len(directions(5, SamplingSpec(resolution=24, rim_points=64))) == 134242
+
     def test_shared_grid_has_no_rim_points(self):
         spec = SamplingSpec(resolution=5, rim_points=16)
         shared = xi_omega_directions(2, spec)

@@ -1,13 +1,16 @@
 """Half-line simulation: graded mesh, stiff and equilibrium solvers, error
 measurement, and the convergence study."""
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
-from relaxbc import fixtures, sim
+from relaxbc import fixtures, sim, stepping
 from relaxbc.errors import GridMismatch, UnresolvedLayerWarning
 from relaxbc.model import RelaxationSystem
 from relaxbc.reduction import derive_all
@@ -32,7 +35,8 @@ def _bump(x, center=1.0, width=0.05):
 
 # ---------------------------------------------------------------------------
 # reference implementations: the per-step loops the package used before the
-# sparse stiff step and the closed-form equilibrium solution
+# sparse stiff step, the local-time-stepping cycle map and the closed-form
+# equilibrium solution
 
 
 def _split(a):
@@ -95,7 +99,7 @@ def _global_dt_relaxation(sys_obj, scenario, eps, dx_max=1e-3, ratio=1.05, cfl=0
     dx = np.diff(x)
     steps = max(int(math.ceil(scenario.T / (cfl * dx.min() / np.abs(lam).max()))), 1)
     dt = scenario.T / steps
-    step_op = sim._stiff_step_operator(
+    step_op = stepping.step_operator(
         lam, R, pos, neg, dx, np.full(x.size, dt), np.zeros(x.size, dtype=int),
         [sla.expm(sys_obj.S * dt / eps)], r,
     )
@@ -119,6 +123,75 @@ def _global_dt_relaxation(sys_obj, scenario, eps, dx_max=1e-3, ratio=1.05, cfl=0
         x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
         dt=dt, eps=eps, boundary_times=times, boundary_values=trace,
         node_steps=steps * x.size,
+    )
+
+
+def _level_blocks(step_op, level, n):
+    """For each level v, the rows of the nodes at level <= v as CSR views of
+    ``step_op``, one (first entry, end entry, matrix) per contiguous run of
+    nodes; the views share the data and column indices of ``step_op``."""
+    blocks = []
+    for v in range(int(level.max()) + 1):
+        active = np.concatenate([[False], level <= v, [False]])
+        edges = np.flatnonzero(np.diff(active.astype(np.int8)))
+        runs = []
+        for lo, hi in (edges.reshape(-1, 2) * n).tolist():
+            a, b = step_op.indptr[lo], step_op.indptr[hi]
+            view = sp.csr_matrix(
+                (step_op.data[a:b], step_op.indices[a:b],
+                 step_op.indptr[lo : hi + 1] - a),
+                shape=(hi - lo, step_op.shape[1]),
+            )
+            view.data, view.indices = step_op.data[a:b], step_op.indices[a:b]
+            runs.append((lo, hi, view))
+        blocks.append(runs)
+    return blocks
+
+
+def _per_substep_relaxation(sys_obj, scenario, eps, dx_max=1e-3, ratio=1.05, cfl=0.9):
+    """Reference local-time-stepping solver, one finest step per iteration:
+    at finest step m the nodes of level <= v_2(m) advance through row views
+    of the package's step matrix, then the inflow solve and the boundary
+    trace run."""
+    n, r = sys_obj.n, sys_obj.r
+    lam, R, pos, neg, rest = _split(sys_obj.A1)
+    x = graded_mesh(scenario.x_max, eps / 4.0, max(dx_max, eps / 4.0), ratio)
+    dx = np.diff(x)
+    level = stepping.time_levels(dx)
+    top = 2 ** int(level.max())
+    steps = max(int(math.ceil(scenario.T / (cfl * dx.min() / np.abs(lam).max()))), 1)
+    steps = -(-steps // top) * top
+    dt = scenario.T / steps
+    sources = [sla.expm(sys_obj.S * (dt * 2**k) / eps) for k in range(level.max() + 1)]
+    step_op = stepping.step_operator(
+        lam, R, pos, neg, dx, dt * 2.0**level, level, sources, r
+    )
+    blocks = _level_blocks(step_op, level, n)
+    BRp_lu = sla.lu_factor(sys_obj.B @ R[:, pos])
+    B_Rrest = sys_obj.B @ R[:, rest]
+    U = np.zeros((x.size, n))
+    U[:, : n - r] = np.atleast_2d(scenario.u0(x).T).T
+    if scenario.v0 is not None:
+        U[:, n - r :] = np.atleast_2d(scenario.v0(x).T).T
+    chi = (U @ R).ravel()
+    times = np.arange(steps + 1) * dt
+    b = scenario.b(times[1:])
+    trace = np.empty((steps + 1, n))
+    trace[0] = U[0]
+    for step in range(steps):
+        # the lowest set bit of step | 2^K is bit min(v_2(step), K); runs of
+        # one level are at least one idle node apart, so updating run by run
+        # is the same as updating them all from one state
+        m = step | top
+        for lo, hi, op in blocks[(m & -m).bit_length() - 1]:
+            chi[lo:hi] = op @ chi
+        chi0 = chi[:n]
+        chi0[pos] = sla.lu_solve(BRp_lu, b[step] - B_Rrest @ chi0[rest])
+        trace[step + 1] = R @ chi[:n]
+    return SimResult(
+        x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
+        dt=dt, eps=eps, boundary_times=times, boundary_values=trace,
+        node_steps=int(np.sum(steps >> level)),
     )
 
 
@@ -311,6 +384,60 @@ class TestSparseStepOracle:
             # graded from dx_min = 7.5e-5 to dx_max = 2e-3: levels 0 to 4
             assert 3 * res.node_steps <= ref.node_steps
             assert _rel_l2(res.U, ref.U) <= 3e-3
+
+
+class TestCycleMapOracle:
+    """One iteration per local-time-stepping cycle against the loop that
+    takes one iteration per finest step."""
+
+    @pytest.mark.parametrize("x_max, clipped", [(1.2, True), (1.2011, False)])
+    @pytest.mark.parametrize("which", ["2x2", "3x3"])
+    def test_matches_per_substep_loop(self, which, x_max, clipped, pipe2x2, sys3):
+        eps, dx_max = 3e-4, 2e-3
+        if which == "2x2":  # n_+ = n and B = I: the trace ignores the interior
+            sys_obj = pipe2x2.sys
+            scen = fixtures.example_scenario(T=0.03, x_max=x_max)
+        else:  # outgoing and zero-speed modes
+            sys_obj = sys3
+            scen = fixtures.scenario_double_characteristic(sys3, T=0.03, x_max=x_max)
+        level = stepping.time_levels(np.diff(graded_mesh(x_max, eps / 4.0, dx_max)))
+        # levels 0 to 4, so 16-step cycles; a last cell clipped short puts
+        # the outflow nodes below the top level
+        assert level.min() == 0 and level.max() == 4
+        assert (level[-2] < level.max()) == clipped
+        res = solve_relaxation(sys_obj, scen, eps, dx_max=dx_max)
+        ref = _per_substep_relaxation(sys_obj, scen, eps, dx_max=dx_max)
+        np.testing.assert_array_equal(res.x, ref.x)
+        np.testing.assert_array_equal(res.boundary_times, ref.boundary_times)
+        assert (res.steps, res.node_steps) == (ref.steps, ref.node_steps)
+        assert res.steps > 16 and np.abs(ref.U).max() > 1e-3
+        assert _rel_l2(res.U, ref.U) <= 1e-12
+        # every trace row, the inner finest steps of each cycle included
+        err = np.linalg.norm(res.boundary_values - ref.boundary_values, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref.boundary_values, axis=1))
+
+    def test_converge_mesh(self, sys3):
+        # the converge default dx_max = 5e-4 at eps = 3e-4: levels 0 to 2
+        scen = fixtures.scenario_double_characteristic(sys3, T=0.02, x_max=2.0)
+        res = solve_relaxation(sys3, scen, 3e-4, dx_max=5e-4)
+        ref = _per_substep_relaxation(sys3, scen, 3e-4, dx_max=5e-4)
+        assert _rel_l2(res.U, ref.U) <= 1e-12
+        err = np.linalg.norm(res.boundary_values - ref.boundary_values, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref.boundary_values, axis=1))
+
+    def test_debug_line_reports_cycles_and_nnz(self, pipe2x2, caplog):
+        caplog.set_level(logging.DEBUG, logger="relaxbc.sim")
+        scen = fixtures.example_scenario(T=0.03, x_max=1.2)
+        res = solve_relaxation(pipe2x2.sys, scen, 3e-4, dx_max=2e-3)
+        line = next(
+            r.getMessage() for r in caplog.records if r.getMessage().startswith("eps 0.0003: ")
+        )
+        m = re.search(r"(\d+) cycles, cycle map nnz (\d+) \(step matrix (\d+)\)", line)
+        assert m, line
+        cycles, cycle_nnz, step_nnz = map(int, m.groups())
+        assert cycles * 16 == res.steps
+        # the rows below the top level hold products of the step rows
+        assert step_nnz < cycle_nnz < 2 * step_nnz
 
 
 class TestSolveEquilibrium:
