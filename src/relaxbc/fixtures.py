@@ -4,10 +4,13 @@
 ubar(0, t) = g(t) + h(t)/3; ``double_characteristic_system`` is a 3x3 fixture
 that is characteristic for both the full and the equilibrium operator
 (n0 >= 1 and n10 >= 1).  The random generators rejection-sample the
-admissibility conditions and are the workhorses of the property tests.
+structural conditions and the derivation chain of ``derive_all`` (not the
+generalized Kreiss condition) and are the workhorses of the property tests.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,15 +21,21 @@ from .model import (
     canonicalize,
     check_sk_condition,
     compute_indices,
+    split_speeds,
 )
 from .reduction import Pipeline, derive_all
 from .sim import Scenario
 from .spectral import FrequencyPoint, PlainFrame, SamplingSpec
 from .tolerances import (
+    FIXTURE_A1_HAT_COND_MAX,
     FIXTURE_BOUNDARY_ROW_MIN,
+    FIXTURE_DAMPING_GAP_MIN,
     FIXTURE_FIRST_COMPONENT_MIN,
+    FIXTURE_FRAME_COND_MAX,
+    FIXTURE_KERNEL_OVERLAP_MIN,
     FIXTURE_KERNEL_RELAXED_MIN,
     FIXTURE_ORTHOGONAL_MIN,
+    FIXTURE_RATE_SPREAD_MAX,
     FIXTURE_ZERO_EIG_ABS,
 )
 
@@ -69,8 +78,9 @@ def make_double_characteristic(
     Construction: orthonormal vectors p, q with the scaling alpha p_1^2 =
     beta q_1^2 force (A1)_{11} = 0 for A1 = alpha p p^T - beta q q^T.  A draw
     is rejected when the kernel of A1 has a (numerically) vanishing relaxed
-    part — the kernel-overlap invertibility oracle — or when the boundary
-    operator fails the sampled generalized Kreiss condition.
+    part — the kernel-overlap invertibility oracle — or when ``derive_all``
+    fails on it (the reduction, or the reduced condition's sampled uniform
+    Kreiss certificate); the generalized Kreiss condition is not checked.
     """
     for _ in range(max_tries):
         p = rng.normal(size=3)
@@ -182,7 +192,7 @@ def random_system(
         G = rng.normal(size=(r, r))
         S = -(G @ G.T + (0.2 + rng.random()) * np.eye(r))
         sv_s = np.linalg.svd(S, compute_uv=False)
-        if sv_s[0] / sv_s[-1] > 10.0:  # keep relaxation rates comparable
+        if sv_s[0] / sv_s[-1] > FIXTURE_RATE_SPREAD_MAX:
             continue
         S = S / sv_s[-1]  # slowest relaxation rate normalised to 1
         Q = np.zeros((n, n))
@@ -194,26 +204,22 @@ def random_system(
             A_rest.append(0.5 * (W + W.T))
 
         n_plus = int(np.sum(eigs > 0))
-        # kernel basis and the B-operator annihilating it
-        w, V = np.linalg.eigh(A1)
-        R0 = V[:, np.abs(w) < FIXTURE_ZERO_EIG_ABS]
         B = rng.normal(size=(n_plus, n))
-        if R0.shape[1]:
-            B = B - (B @ R0) @ R0.T
+        sys = RelaxationSystem(
+            d=dd, n=n, r=r,
+            A=tuple([A1] + A_rest), Q=Q, B=B,
+            labels=None, transform=np.eye(n),
+        )
         try:
-            sys = RelaxationSystem(
-                d=dd, n=n, r=r,
-                A=tuple([A1] + A_rest), Q=Q, B=B,
-                labels=None, transform=np.eye(n),
-            )
+            # the B-operator annihilates the kernel basis of A1
+            R0 = split_speeds(sys)[0].kernel
+            sys = replace(sys, B=B - (B @ R0) @ R0.T)
             sys.validate()
             if not check_sk_condition(sys):
                 continue
             if R0.shape[1]:
-                # quantified kernel-overlap margin: draws where R0^T Q R0 is
-                # only weakly invertible have badly scaled reductions
                 sv = np.linalg.svd(R0.T @ Q @ R0, compute_uv=False)
-                if sv[-1] < 0.05:
+                if sv[-1] < FIXTURE_KERNEL_OVERLAP_MIN:
                     continue
             idx = compute_indices(sys)
             if idx.n0 != n0:
@@ -231,8 +237,10 @@ def random_admissible_bundle(
     require_n0: int | None = None,
     max_tries: int = 200,
 ) -> Pipeline:
-    """A random system together with its full derivation chain; draws whose
-    reduction or reduced-condition certificate fails are rejected."""
+    """A random system together with its full derivation chain; draws on
+    which ``derive_all`` fails (the reduction, or the reduced condition's
+    sampled uniform Kreiss certificate) are rejected.  The generalized Kreiss
+    condition of the full boundary condition (``check_gkc``) is not checked."""
     for _ in range(max_tries):
         sys = random_system(rng, n_max=n_max, d=d, require_n0=require_n0)
         try:
@@ -242,7 +250,8 @@ def random_admissible_bundle(
     raise RelaxbcError("no admissible bundle found")
 
 
-def well_conditioned(bundle: Pipeline, cond_max: float = 1e3, gap_min: float = 0.3) -> bool:
+def well_conditioned(bundle: Pipeline, cond_max: float = FIXTURE_A1_HAT_COND_MAX,
+                     gap_min: float = FIXTURE_DAMPING_GAP_MIN) -> bool:
     """Whether the large-frequency limit of the stable subspace is reached with
     an O(1) constant.
 
@@ -292,11 +301,11 @@ def random_frame_pair(rng: np.random.Generator, frame) -> PlainFrame:
     k = frame.R1.shape[1]
     while True:
         C1 = rng.normal(size=(k, k))
-        if np.linalg.cond(C1) < 50.0:
+        if np.linalg.cond(C1) < FIXTURE_FRAME_COND_MAX:
             break
     while True:
         D0 = rng.normal(size=(n0, n0))
-        if n0 == 0 or np.linalg.cond(D0) < 50.0:
+        if n0 == 0 or np.linalg.cond(D0) < FIXTURE_FRAME_COND_MAX:
             break
     C0 = rng.normal(size=(n0, k))
     R0b = frame.R0 @ D0

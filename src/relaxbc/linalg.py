@@ -1,5 +1,5 @@
 """Dense linear-algebra kernels: invariant-subspace splits (per matrix, or
-stable eigenvectors of a stack), orthonormal kernels and complements, and
+stable eigenvectors of a stack), the rank rule, orthonormal complements, and
 matrix-exponential actions over many arguments.
 
 All routines are pure.  Schur bases have orthonormal columns; the stacked
@@ -21,10 +21,9 @@ from .tolerances import (
     AXIS_MARGIN,
     EIGVEC_COND_MAX,
     EXP_EIGVEC_COND_MAX,
+    RANK_REL,
     spectral_norm,
     tau_axis,
-    tau_eig,
-    tau_rank,
 )
 
 
@@ -136,20 +135,19 @@ def stable_eigvecs(M: np.ndarray, n_s: int):
     return V_s, skipped
 
 
-def orthonormal_kernel(A) -> np.ndarray:
-    """Orthonormal basis of the kernel of a real symmetric matrix.
+def full_rank_cond(M, error: Exception, rel: float = RANK_REL) -> float:
+    """Condition number s_max / s_min of a matrix M of full column rank; 1
+    when M has no columns.
 
-    Returns an n x n0 matrix (possibly with zero columns) whose columns are
-    eigenvectors of A for eigenvalues of magnitude at most tau_eig(max |w|).
+    Raises ``error`` when M has fewer singular values than columns or
+    s_min <= rel * max(s_max, 1): the one rank rule of the package.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    w, V = np.linalg.eigh(A)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    mask = np.abs(w) <= tau_eig(scale)
-    return V[:, mask]
+    if M.shape[1] == 0:
+        return 1.0
+    s = sla.svdvals(M)
+    if s.size < M.shape[1] or s[-1] <= rel * max(s[0], 1.0):
+        raise error
+    return float(s[0] / s[-1])
 
 
 def orthonormal_complement(V) -> np.ndarray:
@@ -162,9 +160,7 @@ def orthonormal_complement(V) -> np.ndarray:
     n, k = V.shape
     if k == 0:
         return np.eye(n)
-    s = sla.svdvals(V)
-    if s[-1] <= tau_rank(s[0]):
-        raise RankDeficient(f"matrix of shape {V.shape} is column-rank deficient")
+    full_rank_cond(V, RankDeficient(f"matrix of shape {V.shape} is column-rank deficient"))
     Q, _ = sla.qr(V, mode="full")
     comp = Q[:, k:]
     if np.isrealobj(V):

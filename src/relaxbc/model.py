@@ -17,7 +17,6 @@ from .errors import (
     ParseError,
     ValidationFailed,
 )
-from .linalg import orthonormal_kernel
 from .tolerances import spectral_norm, tau_eig, tau_rank, tau_sym
 
 
@@ -29,26 +28,6 @@ def _as_matrix(obj, name: str) -> np.ndarray:
     if arr.ndim != 2:
         raise ParseError(f"field '{name}' must be a 2-D matrix, got ndim={arr.ndim}")
     return arr
-
-
-def classify_spectrum(w: np.ndarray, scale: float) -> tuple[int, int, int]:
-    """Counts of (negative, zero, positive) eigenvalues with an ambiguity guard.
-
-    Raises AmbiguousSpectrum if any eigenvalue falls in the grey band
-    (tau, 10 tau): misclassifying a zero-multiplicity corrupts every
-    downstream dimension, so we fail loudly instead of choosing a sign.
-    """
-    t = tau_eig(scale)
-    aw = np.abs(w)
-    grey = (aw > t) & (aw < 10 * t)
-    if np.any(grey):
-        raise AmbiguousSpectrum(
-            f"eigenvalue(s) {w[grey]} within (tau, 10*tau) = ({t:.3e}, {10 * t:.3e})"
-        )
-    n_zero = int(np.sum(aw <= t))
-    n_pos = int(np.sum(w > t))
-    n_neg = int(np.sum(w < -t))
-    return n_neg, n_zero, n_pos
 
 
 @dataclass(frozen=True)
@@ -134,20 +113,60 @@ class RelaxationSystem:
             raise ValidationFailed("S is not symmetric")
         if np.max(np.linalg.eigvalsh(S)) >= -tau_eig(qs):
             raise ValidationFailed("S is not negative definite")
-        idx = compute_indices(self)
-        if self.B.shape != (idx.n_plus, n):
+        speeds, _ = split_speeds(self)
+        n_plus = speeds.pos.size
+        if self.B.shape != (n_plus, n):
             raise DimensionMismatch(
-                f"B has shape {self.B.shape}, expected ({idx.n_plus}, {n})"
+                f"B has shape {self.B.shape}, expected ({n_plus}, {n})"
             )
-        if idx.n_plus > 0:
-            if np.linalg.matrix_rank(self.B, tol=tau_rank(spectral_norm(self.B))) != idx.n_plus:
-                raise ValidationFailed("rank(B) < n_+")
-        R0 = orthonormal_kernel(self.A1)
-        if R0.shape[1] and spectral_norm(self.B @ R0) > tau_sym(
-            max(spectral_norm(self.B), 1.0)
-        ):
+        if np.linalg.matrix_rank(self.B, tol=tau_rank(spectral_norm(self.B))) != n_plus:
+            raise ValidationFailed("rank(B) < n_+")
+        if spectral_norm(self.B @ speeds.kernel) > tau_sym(max(spectral_norm(self.B), 1.0)):
             raise ValidationFailed("B R0 != 0: boundary condition involves the "
                                    "zero-speed characteristic mode")
+
+
+@dataclass(frozen=True)
+class SpeedSplit:
+    """Eigenpairs A V = V diag(w) of a symmetric coefficient, w ascending,
+    and the index sets of its negative, zero and positive speeds."""
+
+    w: np.ndarray
+    V: np.ndarray
+    neg: np.ndarray
+    zero: np.ndarray
+    pos: np.ndarray
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Orthonormal eigenvectors of the zero speeds."""
+        return self.V[:, self.zero]
+
+
+def split_speeds(sys: RelaxationSystem) -> tuple[SpeedSplit, SpeedSplit]:
+    """The speed splits of A1 and of its equilibrium block A11.
+
+    Both count a speed as zero when its magnitude is at most
+    tau = tau_eig(||A1||), so every reduced dimension (n0, n_+, n10, n1_+)
+    rests on one rule.  Raises AmbiguousSpectrum if a speed of either falls
+    in the grey band (tau, 10 tau): misclassifying a zero multiplicity
+    corrupts every downstream dimension, so we fail loudly instead of
+    choosing a sign.
+    """
+    pairs = np.linalg.eigh(sys.A1), np.linalg.eigh(sys.A11)
+    tau = tau_eig(float(np.max(np.abs(pairs[0][0]), initial=0.0)))
+    splits = []
+    for name, (w, V) in zip(("A1", "A11"), pairs):
+        grey = (np.abs(w) > tau) & (np.abs(w) < 10 * tau)
+        if np.any(grey):
+            raise AmbiguousSpectrum(
+                f"{name} eigenvalue(s) {w[grey]} within (tau, 10*tau) = "
+                f"({tau:.3e}, {10 * tau:.3e})"
+            )
+        splits.append(SpeedSplit(
+            w, V, np.flatnonzero(w < -tau), np.flatnonzero(np.abs(w) <= tau), np.flatnonzero(w > tau)
+        ))
+    return tuple(splits)
 
 
 @dataclass(frozen=True)
@@ -349,7 +368,7 @@ def canonicalize(raw: RawSystem) -> RelaxationSystem:
 def check_sk_condition(sys: RelaxationSystem) -> bool:
     """Shizuta-Kawashima-like condition ker(A1) intersect ker(Q) = {0},
     tested as invertibility of R0^T Q R0 (R0 an orthonormal kernel basis)."""
-    R0 = orthonormal_kernel(sys.A1)
+    R0 = split_speeds(sys)[0].kernel
     if R0.shape[1] == 0:
         return True
     core = R0.T @ sys.Q @ R0
@@ -358,17 +377,11 @@ def check_sk_condition(sys: RelaxationSystem) -> bool:
 
 
 def compute_indices(sys: RelaxationSystem) -> SystemIndices:
-    """Classify the spectra of A1 and A11 into (negative, zero, positive)."""
-    w1 = np.linalg.eigvalsh(sys.A1)
-    scale = float(np.max(np.abs(w1))) if w1.size else 0.0
-    _, n0, n_plus = classify_spectrum(w1, scale)
-    A11 = sys.A11
-    if A11.shape[0] > 0:
-        w11 = np.linalg.eigvalsh(A11)
-        _, n10, n1_plus = classify_spectrum(w11, scale)
-    else:
-        n10, n1_plus = 0, 0
-    return SystemIndices(n0=n0, n_plus=n_plus, n10=n10, n1_plus=n1_plus)
+    """The zero and positive speed counts of A1 and A11 (``split_speeds``)."""
+    a1, a11 = split_speeds(sys)
+    return SystemIndices(
+        n0=a1.zero.size, n_plus=a1.pos.size, n10=a11.zero.size, n1_plus=a11.pos.size
+    )
 
 
 def load_system(path) -> RelaxationSystem:

@@ -25,11 +25,12 @@ from .errors import (
     SingularKtXKt,
 )
 from .linalg import (
+    full_rank_cond,
     orthonormal_complement,
     split_invariant_subspaces,
     stable_basis_real,
 )
-from .model import RelaxationSystem, compute_indices
+from .model import RelaxationSystem, compute_indices, split_speeds
 from .spectral import (
     FrequencyPoint,
     KernelFrame,
@@ -41,7 +42,7 @@ from .spectral import (
 )
 from .tolerances import (
     B_O_ENTRY_ABS, C_THRESHOLD, CLOSURE_IMAG_REL, EXPANSION_EXACT_REL,
-    Y3_REAL_IF_CLOSE_EPS, spectral_norm, tau_eig, tau_rank,
+    Y3_REAL_IF_CLOSE_EPS, spectral_norm,
 )
 
 log = logging.getLogger(__name__)
@@ -112,15 +113,12 @@ class ClosureSolve:
 
 
 def build_equilibrium_frame(sys: RelaxationSystem) -> EquilibriumFrame:
-    A11 = sys.A11
-    w, V = sla.eigh(A11)
-    scale = max(np.max(np.abs(w)), 1.0) if w.size else 1.0
-    tol = tau_eig(scale)
-    zero = np.abs(w) <= tol
-    P0 = V[:, zero]
-    P1 = V[:, ~zero]
-    Lam1 = w[~zero]
-    return EquilibriumFrame(P1=P1, P0=P0, Lam1=Lam1)
+    """The frame of A11 from its speed split (``model.split_speeds``)."""
+    speeds = split_speeds(sys)[1]
+    nonzero = np.concatenate([speeds.neg, speeds.pos])
+    return EquilibriumFrame(
+        P1=speeds.V[:, nonzero], P0=speeds.kernel, Lam1=speeds.w[nonzero]
+    )
 
 
 def build_reduction_data(
@@ -137,40 +135,22 @@ def build_reduction_data(
     P1, P0, Lam1 = eq.P1, eq.P0, eq.Lam1
 
     K = A12h.T @ P0  # (r - n0) x n10
-    if K.shape[1] > 0:
-        s = sla.svdvals(K)
-        if s.size < K.shape[1] or s[-1] <= tau_rank(max(s[0], 1.0)):
-            raise RankDeficientK(
-                "A12_hat^T P0 is column rank deficient; the eps-layer cannot "
-                "absorb the characteristic boundary modes"
-            )
-    K_tilde = orthonormal_complement(K) if K.shape[1] > 0 else np.eye(K.shape[0])
+    full_rank_cond(K, RankDeficientK(
+        "A12_hat^T P0 is column rank deficient; the eps-layer cannot "
+        "absorb the characteristic boundary modes"
+    ))
+    K_tilde = orthonormal_complement(K)
 
-    X = A22h - A12h.T @ P1 @ np.diag(1.0 / Lam1) @ P1.T @ A12h if Lam1.size else A22h.copy()
+    X = A22h - A12h.T @ P1 @ np.diag(1.0 / Lam1) @ P1.T @ A12h
 
     KtXKt = K_tilde.T @ X @ K_tilde
     KtSKt = K_tilde.T @ Sh @ K_tilde
-    if KtXKt.shape[0] > 0:
-        if abs(np.linalg.det(KtXKt)) <= tau_rank(max(spectral_norm(KtXKt), 1.0)) ** KtXKt.shape[0]:
-            s = sla.svdvals(KtXKt)
-            if s[-1] <= tau_rank(max(s[0], 1.0)):
-                raise SingularKtXKt("K~^T X K~ is singular")
-        M2 = np.linalg.solve(KtXKt, KtSKt)
-    else:
-        M2 = np.zeros((0, 0))
+    full_rank_cond(KtXKt, SingularKtXKt("K~^T X K~ is singular"))
+    M2 = np.linalg.solve(KtXKt, KtSKt)
 
-    if K.shape[1] > 0:
-        KtK_inv = np.linalg.inv(K.T @ K)
-        inner = np.zeros((P0.shape[1], K_tilde.shape[1]))
-        if K_tilde.shape[1] > 0:
-            inner = (K.T @ Sh @ K_tilde) @ np.linalg.solve(KtSKt, K_tilde.T @ X @ K_tilde) - K.T @ X @ K_tilde
-        N0 = P0 @ KtK_inv @ inner
-    else:
-        N0 = np.zeros((eq.P1.shape[0], K_tilde.shape[1]))
-    if Lam1.size:
-        N = -P1 @ np.diag(1.0 / Lam1) @ P1.T @ A12h @ K_tilde + N0
-    else:
-        N = N0
+    inner = (K.T @ Sh @ K_tilde) @ np.linalg.solve(KtSKt, KtXKt) - K.T @ X @ K_tilde
+    N0 = P0 @ np.linalg.inv(K.T @ K) @ inner
+    N = N0 - P1 @ np.diag(1.0 / Lam1) @ P1.T @ A12h @ K_tilde
 
     expected = idx.n_plus - idx.n1_plus - idx.n10
     R2S = stable_basis_real(M2)
@@ -307,9 +287,7 @@ def derive_reduced_bc(
             f"(Y2 Y3) has {Y23.shape[1]} columns, expected {expected_rank}"
         )
     if Y23.shape[1] > 0:
-        s = sla.svdvals(Y23)
-        if s.size < Y23.shape[1] or s[-1] <= tau_rank(max(s[0], 1.0)):
-            raise DegenerateY("(Y2 Y3) is column rank deficient")
+        full_rank_cond(Y23, DegenerateY("(Y2 Y3) is column rank deficient"))
         U, _, _ = np.linalg.svd(Y23, full_matrices=True)
         B_o = U[:, Y23.shape[1] :].conj().T
     else:
@@ -383,23 +361,13 @@ def build_closure(
     (P0^T mu1(0); w_s) with coefficient B~_o (Y2, Y3).  Raises SingularClosure
     if the coefficient is not invertible.
     """
-    n_plus = sys.B.shape[0]
-    if rbc.B_o.shape[0] > 0:
-        B_tilde_o = orthonormal_complement(rbc.B_o.T).T
-    else:
-        B_tilde_o = np.eye(n_plus)
+    B_tilde_o = orthonormal_complement(rbc.B_o.T).T
     coeff = B_tilde_o @ np.hstack([rbc.Y2, np.real_if_close(rbc.Y3, tol=Y3_REAL_IF_CLOSE_EPS)])
     if coeff.shape[0] != coeff.shape[1]:
         raise SingularClosure(
             f"closure coefficient is {coeff.shape[0]}x{coeff.shape[1]}, not square"
         )
-    if coeff.size:
-        s = sla.svdvals(coeff)
-        if s[-1] <= tau_rank(max(s[0], 1.0)):
-            raise SingularClosure("closure coefficient matrix is singular")
-        cond = float(s[0] / s[-1])
-    else:
-        cond = 1.0
+    cond = full_rank_cond(coeff, SingularClosure("closure coefficient matrix is singular"))
     return ClosureSolve(
         coefficient=coeff, B_tilde_o=B_tilde_o, condition_number=cond
     )

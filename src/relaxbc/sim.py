@@ -32,6 +32,7 @@ import scipy.linalg as sla
 from .errors import (
     BoundarySolveSingular,
     CflViolation,
+    ConfigError,
     GridMismatch,
     UnresolvedLayerWarning,
 )
@@ -44,7 +45,8 @@ from .layers import (
     build_second_correction,
     solve_sqrt_eps_layer,
 )
-from .model import RelaxationSystem, compute_indices
+from .linalg import full_rank_cond
+from .model import RelaxationSystem, compute_indices, split_speeds
 from .reduction import (
     ClosureSolve,
     EquilibriumFrame,
@@ -59,7 +61,6 @@ from .tolerances import (
     DEGENERATE_ERROR_ABS,
     MESH_ROUNDOFF_REL,
     TOUCHES_V_ABS,
-    tau_eig,
 )
 
 log = logging.getLogger(__name__)
@@ -111,7 +112,16 @@ def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = 1.05)
     """Nodes on [0, x_max]: spacing grows geometrically from dx_min at the
     boundary to dx_max, then stays uniform; the last cell is clipped, and a
     remainder shorter than dx_min is merged into the cell before it, so no
-    cell is shorter than dx_min."""
+    cell is shorter than dx_min.
+
+    Raises ConfigError unless x_max, dx_min and dx_max are finite and
+    positive and ratio is finite and at least 1: otherwise the cells stop
+    growing and the node list never ends."""
+    for name, value in (("x_max", x_max), ("dx_min", dx_min), ("dx_max", dx_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"graded_mesh {name} must be finite and positive, got {value!r}")
+    if not (math.isfinite(ratio) and ratio >= 1):
+        raise ConfigError(f"graded_mesh ratio must be finite and at least 1, got {ratio!r}")
     xs = [0.0]
     dx = dx_min
     while xs[-1] + dx < x_max:
@@ -155,10 +165,8 @@ def measure_error(result: SimResult, composite: np.ndarray) -> float:
 def _inflow_factor(M: np.ndarray, message: str):
     """LU factors and condition number of an inflow boundary block M; raises
     BoundarySolveSingular when M is singular."""
-    s = sla.svdvals(M)
-    if s.size < min(M.shape) or s[-1] <= BOUNDARY_SINGULAR_REL * max(s[0], 1.0):
-        raise BoundarySolveSingular(message)
-    return sla.lu_factor(M), float(s[0] / s[-1])
+    cond = full_rank_cond(M, BoundarySolveSingular(message), BOUNDARY_SINGULAR_REL)
+    return sla.lu_factor(M), cond
 
 
 def solve_relaxation(
@@ -198,13 +206,9 @@ def solve_relaxation(
     node updates of the scheme.
     """
     n = sys.n
-    lam, R = np.linalg.eigh(sys.A1)
-    scale = max(np.abs(lam).max(), 1.0)
-    tol = tau_eig(scale)
-    pos = np.where(lam > tol)[0]
-    neg = np.where(lam < -tol)[0]
-    zer = np.where(np.abs(lam) <= tol)[0]
-    rest = np.concatenate([neg, zer])
+    speeds = split_speeds(sys)[0]
+    lam, R, pos, neg = speeds.w, speeds.V, speeds.pos, speeds.neg
+    rest = np.concatenate([neg, speeds.zero])
 
     # the boundary cell scales with eps so the eps-layer is always represented
     # with the same number of cells per decay length
@@ -212,7 +216,7 @@ def solve_relaxation(
     x = graded_mesh(scenario.x_max, dx_min, max(dx_max, dx_min), ratio)
     dx = np.diff(x)
     rho = np.abs(lam).max()
-    if rho <= tol:
+    if not (pos.size or neg.size):
         raise CflViolation("A1 has no nonzero characteristic speed")
     level = time_levels(dx)
     cycle = 2 ** int(level.max())
@@ -330,8 +334,9 @@ def solve_equilibrium(
     ubar_t + A11 ubar_x = 0 with the reduced boundary condition
     C ubar(0, t) = B_o b(t), C = B_o B_u.
 
-    In the eigenbasis A11 = W diag(lam) W^T each mode chi_k is transported
-    exactly, with no time stepping:
+    In the eigenbasis of the equilibrium frame, A11 = W diag(lam) W^T with
+    W = (P1 P0) and lam = (Lam1, 0), each mode chi_k is transported exactly,
+    with no time stepping:
 
     - zero-speed modes keep their initial data;
     - lam < 0 modes read initial data at min(x + |lam| T, x_max), the
@@ -349,17 +354,15 @@ def solve_equilibrium(
     negative control.
     """
     n1 = sys.n - sys.r
-    lam, W = np.linalg.eigh(sys.A11)
-    scale = max(np.abs(lam).max(initial=0.0), 1.0)
-    tol = tau_eig(scale)
-    pos = np.where(lam > tol)[0]
-    rest = np.where(lam <= tol)[0]
-    speed = np.where(np.abs(lam) <= tol, 0.0, lam)
+    W = np.hstack([eq.P1, eq.P0])
+    lam = np.concatenate([eq.Lam1, np.zeros(eq.n10)])
+    pos = np.flatnonzero(lam > 0)
+    rest = np.flatnonzero(lam <= 0)
 
     T, x_max = scenario.T, scenario.x_max
     x = np.arange(0.0, x_max + dx / 2, dx)
     rho = np.abs(lam).max(initial=0.0)
-    steps = max(int(math.ceil(T / (CFL * dx / rho))), 1) if rho > tol else 100
+    steps = max(int(math.ceil(T / (CFL * dx / rho))), 1) if rho > 0 else 100
     dt = T / steps
     times = np.arange(steps + 1) * dt
 
@@ -371,7 +374,7 @@ def solve_equilibrium(
     # initial data, the incoming ones solve the reduced condition
     chi0 = np.empty((times.size, n1))
     for k in rest:
-        chi0[:, k] = initial_mode(k, np.minimum(-speed[k] * times, x_max))
+        chi0[:, k] = initial_mode(k, np.minimum(-lam[k] * times, x_max))
     boundary_cond = None
     if pos.size:
         coeff = rbc.coefficient
@@ -386,7 +389,7 @@ def solve_equilibrium(
 
     chi = np.empty((x.size, n1))
     for k in range(n1):
-        foot = np.minimum(x - speed[k] * T, x_max)
+        foot = np.minimum(x - lam[k] * T, x_max)
         chi[:, k] = initial_mode(k, np.maximum(foot, 0.0))
     for k in pos:
         inflow = x < lam[k] * T

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.stats import qmc
 
 from .errors import (
@@ -26,16 +25,14 @@ from .errors import (
     SpectralCountMismatch,
 )
 from .linalg import (
+    full_rank_cond,
     guarded_eigvals,
     orthonormal_complement,
-    orthonormal_kernel,
     split_invariant_subspaces,
     stable_eigvecs,
 )
-from .model import RelaxationSystem, check_sk_condition, compute_indices
-from .tolerances import (
-    C_THRESHOLD, FRAME_KERNEL_REL, spectral_norm, tau_rank,
-)
+from .model import RelaxationSystem, check_sk_condition, compute_indices, split_speeds
+from .tolerances import C_THRESHOLD, FRAME_KERNEL_REL, spectral_norm
 
 log = logging.getLogger(__name__)
 
@@ -157,28 +154,20 @@ def build_kernel_frame(sys: RelaxationSystem) -> KernelFrame:
     """
     n, r = sys.n, sys.r
     A1, Q, S = sys.A1, sys.Q, sys.S
-    R0 = orthonormal_kernel(A1)
+    R0 = split_speeds(sys)[0].kernel
     n0 = R0.shape[1]
     R02 = R0[n - r :, :]
-    if n0 > 0:
-        s = sla.svdvals(R02)
-        if s.size < n0 or s[-1] <= tau_rank(1.0):
-            raise SkConditionViolated(
-                "lower block R02 of the kernel basis is rank-deficient"
-            )
+    full_rank_cond(R02, SkConditionViolated(
+        "lower block R02 of the kernel basis is rank-deficient"
+    ))
     R02_perp = orthonormal_complement(R02)  # r x (r - n0)
     R1 = np.zeros((n, (n - r) + R02_perp.shape[1]))
     R1[: n - r, : n - r] = np.eye(n - r)
     R1[n - r :, n - r :] = R02_perp
 
     A1_hat = R1.T @ A1 @ R1
-    if n0 > 0 and R02_perp.shape[1] > 0:
-        core = np.linalg.solve(R02.T @ S @ R02, R02.T @ S)
-        S_hat = R02_perp.T @ (S - S @ R02 @ core) @ R02_perp
-    elif R02_perp.shape[1] > 0:
-        S_hat = R02_perp.T @ S @ R02_perp
-    else:
-        S_hat = np.zeros((0, 0))
+    core = np.linalg.solve(R02.T @ S @ R02, R02.T @ S)
+    S_hat = R02_perp.T @ (S - S @ R02 @ core) @ R02_perp
     Q_hat = np.zeros((n - n0, n - n0))
     Q_hat[n - r :, n - r :] = S_hat
 

@@ -89,9 +89,26 @@ FIXTURE_KERNEL_RELAXED_MIN = 0.2
 #: kernel direction projected out, is shorter than this
 FIXTURE_BOUNDARY_ROW_MIN = 1e-2
 
-#: the fixture generators count an eigenvalue this small in magnitude as
-#: zero: the planted zero speeds of A1 and the zero rates of A1_hat^-1 Q_hat
+#: ``well_conditioned`` counts an eigenvalue of A1_hat^-1 Q_hat this small in
+#: magnitude as a zero rate
 FIXTURE_ZERO_EIG_ABS = 1e-8
+
+#: ``random_system`` rejects a draw whose fastest relaxation rate (singular
+#: value of S) exceeds this multiple of its slowest, keeping rates comparable
+FIXTURE_RATE_SPREAD_MAX = 10.0
+
+#: ``random_system`` rejects a draw whose R0^T Q R0 has a singular value below
+#: this (kernel-overlap margin): weak overlaps give badly scaled reductions
+FIXTURE_KERNEL_OVERLAP_MIN = 0.05
+
+#: ``random_frame_pair`` redraws a change of frame C1 or D0 whose condition
+#: number is not below this
+FIXTURE_FRAME_COND_MAX = 50.0
+
+#: ``well_conditioned`` defaults: the largest condition number of A1_hat and
+#: the smallest damping rate |Re| of a nonzero eigenvalue of A1_hat^-1 Q_hat
+FIXTURE_A1_HAT_COND_MAX = 1e3
+FIXTURE_DAMPING_GAP_MIN = 0.3
 
 
 def spectral_norm(a) -> float:

@@ -7,8 +7,8 @@ import scipy.linalg as sla
 from relaxbc.errors import NearImaginaryEigenvalue, RankDeficient
 from relaxbc.linalg import (
     ExpActionEvaluator,
+    full_rank_cond,
     orthonormal_complement,
-    orthonormal_kernel,
     split_invariant_subspaces,
     stable_basis_real,
 )
@@ -62,22 +62,21 @@ class TestSplitInvariantSubspaces:
         assert np.max(angles, initial=0.0) < 1e-8
 
 
-class TestOrthonormalKernel:
-    def test_diag(self):
-        K = orthonormal_kernel(np.diag([1.0, 0.0, 0.0]))
-        assert K.shape == (3, 2)
-        assert np.allclose(K[0], 0.0)
+class TestFullRankCond:
+    def test_condition_number(self):
+        assert full_rank_cond(np.diag([4.0, 0.5]), RankDeficient()) == pytest.approx(8.0)
 
-    def test_invertible_empty(self):
-        K = orthonormal_kernel(np.array([[3.0, 1.0], [1.0, 1.0]]))
-        assert K.shape == (2, 0)
+    def test_no_columns(self):
+        assert full_rank_cond(np.zeros((3, 0)), RankDeficient()) == 1.0
 
-    def test_construction_oracle(self, rng):
-        O, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        A = O @ np.diag([2.0, 0.0, -1.0]) @ O.T
-        K = orthonormal_kernel(0.5 * (A + A.T))
-        assert K.shape == (3, 1)
-        assert abs(abs(K[:, 0] @ O[:, 1]) - 1.0) < 1e-10
+    @pytest.mark.parametrize("M", [
+        np.diag([1.0, 1e-12]),  # the smallest singular value is round-off
+        np.diag([1e-10, 1e-11]),  # relative to max(s_max, 1), not to s_max
+        np.ones((1, 2)),  # fewer singular values than columns
+    ])
+    def test_rank_deficient_raises(self, M):
+        with pytest.raises(RankDeficient, match="marker"):
+            full_rank_cond(M, RankDeficient("marker"))
 
 
 class TestOrthonormalComplement:

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxbc.errors import AmbiguousSpectrum, ParseError, ValidationFailed
 from relaxbc.fixtures import example_system, random_system
@@ -12,10 +15,14 @@ from relaxbc.model import (
     check_sk_condition,
     compute_indices,
     load_system,
+    split_speeds,
     system_from_dict,
     system_to_dict,
     validate_structural_stability,
 )
+from relaxbc.reduction import build_equilibrium_frame
+from relaxbc.spectral import build_kernel_frame
+from relaxbc.tolerances import spectral_norm, tau_eig
 
 
 def raw_12():
@@ -154,6 +161,85 @@ class TestIndices:
         )
         idx2 = compute_indices(conj)
         assert idx == idx2
+
+
+def _planted(sys_obj, s, sign):
+    """sys_obj with the A11 speed nearest zero moved to sign * s * tau,
+    tau = tau_eig(||A1||) of the returned system."""
+    n1 = sys_obj.n - sys_obj.r
+    mu, W = np.linalg.eigh(sys_obj.A11)
+    k = int(np.argmin(np.abs(mu)))
+    A1 = sys_obj.A1.copy()
+    tau = 0.0
+    for _ in range(3):  # the planted speed moves ||A1||, hence tau, slightly
+        mu[k] = sign * s * tau
+        A1[:n1, :n1] = W @ np.diag(mu) @ W.T
+        A1 = 0.5 * (A1 + A1.T)
+        tau = tau_eig(spectral_norm(A1))
+    others = int(np.sum(np.abs(np.delete(mu, k)) <= tau))
+    return dataclasses.replace(sys_obj, A=(A1, *sys_obj.A[1:])), others
+
+
+def _or_ambiguous(f):
+    try:
+        return f()
+    except AmbiguousSpectrum:
+        return "ambiguous"
+
+
+class TestSpeedSplit:
+    def test_diag(self):
+        sys_obj = _plain_system(
+            np.diag([1.0, 0.0, 0.0]), np.diag([0.0, -1.0, -1.0]), np.eye(1, 3), r=2
+        )
+        K = split_speeds(sys_obj)[0].kernel
+        assert K.shape == (3, 2)
+        assert np.allclose(K[0], 0.0)
+
+    def test_invertible_empty(self):
+        K = split_speeds(example_system())[0].kernel
+        assert K.shape == (2, 0)
+
+    def test_construction_oracle(self, rng):
+        O, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        A = O @ np.diag([2.0, 0.0, -1.0]) @ O.T
+        sys_obj = _plain_system(
+            0.5 * (A + A.T), np.diag([0.0, 0.0, -1.0]), np.eye(1, 3), r=1
+        )
+        K = split_speeds(sys_obj)[0].kernel
+        assert K.shape == (3, 1)
+        assert abs(abs(K[:, 0] @ O[:, 1]) - 1.0) < 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["n0=0", "n0=1", "double"]),
+        seed=st.integers(0, 2**16),
+        s=st.one_of(
+            st.floats(0.0, 0.999), st.floats(1.001, 9.99), st.floats(10.01, 1e3)
+        ),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_one_rule_for_every_zero_speed(self, sys3, kind, seed, s, sign):
+        # one A11 speed planted at sign * s * tau: the indices, the kernel
+        # frame and the equilibrium frame classify it alike, and all three
+        # refuse it in the grey band (tau, 10 tau)
+        if kind == "double":
+            base = sys3
+        else:
+            rng = np.random.default_rng(seed)
+            base = random_system(rng, n_max=5, require_n0=int(kind[-1]))
+        sys_obj, others = _planted(base, s, sign)
+        idx = _or_ambiguous(lambda: compute_indices(sys_obj))
+        n0 = _or_ambiguous(lambda: build_kernel_frame(sys_obj).n0)
+        n10 = _or_ambiguous(lambda: build_equilibrium_frame(sys_obj).n10)
+        if 1.0 < s < 10.0:
+            assert idx == n0 == n10 == "ambiguous"
+        elif idx == "ambiguous":
+            # the planted speed moved a speed of A1 into its grey band
+            assert n0 == n10 == "ambiguous"
+        else:
+            assert (n0, n10) == (idx.n0, idx.n10)
+            assert idx.n10 == others + (s <= 1.0)
 
 
 class TestSerialization:

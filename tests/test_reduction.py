@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -18,7 +20,8 @@ from relaxbc.reduction import (
     render_reduced_bc,
     solve_closure,
 )
-from relaxbc.spectral import FrequencyPoint, SamplingSpec, build_kernel_frame
+from relaxbc.errors import SingularKtXKt
+from relaxbc.spectral import FrequencyPoint, SamplingSpec, build_kernel_frame, check_gkc
 
 
 def _plain(A1, Q, B, r, d=1, A_rest=()):
@@ -152,6 +155,26 @@ class TestReducedBC:
         assert np.allclose(np.abs(rbc.B_o), [[1.0]])
         assert np.allclose(np.abs(rbc.coefficient), np.abs(sys_obj.B_u))
 
+    def test_small_equilibrium_speed_is_zero_for_every_stage(self):
+        # A11 = diag(1, 2e-9) with ||A1|| = 3.4: the speed 2e-9 lies below
+        # tau = tau_eig(||A1||) = 3.4e-9, so the reduction treats it as zero
+        # (n10 = 1), as the indices do, and matches the system with that
+        # speed set to 0
+        def system(speed):
+            A1 = np.array([[1.0, 0.0, 0.0], [0.0, speed, 1.0], [0.0, 1.0, 3.0]])
+            B = np.array([[1.0, 0.2, 0.1], [0.3, 1.0, 0.5]])
+            return _plain(A1, np.diag([0.0, 0.0, -1.0]), B, r=1)
+
+        sys_obj = system(2e-9)
+        sys_obj.validate()
+        assert compute_indices(sys_obj).n10 == 1
+        pipe = derive_all(sys_obj)
+        assert pipe.eq.n10 == 1
+        exact = derive_all(system(0.0))
+        np.testing.assert_allclose(pipe.rbc.B_o, exact.rbc.B_o, rtol=0, atol=1e-8)
+        report = check_gkc(sys_obj, pipe.frame, SamplingSpec(resolution=12))
+        assert report.passed, report.eta_inf_error
+
     def test_characteristic_fixture_annihilations(self, pipe3):
         rbc = pipe3.rbc
         assert rbc.annihilation_residual < 1e-10
@@ -161,6 +184,20 @@ class TestReducedBC:
     def test_render_mentions_coefficients(self, pipe2x2):
         text = render_reduced_bc(pipe2x2.sys, pipe2x2.rbc)
         assert "0.948683" in text
+
+
+    def test_nearly_singular_ktxkt_is_refused(self):
+        # K is empty (n0 = n10 = 0), so K~^T X K~ = A22_hat, here with
+        # singular values (1, 1e-12): a round-off rank deficiency whose
+        # determinant 1e-12 still exceeds (tau_rank(1))^2 = 1e-18
+        sys_obj = _plain(
+            np.diag([1.0, 2.0, 3.0]), np.diag([0.0, -1.0, -1.0]), np.eye(3), r=2
+        )
+        frame = dataclasses.replace(
+            build_kernel_frame(sys_obj), A22_hat=np.diag([1.0, 1e-12])
+        )
+        with pytest.raises(SingularKtXKt):
+            build_reduction_data(sys_obj, frame, build_equilibrium_frame(sys_obj))
 
 
 class TestClosure:

@@ -11,7 +11,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from relaxbc import fixtures, sim, stepping
-from relaxbc.errors import GridMismatch, UnresolvedLayerWarning
+from relaxbc.errors import ConfigError, GridMismatch, UnresolvedLayerWarning
 from relaxbc.model import RelaxationSystem
 from relaxbc.reduction import derive_all
 from relaxbc.sim import (
@@ -259,6 +259,22 @@ class TestGradedMesh:
     def test_uniform_when_limits_agree(self):
         x = graded_mesh(1.0, 1e-2, 1e-2)
         np.testing.assert_allclose(np.diff(x), 1e-2, rtol=1e-10)
+
+    @pytest.mark.parametrize("name, args", [
+        ("ratio", (2.0, 1e-3, 1e-2, 0.9)),
+        ("dx_min", (2.0, 0.0, 1e-2)),
+        ("dx_min", (2.0, -1e-3, 1e-2)),
+        ("dx_max", (2.0, 1e-3, 0.0)),
+        ("x_max", (math.inf, 1e-3, 1e-2)),
+        ("ratio", (2.0, 1e-3, 1e-2, math.nan)),
+    ])
+    def test_args_that_never_end_the_mesh_are_refused(self, name, args):
+        with pytest.raises(ConfigError, match=name):
+            graded_mesh(*args)
+
+    def test_zero_eps_is_refused(self, pipe2x2):
+        with pytest.raises(ConfigError, match="dx_min"):
+            solve_relaxation(pipe2x2.sys, fixtures.example_scenario(), 0.0)
 
     def test_short_remainder_does_not_set_dt(self, pipe2x2):
         # eps = 3e-3 on [0, 2]: cells of dx_min = 7.5e-4 leave a remainder of
