@@ -233,6 +233,8 @@ def _sampling_spec(args) -> SamplingSpec:
         raise ConfigError("sampling resolution must be positive")
     if args.rim_points < 0:
         raise ConfigError("rim point count must be nonnegative")
+    if args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     return SamplingSpec(
         resolution=args.resolution,
         rim_points=args.rim_points,

@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (
     AssumptionViolated,
+    ConfigError,
     FrameMismatch,
     RelaxbcError,
     SkConditionViolated,
@@ -256,6 +256,66 @@ def gkc_ratio(sys: RelaxationSystem, frame, p: FrequencyPoint) -> float:
     return float(vals[0])
 
 
+#: Joe and Kuo (2008) direction numbers of Sobol dimensions 2 ... 32, as
+#: (primitive polynomial with its leading and constant terms, initial m_k)
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+)
+SOBOL_MAX_DIM = len(_JOE_KUO) + 1
+_BITS = 30
+
+
+def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
+    """The first n >= 1 points of the scrambled Sobol sequence in [0, 1)^dim,
+    equal to scipy's ``qmc.Sobol(d=dim, scramble=True, seed=seed)
+    .random(n)``: Joe-Kuo direction numbers, Matousek's linear matrix
+    scramble and a digital shift, drawn from ``default_rng(seed)`` in scipy's
+    order, 30 bits."""
+    if dim > SOBOL_MAX_DIM:
+        raise ConfigError(
+            f"rim points need a Sobol sequence in {dim} dimensions; the table "
+            f"holds {SOBOL_MAX_DIM} (d <= {SOBOL_MAX_DIM - 1}); "
+            "rim_points = 0 (--rim-points 0) leaves them out"
+        )
+    # Bratley-Fox recursion for m_k; the first dimension has every m_k = 1
+    m = np.ones((dim, _BITS), dtype=np.int64)
+    for row, (poly, m_init) in zip(m[1:], _JOE_KUO):
+        s = len(m_init)
+        row[:s] = m_init
+        for j in range(s, _BITS):
+            new = row[j - s]
+            for k in range(s):
+                if poly >> (s - 1 - k) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row[j] = new
+    top = _BITS - 1 - np.arange(_BITS)  # place of the bit k-th from the top
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dim, _BITS), dtype=np.uint32) @ (1 << np.arange(_BITS))
+    ltm = np.tril(rng.integers(2, size=(dim, _BITS, _BITS), dtype=np.uint32))
+    ltm[:, np.arange(_BITS), np.arange(_BITS)] = 1
+    v = m << top  # v_j = m_j / 2^(j + 1) as a 30-bit integer
+    # scramble: the bits of v_j, top first, times the lower triangular matrix mod 2
+    bits = (v[:, :, None] >> top) & 1
+    v = (np.einsum("dir,djr->dji", ltm, bits) & 1) @ (1 << top)
+    # Gray-code order: point k + 1 flips v_c of point k, c = trailing zeros of k + 1
+    k = np.arange(1, n)
+    _, c = np.frexp(k & -k)
+    quasi = np.bitwise_xor.accumulate(np.vstack([shift, v[:, c - 1].T]), axis=0)
+    return quasi * 2.0**-_BITS
+
+
 def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.ndarray:
     """Distinct unit directions on {u in R^m : |u| = 1, u_0 >= delta, u_{m-1} >= 0}.
 
@@ -264,7 +324,13 @@ def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.n
     samples.  Spherical angles: u_0 = cos(phi_1), the last coordinate carries
     the full sine product, so restricting phi_{m-1} to [0, pi] enforces
     u_{m-1} >= 0.  Low-discrepancy points are appended near the two
-    degenerate rims (Re xi -> 0 and eta-dominant directions).  The tensor
+    degenerate rims (Re xi -> 0 and eta-dominant directions): the first
+    2 * rim_points of the scrambled Sobol sequence in m - 1 dimensions that
+    ``_sobol`` draws in the package, equal to scipy's
+    ``qmc.Sobol(d=m - 1, scramble=True, seed=seed)``.  Its direction-number
+    table ends at SOBOL_MAX_DIM = 32 dimensions, so rim points need
+    m <= 33 (d <= 31 on the GKC hemisphere); past that they raise
+    ``ConfigError``.  The tensor
     grid repeats its pole points; a row equal to an earlier one (with -0.0
     read as 0.0) is dropped, so every direction is evaluated once, in
     first-occurrence order.
@@ -302,8 +368,7 @@ def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.n
     ])  # (N, m-1), phi_1 outermost
 
     if spec.rim_points > 0 and m >= 2:
-        sob = qmc.Sobol(d=m - 1, scramble=True, seed=spec.seed)
-        extra = sob.random(2 * spec.rim_points)
+        extra = _sobol(m - 1, 2 * spec.rim_points, spec.seed)
         rim1 = extra[: spec.rim_points].copy()  # Re xi -> 0 rim
         rim1[:, 0] = phi_max * (1 - 1e-3 * rim1[:, 0])
         rim1[:, 1:] *= math.pi

@@ -2,11 +2,15 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relaxbc import cli
+from relaxbc import __version__, cli
 from relaxbc import fixtures
 from relaxbc.model import system_to_dict
 
@@ -88,6 +92,28 @@ class TestGkc:
         assert _run(
             ["gkc", sys2x2_file, "--out", str(tmp_path), "--resolution", "0"]
         ) == 2
+
+
+    def test_rim_points_past_the_sobol_table(self, tmp_path, capsys):
+        # d = 32 puts the rim points in 33 Sobol dimensions, one past the
+        # table; without rim points the resolution-1 grid is one row
+        sys_obj = fixtures.random_system(np.random.default_rng(3), n_max=3, d=32)
+        path = tmp_path / "d32.json"
+        path.write_text(json.dumps(system_to_dict(sys_obj)))
+        args = ["gkc", str(path), "--out", str(tmp_path), "--resolution", "1"]
+        assert _run(args) == 2
+        assert "the table holds 32" in capsys.readouterr().err
+        assert _run(args + ["--rim-points", "0"]) == 0
+        assert _read(tmp_path / "gkc.json")["samples"] == 1
+
+
+@pytest.mark.parametrize("command", ["gkc", "reduce"])
+def test_negative_seed_is_config_error(command, sys2x2_file, tmp_path, capsys):
+    assert _run(
+        [command, sys2x2_file, "--out", str(tmp_path), "--resolution", "4",
+         "--seed", "-1"]
+    ) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 class TestReduce:
@@ -298,3 +324,21 @@ def test_perfbench_wrapped_attributes_resolve():
         if not callable(getattr(importlib.import_module(f"relaxbc.{mod}"), attr, None))
     ]
     assert spans.WRAPPED and missing == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["-c", "import relaxbc.cli, sys; sys.exit('scipy.stats' in sys.modules)"],
+    ["-m", "relaxbc.cli", "--version"],
+])
+def test_cold_start_leaves_scipy_stats_out(argv):
+    """A fresh process that starts the CLI does not import scipy.stats, which
+    took more than half of every command's start-up."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *argv], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if "--version" in argv:
+        assert proc.stdout.strip() == __version__

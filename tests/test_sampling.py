@@ -1,7 +1,8 @@
 """The batched frequency sampler against dense per-point oracles that share
 none of its builders: direction grids and the conjugate half of the GKC
-grid, GKC ratios, eta = infinity and UKC minima, the per-row Schur
-fallback, and the report fields for skipped or unformed limits."""
+grid, the rim points' Sobol sequence against scipy's, GKC ratios,
+eta = infinity and UKC minima, the per-row Schur fallback, and the report
+fields for skipped or unformed limits."""
 
 import dataclasses
 import logging
@@ -13,14 +14,16 @@ from scipy.spatial import cKDTree
 
 from oracles import dense_limit, dense_M, dense_m1, ratio, schur_stable_basis
 from relaxbc import reduction, spectral
-from relaxbc.errors import AssumptionViolated, SpectralCountMismatch
+from relaxbc.errors import AssumptionViolated, ConfigError, SpectralCountMismatch
 from relaxbc.fixtures import example_system, random_admissible_bundle
 from relaxbc.linalg import stable_eigvecs
 from relaxbc.model import RelaxationSystem
 from relaxbc.reduction import derive_all, eta_inf_ratios, ukc_ratios
 from relaxbc.spectral import (
+    SOBOL_MAX_DIM,
     FrequencyPoint,
     SamplingSpec,
+    _sobol,
     _refine_minimum,
     _unit_to_point,
     build_kernel_frame,
@@ -140,6 +143,27 @@ class TestDirections:
         shared = xi_omega_directions(2, spec)
         tensor = directions(3, SamplingSpec(resolution=5, rim_points=0), _conjugate_half=False)
         assert np.array_equal(shared, tensor)
+
+
+class TestSobol:
+    @pytest.mark.parametrize("dim", range(1, SOBOL_MAX_DIM + 1))
+    @pytest.mark.filterwarnings("ignore:The balance properties:UserWarning")
+    def test_equals_scipy(self, dim):
+        from scipy.stats import qmc  # the oracle; the package never imports it
+
+        for seed in (0, 1, 20240817, 2**32 - 1, 2**63):
+            for n in (1, 2, 10, 128):
+                expected = qmc.Sobol(d=dim, scramble=True, seed=seed).random(n)
+                assert np.array_equal(_sobol(dim, n, seed), expected), (seed, n)
+
+    def test_rim_points_past_the_table_are_refused(self):
+        # d = 32: (Re xi, Im xi, omega_1 ... omega_31, eta) carries rim
+        # points in 33 Sobol dimensions; resolution 1 is a single tensor row
+        m = SOBOL_MAX_DIM + 2
+        with pytest.raises(ConfigError, match=f"holds {SOBOL_MAX_DIM}"):
+            directions(m, SamplingSpec(resolution=1))
+        units = directions(m, SamplingSpec(resolution=1, rim_points=0))
+        assert np.array_equal(units, np.eye(1, m))
 
 
 def test_batched_gkc_matches_scalar_on_random_pool(random_bundles, zero_speed_bundle):
