@@ -8,12 +8,19 @@ Exit codes: 0 pass, 1 check failed, 2 config/parse error, 3 numerical failure.
 The environment variable ``RELAXBC_LOG`` selects the logging verbosity.
 Machine reports exclude wall-clock timings so that rerunning with an identical
 configuration and seed reproduces them byte for byte.
+
+``reduce`` and ``converge`` are gated on the GKC verdict.  They take it from
+``<out>/gkc.json`` when that file's ``provenance`` equals the block ``gkc``
+would write now (tool, version, seed, system-file hash, ``sampling`` and the
+``source`` digest of the package code), and sample the hemisphere otherwise;
+with ``RELAXBC_LOG=debug`` the reason a file was not reused is logged.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -40,6 +47,9 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# named, not __name__: under ``python -m relaxbc.cli`` it stays a relaxbc logger
+log = logging.getLogger("relaxbc.cli")
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +83,46 @@ def _provenance(args, config_doc: dict, **extra) -> dict:
     }
     p.update(extra)
     return p
+
+
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """SHA-256 over the package's own ``*.py`` files, as bytes in name order,
+    so that a ``gkc.json`` written by other code is never reused."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as fh:
+            data = fh.read()
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def _gkc_provenance(args, config_doc: dict, spec: SamplingSpec) -> dict:
+    """The provenance of ``gkc.json``: the key under which its verdict is
+    reused."""
+    sampling = {
+        "resolution": spec.resolution,
+        "rim_points": spec.rim_points,
+        "delta": spec.delta,
+    }
+    return _provenance(
+        args, config_doc, sampling=sampling, source=_source_digest()
+    )
+
+
+def _output_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path!r} is not a usable directory: {exc.strerror}")
+
+
+def _object(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
+    return value
 
 
 def _read_json(path: str) -> dict:
@@ -138,7 +188,7 @@ def _finite_positive(key: str, value) -> float:
 
 
 def _load_scenario(path: str, sys_obj) -> tuple[Scenario, dict]:
-    doc = _read_json(path)
+    doc = _object("scenario", _read_json(path))
     for key in ("boundary", "u0", "T"):
         if key not in doc:
             raise ConfigError(f"scenario file is missing field {key!r}")
@@ -148,20 +198,20 @@ def _load_scenario(path: str, sys_obj) -> tuple[Scenario, dict]:
         raise ConfigError(
             f"'boundary' must list {idx.n_plus} waveform specs, one per row of B"
         )
-    waves = [_make_waveform(s) for s in b_specs]
+    waves = [_make_waveform(_object("boundary", s)) for s in b_specs]
 
     n1 = sys_obj.n - sys_obj.r
     u_specs = doc["u0"]
     if not isinstance(u_specs, list) or len(u_specs) != n1:
         raise ConfigError(f"'u0' must list {n1} profile specs")
-    profiles = [_make_profile(s) for s in u_specs]
+    profiles = [_make_profile(_object("u0", s)) for s in u_specs]
 
     v_profiles = None
     if "v0" in doc:
         v_specs = doc["v0"]
         if not isinstance(v_specs, list) or len(v_specs) != sys_obj.r:
             raise ConfigError(f"'v0' must list {sys_obj.r} profile specs")
-        v_profiles = [_make_profile(s) for s in v_specs]
+        v_profiles = [_make_profile(_object("v0", s)) for s in v_specs]
 
     def b(t):
         return np.stack([w(t) for w in waves], axis=-1)
@@ -242,9 +292,45 @@ def _sampling_spec(args) -> SamplingSpec:
     )
 
 
-def _run_gkc(args, sys_obj):
-    frame = build_kernel_frame(sys_obj)
-    return frame, check_gkc(sys_obj, frame, spec=_sampling_spec(args))
+def _stored_gkc(path: str, want: dict) -> dict | None:
+    """The report in ``path`` without its provenance, or None when the file
+    is missing, unreadable, or was not written for provenance ``want``."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        log.debug("gkc verdict not reused: %s is missing", path)
+        return None
+    except (OSError, ValueError) as exc:
+        log.debug("gkc verdict not reused: %s is unreadable: %s", path, exc)
+        return None
+    have = doc.pop("provenance", None) if isinstance(doc, dict) else None
+    if not isinstance(have, dict):
+        log.debug("gkc verdict not reused: %s has no provenance block", path)
+        return None
+    for key in (*want, *have):
+        if key not in have or key not in want or have[key] != want[key]:
+            log.debug("gkc verdict not reused: provenance field %r of %s is "
+                      "%r, now %r", key, path, have.get(key), want.get(key))
+            return None
+    if not isinstance(doc.get("passed"), bool):
+        log.debug("gkc verdict not reused: 'passed' of %s is not a bool", path)
+        return None
+    return doc
+
+
+def _gkc_verdict(args, config_doc: dict, sys_obj, spec: SamplingSpec):
+    """``(passed, gkc report dict)`` for the gate of ``reduce`` and
+    ``converge``: read from ``<out>/gkc.json`` when ``gkc`` wrote it for the
+    same question, sampled otherwise."""
+    path = os.path.join(args.out, "gkc.json")
+    stored = _stored_gkc(path, _gkc_provenance(args, config_doc, spec))
+    if stored is not None:
+        print(f"GKC verdict reused from {path}")
+        return stored["passed"], stored
+    report = check_gkc(sys_obj, build_kernel_frame(sys_obj), spec=spec)
+    print(f"GKC verdict sampled (not reused from {path})")
+    return report.passed, report.to_dict()
 
 
 def _emit_gkc_csv(args, report, d: int) -> None:
@@ -258,10 +344,11 @@ def _emit_gkc_csv(args, report, d: int) -> None:
 def cmd_gkc(args) -> int:
     doc = _read_json(args.system)
     sys_obj = load_system(args.system)
-    _, report = _run_gkc(args, sys_obj)
+    spec = _sampling_spec(args)
+    report = check_gkc(sys_obj, build_kernel_frame(sys_obj), spec=spec)
 
     out = report.to_dict()
-    out["provenance"] = _provenance(args, doc)
+    out["provenance"] = _gkc_provenance(args, doc, spec)
     _write_json(os.path.join(args.out, "gkc.json"), out)
     _emit_gkc_csv(args, report, sys_obj.d)
 
@@ -278,18 +365,19 @@ def cmd_gkc(args) -> int:
 def cmd_reduce(args) -> int:
     doc = _read_json(args.system)
     sys_obj = load_system(args.system)
-    frame, gkc_report = _run_gkc(args, sys_obj)
+    spec = _sampling_spec(args)
+    gkc_passed, gkc_doc = _gkc_verdict(args, doc, sys_obj, spec)
 
-    if not gkc_report.passed and not args.force:
+    if not gkc_passed and not args.force:
         print("GKC sample check failed; refusing to reduce (use --force)")
         out = {
-            "gkc": gkc_report.to_dict(),
+            "gkc": gkc_doc,
             "provenance": _provenance(args, doc, forced=False),
         }
         _write_json(os.path.join(args.out, "reduce.json"), out)
         return EXIT_CHECK_FAILED
 
-    pipeline = derive_all(sys_obj, spec=_sampling_spec(args))
+    pipeline = derive_all(sys_obj, spec=spec)
     rbc, closure = pipeline.rbc, pipeline.closure
 
     out = {
@@ -298,7 +386,7 @@ def cmd_reduce(args) -> int:
             "coefficient": _complex_to_lists(closure.coefficient),
             "condition_number": float(closure.condition_number),
         },
-        "gkc": gkc_report.to_dict(),
+        "gkc": gkc_doc,
         "provenance": _provenance(args, doc, forced=bool(args.force)),
     }
     _write_json(os.path.join(args.out, "reduce.json"), out)
@@ -308,7 +396,7 @@ def cmd_reduce(args) -> int:
           f"over {rbc.ukc_samples} samples")
     print(f"annihilation residual {rbc.annihilation_residual:.3g}, "
           f"zero-speed residual {rbc.p0_residual:.3g}")
-    if not gkc_report.passed:
+    if not gkc_passed:
         print("warning: GKC check failed, reduction was forced")
     return EXIT_PASS
 
@@ -374,20 +462,21 @@ def cmd_converge(args) -> int:
     sys_obj = load_system(args.system)
     scenario, scen_doc = _load_scenario(args.scenario, sys_obj)
     eps_list = scen_doc.get("epsilons")
-    if not eps_list:
+    if not isinstance(eps_list, list) or not eps_list:
         raise ConfigError("scenario file must list nonempty 'epsilons'")
     eps_list = [_finite_positive("epsilons", e) for e in eps_list]
-    grid = scen_doc.get("grid", {})
+    grid = _object("grid", scen_doc.get("grid", {}))
     dx_max = _finite_positive("grid.dx_max", grid.get("dx_max", 5e-4))
     equilibrium_dx = _finite_positive(
         "grid.equilibrium_dx", grid.get("equilibrium_dx", 1e-4)
     )
 
-    frame, gkc_report = _run_gkc(args, sys_obj)
-    if not gkc_report.passed and not args.force:
+    spec = _sampling_spec(args)
+    gkc_passed, _ = _gkc_verdict(args, doc, sys_obj, spec)
+    if not gkc_passed and not args.force:
         print("GKC sample check failed; refusing to run (use --force)")
         return EXIT_CHECK_FAILED
-    pipeline = derive_all(sys_obj, spec=_sampling_spec(args))
+    pipeline = derive_all(sys_obj, spec=spec)
 
     study = run_convergence_study(
         pipeline.sys, pipeline.frame, pipeline.eq, pipeline.data,
@@ -512,7 +601,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        os.makedirs(args.out, exist_ok=True)
+        _output_dir(args.out)
         return args.func(args)
     except (ParseError, ConfigError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -342,3 +342,250 @@ def test_cold_start_leaves_scipy_stats_out(argv):
     assert proc.returncode == 0, proc.stderr
     if "--version" in argv:
         assert proc.stdout.strip() == __version__
+
+
+# ---------------------------------------------------------------------------
+# input errors that must exit 2, not die with a traceback
+
+
+@pytest.mark.parametrize("overrides", [
+    {"grid": [1]},
+    {"grid": "fine"},
+    {"boundary": [1, {"kind": "cos"}]},
+    {"u0": [[0.5]]},
+    {"epsilons": 5},
+])
+def test_malformed_scenario_is_config_error(
+    overrides, sys2x2_file, scen2x2_file, tmp_path, capsys
+):
+    with open(scen2x2_file) as fh:
+        doc = json.load(fh)
+    doc.update(overrides)
+    scen = tmp_path / "bad_scenario.json"
+    scen.write_text(json.dumps(doc))
+    assert _run(
+        ["converge", sys2x2_file, "--scenario", str(scen),
+         "--out", str(tmp_path / "out"), "--resolution", "4"]
+    ) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "gkc", "reduce", "simulate", "converge"])
+def test_out_naming_a_file_is_config_error(
+    command, sys2x2_file, scen2x2_file, tmp_path, capsys
+):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    extra = {
+        "simulate": ["--scenario", scen2x2_file, "--eps", "1e-2"],
+        "converge": ["--scenario", scen2x2_file],
+    }.get(command, [])
+    assert _run([command, sys2x2_file, "--out", str(taken)] + extra) == 2
+    assert "is not a usable directory" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
+# ---------------------------------------------------------------------------
+# reduce and converge reuse the verdict of a gkc run into the same --out
+
+SAMPLING = ["--resolution", "8", "--rim-points", "4"]
+
+#: speeds -0.5 and 1.5; B = (1, -1) annihilates the incoming eigenvector
+#: (1, 1) / sqrt(2), so the GKC ratio vanishes at eta = 0
+GKC_FAILING = {
+    "d": 1, "n": 2, "r": 1, "A": [[[0.5, 1.0], [1.0, 0.5]]],
+    "Q": [[0.0, 0.0], [0.0, -1.0]], "B": [[1.0, -1.0]],
+}
+
+
+@pytest.fixture
+def gkc_calls(monkeypatch):
+    """The specs of every check_gkc call the CLI makes."""
+    calls = []
+    sample = cli.check_gkc
+
+    def counted(sys_obj, frame, spec=None):
+        calls.append(spec)
+        return sample(sys_obj, frame, spec=spec)
+
+    monkeypatch.setattr(cli, "check_gkc", counted)
+    return calls
+
+
+def _gkc_then(command, system, out, *extra):
+    assert _run(["gkc", system, "--out", str(out)] + SAMPLING) in (0, 1)
+    return _run([command, system, "--out", str(out)] + SAMPLING + list(extra))
+
+
+class TestGkcReuse:
+    def test_gkc_then_reduce_samples_once(self, sys2x2_file, tmp_path, gkc_calls, capsys):
+        out, fresh = tmp_path / "reports", tmp_path / "fresh"
+        assert _gkc_then("reduce", sys2x2_file, out) == 0
+        assert len(gkc_calls) == 1
+        assert f"GKC verdict reused from {out / 'gkc.json'}" in capsys.readouterr().out
+        assert _run(["reduce", sys2x2_file, "--out", str(fresh)] + SAMPLING) == 0
+        assert len(gkc_calls) == 2
+        assert "GKC verdict sampled" in capsys.readouterr().out
+        assert (out / "reduce.json").read_bytes() == (fresh / "reduce.json").read_bytes()
+        gkc_doc = _read(out / "gkc.json")
+        assert gkc_doc["provenance"]["sampling"] == {
+            "resolution": 8, "rim_points": 4, "delta": 1e-3,
+        }
+        assert gkc_doc["provenance"]["source"] == cli._source_digest()
+        del gkc_doc["provenance"]
+        assert _read(out / "reduce.json")["gkc"] == gkc_doc
+
+    @pytest.mark.parametrize("change", [
+        "--resolution", "--rim-points", "--seed", "system", "source",
+        "truncated", "passed missing", "passed not a bool",
+    ])
+    def test_another_question_samples_afresh(
+        self, change, sys2x2_file, tmp_path, gkc_calls, monkeypatch
+    ):
+        out = tmp_path / "reports"
+        assert _run(["gkc", sys2x2_file, "--out", str(out)] + SAMPLING) == 0
+        argv = ["reduce", sys2x2_file, "--out", str(out)] + SAMPLING
+        path = out / "gkc.json"
+        if change.startswith("--"):
+            argv += [change, "5"]
+        elif change == "system":
+            doc = _read(sys2x2_file)
+            doc["B"] = [[1.0, 0.0], [0.0, 2.0]]
+            Path(sys2x2_file).write_text(json.dumps(doc))
+        elif change == "source":
+            monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        elif change == "truncated":
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        else:
+            doc = _read(path)
+            if change == "passed missing":
+                del doc["passed"]
+            else:
+                doc["passed"] = "true"
+            path.write_text(json.dumps(doc))
+        assert _run(argv) == 0
+        assert len(gkc_calls) == 2
+
+    def test_reused_failure_refuses_as_a_fresh_one(self, tmp_path, gkc_calls, capsys):
+        system = tmp_path / "failing.json"
+        system.write_text(json.dumps(GKC_FAILING))
+        out, fresh = tmp_path / "reports", tmp_path / "fresh"
+        assert _gkc_then("reduce", str(system), out) == 1
+        assert _read(out / "gkc.json")["passed"] is False
+        assert len(gkc_calls) == 1
+        assert _run(["reduce", str(system), "--out", str(fresh)] + SAMPLING) == 1
+        assert (out / "reduce.json").read_bytes() == (fresh / "reduce.json").read_bytes()
+        capsys.readouterr()
+        assert _run(["reduce", str(system), "--out", str(out), "--force"] + SAMPLING) == 0
+        assert len(gkc_calls) == 2
+        stdout = capsys.readouterr().out
+        assert "GKC verdict reused" in stdout
+        assert "reduction was forced" in stdout
+
+    def test_converge_follows_the_same_rule(self, sys2x2_file, tmp_path, gkc_calls, capsys):
+        scen = TestConverge()._scenario(tmp_path)
+        out, fresh = tmp_path / "reports", tmp_path / "fresh"
+        assert _gkc_then("converge", sys2x2_file, out, "--scenario", scen) == 0
+        assert len(gkc_calls) == 1
+        assert "GKC verdict reused" in capsys.readouterr().out
+        argv = ["converge", sys2x2_file, "--scenario", scen] + SAMPLING
+        assert _run(argv + ["--out", str(fresh)]) == 0
+        assert len(gkc_calls) == 2
+        assert (out / "converge.json").read_bytes() == (fresh / "converge.json").read_bytes()
+        assert not (fresh / "gkc.json").exists()
+        assert _run(argv + ["--out", str(out), "--seed", "5"]) == 0
+        assert len(gkc_calls) == 3
+
+    def test_debug_log_says_why_not_reused(self, sys2x2_file, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="relaxbc")
+        out = tmp_path / "reports"
+        argv = ["reduce", sys2x2_file, "--out", str(out)] + SAMPLING
+
+        def reason():
+            lines = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("gkc verdict not reused")]
+            caplog.clear()
+            assert len(lines) == 1
+            return lines[0]
+
+        assert _run(argv) == 0
+        assert reason().endswith("is missing")
+        out.joinpath("gkc.json").write_text("{")
+        assert _run(argv) == 0
+        assert "is unreadable" in reason()
+        assert _run(["gkc", sys2x2_file, "--out", str(out)] + SAMPLING) == 0
+        caplog.clear()
+        assert _run(argv[:-1] + ["5"]) == 0  # another --rim-points
+        assert "provenance field 'sampling'" in reason()
+        assert _run(argv) == 0
+        assert not [r for r in caplog.records if "not reused" in r.getMessage()]
+
+
+def test_gkc_report_survives_a_json_round_trip(monkeypatch):
+    """A reused verdict is gkc.json read back, so it equals the fresh report
+    only if to_dict() survives JSON unchanged: on the worked examples, a
+    certify pool system, and a report with skipped points, subthreshold
+    points and an eta = inf error."""
+    import dataclasses
+
+    from relaxbc import reduction
+    from relaxbc.errors import AssumptionViolated
+    from relaxbc.model import system_from_dict
+    from relaxbc.spectral import SamplingSpec, build_kernel_frame, check_gkc
+
+    spec = SamplingSpec(resolution=6, rim_points=8)
+
+    def sample(sys_obj):
+        return check_gkc(sys_obj, build_kernel_frame(sys_obj), spec)
+
+    reports = {
+        "example": sample(fixtures.example_system()),
+        "double_characteristic_7": sample(fixtures.double_characteristic_system(7)),
+        "certify_1234": sample(fixtures.random_admissible_bundle(
+            np.random.default_rng(1234), d=3, require_n0=1
+        ).sys),
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssumptionViolated("M2 has 0 stable eigenvalues, expected 1")
+
+    monkeypatch.setattr(reduction, "build_reduction_data", refuse)
+    gaps = sample(system_from_dict(GKC_FAILING))
+    assert gaps.subthreshold_points and gaps.eta_inf_error
+    reports["gaps"] = dataclasses.replace(
+        gaps, failures=["(0.5, 0.5, 0.0): eigenvalue within the axis tolerance"]
+    )
+    for name, report in reports.items():
+        doc = report.to_dict()
+        back = json.loads(json.dumps(doc))
+        assert back == doc, name
+        assert json.dumps(back, sort_keys=True, indent=2) == json.dumps(
+            doc, sort_keys=True, indent=2
+        ), name
+
+
+def test_readme_pipeline_across_processes(sys2x2_file, tmp_path):
+    """validate -> gkc -> reduce into one --out as separate processes: the
+    reduce reuses the gkc verdict and writes the report of a fresh reduce."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def relaxbc(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "relaxbc.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    reports, fresh = tmp_path / "reports", tmp_path / "fresh"
+    sampling = ["--resolution", "8"]
+    relaxbc("validate", sys2x2_file, "--out", str(reports))
+    relaxbc("gkc", sys2x2_file, "--out", str(reports), *sampling)
+    assert "GKC verdict reused from" in relaxbc(
+        "reduce", sys2x2_file, "--out", str(reports), *sampling)
+    assert "GKC verdict sampled" in relaxbc(
+        "reduce", sys2x2_file, "--out", str(fresh), *sampling)
+    assert (reports / "reduce.json").read_bytes() == (fresh / "reduce.json").read_bytes()
