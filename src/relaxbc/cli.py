@@ -150,38 +150,52 @@ def _make_waveform(spec: dict):
     if kind not in _WAVEFORMS:
         raise ConfigError(f"unknown waveform kind {kind!r}")
     return _WAVEFORMS[kind](
-        float(spec.get("amplitude", 1.0)),
-        float(spec.get("frequency", 1.0)),
-        float(spec.get("phase", 0.0)),
+        _finite("amplitude", spec.get("amplitude", 1.0)),
+        _finite("frequency", spec.get("frequency", 1.0)),
+        _finite("phase", spec.get("phase", 0.0)),
     )
 
 
 def _make_profile(spec: dict):
     """Named initial-data profile x -> scalar field."""
     kind = spec.get("kind")
-    a = float(spec.get("amplitude", 1.0))
+    a = _finite("amplitude", spec.get("amplitude", 1.0))
     if kind == "zero":
         return lambda x: 0.0 * np.asarray(x)
     if kind == "bump":
-        c = float(spec.get("center", 0.5))
-        w = float(spec.get("width", 0.05))
+        c = _finite("center", spec.get("center", 0.5))
+        w = _finite_positive("width", spec.get("width", 0.05))
         return lambda x: a * np.exp(-((np.asarray(x) - c) ** 2) / w)
     if kind == "gauss_ramp":
-        w = float(spec.get("width", 0.5))
+        w = _finite_positive("width", spec.get("width", 0.5))
         return lambda x: a * (1.0 - np.asarray(x)) * np.exp(
             -np.asarray(x) ** 2 / w
         )
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
+def _as_float(value) -> float:
+    """``value`` as a float; NaN when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return float("nan")
+
+
+def _finite(key: str, value) -> float:
+    """``value`` as a float; a ConfigError unless it is a finite number (a
+    waveform or profile parameter that is not would feed NaN into a run)."""
+    number = _as_float(value)
+    if not np.isfinite(number):
+        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+    return number
+
+
 def _finite_positive(key: str, value) -> float:
     """``value`` as a float; a ConfigError unless it is a finite, positive
     number (a NaN or infinite length or epsilon would run a meaningless
     mesh)."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = float("nan")
+    number = _as_float(value)
     if not (np.isfinite(number) and number > 0):
         raise ConfigError(f"{key!r} must be finite and positive, got {value!r}")
     return number

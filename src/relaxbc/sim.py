@@ -9,10 +9,11 @@ power-of-two levels (Osher & Sanders, Math. Comp. 41, 1983): a node whose
 adjacent cells are at least 2^k times the smallest cell steps by 2^k times
 the finest dt, so the bulk of the mesh, past the cells graded down to the
 boundary, takes one step where the boundary cell takes 2^K.  The scheme is
-linear, so the 2^K finest steps of one cycle, with the inflow solves of all
-but the last, are one affine map: one sparse matrix, whose rows differ from
-the step matrix only at the nodes below the top level, plus a small forcing
-by the boundary data.  The solver takes one iteration per cycle.
+linear, so the 2^K finest steps of one cycle, each with its inflow solve,
+are one affine map: one sparse matrix, whose rows differ from the step
+matrix only at node 0 and the nodes below the top level, plus a small
+forcing by the boundary data.  The solver takes one iteration per cycle:
+one sparse product and that forcing.
 
 The equilibrium system has constant coefficients, so its solver evaluates
 the method-of-characteristics solution with the derived reduced boundary
@@ -55,7 +56,7 @@ from .reduction import (
     solve_closure,
 )
 from .spectral import KernelFrame
-from .stepping import cycle_operator, time_levels
+from .stepping import csr_product, cycle_operator, time_levels
 from .tolerances import (
     BOUNDARY_SINGULAR_REL,
     DEGENERATE_ERROR_ABS,
@@ -162,11 +163,17 @@ def measure_error(result: SimResult, composite: np.ndarray) -> float:
     return l2_error(result.x, result.U, composite)
 
 
-def _inflow_factor(M: np.ndarray, message: str):
-    """LU factors and condition number of an inflow boundary block M; raises
-    BoundarySolveSingular when M is singular."""
+def _inflow_inverse(M: np.ndarray, message: str):
+    """Inverse and condition number of an inflow boundary block M; raises
+    BoundarySolveSingular when M is singular.  The inverse is taken one
+    column per LAPACK solve: getrs with several right-hand sides runs on
+    every OpenBLAS thread, which then spin against the single-threaded
+    work that follows."""
     cond = full_rank_cond(M, BoundarySolveSingular(message), BOUNDARY_SINGULAR_REL)
-    return sla.lu_factor(M), cond
+    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (M,))
+    lu, piv, _ = getrf(M)
+    inverse = np.column_stack([getrs(lu, piv, e)[0] for e in np.eye(M.shape[0])])
+    return inverse, cond
 
 
 def solve_relaxation(
@@ -196,14 +203,13 @@ def solve_relaxation(
     chi_rest at x = 0.
 
     The solver runs that scheme one cycle of 2^K finest steps per
-    iteration (see ``stepping.cycle_operator``): one product with the cycle matrix,
-    the forcing of the cycle's inner boundary data on the first entries,
-    the inflow solve of its last finest step and its last trace row.  The
-    trace at the inner finest steps is evaluated after the loop from the
-    first state entries at each cycle start and the boundary data.  On a
-    one-level mesh the cycle matrix is the step matrix.  ``steps``, ``dt``
-    and the boundary trace count finest steps; ``node_steps`` counts the
-    node updates of the scheme.
+    iteration (see ``stepping.cycle_operator``): one product with the cycle
+    matrix, which holds every inflow solve of the cycle, and the forcing of
+    the cycle's boundary data on the first entries.  (B R_+)^{-1} is formed
+    once.  The trace at every finest step is evaluated after each block of
+    cycles from the first state entries at each cycle start and the
+    boundary data.  ``steps``, ``dt`` and the boundary trace count finest
+    steps; ``node_steps`` counts the node updates of the scheme.
     """
     n = sys.n
     speeds = split_speeds(sys)[0]
@@ -241,22 +247,16 @@ def solve_relaxation(
         )
 
     # boundary solve for incoming characteristics: (B R_+) chi_+ = rhs, that
-    # is chi_+ = inflow_b b + inflow_rest chi_rest
+    # is chi_+ = inflow_b b + inflow_rest chi_rest, formed once and folded
+    # into the cycle map
     boundary_cond = None
-    B_Rrest = sys.B @ R[:, rest]
     inflow_b, inflow_rest = np.zeros((0, 0)), np.zeros((0, rest.size))
     if pos.size:
-        BRp_lu, boundary_cond = _inflow_factor(
+        inflow_b, boundary_cond = _inflow_inverse(
             sys.B @ R[:, pos],
             "B restricted to incoming characteristics is singular",
         )
-        # the LAPACK solve behind sla.lu_solve, without its per-call checks
-        getrs = sla.get_lapack_funcs("getrs", BRp_lu[:1])
-        # (B R_+)^-1 one column per call: getrs with several right-hand
-        # sides runs on every OpenBLAS thread, which then spin against the
-        # single-threaded time loop
-        inflow_b = np.column_stack([getrs(*BRp_lu, e)[0] for e in np.eye(pos.size)])
-        inflow_rest = -inflow_b @ B_Rrest
+        inflow_rest = -inflow_b @ (sys.B @ R[:, rest])
 
     sources = [sla.expm(sys.S * (dt * 2**k) / eps) for k in range(level.max() + 1)]
     step_args = (lam, R, pos, neg, dx, dt * 2.0**level, level, sources, sys.r)
@@ -284,37 +284,28 @@ def solve_relaxation(
     times *= dt
     trace = np.empty((steps + 1, n))
     trace[0] = U[0]
-    # boundary data by cycle: those of its inner finest steps, beta, and of
-    # its last, whose inflow solve runs in the loop
-    b = np.zeros((cycles, cycle, 0))
+    # boundary data beta of each cycle's finest steps
+    beta = np.zeros((cycles, 0))
     if pos.size:
-        b = np.reshape(
-            np.asarray(scenario.b(times[1:]), dtype=float), (cycles, cycle, -1)
+        beta = np.reshape(
+            np.asarray(scenario.b(times[1:]), dtype=float), (cycles, H.shape[1])
         )
-    beta = b[:, :-1].reshape(cycles, H.shape[1])
     h, g = H.shape[0], G.shape[1] - H.shape[1]
-    ends = trace[cycle::cycle]
-    inner = trace[1:].reshape(cycles, cycle * n)[:, : (cycle - 1) * n]
+    traces = trace[1:].reshape(cycles, cycle * n)
+    product, nxt = csr_product(C), np.empty_like(chi)
     # a block of cycles at a time holds its forcing H beta and its inputs
-    # (chi[:g] at the cycle start, beta) to the inner traces G (head, beta);
+    # (chi[:g] at the cycle start, beta) to the traces G (head, beta);
     # einsum, not BLAS, whose threads would spin against the loop
     for first in range(0, cycles, CYCLE_BLOCK):
         part = slice(first, first + CYCLE_BLOCK)
         forcing = np.einsum("ck,hk->ch", beta[part], H)
         inputs = np.empty((forcing.shape[0], G.shape[1]))
         inputs[:, g:] = beta[part]
-        for head, f, b_end, end in zip(inputs, forcing, b[part, -1], ends[part]):
+        for head, f in zip(inputs, forcing):
             head[:g] = chi[:g]
-            chi = C @ chi
+            chi, nxt = product(chi, nxt), chi
             chi[:h] += f
-            # inflow boundary condition last, so B U(0, t_new) = b(t_new)
-            # holds exactly at the end of the cycle (the stiff source must
-            # not spoil it)
-            if pos.size:
-                chi0 = chi[:n]
-                chi0[pos] = getrs(*BRp_lu, b_end - B_Rrest @ chi0[rest])[0]
-            end[:] = R @ chi[:n]
-        np.einsum("ck,ik->ci", inputs, G, out=inner[part])
+        np.einsum("ck,ik->ci", inputs, G, out=traces[part])
     return SimResult(
         x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
         dt=dt, eps=eps, boundary_times=times, boundary_values=trace,
@@ -378,14 +369,14 @@ def solve_equilibrium(
     boundary_cond = None
     if pos.size:
         coeff = rbc.coefficient
-        CWp_lu, boundary_cond = _inflow_factor(
+        CWp_inv, boundary_cond = _inflow_inverse(
             coeff @ W[:, pos],
             "reduced boundary condition is singular on incoming modes",
         )
         if rhs is None:
             rhs = lambda t: scenario.b(t) @ rbc.B_o.T
         r = rhs(times).T - (coeff @ W[:, rest]) @ chi0[:, rest].T
-        chi0[:, pos] = sla.lu_solve(CWp_lu, r).T
+        chi0[:, pos] = np.einsum("ij,jt->ti", CWp_inv, r)
 
     chi = np.empty((x.size, n1))
     for k in range(n1):

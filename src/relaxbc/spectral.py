@@ -423,10 +423,11 @@ def _unit_to_point(u: np.ndarray, d: int) -> FrequencyPoint:
 
 def det_ratio(X: np.ndarray, L: np.ndarray) -> np.ndarray:
     """|det(X L)| / vol(L) for a stack L (N, m, k) of bases, with
-    vol(L) = sqrt(det(L^* L)) the product of the singular values of L; 0
-    where vol(L) = 0."""
+    vol(L) = sqrt(det(L^* L)) = |det R| for the QR factorisation L = Q R;
+    0 where vol(L) = 0."""
     num = np.abs(np.linalg.det(X @ L))
-    vol = np.prod(np.linalg.svd(L, compute_uv=False), axis=1)
+    R = np.linalg.qr(L, mode="r")
+    vol = np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
     return np.divide(num, vol, out=np.zeros_like(num), where=vol > 0)
 
 

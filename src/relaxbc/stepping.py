@@ -1,13 +1,15 @@
 """Discrete operators of the stiff solver's local time stepping (Osher &
 Sanders, Math. Comp. 41, 1983) on a boundary-graded mesh: the time level of
 each node, the sparse matrix of one step, and the affine map of one cycle
-of 2^K finest steps, which ``sim.solve_relaxation`` applies once per
-iteration."""
+of 2^K finest steps, inflow solves and boundary traces included, which
+``sim.solve_relaxation`` applies once per iteration through
+``csr_product``."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .tolerances import MESH_ROUNDOFF_REL
 
@@ -36,8 +38,8 @@ def step_operator(lam, R, pos, neg, dx, dt, level, E, r, nodes=None, replace=Non
     Node i steps by dt[i] and takes the source E[level[i]] = exp(S dt[i] / eps)
     of its time level, so the row of each node is its own time step.
 
-    Node 0 keeps its incoming characteristics; the caller replaces them by
-    the inflow solve.
+    Node 0 keeps its incoming characteristics; ``cycle_operator`` replaces
+    them by the inflow solve.
 
     ``nodes`` (ascending) keeps the rows of those nodes only.  ``replace`` =
     (rows, block, cols) puts the nonzeros of the dense ``block``, whose
@@ -105,27 +107,54 @@ def step_operator(lam, R, pos, neg, dx, dt, level, E, r, nodes=None, replace=Non
     return sp.csr_matrix((data, indices, indptr), shape=(m * n, nx * n))
 
 
+def csr_product(C):
+    """The product with a CSR matrix C of float64 entries as a function
+    ``apply(x, out)`` that writes C x into the preallocated vector ``out``.
+
+    ``apply`` calls scipy's ``_sparsetools.csr_matvec``, the kernel that
+    ``C @ x`` ends in, so its result is that of ``C @ x`` bit for bit.  The
+    stiff time loop takes one product per cycle, and on the cycle matrices
+    of a convergence study (1,600 to 12,000 rows) the argument checks,
+    dispatch and output allocation of ``@`` add 7-30% to the product.  The
+    kernel is private scipy: it reads no shapes, so ``apply`` checks them,
+    and a test pins it against ``C @ x``."""
+    if C.format != "csr" or C.dtype != np.float64:
+        raise TypeError(f"expected a float64 CSR matrix, got {C.format} {C.dtype}")
+    m, k = C.shape
+    indptr, indices, data = C.indptr, C.indices, C.data
+    kernel = _sparsetools.csr_matvec
+
+    def apply(x, out):
+        if x.shape != (k,) or out.shape != (m,):
+            raise ValueError(f"C is {m} x {k}; x is {x.shape}, out {out.shape}")
+        out.fill(0.0)  # the kernel adds C x to out
+        kernel(m, k, indptr, indices, data, x, out)
+        return out
+
+    return apply
+
+
 def cycle_operator(step_args, level, n, pos, rest, inflow_b, inflow_rest, R):
     """One local-time-stepping cycle, the 2^K finest steps for K =
-    level.max(), as an affine map of the state chi at its start and of the
-    boundary data beta = (b_0, ..., b_{2^K - 2}) of its first 2^K - 1
-    finest steps, whose inflow solves chi_+ = inflow_b b + inflow_rest
-    chi_rest at node 0 it folds in.  The last inflow solve of the cycle is
-    left to the caller.  ``step_args`` are the arguments of
-    ``step_operator``.
+    level.max(), each followed by the inflow solve chi_+ = inflow_b b +
+    inflow_rest chi_rest at node 0, as an affine map of the state chi at its
+    start and of the boundary data beta = (b_0, ..., b_{2^K - 1}) of its
+    finest steps.  ``step_args`` are the arguments of ``step_operator``.
 
-    Returns ``(C, H, G, step_nnz)``: the state before the last inflow solve
-    is C chi plus H beta on its first H.shape[0] entries; the boundary
-    traces at the inner finest steps s < 2^K - 1, stacked, are
-    G (chi[:g], beta) with g = G.shape[1] - H.shape[1]; step_nnz counts the
-    nonzeros of the step matrix.
+    Returns ``(C, H, G, step_nnz)``: the state at the end of the cycle is
+    C chi plus H beta on its first H.shape[0] entries; the boundary traces
+    at its 2^K finest steps, stacked, are G (chi[:g], beta) with
+    g = G.shape[1] - H.shape[1]; step_nnz counts the nonzeros of the step
+    matrix.
 
-    The scheme is linear, so the map is exact.  Nodes at the top level update
-    once, at the start of the cycle, so their rows of C are those of the
-    step matrix; only the nodes below it (node 0 among them: it is at level
-    0) and the boundary data need products.  Those are formed densely on
-    these nodes and their neighbours, whose rows read one node further, and
-    C is assembled once, with no full step matrix beside it."""
+    The scheme is linear, so the map is exact, and the inflow solve still
+    follows the source, so B U(0, t) = b(t) holds after every finest step.
+    Nodes at the top level update once, at the start of the cycle, so their
+    rows of C are those of the step matrix; only node 0, whose inflow solve
+    follows every step, the nodes below the top level and the boundary data
+    need products.  Those are formed densely on these nodes and their
+    neighbours, whose rows read one node further, and C is assembled once,
+    with no full step matrix beside it."""
     top = int(level.max())
     cycle = 2**top
     nb = pos.size
@@ -140,27 +169,26 @@ def cycle_operator(step_args, level, n, pos, rest, inflow_b, inflow_rest, R):
         return out
 
     low = level < top
+    low[0] = True
     ext = widen(low)
     rows, cols = spread(ext), spread(widen(ext))
     ncol = cols.size
     head = step_operator(*step_args, nodes=np.flatnonzero(ext))
-    X = np.zeros((rows.size, ncol + (cycle - 1) * nb))
+    X = np.zeros((rows.size, ncol + cycle * nb))
     X[:, :ncol] = head[:, cols].toarray()
     within = head[:, rows]
     row_level = np.repeat(level[ext], n)
     active = [np.flatnonzero(row_level <= v) for v in range(top)]
     ops = [within[a] for a in active]
-    traces = []
-    # X holds the rows of ``rows``, of which node 0 is the first n when the
-    # cycle has inner steps
+    traces = np.empty((cycle, n, X.shape[1]))
+    # X holds the rows of ``rows``, of which node 0 is the first n
     for s in range(cycle):
         if s:  # the nodes of level <= v_2(s) advance from the current state
             v = (s & -s).bit_length() - 1
             X[active[v]] = ops[v] @ X
-        if s < cycle - 1:
-            X[pos] = inflow_rest @ X[rest]
-            X[pos, ncol + s * nb : ncol + (s + 1) * nb] += inflow_b
-            traces.append(R @ X[:n])
+        X[pos] = inflow_rest @ X[rest]
+        X[pos, ncol + s * nb : ncol + (s + 1) * nb] += inflow_b
+        traces[s] = R @ X[:n]
     # the rows that changed: C takes their state columns, and H those that
     # the boundary data reach, up to the last
     low_rows, lows = spread(low), np.repeat(low[ext], n)
@@ -170,8 +198,8 @@ def cycle_operator(step_args, level, n, pos, rest, inflow_b, inflow_rest, R):
     hit = np.any(Y[:, ncol:] != 0, axis=1)
     H = np.zeros((low_rows[hit].max(initial=-1) + 1, Y.shape[1] - ncol))
     H[low_rows[hit]] = Y[hit, ncol:]
-    # the inner traces read the state up to the last column they touch
-    G = np.reshape(traces, ((cycle - 1) * n, X.shape[1]))
+    # the traces read the state up to the last column they touch
+    G = traces.reshape(cycle * n, X.shape[1])
     hit = np.any(G[:, :ncol] != 0, axis=0)
     G_head = np.zeros((G.shape[0], cols[hit].max(initial=-1) + 1))
     G_head[:, cols[hit]] = G[:, :ncol][:, hit]

@@ -370,6 +370,33 @@ def test_malformed_scenario_is_config_error(
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field, spec, key", [
+    ("boundary", {"kind": "sin", "amplitude": "loud"}, "amplitude"),
+    ("boundary", {"kind": "cos", "frequency": float("nan")}, "frequency"),
+    ("boundary", {"kind": "sin", "phase": float("inf")}, "phase"),
+    ("u0", {"kind": "gauss_ramp", "amplitude": float("-inf")}, "amplitude"),
+    ("u0", {"kind": "gauss_ramp", "width": 0.0}, "width"),
+    ("u0", {"kind": "bump", "center": "left"}, "center"),
+    ("u0", {"kind": "bump", "width": float("nan")}, "width"),
+])
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_bad_waveform_or_profile_number_is_config_error(
+    command, field, spec, key, sys2x2_file, scen2x2_file, tmp_path, capsys
+):
+    # a word died in float() with a traceback; NaN or inf ran on NaN data
+    with open(scen2x2_file) as fh:
+        doc = json.load(fh)
+    doc[field][0] = spec
+    scen = tmp_path / "bad_scenario.json"
+    scen.write_text(json.dumps(doc))
+    extra = ["--eps", "1e-2"] if command == "simulate" else []
+    assert _run(
+        [command, sys2x2_file, "--scenario", str(scen),
+         "--out", str(tmp_path / "out")] + extra
+    ) == 2
+    assert f"error: {key!r} must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["validate", "gkc", "reduce", "simulate", "converge"])
 def test_out_naming_a_file_is_config_error(
     command, sys2x2_file, scen2x2_file, tmp_path, capsys
