@@ -74,11 +74,10 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _provenance(args, config_doc: dict, **extra) -> dict:
+def _provenance(config_doc: dict, **extra) -> dict:
     p = {
         "tool": "relaxbc",
         "version": __version__,
-        "seed": int(args.seed),
         "config_hash": _config_hash(config_doc),
     }
     p.update(extra)
@@ -108,7 +107,7 @@ def _gkc_provenance(args, config_doc: dict, spec: SamplingSpec) -> dict:
         "delta": spec.delta,
     }
     return _provenance(
-        args, config_doc, sampling=sampling, source=_source_digest()
+        config_doc, seed=args.seed, sampling=sampling, source=_source_digest()
     )
 
 
@@ -260,7 +259,7 @@ def cmd_validate(args) -> int:
         report = {
             "passed": False,
             "error": str(exc),
-            "provenance": _provenance(args, doc),
+            "provenance": _provenance(doc),
         }
         _write_json(os.path.join(args.out, "validate.json"), report)
         print(f"validation FAILED: {exc}")
@@ -282,7 +281,7 @@ def cmd_validate(args) -> int:
             "n10": idx.n10, "n1_plus": idx.n1_plus,
         },
         "passed": all(checks.values()),
-        "provenance": _provenance(args, doc),
+        "provenance": _provenance(doc),
     }
     _write_json(os.path.join(args.out, "validate.json"), report)
 
@@ -347,12 +346,28 @@ def _gkc_verdict(args, config_doc: dict, sys_obj, spec: SamplingSpec):
     return report.passed, report.to_dict()
 
 
+#: rows of ``gkc_samples.csv`` formatted per write: one string for the whole
+#: default-resolution d = 3 sample (134,242 rows) raised the peak resident
+#: memory of ``gkc`` from 100 to 144 MB
+CSV_BLOCK = 4096
+
+
 def _emit_gkc_csv(args, report, d: int) -> None:
+    """``gkc_samples.csv`` from the arrays of ``report``: the bytes
+    ``csv.writer`` writes for the same rows (``repr`` of each float, commas,
+    CRLF line ends), formatted CSV_BLOCK rows at a time."""
     header = ["re_xi", "im_xi"] + [f"omega{j}" for j in range(1, d)] + [
         "eta", "ratio",
     ]
-    rows = [list(pt) + [val] for pt, val in report.ratios]
-    _write_csv(os.path.join(args.out, "gkc_samples.csv"), header, rows)
+    row = ",".join(["%r"] * len(header)) + "\r\n"
+    with open(os.path.join(args.out, "gkc_samples.csv"), "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(report.values), CSV_BLOCK):
+            block = np.column_stack([
+                report.points[start : start + CSV_BLOCK],
+                report.values[start : start + CSV_BLOCK],
+            ])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def cmd_gkc(args) -> int:
@@ -386,7 +401,7 @@ def cmd_reduce(args) -> int:
         print("GKC sample check failed; refusing to reduce (use --force)")
         out = {
             "gkc": gkc_doc,
-            "provenance": _provenance(args, doc, forced=False),
+            "provenance": _provenance(doc, seed=args.seed, forced=False),
         }
         _write_json(os.path.join(args.out, "reduce.json"), out)
         return EXIT_CHECK_FAILED
@@ -401,7 +416,7 @@ def cmd_reduce(args) -> int:
             "condition_number": float(closure.condition_number),
         },
         "gkc": gkc_doc,
-        "provenance": _provenance(args, doc, forced=bool(args.force)),
+        "provenance": _provenance(doc, seed=args.seed, forced=bool(args.force)),
     }
     _write_json(os.path.join(args.out, "reduce.json"), out)
 
@@ -449,7 +464,7 @@ def cmd_simulate(args) -> int:
         "l2_norm": norm,
         "boundary_cond": result.boundary_cond,
         "provenance": _provenance(
-            args, {"system": doc, "scenario": scen_doc, "eps": args.eps}
+            {"system": doc, "scenario": scen_doc, "eps": args.eps}
         ),
     }
     _write_json(os.path.join(args.out, "simulate.json"), report)
@@ -518,7 +533,7 @@ def cmd_converge(args) -> int:
     out["threshold"] = threshold
     out["negative_control"] = bool(args.negative_control)
     out["provenance"] = _provenance(
-        args, {"system": doc, "scenario": scen_doc}
+        {"system": doc, "scenario": scen_doc}, seed=args.seed
     )
     _write_json(os.path.join(args.out, "converge.json"), out)
 
@@ -561,10 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("system", help="system file (JSON)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=20240817,
-                       help="seed for randomized sampling")
 
     def sampling(p):
+        p.add_argument("--seed", type=int, default=20240817,
+                       help="seed for randomized sampling")
         p.add_argument("--resolution", type=int, default=24,
                        help="hemisphere grid resolution")
         p.add_argument("--rim-points", type=int, default=64,

@@ -269,8 +269,11 @@ def derive_reduced_bc(
 
     Y2 = B_u P0 and Y3 = B_u N R2^S + B_v R02_perp K~ R2^S are evaluated at a
     reference point; they are frequency-independent by construction.  Raises
-    DegenerateY if (Y2 Y3) has unexpected rank and GkcFailed if the sampled
-    UKC minimum falls below the threshold.
+    DegenerateY if (Y2 Y3) has unexpected rank.  When the reduced condition
+    has rows (n1_+ > 0), raises GkcFailed if a sampled UKC direction was
+    skipped for an eigenvalue near the imaginary axis, or if the sampled
+    minimum falls below the threshold; with n1_+ = 0 there is nothing to
+    certify, and skipped directions are only counted in ``ukc_skipped``.
     """
     spec = spec or SamplingSpec()
     idx = compute_indices(sys)
@@ -312,6 +315,12 @@ def derive_reduced_bc(
     count = len(vals) - skipped
     best = float(np.nanmin(vals)) if count else (0.0 if n1_plus else 1.0)
     log.debug("ukc: %d directions, %d skipped, minimum %.6g", len(vals), skipped, best)
+    if n1_plus > 0 and skipped:
+        raise GkcFailed(
+            f"uniform Kreiss condition not certified for the reduced "
+            f"condition: {skipped} of {len(vals)} sampled directions were "
+            f"skipped for an eigenvalue of M1 near the imaginary axis"
+        )
     if n1_plus > 0 and best <= C_THRESHOLD:
         raise GkcFailed(
             f"uniform Kreiss condition fails for the reduced condition: "

@@ -10,8 +10,11 @@ positive homogeneity of M.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,8 +44,10 @@ REFINE_FACTOR = 4
 
 #: directions per batched evaluation.  It bounds the memory of the stacked
 #: eigenproblems: evaluating 16,233 d = 3 directions in one stack raised the
-#: peak resident memory by 44 MB, in chunks of this size by 0.2 MB.
-CHUNK = 1024
+#: peak resident memory by 44 MB, in chunks of 1024 by 0.2 MB.  The pool of
+#: ``map_chunks`` holds one chunk per CPU in flight: on two CPUs the certify-d3
+#: peak was 77.1 MB with chunks of 1024 and 73.8 MB with chunks of 512.
+CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,20 @@ class SamplingSpec:
     seed: int = 20240817
 
 
+def _pairs(points: np.ndarray, values: np.ndarray) -> list:
+    """The ``(row tuple, ratio)`` pairs of a sample held as arrays."""
+    return list(zip(map(tuple, points.tolist()), values.tolist()))
+
+
 @dataclass
 class GkcReport:
-    """Outcome of ``check_gkc``.  ``samples`` and ``ratios`` cover the GKC
-    grid of ``directions``, which lists one member of each conjugate pair
+    """Outcome of ``check_gkc``.  The sample is held as arrays: ``points``
+    (N, d + 2), the rows (Re xi, Im xi, omega..., eta) that were not skipped,
+    and ``values`` (N,), their ratios.  They cover the GKC grid of
+    ``directions``, which lists one member of each conjugate pair
     (xi, omega, eta), (conj xi, -omega, eta): for real A, Q and B the ratio
-    is equal at the two."""
+    is equal at the two.  ``ratios`` lists them as (row tuple, ratio)
+    pairs, built afresh on each read."""
 
     min_ratio: float
     argmin_point: FrequencyPoint | None
@@ -110,16 +123,21 @@ class GkcReport:
     includes_eta_infinity: bool
     passed: bool
     c_threshold: float
+    points: np.ndarray
+    values: np.ndarray
     eta_inf_min_ratio: float | None = None
     eta_inf_skipped: int = 0  # eta = inf directions skipped near the axis
     eta_inf_error: str | None = None  # why the eta = inf limit was not formed
     subthreshold_points: list = field(default_factory=list)
     failures: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)  # (point tuple, ratio) rows
     note: str = (
         "sampled verification: evidence over a finite grid, not a proof; "
         "the trend as Re(xi) -> 0 is reported but not extrapolated"
     )
+
+    @property
+    def ratios(self) -> list:
+        return _pairs(self.points, self.values)
 
     def to_dict(self) -> dict:
         return {
@@ -196,13 +214,14 @@ def _M_stack(sys: RelaxationSystem, frame):
     array returning the stack M (N, k, k).  ``frame`` needs only R0/R1
     attributes, so alternative frames can be passed for frame-independence
     checks.  For n0 = 0, M = A1^{-1} G.  M is positively homogeneous of
-    degree 1 in (xi, omega, eta)."""
+    degree 1 in (xi, omega, eta).  A1_hat is inverted once, when the
+    function is built, and applied to each stack by matmul."""
     k = frame.R1.shape[1]
     # G is linear in (eta, xi, omega), so its blocks in the frame (R1, R0)
     # combine fixed projections
     F = np.hstack([frame.R1, frame.R0])
     terms = np.stack([F.T @ X @ F for X in (sys.Q, np.eye(sys.n), *sys.A[1:])])
-    A1_hat = (frame.R1.T @ sys.A1 @ frame.R1).astype(complex)
+    A1_hat_inv = np.linalg.inv(frame.R1.T @ sys.A1 @ frame.R1)
 
     def evaluate(u):
         coef = np.column_stack([u[:, -1], -(u[:, 0] + 1j * u[:, 1]), -1j * u[:, 2:-1]])
@@ -210,7 +229,7 @@ def _M_stack(sys: RelaxationSystem, frame):
         core = G[:, :k, :k]
         if k < G.shape[1]:
             core = core - G[:, :k, k:] @ np.linalg.solve(G[:, k:, k:], G[:, k:, :k])
-        return np.linalg.solve(A1_hat, core)
+        return A1_hat_inv @ core
 
     return evaluate
 
@@ -431,31 +450,54 @@ def det_ratio(X: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.divide(num, vol, out=np.zeros_like(num), where=vol > 0)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask, which
+    ``taskset`` or a cgroup cpuset restricts."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_chunk(part: np.ndarray, stack, X: np.ndarray, n_s: int, basis):
+    """``map_chunks`` on the rows of one chunk: ``(ratios, skipped)``."""
+    try:
+        V_s, skip = stable_eigvecs(stack(part), n_s)
+    except SpectralCountMismatch as exc:
+        raise SpectralCountMismatch(f"{tuple(part[exc.row].tolist())}: {exc}") from exc
+    vals = det_ratio(X, V_s if basis is None else basis(V_s))
+    vals[list(skip)] = math.nan
+    return vals, [(part[i], exc) for i, exc in skip.items()]
+
+
 def map_chunks(units: np.ndarray, stack, X: np.ndarray, n_s: int, basis=None):
     """The determinant ratio ``det_ratio(X, L)`` at every row of ``units``,
     CHUNK rows at a time: ``stack(rows)`` builds the matrices, whose stable
     bases (of dimension n_s) come from ``stable_eigvecs``, and L is that
     basis, or ``basis`` of it.
 
+    The chunks run on a thread pool of min(chunks, ``_cpus()``) workers (one
+    chunk, or one CPU, runs without a pool): numpy's stacked LAPACK calls
+    release the GIL.  ``stack`` and ``basis`` must therefore be safe to call
+    from several threads at once.  Each row's value depends on its chunk
+    only, and results are gathered in chunk order, so the output is the same,
+    bit for bit, whatever the number of workers.
+
     Returns ``(ratios, skipped)``: a row whose stable split raised
     NearImaginaryEigenvalue is NaN and listed in ``skipped`` as
     ``(row, exception)``, in row order.  A row with other than n_s stable
-    eigenvalues raises SpectralCountMismatch naming the row.
+    eigenvalues raises SpectralCountMismatch naming the row; when several
+    chunks raise, the first in row order does.
     """
-    out = np.empty(len(units))
-    skipped = []
-    for start in range(0, len(units), CHUNK):
-        part = units[start : start + CHUNK]
-        try:
-            V_s, skip = stable_eigvecs(stack(part), n_s)
-        except SpectralCountMismatch as exc:
-            raise SpectralCountMismatch(f"{tuple(part[exc.row].tolist())}: {exc}") from exc
-        vals = det_ratio(X, V_s if basis is None else basis(V_s))
-        for i, exc in skip.items():
-            vals[i] = math.nan
-            skipped.append((part[i], exc))
-        out[start : start + len(part)] = vals
-    return out, skipped
+    run = functools.partial(_map_chunk, stack=stack, X=X, n_s=n_s, basis=basis)
+    parts = [units[start : start + CHUNK] for start in range(0, len(units), CHUNK)]
+    workers = min(len(parts), _cpus())
+    if workers <= 1:
+        results = list(map(run, parts))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(run, parts))
+    out = np.concatenate([vals for vals, _ in results]) if results else np.empty(0)
+    return out, [row for _, skip in results for row in skip]
 
 
 def gkc_ratios(
@@ -498,8 +540,8 @@ def check_gkc(
         raise AssumptionViolated("the conjugate half of the GKC grid needs real matrices")
     units = directions(sys.d + 2, spec)
     vals, failures = gkc_ratios(sys, frame, units)
-    ratios, best, best_point = _collect(units, vals, sys.d)
-    sub = [(p, v) for p, v in ratios if v <= C_THRESHOLD]
+    points, values, best, best_point = _collect(units, vals, sys.d)
+    sub = _subthreshold(points, values)
     log.debug("gkc: %d directions, %d skipped, minimum %.6g",
               len(units), len(failures), best)
 
@@ -524,7 +566,7 @@ def check_gkc(
     return GkcReport(
         min_ratio=best if math.isfinite(best) else 0.0,
         argmin_point=best_point,
-        samples=len(ratios),
+        samples=len(values),
         includes_eta_infinity=eta_inf_error is None,
         eta_inf_min_ratio=eta_inf_min,
         eta_inf_skipped=eta_inf_skipped,
@@ -533,21 +575,27 @@ def check_gkc(
         c_threshold=C_THRESHOLD,
         subthreshold_points=sub,
         failures=failures,
-        ratios=ratios,
+        points=points,
+        values=values,
     )
 
 
 def _collect(units, vals, d):
-    """The (row, ratio) pairs of the rows not skipped (NaN), and the first
-    minimum with its point (inf and None when every row was skipped)."""
+    """The rows not skipped (NaN) and their ratios, and the first minimum
+    with its point (inf and None when every row was skipped)."""
     kept = ~np.isnan(vals)
     units, vals = units[kept], vals[kept]
-    # a point's as_tuple() is its unit row
-    ratios = list(zip(map(tuple, units.tolist()), vals.tolist()))
     if not vals.size:
-        return ratios, math.inf, None
+        return units, vals, math.inf, None
     i = int(np.argmin(vals))  # first occurrence, as a strict-< scan
-    return ratios, ratios[i][1], _unit_to_point(units[i], d)
+    # a point's as_tuple() is its unit row
+    return units, vals, float(vals[i]), _unit_to_point(units[i], d)
+
+
+def _subthreshold(points, values):
+    """The (row tuple, ratio) pairs with ratio <= C_THRESHOLD."""
+    low = values <= C_THRESHOLD
+    return _pairs(points[low], values[low])
 
 
 def _refine_minimum(sys, frame, spec, best, best_point):
@@ -565,10 +613,10 @@ def _refine_minimum(sys, frame, spec, best, best_point):
     u[:, -1] = np.maximum(u[:, -1], 0.0)
     u = u / np.linalg.norm(u, axis=1, keepdims=True)
     vals, failures = gkc_ratios(sys, frame, u)
-    ratios, val, point = _collect(u, vals, sys.d)
+    points, values, val, point = _collect(u, vals, sys.d)
     if val < best:
         best, best_point = val, point
-    return best, best_point, [(p, v) for p, v in ratios if v <= C_THRESHOLD], failures
+    return best, best_point, _subthreshold(points, values), failures
 
 
 def _eta_infinity_min_ratio(

@@ -214,8 +214,8 @@ def test_reports_are_byte_identical_across_runs(sys2x2_file, tmp_path):
     scen_file.write_text(json.dumps(scen_doc))
 
     def run_all(out):
-        common = ["--out", str(out), "--seed", "20240817"]
-        sampling = common + ["--resolution", "8", "--rim-points", "0"]
+        common = ["--out", str(out)]
+        sampling = common + ["--seed", "20240817", "--resolution", "8", "--rim-points", "0"]
         assert cli.main(["validate", sys2x2_file] + common) == 0
         assert cli.main(["gkc", sys2x2_file] + sampling) == 0
         assert cli.main(["reduce", sys2x2_file] + sampling) == 0

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, artifacts, and determinism."""
 
+import csv
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,6 +108,62 @@ class TestGkc:
         assert "the table holds 32" in capsys.readouterr().err
         assert _run(args + ["--rim-points", "0"]) == 0
         assert _read(tmp_path / "gkc.json")["samples"] == 1
+
+
+class TestGkcCsv:
+    """``gkc_samples.csv`` is written from the report's arrays with the bytes
+    ``csv.writer`` gives for the same rows."""
+
+    @staticmethod
+    def _csv_writer_bytes(header, points, values):
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(list(p) + [v] for p, v in zip(points.tolist(), values.tolist()))
+        return buf.getvalue().encode()
+
+    def test_bytes_equal_csv_writer(self, tmp_path, monkeypatch):
+        # 0.0, -0.0, 1e-300, 1e300 and values whose shortest repr needs 17
+        # digits, in blocks of 3 rows
+        monkeypatch.setattr(cli, "CSV_BLOCK", 3)
+        points = np.array([
+            [1.0, 0.0, 0.0], [0.1, 0.2, 1e-300], [1e-3, -0.0, 0.7],
+            [0.3, 2.0 / 3.0, 1e300], [np.pi, np.e, 0.1 + 0.2],
+            [0.5, 0.25, 0.125], [1e-17, 1.0, 2.0],
+        ])
+        values = np.array([0.0, 1e-300, 1.5, 1.0 / 3.0, 7e22, 123456.789, 1e-7])
+        report = SimpleNamespace(points=points, values=values)
+        cli._emit_gkc_csv(SimpleNamespace(out=str(tmp_path)), report, 1)
+        want = self._csv_writer_bytes(["re_xi", "im_xi", "eta", "ratio"], points, values)
+        assert (tmp_path / "gkc_samples.csv").read_bytes() == want
+
+    def test_cli_csv_is_the_report(self, sys2x2_file, tmp_path):
+        from relaxbc.spectral import SamplingSpec, build_kernel_frame, check_gkc
+
+        sys_obj = fixtures.example_system()
+        report = check_gkc(sys_obj, build_kernel_frame(sys_obj),
+                           SamplingSpec(resolution=8, rim_points=4))
+        assert list(report.ratios) == list(zip(
+            map(tuple, report.points.tolist()), report.values.tolist()))
+        assert len(report.ratios) == report.samples == len(report.points)
+        assert _run(["gkc", sys2x2_file, "--out", str(tmp_path),
+                     "--resolution", "8", "--rim-points", "4"]) == 0
+        want = self._csv_writer_bytes(
+            ["re_xi", "im_xi", "eta", "ratio"], report.points, report.values)
+        assert (tmp_path / "gkc_samples.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_seed_is_refused_where_nothing_samples(command, sys2x2_file, scen2x2_file, tmp_path):
+    argv = [command, sys2x2_file, "--out", str(tmp_path)]
+    if command == "simulate":
+        argv += ["--scenario", scen2x2_file, "--eps", "1e-2"]
+    with pytest.raises(SystemExit) as exc:
+        _run(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert _run(argv) == 0
+    report = _read(tmp_path / f"{command}.json")
+    assert "seed" not in report["provenance"]
 
 
 @pytest.mark.parametrize("command", ["gkc", "reduce"])

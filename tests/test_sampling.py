@@ -7,6 +7,7 @@ fields for skipped or unformed limits."""
 import dataclasses
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from scipy.spatial import cKDTree
 
 from oracles import dense_limit, dense_M, dense_m1, ratio, schur_stable_basis
 from relaxbc import reduction, spectral
-from relaxbc.errors import AssumptionViolated, ConfigError, SpectralCountMismatch
+from relaxbc.errors import (
+    AssumptionViolated, ConfigError, GkcFailed, SpectralCountMismatch,
+)
 from relaxbc.fixtures import example_system, random_admissible_bundle
 from relaxbc.linalg import stable_eigvecs
-from relaxbc.model import RelaxationSystem
+from relaxbc.model import RawSystem, RelaxationSystem, canonicalize, compute_indices
 from relaxbc.reduction import derive_all, eta_inf_ratios, ukc_ratios
 from relaxbc.spectral import (
     SOBOL_MAX_DIM,
@@ -348,20 +351,43 @@ class TestReportedGaps:
         # at Re xi = delta = 1e-12 the eigenvalues of M and M1 sit within the
         # axis tolerance, so the last Re xi slice of every grid is skipped
         spec = SamplingSpec(resolution=6, rim_points=0, delta=1e-12)
-        pipe = derive_all(example_system(), spec=spec)
+        sys_obj = example_system()
         units = xi_omega_directions(1, spec)
         rim = int(np.sum(units[:, 0] < 1e-6))
         assert rim > 0
-        assert pipe.rbc.ukc_skipped == rim
-        assert pipe.rbc.ukc_samples == len(units) - rim
-        assert pipe.rbc.to_dict()["ukc_skipped"] == rim
 
-        report = check_gkc(pipe.sys, pipe.frame, spec)
+        report = check_gkc(sys_obj, build_kernel_frame(sys_obj), spec)
         assert report.eta_inf_skipped == rim
         assert report.to_dict()["eta_inf_skipped"] == rim
         assert len(report.failures) > 0
         assert report.samples + len(report.failures) == len(directions(3, spec))
         assert report.min_ratio > 0.5 and not report.passed
+
+    def test_skipped_ukc_direction_fails_the_reduction(self):
+        # n1_+ = 1: the reduced condition has a row, and its certificate
+        # cannot rest on a sample with a skipped direction
+        spec = SamplingSpec(resolution=6, rim_points=0, delta=1e-12)
+        units = xi_omega_directions(1, spec)
+        rim = int(np.sum(units[:, 0] < 1e-6))
+        with pytest.raises(GkcFailed, match=f"{rim} of {len(units)} sampled directions were skipped"):
+            derive_all(example_system(), spec=spec)
+
+    def test_skipped_ukc_directions_are_counted_without_rows(self):
+        # A11 = -3 < 0: n1_+ = 0, the reduced condition has no rows and the
+        # UKC holds vacuously, so skipped directions are counted only
+        sys_obj = canonicalize(RawSystem(
+            A0=np.eye(2), A=(np.array([[-3.0, 1.0], [1.0, 1.0]]),),
+            Q=np.diag([0.0, -1.0]), B=np.array([[1.0, 1.0]]), d=1, n=2, r=1,
+        ))
+        assert compute_indices(sys_obj).n1_plus == 0
+        spec = SamplingSpec(resolution=6, rim_points=0, delta=1e-12)
+        units = xi_omega_directions(1, spec)
+        rim = int(np.sum(units[:, 0] < 1e-6))
+        assert rim > 0
+        rbc = derive_all(sys_obj, spec=spec).rbc
+        assert rbc.ukc_skipped == rim
+        assert rbc.ukc_samples == len(units) - rim
+        assert rbc.to_dict()["ukc_skipped"] == rim
 
     def test_skipped_refinement_points_are_failures(self, monkeypatch):
         # refining around a skipped grid point of the test above, at
@@ -401,3 +427,102 @@ class TestConjugateMirror:
         n = len(directions(3, SPEC8))
         assert report.samples == n
         assert f"gkc: {n} directions, 0 skipped, minimum " in caplog.text
+
+
+class TestPooledMap:
+    """``map_chunks`` runs its chunks on a thread pool; CHUNK is lowered so
+    that each sample spans several chunks."""
+
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """Run ``fn`` with the pool forced to ``cpus`` workers; returns its
+        result and the number of pools started."""
+        monkeypatch.setattr(spectral, "CHUNK", 8)
+        started = []
+
+        class Counting(spectral.ThreadPoolExecutor):
+            def __init__(self, workers):
+                started.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(spectral, "ThreadPoolExecutor", Counting)
+
+        def run(cpus, fn, *args):
+            started.clear()
+            monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+            return fn(*args), list(started)
+
+        return run
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_stacks_equal_the_serial_loop(self, pooled, random_bundles, zero_speed_bundle):
+        spec = SamplingSpec(resolution=6, rim_points=4)
+        b3 = next(b for b in random_bundles if b.sys.d == 3)
+        for b in (b3, zero_speed_bundle):
+            grid = directions(b.sys.d + 2, spec)
+            shared = xi_omega_directions(b.sys.d, spec)
+            assert min(len(grid), len(shared)) >= 3 * spectral.CHUNK
+            for fn, args in (
+                (gkc_ratios, (b.sys, b.frame, grid)),
+                (eta_inf_ratios, (b.sys, b.frame, b.eq, b.data, shared)),
+                (ukc_ratios, (b.sys, b.eq, b.rbc.coefficient, shared)),
+            ):
+                serial, none = pooled(1, fn, *args)
+                pool, started = pooled(4, fn, *args)
+                assert none == [] and started == [4]
+                if fn is gkc_ratios:
+                    assert pool[1] == serial[1]
+                    serial, pool = serial[0], pool[0]
+                assert self._same_bits(pool, serial)
+
+    def test_skipped_rows_keep_row_order_across_chunks(self, pooled, pipe2x2):
+        # M1 = -xi / Lam1 on the 2x2 example: a row with Re xi = 1e-12 puts
+        # its eigenvalue on the axis and is skipped; plant such rows in
+        # several chunks
+        t = np.linspace(-1.5, 1.5, 60)
+        units = np.column_stack([np.cos(t), np.sin(t)])
+        planted = np.arange(3, len(units), 11)
+        units[planted, 0] = 1e-12
+        assert len(np.unique(planted // spectral.CHUNK)) >= 3
+        p = pipe2x2
+        args = (units, reduction._M1_stack(p.sys, p.eq), p.rbc.coefficient @ p.eq.P1, 1)
+        serial, _ = pooled(1, spectral.map_chunks, *args)
+        (vals, skipped), started = pooled(2, spectral.map_chunks, *args)
+        assert started == [2]
+        assert np.array_equal(np.flatnonzero(np.isnan(vals)), planted)
+        assert np.array_equal(np.array([row for row, _ in skipped]), units[planted])
+        assert all("imaginary axis" in str(exc) for _, exc in skipped)
+        assert self._same_bits(vals, serial[0])
+
+    def test_count_mismatch_in_a_later_chunk_names_its_row(self, pooled):
+        # an anti-damped Q leaves one stable eigenvalue where eta > Re xi;
+        # the first such row lies in the fourth chunk, another in the sixth
+        sys_obj = _plain(np.diag([0.0, 1.0]), np.zeros((2, 2)), np.eye(2))
+        frame = build_kernel_frame(sys_obj)
+        units = np.zeros((6 * spectral.CHUNK, 4))
+        units[:, 0] = 1.0
+        units[:, 1] = np.linspace(-1.0, 1.0, len(units))
+        first, later = 3 * spectral.CHUNK + 5, 5 * spectral.CHUNK + 1
+        units[first] = [1.0, 0.0, 0.0, 2.0]
+        units[later] = [1.0, 0.0, 0.0, 3.0]
+        for cpus in (1, 3):
+            with pytest.raises(SpectralCountMismatch) as exc:
+                pooled(cpus, gkc_ratios, sys_obj, frame, units)
+            assert str(exc.value).startswith("(1.0, 0.0, 0.0, 2.0): 1 stable")
+
+    def test_single_chunk_starts_no_threads(self, pooled, pipe2x2, monkeypatch):
+        def refuse(workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(spectral, "ThreadPoolExecutor", refuse)
+        point = _unit_to_point(np.array([1.0, 0.5, 0.2]), 1)
+        value, _ = pooled(4, gkc_ratio, pipe2x2.sys, pipe2x2.frame, point)
+        assert value == pytest.approx(
+            _scalar_gkc(pipe2x2.sys, pipe2x2.frame, [[1.0, 0.5, 0.2]])[0], rel=REL
+        )
+
+    def test_cpus_is_the_affinity_mask(self):
+        assert spectral._cpus() == len(os.sched_getaffinity(0))
