@@ -5,6 +5,8 @@ system file (JSON) and emitting a machine report (JSON), CSV data files, and a
 human-readable summary on stdout.
 
 Exit codes: 0 pass, 1 check failed, 2 config/parse error, 3 numerical failure.
+A failed GKC sample and a failed UKC certificate of the reduced condition
+(``GkcFailed``) are failed checks: ``reduce`` reports them in ``reduce.json``.
 The environment variable ``RELAXBC_LOG`` selects the logging verbosity.
 Machine reports exclude wall-clock timings so that rerunning with an identical
 configuration and seed reproduces them byte for byte.
@@ -30,7 +32,7 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ParseError, RelaxbcError
+from .errors import ConfigError, GkcFailed, ParseError, RelaxbcError
 from .model import (
     check_sk_condition,
     compute_indices,
@@ -406,7 +408,17 @@ def cmd_reduce(args) -> int:
         _write_json(os.path.join(args.out, "reduce.json"), out)
         return EXIT_CHECK_FAILED
 
-    pipeline = derive_all(sys_obj, spec=spec)
+    try:
+        pipeline = derive_all(sys_obj, spec=spec)
+    except GkcFailed as exc:
+        print(f"UKC certificate failed: {exc}")
+        out = {
+            "gkc": gkc_doc,
+            "ukc": {"passed": False, "error": str(exc)},
+            "provenance": _provenance(doc, seed=args.seed, forced=bool(args.force)),
+        }
+        _write_json(os.path.join(args.out, "reduce.json"), out)
+        return EXIT_CHECK_FAILED
     rbc, closure = pipeline.rbc, pipeline.closure
 
     out = {
@@ -505,7 +517,11 @@ def cmd_converge(args) -> int:
     if not gkc_passed and not args.force:
         print("GKC sample check failed; refusing to run (use --force)")
         return EXIT_CHECK_FAILED
-    pipeline = derive_all(sys_obj, spec=spec)
+    try:
+        pipeline = derive_all(sys_obj, spec=spec)
+    except GkcFailed as exc:
+        print(f"UKC certificate failed: {exc}; refusing to run")
+        return EXIT_CHECK_FAILED
 
     study = run_convergence_study(
         pipeline.sys, pipeline.frame, pipeline.eq, pipeline.data,

@@ -47,6 +47,12 @@ class EpsLayer:
     R2S: np.ndarray
     _evaluator: ExpActionEvaluator | None = None
 
+    def __post_init__(self):
+        # built here, not on the first evaluate: the stiff runs of a
+        # convergence study evaluate one layer from several threads
+        if self._evaluator is None:
+            self._evaluator = ExpActionEvaluator(self.M2)
+
     @property
     def mode_count(self) -> int:
         return self.R2S.shape[1]
@@ -57,8 +63,6 @@ class EpsLayer:
         n = self.amplitude.shape[0]
         if self.mode_count == 0 or self.M2.shape[0] == 0:
             return np.zeros((y.size, n))
-        if self._evaluator is None:
-            self._evaluator = ExpActionEvaluator(self.M2)
         w0 = self.R2S @ np.atleast_1d(w_s)
         w = self._evaluator.apply(y, w0)  # (len(y), dim)
         return np.real(w) @ self.amplitude.T

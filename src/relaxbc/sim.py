@@ -22,8 +22,10 @@ condition in closed form, with no time stepping.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -55,6 +57,7 @@ from .reduction import (
     ReductionData,
     solve_closure,
 )
+from .pool import thread_map, workers
 from .spectral import KernelFrame
 from .stepping import csr_product, cycle_operator, time_levels
 from .tolerances import (
@@ -99,6 +102,7 @@ class SimResult:
     boundary_values: np.ndarray | None = None  # trace of the state at x = 0
     boundary_cond: float | None = None  # conditioning of the inflow extraction
     node_steps: int | None = None  # node updates the stiff solver made
+    cycles: int | None = None  # local-time-stepping cycles of the stiff solver
 
     def boundary_interp(self):
         ts, vs = self.boundary_times, self.boundary_values
@@ -123,18 +127,34 @@ def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = 1.05)
             raise ConfigError(f"graded_mesh {name} must be finite and positive, got {value!r}")
     if not (math.isfinite(ratio) and ratio >= 1):
         raise ConfigError(f"graded_mesh ratio must be finite and at least 1, got {ratio!r}")
-    xs = [0.0]
-    dx = dx_min
-    while xs[-1] + dx < x_max:
-        xs.append(xs[-1] + dx)
-        dx = min(dx * ratio, dx_max)
+    # cell k > 0 is min(dx_min ratio^k, dx_max), cell 0 is dx_min, and the
+    # nodes are their running sum up to the first that reaches x_max:
+    # products and sums in sequence, as a loop over the cells makes them.
+    # At most x_max / dx_min cells are shorter than dx_max, and about
+    # log(dx_max / dx_min) / log(ratio) of them grow; the count is doubled
+    # until the nodes reach x_max
+    count = math.ceil(x_max / dx_max) + 2
+    if dx_min < dx_max:
+        grow = math.log(dx_max / dx_min) / math.log(ratio) if ratio > 1 else math.inf
+        count += math.ceil(min(grow, x_max / dx_min))
+    while True:
+        cells = np.full(count, ratio, dtype=float)
+        cells[0] = dx_min
+        with np.errstate(over="ignore"):  # a product past dx_max is clipped
+            np.cumprod(cells, out=cells)
+        np.minimum(cells, dx_max, out=cells)
+        cells[0] = dx_min
+        nodes = np.concatenate([[0.0], np.cumsum(cells)])
+        if nodes[-1] >= x_max:
+            break
+        count *= 2
+    xs = nodes[: np.searchsorted(nodes, x_max)]
     # the smallest cell sets the time step: a remainder short of dx_min by
     # more than round-off would shrink it below dx_min
-    if len(xs) > 1 and x_max - xs[-1] < dx_min * (1.0 - MESH_ROUNDOFF_REL):
+    if xs.size > 1 and x_max - xs[-1] < dx_min * (1.0 - MESH_ROUNDOFF_REL):
         xs[-1] = x_max
-    else:
-        xs.append(x_max)
-    return np.asarray(xs)
+        return xs
+    return np.append(xs, x_max)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -279,7 +299,6 @@ def solve_relaxation(
     else:
         U[:, n - sys.r :] = 0.0
 
-    chi = (U @ R).ravel()
     times = np.arange(steps + 1, dtype=float)
     times *= dt
     trace = np.empty((steps + 1, n))
@@ -292,7 +311,14 @@ def solve_relaxation(
         )
     h, g = H.shape[0], G.shape[1] - H.shape[1]
     traces = trace[1:].reshape(cycles, cycle * n)
-    product, nxt = csr_product(C), np.empty_like(chi)
+    # the state alternates between two buffers; a pass is the product from
+    # one into the other, the head chi[:g] it starts from and the forced
+    # rows chi[:h] it ends in, bound once, so a cycle slices nothing
+    a = (U @ R).ravel()
+    b = np.empty_like(a)
+    passes = itertools.cycle(
+        [(csr_product(C, a, b), a[:g], b[:h]), (csr_product(C, b, a), b[:g], a[:h])]
+    )
     # a block of cycles at a time holds its forcing H beta and its inputs
     # (chi[:g] at the cycle start, beta) to the traces G (head, beta);
     # einsum, not BLAS, whose threads would spin against the loop
@@ -301,15 +327,17 @@ def solve_relaxation(
         forcing = np.einsum("ck,hk->ch", beta[part], H)
         inputs = np.empty((forcing.shape[0], G.shape[1]))
         inputs[:, g:] = beta[part]
-        for head, f in zip(inputs, forcing):
-            head[:g] = chi[:g]
-            chi, nxt = product(chi, nxt), chi
-            chi[:h] += f
+        # zip draws from ``passes`` last, so a block's end loses no pass
+        for head, f, (advance, start, forced) in zip(inputs[:, :g], forcing, passes):
+            head[:] = start
+            advance()
+            forced += f
         np.einsum("ck,ik->ci", inputs, G, out=traces[part])
+    chi = (a, b)[cycles % 2]
     return SimResult(
         x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
         dt=dt, eps=eps, boundary_times=times, boundary_values=trace,
-        boundary_cond=boundary_cond, node_steps=node_steps,
+        boundary_cond=boundary_cond, node_steps=node_steps, cycles=cycles,
     )
 
 
@@ -547,6 +575,17 @@ def run_convergence_study(
     stiff runs start from well-prepared data that already carry the eps-layer
     at its t = 0 amplitude, so the measured gap is the expansion error rather
     than an initial-relaxation transient.
+
+    The runs at different eps are independent: each (well-prepared data,
+    ``solve_relaxation``, composites, errors) is one item of
+    ``pool.thread_map``, one thread per CPU in the affinity mask, the
+    smallest eps submitted first.  The sparse product of the stiff loop
+    releases the GIL.  Results are gathered in eps order, so the study is
+    the same, bit for bit, on any number of CPUs, and when several runs
+    raise, the first in eps order does.  With ``RELAXBC_LOG=debug`` the study
+    logs one line after gathering: the thread count, then each eps with its
+    wall time, node-steps and cycles; the per-run lines of
+    ``solve_relaxation``, written from the worker threads, may interleave.
     """
     idx = compute_indices(sys)
     layer0 = build_eps_layer(sys, frame, data)
@@ -568,55 +607,62 @@ def run_convergence_study(
         closure, sys, scenario.b(0.0), u0_at_0, idx.n10
     )
 
-    errors, outer_errors, control_errors = [], [], []
-    details = {"per_eps": []}
     n1 = sys.n - sys.r
-    for eps in eps_list:
+
+    def at(eps):
+        """The stiff run at eps from its well-prepared data, and its errors:
+        ``(per_eps entry, wall seconds, cycles)``."""
+        start = time.perf_counter()
+        stiff_scenario = scenario
         if np.size(w_s0):
-            def u0_eps(x, _e=eps):
+            def u0_eps(x):
                 base = np.atleast_2d(scenario.u0(x).T).T
-                return base + layer0.evaluate(x / _e, w_s0)[:, :n1]
-            def v0_eps(x, _e=eps):
+                return base + layer0.evaluate(x / eps, w_s0)[:, :n1]
+            def v0_eps(x):
                 if scenario.v0 is not None:
                     base = np.atleast_2d(scenario.v0(x).T).T
                 else:
                     base = np.zeros((np.size(x), sys.r))
-                return base + layer0.evaluate(x / _e, w_s0)[:, n1:]
+                return base + layer0.evaluate(x / eps, w_s0)[:, n1:]
             stiff_scenario = Scenario(
                 b=scenario.b, u0=u0_eps, v0=v0_eps,
                 T=scenario.T, x_max=scenario.x_max,
             )
-        else:
-            stiff_scenario = scenario
         stiff = solve_relaxation(sys, stiff_scenario, eps, dx_max=dx_max)
         comp = composite_at_final_time(sys, layers, stiff.x, eps)
-        err = measure_error(stiff, comp)
-        errors.append(err)
         # against the bare outer solution (ubar; 0): same rate away from the
         # boundary layers, slower globally
         outer = np.zeros_like(stiff.U)
         outer[:, :n1] = layers.outer_on(stiff.x)
-        outer_err = measure_error(stiff, outer)
-        outer_errors.append(outer_err)
         entry = {
             "eps": float(eps),
-            "error": float(err),
-            "outer_error": float(outer_err),
+            "error": float(measure_error(stiff, comp)),
+            "outer_error": float(measure_error(stiff, outer)),
             "steps": stiff.steps,
             "nodes": int(stiff.x.size),
             "node_steps": stiff.node_steps,
         }
         if control is not None:
             ctrl = composite_at_final_time(sys, control, stiff.x, eps)
-            cerr = l2_error(stiff.x, stiff.U, ctrl)
-            control_errors.append(cerr)
-            entry["control_error"] = float(cerr)
-        details["per_eps"].append(entry)
+            entry["control_error"] = float(l2_error(stiff.x, stiff.U, ctrl))
+        return entry, time.perf_counter() - start, stiff.cycles
 
+    # the smallest eps takes the most cycles: submitted first, it is not
+    # left to run alone at the end
+    costliest = sorted(range(len(eps_list)), key=lambda i: eps_list[i])
+    runs = thread_map(at, eps_list, order=costliest)
+    per_eps = [entry for entry, _, _ in runs]
+    log.debug("convergence study on %d threads: %s", workers(len(runs)), "; ".join(
+        f"eps {e['eps']:g} {wall:.3f} s, {e['node_steps']} node-steps, {cycles} cycles"
+        for e, wall, cycles in runs
+    ))
+    errors = [e["error"] for e in per_eps]
+    outer_errors = [e["outer_error"] for e in per_eps]
     slope, fit_residual = _fit_slope(eps_list, errors)
     outer_slope, _ = _fit_slope(eps_list, outer_errors)
-    cslope = None
+    control_errors = cslope = None
     if control is not None:
+        control_errors = [e["control_error"] for e in per_eps]
         cslope, _ = _fit_slope(eps_list, control_errors)
     return ConvergenceStudy(
         eps=list(eps_list),
@@ -626,10 +672,10 @@ def run_convergence_study(
         outer_errors=outer_errors,
         outer_slope=outer_slope,
         control_applicable=applicable,
-        control_errors=control_errors if control is not None else None,
+        control_errors=control_errors,
         control_slope=cslope,
         degenerate=slope is None,
-        details=details,
+        details={"per_eps": per_eps},
     )
 
 

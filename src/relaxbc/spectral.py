@@ -13,8 +13,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +33,7 @@ from .linalg import (
     stable_eigvecs,
 )
 from .model import RelaxationSystem, check_sk_condition, compute_indices, split_speeds
+from .pool import thread_map
 from .tolerances import C_THRESHOLD, FRAME_KERNEL_REL, spectral_norm
 
 log = logging.getLogger(__name__)
@@ -450,14 +449,6 @@ def det_ratio(X: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.divide(num, vol, out=np.zeros_like(num), where=vol > 0)
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on: its affinity mask, which
-    ``taskset`` or a cgroup cpuset restricts."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _map_chunk(part: np.ndarray, stack, X: np.ndarray, n_s: int, basis):
     """``map_chunks`` on the rows of one chunk: ``(ratios, skipped)``."""
     try:
@@ -475,7 +466,7 @@ def map_chunks(units: np.ndarray, stack, X: np.ndarray, n_s: int, basis=None):
     bases (of dimension n_s) come from ``stable_eigvecs``, and L is that
     basis, or ``basis`` of it.
 
-    The chunks run on a thread pool of min(chunks, ``_cpus()``) workers (one
+    The chunks run through ``pool.thread_map`` (one thread per CPU; one
     chunk, or one CPU, runs without a pool): numpy's stacked LAPACK calls
     release the GIL.  ``stack`` and ``basis`` must therefore be safe to call
     from several threads at once.  Each row's value depends on its chunk
@@ -490,12 +481,7 @@ def map_chunks(units: np.ndarray, stack, X: np.ndarray, n_s: int, basis=None):
     """
     run = functools.partial(_map_chunk, stack=stack, X=X, n_s=n_s, basis=basis)
     parts = [units[start : start + CHUNK] for start in range(0, len(units), CHUNK)]
-    workers = min(len(parts), _cpus())
-    if workers <= 1:
-        results = list(map(run, parts))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(run, parts))
+    results = thread_map(run, parts)
     out = np.concatenate([vals for vals, _ in results]) if results else np.empty(0)
     return out, [row for _, skip in results for row in skip]
 

@@ -7,6 +7,8 @@ of 2^K finest steps, inflow solves and boundary traces included, which
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
@@ -107,28 +109,34 @@ def step_operator(lam, R, pos, neg, dx, dt, level, E, r, nodes=None, replace=Non
     return sp.csr_matrix((data, indices, indptr), shape=(m * n, nx * n))
 
 
-def csr_product(C):
-    """The product with a CSR matrix C of float64 entries as a function
-    ``apply(x, out)`` that writes C x into the preallocated vector ``out``.
+def csr_product(C, x: np.ndarray, out: np.ndarray):
+    """The product with a CSR matrix C of float64 entries from the vector
+    ``x`` into the vector ``out``, as a function ``apply()`` that writes
+    C x into ``out`` and returns ``out``.
 
     ``apply`` calls scipy's ``_sparsetools.csr_matvec``, the kernel that
     ``C @ x`` ends in, so its result is that of ``C @ x`` bit for bit.  The
     stiff time loop takes one product per cycle, and on the cycle matrices
     of a convergence study (1,600 to 12,000 rows) the argument checks,
     dispatch and output allocation of ``@`` add 7-30% to the product.  The
-    kernel is private scipy: it reads no shapes, so ``apply`` checks them,
-    and a test pins it against ``C @ x``."""
+    kernel is private scipy and reads no shapes, so C, ``x`` and ``out`` are
+    checked here, once: a loop that alternates two state buffers binds one
+    ``apply`` each way.  A test pins the kernel against ``C @ x``."""
     if C.format != "csr" or C.dtype != np.float64:
         raise TypeError(f"expected a float64 CSR matrix, got {C.format} {C.dtype}")
     m, k = C.shape
-    indptr, indices, data = C.indptr, C.indices, C.data
-    kernel = _sparsetools.csr_matvec
+    for name, v, size in (("x", x, k), ("out", out, m)):
+        if v.shape != (size,) or v.dtype != np.float64 or not v.flags.c_contiguous:
+            raise ValueError(f"C is {m} x {k}; {name} is {v.dtype} {v.shape}")
+    if not out.flags.writeable or np.shares_memory(x, out):
+        raise ValueError("out must be writeable and must not overlap x")
+    kernel = functools.partial(
+        _sparsetools.csr_matvec, m, k, C.indptr, C.indices, C.data, x, out
+    )
 
-    def apply(x, out):
-        if x.shape != (k,) or out.shape != (m,):
-            raise ValueError(f"C is {m} x {k}; x is {x.shape}, out {out.shape}")
+    def apply():
         out.fill(0.0)  # the kernel adds C x to out
-        kernel(m, k, indptr, indices, data, x, out)
+        kernel()
         return out
 
     return apply

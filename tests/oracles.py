@@ -1,12 +1,13 @@
 """Dense per-point oracles for the frequency symbols and their determinant
 ratios, built from the system matrices without the package's builders:
 M from a dense G and the frame's R0/R1, M1 from a dense C(omega), stable
-bases from ``scipy.linalg.schur``."""
+bases from ``scipy.linalg.schur``; and the cell-by-cell loop that built the
+stiff solver's graded mesh before it was vectorised."""
 
 import numpy as np
 import scipy.linalg as sla
 
-from relaxbc.tolerances import tau_axis
+from relaxbc.tolerances import MESH_ROUNDOFF_REL, tau_axis
 
 
 def dense_M(sys_obj, frame, xi, omega, eta):
@@ -65,3 +66,20 @@ def ratio(X, L):
     """|det(X L)| / sqrt(det(L^* L))."""
     den = np.sqrt(max(np.linalg.det(L.conj().T @ L).real, 0.0))
     return 0.0 if den == 0.0 else abs(np.linalg.det(X @ L)) / den
+
+
+def graded_mesh_loop(x_max, dx_min, dx_max, ratio=1.05):
+    """``sim.graded_mesh`` one cell at a time, without its argument guards:
+    cells grow by ``ratio`` from dx_min up to dx_max until the next node
+    would reach x_max, and a remainder short of dx_min (beyond round-off) is
+    merged into the last cell."""
+    xs = [0.0]
+    dx = dx_min
+    while xs[-1] + dx < x_max:
+        xs.append(xs[-1] + dx)
+        dx = min(dx * ratio, dx_max)
+    if len(xs) > 1 and x_max - xs[-1] < dx_min * (1.0 - MESH_ROUNDOFF_REL):
+        xs[-1] = x_max
+    else:
+        xs.append(x_max)
+    return np.asarray(xs)

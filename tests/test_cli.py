@@ -202,6 +202,46 @@ class TestReduce:
         ).read_bytes()
 
 
+class TestFailedUkcCertificate:
+    """A reduced condition whose UKC certificate fails (``GkcFailed`` from
+    ``derive_all``) is a failed check, as a failed GKC sample is: exit 1,
+    and ``reduce`` writes its report; here every certificate direction is
+    skipped, as if an eigenvalue of M1 lay on the axis."""
+
+    @pytest.fixture(autouse=True)
+    def skip_every_direction(self, monkeypatch):
+        from relaxbc import reduction
+
+        monkeypatch.setattr(
+            reduction, "ukc_ratios",
+            lambda sys_obj, eq, coeff, units: np.full(len(units), np.nan),
+        )
+
+    def test_reduce_reports_both_verdicts(self, sys2x2_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run(
+            ["reduce", sys2x2_file, "--out", str(out), "--resolution", "8",
+             "--rim-points", "0"]
+        ) == 1
+        report = _read(out / "reduce.json")
+        assert report["gkc"]["passed"] is True
+        assert report["ukc"]["passed"] is False
+        assert "uniform Kreiss condition not certified" in report["ukc"]["error"]
+        assert "reduced_bc" not in report and "closure" not in report
+        assert report["provenance"]["forced"] is False
+        assert "UKC certificate failed" in capsys.readouterr().out
+
+    def test_converge_refuses(self, sys2x2_file, scen2x2_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run(
+            ["converge", sys2x2_file, "--scenario", scen2x2_file,
+             "--out", str(out), "--resolution", "8", "--rim-points", "0",
+             "--force"]
+        ) == 1
+        assert not (out / "converge.json").exists()
+        assert "UKC certificate failed" in capsys.readouterr().out
+
+
 class TestSimulate:
     def test_artifacts(self, sys2x2_file, scen2x2_file, tmp_path):
         out = tmp_path / "out"

@@ -14,7 +14,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from oracles import dense_limit, dense_M, dense_m1, ratio, schur_stable_basis
-from relaxbc import reduction, spectral
+from relaxbc import pool, reduction, spectral
 from relaxbc.errors import (
     AssumptionViolated, ConfigError, GkcFailed, SpectralCountMismatch,
 )
@@ -440,16 +440,16 @@ class TestPooledMap:
         monkeypatch.setattr(spectral, "CHUNK", 8)
         started = []
 
-        class Counting(spectral.ThreadPoolExecutor):
+        class Counting(pool.ThreadPoolExecutor):
             def __init__(self, workers):
                 started.append(workers)
                 super().__init__(workers)
 
-        monkeypatch.setattr(spectral, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", Counting)
 
         def run(cpus, fn, *args):
             started.clear()
-            monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+            monkeypatch.setattr(pool, "cpus", lambda: cpus)
             return fn(*args), list(started)
 
         return run
@@ -471,12 +471,12 @@ class TestPooledMap:
                 (ukc_ratios, (b.sys, b.eq, b.rbc.coefficient, shared)),
             ):
                 serial, none = pooled(1, fn, *args)
-                pool, started = pooled(4, fn, *args)
+                threaded, started = pooled(4, fn, *args)
                 assert none == [] and started == [4]
                 if fn is gkc_ratios:
-                    assert pool[1] == serial[1]
-                    serial, pool = serial[0], pool[0]
-                assert self._same_bits(pool, serial)
+                    assert threaded[1] == serial[1]
+                    serial, threaded = serial[0], threaded[0]
+                assert self._same_bits(threaded, serial)
 
     def test_skipped_rows_keep_row_order_across_chunks(self, pooled, pipe2x2):
         # M1 = -xi / Lam1 on the 2x2 example: a row with Re xi = 1e-12 puts
@@ -517,7 +517,7 @@ class TestPooledMap:
         def refuse(workers):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(spectral, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", refuse)
         point = _unit_to_point(np.array([1.0, 0.5, 0.2]), 1)
         value, _ = pooled(4, gkc_ratio, pipe2x2.sys, pipe2x2.frame, point)
         assert value == pytest.approx(
@@ -525,4 +525,4 @@ class TestPooledMap:
         )
 
     def test_cpus_is_the_affinity_mask(self):
-        assert spectral._cpus() == len(os.sched_getaffinity(0))
+        assert pool.cpus() == len(os.sched_getaffinity(0))

@@ -10,7 +10,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from relaxbc import fixtures, sim, stepping
+from oracles import graded_mesh_loop
+from relaxbc import fixtures, pool, sim, stepping
 from relaxbc.errors import ConfigError, GridMismatch, UnresolvedLayerWarning
 from relaxbc.model import RelaxationSystem
 from relaxbc.reduction import derive_all
@@ -26,7 +27,7 @@ from relaxbc.sim import (
     solve_equilibrium,
     solve_relaxation,
 )
-from relaxbc.tolerances import tau_eig
+from relaxbc.tolerances import MESH_ROUNDOFF_REL, tau_eig
 
 
 def _bump(x, center=1.0, width=0.05):
@@ -271,6 +272,57 @@ class TestGradedMesh:
     def test_args_that_never_end_the_mesh_are_refused(self, name, args):
         with pytest.raises(ConfigError, match=name):
             graded_mesh(*args)
+
+    @staticmethod
+    def _same_bits(x, *args):
+        want = graded_mesh_loop(*args)
+        return x.dtype == want.dtype and x.tobytes() == want.tobytes()
+
+    def test_matches_the_cell_loop_bit_for_bit(self, pipe2x2, pipe3):
+        # every mesh of both converge fixtures' studies (the default ladder
+        # and the dx_max of the benchmark) and of solve_relaxation's default
+        for eps in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5):
+            for dx_max in (5e-4, 1e-3, 2e-3):
+                args = (2.0, eps / 4.0, max(dx_max, eps / 4.0), 1.05)
+                assert self._same_bits(graded_mesh(*args), *args), args
+        for pipe, scen in (
+            (pipe2x2, fixtures.example_scenario(T=0.5, x_max=2.0)),
+            (pipe3, fixtures.scenario_double_characteristic(pipe3.sys)),
+        ):
+            res = solve_relaxation(pipe.sys, scen, 3e-4, dx_max=5e-4)
+            args = (scen.x_max, 3e-4 / 4.0, 5e-4, 1.05)
+            assert self._same_bits(res.x, *args)
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 1e-2, 1e-2, 1.0),  # ratio 1: uniform
+        (1.0, 1e-3, 1e-2, 1.0),  # ratio 1 below dx_max: dx_min throughout
+        (0.5, 1e-3, 1e-2, 3.0),  # cells reach dx_max at once
+        (1e-3, 1e-2, 1e-2, 1.05),  # x_max < dx_min: one cell
+        (1e-3, 1e-2, 1e-1, 1.05),
+        (2.0, 1e-2, 1e-3, 1.05),  # dx_min above dx_max
+        (2.0, 1e-5, 1e-2, 1.0 + 1e-9),  # cells that barely grow
+        (7.3, 1e-300, 1.0, 1e300),  # products past the float range
+    ])
+    def test_edge_cases_match_the_cell_loop(self, args):
+        assert self._same_bits(graded_mesh(*args), *args)
+
+    def test_remainder_at_the_round_off_limit(self):
+        # uniform cells of 0.1: the merge threshold sits at dx_min (1 - 1e-9)
+        # past the last node below x_max; x_max steps across it by ulps
+        dx = 0.1
+        base = graded_mesh_loop(1.0, dx, dx, 1.0)[-2]
+        limit = base + dx * (1.0 - MESH_ROUNDOFF_REL)
+        merged = set()
+        x_max = limit
+        for _ in range(6):
+            x_max = np.nextafter(x_max, 0.0)
+        for _ in range(12):
+            args = (float(x_max), dx, dx, 1.0)
+            x = graded_mesh(*args)
+            assert self._same_bits(x, *args), args
+            merged.add(x.size)
+            x_max = np.nextafter(x_max, np.inf)
+        assert len(merged) == 2  # both sides of the threshold were hit
 
     def test_zero_eps_is_refused(self, pipe2x2):
         with pytest.raises(ConfigError, match="dx_min"):
@@ -533,24 +585,32 @@ class TestCsrProduct:
         rng = np.random.default_rng(5)
         random = sp.random(300, 200, density=0.05, format="csr", random_state=rng)
         for C in (self._cycle_matrix(sys3), random):
-            apply = stepping.csr_product(C)
+            x = np.empty(C.shape[1])
             out = np.full(C.shape[0], np.nan)  # stale contents are overwritten
+            apply = stepping.csr_product(C, x, out)
             for _ in range(3):
-                x = rng.normal(size=C.shape[1])
-                assert apply(x, out) is out
+                x[:] = rng.normal(size=C.shape[1])
+                assert apply() is out
                 np.testing.assert_array_equal(out, C @ x)
 
     def test_refuses_what_the_kernel_cannot_check(self):
         C = sp.random(4, 3, density=0.5, format="csr", random_state=0)
-        apply = stepping.csr_product(C)
         with pytest.raises(ValueError, match="4 x 3"):
-            apply(np.zeros(4), np.zeros(4))
+            stepping.csr_product(C, np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError, match="4 x 3"):
-            apply(np.zeros(3), np.zeros(3))
+            stepping.csr_product(C, np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="4 x 3"):
+            stepping.csr_product(C, np.zeros(3, dtype=np.float32), np.zeros(4))
+        with pytest.raises(ValueError, match="4 x 3"):
+            stepping.csr_product(C, np.zeros(3), np.zeros(8)[::2])
+        square = sp.random(4, 4, density=0.5, format="csr", random_state=0)
+        state = np.zeros(4)
+        with pytest.raises(ValueError, match="overlap"):
+            stepping.csr_product(square, state, state)
         with pytest.raises(TypeError, match="CSR"):
-            stepping.csr_product(C.tocsc())
+            stepping.csr_product(C.tocsc(), np.zeros(3), np.zeros(4))
         with pytest.raises(TypeError, match="float64"):
-            stepping.csr_product(C.astype(np.complex128))
+            stepping.csr_product(C.astype(np.complex128), np.zeros(3), np.zeros(4))
 
 
 class TestSolveEquilibrium:
@@ -794,3 +854,109 @@ class TestConvergenceStudy:
         assert study.degenerate
         assert study.slope is None
         assert study.to_dict()["slope"] is None
+
+
+class TestPooledLadder:
+    """``run_convergence_study`` runs its eps ladder through
+    ``pool.thread_map``; the pool is forced to a number of workers by
+    patching ``pool.cpus``."""
+
+    EPS = (1e-2, 3e-3, 1e-3)
+
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """Run a study with the pool forced to ``cpus`` workers; returns the
+        study, the workers of each pool started and the eps in the order
+        they were submitted."""
+        started, submitted = [], []
+
+        class Counting(pool.ThreadPoolExecutor):
+            def __init__(self, workers):
+                started.append(workers)
+                super().__init__(workers)
+
+            def submit(self, fn, item):
+                submitted.append(item)
+                return super().submit(fn, item)
+
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", Counting)
+
+        def run(cpus, pipe, scen, eps_list=self.EPS):
+            started.clear()
+            submitted.clear()
+            monkeypatch.setattr(pool, "cpus", lambda: cpus)
+            study = run_convergence_study(
+                pipe.sys, pipe.frame, pipe.eq, pipe.data, pipe.rbc,
+                pipe.closure, scen, eps_list=eps_list,
+                dx_max=2e-3, equilibrium_dx=1e-3,
+            )
+            return study, list(started), list(submitted)
+
+        return run
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    def test_pooled_study_equals_the_serial_one(self, pooled, pipe2x2, pipe3):
+        for pipe, scen in (
+            (pipe2x2, fixtures.example_scenario()),
+            (pipe3, fixtures.scenario_double_characteristic(pipe3.sys)),
+        ):
+            serial, none, _ = pooled(1, pipe, scen)
+            threaded, started, submitted = pooled(2, pipe, scen)
+            assert none == [] and started == [2]
+            assert submitted == sorted(self.EPS)  # the costliest first
+            for key in ("errors", "outer_errors"):
+                a, b = getattr(serial, key), getattr(threaded, key)
+                assert self._bits(a) == self._bits(b), key
+            assert serial.details["per_eps"] == threaded.details["per_eps"]
+            for a, b in zip(serial.details["per_eps"], threaded.details["per_eps"]):
+                assert self._bits(list(a.values())) == self._bits(list(b.values()))
+            assert (serial.control_errors is None) == (pipe is pipe3)
+            if serial.control_errors is not None:
+                assert self._bits(serial.control_errors) == self._bits(threaded.control_errors)
+            for key in ("slope", "fit_residual", "outer_slope", "control_slope"):
+                a, b = getattr(serial, key), getattr(threaded, key)
+                assert (a is None and b is None) or self._bits(a) == self._bits(b), key
+
+    def test_first_failure_in_eps_order_surfaces(self, pooled, pipe2x2, monkeypatch):
+        # the 2nd and 3rd eps raise; the 3rd is submitted first, so it fails
+        # before the 2nd has run
+        solve = sim.solve_relaxation
+
+        def failing(sys_obj, scenario, eps, **kwargs):
+            if eps in self.EPS[1:]:
+                raise GridMismatch(f"failed at eps {eps:g}")
+            return solve(sys_obj, scenario, eps, **kwargs)
+
+        monkeypatch.setattr(sim, "solve_relaxation", failing)
+        for cpus in (1, 2):
+            with pytest.raises(GridMismatch, match="failed at eps 0.003"):
+                pooled(cpus, pipe2x2, fixtures.example_scenario())
+
+    def test_one_eps_starts_no_pool(self, pooled, pipe2x2, monkeypatch):
+        def refuse(workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", refuse)
+        # a line through one point is not determined: the slope fit warns
+        with pytest.warns(np.exceptions.RankWarning):
+            study, _, _ = pooled(4, pipe2x2, fixtures.example_scenario(), (3e-3,))
+        assert len(study.errors) == 1
+
+    def test_debug_line_lists_each_eps_in_order(self, pooled, pipe2x2, caplog):
+        with caplog.at_level(logging.DEBUG, logger="relaxbc.sim"):
+            study, _, _ = pooled(2, pipe2x2, fixtures.example_scenario())
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("convergence study")]
+        assert len(lines) == 1
+        runs = re.findall(
+            r"eps (\S+) \d+\.\d+ s, (\d+) node-steps, (\d+) cycles", lines[0]
+        )
+        assert lines[0].startswith("convergence study on 2 threads: ")
+        assert [float(e) for e, _, _ in runs] == list(self.EPS)
+        assert [int(w) for _, w, _ in runs] == [
+            e["node_steps"] for e in study.details["per_eps"]
+        ]
+        assert all(int(c) > 0 for _, _, c in runs)
