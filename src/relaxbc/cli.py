@@ -42,7 +42,7 @@ from .model import (
 )
 from .reduction import derive_all, render_reduced_bc
 from .spectral import SamplingSpec, build_kernel_frame, check_gkc
-from .sim import Scenario, run_convergence_study, solve_relaxation
+from .sim import Scenario, check_epsilons, run_convergence_study, solve_relaxation
 from .tolerances import REPORT_IMAG_REL
 
 EXIT_PASS = 0
@@ -506,6 +506,7 @@ def cmd_converge(args) -> int:
     if not isinstance(eps_list, list) or not eps_list:
         raise ConfigError("scenario file must list nonempty 'epsilons'")
     eps_list = [_finite_positive("epsilons", e) for e in eps_list]
+    check_epsilons(eps_list)
     grid = _object("grid", scen_doc.get("grid", {}))
     dx_max = _finite_positive("grid.dx_max", grid.get("dx_max", 5e-4))
     equilibrium_dx = _finite_positive(

@@ -6,14 +6,17 @@ The relaxation solver uses characteristic upwinding on a boundary-graded mesh
 (first order) with Lie splitting; the stiff source is applied exactly through
 exp(S dt / eps), and one step is one sparse matrix.  Time steps are local, by
 power-of-two levels (Osher & Sanders, Math. Comp. 41, 1983): a node whose
-adjacent cells are at least 2^k times the smallest cell steps by 2^k times
-the finest dt, so the bulk of the mesh, past the cells graded down to the
-boundary, takes one step where the boundary cell takes 2^K.  The scheme is
-linear, so the 2^K finest steps of one cycle, each with its inflow solve,
-are one affine map: one sparse matrix, whose rows differ from the step
-matrix only at node 0 and the nodes below the top level, plus a small
-forcing by the boundary data.  The solver takes one iteration per cycle:
-one sparse product and that forcing.
+adjacent cells are at least 2^k times a base cell h, no larger than the
+smallest cell, steps by 2^k times the finest dt <= 0.9 h / rho(A1), so the
+bulk of the mesh, past the cells graded down to the boundary, takes one
+step where the boundary cell takes 2^K.  The base cell is the bulk cell
+halved down to the smallest cell where that saves node updates, so the bulk
+steps at the full Courant number.  The scheme is linear, so the 2^K finest
+steps of one cycle, each with its inflow solve, are one affine map: one
+sparse matrix, whose rows differ from the step matrix only at node 0 and
+the nodes below the top level, plus a small forcing by the boundary data.
+The solver takes one iteration per cycle: one sparse product and that
+forcing.
 
 The equilibrium system has constant coefficients, so its solver evaluates
 the method-of-characteristics solution with the derived reduced boundary
@@ -209,10 +212,12 @@ def solve_relaxation(
         U_t + A1 U_x = Q U / eps,  B U(0, t) = b(t).
 
     The mesh is graded with dx_min = eps / 4 so the eps-layer is represented.
-    Time steps are local, by power-of-two levels: with h the smallest cell,
-    node i takes level k_i = floor(log2(smaller adjacent cell / h)) and steps
-    by dt_k = 2^k dt, so dt_k <= cfl * (smaller adjacent cell) / rho(A1) holds
-    on every level; dt <= cfl * h / rho(A1), and the number of finest steps
+    Time steps are local, by power-of-two levels: with h the base cell of
+    ``stepping.time_levels`` (the smallest cell, or the bulk cell halved K
+    times down to it, whichever takes fewer node updates), node i takes
+    level k_i = floor(log2(smaller adjacent cell / h)) and steps by
+    dt_k = 2^k dt, so dt_k <= cfl * (smaller adjacent cell) / rho(A1) holds
+    at every node; dt <= cfl * h / rho(A1), and the number of finest steps
     is a multiple of 2^K for the top level K.  Outgoing characteristics are
     extrapolated at x_max.  Transport and the exact stiff source
     exp(S dt_k / eps) make one sparse step matrix whose row of each node
@@ -229,7 +234,10 @@ def solve_relaxation(
     once.  The trace at every finest step is evaluated after each block of
     cycles from the first state entries at each cycle start and the
     boundary data.  ``steps``, ``dt`` and the boundary trace count finest
-    steps; ``node_steps`` counts the node updates of the scheme.
+    steps; ``node_steps`` counts the node updates of the scheme.  With
+    ``RELAXBC_LOG=debug`` the run logs one line: its steps, nodes, levels,
+    node-steps, cycles and nonzeros, the base cell h and the top level's
+    Courant number rho 2^K dt / c on the bulk cell c.
     """
     n = sys.n
     speeds = split_speeds(sys)[0]
@@ -244,9 +252,9 @@ def solve_relaxation(
     rho = np.abs(lam).max()
     if not (pos.size or neg.size):
         raise CflViolation("A1 has no nonzero characteristic speed")
-    level = time_levels(dx)
+    level, h = time_levels(dx)
     cycle = 2 ** int(level.max())
-    dt_cap = cfl * dx.min() / rho
+    dt_cap = cfl * h / rho
     steps = max(int(math.ceil(scenario.T / dt_cap)), 1)
     steps = -(-steps // cycle) * cycle
     dt = scenario.T / steps
@@ -285,11 +293,14 @@ def solve_relaxation(
     )
     cycles = steps // cycle
     node_steps = int(np.sum(steps >> level))
+    # the top level's Courant number on the bulk cell, the largest but the last
+    courant = rho * dt * cycle / dx[:-1].max(initial=dx[0])
     log.debug(
         "eps %g: %d steps on %d nodes, %d time levels, %d node-steps, "
-        "%d cycles, cycle map nnz %d (step matrix %d)",
+        "%d cycles, cycle map nnz %d (step matrix %d), base cell %.4g, "
+        "top-level Courant number %.3f",
         eps, steps, x.size, level.max() + 1, node_steps,
-        cycles, C.nnz, step_nnz,
+        cycles, C.nnz, step_nnz, h, courant,
     )
 
     U = np.empty((x.size, n))
@@ -452,6 +463,16 @@ class ConvergenceStudy:
         }
 
 
+def check_epsilons(eps_list) -> None:
+    """Raise ConfigError unless ``eps_list`` holds at least two distinct
+    values: a slope through one point is not determined."""
+    if len(set(eps_list)) < 2:
+        raise ConfigError(
+            f"'epsilons' must hold at least two distinct values to fit a "
+            f"slope, got {list(eps_list)!r}"
+        )
+
+
 def _fit_slope(eps, errors):
     """Least-squares slope of log error vs log eps with a 95% residual bound;
     (None, None) when the data are degenerate (errors at round-off level)."""
@@ -565,7 +586,8 @@ def run_convergence_study(
     """Measure ||U^eps - U_eps||_{L2} at t = T for each eps and fit the decay
     slope; optionally repeat against the naive-closure equilibrium solution
     as a negative control (its error should plateau).  The control is skipped
-    when it is not applicable (``control_applicable``).
+    when it is not applicable (``control_applicable``).  Raises ConfigError,
+    before any run, unless ``eps_list`` holds two distinct values.
 
     ``dx_max`` is the largest cell of the stiff solver's graded mesh;
     ``equilibrium_dx`` spaces the nodes where the closed-form equilibrium
@@ -587,6 +609,7 @@ def run_convergence_study(
     wall time, node-steps and cycles; the per-run lines of
     ``solve_relaxation``, written from the worker threads, may interleave.
     """
+    check_epsilons(eps_list)
     idx = compute_indices(sys)
     layer0 = build_eps_layer(sys, frame, data)
 
@@ -693,5 +716,6 @@ __all__ = [
     "composite_at_final_time",
     "naive_rhs",
     "control_applicable",
+    "check_epsilons",
     "run_convergence_study",
 ]

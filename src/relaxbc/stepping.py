@@ -1,9 +1,10 @@
 """Discrete operators of the stiff solver's local time stepping (Osher &
 Sanders, Math. Comp. 41, 1983) on a boundary-graded mesh: the time level of
-each node, the sparse matrix of one step, and the affine map of one cycle
-of 2^K finest steps, inflow solves and boundary traces included, which
-``sim.solve_relaxation`` applies once per iteration through
-``csr_product``."""
+each node with the base cell h of the finest step dt <= cfl h / rho(A1),
+counted down from the bulk cell where that saves node updates; the sparse
+matrix of one step; and the affine map of one cycle of 2^K finest steps,
+inflow solves and boundary traces included, which ``sim.solve_relaxation``
+applies once per iteration through ``csr_product``."""
 
 from __future__ import annotations
 
@@ -20,16 +21,39 @@ from .tolerances import MESH_ROUNDOFF_REL
 NODE_BLOCK = 256
 
 
-def time_levels(dx: np.ndarray) -> np.ndarray:
-    """Time level of each node of a mesh with cells ``dx``: the largest k with
-    2^k times the smallest cell at most its smaller adjacent cell (up to
-    round-off).  The outflow node copies the update of its neighbour, so it
-    shares that neighbour's level."""
+def time_levels(dx: np.ndarray) -> tuple[np.ndarray, float]:
+    """Time level of each node of a mesh with cells ``dx``, and the base cell
+    h that sets the finest step dt <= cfl h / rho(A1).  Node i takes the
+    largest k with 2^k h at most its smaller adjacent cell (up to
+    round-off), so it meets its own CFL bound; the outflow node copies the
+    update of its neighbour, so it shares that neighbour's level.
+
+    Any h no larger than the smallest cell is admissible.  Two are tried:
+    the smallest cell, and the bulk cell c, the largest but the last (which
+    may be clipped or merged), halved K times for the least K that takes it
+    to the smallest cell (up to round-off).  With the second, the bulk steps
+    at the full Courant number instead of at c / (2^k h) of it.  A uniform
+    or power-of-two mesh, where c / 2^K is the smallest cell up to
+    round-off, keeps the smallest cell; otherwise the one with the lower
+    node-step rate, sum_i 2^-k_i / h, is kept, and a tie keeps the
+    smallest cell."""
     adjacent = np.minimum(np.append(dx, np.inf), np.insert(dx, 0, np.inf))
-    ratio = adjacent / dx.min() * (1.0 + MESH_ROUNDOFF_REL)
-    level = np.floor(np.log2(ratio)).astype(int)
-    level[-1] = level[-2]
-    return level
+
+    def levels(h):
+        level = np.floor(np.log2(adjacent / h * (1.0 + MESH_ROUNDOFF_REL))).astype(int)
+        level[-1] = level[-2]
+        return level, np.ldexp(1.0, -level).sum() / h
+
+    smallest = dx.min()
+    base = dx[:-1].max(initial=smallest)
+    while base > smallest * (1.0 + MESH_ROUNDOFF_REL):
+        base /= 2.0  # exact
+    level, rate = levels(smallest)
+    if base < smallest * (1.0 - MESH_ROUNDOFF_REL):
+        bulk_level, bulk_rate = levels(base)
+        if bulk_rate < rate:
+            return bulk_level, float(base)
+    return level, float(smallest)
 
 
 def step_operator(lam, R, pos, neg, dx, dt, level, E, r, nodes=None, replace=None):

@@ -1,8 +1,9 @@
 """Dense per-point oracles for the frequency symbols and their determinant
 ratios, built from the system matrices without the package's builders:
 M from a dense G and the frame's R0/R1, M1 from a dense C(omega), stable
-bases from ``scipy.linalg.schur``; and the cell-by-cell loop that built the
-stiff solver's graded mesh before it was vectorised."""
+bases from ``scipy.linalg.schur``; the cell-by-cell loop that built the
+stiff solver's graded mesh before it was vectorised; and the time levels
+the stiff solver took before it counted them down from the bulk cell."""
 
 import numpy as np
 import scipy.linalg as sla
@@ -83,3 +84,16 @@ def graded_mesh_loop(x_max, dx_min, dx_max, ratio=1.05):
     else:
         xs.append(x_max)
     return np.asarray(xs)
+
+
+def time_levels_from_smallest_cell(dx):
+    """Time level of each node of a mesh with cells ``dx``: the largest k with
+    2^k times the smallest cell at most its smaller adjacent cell (up to
+    round-off).  The outflow node copies the update of its neighbour, so it
+    shares that neighbour's level.  The finest step is set by the smallest
+    cell."""
+    adjacent = np.minimum(np.append(dx, np.inf), np.insert(dx, 0, np.inf))
+    ratio = adjacent / dx.min() * (1.0 + MESH_ROUNDOFF_REL)
+    level = np.floor(np.log2(ratio)).astype(int)
+    level[-1] = level[-2]
+    return level

@@ -406,6 +406,21 @@ class TestConverge:
              "--out", str(tmp_path)]
         ) == 2
 
+    @pytest.mark.parametrize("epsilons", [[3e-3], [3e-3, 3e-3]])
+    def test_fewer_than_two_distinct_epsilons_is_config_error(
+        self, sys2x2_file, tmp_path, capsys, epsilons
+    ):
+        # a slope through one point is not determined: refused before the
+        # GKC verdict and any stiff run
+        scen = self._scenario(tmp_path, epsilons=epsilons)
+        out = tmp_path / "out"
+        assert _run(
+            ["converge", sys2x2_file, "--scenario", scen, "--out", str(out),
+             "--resolution", "8", "--rim-points", "0"]
+        ) == 2
+        assert "'epsilons' must hold at least two distinct values" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 def test_perfbench_wrapped_attributes_resolve():
     """perfbench/spans.py wraps package functions by (module, attribute)

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import graded_mesh_loop
+from oracles import graded_mesh_loop, time_levels_from_smallest_cell
 from relaxbc import fixtures, pool, sim, stepping
 from relaxbc.errors import ConfigError, GridMismatch, UnresolvedLayerWarning
 from relaxbc.model import RelaxationSystem
@@ -153,14 +155,15 @@ def _per_substep_relaxation(sys_obj, scenario, eps, dx_max=1e-3, ratio=1.05, cfl
     """Reference local-time-stepping solver, one finest step per iteration:
     at finest step m the nodes of level <= v_2(m) advance through row views
     of the package's step matrix, then the inflow solve and the boundary
-    trace run."""
+    trace run.  The levels and the base cell of the finest step come from
+    ``stepping.time_levels``."""
     n, r = sys_obj.n, sys_obj.r
     lam, R, pos, neg, rest = _split(sys_obj.A1)
     x = graded_mesh(scenario.x_max, eps / 4.0, max(dx_max, eps / 4.0), ratio)
     dx = np.diff(x)
-    level = stepping.time_levels(dx)
+    level, h = stepping.time_levels(dx)
     top = 2 ** int(level.max())
-    steps = max(int(math.ceil(scenario.T / (cfl * dx.min() / np.abs(lam).max()))), 1)
+    steps = max(int(math.ceil(scenario.T / (cfl * h / np.abs(lam).max()))), 1)
     steps = -(-steps // top) * top
     dt = scenario.T / steps
     sources = [sla.expm(sys_obj.S * (dt * 2**k) / eps) for k in range(level.max() + 1)]
@@ -340,6 +343,85 @@ class TestGradedMesh:
         assert res.steps == math.ceil(T / (0.9 * dx_min / rho))
 
 
+class TestTimeLevels:
+    """``stepping.time_levels`` counts the levels down from the bulk cell
+    where that lowers the node-step rate; ``time_levels_from_smallest_cell``
+    is the rule that counted them up from the smallest cell."""
+
+    @staticmethod
+    def _rate(level, h):
+        return np.ldexp(1.0, -level).sum() / h
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        eps=st.floats(1e-4, 1e-1),
+        dx_max=st.floats(1e-4, 1e-2),
+        x_max=st.floats(1e-3, 2.0),
+        ratio=st.floats(1.0, 1.5),
+    )
+    def test_every_node_meets_its_cfl_bound_at_no_higher_rate(self, eps, dx_max, x_max, ratio):
+        dx = np.diff(graded_mesh(x_max, eps / 4.0, max(dx_max, eps / 4.0), ratio))
+        level, h = stepping.time_levels(dx)
+        assert level.min() >= 0 and h <= dx.min() * (1.0 + MESH_ROUNDOFF_REL)
+        # rho 2^k_i dt / adjacent_i at the largest dt = 0.9 h / rho
+        adjacent = np.minimum(np.append(dx, np.inf), np.insert(dx, 0, np.inf))
+        courant = 0.9 * np.ldexp(h, level) / adjacent
+        assert courant.max() <= 0.9 * (1.0 + MESH_ROUNDOFF_REL)
+        parent = time_levels_from_smallest_cell(dx)
+        assert self._rate(level, h) <= self._rate(parent, dx.min())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        eps=st.floats(1e-4, 1e-1),
+        doublings=st.integers(0, 6),
+        ratio=st.just(1.0) | st.floats(1.02, 2.0),
+        bulk=st.floats(2.0, 400.0),
+    )
+    def test_uniform_and_power_of_two_meshes_keep_the_smallest_cell(
+        self, eps, doublings, ratio, bulk
+    ):
+        # cells graded from dx_min to dx_max = 2^doublings dx_min (or uniform
+        # at dx_min when ratio is 1) cover less than dx_max / (ratio - 1), so
+        # x_max leaves at least two bulk cells before the last one
+        dx_min = eps / 4.0
+        dx_max = math.ldexp(dx_min, doublings)
+        grading = dx_max / (ratio - 1.0) if ratio > 1.0 else 0.0
+        dx = np.diff(graded_mesh(grading + bulk * dx_max, dx_min, dx_max, ratio))
+        bulk_cell = dx_max if ratio > 1.0 else dx_min
+        assert dx[:-1].max() == pytest.approx(bulk_cell, rel=MESH_ROUNDOFF_REL)
+        level, h = stepping.time_levels(dx)
+        assert h == dx.min()
+        np.testing.assert_array_equal(level, time_levels_from_smallest_cell(dx))
+
+    @pytest.mark.parametrize("which", ["2x2", "3x3"])
+    def test_power_of_two_fixture_runs_are_unchanged(self, which, pipe2x2, sys3, monkeypatch):
+        # the converge dx_max 5e-4 at eps = 1e-2, 3e-3 (uniform) and 1e-3
+        # (dx_max = 2 dx_min): the same levels, dt and state, bit for bit
+        if which == "2x2":
+            sys_obj, scen = pipe2x2.sys, fixtures.example_scenario(T=0.05)
+        else:
+            sys_obj = sys3
+            scen = fixtures.scenario_double_characteristic(sys3, T=0.05)
+        for eps in (1e-2, 3e-3, 1e-3):
+            res = solve_relaxation(sys_obj, scen, eps, dx_max=5e-4)
+            with monkeypatch.context() as m:
+                m.setattr(sim, "time_levels",
+                          lambda dx: (time_levels_from_smallest_cell(dx), dx.min()))
+                ref = solve_relaxation(sys_obj, scen, eps, dx_max=5e-4)
+            assert (res.steps, res.dt, res.node_steps) == (ref.steps, ref.dt, ref.node_steps)
+            assert res.U.tobytes() == ref.U.tobytes()
+            assert res.boundary_values.tobytes() == ref.boundary_values.tobytes()
+
+    def test_bulk_cycle_does_not_depend_on_eps(self, pipe2x2):
+        # the README 2x2 scenario at the converge dx_max 5e-4: the bulk cell
+        # sets the cycle at eps = 3e-4 (levels 0 to 3; 6,323 cycles when the
+        # smallest cell set dt) as at eps = 1e-3 (levels 0 and 1)
+        scen = fixtures.example_scenario()
+        runs = [solve_relaxation(pipe2x2.sys, scen, eps, dx_max=5e-4) for eps in (1e-3, 3e-4)]
+        assert [r.cycles for r in runs] == [3794, 3794]
+        assert [r.steps for r in runs] == [2 * 3794, 8 * 3794]
+
+
 class TestMeasureError:
     def test_zero_on_identical_states(self):
         x = np.linspace(0.0, 1.0, 11)
@@ -452,7 +534,7 @@ class TestSparseStepOracle:
             err = np.linalg.norm(res.boundary_values - ref.boundary_values, axis=1)
             assert np.all(err <= 1e-12 * np.linalg.norm(ref.boundary_values, axis=1))
         else:
-            # graded from dx_min = 7.5e-5 to dx_max = 2e-3: levels 0 to 4
+            # graded from dx_min = 7.5e-5 to dx_max = 2e-3: levels 0 to 5
             assert 3 * res.node_steps <= ref.node_steps
             assert _rel_l2(res.U, ref.U) <= 3e-3
 
@@ -461,7 +543,7 @@ class TestCycleMapOracle:
     """One iteration per local-time-stepping cycle against the loop that
     takes one iteration per finest step."""
 
-    @pytest.mark.parametrize("x_max, clipped", [(1.2, True), (1.2011, False)])
+    @pytest.mark.parametrize("x_max, clipped", [(1.2, True), (1.2019, False)])
     @pytest.mark.parametrize("which", ["2x2", "3x3"])
     def test_matches_per_substep_loop(self, which, x_max, clipped, pipe2x2, sys3):
         eps, dx_max = 3e-4, 2e-3
@@ -471,24 +553,25 @@ class TestCycleMapOracle:
         else:  # outgoing and zero-speed modes
             sys_obj = sys3
             scen = fixtures.scenario_double_characteristic(sys3, T=0.03, x_max=x_max)
-        level = stepping.time_levels(np.diff(graded_mesh(x_max, eps / 4.0, dx_max)))
-        # levels 0 to 4, so 16-step cycles; a last cell clipped short puts
-        # the outflow nodes below the top level
-        assert level.min() == 0 and level.max() == 4
+        level, _ = stepping.time_levels(np.diff(graded_mesh(x_max, eps / 4.0, dx_max)))
+        # levels 0 to 5, so 32-step cycles; a last cell clipped short puts
+        # the outflow nodes below the top level, and one that takes a short
+        # remainder in does not
+        assert level.min() == 0 and level.max() == 5
         assert (level[-2] < level.max()) == clipped
         res = solve_relaxation(sys_obj, scen, eps, dx_max=dx_max)
         ref = _per_substep_relaxation(sys_obj, scen, eps, dx_max=dx_max)
         np.testing.assert_array_equal(res.x, ref.x)
         np.testing.assert_array_equal(res.boundary_times, ref.boundary_times)
         assert (res.steps, res.node_steps) == (ref.steps, ref.node_steps)
-        assert res.steps > 16 and np.abs(ref.U).max() > 1e-3
+        assert res.steps > 32 and np.abs(ref.U).max() > 1e-3
         assert _rel_l2(res.U, ref.U) <= 1e-12
         # every trace row, the inner finest steps of each cycle included
         err = np.linalg.norm(res.boundary_values - ref.boundary_values, axis=1)
         assert np.all(err <= 1e-12 * np.linalg.norm(ref.boundary_values, axis=1))
 
     def test_converge_mesh(self, sys3):
-        # the converge default dx_max = 5e-4 at eps = 3e-4: levels 0 to 2
+        # the converge default dx_max = 5e-4 at eps = 3e-4: levels 0 to 3
         scen = fixtures.scenario_double_characteristic(sys3, T=0.02, x_max=2.0)
         res = solve_relaxation(sys3, scen, 3e-4, dx_max=5e-4)
         ref = _per_substep_relaxation(sys3, scen, 3e-4, dx_max=5e-4)
@@ -502,9 +585,9 @@ class TestCycleMapOracle:
         n, eps = sys_obj.n, 1e-2
         lam, R, pos, neg, rest = _split(sys_obj.A1)
         dx = np.diff(graded_mesh(1.2, eps / 4.0, eps / 4.0))
-        level = stepping.time_levels(dx)
-        assert level.max() == 0
-        dt = 0.9 * dx.min() / np.abs(lam).max()
+        level, h = stepping.time_levels(dx)
+        assert level.max() == 0 and h == dx.min()
+        dt = 0.9 * h / np.abs(lam).max()
         step_args = (lam, R, pos, neg, dx, np.full(dx.size + 1, dt), level,
                      [sla.expm(sys_obj.S * dt / eps)], sys_obj.r)
         inflow_b = np.linalg.inv(sys_obj.B @ R[:, pos])
@@ -544,7 +627,7 @@ class TestCycleMapOracle:
         res = solve_relaxation(sys_obj, scen, 3e-4, dx_max=2e-3)
         b = scen.b(res.boundary_times[1:])
         residual = res.boundary_values[1:] @ sys_obj.B.T - b
-        assert res.steps > 16
+        assert res.steps > 32
         assert np.abs(residual).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
     def test_debug_line_reports_cycles_and_nnz(self, pipe2x2, caplog):
@@ -557,9 +640,16 @@ class TestCycleMapOracle:
         m = re.search(r"(\d+) cycles, cycle map nnz (\d+) \(step matrix (\d+)\)", line)
         assert m, line
         cycles, cycle_nnz, step_nnz = map(int, m.groups())
-        assert cycles * 16 == res.steps
+        assert cycles * 32 == res.steps
         # the rows below the top level hold products of the step rows
         assert step_nnz < cycle_nnz < 2 * step_nnz
+        # the base cell is the bulk cell 2e-3 halved 5 times, and the bulk
+        # steps at the full Courant number, less the rounding of the step
+        # count to whole cycles (0.54 with the smallest cell)
+        m = re.search(r"base cell (\S+), top-level Courant number (\S+)$", line)
+        assert m, line
+        assert float(m.group(1)) == pytest.approx(2e-3 / 32, rel=1e-3)
+        assert 0.85 <= float(m.group(2)) <= 0.9
 
 
 class TestCsrProduct:
@@ -571,8 +661,8 @@ class TestCsrProduct:
         lam, R, pos, neg, rest = _split(sys3.A1)
         eps, x = 3e-4, graded_mesh(scen.x_max, 3e-4 / 4.0, 2e-3)
         dx = np.diff(x)
-        level = stepping.time_levels(dx)
-        dt = 0.9 * dx.min() / np.abs(lam).max()
+        level, h = stepping.time_levels(dx)
+        dt = 0.9 * h / np.abs(lam).max()
         sources = [sla.expm(sys3.S * (dt * 2**k) / eps) for k in range(level.max() + 1)]
         step_args = (lam, R, pos, neg, dx, dt * 2.0**level, level, sources, sys3.r)
         inflow_b = np.linalg.inv(sys3.B @ R[:, pos])
@@ -838,6 +928,21 @@ class TestConvergenceStudy:
         assert pipe.rbc.B_o.shape[0] == 1
         assert not control_applicable(pipe.sys, pipe.rbc)
 
+    @pytest.mark.parametrize("eps_list", [(3e-3,), (3e-3, 3e-3)])
+    def test_fewer_than_two_distinct_eps_are_refused(self, pipe2x2, monkeypatch, eps_list):
+        # a slope through one point is not determined: refused before any
+        # stiff run
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stiff run was started")
+
+        monkeypatch.setattr(sim, "solve_relaxation", refuse)
+        with pytest.raises(ConfigError, match="'epsilons' must hold at least two distinct"):
+            run_convergence_study(
+                pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
+                pipe2x2.rbc, pipe2x2.closure, fixtures.example_scenario(),
+                eps_list=eps_list, dx_max=2e-3, equilibrium_dx=1e-3,
+            )
+
     def test_zero_data_is_degenerate(self, pipe2x2):
         scen = Scenario(
             b=lambda t: np.zeros(np.shape(t) + (2,)),
@@ -935,15 +1040,15 @@ class TestPooledLadder:
             with pytest.raises(GridMismatch, match="failed at eps 0.003"):
                 pooled(cpus, pipe2x2, fixtures.example_scenario())
 
-    def test_one_eps_starts_no_pool(self, pooled, pipe2x2, monkeypatch):
+    def test_one_item_starts_no_pool(self, monkeypatch):
+        # a study refuses a single eps (check_epsilons), so the one-item
+        # rule of the pool is pinned on thread_map itself
         def refuse(workers):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(pool, "ThreadPoolExecutor", refuse)
-        # a line through one point is not determined: the slope fit warns
-        with pytest.warns(np.exceptions.RankWarning):
-            study, _, _ = pooled(4, pipe2x2, fixtures.example_scenario(), (3e-3,))
-        assert len(study.errors) == 1
+        monkeypatch.setattr(pool, "cpus", lambda: 4)
+        assert pool.thread_map(lambda eps: 2.0 * eps, [3e-3]) == [6e-3]
 
     def test_debug_line_lists_each_eps_in_order(self, pooled, pipe2x2, caplog):
         with caplog.at_level(logging.DEBUG, logger="relaxbc.sim"):
