@@ -59,6 +59,15 @@ class SpectralCountMismatch(RelaxbcError):
         super().__init__(message)
 
 
+class SignNotConverged(RelaxbcError):
+    """Newton's iteration for the matrix sign function did not converge on a
+    matrix that passed the axis guard; ``row`` is its index in the stack."""
+
+    def __init__(self, message, row=None):
+        self.row = row
+        super().__init__(message)
+
+
 class SkConditionViolated(RelaxbcError):
     pass
 

@@ -25,13 +25,12 @@ from .model import (
 )
 from .reduction import Pipeline, derive_all
 from .sim import Scenario
-from .spectral import FrequencyPoint, PlainFrame, SamplingSpec
+from .spectral import FrequencyPoint, SamplingSpec
 from .tolerances import (
     FIXTURE_A1_HAT_COND_MAX,
     FIXTURE_BOUNDARY_ROW_MIN,
     FIXTURE_DAMPING_GAP_MIN,
     FIXTURE_FIRST_COMPONENT_MIN,
-    FIXTURE_FRAME_COND_MAX,
     FIXTURE_KERNEL_OVERLAP_MIN,
     FIXTURE_KERNEL_RELAXED_MIN,
     FIXTURE_ORTHOGONAL_MIN,
@@ -289,30 +288,6 @@ def random_frequency_point(
     )
 
 
-def random_frame_pair(rng: np.random.Generator, frame) -> PlainFrame:
-    """A second frame R0' = R0 D0, R1' = R1 C1 + R0 C0 with random
-    well-conditioned D0, C1 and random C0.
-
-    The change of frame is applied through solves with C1, so a nearly
-    singular draw would contaminate frame-independence residuals with its
-    own conditioning; reject those.
-    """
-    n0 = frame.R0.shape[1]
-    k = frame.R1.shape[1]
-    while True:
-        C1 = rng.normal(size=(k, k))
-        if np.linalg.cond(C1) < FIXTURE_FRAME_COND_MAX:
-            break
-    while True:
-        D0 = rng.normal(size=(n0, n0))
-        if n0 == 0 or np.linalg.cond(D0) < FIXTURE_FRAME_COND_MAX:
-            break
-    C0 = rng.normal(size=(n0, k))
-    R0b = frame.R0 @ D0
-    R1b = frame.R1 @ C1 + frame.R0 @ C0
-    return PlainFrame(R0=R0b, R1=R1b)
-
-
 __all__ = [
     "example_system",
     "example_scenario",
@@ -323,5 +298,4 @@ __all__ = [
     "random_admissible_bundle",
     "well_conditioned",
     "random_frequency_point",
-    "random_frame_pair",
 ]

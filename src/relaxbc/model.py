@@ -8,15 +8,16 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     AmbiguousSpectrum,
     DimensionMismatch,
     NonSymmetricSymmetrizer,
     ParseError,
+    SkConditionViolated,
     ValidationFailed,
 )
+from .linalg import full_rank_cond
 from .tolerances import spectral_norm, tau_eig, tau_rank, tau_sym
 
 
@@ -367,13 +368,14 @@ def canonicalize(raw: RawSystem) -> RelaxationSystem:
 
 def check_sk_condition(sys: RelaxationSystem) -> bool:
     """Shizuta-Kawashima-like condition ker(A1) intersect ker(Q) = {0},
-    tested as invertibility of R0^T Q R0 (R0 an orthonormal kernel basis)."""
+    tested as full rank of R0^T Q R0 (R0 an orthonormal kernel basis) by the
+    package's rank rule, ``linalg.full_rank_cond``."""
     R0 = split_speeds(sys)[0].kernel
-    if R0.shape[1] == 0:
-        return True
-    core = R0.T @ sys.Q @ R0
-    smin = float(sla.svdvals(core)[-1])
-    return smin > tau_rank(spectral_norm(sys.Q))
+    try:
+        full_rank_cond(R0.T @ sys.Q @ R0, SkConditionViolated())
+    except SkConditionViolated:
+        return False
+    return True
 
 
 def compute_indices(sys: RelaxationSystem) -> SystemIndices:

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     AssumptionViolated,
@@ -31,17 +30,9 @@ from .linalg import (
     stable_basis_real,
 )
 from .model import RelaxationSystem, compute_indices, split_speeds
-from .spectral import (
-    FrequencyPoint,
-    KernelFrame,
-    SamplingSpec,
-    _M_stack,
-    build_M,
-    map_chunks,
-    xi_omega_directions,
-)
+from .spectral import KernelFrame, SamplingSpec, map_chunks, xi_omega_directions
 from .tolerances import (
-    B_O_ENTRY_ABS, C_THRESHOLD, CLOSURE_IMAG_REL, EXPANSION_EXACT_REL,
+    B_O_ENTRY_ABS, C_THRESHOLD, CLOSURE_IMAG_REL,
     Y3_REAL_IF_CLOSE_EPS, spectral_norm,
 )
 
@@ -220,7 +211,7 @@ def limit_stable_matrix(
 ) -> np.ndarray:
     """The eta -> infinity limit of a stable basis of M at (xi, omega), an
     (n - n0) x n_+ matrix (see ``_limit_basis``), with the stable subspace of
-    M1 from the Schur split."""
+    M1 from ``split_invariant_subspaces``."""
     xi = complex(xi)
     M1 = _M1_stack(sys, eq)(np.array([[xi.real, xi.imag, *np.atleast_1d(omega)]]))[0]
     R1S = split_invariant_subspaces(M1).basis_s
@@ -399,74 +390,6 @@ def solve_closure(
     return sol[:n10], sol[n10:]
 
 
-def large_eta_expansion_check(
-    sys: RelaxationSystem,
-    frame: KernelFrame,
-    p: FrequencyPoint,
-    etas=(1e2, 1e3, 1e4),
-) -> dict:
-    """Diagnostics for M(xi, omega, eta) ~ A1_hat^{-1}[eta Q_hat + H_hat].
-
-    Returns the fitted decay slope of || M(eta) - A1_hat^{-1}(eta Q_hat + H_hat) ||
-    against eta (expected near -1) and the residual of the top-left block of
-    H_hat against that of H = G(xi, omega, eta = 0), which is -(xi I + C(omega)).
-    """
-    n1, n0 = sys.n - sys.r, frame.n0
-    R0, R1 = frame.R0, frame.R1
-    Q = sys.Q
-    C = sum(w * Aj for w, Aj in zip(np.atleast_1d(p.omega), sys.A[1:]))
-    H = -(p.xi * np.eye(sys.n) + 1j * C)
-    if n0 > 0:
-        QR00_inv = np.linalg.inv(R0.T @ Q @ R0)
-        left = R1.T - (R1.T @ Q @ R0) @ QR00_inv @ R0.T
-        right = R1 - R0 @ QR00_inv @ (R0.T @ Q @ R1)
-    else:
-        left, right = R1.T, R1
-    H_hat = left @ H @ right
-    top_left_residual = spectral_norm(H_hat[:n1, :n1] - H[:n1, :n1])
-
-    A1_hat_inv = np.linalg.inv(frame.A1_hat)
-    Ms = _M_stack(sys, frame)(np.array([[*p.as_tuple()[:-1], eta] for eta in etas]))
-    resids = [spectral_norm(M - A1_hat_inv @ (eta * frame.Q_hat + H_hat))
-              for M, eta in zip(Ms, etas)]
-    m_norms = [spectral_norm(M) for M in Ms]
-    # when the remainder vanishes identically the measured residual is pure
-    # round-off, which grows with ||M(eta)||; judge exactness relative to it
-    exact = all(r <= EXPANSION_EXACT_REL * max(m, 1.0) for r, m in zip(resids, m_norms))
-    if exact:
-        slope = None
-    else:
-        log_eta = np.log(np.asarray(etas, dtype=float))
-        log_res = np.log(np.maximum(np.asarray(resids), 1e-300))
-        slope = float(np.polyfit(log_eta, log_res, 1)[0])
-    return {
-        "slope": slope,
-        "exact": exact,
-        "residuals": [float(x) for x in resids],
-        "top_left_residual": float(top_left_residual),
-    }
-
-
-def limit_subspace_angle(
-    sys: RelaxationSystem,
-    frame: KernelFrame,
-    eq: EquilibriumFrame,
-    data: ReductionData,
-    xi: complex,
-    omega,
-    eta: float = 1e4,
-) -> float:
-    """Largest principal angle between the stable subspace of M at finite eta
-    and the eta = infinity limit subspace."""
-    p = FrequencyPoint(xi=xi, omega=np.atleast_1d(omega), eta=eta)
-    M = build_M(sys, frame, p)
-    finite = split_invariant_subspaces(M).basis_s
-    limit = limit_stable_matrix(sys, frame, eq, data, xi, omega)
-    limit_q, _ = np.linalg.qr(limit)
-    angles = sla.subspace_angles(finite, limit_q)
-    return float(angles.max()) if angles.size else 0.0
-
-
 @dataclass
 class Pipeline:
     """All derived objects for one system, in dependency order."""
@@ -521,8 +444,6 @@ __all__ = [
     "derive_reduced_bc",
     "build_closure",
     "solve_closure",
-    "large_eta_expansion_check",
-    "limit_subspace_angle",
     "render_reduced_bc",
     "Pipeline",
     "derive_all",

@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     BoundarySolveSingular,
@@ -51,7 +50,7 @@ from .layers import (
     build_second_correction,
     solve_sqrt_eps_layer,
 )
-from .linalg import full_rank_cond
+from .linalg import expm, full_rank_cond
 from .model import RelaxationSystem, compute_indices, split_speeds
 from .reduction import (
     ClosureSolve,
@@ -188,15 +187,11 @@ def measure_error(result: SimResult, composite: np.ndarray) -> float:
 
 def _inflow_inverse(M: np.ndarray, message: str):
     """Inverse and condition number of an inflow boundary block M; raises
-    BoundarySolveSingular when M is singular.  The inverse is taken one
-    column per LAPACK solve: getrs with several right-hand sides runs on
-    every OpenBLAS thread, which then spin against the single-threaded
-    work that follows."""
+    BoundarySolveSingular when M is singular.  numpy's LAPACK inverts a
+    block this small on the calling thread, leaving no OpenBLAS thread
+    spinning against the single-threaded work that follows."""
     cond = full_rank_cond(M, BoundarySolveSingular(message), BOUNDARY_SINGULAR_REL)
-    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (M,))
-    lu, piv, _ = getrf(M)
-    inverse = np.column_stack([getrs(lu, piv, e)[0] for e in np.eye(M.shape[0])])
-    return inverse, cond
+    return np.linalg.inv(M), cond
 
 
 def solve_relaxation(
@@ -286,7 +281,7 @@ def solve_relaxation(
         )
         inflow_rest = -inflow_b @ (sys.B @ R[:, rest])
 
-    sources = [sla.expm(sys.S * (dt * 2**k) / eps) for k in range(level.max() + 1)]
+    sources = [expm(sys.S * (dt * 2**k) / eps) for k in range(level.max() + 1)]
     step_args = (lam, R, pos, neg, dx, dt * 2.0**level, level, sources, sys.r)
     C, H, G, step_nnz = cycle_operator(
         step_args, level, n, pos, rest, inflow_b, inflow_rest, R

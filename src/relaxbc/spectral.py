@@ -20,21 +20,21 @@ import numpy as np
 from .errors import (
     AssumptionViolated,
     ConfigError,
-    FrameMismatch,
     RelaxbcError,
     SkConditionViolated,
     SpectralCountMismatch,
 )
+# split_invariant_subspaces is not called here; perfbench/spans.py wraps it by
+# this name
 from .linalg import (
     full_rank_cond,
-    guarded_eigvals,
     orthonormal_complement,
     split_invariant_subspaces,
     stable_eigvecs,
 )
-from .model import RelaxationSystem, check_sk_condition, compute_indices, split_speeds
+from .model import RelaxationSystem, check_sk_condition, split_speeds
 from .pool import thread_map
-from .tolerances import C_THRESHOLD, FRAME_KERNEL_REL, spectral_norm
+from .tolerances import C_THRESHOLD
 
 log = logging.getLogger(__name__)
 
@@ -236,26 +236,6 @@ def _M_stack(sys: RelaxationSystem, frame):
 def build_M(sys: RelaxationSystem, frame, p: FrequencyPoint) -> np.ndarray:
     """M(xi, omega, eta) at a finite point (see ``_M_stack``)."""
     return _M_stack(sys, frame)(np.array([p.as_tuple()]))[0]
-
-
-def count_stable_eigenvalues(
-    M: np.ndarray, expected_stable: int | None = None
-) -> tuple[int, int]:
-    """(stable, unstable) eigenvalue counts of M, with an axis guard.
-
-    If ``expected_stable`` is given (the n_+ of the system), a mismatch raises
-    SpectralCountMismatch: it signals a bug or an inadmissible parameter point.
-    """
-    if M.shape[0] == 0:
-        return 0, 0
-    eigs = guarded_eigvals(M)
-    k_s = int(np.sum(eigs.real < 0))
-    k_u = int(np.sum(eigs.real > 0))
-    if expected_stable is not None and k_s != expected_stable:
-        raise SpectralCountMismatch(
-            f"{k_s} stable eigenvalues, expected {expected_stable}"
-        )
-    return k_s, k_u
 
 
 def gkc_ratio(sys: RelaxationSystem, frame, p: FrequencyPoint) -> float:
@@ -637,75 +617,16 @@ def _eta_infinity_min_ratio(
     return float(vals[i]), point, skipped, None
 
 
-def frame_independence_check(
-    sys: RelaxationSystem, frame_a, frame_b, p: FrequencyPoint
-) -> dict:
-    """Verify that M and the Kreiss determinant do not depend on the frame.
-
-    frame_b must be expressible over frame_a as R0' = R0 D0,
-    R1' = R1 C1 + R0 C0 (raises FrameMismatch otherwise).  Returns the
-    similarity residual ||M' - C1^{-1} M C1|| and the determinant-consistency
-    residual | |det(B R1' R'_M^S)| - |det(B R1 R_M^S)| | with
-    R'_M^S := C1^{-1} R_M^S.
-    """
-    R0a, R1a = frame_a.R0, frame_a.R1
-    R0b, R1b = frame_b.R0, frame_b.R1
-    n0 = R0a.shape[1]
-
-    # C1 = L1 R1' with (L1; L0) the inverse of (R1, R0)
-    C1 = np.linalg.inv(np.hstack([R1a, R0a]))[: sys.n - n0] @ R1b
-    if n0 > 0:
-        D0, *_ = np.linalg.lstsq(R0a, R0b, rcond=None)
-        if spectral_norm(R0a @ D0 - R0b) > FRAME_KERNEL_REL * max(spectral_norm(R0b), 1.0):
-            raise FrameMismatch("frame_b kernel basis is not expressible over frame_a")
-
-    Ma = build_M(sys, frame_a, p)
-    Mb = build_M(sys, frame_b, p)
-    sim_residual = spectral_norm(Mb - np.linalg.solve(C1.astype(complex), Ma @ C1))
-
-    RMS = split_invariant_subspaces(Ma).basis_s
-    det_a = abs(np.linalg.det(sys.B @ R1a @ RMS))
-    RMS_b = np.linalg.solve(C1.astype(complex), RMS)
-    det_b = abs(np.linalg.det(sys.B @ R1b @ RMS_b))
-    return {
-        "similarity_residual": float(sim_residual),
-        "det_residual": float(abs(det_a - det_b)),
-        "M_norm": spectral_norm(Ma),
-        "det_value": float(det_a),
-    }
-
-
-@dataclass(frozen=True)
-class PlainFrame:
-    """A bare (R0, R1) pair for frame-independence experiments."""
-
-    R0: np.ndarray
-    R1: np.ndarray
-
-
-def verify_stable_count(sys: RelaxationSystem, frame: KernelFrame, p: FrequencyPoint):
-    """Stable/unstable counts at p, asserted against (n_+, n - n0 - n_+).
-
-    M has dimension n - n0 and, past the axis guard, no eigenvalue on the
-    imaginary axis, so the stable count fixes the unstable one."""
-    M = build_M(sys, frame, p)
-    return count_stable_eigenvalues(M, expected_stable=compute_indices(sys).n_plus)
-
-
 __all__ = [
     "KernelFrame",
     "FrequencyPoint",
     "SamplingSpec",
     "GkcReport",
-    "PlainFrame",
     "build_kernel_frame",
     "build_M",
-    "count_stable_eigenvalues",
     "gkc_ratio",
     "check_gkc",
     "directions",
     "gkc_ratios",
-    "frame_independence_check",
-    "verify_stable_count",
     "check_sk_condition",
 ]

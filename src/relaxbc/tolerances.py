@@ -19,15 +19,27 @@ EIG_REL = 1e-9
 #: distance-to-imaginary-axis tolerance for invariant-subspace splits
 AXIS_REL = 1e-8
 
-#: a batched eigen-split defers a point to the scalar Schur split when one of
+#: a batched eigen-split defers a point to the sign split when one of
 #: its eigenvalues lies within this multiple of the axis tolerance, so that
 #: the scalar axis guard alone decides the points near it
 AXIS_MARGIN = 2.0
 
 #: largest eigenvector-matrix condition number at which a batched eigen-split
-#: stands in for the Schur split: eigenvalues move by at most this factor
+#: stands in for the sign split: eigenvalues move by at most this factor
 #: times round-off, and determinant ratios on the eigenvectors lose about it
 EIGVEC_COND_MAX = 1e4
+
+#: Newton's iteration for sign(M) scales its first this many iterates by
+#: |det|^(-1/n) (Byers 1987), then runs unscaled for quadratic convergence
+SIGN_SCALED_STEPS = 6
+
+#: the sign iteration has converged on a matrix when one step changes it by
+#: at most this fraction of its Frobenius norm
+SIGN_REL_CHANGE = 1e-13
+
+#: a matrix whose sign iteration has not converged after this many steps
+#: raises SignNotConverged
+SIGN_MAX_STEPS = 50
 
 #: default lower bound c_K for declaring the sampled Kreiss ratio positive
 C_THRESHOLD = 1e-6
@@ -63,15 +75,8 @@ Y3_REAL_IF_CLOSE_EPS = 1e4
 #: relative imaginary part below which a closure solution is taken as real
 CLOSURE_IMAG_REL = 1e-10
 
-#: relative residual up to which the large-eta expansion counts as exact
-EXPANSION_EXACT_REL = 1e-11
-
 #: relative imaginary part above which a report matrix is written as complex
 REPORT_IMAG_REL = 1e-14
-
-#: largest residual of R0_a D0 - R0_b, relative to max(||R0_b||, 1), at which
-#: two kernel frames span the same kernel
-FRAME_KERNEL_REL = 1e-8
 
 #: ``make_double_characteristic`` rejects a draw whose second direction q has
 #: a part orthogonal to p shorter than this
@@ -100,10 +105,6 @@ FIXTURE_RATE_SPREAD_MAX = 10.0
 #: ``random_system`` rejects a draw whose R0^T Q R0 has a singular value below
 #: this (kernel-overlap margin): weak overlaps give badly scaled reductions
 FIXTURE_KERNEL_OVERLAP_MIN = 0.05
-
-#: ``random_frame_pair`` redraws a change of frame C1 or D0 whose condition
-#: number is not below this
-FIXTURE_FRAME_COND_MAX = 50.0
 
 #: ``well_conditioned`` defaults: the largest condition number of A1_hat and
 #: the smallest damping rate |Re| of a nonzero eigenvalue of A1_hat^-1 Q_hat

@@ -6,17 +6,17 @@ import time
 
 import numpy as np
 
+from diagnostics import (
+    frame_independence_check,
+    large_eta_expansion_check,
+    limit_subspace_angle,
+    random_frame_pair,
+    verify_stable_count,
+)
 from relaxbc import cli, fixtures
 from relaxbc.model import compute_indices
-from relaxbc.reduction import large_eta_expansion_check, limit_subspace_angle
 from relaxbc.sim import run_convergence_study
-from relaxbc.spectral import (
-    SamplingSpec,
-    build_kernel_frame,
-    check_gkc,
-    frame_independence_check,
-)
-from relaxbc.spectral import verify_stable_count
+from relaxbc.spectral import SamplingSpec, build_kernel_frame, check_gkc
 
 
 def _read(path):
@@ -75,7 +75,7 @@ def test_frame_independence_on_100_pairs():
             rng, require_n0=1 if i % 2 == 0 else None
         )
         frame = build_kernel_frame(sys_obj)
-        other = fixtures.random_frame_pair(rng, frame)
+        other = random_frame_pair(rng, frame)
         p = fixtures.random_frequency_point(rng, sys_obj.d)
         res = frame_independence_check(sys_obj, frame, other, p)
         assert res["similarity_residual"] <= 1e-9 * res["M_norm"]

@@ -441,12 +441,14 @@ def test_perfbench_wrapped_attributes_resolve():
 
 
 @pytest.mark.parametrize("argv", [
-    ["-c", "import relaxbc.cli, sys; sys.exit('scipy.stats' in sys.modules)"],
+    ["-c", "import relaxbc.cli, sys; sys.exit(any(m in sys.modules for m in "
+           "('scipy.stats', 'scipy.linalg', 'scipy.special')))"],
     ["-m", "relaxbc.cli", "--version"],
 ])
 def test_cold_start_leaves_scipy_stats_out(argv):
     """A fresh process that starts the CLI does not import scipy.stats, which
-    took more than half of every command's start-up."""
+    took more than half of every command's start-up, nor scipy.linalg and
+    scipy.special, which took 0.1 s and 12 MB of it."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -456,6 +458,53 @@ def test_cold_start_leaves_scipy_stats_out(argv):
     assert proc.returncode == 0, proc.stderr
     if "--version" in argv:
         assert proc.stdout.strip() == __version__
+
+
+_EVERY_COMMAND = """
+import contextlib, io, json, sys
+from relaxbc import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    if rc != 0:
+        sys.exit(f"{argv[0]} exited {rc}")
+loaded = [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+sys.exit(f"imported {loaded}" if loaded else 0)
+"""
+
+
+def test_every_command_leaves_scipy_linalg_and_special_out(sys2x2_file, scen2x2_file, tmp_path):
+    """validate, gkc, reduce and converge, on the README 2x2 example and on
+    the 3x3 double-characteristic fixture, run in one fresh process without
+    importing scipy.linalg or scipy.special: the package needs scipy.sparse
+    only."""
+    from conftest import write_system_file
+
+    sys3 = write_system_file(tmp_path / "double.json", fixtures.double_characteristic_system(7))
+    bump = tmp_path / "bump.json"
+    bump.write_text(json.dumps({
+        "boundary": [{"kind": "sin"}],
+        "u0": [{"kind": "bump", "amplitude": 0.5, "center": 0.6, "width": 0.05}],
+        "T": 0.5, "x_max": 2.0, "epsilons": [1e-2, 3e-3, 1e-3, 3e-4],
+    }))
+    commands = []
+    for name, system, scenario in (("ex", sys2x2_file, scen2x2_file),
+                                   ("double", sys3, str(bump))):
+        out = ["--out", str(tmp_path / name)]
+        commands += [
+            ["validate", system, *out],
+            ["gkc", system, *out, "--resolution", "8"],
+            ["reduce", system, *out, "--resolution", "8"],
+            ["converge", system, "--scenario", scenario, *out],
+        ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVERY_COMMAND, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "double" / "converge.json").exists()
 
 
 # ---------------------------------------------------------------------------

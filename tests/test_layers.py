@@ -3,6 +3,7 @@ the second correction, and the composite solution."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import erfc
 
+from relaxbc import layers
 from relaxbc.errors import AssumptionViolated
 from relaxbc.layers import (
     SqrtEpsLayer,
@@ -122,6 +124,40 @@ def _cn_per_mode(lam, V, g, T, z):
             q[1:-1, k] = sla.solve_banded((1, 1), ab, rhs)
             q[0, k] = g[step, k]
     return q @ V.T
+
+
+class TestErfc:
+    """``layers.erfc`` against 40-digit mpmath on [0, 26.5], where erfc is a
+    normal double, and against scipy where scipy is accurate.  scipy's erfc
+    exponentiates -x^2 after rounding x^2, so it is off by up to x^2 u
+    (5.7e-14 relative near x = 26) and, through 1 - erf, by 1.6e-15 on
+    [0.5, 1]."""
+
+    XS = np.concatenate([
+        np.linspace(0.0, 26.5, 2001),
+        np.random.default_rng(5).uniform(0.0, 26.5, 2000),
+        [0.5, 4.0, np.nextafter(4.0, 0.0), np.nextafter(0.5, 0.0)],
+    ])
+
+    def test_matches_mpmath(self):
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.erfc(mpmath.mpf(x))) for x in self.XS])
+        got = layers.erfc(self.XS)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    def test_matches_scipy_where_scipy_is_accurate(self):
+        x = np.concatenate([np.linspace(0.0, 0.5, 501), [40.0]])
+        got, want = layers.erfc(x), erfc(x)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert got[0] == 1.0 and got[-1] == 0.0
+
+    def test_gauss_needs_no_rounding_of_x_squared(self):
+        # exp(-fl(x^2)) loses up to x^2 u (7.8e-14 at x = 26.5) to the
+        # rounding of x^2 alone; the split evaluation keeps to 4 ulp
+        x = np.array([26.5 - 2.0**-40, 19.0 + 1.0 / 3.0, 7.1])
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.exp(-mpmath.mpf(v) ** 2)) for v in x])
+        assert np.all(np.abs(layers._gauss(x) - want) <= 4 * np.spacing(want))
 
 
 class TestSqrtEpsLayer:

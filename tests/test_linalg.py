@@ -4,14 +4,25 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from relaxbc.errors import NearImaginaryEigenvalue, RankDeficient
+from oracles import schur_stable_basis
+from relaxbc import linalg, sim
+from relaxbc.errors import NearImaginaryEigenvalue, RankDeficient, SignNotConverged
+from relaxbc.fixtures import (
+    double_characteristic_system, example_scenario, example_system,
+    scenario_double_characteristic,
+)
 from relaxbc.linalg import (
     ExpActionEvaluator,
+    expm,
     full_rank_cond,
+    matrix_sign,
     orthonormal_complement,
     split_invariant_subspaces,
     stable_basis_real,
+    stable_eigvecs,
 )
+from relaxbc.reduction import _M1_stack
+from relaxbc.spectral import SamplingSpec, _M_stack, directions, xi_omega_directions
 
 
 class TestSplitInvariantSubspaces:
@@ -60,6 +71,112 @@ class TestSplitInvariantSubspaces:
         assert np.isrealobj(R)
         angles = sla.subspace_angles(R, split_invariant_subspaces(M).basis_s)
         assert np.max(angles, initial=0.0) < 1e-8
+
+
+class TestSignSplitter:
+    """The stable subspace as the range of (I - sign M) / 2, against the
+    sorted complex Schur form of ``tests/oracles.py``."""
+
+    def test_matches_sorted_schur_on_pool(self, random_bundles):
+        spec = SamplingSpec(resolution=4, rim_points=0)
+        worst = 0.0
+        for b in random_bundles:
+            d = b.sys.d
+            Ms = [*_M_stack(b.sys, b.frame)(directions(d + 2, spec)),
+                  *_M1_stack(b.sys, b.eq)(xi_omega_directions(d, spec)), b.data.M2]
+            for M in Ms:
+                Z = schur_stable_basis(M)
+                sub = split_invariant_subspaces(M)
+                assert Z is not None and sub.k == Z.shape[1]
+                if sub.k:
+                    worst = max(worst, sla.subspace_angles(Z, sub.basis_s).max())
+            R = stable_basis_real(b.data.M2)
+            assert np.isrealobj(R)
+            if R.shape[1]:
+                worst = max(worst, sla.subspace_angles(schur_stable_basis(b.data.M2), R).max())
+        assert worst <= 1e-12
+
+    def test_rows_do_not_depend_on_the_stack(self, rng):
+        M = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        S = matrix_sign(M)
+        for i in range(len(M)):
+            assert np.array_equal(S[i], matrix_sign(M[i : i + 1])[0])
+        assert np.allclose(S @ S, np.eye(4), atol=1e-12)
+
+    def test_unconverged_row_raises(self, monkeypatch):
+        # diag(-1, 1) is its own sign after one step; the Jordan block of
+        # the second row is not
+        monkeypatch.setattr(linalg, "SIGN_MAX_STEPS", 1)
+        jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        with pytest.raises(SignNotConverged) as exc:
+            matrix_sign(np.array([np.diag([-1.0, 1.0]), jordan]))
+        assert exc.value.row == 1
+        # a fallback row of a stack is named by its row in the stack
+        M = np.array([np.diag([-1.0, -2.0]), np.diag([-1.0, -3.0]), jordan], dtype=complex)
+        with pytest.raises(SignNotConverged) as exc:
+            stable_eigvecs(M, 2)
+        assert exc.value.row == 2
+        with pytest.raises(SignNotConverged):
+            split_invariant_subspaces(jordan)
+
+    def test_trace_other_than_the_stable_count_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "matrix_sign", lambda M: -np.ones_like(M) * np.eye(M.shape[-1]))
+        with pytest.raises(SignNotConverged, match="trace 2, but 1 eigenvalues"):
+            split_invariant_subspaces(np.diag([-1.0, 2.0]))
+
+
+def _level_sources(sys_obj, scenario, eps_list, monkeypatch):
+    """Every (argument, value) pair of ``sim.expm`` that ``solve_relaxation``
+    forms as a per-level source, stopping each run before its time loop."""
+    calls = []
+
+    def record(A):
+        calls.append((A, expm(A)))
+        return calls[-1][1]
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    monkeypatch.setattr(sim, "expm", record)
+    monkeypatch.setattr(sim, "cycle_operator", stop)
+    for eps in eps_list:
+        with pytest.raises(Stop):
+            sim.solve_relaxation(sys_obj, scenario, eps, dx_max=5e-4)
+    return calls
+
+
+class TestExpm:
+    @pytest.mark.parametrize("fixture", ["2x2", "3x3-7", "3x3-22"])
+    def test_matches_scipy_on_level_sources(self, fixture, monkeypatch):
+        if fixture == "2x2":
+            sys_obj, scenario = example_system(), example_scenario()
+        else:
+            sys_obj = double_characteristic_system(int(fixture.split("-")[1]))
+            scenario = scenario_double_characteristic(sys_obj)
+        calls = _level_sources(sys_obj, scenario, [1e-2, 3e-3, 1e-3, 3e-4], monkeypatch)
+        assert len(calls) >= 4 and {A.shape[0] for A, _ in calls} == {sys_obj.r}
+        for A, E in calls:
+            want = sla.expm(A)
+            assert np.abs(E - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 50.0])
+    def test_jordan_block(self, scale):
+        J = scale * (np.eye(3, k=1) - np.eye(3))
+        E = expm(J)
+        closed = math.exp(-scale) * np.array(
+            [[1.0, scale, scale**2 / 2], [0.0, 1.0, scale], [0.0, 0.0, 1.0]]
+        )
+        want = sla.expm(J)
+        assert np.abs(E - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(E - closed).max() <= 1e-14 * np.abs(closed).max()
+
+    def test_small_and_zero(self):
+        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+        assert expm(np.zeros((0, 0))).shape == (0, 0)
+        assert expm(np.array([[2.0]]))[0, 0] == math.exp(2.0)
 
 
 class TestFullRankCond:
@@ -112,3 +229,12 @@ class TestMatrixExponentialAction:
         got = ExpActionEvaluator(M).apply(ys, v)
         want = np.array([sla.expm(M * y) @ v for y in ys])
         assert np.allclose(got, want, atol=1e-10)
+
+    def test_defective_M_takes_expm(self):
+        # a Jordan block has no eigenvector basis, so every point takes expm
+        M = np.eye(3, k=1) - np.eye(3)
+        ev = ExpActionEvaluator(M)
+        assert ev._diag is None
+        ys, v = np.array([0.0, 0.5, 2.0]), np.array([1.0, -2.0, 0.5])
+        want = np.array([sla.expm(M * y) @ v for y in ys])
+        assert np.abs(ev.apply(ys, v) - want).max() <= 1e-14

@@ -22,7 +22,7 @@ from relaxbc.model import (
 )
 from relaxbc.reduction import build_equilibrium_frame
 from relaxbc.spectral import build_kernel_frame
-from relaxbc.tolerances import spectral_norm, tau_eig
+from relaxbc.tolerances import RANK_REL, spectral_norm, tau_eig
 
 
 def raw_12():
@@ -117,6 +117,18 @@ class TestSkCondition:
         Q = np.diag([0.0, 0.0, -1.0])
         sys_obj = _plain_system(A1, Q, np.eye(1, 3), r=1)
         assert not check_sk_condition(sys_obj)
+
+    @pytest.mark.parametrize("big, factor, holds", [
+        (0.5, 2.0, True), (0.5, 0.5, False), (10.0, 2.0, True), (10.0, 0.5, False),
+    ])
+    def test_threshold_is_the_rank_rule(self, big, factor, holds):
+        # R0^T Q R0 = diag(-big, -small) on ker(A1) = span(e2, e3): the rank
+        # rule of linalg.full_rank_cond fails it once small <= RANK_REL
+        # max(big, 1), whatever the size of the rest of Q
+        small = factor * RANK_REL * max(big, 1.0)
+        A1 = np.diag([1.0, 0.0, 0.0, -1.0])
+        Q = np.diag([0.0, -big, -small, -1e3])
+        assert check_sk_condition(_plain_system(A1, Q, np.eye(1, 4), r=3)) is holds
 
 
 class TestIndices:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from diagnostics import large_eta_expansion_check, limit_subspace_angle
 from oracles import dense_limit, dense_m1
 from relaxbc import fixtures
 from relaxbc.model import RelaxationSystem, compute_indices
@@ -14,9 +15,7 @@ from relaxbc.reduction import (
     build_reduction_data,
     derive_all,
     derive_reduced_bc,
-    large_eta_expansion_check,
     limit_stable_matrix,
-    limit_subspace_angle,
     render_reduced_bc,
     solve_closure,
 )

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from diagnostics import (
+    PlainFrame, count_stable_eigenvalues, frame_independence_check, random_frame_pair,
+    verify_stable_count,
+)
 from oracles import dense_M
 from relaxbc import fixtures
 from relaxbc.errors import FrameMismatch, SpectralCountMismatch
@@ -9,15 +13,11 @@ from relaxbc.fixtures import example_system
 from relaxbc.model import RelaxationSystem, compute_indices
 from relaxbc.spectral import (
     FrequencyPoint,
-    PlainFrame,
     SamplingSpec,
     build_kernel_frame,
     build_M,
     check_gkc,
-    count_stable_eigenvalues,
-    frame_independence_check,
     gkc_ratio,
-    verify_stable_count,
 )
 
 
@@ -82,7 +82,7 @@ class TestBuildM:
 
     def test_plain_frame_matches_dense(self, pipe3, rng):
         # a bare (R0, R1) pair carries no A1_hat; build_M forms R1^T A1 R1
-        frame = fixtures.random_frame_pair(rng, pipe3.frame)
+        frame = random_frame_pair(rng, pipe3.frame)
         p = fixtures.random_frequency_point(rng, pipe3.sys.d)
         want = dense_M(pipe3.sys, frame, p.xi, np.atleast_1d(p.omega), p.eta)
         got = build_M(pipe3.sys, frame, p)
@@ -192,7 +192,7 @@ class TestFrameIndependence:
 
     def test_random_c1(self, pipe3, rng):
         p = fixtures.random_frequency_point(rng, pipe3.sys.d)
-        frame_b = fixtures.random_frame_pair(rng, pipe3.frame)
+        frame_b = random_frame_pair(rng, pipe3.frame)
         out = frame_independence_check(pipe3.sys, pipe3.frame, frame_b, p)
         assert out["similarity_residual"] <= 1e-9 * max(out["M_norm"], 1.0)
         assert out["det_residual"] <= 1e-8 * max(abs(out["det_value"]), 1.0)
