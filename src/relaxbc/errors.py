@@ -113,4 +113,5 @@ class BoundarySolveSingular(RelaxbcError):
 
 
 class UnresolvedLayerWarning(UserWarning):
-    """Fewer than 4 boundary cells fall inside the epsilon layer."""
+    """Fewer than 4 boundary cells fall inside the epsilon layer, or the final
+    time lets reflections from the truncation boundary reach x = 0."""

@@ -130,13 +130,16 @@ def stable_basis_real(M) -> np.ndarray:
     with the axis guard of ``guarded_eigvals``.
 
     The stable subspace of a real matrix is closed under conjugation, so a
-    real basis exists: sign M is real for a real M.
+    real basis exists: sign M is real for a real M.  Each column's largest
+    entry in magnitude (the first, on ties) is positive, whatever signs
+    LAPACK gives the singular vectors.
     """
     M = np.asarray(M, dtype=float)
     if M.shape[0] == 0:
         return np.zeros((0, 0))
     k = int(np.sum(guarded_eigvals(M).real < 0))
-    return _stable_bases(M[None], np.array([k]))[0][:, :k]
+    Z = _stable_bases(M[None], np.array([k]))[0][:, :k]
+    return Z * np.sign(Z[np.abs(Z).argmax(axis=0), np.arange(k)])
 
 
 def stable_eigvecs(M: np.ndarray, n_s: int):

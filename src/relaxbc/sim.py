@@ -61,7 +61,7 @@ from .reduction import (
 )
 from .pool import thread_map, workers
 from .spectral import KernelFrame
-from .stepping import csr_product, cycle_operator, time_levels
+from .stepping import csr_product, cycle_operator, step_operator, time_levels
 from .tolerances import (
     BOUNDARY_SINGULAR_REL,
     DEGENERATE_ERROR_ABS,
@@ -199,8 +199,6 @@ def solve_relaxation(
     scenario: Scenario,
     eps: float,
     dx_max: float = 1e-3,
-    ratio: float = 1.05,
-    cfl: float = CFL,
 ) -> SimResult:
     """First-order characteristic upwind + Lie splitting for
 
@@ -211,16 +209,16 @@ def solve_relaxation(
     ``stepping.time_levels`` (the smallest cell, or the bulk cell halved K
     times down to it, whichever takes fewer node updates), node i takes
     level k_i = floor(log2(smaller adjacent cell / h)) and steps by
-    dt_k = 2^k dt, so dt_k <= cfl * (smaller adjacent cell) / rho(A1) holds
-    at every node; dt <= cfl * h / rho(A1), and the number of finest steps
+    dt_k = 2^k dt, so dt_k <= CFL * (smaller adjacent cell) / rho(A1) holds
+    at every node; dt <= CFL * h / rho(A1), and the number of finest steps
     is a multiple of 2^K for the top level K.  Outgoing characteristics are
     extrapolated at x_max.  Transport and the exact stiff source
-    exp(S dt_k / eps) make one sparse step matrix whose row of each node
-    carries the node's own dt_k.  At finest step m = 0, 1, ... the nodes of
-    level k <= v_2(m) (2^k divides m; every node at m = 0) advance by their
-    dt_k together from the current state, reading their neighbours as last
-    updated; then every finest step solves (B R_+) chi_+ = b - (B R_rest)
-    chi_rest at x = 0.
+    exp(S dt_k / eps) make one sparse step matrix, assembled once over the
+    whole mesh, whose row of each node carries the node's own dt_k.  At
+    finest step m = 0, 1, ... the nodes of level k <= v_2(m) (2^k divides
+    m; every node at m = 0) advance by their dt_k together from the current
+    state, reading their neighbours as last updated; then every finest step
+    solves (B R_+) chi_+ = b - (B R_rest) chi_rest at x = 0.
 
     The solver runs that scheme one cycle of 2^K finest steps per
     iteration (see ``stepping.cycle_operator``): one product with the cycle
@@ -242,15 +240,14 @@ def solve_relaxation(
     # the boundary cell scales with eps so the eps-layer is always represented
     # with the same number of cells per decay length
     dx_min = eps / 4.0
-    x = graded_mesh(scenario.x_max, dx_min, max(dx_max, dx_min), ratio)
+    x = graded_mesh(scenario.x_max, dx_min, max(dx_max, dx_min))
     dx = np.diff(x)
     rho = np.abs(lam).max()
     if not (pos.size or neg.size):
         raise CflViolation("A1 has no nonzero characteristic speed")
     level, h = time_levels(dx)
     cycle = 2 ** int(level.max())
-    dt_cap = cfl * h / rho
-    steps = max(int(math.ceil(scenario.T / dt_cap)), 1)
+    steps = max(int(math.ceil(scenario.T / (CFL * h / rho))), 1)
     steps = -(-steps // cycle) * cycle
     dt = scenario.T / steps
 
@@ -282,9 +279,9 @@ def solve_relaxation(
         inflow_rest = -inflow_b @ (sys.B @ R[:, rest])
 
     sources = [expm(sys.S * (dt * 2**k) / eps) for k in range(level.max() + 1)]
-    step_args = (lam, R, pos, neg, dx, dt * 2.0**level, level, sources, sys.r)
     C, H, G, step_nnz = cycle_operator(
-        step_args, level, n, pos, rest, inflow_b, inflow_rest, R
+        step_operator(lam, R, pos, neg, dx, dt * 2.0**level, level, sources, sys.r),
+        level, pos, rest, inflow_b, inflow_rest, R,
     )
     cycles = steps // cycle
     node_steps = int(np.sum(steps >> level))
@@ -315,15 +312,15 @@ def solve_relaxation(
         beta = np.reshape(
             np.asarray(scenario.b(times[1:]), dtype=float), (cycles, H.shape[1])
         )
-    h, g = H.shape[0], G.shape[1] - H.shape[1]
+    nf, g = H.shape[0], G.shape[1] - H.shape[1]
     traces = trace[1:].reshape(cycles, cycle * n)
     # the state alternates between two buffers; a pass is the product from
     # one into the other, the head chi[:g] it starts from and the forced
-    # rows chi[:h] it ends in, bound once, so a cycle slices nothing
+    # rows chi[:nf] it ends in, bound once, so a cycle slices nothing
     a = (U @ R).ravel()
     b = np.empty_like(a)
     passes = itertools.cycle(
-        [(csr_product(C, a, b), a[:g], b[:h]), (csr_product(C, b, a), b[:g], a[:h])]
+        [(csr_product(C, a, b), a[:g], b[:nf]), (csr_product(C, b, a), b[:g], a[:nf])]
     )
     # a block of cycles at a time holds its forcing H beta and its inputs
     # (chi[:g] at the cycle start, beta) to the traces G (head, beta);
@@ -576,13 +573,12 @@ def run_convergence_study(
     eps_list=(1e-2, 3e-3, 1e-3, 3e-4),
     dx_max: float = 5e-4,
     equilibrium_dx: float = 1e-4,
-    with_control: bool = True,
 ) -> ConvergenceStudy:
     """Measure ||U^eps - U_eps||_{L2} at t = T for each eps and fit the decay
-    slope; optionally repeat against the naive-closure equilibrium solution
-    as a negative control (its error should plateau).  The control is skipped
-    when it is not applicable (``control_applicable``).  Raises ConfigError,
-    before any run, unless ``eps_list`` holds two distinct values.
+    slope, and repeat it against the naive-closure equilibrium solution as a
+    negative control (its error should plateau) whenever the control is
+    applicable (``control_applicable``).  Raises ConfigError, before any
+    run, unless ``eps_list`` holds two distinct values.
 
     ``dx_max`` is the largest cell of the stiff solver's graded mesh;
     ``equilibrium_dx`` spaces the nodes where the closed-form equilibrium
@@ -616,9 +612,7 @@ def run_convergence_study(
 
     layers = layers_for(None)
     applicable = control_applicable(sys, rbc)
-    control = None
-    if with_control and applicable:
-        control = layers_for(naive_rhs(sys, rbc, scenario))
+    control = layers_for(naive_rhs(sys, rbc, scenario)) if applicable else None
 
     u0_at_0 = np.atleast_1d(np.asarray(scenario.u0(np.zeros(1))).ravel())
     _, w_s0 = solve_closure(

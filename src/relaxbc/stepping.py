@@ -1,10 +1,11 @@
 """Discrete operators of the stiff solver's local time stepping (Osher &
 Sanders, Math. Comp. 41, 1983) on a boundary-graded mesh: the time level of
-each node with the base cell h of the finest step dt <= cfl h / rho(A1),
+each node with the base cell h of the finest step dt <= CFL h / rho(A1),
 counted down from the bulk cell where that saves node updates; the sparse
-matrix of one step; and the affine map of one cycle of 2^K finest steps,
-inflow solves and boundary traces included, which ``sim.solve_relaxation``
-applies once per iteration through ``csr_product``."""
+matrix of one step, assembled once over the whole mesh; and the affine map
+of one cycle of 2^K finest steps with its inflow solves and boundary traces,
+the step matrix with the cycle's products spliced into its rows near the
+boundary, which ``sim.solve_relaxation`` applies through ``csr_product``."""
 
 from __future__ import annotations
 
@@ -16,14 +17,10 @@ from scipy.sparse import _sparsetools
 
 from .tolerances import MESH_ROUNDOFF_REL
 
-#: nodes per block when a step or cycle matrix is assembled: the products of
-#: one block, not of the whole mesh, are held at a time
-NODE_BLOCK = 256
-
 
 def time_levels(dx: np.ndarray) -> tuple[np.ndarray, float]:
     """Time level of each node of a mesh with cells ``dx``, and the base cell
-    h that sets the finest step dt <= cfl h / rho(A1).  Node i takes the
+    h that sets the finest step dt <= CFL h / rho(A1).  Node i takes the
     largest k with 2^k h at most its smaller adjacent cell (up to
     round-off), so it meets its own CFL bound; the outflow node copies the
     update of its neighbour, so it shares that neighbour's level.
@@ -56,7 +53,7 @@ def time_levels(dx: np.ndarray) -> tuple[np.ndarray, float]:
     return level, float(smallest)
 
 
-def step_operator(lam, R, pos, neg, dx, dt, level, E, r, nodes=None, replace=None):
+def step_operator(lam, R, pos, neg, dx, dt, level, E, r):
     """One stiff step on the characteristic state chi = U R, flattened node by
     node (entry i * n + k is mode k at node i), as one CSR matrix: upwind
     transport, the zero-gradient extrapolation of outgoing characteristics
@@ -65,72 +62,42 @@ def step_operator(lam, R, pos, neg, dx, dt, level, E, r, nodes=None, replace=Non
     of its time level, so the row of each node is its own time step.
 
     Node 0 keeps its incoming characteristics; ``cycle_operator`` replaces
-    them by the inflow solve.
-
-    ``nodes`` (ascending) keeps the rows of those nodes only.  ``replace`` =
-    (rows, block, cols) puts the nonzeros of the dense ``block``, whose
-    columns are ``cols`` (ascending), in place of the rows ``rows``.  The
-    matrix is assembled a block of nodes at a time into arrays of its final
-    size, so no full-size temporary is made."""
+    them by the inflow solve.  The matrix is assembled in one pass over all
+    nodes."""
     nx, n = dx.size + 1, lam.size
     i = np.arange(nx)
     # transport sends mode j at node i to
-    # w[i, j, 0] chi[left[i, j], j] + w[i, j, 1] chi[left[i, j] + 1, j]
+    # w[i, 0, j] chi[left[i, j], j] + w[i, 1, j] chi[left[i, j] + 1, j]
     left = np.repeat(i[:, None], n, axis=1)
-    w = np.zeros((nx, n, 2))
-    w[:, :, 0] = 1.0
+    w = np.zeros((nx, 2, n))
+    w[:, 0] = 1.0
     for k in pos:  # node i >= 1 upwinds from the cell on its left
         c = dt[1:] * lam[k] / dx
         left[1:, k] = i[:-1]
-        w[1:, k] = np.column_stack([c, 1.0 - c])
+        w[1:, :, k] = np.column_stack([c, 1.0 - c])
     for k in neg:  # node nx - 1 copies the update of node nx - 2
-        c = dt[:-1] * lam[k] / dx
-        c = np.append(c, c[-1])
+        c = (dt[:-1] * lam[k] / dx)[np.minimum(i, nx - 2)]
         left[-1, k] = nx - 2
-        w[:, k] = np.column_stack([1.0 + c, -c])
-    used = np.zeros((nx, n, 2), dtype=bool)
-    used[:, :, 0] = True
-    used[1:, pos, 1] = True
-    used[:, neg, 1] = True
+        w[:, :, k] = np.column_stack([1.0 + c, -c])
+    used = np.zeros((nx, 2, n), dtype=bool)
+    used[:, 0] = True
+    used[1:, 1, pos] = True
+    used[:, 1, neg] = True
     P = np.empty((len(E), n, n))
     for lev, E_lev in enumerate(E):
         source = np.eye(n)
         source[n - r :, n - r :] = E_lev
         P[lev] = R.T @ source @ R
-    if nodes is not None:
-        left, w, used, level = left[nodes], w[nodes], used[nodes], level[nodes]
-    m = level.size
     # row (i, k) is the sum over j of P[k, j] times the transport of mode j
-    # at node i: entry (slot, j) is P[level[i], k, j] w[i, j, slot], where
-    # used[i, j, slot], at column (left[i, j] + slot) n + j, so that the
+    # at node i: entry (slot, j) is P[level[i], k, j] w[i, slot, j], where
+    # used[i, slot, j], at column (left[i, j] + slot) n + j, so that the
     # columns of a row nearly ascend
-    keep = used.transpose(0, 2, 1).reshape(m, 1, 2 * n)
-    cols = (left[:, None, :] + np.arange(2)[:, None]) * n + np.arange(n)
-    cols = cols.astype(np.int32).reshape(m, 1, 2 * n)
-    counts = np.repeat(keep.sum(axis=(1, 2)), n)
-    stay = np.ones(m * n, dtype=bool)  # rows taken from the step
-    if replace is not None:
-        rows, block, block_cols = replace
-        nz_row, nz_col = np.nonzero(block)
-        first = np.searchsorted(nz_row, np.arange(rows.size))
-        counts[rows] = np.bincount(nz_row, minlength=rows.size)
-        stay[rows] = False
-    indptr = np.zeros(m * n + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    if replace is not None:
-        at = indptr[rows][nz_row] + np.arange(nz_row.size) - first[nz_row]
-        data[at], indices[at] = block[nz_row, nz_col], block_cols[nz_col]
-    for a in range(0, m, NODE_BLOCK):
-        b = min(a + NODE_BLOCK, m)
-        lo, hi = indptr[a * n], indptr[b * n]
-        take = keep[a:b] & stay[a * n : b * n].reshape(b - a, n, 1)
-        own = np.repeat(stay[a * n : b * n], counts[a * n : b * n])
-        values = P[level[a:b]][:, :, None, :] * w[a:b].transpose(0, 2, 1)[:, None]
-        data[lo:hi][own] = values.reshape(b - a, n, 2 * n)[take]
-        indices[lo:hi][own] = np.broadcast_to(cols[a:b], take.shape)[take]
-    return sp.csr_matrix((data, indices, indptr), shape=(m * n, nx * n))
+    keep = np.broadcast_to(used[:, None], (nx, n, 2, n))
+    cols = ((left[:, None, :] + np.arange(2)[:, None]) * n + np.arange(n)).astype(np.int32)
+    data = (P[level][:, :, None, :] * w[:, None])[keep]
+    indices = np.broadcast_to(cols[:, None], keep.shape)[keep]
+    indptr = np.insert(np.cumsum(np.repeat(used.sum(axis=(1, 2)), n), dtype=np.int32), 0, 0)
+    return sp.csr_matrix((data, indices, indptr), shape=(nx * n, nx * n))
 
 
 def csr_product(C, x: np.ndarray, out: np.ndarray):
@@ -166,27 +133,27 @@ def csr_product(C, x: np.ndarray, out: np.ndarray):
     return apply
 
 
-def cycle_operator(step_args, level, n, pos, rest, inflow_b, inflow_rest, R):
+def cycle_operator(A, level, pos, rest, inflow_b, inflow_rest, R):
     """One local-time-stepping cycle, the 2^K finest steps for K =
     level.max(), each followed by the inflow solve chi_+ = inflow_b b +
     inflow_rest chi_rest at node 0, as an affine map of the state chi at its
     start and of the boundary data beta = (b_0, ..., b_{2^K - 1}) of its
-    finest steps.  ``step_args`` are the arguments of ``step_operator``.
+    finest steps.  ``A`` is the step matrix of ``step_operator``.
 
     Returns ``(C, H, G, step_nnz)``: the state at the end of the cycle is
     C chi plus H beta on its first H.shape[0] entries; the boundary traces
     at its 2^K finest steps, stacked, are G (chi[:g], beta) with
-    g = G.shape[1] - H.shape[1]; step_nnz counts the nonzeros of the step
-    matrix.
+    g = G.shape[1] - H.shape[1]; step_nnz counts the nonzeros of ``A``.
 
     The scheme is linear, so the map is exact, and the inflow solve still
     follows the source, so B U(0, t) = b(t) holds after every finest step.
     Nodes at the top level update once, at the start of the cycle, so their
-    rows of C are those of the step matrix; only node 0, whose inflow solve
-    follows every step, the nodes below the top level and the boundary data
-    need products.  Those are formed densely on these nodes and their
-    neighbours, whose rows read one node further, and C is assembled once,
-    with no full step matrix beside it."""
+    rows of C are those of ``A``; only node 0, whose inflow solve follows
+    every step, the nodes below the top level and the boundary data need
+    products.  Those are formed densely on the rows of ``A`` at these nodes
+    and their neighbours, whose rows read one node further, and C is ``A``
+    with the rows below the top level spliced in."""
+    n = R.shape[0]
     top = int(level.max())
     cycle = 2**top
     nb = pos.size
@@ -194,25 +161,22 @@ def cycle_operator(step_args, level, n, pos, rest, inflow_b, inflow_rest, R):
     def spread(nodes):  # node mask -> flat state indices
         return (np.flatnonzero(nodes)[:, None] * n + np.arange(n)).ravel()
 
-    def widen(nodes):
-        out = nodes.copy()
-        out[1:] |= nodes[:-1]
-        out[:-1] |= nodes[1:]
-        return out
+    def widen(nodes):  # the nodes and their neighbours
+        return nodes | np.append(nodes[1:], False) | np.insert(nodes[:-1], 0, False)
 
     low = level < top
     low[0] = True
     ext = widen(low)
     rows, cols = spread(ext), spread(widen(ext))
     ncol = cols.size
-    head = step_operator(*step_args, nodes=np.flatnonzero(ext))
+    head = A[rows]
     X = np.zeros((rows.size, ncol + cycle * nb))
     X[:, :ncol] = head[:, cols].toarray()
     within = head[:, rows]
     row_level = np.repeat(level[ext], n)
     active = [np.flatnonzero(row_level <= v) for v in range(top)]
     ops = [within[a] for a in active]
-    traces = np.empty((cycle, n, X.shape[1]))
+    G = np.empty((cycle * n, X.shape[1]))  # the traces, stacked
     # X holds the rows of ``rows``, of which node 0 is the first n
     for s in range(cycle):
         if s:  # the nodes of level <= v_2(s) advance from the current state
@@ -220,19 +184,32 @@ def cycle_operator(step_args, level, n, pos, rest, inflow_b, inflow_rest, R):
             X[active[v]] = ops[v] @ X
         X[pos] = inflow_rest @ X[rest]
         X[pos, ncol + s * nb : ncol + (s + 1) * nb] += inflow_b
-        traces[s] = R @ X[:n]
+        G[s * n : (s + 1) * n] = R @ X[:n]
     # the rows that changed: C takes their state columns, and H those that
     # the boundary data reach, up to the last
     low_rows, lows = spread(low), np.repeat(low[ext], n)
     Y = X[lows]
-    C = step_operator(*step_args, replace=(low_rows, Y[:, :ncol], cols))
-    step_nnz = C.nnz - np.count_nonzero(Y[:, :ncol]) + head[lows].nnz
+    del X, head, within, ops  # free the dense rows before C is made
+    # C takes the nonzeros of Y in low_rows, in ascending column order, and
+    # keeps the other rows of A, entries in order, copied a run of rows at a
+    # time, so that no full-size temporary is made beside A and C
+    nz_row, nz_col = np.nonzero(Y[:, :ncol])
+    counts = np.diff(A.indptr)
+    counts[low_rows] = np.bincount(nz_row, minlength=low_rows.size)
+    indptr = np.insert(np.cumsum(counts, dtype=A.indptr.dtype), 0, 0)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=A.indices.dtype)
+    at = indptr[low_rows][nz_row] + np.arange(nz_row.size) - np.searchsorted(nz_row, nz_row)
+    data[at], indices[at] = Y[nz_row, nz_col], cols[nz_col]
+    stay = np.repeat(~low, n)
+    for lo, hi in np.flatnonzero(np.diff(stay, prepend=False, append=False)).reshape(-1, 2):
+        run, a, b = slice(indptr[lo], indptr[hi]), A.indptr[lo], A.indptr[hi]
+        data[run], indices[run] = A.data[a:b], A.indices[a:b]
+    C = sp.csr_matrix((data, indices, indptr), shape=A.shape)
     hit = np.any(Y[:, ncol:] != 0, axis=1)
     H = np.zeros((low_rows[hit].max(initial=-1) + 1, Y.shape[1] - ncol))
     H[low_rows[hit]] = Y[hit, ncol:]
     # the traces read the state up to the last column they touch
-    G = traces.reshape(cycle * n, X.shape[1])
     hit = np.any(G[:, :ncol] != 0, axis=0)
     G_head = np.zeros((G.shape[0], cols[hit].max(initial=-1) + 1))
     G_head[:, cols[hit]] = G[:, :ncol][:, hit]
-    return C, H, np.hstack([G_head, G[:, ncol:]]), step_nnz
+    return C, H, np.hstack([G_head, G[:, ncol:]]), A.nnz

@@ -72,6 +72,26 @@ class TestSplitInvariantSubspaces:
         angles = sla.subspace_angles(R, split_invariant_subspaces(M).basis_s)
         assert np.max(angles, initial=0.0) < 1e-8
 
+    @pytest.mark.parametrize("flip", ["all", "alternate"])
+    def test_real_stable_basis_ignores_singular_vector_signs(self, flip, rng, monkeypatch):
+        M = rng.normal(size=(6, 6)) - 2 * np.eye(6)
+        R = stable_basis_real(M)
+        assert R.shape[1] >= 2
+        lead = R[np.abs(R).argmax(axis=0), np.arange(R.shape[1])]
+        assert np.all(lead > 0)
+        svd = np.linalg.svd
+
+        def flipped(a, *args, **kwargs):
+            out = svd(a, *args, **kwargs)
+            if not kwargs.get("compute_uv", True):
+                return out
+            U, s, Vh = out
+            signs = -np.ones(U.shape[-1]) if flip == "all" else (-1.0) ** np.arange(U.shape[-1])
+            return U * signs, s, Vh * signs[:, None]
+
+        monkeypatch.setattr(np.linalg, "svd", flipped)
+        assert np.array_equal(stable_basis_real(M), R)
+
 
 class TestSignSplitter:
     """The stable subspace as the range of (I - sign M) / 2, against the

@@ -473,7 +473,7 @@ class TestSolveRelaxation:
     def test_cfl_respected(self, pipe2x2):
         scen = fixtures.example_scenario(T=0.3)
         eps = 1e-2
-        res = solve_relaxation(pipe2x2.sys, scen, eps, dx_max=2e-3, cfl=0.9)
+        res = solve_relaxation(pipe2x2.sys, scen, eps, dx_max=2e-3)
         rho = max(abs(np.linalg.eigvalsh(pipe2x2.sys.A1)))
         assert res.dt <= 0.9 * (eps / 4.0) / rho + 1e-15
 
@@ -483,12 +483,11 @@ class TestSolveRelaxation:
             solve_relaxation(pipe2x2.sys, scen, eps=1e-2, dx_max=5e-3)
 
     def test_warns_when_layer_underresolved(self, pipe2x2):
-        scen = fixtures.example_scenario(T=0.1)
+        # a domain two boundary cells long holds fewer than 4 cells inside
+        # the layer width
+        scen = fixtures.example_scenario(T=1e-3, x_max=5e-3)
         with pytest.warns(UnresolvedLayerWarning, match="eps-layer"):
-            # ratio 2 leaves fewer than 4 cells inside the layer width
-            solve_relaxation(
-                pipe2x2.sys, scen, eps=1e-2, dx_max=5e-3, ratio=2.0
-            )
+            solve_relaxation(pipe2x2.sys, scen, eps=1e-2, dx_max=5e-3)
 
     def test_energy_decays_with_homogeneous_boundary(self, pipe2x2):
         scen = Scenario(
@@ -537,6 +536,44 @@ class TestSparseStepOracle:
             # graded from dx_min = 7.5e-5 to dx_max = 2e-3: levels 0 to 5
             assert 3 * res.node_steps <= ref.node_steps
             assert _rel_l2(res.U, ref.U) <= 3e-3
+
+    @pytest.mark.parametrize("x_max, clipped", [(1.2, True), (1.2001, False)])
+    @pytest.mark.parametrize("which", ["2x2", "3x3"])
+    def test_multilevel_rows_match_dense_update(self, which, x_max, clipped, pipe2x2, sys3):
+        sys_obj = pipe2x2.sys if which == "2x2" else sys3
+        n, r, eps = sys_obj.n, sys_obj.r, 3e-4
+        lam, R, pos, neg, _ = _split(sys_obj.A1)
+        dx = np.diff(graded_mesh(x_max, eps / 4.0, 5e-4))
+        nx = dx.size + 1
+        level, h = stepping.time_levels(dx)
+        assert level.min() == 0 and level.max() == 3
+        assert (level[-2] < level.max()) == clipped
+        dt0 = 0.9 * h / np.abs(lam).max()
+        E = [sla.expm(sys_obj.S * (dt0 * 2**k) / eps) for k in range(4)]
+        dt = dt0 * 2.0**level
+        # outgoing modes of the outflow node copy node nx - 2, dt included,
+        # so a dt of its own shows only in its incoming modes
+        dt[-1] *= 0.5
+        chi = np.random.default_rng(3).normal(size=(nx, n))
+        new = chi.copy()
+        for i in range(nx):
+            for k in pos:
+                if i > 0:
+                    c = dt[i] * lam[k] / dx[i - 1]
+                    new[i, k] = chi[i, k] - c * (chi[i, k] - chi[i - 1, k])
+            for k in neg:
+                if i < nx - 1:
+                    c = dt[i] * lam[k] / dx[i]
+                    new[i, k] = chi[i, k] - c * (chi[i + 1, k] - chi[i, k])
+        new[-1, neg] = new[-2, neg]
+        ref = np.empty_like(new)
+        for i in range(nx):
+            source = np.eye(n)
+            source[n - r :, n - r :] = E[level[i]]
+            ref[i] = R.T @ (source @ (R @ new[i]))
+        step = stepping.step_operator(lam, R, pos, neg, dx, dt, level, E, r)
+        got = (step @ chi.ravel()).reshape(nx, n)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestCycleMapOracle:
@@ -593,7 +630,7 @@ class TestCycleMapOracle:
         inflow_b = np.linalg.inv(sys_obj.B @ R[:, pos])
         inflow_rest = -inflow_b @ (sys_obj.B @ R[:, rest])
         C, H, G, _ = stepping.cycle_operator(
-            step_args, level, n, pos, rest, inflow_b, inflow_rest, R
+            stepping.step_operator(*step_args), level, pos, rest, inflow_b, inflow_rest, R
         )
         step = stepping.step_operator(*step_args)
         # every row outside node 0 is the step row, bit for bit
@@ -668,7 +705,7 @@ class TestCsrProduct:
         inflow_b = np.linalg.inv(sys3.B @ R[:, pos])
         inflow_rest = -inflow_b @ (sys3.B @ R[:, rest])
         return stepping.cycle_operator(
-            step_args, level, sys3.n, pos, rest, inflow_b, inflow_rest, R
+            stepping.step_operator(*step_args), level, pos, rest, inflow_b, inflow_rest, R
         )[0]
 
     def test_matches_matmul_bit_for_bit(self, sys3):
@@ -841,7 +878,7 @@ class TestConvergenceStudy:
             pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
             pipe2x2.rbc, pipe2x2.closure, scen,
             eps_list=(1e-2, 3e-3),
-            dx_max=2e-3, equilibrium_dx=1e-3, with_control=False,
+            dx_max=2e-3, equilibrium_dx=1e-3,
         )
         assert study.errors[1] < study.errors[0]
         assert not study.degenerate
@@ -857,7 +894,7 @@ class TestConvergenceStudy:
             return run_convergence_study(
                 pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
                 pipe2x2.rbc, pipe2x2.closure, scen,
-                eps_list=(1e-2, 3e-3, 1e-3, 3e-4), with_control=False,
+                eps_list=(1e-2, 3e-3, 1e-3, 3e-4),
             )
 
         local = study()
@@ -954,7 +991,7 @@ class TestConvergenceStudy:
             pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
             pipe2x2.rbc, pipe2x2.closure, scen,
             eps_list=(1e-2, 3e-3),
-            dx_max=2e-3, equilibrium_dx=1e-3, with_control=False,
+            dx_max=2e-3, equilibrium_dx=1e-3,
         )
         assert study.degenerate
         assert study.slope is None
