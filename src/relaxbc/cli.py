@@ -21,7 +21,6 @@ with ``RELAXBC_LOG=debug`` the reason a file was not reused is logged.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -43,7 +42,6 @@ from .model import (
 from .reduction import derive_all, render_reduced_bc
 from .spectral import SamplingSpec, build_kernel_frame, check_gkc
 from .sim import Scenario, check_epsilons, run_convergence_study, solve_relaxation
-from .tolerances import REPORT_IMAG_REL
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -64,11 +62,23 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list, rows) -> None:
+#: rows of a CSV file formatted per write: one string for the whole
+#: default-resolution d = 3 sample of ``gkc_samples.csv`` (134,242 rows)
+#: raised the peak resident memory of ``gkc`` from 100 to 144 MB
+CSV_BLOCK = 4096
+
+
+def _write_csv(path: str, header: list, columns) -> None:
+    """A CSV file of the float ``columns`` (arrays of equal length, 1-D or
+    2-D) side by side: the bytes ``csv.writer`` writes for the same rows
+    (``repr`` of each float, commas, CRLF line ends), formatted CSV_BLOCK
+    rows at a time."""
+    row = ",".join(["%r"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK):
+            block = np.column_stack([c[start : start + CSV_BLOCK] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _config_hash(doc: dict) -> str:
@@ -348,30 +358,6 @@ def _gkc_verdict(args, config_doc: dict, sys_obj, spec: SamplingSpec):
     return report.passed, report.to_dict()
 
 
-#: rows of ``gkc_samples.csv`` formatted per write: one string for the whole
-#: default-resolution d = 3 sample (134,242 rows) raised the peak resident
-#: memory of ``gkc`` from 100 to 144 MB
-CSV_BLOCK = 4096
-
-
-def _emit_gkc_csv(args, report, d: int) -> None:
-    """``gkc_samples.csv`` from the arrays of ``report``: the bytes
-    ``csv.writer`` writes for the same rows (``repr`` of each float, commas,
-    CRLF line ends), formatted CSV_BLOCK rows at a time."""
-    header = ["re_xi", "im_xi"] + [f"omega{j}" for j in range(1, d)] + [
-        "eta", "ratio",
-    ]
-    row = ",".join(["%r"] * len(header)) + "\r\n"
-    with open(os.path.join(args.out, "gkc_samples.csv"), "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(report.values), CSV_BLOCK):
-            block = np.column_stack([
-                report.points[start : start + CSV_BLOCK],
-                report.values[start : start + CSV_BLOCK],
-            ])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
-
-
 def cmd_gkc(args) -> int:
     doc = _read_json(args.system)
     sys_obj = load_system(args.system)
@@ -381,7 +367,11 @@ def cmd_gkc(args) -> int:
     out = report.to_dict()
     out["provenance"] = _gkc_provenance(args, doc, spec)
     _write_json(os.path.join(args.out, "gkc.json"), out)
-    _emit_gkc_csv(args, report, sys_obj.d)
+    header = ["re_xi", "im_xi"] + [f"omega{j}" for j in range(1, sys_obj.d)] + [
+        "eta", "ratio",
+    ]
+    _write_csv(os.path.join(args.out, "gkc_samples.csv"), header,
+               [report.points, report.values])
 
     print(f"GKC sampled minimum ratio: {report.min_ratio:.6g} "
           f"over {report.samples} points "
@@ -424,7 +414,7 @@ def cmd_reduce(args) -> int:
     out = {
         "reduced_bc": rbc.to_dict(),
         "closure": {
-            "coefficient": _complex_to_lists(closure.coefficient),
+            "coefficient": closure.coefficient.tolist(),
             "condition_number": float(closure.condition_number),
         },
         "gkc": gkc_doc,
@@ -440,15 +430,6 @@ def cmd_reduce(args) -> int:
     if not gkc_passed:
         print("warning: GKC check failed, reduction was forced")
     return EXIT_PASS
-
-
-def _complex_to_lists(a: np.ndarray):
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        if a.size and np.max(np.abs(a.imag)) > REPORT_IMAG_REL * max(np.max(np.abs(a)), 1.0):
-            return {"real": a.real.tolist(), "imag": a.imag.tolist()}
-        a = a.real
-    return a.tolist()
 
 
 def cmd_simulate(args) -> int:
@@ -484,14 +465,12 @@ def cmd_simulate(args) -> int:
     _write_csv(
         os.path.join(args.out, "simulate_snapshot.csv"),
         ["x"] + [f"U{k+1}" for k in range(sys_obj.n)],
-        np.column_stack([result.x, result.U]).tolist(),
+        [result.x, result.U],
     )
     _write_csv(
         os.path.join(args.out, "simulate_boundary.csv"),
         ["t"] + [f"U{k+1}" for k in range(sys_obj.n)],
-        np.column_stack(
-            [result.boundary_times, result.boundary_values]
-        ).tolist(),
+        [result.boundary_times, result.boundary_values],
     )
     print(f"eps={args.eps:g}: {result.steps} steps on {result.x.size} nodes, "
           f"final L2 norm {norm:.6g}")
@@ -559,10 +538,7 @@ def cmd_converge(args) -> int:
     if study.control_errors is not None:
         header.append("control_error")
         cols.append(study.control_errors)
-    _write_csv(
-        os.path.join(args.out, "converge.csv"),
-        header, np.column_stack(cols).tolist(),
-    )
+    _write_csv(os.path.join(args.out, "converge.csv"), header, cols)
 
     if study.degenerate:
         print("all errors at round-off level; slope degenerate")

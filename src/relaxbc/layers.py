@@ -6,12 +6,15 @@ solution
                   + (mu1; 0)(x/sqrt(eps), t)
                   + sqrt(eps) (mu2; nu2)(x/sqrt(eps), t).
 
-The sqrt(eps)-layer solves a constant-coefficient heat equation on the half
-line; it is evaluated in closed form (Duhamel's erfc superposition), with no
-time stepping and no truncation boundary.  erfc is evaluated here, for
-x >= 0, by two rational approximations in the variables of Cody (Math. Comp.
-23, 1969), with exp(-x^2) split as cephes does so that the rounding of x^2
-does not enter it (``erfc``).
+The eps-layer is a sum of decaying exponentials, one per mode of the layer
+pencil that ``reduction.build_reduction_data`` solves, weighted by the
+closure's modal amplitudes.  The sqrt(eps)-layer solves a
+constant-coefficient heat equation on the half line; it is evaluated in
+closed form (Duhamel's erfc superposition), with no time stepping and no
+truncation boundary.  erfc is evaluated here, for x >= 0, by two rational
+approximations in the variables of Cody (Math. Comp. 23, 1969), with
+exp(-x^2) split as cephes does so that the rounding of x^2 does not enter it
+(``erfc``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import AssumptionViolated
 # stable_basis_real is not called here; perfbench/spans.py wraps it by this name
-from .linalg import ExpActionEvaluator, stable_basis_real
+from .linalg import stable_basis_real
 from .model import RelaxationSystem
 from .reduction import EquilibriumFrame, ReductionData
 from .spectral import KernelFrame
@@ -97,42 +100,30 @@ def erfc(x, gauss=None):
 
 @dataclass
 class EpsLayer:
-    """The eps-scale profile (mu0; nu0)(y, t) = amplitude @ exp(M2 y) R2S w_s(t).
-
-    ``amplitude`` is the n x k matrix carrying the stable layer modes back to
-    the original variables; w_s(t) comes from the closure solve.
+    """The eps-scale profile (mu0; nu0)(y, t) = sum_k exp(rates_k y) w_s,k(t)
+    modes[:, k]: the decaying modes R2^S of the layer pencil in the original
+    variables, with their rates; the modal amplitudes w_s(t) come from the
+    closure solve.
     """
 
-    amplitude: np.ndarray  # n x k_tilde
-    M2: np.ndarray
-    R2S: np.ndarray
-    _evaluator: ExpActionEvaluator | None = None
-
-    def __post_init__(self):
-        # built here, not on the first evaluate: the stiff runs of a
-        # convergence study evaluate one layer from several threads
-        if self._evaluator is None:
-            self._evaluator = ExpActionEvaluator(self.M2)
+    modes: np.ndarray  # n x k
+    rates: np.ndarray  # k, all negative
 
     @property
     def mode_count(self) -> int:
-        return self.R2S.shape[1]
+        return self.rates.size
 
     def evaluate(self, y: np.ndarray, w_s: np.ndarray) -> np.ndarray:
         """Profile values, shape (len(y), n)."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        n = self.amplitude.shape[0]
-        if self.mode_count == 0 or self.M2.shape[0] == 0:
-            return np.zeros((y.size, n))
-        w0 = self.R2S @ np.atleast_1d(w_s)
-        w = self._evaluator.apply(y, w0)  # (len(y), dim)
-        return np.real(w) @ self.amplitude.T
+        return (np.exp(np.outer(y, self.rates)) * w_s) @ self.modes.T
 
 
 def build_eps_layer(
     sys: RelaxationSystem, frame: KernelFrame, data: ReductionData
 ) -> EpsLayer:
-    """Assemble the eps-layer directions from the kernel-frame reduction."""
+    """The eps-layer modes R2^S carried to the original variables through
+    the kernel-frame reduction."""
     R0, R1, Q = frame.R0, frame.R1, sys.Q
     V1 = np.vstack([data.N, data.K_tilde])
     if frame.n0 > 0:
@@ -140,7 +131,7 @@ def build_eps_layer(
         amp = R1 @ V1 + R0 @ V0
     else:
         amp = R1 @ V1
-    return EpsLayer(amplitude=amp, M2=data.M2, R2S=data.R2S)
+    return EpsLayer(modes=amp @ data.R2S, rates=data.rates)
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels: invariant-subspace splits (per matrix, or
-stable eigenvectors of a stack), the rank rule, orthonormal complements, the
-matrix exponential and its action over many arguments.
+stable eigenvectors of a stack), the rank rule, orthonormal complements and
+the matrix exponential.
 
 All routines are pure and use numpy's LAPACK only.  A stable invariant
 subspace is the range of the spectral projector (I - sign M) / 2, with
@@ -23,7 +23,6 @@ from .errors import (
 from .tolerances import (
     AXIS_MARGIN,
     EIGVEC_COND_MAX,
-    EXP_EIGVEC_COND_MAX,
     RANK_REL,
     SIGN_MAX_STEPS,
     SIGN_REL_CHANGE,
@@ -226,11 +225,7 @@ def orthonormal_complement(V) -> np.ndarray:
     if k == 0:
         return np.eye(n)
     full_rank_cond(V, RankDeficient(f"matrix of shape {V.shape} is column-rank deficient"))
-    Q, _ = np.linalg.qr(V, mode="complete")
-    comp = Q[:, k:]
-    if np.isrealobj(V):
-        comp = comp.real
-    return comp
+    return np.linalg.qr(V, mode="complete")[0][:, k:]
 
 
 #: Pade [13/13] numerator coefficients of exp (Higham 2005, eq. 2.3), over
@@ -269,36 +264,3 @@ def expm(A) -> np.ndarray:
     for _ in range(s):
         E = E @ E
     return E
-
-
-class ExpActionEvaluator:
-    """Vectorized exp(M y) v over many y values.
-
-    Diagonalizes M once when the eigenvector matrix is well conditioned
-    (condition number below EXP_EIGVEC_COND_MAX) and falls back to per-point
-    scaling-and-squaring otherwise.
-    """
-
-    def __init__(self, M):
-        self.M = np.atleast_2d(np.asarray(M, dtype=float))
-        self._diag = None
-        m = self.M.shape[0]
-        if m == 0:
-            return
-        w, V = np.linalg.eig(self.M)
-        if np.linalg.cond(V) < EXP_EIGVEC_COND_MAX:
-            self._diag = (w, V, np.linalg.inv(V))
-
-    def apply(self, ys, v) -> np.ndarray:
-        """Return array of shape (len(ys), dim) with rows exp(M y_i) v."""
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        v = np.asarray(v)
-        m = self.M.shape[0]
-        if m == 0:
-            return np.zeros((ys.size, 0))
-        if self._diag is not None:
-            w, V, Vinv = self._diag
-            phases = np.exp(np.outer(ys, w))  # (ny, m)
-            out = (phases * (Vinv @ v.astype(complex))) @ V.T
-            return out.real if np.isrealobj(v) else out
-        return np.stack([expm(self.M * y) @ v for y in ys])

@@ -6,6 +6,11 @@ null space B_o of (Y2 Y3) turns the full condition into a well-posed boundary
 condition B_o B_u ubar(0) = B_o b for the equilibrium system, certified by a
 uniform Kreiss condition (UKC).  The same algebra provides the closure solve
 that recovers the boundary-layer degrees of freedom.
+
+The eps-layer ODE (K~^T X K~) w' = (K~^T S_hat K~) w is a symmetric-definite
+pencil, so one symmetric eigensolve gives its decaying modes R2^S and their
+rates (``build_reduction_data``).  Every matrix of the chain is real;
+``derive_all`` refuses a system that is not.
 """
 
 from __future__ import annotations
@@ -19,10 +24,12 @@ from .errors import (
     AssumptionViolated,
     DegenerateY,
     GkcFailed,
+    NearImaginaryEigenvalue,
     RankDeficientK,
     SingularClosure,
     SingularKtXKt,
 )
+# stable_basis_real is not called here; perfbench/spans.py wraps it by this name
 from .linalg import (
     full_rank_cond,
     orthonormal_complement,
@@ -30,11 +37,10 @@ from .linalg import (
     stable_basis_real,
 )
 from .model import RelaxationSystem, compute_indices, split_speeds
-from .spectral import KernelFrame, SamplingSpec, map_chunks, xi_omega_directions
-from .tolerances import (
-    B_O_ENTRY_ABS, C_THRESHOLD, CLOSURE_IMAG_REL,
-    Y3_REAL_IF_CLOSE_EPS, spectral_norm,
+from .spectral import (
+    KernelFrame, SamplingSpec, map_chunks, require_real, xi_omega_directions,
 )
+from .tolerances import B_O_ENTRY_ABS, C_THRESHOLD, spectral_norm, tau_axis
 
 log = logging.getLogger(__name__)
 
@@ -61,8 +67,8 @@ class ReductionData:
     K_tilde: np.ndarray  # orthonormal complement of range(K)
     X: np.ndarray  # A22_hat - A12_hat^T P1 Lam1^{-1} P1^T A12_hat
     N: np.ndarray
-    M2: np.ndarray  # (K~^T X K~)^{-1} (K~^T S_hat K~), governs the eps-layer ODE
-    R2S: np.ndarray  # real orthonormal basis of the stable subspace of M2
+    R2S: np.ndarray  # decaying eps-layer modes, one unit column per mode
+    rates: np.ndarray  # their decay rates, all negative
 
 
 @dataclass
@@ -96,7 +102,7 @@ class ClosureSolve:
     """Boundary data for the layer corrections at one time t:
 
     the coefficient matrix of B~_o (Y2 Y3) acting on (P0^T mu1(0); w_s),
-    where w_s parametrizes the stable eps-layer modes."""
+    where w_s holds the amplitudes of the eps-layer modes R2^S."""
 
     coefficient: np.ndarray
     B_tilde_o: np.ndarray
@@ -115,11 +121,23 @@ def build_equilibrium_frame(sys: RelaxationSystem) -> EquilibriumFrame:
 def build_reduction_data(
     sys: RelaxationSystem, frame: KernelFrame, eq: EquilibriumFrame
 ) -> ReductionData:
-    """Assemble K, K~, X, N, M2 and R2^S from the reduced coefficients.
+    """Assemble K, K~, X, N and the eps-layer modes R2^S with their rates.
 
-    Raises RankDeficientK if K = A12_hat^T P0 loses column rank and
-    SingularKtXKt if K~^T X K~ is singular; both indicate the system
-    falls outside the admissible class.
+    The eps-layer ODE (K~^T X K~) w' = (K~^T S_hat K~) w has a symmetric
+    K~^T X K~ and a negative definite K~^T S_hat K~ (S_hat < 0 under
+    structural stability): with -K~^T S_hat K~ = L L^T, each eigenpair
+    (mu, z) of the symmetric C = L^{-1} (K~^T X K~) L^{-T} is a mode L^{-T} z
+    with rate -1/mu (Golub & Van Loan, Matrix Computations, sec. 8.7).  The
+    decaying modes are those with mu > 0, as many as the positive inertia of
+    K~^T X K~.  R2^S holds them in ascending mu, each column of unit norm
+    with its largest entry in magnitude (the first, on ties) positive.
+
+    Raises RankDeficientK if K = A12_hat^T P0 loses column rank,
+    SingularKtXKt if K~^T X K~ is singular, AssumptionViolated if
+    K~^T S_hat K~ is not negative definite or the number of decaying modes
+    is not n_+ - n1_+ - n10, and NearImaginaryEigenvalue if a rate lies
+    within tau_axis of zero: each places the system outside the admissible
+    class.
     """
     idx = compute_indices(sys)
     A12h, A22h, Sh = frame.A12_hat, frame.A22_hat, frame.S_hat
@@ -137,20 +155,41 @@ def build_reduction_data(
     KtXKt = K_tilde.T @ X @ K_tilde
     KtSKt = K_tilde.T @ Sh @ K_tilde
     full_rank_cond(KtXKt, SingularKtXKt("K~^T X K~ is singular"))
-    M2 = np.linalg.solve(KtXKt, KtSKt)
 
     inner = (K.T @ Sh @ K_tilde) @ np.linalg.solve(KtSKt, KtXKt) - K.T @ X @ K_tilde
     N0 = P0 @ np.linalg.inv(K.T @ K) @ inner
     N = N0 - P1 @ np.diag(1.0 / Lam1) @ P1.T @ A12h @ K_tilde
 
     expected = idx.n_plus - idx.n1_plus - idx.n10
-    R2S = stable_basis_real(M2)
+    R2S, rates = _layer_modes(KtXKt, KtSKt)
     if R2S.shape[1] != expected:
         raise AssumptionViolated(
-            f"M2 has {R2S.shape[1]} stable eigenvalues, expected "
+            f"the eps-layer has {R2S.shape[1]} decaying modes, expected "
             f"n_+ - n1_+ - n10 = {expected}"
         )
-    return ReductionData(K=K, K_tilde=K_tilde, X=X, N=N, M2=M2, R2S=R2S)
+    return ReductionData(K=K, K_tilde=K_tilde, X=X, N=N, R2S=R2S, rates=rates)
+
+
+def _layer_modes(KtXKt, KtSKt):
+    """The decaying modes and rates of the pencil (K~^T X K~, K~^T S_hat K~)
+    (see ``build_reduction_data``)."""
+    if not KtXKt.size:
+        return np.zeros((0, 0)), np.zeros(0)
+    try:
+        L = np.linalg.cholesky(-KtSKt)
+    except np.linalg.LinAlgError:
+        raise AssumptionViolated("K~^T S_hat K~ is not negative definite") from None
+    mu, Z = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, KtXKt).T))
+    rates = -1.0 / mu
+    tol = tau_axis(np.abs(rates).max())
+    slowest = rates[np.argmin(np.abs(rates))]
+    if abs(slowest) < tol:
+        raise NearImaginaryEigenvalue(slowest, tol)
+    decaying = mu > 0
+    R2S = np.linalg.solve(L.T, Z[:, decaying])
+    R2S /= np.linalg.norm(R2S, axis=0)
+    R2S *= np.sign(R2S[np.abs(R2S).argmax(axis=0), np.arange(R2S.shape[1])])
+    return R2S, rates[decaying]
 
 
 def _M1_stack(sys: RelaxationSystem, eq: EquilibriumFrame):
@@ -283,17 +322,13 @@ def derive_reduced_bc(
     if Y23.shape[1] > 0:
         full_rank_cond(Y23, DegenerateY("(Y2 Y3) is column rank deficient"))
         U, _, _ = np.linalg.svd(Y23, full_matrices=True)
-        B_o = U[:, Y23.shape[1] :].conj().T
+        B_o = U[:, Y23.shape[1] :].T
     else:
         B_o = np.eye(n_plus)
     if B_o.shape[0] != n1_plus:
         raise DegenerateY(
             f"B_o has {B_o.shape[0]} rows, expected n1_+ = {n1_plus}"
         )
-    if np.iscomplexobj(B_o) and (
-        B_o.size == 0 or np.max(np.abs(B_o.imag)) < B_O_ENTRY_ABS
-    ):
-        B_o = B_o.real
     B_o = _normalize_rows(B_o)
 
     ann = spectral_norm(B_o @ Y23) if Y23.shape[1] else 0.0
@@ -342,7 +377,7 @@ def _normalize_rows(B_o: np.ndarray) -> np.ndarray:
             continue
         row = row / nrm
         nz = np.nonzero(np.abs(row) > B_O_ENTRY_ABS)[0]
-        if nz.size and row[nz[0]].real < 0:
+        if nz.size and row[nz[0]] < 0:
             row = -row
         out[i] = row
     return out
@@ -362,7 +397,7 @@ def build_closure(
     if the coefficient is not invertible.
     """
     B_tilde_o = orthonormal_complement(rbc.B_o.T).T
-    coeff = B_tilde_o @ np.hstack([rbc.Y2, np.real_if_close(rbc.Y3, tol=Y3_REAL_IF_CLOSE_EPS)])
+    coeff = B_tilde_o @ np.hstack([rbc.Y2, rbc.Y3])
     if coeff.shape[0] != coeff.shape[1]:
         raise SingularClosure(
             f"closure coefficient is {coeff.shape[0]}x{coeff.shape[1]}, not square"
@@ -380,13 +415,12 @@ def solve_closure(
     ubar0_t: np.ndarray,
     n10: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve for (P0^T mu1(0), w_s) at one time instant."""
+    """Solve for (P0^T mu1(0), w_s) at one time instant; w_s holds the
+    amplitudes of the eps-layer modes R2^S."""
     rhs = closure.B_tilde_o @ (np.asarray(b_t, dtype=float) - sys.B_u @ ubar0_t)
     if closure.coefficient.size == 0:
         return np.zeros(0), np.zeros(0)
-    sol = np.linalg.solve(closure.coefficient, rhs.astype(closure.coefficient.dtype))
-    if np.max(np.abs(np.imag(sol)), initial=0.0) < CLOSURE_IMAG_REL * max(np.max(np.abs(sol)), 1.0):
-        sol = sol.real
+    sol = np.linalg.solve(closure.coefficient, rhs)
     return sol[:n10], sol[n10:]
 
 
@@ -403,10 +437,13 @@ class Pipeline:
 
 
 def derive_all(sys: RelaxationSystem, spec: SamplingSpec | None = None) -> Pipeline:
-    """Run the kernel frame -> reduction -> reduced BC -> closure chain."""
+    """Run the kernel frame -> reduction -> reduced BC -> closure chain.
+    Raises AssumptionViolated, as ``check_gkc`` does, unless A, Q, B and the
+    kernel frame are real."""
     from .spectral import build_kernel_frame
 
     frame = build_kernel_frame(sys)
+    require_real(sys, frame)
     eq = build_equilibrium_frame(sys)
     data = build_reduction_data(sys, frame, eq)
     rbc = derive_reduced_bc(sys, frame, eq, data, spec=spec)

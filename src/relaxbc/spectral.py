@@ -481,6 +481,14 @@ def gkc_ratios(
     return vals, [f"{_unit_to_point(u, sys.d).as_tuple()}: {exc}" for u, exc in skipped]
 
 
+def require_real(sys: RelaxationSystem, frame: KernelFrame) -> None:
+    """Raise AssumptionViolated unless A, Q, B and the frame's R0, R1 are
+    real arrays: the conjugate half of the GKC grid and the reduction chain
+    (R2^S, B_o, the closure) rest on it."""
+    if not all(map(np.isrealobj, (*sys.A, sys.Q, sys.B, frame.R0, frame.R1))):
+        raise AssumptionViolated("A, Q, B and the kernel frame must be real matrices")
+
+
 def check_gkc(
     sys: RelaxationSystem,
     frame: KernelFrame,
@@ -502,8 +510,7 @@ def check_gkc(
     eigenvalue near the imaginary axis.
     """
     spec = spec or SamplingSpec()
-    if not all(map(np.isrealobj, (*sys.A, sys.Q, sys.B, frame.R0, frame.R1))):
-        raise AssumptionViolated("the conjugate half of the GKC grid needs real matrices")
+    require_real(sys, frame)
     units = directions(sys.d + 2, spec)
     vals, failures = gkc_ratios(sys, frame, units)
     points, values, best, best_point = _collect(units, vals, sys.d)

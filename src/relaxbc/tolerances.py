@@ -63,20 +63,8 @@ DEGENERATE_ERROR_ABS = 1e-14
 #: the relaxed variables v
 TOUCHES_V_ABS = 1e-14
 
-#: ExpActionEvaluator diagonalises M below this eigenvector condition number
-EXP_EIGVEC_COND_MAX = 1e8
-
-#: entries of B_o this small in magnitude count as zero (realness, row signs)
+#: entries of B_o this small in magnitude count as zero (row signs)
 B_O_ENTRY_ABS = 1e-12
-
-#: ``np.real_if_close`` tolerance, in machine epsilons, for taking Y3 as real
-Y3_REAL_IF_CLOSE_EPS = 1e4
-
-#: relative imaginary part below which a closure solution is taken as real
-CLOSURE_IMAG_REL = 1e-10
-
-#: relative imaginary part above which a report matrix is written as complex
-REPORT_IMAG_REL = 1e-14
 
 #: ``make_double_characteristic`` rejects a draw whose second direction q has
 #: a part orthogonal to p shorter than this

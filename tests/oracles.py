@@ -1,6 +1,7 @@
 """Dense per-point oracles for the frequency symbols and their determinant
 ratios, built from the system matrices without the package's builders:
-M from a dense G and the frame's R0/R1, M1 from a dense C(omega), stable
+M from a dense G and the frame's R0/R1, M1 from a dense C(omega), the
+eps-layer matrix M2 and its profile through ``scipy.linalg.expm``, stable
 bases from ``scipy.linalg.schur``; the cell-by-cell loop that built the
 stiff solver's graded mesh before it was vectorised; and the time levels
 the stiff solver took before it counted them down from the bulk cell."""
@@ -37,6 +38,29 @@ def dense_m1(sys_obj, eq, xi, omega):
     X = np.linalg.solve(xi * np.eye(P0.shape[1]) + P0.T @ C @ P0, P0.T @ C @ P1)
     core = xi * np.eye(P1.shape[1]) + P1.T @ C @ P1 - P1.T @ C @ P0 @ X
     return -np.diag(1.0 / eq.Lam1) @ core, X
+
+
+def dense_m2(bundle):
+    """M2 = (K~^T X K~)^{-1} K~^T S_hat K~, the matrix of the eps-layer ODE."""
+    Kt = bundle.data.K_tilde
+    return np.linalg.solve(Kt.T @ bundle.data.X @ Kt, Kt.T @ bundle.frame.S_hat @ Kt)
+
+
+def dense_layer_profile(bundle, y, w_s):
+    """The eps-layer profile amplitude expm(M2 y) R2S w_s in the original
+    variables, amplitude = R1 V1 + R0 V0 with V1 = (N; K~) and
+    V0 = -(R0^T Q R0)^{-1} R0^T Q R1 V1.  R2S w_s lies in the stable
+    subspace Z = ``schur_stable_basis(M2)``, so expm(M2 y) acts on it as
+    Z expm(Z^* M2 Z y) Z^*: expm(M2 y) itself would amplify the rounding of
+    R2S w_s along the unstable modes by up to exp(y max Re eig M2)."""
+    sys_obj, frame, data = bundle.sys, bundle.frame, bundle.data
+    V1 = np.vstack([data.N, data.K_tilde])
+    R0, R1, Q = frame.R0, frame.R1, sys_obj.Q
+    V0 = -np.linalg.solve(R0.T @ Q @ R0, R0.T @ Q @ R1 @ V1)
+    M2 = dense_m2(bundle)
+    Z = schur_stable_basis(M2)
+    W = Z @ sla.expm(Z.conj().T @ M2 @ Z * y) @ Z.conj().T @ data.R2S @ w_s
+    return (R1 @ V1 + R0 @ V0) @ W.real
 
 
 def dense_limit(eq, data, R1S, R2S, X):

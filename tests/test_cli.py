@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,8 +110,9 @@ class TestGkc:
 
 
 class TestGkcCsv:
-    """``gkc_samples.csv`` is written from the report's arrays with the bytes
-    ``csv.writer`` gives for the same rows."""
+    """``gkc_samples.csv``, the simulate snapshot and boundary files and
+    ``converge.csv`` are written from arrays with the bytes ``csv.writer``
+    gives for the same rows."""
 
     @staticmethod
     def _csv_writer_bytes(header, points, values):
@@ -132,8 +132,8 @@ class TestGkcCsv:
             [0.5, 0.25, 0.125], [1e-17, 1.0, 2.0],
         ])
         values = np.array([0.0, 1e-300, 1.5, 1.0 / 3.0, 7e22, 123456.789, 1e-7])
-        report = SimpleNamespace(points=points, values=values)
-        cli._emit_gkc_csv(SimpleNamespace(out=str(tmp_path)), report, 1)
+        cli._write_csv(str(tmp_path / "gkc_samples.csv"),
+                       ["re_xi", "im_xi", "eta", "ratio"], [points, values])
         want = self._csv_writer_bytes(["re_xi", "im_xi", "eta", "ratio"], points, values)
         assert (tmp_path / "gkc_samples.csv").read_bytes() == want
 
@@ -151,6 +151,39 @@ class TestGkcCsv:
         want = self._csv_writer_bytes(
             ["re_xi", "im_xi", "eta", "ratio"], report.points, report.values)
         assert (tmp_path / "gkc_samples.csv").read_bytes() == want
+
+    def test_simulate_and_converge_csv_equal_csv_writer(
+        self, sys2x2_file, scen2x2_file, tmp_path, monkeypatch
+    ):
+        # repr round-trips a float, so csv.writer given the parsed rows
+        # writes the bytes it would have written for the arrays
+        monkeypatch.setattr(cli, "CSV_BLOCK", 3)
+        out = str(tmp_path)
+        assert _run(["simulate", sys2x2_file, "--scenario", scen2x2_file,
+                     "--eps", "1e-2", "--out", out]) == 0
+        assert _run(["converge", sys2x2_file, "--scenario", scen2x2_file,
+                     "--resolution", "4", "--out", out]) == 0
+        for name in ("simulate_snapshot.csv", "simulate_boundary.csv", "converge.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert len(rows) > 3
+            buf = io.StringIO(newline="")
+            w = csv.writer(buf)
+            w.writerow(header)
+            w.writerows([float(v) for v in row] for row in rows)
+            assert (tmp_path / name).read_bytes() == buf.getvalue().encode()
+
+
+def test_readme_library_session_prints_its_comment(capsys):
+    # the python block of README.md shows what it prints as comment lines
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    shown = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    assert shown
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    for line in shown:
+        assert line in printed
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])

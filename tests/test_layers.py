@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import erfc
 
-from relaxbc import layers
+from oracles import dense_layer_profile, dense_m2, schur_stable_basis
+from relaxbc import fixtures, layers
 from relaxbc.errors import AssumptionViolated
 from relaxbc.layers import (
     SqrtEpsLayer,
@@ -24,7 +25,8 @@ from relaxbc.layers import (
     solve_sqrt_eps_layer,
 )
 from relaxbc.model import RelaxationSystem
-from relaxbc.reduction import EquilibriumFrame, solve_closure
+from relaxbc.reduction import EquilibriumFrame, derive_all, solve_closure
+from relaxbc.spectral import SamplingSpec
 
 
 def _closure_ws(pipe, g, h):
@@ -50,15 +52,15 @@ class TestEpsLayer:
         assert np.abs(far).max() < 1e-12
 
     def test_profile_solves_layer_ode(self, pipe2x2):
-        # the profile W(y) = amplitude @ exp(M2 y) R2S w_s must satisfy
-        # A1 W'(y) = Q W(y) pointwise
+        # the profile W(y) = amplitude @ exp(M2 y) R2S w_s is what evaluate
+        # gives, and it satisfies A1 W'(y) = Q W(y) pointwise
         layer = build_eps_layer(pipe2x2.sys, pipe2x2.frame, pipe2x2.data)
         ws = _closure_ws(pipe2x2, 0.2, 0.9)
         A1, Q = pipe2x2.sys.A1, pipe2x2.sys.Q
         for y in (0.0, 0.3, 1.0, 4.0):
-            w = sla.expm(layer.M2 * y) @ layer.R2S @ ws
-            U = layer.amplitude @ np.real(w)
-            dU = layer.amplitude @ np.real(layer.M2 @ w)
+            U = dense_layer_profile(pipe2x2, y, ws)
+            assert np.abs(layer.evaluate(y, ws)[0] - U).max() < 1e-12
+            dU = layer.modes @ (layer.rates * np.exp(layer.rates * y) * ws)
             assert np.abs(A1 @ dU - Q @ U).max() < 1e-12
 
     def test_zero_closure_gives_zero_profile(self, pipe2x2):
@@ -73,6 +75,57 @@ class TestEpsLayer:
         vals = layer.evaluate(np.array([0.0, 1.0]), np.zeros(0))
         assert vals.shape == (2, pipe3.sys.n)
         assert np.abs(vals).max() == 0.0
+
+
+@pytest.fixture(scope="module")
+def layer_bundles(random_bundles, pipe2x2, pipe3):
+    """Every system with eps-layer modes among the random pool, the three
+    certify-d3 benchmark systems and the worked examples."""
+    certify = [
+        fixtures.random_admissible_bundle(np.random.default_rng(s), d=3, require_n0=1)
+        for s in (1234, 2523, 2691)
+    ]
+    double_22 = derive_all(fixtures.double_characteristic_system(22),
+                           spec=SamplingSpec(resolution=8, rim_points=0))
+    every = (*random_bundles, *certify, pipe2x2, pipe3, double_22)
+    return [b for b in every if b.data.rates.size]
+
+
+class TestLayerModes:
+    """The modes of the layer pencil against the dense M2 = (K~^T X K~)^{-1}
+    K~^T S_hat K~ of ``tests/oracles.py``."""
+
+    def test_rates_are_the_stable_eigenvalues(self, layer_bundles):
+        for b in layer_bundles:
+            w = np.linalg.eigvals(dense_m2(b))
+            stable = np.sort(w[w.real < 0])
+            rates = np.sort(b.data.rates)
+            assert np.all(rates < 0)
+            assert np.all(np.abs(rates - stable) <= 1e-12 * np.abs(stable))
+        # the systems with several modes are the ones a mode order can break
+        assert sum(b.data.rates.size >= 2 for b in layer_bundles) >= 6
+
+    def test_modes_span_the_stable_subspace(self, layer_bundles):
+        for b in layer_bundles:
+            R2S = b.data.R2S
+            assert sla.subspace_angles(schur_stable_basis(dense_m2(b)), R2S).max() <= 1e-12
+            assert np.allclose(np.linalg.norm(R2S, axis=0), 1.0, rtol=0, atol=1e-15)
+            assert np.all(R2S[np.abs(R2S).argmax(axis=0), np.arange(R2S.shape[1])] > 0)
+
+    def test_count_is_the_positive_inertia(self, layer_bundles):
+        for b in layer_bundles:
+            Kt = b.data.K_tilde
+            inertia = int(np.sum(np.linalg.eigvalsh(Kt.T @ b.data.X @ Kt) > 0))
+            assert b.data.rates.size == inertia
+
+    def test_profile_matches_expm(self, layer_bundles, rng):
+        for b in layer_bundles:
+            layer = build_eps_layer(b.sys, b.frame, b.data)
+            ws = rng.normal(size=layer.mode_count)
+            scale = np.abs(layer.evaluate(0.0, ws)).max()
+            for y in (0.0, 0.3, 1.0, 4.0):
+                err = np.abs(layer.evaluate(y, ws)[0] - dense_layer_profile(b, y, ws))
+                assert err.max() <= 1e-12 * scale
 
 
 class TestDiffusionMatrix:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from oracles import schur_stable_basis
+from oracles import dense_m2, schur_stable_basis
 from relaxbc import linalg, sim
 from relaxbc.errors import NearImaginaryEigenvalue, RankDeficient, SignNotConverged
 from relaxbc.fixtures import (
@@ -12,7 +12,6 @@ from relaxbc.fixtures import (
     scenario_double_characteristic,
 )
 from relaxbc.linalg import (
-    ExpActionEvaluator,
     expm,
     full_rank_cond,
     matrix_sign,
@@ -101,19 +100,19 @@ class TestSignSplitter:
         spec = SamplingSpec(resolution=4, rim_points=0)
         worst = 0.0
         for b in random_bundles:
-            d = b.sys.d
+            d, M2 = b.sys.d, dense_m2(b)
             Ms = [*_M_stack(b.sys, b.frame)(directions(d + 2, spec)),
-                  *_M1_stack(b.sys, b.eq)(xi_omega_directions(d, spec)), b.data.M2]
+                  *_M1_stack(b.sys, b.eq)(xi_omega_directions(d, spec)), M2]
             for M in Ms:
                 Z = schur_stable_basis(M)
                 sub = split_invariant_subspaces(M)
                 assert Z is not None and sub.k == Z.shape[1]
                 if sub.k:
                     worst = max(worst, sla.subspace_angles(Z, sub.basis_s).max())
-            R = stable_basis_real(b.data.M2)
+            R = stable_basis_real(M2)
             assert np.isrealobj(R)
             if R.shape[1]:
-                worst = max(worst, sla.subspace_angles(schur_stable_basis(b.data.M2), R).max())
+                worst = max(worst, sla.subspace_angles(schur_stable_basis(M2), R).max())
         assert worst <= 1e-12
 
     def test_rows_do_not_depend_on_the_stack(self, rng):
@@ -239,22 +238,3 @@ class TestOrthonormalComplement:
         V = np.ones((4, 2))
         with pytest.raises(RankDeficient):
             orthonormal_complement(V)
-
-
-class TestMatrixExponentialAction:
-    def test_evaluator_matches_expm(self, rng):
-        M = rng.normal(size=(5, 5)) - 2 * np.eye(5)
-        v = rng.normal(size=5)
-        ys = np.array([0.0, 0.3, 1.7])
-        got = ExpActionEvaluator(M).apply(ys, v)
-        want = np.array([sla.expm(M * y) @ v for y in ys])
-        assert np.allclose(got, want, atol=1e-10)
-
-    def test_defective_M_takes_expm(self):
-        # a Jordan block has no eigenvector basis, so every point takes expm
-        M = np.eye(3, k=1) - np.eye(3)
-        ev = ExpActionEvaluator(M)
-        assert ev._diag is None
-        ys, v = np.array([0.0, 0.5, 2.0]), np.array([1.0, -2.0, 0.5])
-        want = np.array([sla.expm(M * y) @ v for y in ys])
-        assert np.abs(ev.apply(ys, v) - want).max() <= 1e-14

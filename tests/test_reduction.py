@@ -1,14 +1,16 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from diagnostics import large_eta_expansion_check, limit_subspace_angle
-from oracles import dense_limit, dense_m1
+from oracles import dense_limit, dense_m1, dense_m2
 from relaxbc import fixtures
 from relaxbc.model import RelaxationSystem, compute_indices
 from relaxbc.reduction import (
+    _layer_modes,
     _M1_stack,
     build_closure,
     build_equilibrium_frame,
@@ -19,7 +21,7 @@ from relaxbc.reduction import (
     render_reduced_bc,
     solve_closure,
 )
-from relaxbc.errors import SingularKtXKt
+from relaxbc.errors import AssumptionViolated, NearImaginaryEigenvalue, SingularKtXKt
 from relaxbc.spectral import FrequencyPoint, SamplingSpec, build_kernel_frame, check_gkc
 
 
@@ -62,7 +64,8 @@ class TestReductionData:
         assert np.allclose(data.K_tilde, [[1.0]])
         assert np.allclose(data.X, [[2.0 / 3.0]], atol=1e-12)
         assert np.allclose(data.N, [[-1.0 / 3.0]], atol=1e-12)
-        assert np.allclose(data.M2, [[-1.5]], atol=1e-12)
+        assert np.allclose(dense_m2(pipe2x2), [[-1.5]], atol=1e-12)
+        assert np.allclose(data.rates, [-1.5], atol=1e-12)
 
     def test_square_k_no_eps_layer(self, pipe3):
         # the double-characteristic fixture has n10 = r - n0 = 1: K is square
@@ -70,7 +73,17 @@ class TestReductionData:
         data = pipe3.data
         assert data.K.shape[1] == data.K.shape[0]
         assert data.K_tilde.shape[1] == 0
-        assert data.M2.shape == (0, 0)
+        assert dense_m2(pipe3).shape == (0, 0)
+        assert data.R2S.shape == (0, 0) and data.rates.shape == (0,)
+
+    def test_indefinite_layer_relaxation_is_refused(self):
+        with pytest.raises(AssumptionViolated, match="not negative definite"):
+            _layer_modes(np.eye(2), np.diag([-1.0, 1.0]))
+
+    def test_non_decaying_layer_mode_raises(self):
+        # rates -1 and -1e-9: the slower one lies within tau_axis(1) of zero
+        with pytest.raises(NearImaginaryEigenvalue):
+            _layer_modes(np.diag([1.0, 1e9]), -np.eye(2))
 
     def test_m2_stable_count(self, random_bundles):
         for b in random_bundles[:25]:
@@ -242,6 +255,14 @@ class TestEquilibriumReducedMatrix:
         assert np.allclose(M1, [[-2.0 / 3.0]], atol=1e-12)
 
 
+def test_complex_system_is_refused():
+    # derive_all makes the realness check of check_gkc: every matrix of the
+    # reduction chain is real, so no step takes a real part
+    sys_obj = fixtures.example_system()
+    with pytest.raises(AssumptionViolated, match="must be real"):
+        derive_all(dataclasses.replace(sys_obj, B=sys_obj.B + 0j))
+
+
 def _M1_at(sys_obj, eq, xi, omega):
     return _M1_stack(sys_obj, eq)(np.array([[xi.real, xi.imag, *omega]]))[0]
 
@@ -250,7 +271,7 @@ def _dense_limit(sys_obj, frame, eq, data, xi, omega):
     """The eta = infinity limit basis from eigenvectors of M1 and M2."""
     M1, X = dense_m1(sys_obj, eq, xi, omega)
     w1, V1 = np.linalg.eig(M1)
-    w2, V2 = np.linalg.eig(data.M2)
+    w2, V2 = np.linalg.eig(dense_m2(SimpleNamespace(data=data, frame=frame)))
     return dense_limit(eq, data, V1[:, w1.real < 0], V2[:, w2.real < 0], X)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import dense_limit, dense_M, dense_m1, ratio, schur_stable_basis
+from oracles import dense_limit, dense_M, dense_m1, dense_m2, ratio, schur_stable_basis
 from relaxbc import pool, reduction, spectral
 from relaxbc.errors import (
     AssumptionViolated, ConfigError, GkcFailed, SpectralCountMismatch,
@@ -59,7 +59,7 @@ def _scalar_gkc(sys_obj, frame, units):
 
 
 def _scalar_eta_inf(b, units):
-    R2S = schur_stable_basis(b.data.M2)
+    R2S = schur_stable_basis(dense_m2(b))
     vals = []
     for u in units:
         M1, X = dense_m1(b.sys, b.eq, complex(u[0], u[1]), u[2:])

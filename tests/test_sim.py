@@ -62,13 +62,13 @@ def _upwind_step(chi, lam, pos, neg, dxm, dxp, dt):
     return new
 
 
-def _stiff_loop(sys_obj, scenario, eps, dx_max, ratio=1.05, cfl=0.9):
+def _stiff_loop(sys_obj, scenario, eps, dx_max):
     """Upwind + Lie splitting, one dense update per step: (x, U, trace)."""
     n, r = sys_obj.n, sys_obj.r
     lam, R, pos, neg, rest = _split(sys_obj.A1)
-    x = graded_mesh(scenario.x_max, eps / 4.0, max(dx_max, eps / 4.0), ratio)
+    x = graded_mesh(scenario.x_max, eps / 4.0, max(dx_max, eps / 4.0))
     dxm = np.diff(x)
-    steps = max(int(math.ceil(scenario.T / (cfl * dxm.min() / np.abs(lam).max()))), 1)
+    steps = max(int(math.ceil(scenario.T / (sim.CFL * dxm.min() / np.abs(lam).max()))), 1)
     dt = scenario.T / steps
     BRp_lu = sla.lu_factor(sys_obj.B @ R[:, pos])
     B_Rrest = sys_obj.B @ R[:, rest]
@@ -92,15 +92,15 @@ def _stiff_loop(sys_obj, scenario, eps, dx_max, ratio=1.05, cfl=0.9):
     return x, U, np.array(trace)
 
 
-def _global_dt_relaxation(sys_obj, scenario, eps, dx_max=1e-3, ratio=1.05, cfl=0.9):
+def _global_dt_relaxation(sys_obj, scenario, eps, dx_max=1e-3):
     """Reference stiff solver with one global time step: every node steps by
     the dt of the smallest cell, through the package's step matrix on one
     time level."""
     n, r = sys_obj.n, sys_obj.r
     lam, R, pos, neg, rest = _split(sys_obj.A1)
-    x = graded_mesh(scenario.x_max, eps / 4.0, max(dx_max, eps / 4.0), ratio)
+    x = graded_mesh(scenario.x_max, eps / 4.0, max(dx_max, eps / 4.0))
     dx = np.diff(x)
-    steps = max(int(math.ceil(scenario.T / (cfl * dx.min() / np.abs(lam).max()))), 1)
+    steps = max(int(math.ceil(scenario.T / (sim.CFL * dx.min() / np.abs(lam).max()))), 1)
     dt = scenario.T / steps
     step_op = stepping.step_operator(
         lam, R, pos, neg, dx, np.full(x.size, dt), np.zeros(x.size, dtype=int),
@@ -151,7 +151,7 @@ def _level_blocks(step_op, level, n):
     return blocks
 
 
-def _per_substep_relaxation(sys_obj, scenario, eps, dx_max=1e-3, ratio=1.05, cfl=0.9):
+def _per_substep_relaxation(sys_obj, scenario, eps, dx_max=1e-3):
     """Reference local-time-stepping solver, one finest step per iteration:
     at finest step m the nodes of level <= v_2(m) advance through row views
     of the package's step matrix, then the inflow solve and the boundary
@@ -159,11 +159,11 @@ def _per_substep_relaxation(sys_obj, scenario, eps, dx_max=1e-3, ratio=1.05, cfl
     ``stepping.time_levels``."""
     n, r = sys_obj.n, sys_obj.r
     lam, R, pos, neg, rest = _split(sys_obj.A1)
-    x = graded_mesh(scenario.x_max, eps / 4.0, max(dx_max, eps / 4.0), ratio)
+    x = graded_mesh(scenario.x_max, eps / 4.0, max(dx_max, eps / 4.0))
     dx = np.diff(x)
     level, h = stepping.time_levels(dx)
     top = 2 ** int(level.max())
-    steps = max(int(math.ceil(scenario.T / (cfl * h / np.abs(lam).max()))), 1)
+    steps = max(int(math.ceil(scenario.T / (sim.CFL * h / np.abs(lam).max()))), 1)
     steps = -(-steps // top) * top
     dt = scenario.T / steps
     sources = [sla.expm(sys_obj.S * (dt * 2**k) / eps) for k in range(level.max() + 1)]
@@ -199,13 +199,13 @@ def _per_substep_relaxation(sys_obj, scenario, eps, dx_max=1e-3, ratio=1.05, cfl
     )
 
 
-def _upwind_equilibrium(pipe, scenario, dx, cfl=0.9):
+def _upwind_equilibrium(pipe, scenario, dx):
     """Upwind time stepping of ubar_t + A11 ubar_x = 0 with the reduced
     boundary condition: (x, ubar(., T))."""
     lam, W, pos, neg, rest = _split(pipe.sys.A11)
     x = np.arange(0.0, scenario.x_max + dx / 2, dx)
     dxm = np.diff(x)
-    steps = max(int(math.ceil(scenario.T / (cfl * dx / np.abs(lam).max()))), 1)
+    steps = max(int(math.ceil(scenario.T / (sim.CFL * dx / np.abs(lam).max()))), 1)
     dt = scenario.T / steps
     coeff = pipe.rbc.coefficient
     CWp_lu = sla.lu_factor(coeff @ W[:, pos])
