@@ -478,6 +478,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    threshold = _finite("--threshold", args.threshold)
     doc = _read_json(args.system)
     sys_obj = load_system(args.system)
     scenario, scen_doc = _load_scenario(args.scenario, sys_obj)
@@ -511,7 +512,6 @@ def cmd_converge(args) -> int:
         equilibrium_dx=equilibrium_dx,
     )
 
-    threshold = args.threshold
     if args.negative_control and not study.control_applicable:
         # the naive closure equals the derived one: nothing to judge
         print("negative control not applicable: no row of B acts on v, or the "

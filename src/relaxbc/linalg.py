@@ -1,6 +1,5 @@
 """Dense linear-algebra kernels: invariant-subspace splits (per matrix, or
-stable eigenvectors of a stack), the rank rule, orthonormal complements and
-the matrix exponential.
+stable eigenvectors of a stack), the rank rule and orthonormal complements.
 
 All routines are pure and use numpy's LAPACK only.  A stable invariant
 subspace is the range of the spectral projector (I - sign M) / 2, with
@@ -11,7 +10,6 @@ eigenvectors are not, so determinant ratios on them divide by their volume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,41 +224,3 @@ def orthonormal_complement(V) -> np.ndarray:
         return np.eye(n)
     full_rank_cond(V, RankDeficient(f"matrix of shape {V.shape} is column-rank deficient"))
     return np.linalg.qr(V, mode="complete")[0][:, k:]
-
-
-#: Pade [13/13] numerator coefficients of exp (Higham 2005, eq. 2.3), over
-#: the first, so that exp(0) = I exactly
-_PADE13 = tuple(c / 64764752532480000.0 for c in (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-))
-#: largest 1-norm at which the [13/13] Pade approximant of exp is exact to
-#: double precision (Higham 2005, table 2.3)
-_THETA13 = 5.371920351148152
-
-
-def expm(A) -> np.ndarray:
-    """exp(A) of a square matrix by scaling and squaring of the [13/13] Pade
-    approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005; Functions of
-    Matrices, SIAM 2008, ch. 10): A is scaled by 2^-s so that its 1-norm is
-    at most _THETA13, and the approximant is squared s times.  A 1 x 1 A
-    takes the scalar exp."""
-    A = np.asarray(A)
-    if A.shape[0] <= 1:
-        return np.exp(A)
-    norm = np.linalg.norm(A, 1)
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    A = A / 2.0**s
-    b, eye = _PADE13, np.eye(len(A))
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
-    return E

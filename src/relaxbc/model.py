@@ -28,7 +28,18 @@ def _as_matrix(obj, name: str) -> np.ndarray:
         raise ParseError(f"field '{name}' is not a rectangular numeric matrix: {exc}")
     if arr.ndim != 2:
         raise ParseError(f"field '{name}' must be a 2-D matrix, got ndim={arr.ndim}")
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"field '{name}' has an entry that is not finite")
     return arr
+
+
+def _as_int(doc: dict, name: str) -> int:
+    """The JSON integer ``doc[name]``; a bool, a float or a string is refused
+    rather than converted."""
+    value = doc[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"field '{name}' must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -406,7 +417,7 @@ def raw_system_from_dict(doc: dict) -> RawSystem:
     for key in ("d", "n", "r", "A", "B"):
         if key not in doc:
             raise ParseError(f"missing field '{key}'")
-    d, n, r = int(doc["d"]), int(doc["n"]), int(doc["r"])
+    d, n, r = (_as_int(doc, key) for key in ("d", "n", "r"))
     if not isinstance(doc["A"], list) or len(doc["A"]) != d:
         raise ParseError(f"field 'A' must be a list of {d} matrices")
     A = tuple(_as_matrix(m, f"A[{j}]") for j, m in enumerate(doc["A"]))

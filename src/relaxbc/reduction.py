@@ -5,7 +5,9 @@ the stable subspace of M(xi, omega, eta) yields matrices Y2, Y3; the left
 null space B_o of (Y2 Y3) turns the full condition into a well-posed boundary
 condition B_o B_u ubar(0) = B_o b for the equilibrium system, certified by a
 uniform Kreiss condition (UKC).  The same algebra provides the closure solve
-that recovers the boundary-layer degrees of freedom.
+that recovers the boundary-layer degrees of freedom.  The equilibrium symbol
+M1 that the UKC and the eta = infinity limit sample is the relaxation symbol
+of (A_{j,11}, Q = 0) in the frame of A_{1,11}, from ``spectral.symbol_stack``.
 
 The eps-layer ODE (K~^T X K~) w' = (K~^T S_hat K~) w is a symmetric-definite
 pencil, so one symmetric eigensolve gives its decaying modes R2^S and their
@@ -38,7 +40,8 @@ from .linalg import (
 )
 from .model import RelaxationSystem, compute_indices, split_speeds
 from .spectral import (
-    KernelFrame, SamplingSpec, map_chunks, require_real, xi_omega_directions,
+    KernelFrame, SamplingSpec, map_chunks, require_real, symbol_stack,
+    xi_omega_directions,
 )
 from .tolerances import B_O_ENTRY_ABS, C_THRESHOLD, spectral_norm, tau_axis
 
@@ -193,29 +196,15 @@ def _layer_modes(KtXKt, KtSKt):
 
 
 def _M1_stack(sys: RelaxationSystem, eq: EquilibriumFrame):
-    """The reduced matrix of the equilibrium system in the (P1, P0) frame,
-
-        M1(xi, omega) = -Lam1^{-1}([xi I + P1^T C P1] - P1^T C P0 X),
-        X = [xi I + P0^T C P0]^{-1} P0^T C P1,
-
-    with C(omega) = i sum_j omega_j A_{j,11}, as a function of the rows
-    (Re xi, Im xi, omega...) of a direction array returning the stack
-    M1 (N, k1, k1)."""
+    """The reduced matrix M1(xi, omega) of the equilibrium system in the
+    (P1, P0) frame: the relaxation symbol of (A_{j,11}, Q = 0) at eta = 0
+    (``symbol_stack``), as a function of the rows (Re xi, Im xi, omega...)
+    of a direction array returning the stack M1 (N, k1, k1)."""
     n1 = sys.n - sys.r
-    k1 = eq.P1.shape[1]
-    F = np.hstack([eq.P1, eq.P0])
-    # C(omega) = i sum_j omega_j A_{j,11}, projected onto (P1, P0)
-    terms = np.array([F.T @ Aj[:n1, :n1] @ F for Aj in sys.A[1:]]).reshape(-1, n1, n1)
-    inv_lam = (1.0 / eq.Lam1)[:, None]
-
-    def evaluate(u):
-        xi = (u[:, 0] + 1j * u[:, 1])[:, None, None]
-        C = 1j * np.einsum("nj,jab->nab", u[:, 2:], terms)
-        X = np.linalg.solve(xi * np.eye(n1 - k1) + C[:, k1:, k1:], C[:, k1:, :k1])
-        core = xi * np.eye(k1) + C[:, :k1, :k1] - C[:, :k1, k1:] @ X
-        return -inv_lam * core
-
-    return evaluate
+    evaluate = symbol_stack(
+        [Aj[:n1, :n1] for Aj in sys.A], np.zeros((n1, n1)), eq.P1, eq.P0
+    )
+    return lambda u: evaluate(np.column_stack([u, np.zeros(len(u))]))
 
 
 def _limit_basis(sys, frame, eq, data, V_s) -> np.ndarray:
@@ -227,7 +216,8 @@ def _limit_basis(sys, frame, eq, data, V_s) -> np.ndarray:
     for a stack V_s (N, k1, k) of stable vectors of M1: a stack of
     (n - n0) x (k + n10 + dim R2^S) bases.
 
-    The paper's first column block is (P1 - P0 X) V_s, X as in ``_M1_stack``.
+    The paper's first column block is (P1 - P0 X) V_s, with
+    X = [xi I + P0^T C P0]^{-1} P0^T C P1 and C(omega) = i sum_j omega_j A_{j,11}.
     Adding P0 X V_s, a combination of the P0 columns of the same basis, is a
     column operation of determinant 1: it changes neither the span nor
     |det(B R1 L)| / sqrt(det(L^* L)), so the P0 X term is dropped."""

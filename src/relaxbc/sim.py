@@ -4,7 +4,8 @@ between the stiff solution and the composite layer expansion.
 
 The relaxation solver uses characteristic upwinding on a boundary-graded mesh
 (first order) with Lie splitting; the stiff source is applied exactly through
-exp(S dt / eps), and one step is one sparse matrix.  Time steps are local, by
+exp(S dt / eps), diagonal in the eigenbasis of the symmetric S, and one step
+is one sparse matrix.  Time steps are local, by
 power-of-two levels (Osher & Sanders, Math. Comp. 41, 1983): a node whose
 adjacent cells are at least 2^k times a base cell h, no larger than the
 smallest cell, steps by 2^k times the finest dt <= 0.9 h / rho(A1), so the
@@ -50,7 +51,7 @@ from .layers import (
     build_second_correction,
     solve_sqrt_eps_layer,
 )
-from .linalg import expm, full_rank_cond
+from .linalg import full_rank_cond
 from .model import RelaxationSystem, compute_indices, split_speeds
 from .reduction import (
     ClosureSolve,
@@ -122,13 +123,16 @@ def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = 1.05)
     cell is shorter than dx_min.
 
     Raises ConfigError unless x_max, dx_min and dx_max are finite and
-    positive and ratio is finite and at least 1: otherwise the cells stop
-    growing and the node list never ends."""
+    positive and ratio is finite and at least 1 (otherwise the cells stop
+    growing and the node list never ends), and when dx_min exceeds dx_max:
+    such a mesh is not graded to the boundary."""
     for name, value in (("x_max", x_max), ("dx_min", dx_min), ("dx_max", dx_max)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"graded_mesh {name} must be finite and positive, got {value!r}")
     if not (math.isfinite(ratio) and ratio >= 1):
         raise ConfigError(f"graded_mesh ratio must be finite and at least 1, got {ratio!r}")
+    if dx_min > dx_max:
+        raise ConfigError(f"graded_mesh dx_min {dx_min!r} exceeds dx_max {dx_max!r}")
     # cell k > 0 is min(dx_min ratio^k, dx_max), cell 0 is dx_min, and the
     # nodes are their running sum up to the first that reaches x_max:
     # products and sums in sequence, as a loop over the cells makes them.
@@ -145,7 +149,6 @@ def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = 1.05)
         with np.errstate(over="ignore"):  # a product past dx_max is clipped
             np.cumprod(cells, out=cells)
         np.minimum(cells, dx_max, out=cells)
-        cells[0] = dx_min
         nodes = np.concatenate([[0.0], np.cumsum(cells)])
         if nodes[-1] >= x_max:
             break
@@ -278,7 +281,10 @@ def solve_relaxation(
         )
         inflow_rest = -inflow_b @ (sys.B @ R[:, rest])
 
-    sources = [expm(sys.S * (dt * 2**k) / eps) for k in range(level.max() + 1)]
+    # S is symmetric negative definite, so exp(S dt_k / eps) is diagonal in
+    # its eigenbasis
+    s, V = np.linalg.eigh(0.5 * (sys.S + sys.S.T))
+    sources = [(V * np.exp(s * (dt * 2**k / eps))) @ V.T for k in range(level.max() + 1)]
     C, H, G, step_nnz = cycle_operator(
         step_operator(lam, R, pos, neg, dx, dt * 2.0**level, level, sources, sys.r),
         level, pos, rest, inflow_b, inflow_rest, R,

@@ -3,6 +3,10 @@ frames, the reduced matrix M(xi, omega, eta), the determinant ratio of a
 stable basis, and sampled verification of the characteristic generalized
 Kreiss condition (GKC).
 
+One builder, ``symbol_stack``, forms the symbol of a system in a frame: M
+from (A, Q) in the kernel frame (R1, R0), and the equilibrium symbol M1
+that ``reduction`` certifies from (A_11, 0) in the frame (P1, P0) of A_{1,11}.
+
 Sampling yields evidence, not proof: the condition quantifies over an
 unbounded parameter set, which we compactify using the exact degree-1
 positive homogeneity of M.
@@ -203,24 +207,24 @@ def build_kernel_frame(sys: RelaxationSystem) -> KernelFrame:
     )
 
 
-def _M_stack(sys: RelaxationSystem, frame):
-    """The (n - n0) x (n - n0) reduction of the frequency-domain ODE,
+def symbol_stack(A, Q, R1, R0):
+    """The reduction of the frequency-domain ODE of the system with
+    coefficients A = (A_1, ..., A_d) and Q to the frame (R1, R0),
 
         M = A1_hat^{-1} [G11 - G10 G00^{-1} G01],  G_kl = R_k^T G R_l,
-        G = eta Q - xi I - i sum_j omega_j A_j,  A1_hat = R1^T A1 R1,
+        G = eta Q - xi I - i sum_{j>1} omega_j A_j,  A1_hat = R1^T A_1 R1,
 
     as a function of the rows (Re xi, Im xi, omega..., eta) of a direction
-    array returning the stack M (N, k, k).  ``frame`` needs only R0/R1
-    attributes, so alternative frames can be passed for frame-independence
-    checks.  For n0 = 0, M = A1^{-1} G.  M is positively homogeneous of
-    degree 1 in (xi, omega, eta).  A1_hat is inverted once, when the
-    function is built, and applied to each stack by matmul."""
-    k = frame.R1.shape[1]
+    array returning the stack M (N, k, k), k the column count of R1.  For an
+    empty R0, M = A1_hat^{-1} G11.  M is positively homogeneous of degree 1
+    in (xi, omega, eta).  A1_hat is inverted once, when the function is
+    built, and applied to each stack by matmul."""
+    k = R1.shape[1]
     # G is linear in (eta, xi, omega), so its blocks in the frame (R1, R0)
     # combine fixed projections
-    F = np.hstack([frame.R1, frame.R0])
-    terms = np.stack([F.T @ X @ F for X in (sys.Q, np.eye(sys.n), *sys.A[1:])])
-    A1_hat_inv = np.linalg.inv(frame.R1.T @ sys.A1 @ frame.R1)
+    F = np.hstack([R1, R0])
+    terms = np.stack([F.T @ X @ F for X in (Q, np.eye(len(Q)), *A[1:])])
+    A1_hat_inv = np.linalg.inv(R1.T @ A[0] @ R1)
 
     def evaluate(u):
         coef = np.column_stack([u[:, -1], -(u[:, 0] + 1j * u[:, 1]), -1j * u[:, 2:-1]])
@@ -231,6 +235,13 @@ def _M_stack(sys: RelaxationSystem, frame):
         return A1_hat_inv @ core
 
     return evaluate
+
+
+def _M_stack(sys: RelaxationSystem, frame):
+    """The (n - n0) x (n - n0) relaxation symbol M, ``symbol_stack`` of
+    (A, Q) in the kernel frame.  ``frame`` needs only R0/R1 attributes, so
+    alternative frames can be passed for frame-independence checks."""
+    return symbol_stack(sys.A, sys.Q, frame.R1, frame.R0)
 
 
 def build_M(sys: RelaxationSystem, frame, p: FrequencyPoint) -> np.ndarray:
@@ -384,7 +395,8 @@ def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.n
 
 def xi_omega_directions(d: int, spec: SamplingSpec) -> np.ndarray:
     """The (Re xi, Im xi, omega) grid shared by the eta = infinity and UKC
-    samples: the tensor part of ``directions``, restricted to Re xi > 0.
+    samples: the tensor part of ``directions``, whose every row has
+    Re xi = cos(phi_1) >= delta > 0.
 
     For real A, Q and B, M1 at (conj xi, -omega) is the complex conjugate
     of M1 at (xi, omega), and so is the eta = infinity limit basis; both
@@ -392,8 +404,7 @@ def xi_omega_directions(d: int, spec: SamplingSpec) -> np.ndarray:
     coordinate but Re xi, the last one too, so the half u_{m-1} >= 0
     (omega_{d-1} >= 0, or Im xi >= 0 when d = 1) holds a member of every
     pair."""
-    units = directions(d + 1, replace(spec, rim_points=0), _conjugate_half=False)
-    return units[units[:, 0] > 0]
+    return directions(d + 1, replace(spec, rim_points=0), _conjugate_half=False)
 
 
 def _angles_to_unit(angles: np.ndarray, m: int) -> np.ndarray:

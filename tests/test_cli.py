@@ -432,6 +432,20 @@ class TestConverge:
         ) == 2
         assert f"'{key}' must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_nonfinite_threshold_is_config_error(
+        self, sys2x2_file, tmp_path, capsys, threshold
+    ):
+        # a NaN threshold failed every study, exiting 1 as a failed study
+        scen = self._scenario(tmp_path)
+        out = tmp_path / "out"
+        assert _run(
+            ["converge", sys2x2_file, "--scenario", scen, "--out", str(out),
+             "--threshold", threshold]
+        ) == 2
+        assert "'--threshold' must be a finite number" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_empty_epsilons_is_config_error(self, sys2x2_file, tmp_path):
         scen = self._scenario(tmp_path, epsilons=[])
         assert _run(
@@ -564,6 +578,41 @@ def test_malformed_scenario_is_config_error(
          "--out", str(tmp_path / "out"), "--resolution", "4"]
     ) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _set(path, value):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_set(["d"], "x"), "field 'd' must be an integer", id="d-word"),
+    pytest.param(_set(["n"], [2]), "field 'n' must be an integer", id="n-list"),
+    pytest.param(_set(["r"], 1.7), "field 'r' must be an integer", id="r-fraction"),
+    pytest.param(_set(["A", 0, 0, 0], float("nan")),
+                 "field 'A[0]' has an entry that is not finite", id="A-nan"),
+    pytest.param(_set(["Q", 1, 1], float("nan")),
+                 "field 'Q' has an entry that is not finite", id="Q-nan"),
+    pytest.param(_set(["B", 0, 0], float("inf")),
+                 "field 'B' has an entry that is not finite", id="B-inf"),
+])
+@pytest.mark.parametrize("command", ["validate", "gkc"])
+def test_malformed_system_is_parse_error(command, edit, message, tmp_path, capsys):
+    # these died with a traceback, were truncated (r = 1.7 read as 1), or
+    # read as a numerical failure or a failed check
+    doc = system_to_dict(fixtures.example_system())
+    edit(doc)
+    path = tmp_path / "bad_system.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    extra = ["--resolution", "4"] if command == "gkc" else []
+    assert _run([command, str(path), "--out", str(out)] + extra) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("field, spec, key", [

@@ -5,14 +5,9 @@ import pytest
 import scipy.linalg as sla
 
 from oracles import dense_m2, schur_stable_basis
-from relaxbc import linalg, sim
+from relaxbc import linalg
 from relaxbc.errors import NearImaginaryEigenvalue, RankDeficient, SignNotConverged
-from relaxbc.fixtures import (
-    double_characteristic_system, example_scenario, example_system,
-    scenario_double_characteristic,
-)
 from relaxbc.linalg import (
-    expm,
     full_rank_cond,
     matrix_sign,
     orthonormal_complement,
@@ -142,60 +137,6 @@ class TestSignSplitter:
         monkeypatch.setattr(linalg, "matrix_sign", lambda M: -np.ones_like(M) * np.eye(M.shape[-1]))
         with pytest.raises(SignNotConverged, match="trace 2, but 1 eigenvalues"):
             split_invariant_subspaces(np.diag([-1.0, 2.0]))
-
-
-def _level_sources(sys_obj, scenario, eps_list, monkeypatch):
-    """Every (argument, value) pair of ``sim.expm`` that ``solve_relaxation``
-    forms as a per-level source, stopping each run before its time loop."""
-    calls = []
-
-    def record(A):
-        calls.append((A, expm(A)))
-        return calls[-1][1]
-
-    class Stop(Exception):
-        pass
-
-    def stop(*args, **kwargs):
-        raise Stop
-
-    monkeypatch.setattr(sim, "expm", record)
-    monkeypatch.setattr(sim, "cycle_operator", stop)
-    for eps in eps_list:
-        with pytest.raises(Stop):
-            sim.solve_relaxation(sys_obj, scenario, eps, dx_max=5e-4)
-    return calls
-
-
-class TestExpm:
-    @pytest.mark.parametrize("fixture", ["2x2", "3x3-7", "3x3-22"])
-    def test_matches_scipy_on_level_sources(self, fixture, monkeypatch):
-        if fixture == "2x2":
-            sys_obj, scenario = example_system(), example_scenario()
-        else:
-            sys_obj = double_characteristic_system(int(fixture.split("-")[1]))
-            scenario = scenario_double_characteristic(sys_obj)
-        calls = _level_sources(sys_obj, scenario, [1e-2, 3e-3, 1e-3, 3e-4], monkeypatch)
-        assert len(calls) >= 4 and {A.shape[0] for A, _ in calls} == {sys_obj.r}
-        for A, E in calls:
-            want = sla.expm(A)
-            assert np.abs(E - want).max() <= 1e-14 * np.abs(want).max()
-
-    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 50.0])
-    def test_jordan_block(self, scale):
-        J = scale * (np.eye(3, k=1) - np.eye(3))
-        E = expm(J)
-        closed = math.exp(-scale) * np.array(
-            [[1.0, scale, scale**2 / 2], [0.0, 1.0, scale], [0.0, 0.0, 1.0]]
-        )
-        want = sla.expm(J)
-        assert np.abs(E - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.abs(E - closed).max() <= 1e-14 * np.abs(closed).max()
-
-    def test_small_and_zero(self):
-        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
-        assert expm(np.zeros((0, 0))).shape == (0, 0)
-        assert expm(np.array([[2.0]]))[0, 0] == math.exp(2.0)
 
 
 class TestFullRankCond:

@@ -271,10 +271,18 @@ class TestGradedMesh:
         ("dx_max", (2.0, 1e-3, 0.0)),
         ("x_max", (math.inf, 1e-3, 1e-2)),
         ("ratio", (2.0, 1e-3, 1e-2, math.nan)),
+        ("exceeds dx_max", (2.0, 1e-2, 1e-3, 1.05)),  # dx_min above dx_max
     ])
     def test_args_that_never_end_the_mesh_are_refused(self, name, args):
         with pytest.raises(ConfigError, match=name):
             graded_mesh(*args)
+
+    def test_dx_min_above_dx_max_is_refused(self):
+        # this mesh put node 0 at level 2 and the other 4,023 nodes at level
+        # 0, and cycle_operator asked for a 12,069 x 12,073 dense block; the
+        # refusal comes before any operator is built
+        with pytest.raises(ConfigError, match="dx_min 0.0025 exceeds dx_max 0.0005"):
+            graded_mesh(2.0, 2.5e-3, 5e-4)
 
     @staticmethod
     def _same_bits(x, *args):
@@ -302,7 +310,7 @@ class TestGradedMesh:
         (0.5, 1e-3, 1e-2, 3.0),  # cells reach dx_max at once
         (1e-3, 1e-2, 1e-2, 1.05),  # x_max < dx_min: one cell
         (1e-3, 1e-2, 1e-1, 1.05),
-        (2.0, 1e-2, 1e-3, 1.05),  # dx_min above dx_max
+        (2.0, 1e-2, 1e-2, 1.05),  # dx_min at dx_max, the edge of the refusal
         (2.0, 1e-5, 1e-2, 1.0 + 1e-9),  # cells that barely grow
         (7.3, 1e-300, 1.0, 1e300),  # products past the float range
     ])
@@ -500,6 +508,39 @@ class TestSolveRelaxation:
         U0 = np.column_stack([_bump(res.x), np.zeros(res.x.size)])
         zero = np.zeros_like(res.U)
         assert l2_error(res.x, res.U, zero) < l2_error(res.x, U0, zero)
+
+    @pytest.mark.parametrize("fixture", ["2x2", "3x3-7", "3x3-22"])
+    def test_level_sources_match_scipy_expm(self, fixture, monkeypatch):
+        # the source E[k] = exp(S dt_k / eps) of every time level k that
+        # solve_relaxation hands to step_operator, stopping each run there
+        if fixture == "2x2":
+            sys_obj, scenario = fixtures.example_system(), fixtures.example_scenario()
+        else:
+            sys_obj = fixtures.double_characteristic_system(int(fixture.split("-")[1]))
+            scenario = fixtures.scenario_double_characteristic(sys_obj)
+
+        class Stop(Exception):
+            pass
+
+        calls = []
+
+        def record(lam, R, pos, neg, dx, dt, level, E, r):
+            calls.append((dt, level, E))
+            raise Stop
+
+        monkeypatch.setattr(sim, "step_operator", record)
+        eps_list = [1e-2, 3e-3, 1e-3, 3e-4]
+        for eps in eps_list:
+            with pytest.raises(Stop):
+                solve_relaxation(sys_obj, scenario, eps, dx_max=5e-4)
+        assert len(calls) == len(eps_list)
+        for eps, (dt, level, E) in zip(eps_list, calls):
+            assert len(E) == level.max() + 1
+            base = (dt / 2.0**level)[0]  # the finest step; 2^-k is exact
+            for k, E_k in enumerate(E):
+                want = sla.expm(sys_obj.S * (base * 2**k) / eps)
+                assert E_k.shape == (sys_obj.r, sys_obj.r)
+                assert np.abs(E_k - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestSparseStepOracle:
