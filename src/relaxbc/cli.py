@@ -130,9 +130,14 @@ def _output_dir(path: str) -> None:
         raise ConfigError(f"--out {path!r} is not a usable directory: {exc.strerror}")
 
 
-def _object(key: str, value) -> dict:
+def _object(key: str, value, known=frozenset(), note: str = "") -> dict:
+    """``value``; a ConfigError unless it is a JSON object whose keys are all
+    in ``known`` (when given): a misspelt key would take its default."""
     if not isinstance(value, dict):
         raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
+    for name in sorted(set(value) - known if known else ()):
+        raise ConfigError(f"{key!r} key {name!r} is not read by any command "
+                          f"(known: {', '.join(sorted(known))}{note})")
     return value
 
 
@@ -147,6 +152,13 @@ def _read_json(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # scenario files
 
+
+#: the keys of each object of a scenario file: those any command or kind
+#: reads, so that one file serves both ``simulate`` and ``converge``
+_SCENARIO_KEYS = {"boundary", "u0", "v0", "T", "x_max", "epsilons", "grid"}
+_GRID_KEYS = {"dx_max"}
+_WAVEFORM_KEYS = {"kind", "amplitude", "frequency", "phase"}
+_PROFILE_KEYS = {"kind", "amplitude", "center", "width"}
 
 _WAVEFORMS = {
     "zero": lambda a, f, ph: (lambda t: 0.0 * t),
@@ -213,7 +225,9 @@ def _finite_positive(key: str, value) -> float:
 
 
 def _load_scenario(path: str, sys_obj) -> tuple[Scenario, dict]:
-    doc = _object("scenario", _read_json(path))
+    doc = _object("scenario", _read_json(path), _SCENARIO_KEYS)
+    _object("grid", doc.get("grid", {}), _GRID_KEYS,
+            "; the equilibrium solution is now exact, on no grid")
     for key in ("boundary", "u0", "T"):
         if key not in doc:
             raise ConfigError(f"scenario file is missing field {key!r}")
@@ -223,20 +237,20 @@ def _load_scenario(path: str, sys_obj) -> tuple[Scenario, dict]:
         raise ConfigError(
             f"'boundary' must list {idx.n_plus} waveform specs, one per row of B"
         )
-    waves = [_make_waveform(_object("boundary", s)) for s in b_specs]
+    waves = [_make_waveform(_object("boundary", s, _WAVEFORM_KEYS)) for s in b_specs]
 
     n1 = sys_obj.n - sys_obj.r
     u_specs = doc["u0"]
     if not isinstance(u_specs, list) or len(u_specs) != n1:
         raise ConfigError(f"'u0' must list {n1} profile specs")
-    profiles = [_make_profile(_object("u0", s)) for s in u_specs]
+    profiles = [_make_profile(_object("u0", s, _PROFILE_KEYS)) for s in u_specs]
 
     v_profiles = None
     if "v0" in doc:
         v_specs = doc["v0"]
         if not isinstance(v_specs, list) or len(v_specs) != sys_obj.r:
             raise ConfigError(f"'v0' must list {sys_obj.r} profile specs")
-        v_profiles = [_make_profile(_object("v0", s)) for s in v_specs]
+        v_profiles = [_make_profile(_object("v0", s, _PROFILE_KEYS)) for s in v_specs]
 
     def b(t):
         return np.stack([w(t) for w in waves], axis=-1)
@@ -487,10 +501,8 @@ def cmd_converge(args) -> int:
         raise ConfigError("scenario file must list nonempty 'epsilons'")
     eps_list = [_finite_positive("epsilons", e) for e in eps_list]
     check_epsilons(eps_list)
-    grid = _object("grid", scen_doc.get("grid", {}))
-    dx_max = _finite_positive("grid.dx_max", grid.get("dx_max", 5e-4))
-    equilibrium_dx = _finite_positive(
-        "grid.equilibrium_dx", grid.get("equilibrium_dx", 1e-4)
+    dx_max = _finite_positive(
+        "grid.dx_max", scen_doc.get("grid", {}).get("dx_max", 5e-4)
     )
 
     spec = _sampling_spec(args)
@@ -509,7 +521,6 @@ def cmd_converge(args) -> int:
         pipeline.rbc, pipeline.closure, scenario,
         eps_list=eps_list,
         dx_max=dx_max,
-        equilibrium_dx=equilibrium_dx,
     )
 
     if args.negative_control and not study.control_applicable:

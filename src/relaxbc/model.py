@@ -22,12 +22,15 @@ from .tolerances import spectral_norm, tau_eig, tau_rank, tau_sym
 
 
 def _as_matrix(obj, name: str) -> np.ndarray:
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field '{name}' is not a rectangular numeric matrix: {exc}")
-    if arr.ndim != 2:
-        raise ParseError(f"field '{name}' must be a 2-D matrix, got ndim={arr.ndim}")
+    """The 2-D matrix of JSON numbers ``obj``; a string or a bool entry is
+    refused, not converted."""
+    entries = np.array(obj, dtype=object)
+    if entries.ndim != 2:
+        raise ParseError(f"field '{name}' must be a 2-D matrix, got ndim={entries.ndim}")
+    for value in entries.flat:
+        if type(value) not in (int, float):
+            raise ParseError(f"field '{name}' has an entry that is not a number: {value!r}")
+    arr = entries.astype(float)
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"field '{name}' has an entry that is not finite")
     return arr
@@ -434,11 +437,16 @@ def raw_system_from_dict(doc: dict) -> RawSystem:
         raise ParseError("one of 'Q' or 'S' is required")
 
     B = _as_matrix(doc["B"], "B")
-    labels = tuple(doc.get("labels", ()))
+    # render_reduced_bc names the n - r equilibrium components by the first
+    # labels; an empty list stands for none
+    labels = doc.get("labels", [])
+    named = isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+    if not named or 0 < len(labels) < n - r:
+        raise ParseError(f"field 'labels' must list at least {n - r} strings, or none: {labels!r}")
 
     A0 = _as_matrix(doc["A0"], "A0") if "A0" in doc else np.eye(n)
     P = _as_matrix(doc["P"], "P") if "P" in doc else None
-    return RawSystem(A0=A0, A=A, Q=Q, B=B, d=d, n=n, r=r, P=P, labels=labels)
+    return RawSystem(A0=A0, A=A, Q=Q, B=B, d=d, n=n, r=r, P=P, labels=tuple(labels))
 
 
 def system_from_dict(doc: dict) -> RelaxationSystem:

@@ -19,9 +19,9 @@ the nodes below the top level, plus a small forcing by the boundary data.
 The solver takes one iteration per cycle: one sparse product and that
 forcing.
 
-The equilibrium system has constant coefficients, so its solver evaluates
-the method-of-characteristics solution with the derived reduced boundary
-condition in closed form, with no time stepping.
+The equilibrium system has constant coefficients: its method-of-
+characteristics solution with the derived reduced boundary condition is
+evaluated in closed form where it is read, on no grid and with no time step.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from .errors import (
 )
 from .layers import (
     EpsLayer,
-    SecondCorrection,
-    SqrtEpsLayer,
     assemble_composite,
     build_eps_layer,
     build_second_correction,
@@ -72,7 +70,7 @@ from .tolerances import (
 
 log = logging.getLogger(__name__)
 
-#: Courant number of the stiff step and of the equilibrium trace sampling
+#: Courant number of the stiff step
 CFL = 0.9
 
 #: local-time-stepping cycles per block of the stiff time loop, which holds
@@ -96,24 +94,15 @@ class Scenario:
 @dataclass
 class SimResult:
     x: np.ndarray
-    U: np.ndarray  # (nx, n) at t = T
+    U: np.ndarray  # (nx, n) at t = T; (nx, n - r) for the equilibrium
     t_final: float
-    steps: int
-    dt: float
-    eps: float | None = None
+    steps: int = 0  # finest time steps; the closed-form equilibrium takes none
+    dt: float | None = None
     boundary_times: np.ndarray | None = None
     boundary_values: np.ndarray | None = None  # trace of the state at x = 0
     boundary_cond: float | None = None  # conditioning of the inflow extraction
     node_steps: int | None = None  # node updates the stiff solver made
     cycles: int | None = None  # local-time-stepping cycles of the stiff solver
-
-    def boundary_interp(self):
-        ts, vs = self.boundary_times, self.boundary_values
-        def f(t):
-            return np.array(
-                [np.interp(t, ts, vs[:, k]) for k in range(vs.shape[1])]
-            )
-        return f
 
 
 def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = 1.05):
@@ -345,9 +334,51 @@ def solve_relaxation(
     chi = (a, b)[cycles % 2]
     return SimResult(
         x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
-        dt=dt, eps=eps, boundary_times=times, boundary_values=trace,
+        dt=dt, boundary_times=times, boundary_values=trace,
         boundary_cond=boundary_cond, node_steps=node_steps, cycles=cycles,
     )
+
+
+def _modes(eq: EquilibriumFrame):
+    """W = (P1 P0) and lam = (Lam1, 0): A11 = W diag(lam) W^T."""
+    return np.hstack([eq.P1, eq.P0]), np.concatenate([eq.Lam1, np.zeros(eq.n10)])
+
+
+def equilibrium_trace(eq: EquilibriumFrame, rbc: ReducedBC, scenario: Scenario, rhs=None):
+    """The exact boundary trace t -> ubar(0, t), shape (n - r,) at a time and
+    (N, n - r) at N times, of the equilibrium system ubar_t + A11 ubar_x = 0
+    under the reduced boundary condition C ubar(0, t) = B_o b(t),
+    C = B_o B_u.  In the modes chi = ubar W, those with lam <= 0 carry
+    initial data to the boundary from min(|lam| t, x_max), the constant
+    state a zero-gradient outflow holds at x_max; the incoming ones solve
+    chi_+(0, t) = (C W_+)^{-1} (rhs(t) - C W_rest chi_rest(0, t)).
+
+    ``rhs`` overrides t -> B_o b(t), which maps N times to (N, n1_+); the
+    naive-closure negative control uses it.  Raises BoundarySolveSingular
+    when C W_+ is singular."""
+    W, lam = _modes(eq)
+    pos, rest = np.flatnonzero(lam > 0), np.flatnonzero(lam <= 0)
+    if pos.size:
+        CWp_inv, _ = _inflow_inverse(
+            rbc.coefficient @ W[:, pos],
+            "reduced boundary condition is singular on incoming modes",
+        )
+        C_rest = rbc.coefficient @ W[:, rest]
+        rhs = rhs or (lambda t: scenario.b(t) @ rbc.B_o.T)
+
+    def trace(t):
+        t = np.asarray(t, dtype=float)
+        ts = t.reshape(-1)
+        chi = np.empty((ts.size, lam.size))
+        for k in rest:
+            feet = np.minimum(-lam[k] * ts, scenario.x_max)
+            chi[:, k] = np.atleast_2d(scenario.u0(feet).T).T @ W[:, k]
+        if pos.size:
+            r = np.reshape(rhs(ts), (ts.size, pos.size)) - chi[:, rest] @ C_rest.T
+            chi[:, pos] = r @ CWp_inv.T
+        return (chi @ W.T).reshape(t.shape + (lam.size,))
+
+    return trace
 
 
 def solve_equilibrium(
@@ -355,78 +386,26 @@ def solve_equilibrium(
     eq: EquilibriumFrame,
     rbc: ReducedBC,
     scenario: Scenario,
+    x: np.ndarray,
     rhs=None,
-    dx: float = 1e-3,
 ) -> SimResult:
-    """Method-of-characteristics solution at t = T of the equilibrium system
-    ubar_t + A11 ubar_x = 0 with the reduced boundary condition
-    C ubar(0, t) = B_o b(t), C = B_o B_u.
-
-    In the eigenbasis of the equilibrium frame, A11 = W diag(lam) W^T with
-    W = (P1 P0) and lam = (Lam1, 0), each mode chi_k is transported exactly,
-    with no time stepping:
-
-    - zero-speed modes keep their initial data;
-    - lam < 0 modes read initial data at min(x + |lam| T, x_max), the
-      constant state a zero-gradient outflow holds at x_max;
-    - lam > 0 modes read initial data at x - lam T where x >= lam T, and
-      elsewhere the inflow value g(T - x / lam), where
-      g(s) = (C W_+)^{-1} (rhs(s) - C W_rest chi_rest(0, s)).
-
-    ``dx`` spaces the nodes where the solution is sampled.  The boundary
-    trace ubar(0, t), for the layer closure, is sampled every
-    dt = T / ceil(T / (CFL dx / rho(A11))); the inflow values between the
-    samples are read from it by linear interpolation, as the closure reads
-    it.  ``rhs`` overrides the boundary right-hand side t -> B_o b(t), which
-    maps an array of N times to (N, n1_+); it is used by the naive-closure
-    negative control.
-    """
-    n1 = sys.n - sys.r
-    W = np.hstack([eq.P1, eq.P0])
-    lam = np.concatenate([eq.Lam1, np.zeros(eq.n10)])
-    pos = np.flatnonzero(lam > 0)
-    rest = np.flatnonzero(lam <= 0)
-
-    T, x_max = scenario.T, scenario.x_max
-    x = np.arange(0.0, x_max + dx / 2, dx)
-    rho = np.abs(lam).max(initial=0.0)
-    steps = max(int(math.ceil(T / (CFL * dx / rho))), 1) if rho > 0 else 100
-    dt = T / steps
-    times = np.arange(steps + 1) * dt
-
-    def initial_mode(k, points):
-        u = np.atleast_2d(scenario.u0(points).T).T
-        return u @ W[:, k]
-
-    # chi(0, t) at the trace times: outgoing and zero-speed modes carry
-    # initial data, the incoming ones solve the reduced condition
-    chi0 = np.empty((times.size, n1))
-    for k in rest:
-        chi0[:, k] = initial_mode(k, np.minimum(-lam[k] * times, x_max))
-    boundary_cond = None
-    if pos.size:
-        coeff = rbc.coefficient
-        CWp_inv, boundary_cond = _inflow_inverse(
-            coeff @ W[:, pos],
-            "reduced boundary condition is singular on incoming modes",
-        )
-        if rhs is None:
-            rhs = lambda t: scenario.b(t) @ rbc.B_o.T
-        r = rhs(times).T - (coeff @ W[:, rest]) @ chi0[:, rest].T
-        chi0[:, pos] = np.einsum("ij,jt->ti", CWp_inv, r)
-
-    chi = np.empty((x.size, n1))
-    for k in range(n1):
-        foot = np.minimum(x - lam[k] * T, x_max)
-        chi[:, k] = initial_mode(k, np.maximum(foot, 0.0))
-    for k in pos:
+    """The method-of-characteristics solution at t = T on the nodes ``x`` of
+    the equilibrium problem of ``equilibrium_trace`` (``rhs`` as there), in
+    closed form: no grid, no time step (``steps`` is 0).  Each mode chi_k
+    reads its initial data at clip(x - lam_k T, 0, x_max), so zero-speed
+    modes keep theirs, except an incoming mode where x < lam_k T, which reads
+    the exact boundary trace at its foot time T - x / lam_k."""
+    W, lam = _modes(eq)
+    trace = equilibrium_trace(eq, rbc, scenario, rhs)
+    T, x = scenario.T, np.asarray(x, dtype=float)
+    chi = np.empty((x.size, sys.n - sys.r))
+    for k in range(lam.size):
+        foot = np.clip(x - lam[k] * T, 0.0, scenario.x_max)
+        chi[:, k] = np.atleast_2d(scenario.u0(foot).T).T @ W[:, k]
+    for k in np.flatnonzero(lam > 0):
         inflow = x < lam[k] * T
-        chi[inflow, k] = np.interp(T - x[inflow] / lam[k], times, chi0[:, k])
-    return SimResult(
-        x=x, U=chi @ W.T, t_final=T, steps=steps, dt=dt,
-        boundary_times=times, boundary_values=chi0 @ W.T,
-        boundary_cond=boundary_cond,
-    )
+        chi[inflow, k] = trace(T - x[inflow] / lam[k]) @ W[:, k]
+    return SimResult(x=x, U=chi @ W.T, t_final=T)
 
 
 @dataclass
@@ -505,43 +484,25 @@ def control_applicable(sys: RelaxationSystem, rbc: ReducedBC) -> bool:
     return rbc.B_o.shape[0] > 0 and bool(np.any(_touches_v(sys)))
 
 
-@dataclass
-class FinalTimeLayers:
-    """The eps-independent parts of the composite expansion at t = T for one
-    equilibrium solution: the outer solution ubar on its nodes x, the
-    eps-layer with its closure amplitude w_s(T), and the sqrt(eps)-layer
-    with its second correction (None without zero-speed equilibrium modes)."""
-
-    x: np.ndarray
-    ubar: np.ndarray
-    eps_layer: EpsLayer
-    w_s: np.ndarray
-    sqrt_layer: SqrtEpsLayer | None
-    second: SecondCorrection | None
-
-    def outer_on(self, x: np.ndarray) -> np.ndarray:
-        """The outer solution sampled on ``x``, shape (len(x), n - r)."""
-        return np.column_stack(
-            [np.interp(x, self.x, u) for u in self.ubar.T]
-        )
-
-
 def layers_at_final_time(
     sys: RelaxationSystem,
     eq: EquilibriumFrame,
     closure: ClosureSolve,
     scenario: Scenario,
-    equil: SimResult,
+    trace,
     eps_layer: EpsLayer,
-) -> FinalTimeLayers:
-    """Solve the layers of the composite expansion that do not depend on eps,
-    once per equilibrium solution ``equil``.  The sqrt(eps)-layer takes its
+) -> dict:
+    """Solve the layers of the composite expansion at t = T that do not
+    depend on eps, once per equilibrium solution, from its boundary trace
+    ubar(0, t) (``equilibrium_trace``): the keyword arguments of
+    ``assemble_composite``, the eps-layer with its closure amplitude
+    w_s(T), and the sqrt(eps)-layer with its second correction (None
+    without zero-speed equilibrium modes).  The sqrt(eps)-layer takes its
     boundary data at all of its sample times from one closure solve."""
     n10 = compute_indices(sys).n10
-    ubar0 = equil.boundary_interp()
 
     def layer_data(ts):
-        mu, _ = solve_closure(closure, sys, scenario.b(ts).T, ubar0(ts), n10)
+        mu, _ = solve_closure(closure, sys, scenario.b(ts).T, trace(ts).T, n10)
         return mu.T
 
     sqrt_layer = second = None
@@ -549,23 +510,17 @@ def layers_at_final_time(
         sqrt_layer = solve_sqrt_eps_layer(sys, eq, layer_data, scenario.T)
         second = build_second_correction(sys, eq, sqrt_layer)
     _, w_s = solve_closure(
-        closure, sys, scenario.b(scenario.T), ubar0(scenario.T), n10
+        closure, sys, scenario.b(scenario.T), trace(scenario.T), n10
     )
-    return FinalTimeLayers(
-        x=equil.x, ubar=equil.U, eps_layer=eps_layer, w_s=w_s,
-        sqrt_layer=sqrt_layer, second=second,
-    )
+    return dict(eps_layer=eps_layer, w_s=w_s, sqrt_layer=sqrt_layer, second=second)
 
 
 def composite_at_final_time(
-    sys: RelaxationSystem, layers: FinalTimeLayers, x: np.ndarray, eps: float
+    sys: RelaxationSystem, layers: dict, x: np.ndarray, ubar: np.ndarray, eps: float
 ) -> np.ndarray:
-    """Evaluate the composite expansion at t = T on the mesh ``x``."""
-    return assemble_composite(
-        sys, x, layers.outer_on(x), eps,
-        eps_layer=layers.eps_layer, w_s=layers.w_s,
-        sqrt_layer=layers.sqrt_layer, second=layers.second,
-    )
+    """The composite expansion at t = T on the mesh ``x``, from the outer
+    solution ``ubar`` on it and the ``layers_at_final_time``."""
+    return assemble_composite(sys, x, ubar, eps, **layers)
 
 
 def run_convergence_study(
@@ -578,7 +533,6 @@ def run_convergence_study(
     scenario: Scenario,
     eps_list=(1e-2, 3e-3, 1e-3, 3e-4),
     dx_max: float = 5e-4,
-    equilibrium_dx: float = 1e-4,
 ) -> ConvergenceStudy:
     """Measure ||U^eps - U_eps||_{L2} at t = T for each eps and fit the decay
     slope, and repeat it against the naive-closure equilibrium solution as a
@@ -586,9 +540,10 @@ def run_convergence_study(
     applicable (``control_applicable``).  Raises ConfigError, before any
     run, unless ``eps_list`` holds two distinct values.
 
-    ``dx_max`` is the largest cell of the stiff solver's graded mesh;
-    ``equilibrium_dx`` spaces the nodes where the closed-form equilibrium
-    solution is sampled (see ``solve_equilibrium``).
+    ``dx_max`` is the largest cell of the stiff solver's graded mesh.  The
+    layers of each equilibrium solution come from its exact boundary trace
+    (``equilibrium_trace``), once per study; its outer solution is evaluated
+    in closed form on each stiff mesh, once per eps (``solve_equilibrium``).
 
     ``scenario.u0``/``scenario.v0`` describe the outer initial data.  The
     stiff runs start from well-prepared data that already carry the eps-layer
@@ -611,14 +566,13 @@ def run_convergence_study(
     layer0 = build_eps_layer(sys, frame, data)
 
     def layers_for(rhs):
-        equil = solve_equilibrium(
-            sys, eq, rbc, scenario, rhs=rhs, dx=equilibrium_dx
-        )
-        return layers_at_final_time(sys, eq, closure, scenario, equil, layer0)
+        trace = equilibrium_trace(eq, rbc, scenario, rhs)
+        return layers_at_final_time(sys, eq, closure, scenario, trace, layer0)
 
     layers = layers_for(None)
     applicable = control_applicable(sys, rbc)
-    control = layers_for(naive_rhs(sys, rbc, scenario)) if applicable else None
+    control_rhs = naive_rhs(sys, rbc, scenario) if applicable else None
+    control = layers_for(control_rhs) if applicable else None
 
     u0_at_0 = np.atleast_1d(np.asarray(scenario.u0(np.zeros(1))).ravel())
     _, w_s0 = solve_closure(
@@ -647,11 +601,12 @@ def run_convergence_study(
                 T=scenario.T, x_max=scenario.x_max,
             )
         stiff = solve_relaxation(sys, stiff_scenario, eps, dx_max=dx_max)
-        comp = composite_at_final_time(sys, layers, stiff.x, eps)
+        ubar = solve_equilibrium(sys, eq, rbc, scenario, stiff.x).U
+        comp = composite_at_final_time(sys, layers, stiff.x, ubar, eps)
         # against the bare outer solution (ubar; 0): same rate away from the
         # boundary layers, slower globally
         outer = np.zeros_like(stiff.U)
-        outer[:, :n1] = layers.outer_on(stiff.x)
+        outer[:, :n1] = ubar
         entry = {
             "eps": float(eps),
             "error": float(measure_error(stiff, comp)),
@@ -661,7 +616,8 @@ def run_convergence_study(
             "node_steps": stiff.node_steps,
         }
         if control is not None:
-            ctrl = composite_at_final_time(sys, control, stiff.x, eps)
+            ubar = solve_equilibrium(sys, eq, rbc, scenario, stiff.x, control_rhs).U
+            ctrl = composite_at_final_time(sys, control, stiff.x, ubar, eps)
             entry["control_error"] = float(l2_error(stiff.x, stiff.U, ctrl))
         return entry, time.perf_counter() - start, stiff.cycles
 
@@ -701,11 +657,11 @@ __all__ = [
     "Scenario",
     "SimResult",
     "ConvergenceStudy",
-    "FinalTimeLayers",
     "graded_mesh",
     "l2_error",
     "measure_error",
     "solve_relaxation",
+    "equilibrium_trace",
     "solve_equilibrium",
     "layers_at_final_time",
     "composite_at_final_time",

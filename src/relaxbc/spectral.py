@@ -133,6 +133,7 @@ class GkcReport:
     eta_inf_error: str | None = None  # why the eta = inf limit was not formed
     subthreshold_points: list = field(default_factory=list)
     failures: list = field(default_factory=list)
+    re_xi_slice_minima: list = field(default_factory=list)  # see _slice_minima
     note: str = (
         "sampled verification: evidence over a finite grid, not a proof; "
         "the trend as Re(xi) -> 0 is reported but not extrapolated"
@@ -161,6 +162,7 @@ class GkcReport:
                 [list(p), float(v)] for p, v in self.subthreshold_points
             ],
             "failures": list(self.failures),
+            "re_xi_slice_minima": self.re_xi_slice_minima,
             "note": self.note,
         }
 
@@ -228,6 +230,8 @@ def symbol_stack(A, Q, R1, R0):
 
     def evaluate(u):
         coef = np.column_stack([u[:, -1], -(u[:, 0] + 1j * u[:, 1]), -1j * u[:, 2:-1]])
+        # einsum, not coef @ terms: BLAS threads started inside the pool's made
+        # certify-d3 15-45% slower in wall time, 35-65% costlier in CPU
         G = np.einsum("np,pab->nab", coef, terms)
         core = G[:, :k, :k]
         if k < G.shape[1]:
@@ -326,6 +330,10 @@ def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
 
 
 def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.ndarray:
+    return _directions(m, spec, _conjugate_half)[0]  # the rows alone
+
+
+def _directions(m: int, spec: SamplingSpec, conjugate_half: bool = True):
     """Distinct unit directions on {u in R^m : |u| = 1, u_0 >= delta, u_{m-1} >= 0}.
 
     Coordinates are ordered (Re xi, Im xi, omega..., eta) for the GKC
@@ -352,8 +360,9 @@ def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.n
     resolutions, on the slice phi_2 = pi / 2 they keep phi_3 < pi / 2, on
     phi_2 = phi_3 = pi / 2 phi_4 < pi / 2, and so on, down to the one row
     that is its own mirror.  So the grid holds one member of each conjugate
-    pair; the rim rows are kept whole.  ``_conjugate_half=False`` keeps the
-    whole tensor grid, as ``xi_omega_directions`` needs.
+    pair; the rim rows are kept whole.  ``conjugate_half=False`` keeps the
+    whole tensor grid, as ``xi_omega_directions`` needs.  Returns the rows
+    and the count of those, first, that are the tensor grid's.
     """
     res = spec.resolution
     phi_max = math.acos(spec.delta)
@@ -363,7 +372,7 @@ def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.n
     if res % 2:
         line[res // 2] = math.pi / 2
     idx = np.indices((res,) * (m - 2)).reshape(m - 2, res ** (m - 2)).T
-    if _conjugate_half and m > 2:
+    if conjugate_half and m > 2:
         # the reflection phi -> pi - phi maps index i to res - 1 - i: keep
         # the rows whose first index off the middle lies below it, and the
         # row with every index there, which is its own mirror
@@ -375,6 +384,7 @@ def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.n
         np.repeat(np.linspace(0.0, phi_max, res), len(idx)),
         np.tile(line[idx], (res, 1)),
     ])  # (N, m-1), phi_1 outermost
+    tensor = len(angles)
 
     if spec.rim_points > 0 and m >= 2:
         extra = _sobol(m - 1, 2 * spec.rim_points, spec.seed)
@@ -390,7 +400,8 @@ def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.n
 
     units = _angles_to_unit(angles, m) + 0.0  # + 0.0 turns -0.0 into 0.0
     _, first = np.unique(units, axis=0, return_index=True)
-    return units[np.sort(first)]
+    first.sort()
+    return units[first], int(np.searchsorted(first, tensor))
 
 
 def xi_omega_directions(d: int, spec: SamplingSpec) -> np.ndarray:
@@ -522,9 +533,10 @@ def check_gkc(
     """
     spec = spec or SamplingSpec()
     require_real(sys, frame)
-    units = directions(sys.d + 2, spec)
+    units, tensor = _directions(sys.d + 2, spec)
     vals, failures = gkc_ratios(sys, frame, units)
     points, values, best, best_point = _collect(units, vals, sys.d)
+    slices = _slice_minima(units[:tensor, 0], vals[:tensor])
     sub = _subthreshold(points, values)
     log.debug("gkc: %d directions, %d skipped, minimum %.6g",
               len(units), len(failures), best)
@@ -559,9 +571,20 @@ def check_gkc(
         c_threshold=C_THRESHOLD,
         subthreshold_points=sub,
         failures=failures,
+        re_xi_slice_minima=slices,
         points=points,
         values=values,
     )
+
+
+def _slice_minima(re_xi, vals):
+    """The trend as Re xi -> 0: [Re xi, minimum ratio] of each slice phi_1 of
+    the tensor grid (rows ``re_xi``, ratios ``vals``), Re xi decreasing; the
+    minimum is None where every row of the slice was skipped."""
+    levels, which = np.unique(-re_xi, return_inverse=True)
+    low = np.full(levels.size, math.inf)
+    np.fmin.at(low, which, vals)
+    return [[-r, None if v == math.inf else v] for r, v in zip(levels.tolist(), low.tolist())]
 
 
 def _collect(units, vals, d):

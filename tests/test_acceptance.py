@@ -208,7 +208,7 @@ def test_reports_are_byte_identical_across_runs(sys2x2_file, tmp_path):
         "T": 0.5,
         "x_max": 2.0,
         "epsilons": [1e-2, 3e-3],
-        "grid": {"dx_max": 2e-3, "equilibrium_dx": 1e-3},
+        "grid": {"dx_max": 2e-3},
     }
     scen_file = tmp_path / "scen.json"
     scen_file.write_text(json.dumps(scen_doc))

@@ -340,7 +340,7 @@ class TestConverge:
             "T": 0.5,
             "x_max": 2.0,
             "epsilons": [1e-2, 3e-3],
-            "grid": {"dx_max": 2e-3, "equilibrium_dx": 1e-3},
+            "grid": {"dx_max": 2e-3},
         }
         doc.update(overrides)
         p = tmp_path / "scen.json"
@@ -417,8 +417,6 @@ class TestConverge:
         ("grid.dx_max", {"grid": {"dx_max": float("nan")}}),
         ("grid.dx_max", {"grid": {"dx_max": 0.0}}),
         ("grid.dx_max", {"grid": {"dx_max": "fine"}}),
-        ("grid.equilibrium_dx", {"grid": {"equilibrium_dx": float("inf")}}),
-        ("grid.equilibrium_dx", {"grid": {"equilibrium_dx": -1e-3}}),
     ])
     def test_nonfinite_or_nonpositive_input_is_config_error(
         self, sys2x2_file, tmp_path, capsys, key, overrides
@@ -431,6 +429,51 @@ class TestConverge:
              "--out", str(tmp_path / "out")]
         ) == 2
         assert f"'{key}' must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param({"grid": {"dx_mx": 1e-2}},
+                     "'grid' key 'dx_mx' is not read by any command (known: dx_max;",
+                     id="dx_mx"),
+        pytest.param({"x_mx": 1.0}, "'scenario' key 'x_mx' is not read", id="x_mx"),
+        pytest.param({"boundary": [{"kind": "sin"}, {"kind": "cos", "amplitud": 2.0}]},
+                     "'boundary' key 'amplitud' is not read", id="amplitud"),
+        pytest.param({"u0": [{"kind": "bump", "centre": 0.3}]},
+                     "'u0' key 'centre' is not read", id="centre"),
+        pytest.param({"grid": {"dx_max": 2e-3, "equilibrium_dx": 1e-3}},
+                     "'grid' key 'equilibrium_dx' is not read by any command (known: "
+                     "dx_max; the equilibrium solution is now exact, on no grid)",
+                     id="equilibrium_dx"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "converge"])
+    def test_unread_scenario_key_is_config_error(
+        self, sys2x2_file, tmp_path, capsys, overrides, message, command
+    ):
+        # such a key took its default silently: dx_mx ran converge on the
+        # default dx_max
+        scen = self._scenario(tmp_path, **overrides)
+        out = tmp_path / "out"
+        argv = [command, sys2x2_file, "--scenario", scen, "--out", str(out)]
+        if command == "simulate":
+            argv += ["--eps", "1e-2"]
+        assert _run(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_one_scenario_file_serves_both_commands(self, sys2x2_file, tmp_path):
+        # every key of either command and of every kind is accepted by both
+        scen = self._scenario(
+            tmp_path,
+            boundary=[{"kind": "sin", "amplitude": 1.0, "frequency": 1.0, "phase": 0.0},
+                      {"kind": "cos"}],
+            u0=[{"kind": "gauss_ramp", "amplitude": 1.0 / 3.0, "width": 0.5,
+                 "center": 0.0}],
+            v0=[{"kind": "zero"}],
+        )
+        out = str(tmp_path / "out")
+        assert _run(["simulate", sys2x2_file, "--scenario", scen, "--eps", "1e-2",
+                     "--dx-max", "2e-3", "--out", out]) == 0
+        assert _run(["converge", sys2x2_file, "--scenario", scen, "--out", out,
+                     "--resolution", "8", "--rim-points", "0"]) == 0
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_nonfinite_threshold_is_config_error(
@@ -469,22 +512,63 @@ class TestConverge:
         assert not any(out.iterdir())
 
 
-def test_perfbench_wrapped_attributes_resolve():
-    """perfbench/spans.py wraps package functions by (module, attribute)
-    name; a missing one breaks benchmark runs with ``--trace 1``."""
-    import importlib
+def _perfbench_spans():
+    """perfbench/spans.py, loaded from its file."""
     import importlib.util
-    from pathlib import Path
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_perfbench_wrapped_attributes_resolve():
+    """perfbench/spans.py wraps package functions by (module, attribute)
+    name; a missing one breaks benchmark runs with ``--trace 1``."""
+    import importlib
+
+    spans = _perfbench_spans()
     missing = [
         (mod, attr) for mod, attr, _ in spans.WRAPPED
         if not callable(getattr(importlib.import_module(f"relaxbc.{mod}"), attr, None))
     ]
     assert spans.WRAPPED and missing == []
+
+
+def test_perfbench_observers_read_what_the_package_returns(pipe2x2, pipe3):
+    """Each observer of perfbench/spans.py reads attributes of what its
+    package function returns; run every one on a small fixture."""
+    from collections import defaultdict
+
+    from relaxbc import layers, reduction, sim, spectral
+
+    spans = _perfbench_spans()
+    scen = fixtures.example_scenario()
+    spec = spectral.SamplingSpec(resolution=4)
+    returned = {
+        "spectral.check_gkc": spectral.check_gkc(pipe2x2.sys, pipe2x2.frame, spec),
+        "sim.solve_relaxation": sim.solve_relaxation(pipe2x2.sys, scen, 1e-2),
+        "sim.solve_equilibrium": sim.solve_equilibrium(
+            pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, np.linspace(0.0, 2.0, 11)
+        ),
+        "layers.solve_sqrt_eps_layer": layers.solve_sqrt_eps_layer(
+            pipe3.sys, pipe3.eq, lambda t: np.ones((np.size(t), pipe3.eq.n10)), 0.5
+        ),
+        "reduction.derive_reduced_bc": reduction.derive_reduced_bc(
+            pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data, spec=spec
+        ),
+    }
+    assert set(returned) == set(spans.OBSERVERS)
+    counts = defaultdict(int)
+    for name, result in returned.items():
+        spans.OBSERVERS[name](result, counts)
+    assert counts["spectral.sample_rows"] > 0
+    assert counts["sim.stiff_node_steps"] > 0
+    # the closed-form equilibrium solution takes no time step
+    assert counts["sim.equilibrium_node_steps"] == 0
+    assert len(counts["layers.sqrt_layer_digests"]) == 1
+    assert counts["reduction.ukc_samples"] > 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -599,6 +683,12 @@ def _set(path, value):
                  "field 'Q' has an entry that is not finite", id="Q-nan"),
     pytest.param(_set(["B", 0, 0], float("inf")),
                  "field 'B' has an entry that is not finite", id="B-inf"),
+    pytest.param(_set(["A", 0, 0, 0], "3.0"),
+                 "field 'A[0]' has an entry that is not a number: '3.0'", id="A-string"),
+    pytest.param(_set(["B", 0, 0], True),
+                 "field 'B' has an entry that is not a number: True", id="B-bool"),
+    pytest.param(_set(["labels"], "uv"), "field 'labels' must list", id="labels-string"),
+    pytest.param(_set(["labels"], [1]), "field 'labels' must list", id="labels-number"),
 ])
 @pytest.mark.parametrize("command", ["validate", "gkc"])
 def test_malformed_system_is_parse_error(command, edit, message, tmp_path, capsys):

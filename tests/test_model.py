@@ -15,6 +15,7 @@ from relaxbc.model import (
     check_sk_condition,
     compute_indices,
     load_system,
+    raw_system_from_dict,
     split_speeds,
     system_from_dict,
     system_to_dict,
@@ -278,6 +279,21 @@ class TestSerialization:
         doc["A"] = [[[3.0, 1.0], [1.0]]]
         with pytest.raises(ParseError):
             system_from_dict(doc)
+
+    @pytest.mark.parametrize("labels", ["uv", ["u"], ["u", 2], None])
+    def test_labels_must_name_the_equilibrium_components(self, labels):
+        # n - r = 2: labels, when given, name both equilibrium components;
+        # the string "uv" was read as ("u", "v")
+        doc = {
+            "d": 1, "n": 3, "r": 1,
+            "A": [[[1.0, 0.0, 1.0], [0.0, -1.0, 0.5], [1.0, 0.5, 0.0]]],
+            "Q": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+            "B": [[1.0, 0.3, 0.2]],
+        }
+        for fine in ([], ["u", "w"], ["u", "w", "v"]):
+            assert raw_system_from_dict({**doc, "labels": fine}).labels == tuple(fine)
+        with pytest.raises(ParseError, match="'labels' must list at least 2 strings"):
+            raw_system_from_dict({**doc, "labels": labels})
 
     def test_missing_field_rejected(self):
         doc = system_to_dict(example_system())

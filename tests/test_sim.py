@@ -25,6 +25,7 @@ from relaxbc.sim import (
     l2_error,
     measure_error,
     naive_rhs,
+    equilibrium_trace,
     run_convergence_study,
     solve_equilibrium,
     solve_relaxation,
@@ -124,7 +125,7 @@ def _global_dt_relaxation(sys_obj, scenario, eps, dx_max=1e-3):
         trace[step + 1] = R @ chi0
     return SimResult(
         x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
-        dt=dt, eps=eps, boundary_times=times, boundary_values=trace,
+        dt=dt, boundary_times=times, boundary_values=trace,
         node_steps=steps * x.size,
     )
 
@@ -194,7 +195,7 @@ def _per_substep_relaxation(sys_obj, scenario, eps, dx_max=1e-3):
         trace[step + 1] = R @ chi[:n]
     return SimResult(
         x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
-        dt=dt, eps=eps, boundary_times=times, boundary_values=trace,
+        dt=dt, boundary_times=times, boundary_values=trace,
         node_steps=int(np.sum(steps >> level)),
     )
 
@@ -786,22 +787,43 @@ class TestSolveEquilibrium:
         # ubar_t + 3 ubar_x = 0 with ubar(0, t) = g(t) + h(t)/3: the exact
         # solution transports the boundary trace along x = 3t
         scen = fixtures.example_scenario()
-        res = solve_equilibrium(
-            pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, dx=2e-3
-        )
-        x, T = res.x, scen.T
-        u0 = np.atleast_2d(scen.u0(x).T).T.ravel()
+        x = np.linspace(0.0, scen.x_max, 1001)
+        res = solve_equilibrium(pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, x)
+        assert np.array_equal(res.x, x)
+        assert res.steps == 0
+        T = scen.T
         inflow = np.sin(T - x / 3.0) + np.cos(T - x / 3.0) / 3.0
-        exact = np.where(x < 3.0 * T, inflow, np.interp(x - 3.0 * T, x, u0))
-        assert l2_error(x, res.U, exact[:, None]) < 5e-4
+        exact = np.where(x < 3.0 * T, inflow, scen.u0(np.maximum(x - 3.0 * T, 0.0)))
+        np.testing.assert_allclose(res.U[:, 0], exact, rtol=0, atol=1e-14)
 
     def test_boundary_trace_satisfies_reduced_bc(self, pipe2x2):
         scen = fixtures.example_scenario(T=0.3)
         res = solve_equilibrium(
-            pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, dx=2e-3
+            pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, np.array([0.0, 0.5])
         )
         want = math.sin(0.3) + math.cos(0.3) / 3.0
         assert res.U[0, 0] == pytest.approx(want, abs=1e-12)
+        trace = equilibrium_trace(pipe2x2.eq, pipe2x2.rbc, scen)
+        assert trace(0.3).shape == (1,)
+        assert trace(0.3)[0] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("control", [False, True], ids=["derived", "naive"])
+    def test_reduced_bc_holds_on_the_exact_trace(self, pipe2x2, control):
+        # at random times, not on a grid: C ubar(0, t) = rhs(t) to round-off,
+        # for the derived right-hand side and the negative control's
+        scen = fixtures.example_scenario()
+        rhs = naive_rhs(pipe2x2.sys, pipe2x2.rbc, scen) if control else None
+        trace = equilibrium_trace(pipe2x2.eq, pipe2x2.rbc, scen, rhs)
+        t = np.random.default_rng(22).uniform(0.0, scen.T, 1000)
+        want = (rhs or (lambda s: scen.b(s) @ pipe2x2.rbc.B_o.T))(t)
+        got = trace(t) @ pipe2x2.rbc.coefficient.T
+        assert got.shape == want.shape == (1000, 1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the solution at x = 0 is the trace at T
+        res = solve_equilibrium(
+            pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, np.zeros(1), rhs
+        )
+        np.testing.assert_allclose(res.U[0], trace(scen.T), rtol=0, atol=1e-14)
 
     def test_zero_speed_mode_stays_at_initial_data(self):
         # A11 = diag(2, 0): the second equilibrium component has zero speed
@@ -819,8 +841,12 @@ class TestSolveEquilibrium:
             T=0.4,
             x_max=2.0,
         )
-        res = solve_equilibrium(sys_obj, pipe.eq, pipe.rbc, scen, dx=2e-3)
-        np.testing.assert_allclose(res.U[:, 1], _bump(res.x), atol=1e-14)
+        x = np.linspace(0.0, 2.0, 1001)
+        res = solve_equilibrium(sys_obj, pipe.eq, pipe.rbc, scen, x)
+        np.testing.assert_allclose(res.U[:, 1], _bump(x), atol=1e-14)
+        t = np.linspace(0.0, 0.4, 101)
+        trace = equilibrium_trace(pipe.eq, pipe.rbc, scen)
+        np.testing.assert_allclose(trace(t)[:, 1], _bump(0.0), atol=1e-14)
 
     def test_closed_form_is_the_upwind_limit(self, pipe2x2):
         # first-order upwinding converges to the closed form: their distance
@@ -830,9 +856,8 @@ class TestSolveEquilibrium:
         for dx in (4e-3, 2e-3, 1e-3):
             x, u = _upwind_equilibrium(pipe2x2, scen, dx)
             res = solve_equilibrium(
-                pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, dx=dx
+                pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, x
             )
-            np.testing.assert_array_equal(res.x, x)
             dist.append(l2_error(x, res.U, u))
         for coarse, fine in zip(dist, dist[1:]):
             assert 1.7 <= coarse / fine <= 2.3
@@ -848,27 +873,28 @@ class TestSolveEquilibrium:
             u0=lambda x: np.column_stack([_bump(x, 0.6), u2(x)]),
             T=T, x_max=x_max,
         )
-        res = solve_equilibrium(pipe.sys, pipe.eq, pipe.rbc, scen, dx=1e-3)
-        x = res.x
+        x = np.linspace(0.0, x_max, 1001)
+        res = solve_equilibrium(pipe.sys, pipe.eq, pipe.rbc, scen, x)
         # the outgoing mode u2 moves left at speed 1 and holds u2(x_max)
         # where its characteristic starts beyond x_max
         np.testing.assert_allclose(
             res.U[:, 1], u2(np.minimum(x + T, x_max)), rtol=0, atol=1e-14
         )
-        # the boundary trace solves u1 + 0.3 u2 = B_o b at every sample,
-        # with u2(0, t) = u2(t) carried in from the interior
-        t = res.boundary_times
+        # the boundary trace solves u1 + 0.3 u2 = B_o b at every time, with
+        # u2(0, t) = u2(t) carried in from the interior
+        t = np.linspace(0.0, T, 501)
+        trace = equilibrium_trace(pipe.eq, pipe.rbc, scen)(t)
         rhs = np.array([pipe.rbc.B_o @ scen.b(s) for s in t])[:, 0]
-        np.testing.assert_allclose(res.boundary_values[:, 1], u2(t), atol=1e-14)
+        np.testing.assert_allclose(trace[:, 1], u2(t), atol=1e-14)
         np.testing.assert_allclose(
-            res.boundary_values @ pipe.rbc.coefficient[0], rhs, atol=1e-12
+            trace @ pipe.rbc.coefficient[0], rhs, atol=1e-12
         )
         # the incoming mode u1 carries that trace into x < T and its initial
         # data beyond
         inflow = x < T
         s = T - x[inflow]
         want = np.array([pipe.rbc.B_o @ scen.b(v) for v in s])[:, 0] - 0.3 * u2(s)
-        np.testing.assert_allclose(res.U[inflow, 0], want, atol=1e-6)
+        np.testing.assert_allclose(res.U[inflow, 0], want, atol=1e-12)
         np.testing.assert_allclose(
             res.U[~inflow, 0], _bump(x[~inflow] - T, 0.6), atol=1e-14
         )
@@ -919,7 +945,7 @@ class TestConvergenceStudy:
             pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
             pipe2x2.rbc, pipe2x2.closure, scen,
             eps_list=(1e-2, 3e-3),
-            dx_max=2e-3, equilibrium_dx=1e-3,
+            dx_max=2e-3,
         )
         assert study.errors[1] < study.errors[0]
         assert not study.degenerate
@@ -973,10 +999,38 @@ class TestConvergenceStudy:
             pipe3.sys, pipe3.frame, pipe3.eq, pipe3.data,
             pipe3.rbc, pipe3.closure, scen,
             eps_list=(1e-2, 3e-3, 1e-3),
-            dx_max=2e-3, equilibrium_dx=1e-3,
+            dx_max=2e-3,
         )
         assert len(study.errors) == 3
-        assert calls == {"equilibrium": 1, "sqrt_layer": 1}
+        # the outer solution is evaluated on each stiff mesh, once per eps
+        assert calls == {"equilibrium": 3, "sqrt_layer": 1}
+
+    def test_one_outer_evaluation_per_eps_and_equilibrium(self, pipe2x2, monkeypatch):
+        # the derived equilibrium and the negative control are each evaluated
+        # once per eps, on that eps's stiff mesh
+        meshes, evaluated = [], []
+
+        def relaxation(*args, **kwargs):
+            res = solve_relaxation(*args, **kwargs)
+            meshes.append(res.x)
+            return res
+
+        def equilibrium(sys_obj, eq, rbc, scenario, x, rhs=None):
+            evaluated.append((x, rhs is None))
+            return solve_equilibrium(sys_obj, eq, rbc, scenario, x, rhs)
+
+        monkeypatch.setattr(pool, "cpus", lambda: 1)
+        monkeypatch.setattr(sim, "solve_relaxation", relaxation)
+        monkeypatch.setattr(sim, "solve_equilibrium", equilibrium)
+        study = run_convergence_study(
+            pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
+            pipe2x2.rbc, pipe2x2.closure, fixtures.example_scenario(),
+            eps_list=(1e-2, 3e-3), dx_max=2e-3,
+        )
+        assert study.control_applicable and len(meshes) == 2
+        assert [derived for _, derived in evaluated] == [True, False] * 2
+        for k, (x, _) in enumerate(evaluated):
+            assert x is meshes[k // 2]
 
     def test_vacuous_control_is_not_computed(self, pipe3):
         # n1_+ = 0: B_o has no rows, so the naive closure changes nothing
@@ -987,7 +1041,7 @@ class TestConvergenceStudy:
             pipe3.sys, pipe3.frame, pipe3.eq, pipe3.data,
             pipe3.rbc, pipe3.closure, scen,
             eps_list=(1e-2, 3e-3),
-            dx_max=2e-3, equilibrium_dx=1e-3,
+            dx_max=2e-3,
         )
         doc = study.to_dict()
         assert doc["control_applicable"] is False
@@ -1018,7 +1072,7 @@ class TestConvergenceStudy:
             run_convergence_study(
                 pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
                 pipe2x2.rbc, pipe2x2.closure, fixtures.example_scenario(),
-                eps_list=eps_list, dx_max=2e-3, equilibrium_dx=1e-3,
+                eps_list=eps_list, dx_max=2e-3,
             )
 
     def test_zero_data_is_degenerate(self, pipe2x2):
@@ -1032,7 +1086,7 @@ class TestConvergenceStudy:
             pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
             pipe2x2.rbc, pipe2x2.closure, scen,
             eps_list=(1e-2, 3e-3),
-            dx_max=2e-3, equilibrium_dx=1e-3,
+            dx_max=2e-3,
         )
         assert study.degenerate
         assert study.slope is None
@@ -1071,7 +1125,7 @@ class TestPooledLadder:
             study = run_convergence_study(
                 pipe.sys, pipe.frame, pipe.eq, pipe.data, pipe.rbc,
                 pipe.closure, scen, eps_list=eps_list,
-                dx_max=2e-3, equilibrium_dx=1e-3,
+                dx_max=2e-3,
             )
             return study, list(started), list(submitted)
 

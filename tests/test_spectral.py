@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -17,7 +19,9 @@ from relaxbc.spectral import (
     build_kernel_frame,
     build_M,
     check_gkc,
+    directions,
     gkc_ratio,
+    gkc_ratios,
 )
 
 
@@ -180,6 +184,21 @@ class TestCheckGkc:
         report = check_gkc(bad, pipe2x2.frame, SamplingSpec(resolution=8, rim_points=0))
         assert not report.passed
         assert report.argmin_point is not None
+
+
+    def test_re_xi_slice_minima(self, zero_speed_bundle):
+        # the trend the report's note promises: one [Re xi, minimum] entry
+        # per phi_1 of the tensor grid, toward Re xi -> 0, rim rows left out
+        b = zero_speed_bundle
+        spec = SamplingSpec(resolution=6, rim_points=8)
+        report = check_gkc(b.sys, b.frame, spec)
+        tensor = directions(b.sys.d + 2, replace(spec, rim_points=0))
+        vals, _ = gkc_ratios(b.sys, b.frame, tensor)
+        re_xi = np.cos(np.linspace(0.0, np.arccos(spec.delta), spec.resolution))
+        want = [[r, np.nanmin(vals[tensor[:, 0] == r])] for r in re_xi]
+        assert report.re_xi_slice_minima == want
+        assert report.to_dict()["re_xi_slice_minima"] == want
+        assert min(v for _, v in want) == np.nanmin(vals)
 
 
 class TestFrameIndependence:
