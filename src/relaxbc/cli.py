@@ -71,14 +71,19 @@ CSV_BLOCK = 4096
 def _write_csv(path: str, header: list, columns) -> None:
     """A CSV file of the float ``columns`` (arrays of equal length, 1-D or
     2-D) side by side: the bytes ``csv.writer`` writes for the same rows
-    (``repr`` of each float, commas, CRLF line ends), formatted CSV_BLOCK
-    rows at a time."""
-    row = ",".join(["%r"] * len(header)) + "\r\n"
+    (``repr`` of each float, commas, CRLF line ends), CSV_BLOCK rows at a
+    time.  A block formats each distinct value of a column once; values are
+    told apart by their bits, so -0.0 and 0.0 keep their own text."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), CSV_BLOCK):
             block = np.column_stack([c[start : start + CSV_BLOCK] for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fields = []
+            for col in block.T:
+                bits, which = np.unique(col.view(np.uint64), return_inverse=True)
+                text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+                fields.append(text[which])
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*fields)))
 
 
 def _config_hash(doc: dict) -> str:

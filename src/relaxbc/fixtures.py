@@ -53,6 +53,32 @@ def example_system() -> RelaxationSystem:
     return canonicalize(raw)
 
 
+def repeated_speed_system() -> RelaxationSystem:
+    """A d = 2 system with the double speed 1: A1 = diag(1, 1, -1.5, -0.7),
+    so M = -xi A1^{-1} where omega = eta = 0, and its equilibrium symbol
+    where omega = 0, have a double stable eigenvalue.  Those frequency
+    points take the sign split of ``linalg.stable_eigvecs``."""
+    raw = RawSystem(
+        A0=np.eye(4),
+        A=(
+            np.diag([1.0, 1.0, -1.5, -0.7]),
+            np.array([
+                [-0.7, -0.9, 0.05, 0.5], [-0.9, 0.0, -0.2, 0.3],
+                [0.05, -0.2, 0.2, 0.05], [0.5, 0.3, 0.05, 2.3],
+            ]),
+        ),
+        Q=np.array([
+            [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, -2.0, -0.5], [0.0, 0.0, -0.5, -1.0],
+        ]),
+        B=np.array([[-1.9, 1.1, -0.3, -0.9], [-0.7, -0.7, 0.4, -0.1]]),
+        d=2,
+        n=4,
+        r=2,
+    )
+    return canonicalize(raw)
+
+
 def example_scenario(T: float = 0.5, x_max: float = 2.0) -> Scenario:
     """Standard scenario for example_system: b = (sin t, cos t) and a smooth outer
     initial profile whose boundary value and slope match the reduced boundary

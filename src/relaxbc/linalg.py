@@ -4,8 +4,12 @@ stable eigenvectors of a stack), the rank rule and orthonormal complements.
 All routines are pure and use numpy's LAPACK only.  A stable invariant
 subspace is the range of the spectral projector (I - sign M) / 2, with
 sign M from a stacked, scaled Newton iteration (Higham, Functions of
-Matrices, SIAM 2008, ch. 5); its bases are orthonormal.  The stacked stable
-eigenvectors are not, so determinant ratios on them divide by their volume.
+Matrices, SIAM 2008, ch. 5); its bases are orthonormal.  The stable
+eigenvectors of a stack come from its eigenvalues alone: one stacked
+``eigvals``, then inverse iteration on the stable eigenvalues (Golub & Van
+Loan, Matrix Computations, sec. 7.6.1), with the sign split for the rows
+whose vectors fail a screen.  They are not orthonormal, so determinant
+ratios on them divide by their volume.
 """
 
 from __future__ import annotations
@@ -20,7 +24,11 @@ from .errors import (
 )
 from .tolerances import (
     AXIS_MARGIN,
+    EIGVAL_GAP_REL,
     EIGVEC_COND_MAX,
+    EIGVEC_RESIDUAL_REL,
+    INVERSE_SHIFT_REL,
+    INVERSE_STEPS,
     RANK_REL,
     SIGN_MAX_STEPS,
     SIGN_REL_CHANGE,
@@ -139,44 +147,89 @@ def stable_basis_real(M) -> np.ndarray:
     return Z * np.sign(Z[np.abs(Z).argmax(axis=0), np.arange(k)])
 
 
+def _inverse_iteration(M: np.ndarray, lam: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors (N, k, n_s) of a stack M (N, k, k) for its
+    eigenvalues lam (N, n_s): INVERSE_STEPS steps of inverse iteration from
+    one fixed start vector, one stacked solve per eigenvalue and step.  Each
+    shift is offset from its eigenvalue by INVERSE_SHIFT_REL * ||M[i]||_F,
+    so that an eigenvalue computed exactly leaves M - shift I nonsingular;
+    the error along an eigenvector of eigenvalue mu shrinks by
+    |offset / (mu - lam)| per step.  Equal eigenvalues give parallel
+    vectors."""
+    N, k = M.shape[:2]
+    rng = np.random.default_rng(k)  # the start vector depends on no row
+    start = rng.standard_normal((k, 1)) + 1j * rng.standard_normal((k, 1))
+    shift = lam + INVERSE_SHIFT_REL * norms[:, None]
+    V = np.empty((N, k, lam.shape[1]), dtype=complex)
+    A = np.empty((N, k, k), dtype=complex)
+    for j in range(lam.shape[1]):
+        A[...] = M
+        A.reshape(N, k * k)[:, :: k + 1] -= shift[:, j, None]
+        x = np.broadcast_to(start, (N, k, 1))
+        for _ in range(INVERSE_STEPS):
+            x = np.linalg.solve(A, x)
+            x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        V[:, :, j] = x[:, :, 0]
+    return V
+
+
 def stable_eigvecs(M: np.ndarray, n_s: int):
     """Bases of the stable invariant subspaces of a stack M (N, k, k) at
     points where that subspace has dimension n_s.
 
-    Returns ``(V_s, skipped)``.  V_s (N, k, n_s) holds the unit stable
-    eigenvectors of each M[i] from one stacked ``eig`` or, where they cannot
-    stand in, the orthonormal basis ``split_invariant_subspaces(M[i])`` would
-    return, from one stacked sign iteration over those rows: when an eigenvalue
-    lies within AXIS_MARGIN * tau_axis(||M[i]||_F) of the imaginary axis, when
-    M[i] has other than n_s stable eigenvalues, when its eigenvector matrix
-    has Frobenius condition number above EIGVEC_COND_MAX (a nearly defective
-    M[i]), or when the stacked ``eig`` raised LinAlgError.  A ratio
-    |det(X V_s)| / vol(V_s) does not depend on the basis, so neither is
-    orthonormalised.
+    Returns ``(V_s, skipped, split)``.  The spectrum comes from one stacked
+    ``eigvals``.  V_s (N, k, n_s) holds the unit stable eigenvectors of M[i]
+    from ``_inverse_iteration`` on its stable eigenvalues where they can
+    stand in for a basis: M[i] has n_s stable eigenvalues, every eigenvalue
+    lies at least AXIS_MARGIN * tau_axis(||M[i]||_F) from the imaginary axis
+    (checked at n_s = 0 too), each stable eigenvalue lies at least
+    EIGVAL_GAP_REL * ||M[i]||_F from each unstable one, each vector's
+    residual |M v - lam v| is at most EIGVEC_RESIDUAL_REL * ||M[i]||_F, and
+    the vectors span a volume of at least 1 / EIGVEC_COND_MAX.  Every other
+    row, and every row when a stacked call raised LinAlgError, takes the
+    orthonormal basis ``split_invariant_subspaces(M[i])`` would return, from
+    one stacked sign iteration over those rows; ``split`` lists them.  A
+    ratio |det(X V_s)| / vol(V_s) does not depend on the basis, so neither
+    is orthonormalised.  Unless a LinAlgError sends the whole stack to the
+    sign split, a row's result depends on that row alone.
 
     ``skipped`` maps each i whose axis guard raised NearImaginaryEigenvalue
-    to that exception; its row of V_s is meaningless.  A fallback row with
-    other than n_s stable eigenvalues raises SpectralCountMismatch, ``row`` i.
+    to that exception; its row of V_s is zero.  A fallback row with other
+    than n_s stable eigenvalues raises SpectralCountMismatch, ``row`` i.
     """
     N, k = M.shape[:2]
-    try:
-        w, V = np.linalg.eig(M)
-    except np.linalg.LinAlgError:
-        V_s, ok = np.zeros((N, k, n_s), dtype=complex), np.zeros(N, dtype=bool)
-    else:
-        stable = w.real < 0
-        ok = stable.sum(axis=1) == n_s
-        if k:
+    V_s, ok = np.zeros((N, k, n_s), dtype=complex), np.zeros(N, dtype=bool)
+    if k:
+        try:
+            w = np.linalg.eigvals(M)
+            stable = w.real < 0
             # the Frobenius norm bounds the spectral norm of the axis guard
             # from above, so this screen passes no row that guard would skip
             norms = np.linalg.norm(M, axis=(1, 2))
-            ok &= np.abs(w.real).min(axis=1) >= AXIS_MARGIN * tau_axis(norms)
-            # the Frobenius condition number bounds the spectral one from
-            # above, so this screen sends no fewer rows to the sign split;
-            # a singular V gives inf
-            ok &= np.linalg.cond(V, "fro") <= EIGVEC_COND_MAX
-        order = np.argsort(~stable, axis=1, kind="stable")[:, :n_s]
-        V_s = np.take_along_axis(V, order[:, None, :], axis=2)
+            ok = (stable.sum(axis=1) == n_s) & (
+                np.abs(w.real).min(axis=1) >= AXIS_MARGIN * tau_axis(norms)
+            )
+            if n_s:
+                order = np.argsort(~stable, axis=1, kind="stable")
+                w = np.take_along_axis(w, order, axis=1)
+                gap = np.abs(w[:, :n_s, None] - w[:, None, n_s:]).min(axis=(1, 2), initial=np.inf)
+                ok &= gap >= EIGVAL_GAP_REL * norms
+                # a row that passed the axis screen has ||M[i]||_F > 0
+                live = np.flatnonzero(ok)
+                # no copy of M when every row passed
+                A = M if live.size == N else M[live]
+                lam, scale = w[live, :n_s], norms[live]
+                V = _inverse_iteration(A, lam, scale)
+                residual = np.linalg.norm(A @ V - V * lam[:, None, :], axis=1).max(axis=1)
+                R = np.linalg.qr(V, mode="r")
+                volume = np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
+                good = (residual <= EIGVEC_RESIDUAL_REL * scale) & (volume >= 1 / EIGVEC_COND_MAX)
+                V_s[live[good]] = V[good]
+                ok[live[~good]] = False
+        except np.linalg.LinAlgError:
+            ok[:] = False
+    else:
+        ok[:] = n_s == 0
     skipped, rows = {}, []
     for i in np.flatnonzero(~ok):
         try:
@@ -194,7 +247,7 @@ def stable_eigvecs(M: np.ndarray, n_s: int):
             V_s[rows] = _stable_bases(M[rows], np.full(len(rows), n_s))[:, :, :n_s]
         except SignNotConverged as exc:
             raise SignNotConverged(str(exc), row=int(rows[exc.row])) from exc
-    return V_s, skipped
+    return V_s, skipped, np.array(rows, dtype=int)
 
 
 def full_rank_cond(M, error: Exception, rel: float = RANK_REL) -> float:

@@ -72,8 +72,8 @@ class RelaxationSystem:
     A: tuple
     Q: np.ndarray
     B: np.ndarray
-    labels: tuple = ()
-    transform: np.ndarray | None = None  # change of variables from raw input
+    labels: tuple = ()  # names of the input variables U, not of V = T U
+    transform: np.ndarray | None = None  # T of the change of variables V = T U
 
     @property
     def A1(self) -> np.ndarray:
@@ -315,8 +315,8 @@ def canonicalize(raw: RawSystem) -> RelaxationSystem:
     """Normalize a validated raw system to A0 = I, symmetric A_j, Q = diag(0, S).
 
     The change of variables V = T U (T = O^T A0^{1/2}, O orthogonal) is recorded
-    on the returned system so solutions map back.  Spectra of the A_j are
-    preserved (the transform is a similarity).
+    on the returned system so solutions map back; the input's labels name U,
+    not V.  Spectra of the A_j are preserved (the transform is a similarity).
     """
     report = validate_structural_stability(raw)
     if not report.passed:

@@ -253,28 +253,30 @@ def eta_inf_ratios(
     eq: EquilibriumFrame,
     data: ReductionData,
     units: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """The eta = infinity GKC ratio |det(B R1 L)| / sqrt(det(L^* L)), with L
     the limit stable basis of ``_limit_basis``, at every row
-    (Re xi, Im xi, omega...) of ``units``.  NaN marks a point skipped for an
+    (Re xi, Im xi, omega...) of ``units``, and the count of rows that took
+    the sign split (``map_chunks``).  NaN marks a point skipped for an
     eigenvalue of M1 near the imaginary axis."""
     n1s = sys.B.shape[0] - eq.P0.shape[1] - data.R2S.shape[1]  # stable dimension of M1
-    vals, _ = map_chunks(
+    vals, _, split = map_chunks(
         units, _M1_stack(sys, eq), sys.B @ frame.R1, n1s,
         basis=lambda V_s: _limit_basis(sys, frame, eq, data, V_s),
     )
-    return vals
+    return vals, split
 
 
 def ukc_ratios(
     sys: RelaxationSystem, eq: EquilibriumFrame, B_o_Bu: np.ndarray, units: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """The UKC ratio |det(B_o B_u P1 V_s)| / vol(V_s), V_s a basis of the
     stable subspace of M1, at every row (Re xi, Im xi, omega...) of
-    ``units``.  NaN marks a point skipped for an eigenvalue of M1 near the
-    imaginary axis."""
-    vals, _ = map_chunks(units, _M1_stack(sys, eq), B_o_Bu @ eq.P1, B_o_Bu.shape[0])
-    return vals
+    ``units``, and the count of rows that took the sign split
+    (``map_chunks``).  NaN marks a point skipped for an eigenvalue of M1
+    near the imaginary axis."""
+    vals, _, split = map_chunks(units, _M1_stack(sys, eq), B_o_Bu @ eq.P1, B_o_Bu.shape[0])
+    return vals, split
 
 
 def derive_reduced_bc(
@@ -326,11 +328,12 @@ def derive_reduced_bc(
 
     # UKC sampling over the (Re xi, Im xi, omega) hemisphere
     coeff = B_o @ B_u
-    vals = ukc_ratios(sys, eq, coeff, xi_omega_directions(sys.d, spec))
+    vals, split = ukc_ratios(sys, eq, coeff, xi_omega_directions(sys.d, spec))
     skipped = int(np.count_nonzero(np.isnan(vals)))
     count = len(vals) - skipped
     best = float(np.nanmin(vals)) if count else (0.0 if n1_plus else 1.0)
-    log.debug("ukc: %d directions, %d skipped, minimum %.6g", len(vals), skipped, best)
+    log.debug("ukc: %d directions, %d skipped, %d sign-split, minimum %.6g",
+              len(vals), skipped, split, best)
     if n1_plus > 0 and skipped:
         raise GkcFailed(
             f"uniform Kreiss condition not certified for the reduced "
@@ -442,19 +445,34 @@ def derive_all(sys: RelaxationSystem, spec: SamplingSpec | None = None) -> Pipel
 
 
 def render_reduced_bc(sys: RelaxationSystem, rbc: ReducedBC, digits: int = 6) -> str:
-    """Human-readable rendering of the reduced boundary condition."""
+    """Human-readable rendering of the reduced boundary condition.
+
+    The condition acts on the canonical variables V = T U (``sys.transform``
+    T).  Where T is the identity they are the input's own and carry its
+    ``labels`` (u1, u2, ... without them).  Otherwise they are named V1,
+    V2, ... and each one the condition reads is written out in the input
+    variables, which carry the labels."""
     coeff = np.round(rbc.coefficient, digits)
     B_o = np.round(rbc.B_o, digits)
     lines = ["reduced boundary condition  (B_o B_u) ubar(0, t) = B_o b(t)"]
-    labels = sys.labels or [f"u{i+1}" for i in range(sys.n - sys.r)]
+    raw = [*sys.labels, *(f"u{i+1}" for i in range(len(sys.labels), sys.n))]
+    T = sys.transform
+    same = T is None or np.array_equal(T, np.eye(sys.n))
+    names = raw if same else [f"V{i+1}" for i in range(sys.n)]
     for i in range(coeff.shape[0]):
         lhs = " + ".join(
-            f"{coeff[i, j]:+g}*{labels[j]}(0,t)" for j in range(coeff.shape[1])
+            f"{coeff[i, j]:+g}*{names[j]}(0,t)" for j in range(coeff.shape[1])
         )
         rhs = " + ".join(
             f"{B_o[i, j]:+g}*b{j+1}(t)" for j in range(B_o.shape[1])
         )
         lines.append(f"  {lhs} = {rhs}")
+    if not same and coeff.shape[0]:
+        lines.append("in the canonical variables V = T U:")
+        for i in range(coeff.shape[1]):
+            row = np.round(T[i], digits)
+            terms = " + ".join(f"{row[j]:+g}*{raw[j]}" for j in np.flatnonzero(row))
+            lines.append(f"  {names[i]} = {terms}")
     return "\n".join(lines)
 
 

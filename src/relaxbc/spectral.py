@@ -261,7 +261,7 @@ def gkc_ratio(sys: RelaxationSystem, frame, p: FrequencyPoint) -> float:
     invertible matrices and under frame changes.  Raises
     NearImaginaryEigenvalue where ``gkc_ratios`` would skip p.
     """
-    vals, skipped = map_chunks(
+    vals, skipped, _ = map_chunks(
         np.array([p.as_tuple()]), _M_stack(sys, frame), sys.B @ frame.R1, sys.B.shape[0]
     )
     if skipped:
@@ -452,14 +452,14 @@ def det_ratio(X: np.ndarray, L: np.ndarray) -> np.ndarray:
 
 
 def _map_chunk(part: np.ndarray, stack, X: np.ndarray, n_s: int, basis):
-    """``map_chunks`` on the rows of one chunk: ``(ratios, skipped)``."""
+    """``map_chunks`` on the rows of one chunk: ``(ratios, skipped, split)``."""
     try:
-        V_s, skip = stable_eigvecs(stack(part), n_s)
+        V_s, skip, split = stable_eigvecs(stack(part), n_s)
     except SpectralCountMismatch as exc:
         raise SpectralCountMismatch(f"{tuple(part[exc.row].tolist())}: {exc}") from exc
     vals = det_ratio(X, V_s if basis is None else basis(V_s))
     vals[list(skip)] = math.nan
-    return vals, [(part[i], exc) for i, exc in skip.items()]
+    return vals, [(part[i], exc) for i, exc in skip.items()], split.size
 
 
 def map_chunks(units: np.ndarray, stack, X: np.ndarray, n_s: int, basis=None):
@@ -475,32 +475,39 @@ def map_chunks(units: np.ndarray, stack, X: np.ndarray, n_s: int, basis=None):
     only, and results are gathered in chunk order, so the output is the same,
     bit for bit, whatever the number of workers.
 
-    Returns ``(ratios, skipped)``: a row whose stable split raised
+    Returns ``(ratios, skipped, split)``: a row whose stable split raised
     NearImaginaryEigenvalue is NaN and listed in ``skipped`` as
-    ``(row, exception)``, in row order.  A row with other than n_s stable
+    ``(row, exception)``, in row order; ``split`` counts the rows whose
+    basis came from the sign split, not from eigenvectors (see
+    ``stable_eigvecs``).  A row with other than n_s stable
     eigenvalues raises SpectralCountMismatch naming the row; when several
     chunks raise, the first in row order does.
     """
     run = functools.partial(_map_chunk, stack=stack, X=X, n_s=n_s, basis=basis)
     parts = [units[start : start + CHUNK] for start in range(0, len(units), CHUNK)]
     results = thread_map(run, parts)
-    out = np.concatenate([vals for vals, _ in results]) if results else np.empty(0)
-    return out, [row for _, skip in results for row in skip]
+    out = np.concatenate([vals for vals, _, _ in results]) if results else np.empty(0)
+    return (out, [row for _, skip, _ in results for row in skip],
+            sum(split for _, _, split in results))
 
 
 def gkc_ratios(
     sys: RelaxationSystem, frame: KernelFrame, units: np.ndarray
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, list, int]:
     """The GKC ratio |det(B R1 V_s)| / vol(V_s) at every row
     (Re xi, Im xi, omega..., eta) of ``units``, V_s a basis of the stable
     subspace of M.
 
-    Returns ``(ratios, failures)``.  A point whose M has an eigenvalue within
-    the axis tolerance is NaN in ``ratios`` and described in ``failures``, in
-    point order.
+    Returns ``(ratios, failures, split)``.  A point whose M has an
+    eigenvalue within the axis tolerance is NaN in ``ratios`` and described
+    in ``failures``, in point order; ``split`` counts the points that took
+    the sign split (``map_chunks``).
     """
-    vals, skipped = map_chunks(units, _M_stack(sys, frame), sys.B @ frame.R1, sys.B.shape[0])
-    return vals, [f"{_unit_to_point(u, sys.d).as_tuple()}: {exc}" for u, exc in skipped]
+    vals, skipped, split = map_chunks(
+        units, _M_stack(sys, frame), sys.B @ frame.R1, sys.B.shape[0]
+    )
+    failures = [f"{_unit_to_point(u, sys.d).as_tuple()}: {exc}" for u, exc in skipped]
+    return vals, failures, split
 
 
 def require_real(sys: RelaxationSystem, frame: KernelFrame) -> None:
@@ -534,12 +541,12 @@ def check_gkc(
     spec = spec or SamplingSpec()
     require_real(sys, frame)
     units, tensor = _directions(sys.d + 2, spec)
-    vals, failures = gkc_ratios(sys, frame, units)
+    vals, failures, split = gkc_ratios(sys, frame, units)
     points, values, best, best_point = _collect(units, vals, sys.d)
     slices = _slice_minima(units[:tensor, 0], vals[:tensor])
     sub = _subthreshold(points, values)
-    log.debug("gkc: %d directions, %d skipped, minimum %.6g",
-              len(units), len(failures), best)
+    log.debug("gkc: %d directions, %d skipped, %d sign-split, minimum %.6g",
+              len(units), len(failures), split, best)
 
     eta_inf_min, eta_inf_point, eta_inf_skipped, eta_inf_error = (
         _eta_infinity_min_ratio(sys, frame, spec)
@@ -619,7 +626,7 @@ def _refine_minimum(sys, frame, spec, best, best_point):
     u[:, 0] = np.maximum(u[:, 0], spec.delta * scale)  # keep Re xi positive
     u[:, -1] = np.maximum(u[:, -1], 0.0)
     u = u / np.linalg.norm(u, axis=1, keepdims=True)
-    vals, failures = gkc_ratios(sys, frame, u)
+    vals, failures, _ = gkc_ratios(sys, frame, u)
     points, values, val, point = _collect(u, vals, sys.d)
     if val < best:
         best, best_point = val, point
@@ -647,10 +654,10 @@ def _eta_infinity_min_ratio(
         return None, None, 0, f"{type(exc).__name__}: {exc}"
 
     units = xi_omega_directions(sys.d, spec)
-    vals = reduction.eta_inf_ratios(sys, frame, eq, data, units)
+    vals, split = reduction.eta_inf_ratios(sys, frame, eq, data, units)
     skipped = int(np.count_nonzero(np.isnan(vals)))
-    log.debug("gkc eta = inf: %d directions, %d skipped, minimum %.6g",
-              len(vals), skipped, np.nanmin(vals, initial=math.inf))
+    log.debug("gkc eta = inf: %d directions, %d skipped, %d sign-split, minimum %.6g",
+              len(vals), skipped, split, np.nanmin(vals, initial=math.inf))
     if skipped == len(vals):
         return None, None, skipped, "every eta = inf direction was skipped"
     i = int(np.nanargmin(vals))

@@ -24,10 +24,31 @@ AXIS_REL = 1e-8
 #: the scalar axis guard alone decides the points near it
 AXIS_MARGIN = 2.0
 
-#: largest eigenvector-matrix condition number at which a batched eigen-split
-#: stands in for the sign split: eigenvalues move by at most this factor
-#: times round-off, and determinant ratios on the eigenvectors lose about it
+#: a batched eigen-split defers a point to the sign split when the unit
+#: stable eigenvectors it found span a volume |det R| (V = Q R) below the
+#: reciprocal of this: nearly parallel vectors (a nearly defective M) carry
+#: determinant ratios that lose about this factor to round-off
 EIGVEC_COND_MAX = 1e4
+
+#: a batched eigen-split defers a point to the sign split when a stable
+#: eigenvalue lies within this fraction of ||M||_F of an unstable one: the
+#: inverse iteration on it would then mix in that unstable eigenvector
+EIGVAL_GAP_REL = 1e-6
+
+#: a batched eigen-split defers a point to the sign split when a unit stable
+#: eigenvector v of eigenvalue lam has a residual |M v - lam v| above this
+#: fraction of ||M||_F
+EIGVEC_RESIDUAL_REL = 1e-10
+
+#: inverse iteration for a stable eigenvector shifts by the eigenvalue plus
+#: this fraction of ||M||_F, so that M - shift I is nonsingular even where the
+#: eigenvalue was computed exactly; each step shrinks the error along an
+#: eigenvector of eigenvalue mu by |offset / (mu - lam)| <= this fraction
+#: over EIGVAL_GAP_REL for the unstable ones
+INVERSE_SHIFT_REL = 1e-13
+
+#: inverse-iteration steps per stable eigenvector
+INVERSE_STEPS = 2
 
 #: Newton's iteration for sign(M) scales its first this many iterates by
 #: |det|^(-1/n) (Byers 1987), then runs unscaled for quadratic convergence

@@ -137,6 +137,43 @@ class TestGkcCsv:
         want = self._csv_writer_bytes(["re_xi", "im_xi", "eta", "ratio"], points, values)
         assert (tmp_path / "gkc_samples.csv").read_bytes() == want
 
+    def test_signed_zeros_nonfinite_values_and_repeats_equal_csv_writer(
+        self, tmp_path, monkeypatch
+    ):
+        # -0.0 beside 0.0 and -nan beside nan in one block, +-inf, values
+        # repeated within a block of 3 rows and across its boundaries, and a
+        # 1-D column between two 2-D ones
+        monkeypatch.setattr(cli, "CSV_BLOCK", 3)
+        x = np.array([0.0, -0.0, 0.1, 0.1, -0.0, 0.0, 0.1, np.nan])
+        U = np.array([
+            [0.0, -0.0], [-0.0, np.inf], [np.nan, -np.nan], [-np.inf, 0.1],
+            [0.1, 0.1], [1.0 / 3.0, -0.0], [1.0 / 3.0, 1.0 / 3.0], [np.inf, np.inf],
+        ])
+        W = -U[::-1]
+        header = ["U1", "x", "U2", "W1", "W2"]
+        path = tmp_path / "block.csv"
+        cli._write_csv(str(path), header, [U[:, :1], x, np.hstack([U[:, 1:], W])])
+        rows = np.column_stack([U[:, :1], x, U[:, 1:], W]).tolist()
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(rows)
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert b"-0.0" in path.read_bytes() and b"-inf" in path.read_bytes()
+
+    def test_cli_csv_in_small_blocks_is_the_report(self, sys2x2_file, tmp_path, monkeypatch):
+        from relaxbc.spectral import SamplingSpec, build_kernel_frame, check_gkc
+
+        monkeypatch.setattr(cli, "CSV_BLOCK", 5)
+        sys_obj = fixtures.example_system()
+        report = check_gkc(sys_obj, build_kernel_frame(sys_obj),
+                           SamplingSpec(resolution=8, rim_points=4))
+        assert _run(["gkc", sys2x2_file, "--out", str(tmp_path),
+                     "--resolution", "8", "--rim-points", "4"]) == 0
+        want = self._csv_writer_bytes(
+            ["re_xi", "im_xi", "eta", "ratio"], report.points, report.values)
+        assert (tmp_path / "gkc_samples.csv").read_bytes() == want
+
     def test_cli_csv_is_the_report(self, sys2x2_file, tmp_path):
         from relaxbc.spectral import SamplingSpec, build_kernel_frame, check_gkc
 
@@ -247,7 +284,7 @@ class TestFailedUkcCertificate:
 
         monkeypatch.setattr(
             reduction, "ukc_ratios",
-            lambda sys_obj, eq, coeff, units: np.full(len(units), np.nan),
+            lambda sys_obj, eq, coeff, units: (np.full(len(units), np.nan), 0),
         )
 
     def test_reduce_reports_both_verdicts(self, sys2x2_file, tmp_path, capsys):

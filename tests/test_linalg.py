@@ -139,6 +139,86 @@ class TestSignSplitter:
             split_invariant_subspaces(np.diag([-1.0, 2.0]))
 
 
+def _spans_stable_subspace(V, M):
+    """V has full column rank and spans the stable subspace of M."""
+    Z = split_invariant_subspaces(M).basis_s
+    unit = V / np.linalg.norm(V, axis=0)
+    return (
+        np.linalg.svd(unit, compute_uv=False)[-1] > 1e-3
+        and np.linalg.norm(unit - Z @ (Z.conj().T @ unit)) <= 1e-10
+    )
+
+
+class TestFallback:
+    """``stable_eigvecs`` takes the stable eigenvectors of a row from
+    inverse iteration on its eigenvalues, and sends the rows where they
+    cannot stand in for a basis to the sign split (``split``)."""
+
+    def test_semisimple_double_stable_eigenvalue(self):
+        # eigvals gives -1 twice exactly: the two equal shifts give parallel
+        # vectors, and the row still comes back with a full-rank basis
+        M = np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0], [0.0, 0.0, 2.0]], dtype=complex)
+        lam = np.array([[-1.0, -1.0]], dtype=complex)
+        V = linalg._inverse_iteration(M[None], lam, np.linalg.norm(M, keepdims=True)[0])
+        assert np.array_equal(V[0, :, 0], V[0, :, 1])
+        V_s, skipped, split = stable_eigvecs(M[None], 2)
+        assert skipped == {} and list(split) == [0]
+        assert _spans_stable_subspace(V_s[0], M)
+
+    def test_near_jordan_block(self):
+        # eigenvalues -1 +- 1e-6 whose eigenvectors are 2e-6 apart
+        M = np.array([[-1.0, 1.0, 0.0], [1e-12, -1.0, 0.0], [0.0, 0.0, 3.0]], dtype=complex)
+        V_s, skipped, split = stable_eigvecs(M[None], 2)
+        assert skipped == {} and list(split) == [0]
+        assert _spans_stable_subspace(V_s[0], M)
+
+    def test_stable_and_unstable_eigenvalue_inside_the_gap(self, rng):
+        # -3e-7 and 3e-7 clear the axis margin (2e-8 of ||M||_F) but lie
+        # closer than EIGVAL_GAP_REL * ||M||_F to each other
+        O = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        M = (O @ np.diag([-1.0, -3e-7, 3e-7]) @ O.T).astype(complex)
+        norm = np.linalg.norm(M)
+        assert 6e-7 < linalg.EIGVAL_GAP_REL * norm and 3e-7 > linalg.AXIS_MARGIN * 1e-8 * norm
+        V_s, skipped, split = stable_eigvecs(M[None], 2)
+        assert skipped == {} and list(split) == [0]
+        assert _spans_stable_subspace(V_s[0], M)
+
+    def test_eigenvalues_computed_exactly(self, monkeypatch):
+        # a triangular M: eigvals returns its diagonal exactly, so a shift
+        # equal to the eigenvalue would make the stacked solve singular
+        T = np.array([[-1.0, 2.0, 0.5], [0.0, -2.0, 1.0], [0.0, 0.0, 3.0]], dtype=complex)
+        M = np.stack([T, T.T, T + 0.5j * np.eye(3)])
+        assert np.array_equal(np.sort_complex(np.linalg.eigvals(T)), [-2.0, -1.0, 3.0])
+        V_s, skipped, split = stable_eigvecs(M, 2)
+        assert skipped == {} and split.size == 0
+        assert all(_spans_stable_subspace(V, A) for V, A in zip(V_s, M))
+        # without the offset the solve raises LinAlgError for the whole stack
+        monkeypatch.setattr(linalg, "INVERSE_SHIFT_REL", 0.0)
+        assert list(stable_eigvecs(M, 2)[2]) == [0, 1, 2]
+
+    def test_near_axis_row_is_skipped_without_stable_eigenvalues(self):
+        M = np.array([[[2.0, 0.0], [0.0, 3.0]], [[1e-17, 0.0], [0.0, 2.0]]], dtype=complex)
+        V_s, skipped, split = stable_eigvecs(M, 0)
+        assert V_s.shape == (2, 2, 0) and list(skipped) == [1] and split.size == 0
+        assert "imaginary axis" in str(skipped[1])
+
+    def test_rows_do_not_depend_on_the_stack(self, rng):
+        # 512 rows with two stable eigenvalues of six, row 300 a near-Jordan
+        # block that takes the sign split
+        N = 512
+        X = rng.normal(size=(N, 6, 6)) + 1j * rng.normal(size=(N, 6, 6))
+        lam = rng.uniform(0.2, 2.0, size=(N, 6)) * np.array([-1, -1, 1, 1, 1, 1])
+        lam = lam + 1j * rng.normal(size=(N, 6))
+        M = X * lam[:, None, :] @ np.linalg.inv(X)
+        M[300] = np.diag([-1.0, -1.0, 1.0, 2.0, 3.0, 4.0]) + np.diag([1.0, 0, 0, 0, 0], 1)
+        M[300, 1, 0] = 1e-12
+        V_s, skipped, split = stable_eigvecs(M, 2)
+        assert skipped == {} and list(split) == [300]
+        for i in (0, 1, 300, 511):
+            alone = stable_eigvecs(M[i : i + 1], 2)[0][0]
+            assert alone.tobytes() == V_s[i].tobytes()
+
+
 class TestFullRankCond:
     def test_condition_number(self):
         assert full_rank_cond(np.diag([4.0, 0.5]), RankDeficient()) == pytest.approx(8.0)

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 from diagnostics import large_eta_expansion_check, limit_subspace_angle
 from oracles import dense_limit, dense_m1, dense_m2
 from relaxbc import fixtures
-from relaxbc.model import RelaxationSystem, compute_indices
+from relaxbc.model import RelaxationSystem, compute_indices, system_from_dict
 from relaxbc.reduction import (
     _layer_modes,
     _M1_stack,
@@ -196,6 +196,33 @@ class TestReducedBC:
     def test_render_mentions_coefficients(self, pipe2x2):
         text = render_reduced_bc(pipe2x2.sys, pipe2x2.rbc)
         assert "0.948683" in text
+
+    @staticmethod
+    def _rho_q(A0, A1):
+        return system_from_dict({
+            "d": 1, "n": 2, "r": 1, "labels": ["rho", "q"], "A0": A0, "A": [A1],
+            "Q": [[0.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+        })
+
+    def test_render_names_the_canonical_variables(self):
+        # the 2x2 example in the variables (rho, q) = (V1 / 2, V2): A0 A1 is
+        # symmetric for A0 = diag(4, 1), and T = diag(2, 1)
+        sys_obj = self._rho_q([[4.0, 0.0], [0.0, 1.0]], [[0.75, 0.25], [1.0, 1.0]])
+        assert np.array_equal(sys_obj.transform, np.diag([2.0, 1.0]))
+        text = render_reduced_bc(sys_obj, derive_all(sys_obj).rbc)
+        assert text.splitlines()[1:] == [
+            "  +0.474342*V1(0,t) = +0.948683*b1(t) + +0.316228*b2(t)",
+            "in the canonical variables V = T U:",
+            "  V1 = +2*rho",
+        ]
+
+    def test_render_keeps_labels_under_the_identity(self, pipe2x2):
+        head = "reduced boundary condition  (B_o B_u) ubar(0, t) = B_o b(t)\n"
+        line = " = +0.948683*b1(t) + +0.316228*b2(t)"
+        assert render_reduced_bc(pipe2x2.sys, pipe2x2.rbc) == f"{head}  +0.948683*u1(0,t){line}"
+        sys_obj = self._rho_q([[1.0, 0.0], [0.0, 1.0]], [[3.0, 1.0], [1.0, 1.0]])
+        text = render_reduced_bc(sys_obj, derive_all(sys_obj).rbc)
+        assert text == f"{head}  +0.948683*rho(0,t){line}"
 
 
     def test_nearly_singular_ktxkt_is_refused(self):

@@ -18,7 +18,9 @@ from relaxbc import pool, reduction, spectral
 from relaxbc.errors import (
     AssumptionViolated, ConfigError, GkcFailed, SpectralCountMismatch,
 )
-from relaxbc.fixtures import example_system, random_admissible_bundle
+from relaxbc.fixtures import (
+    example_system, random_admissible_bundle, repeated_speed_system,
+)
 from relaxbc.linalg import stable_eigvecs
 from relaxbc.model import RawSystem, RelaxationSystem, canonicalize, compute_indices
 from relaxbc.reduction import derive_all, eta_inf_ratios, ukc_ratios
@@ -175,7 +177,7 @@ def test_batched_gkc_matches_scalar_on_random_pool(random_bundles, zero_speed_bu
     zero equilibrium speed, at resolution 8."""
     for b in [*random_bundles, zero_speed_bundle]:
         units = directions(b.sys.d + 2, SPEC8)
-        vals, failures = gkc_ratios(b.sys, b.frame, units)
+        vals, failures, _ = gkc_ratios(b.sys, b.frame, units)
         want = _scalar_gkc(b.sys, b.frame, units)
         _close(vals, want)
         assert [f.split(": eigenvalue")[0] for f in failures] == [
@@ -190,9 +192,9 @@ def test_batched_limits_match_scalar_on_random_pool(random_bundles, zero_speed_b
     that varies over the directions."""
     for b in [*random_bundles, zero_speed_bundle]:
         units = xi_omega_directions(b.sys.d, SPEC8)
-        _close(eta_inf_ratios(b.sys, b.frame, b.eq, b.data, units),
+        _close(eta_inf_ratios(b.sys, b.frame, b.eq, b.data, units)[0],
                _scalar_eta_inf(b, units))
-        got = ukc_ratios(b.sys, b.eq, b.rbc.coefficient, units)
+        got, _ = ukc_ratios(b.sys, b.eq, b.rbc.coefficient, units)
         want = _scalar_ukc(b, units)
         _close(got, want)
         assert abs(b.rbc.ukc_min_ratio - np.nanmin(want)) <= REL * np.nanmin(want)
@@ -215,10 +217,10 @@ def test_ratios_are_equal_at_conjugate_mirrors(random_bundles):
         half = xi_omega_directions(d, spec)
         conj = half * np.r_[1.0, -np.ones(d)]
         assert np.all(conj[:, -1] <= 0.0)  # the half the grids leave out
-        _close(eta_inf_ratios(b.sys, b.frame, b.eq, b.data, conj),
-               eta_inf_ratios(b.sys, b.frame, b.eq, b.data, half))
+        _close(eta_inf_ratios(b.sys, b.frame, b.eq, b.data, conj)[0],
+               eta_inf_ratios(b.sys, b.frame, b.eq, b.data, half)[0])
         coeff = b.rbc.coefficient
-        _close(ukc_ratios(b.sys, b.eq, coeff, conj), ukc_ratios(b.sys, b.eq, coeff, half))
+        _close(ukc_ratios(b.sys, b.eq, coeff, conj)[0], ukc_ratios(b.sys, b.eq, coeff, half)[0])
 
 
 def test_mirrored_check_gkc_matches_dense_oracle(random_bundles, zero_speed_bundle):
@@ -261,10 +263,10 @@ class TestFallback:
         jordan = np.array([[[-1.0, 1.0], [0.0, -1.0]]], dtype=complex)
         near = jordan + np.array([[[0.0, 0.0], [1e-14, 0.0]]])
         for M in (jordan, near):
-            V_s, skipped = stable_eigvecs(M, 2)
+            V_s, skipped, _ = stable_eigvecs(M, 2)
             assert skipped == {} and _orthonormal(V_s[0])
         split = np.array([[[-1.0, 0.0], [0.0, 2.0]]], dtype=complex)
-        V_s, _ = stable_eigvecs(split, 1)
+        V_s, _, _ = stable_eigvecs(split, 1)
         assert np.allclose(np.abs(V_s[0, :, 0]), [1.0, 0.0])
         with pytest.raises(SpectralCountMismatch) as exc:
             stable_eigvecs(np.concatenate([jordan, split]), 2)
@@ -272,7 +274,7 @@ class TestFallback:
 
     def test_near_axis_row_is_skipped(self):
         M = np.array([[[-1.0, 0.0], [0.0, 2.0]], [[-1e-17, 0.0], [0.0, 2.0]]], dtype=complex)
-        V_s, skipped = stable_eigvecs(M, 1)
+        V_s, skipped, _ = stable_eigvecs(M, 1)
         assert list(skipped) == [1] and "imaginary axis" in str(skipped[1])
 
     def test_defective_M_gives_scalar_value(self):
@@ -283,7 +285,7 @@ class TestFallback:
         units = np.array([[1.0, 0.0, 0.5, 1.0], [1.0, 0.2, 0.3, 1.0]])
         M = -units[0, 0] * np.eye(2) + np.diag([0.0, -1.0]) - 0.5j * sys_obj.A[1]
         assert _orthonormal(stable_eigvecs(M[None], 2)[0][0])
-        vals, failures = gkc_ratios(sys_obj, frame, units)
+        vals, failures, _ = gkc_ratios(sys_obj, frame, units)
         assert failures == []
         _close(vals, _scalar_gkc(sys_obj, frame, units))
 
@@ -322,7 +324,7 @@ class TestReportedGaps:
     ):
         monkeypatch.setattr(
             reduction, "eta_inf_ratios",
-            lambda sys_obj, frame, eq, data, units: np.full(len(units), np.nan),
+            lambda sys_obj, frame, eq, data, units: (np.full(len(units), np.nan), 0),
         )
         report = check_gkc(pipe2x2.sys, pipe2x2.frame, SPEC8)
         assert report.eta_inf_min_ratio is None
@@ -415,6 +417,40 @@ class TestReportedGaps:
         )
 
 
+class TestSignSplitCount:
+    """``map_chunks`` counts the rows whose basis came from the sign split,
+    and the debug lines of the three samples report the count."""
+
+    @pytest.mark.parametrize("seed", [1234, 2523, 2691])
+    def test_certify_pool_sends_no_row_to_the_sign_split(self, seed):
+        b = random_admissible_bundle(np.random.default_rng(seed), d=3, require_n0=1)
+        spec = SamplingSpec(resolution=12, rim_points=64)
+        assert gkc_ratios(b.sys, b.frame, directions(5, spec))[2] == 0
+        shared = xi_omega_directions(3, spec)
+        assert eta_inf_ratios(b.sys, b.frame, b.eq, b.data, shared)[1] == 0
+        assert ukc_ratios(b.sys, b.eq, b.rbc.coefficient, shared)[1] == 0
+
+    def test_debug_lines_count_the_sign_split_rows(self, caplog):
+        # the double speed of A1 gives double stable eigenvalues where
+        # omega = eta = 0 (GKC) and where omega = 0 (eta = inf and UKC)
+        with caplog.at_level(logging.DEBUG, logger="relaxbc"):
+            b = derive_all(repeated_speed_system(), SPEC8)
+            report = check_gkc(b.sys, b.frame, SPEC8)
+        assert report.passed
+        units, shared = directions(4, SPEC8), xi_omega_directions(2, SPEC8)
+        vals, _, split = gkc_ratios(b.sys, b.frame, units)
+        eta_inf, eta_split = eta_inf_ratios(b.sys, b.frame, b.eq, b.data, shared)
+        ukc, ukc_split = ukc_ratios(b.sys, b.eq, b.rbc.coefficient, shared)
+        assert min(split, eta_split, ukc_split) > 0
+        for line in (f"gkc: {len(units)} directions, 0 skipped, {split} sign-split, ",
+                     f"gkc eta = inf: {len(shared)} directions, 0 skipped, {eta_split} sign-split, ",
+                     f"ukc: {len(shared)} directions, 0 skipped, {ukc_split} sign-split, "):
+            assert line in caplog.text
+        _close(vals, _scalar_gkc(b.sys, b.frame, units))
+        _close(eta_inf, _scalar_eta_inf(b, shared))
+        _close(ukc, _scalar_ukc(b, shared))
+
+
 class TestConjugateMirror:
     def test_complex_system_is_refused(self, pipe2x2):
         sys_c = dataclasses.replace(pipe2x2.sys, B=pipe2x2.sys.B + 0j)
@@ -426,7 +462,7 @@ class TestConjugateMirror:
             report = check_gkc(pipe2x2.sys, pipe2x2.frame, SPEC8)
         n = len(directions(3, SPEC8))
         assert report.samples == n
-        assert f"gkc: {n} directions, 0 skipped, minimum " in caplog.text
+        assert f"gkc: {n} directions, 0 skipped, 0 sign-split, minimum " in caplog.text
 
 
 class TestPooledMap:
@@ -473,10 +509,8 @@ class TestPooledMap:
                 serial, none = pooled(1, fn, *args)
                 threaded, started = pooled(4, fn, *args)
                 assert none == [] and started == [4]
-                if fn is gkc_ratios:
-                    assert threaded[1] == serial[1]
-                    serial, threaded = serial[0], threaded[0]
-                assert self._same_bits(threaded, serial)
+                assert threaded[1:] == serial[1:]
+                assert self._same_bits(threaded[0], serial[0])
 
     def test_skipped_rows_keep_row_order_across_chunks(self, pooled, pipe2x2):
         # M1 = -xi / Lam1 on the 2x2 example: a row with Re xi = 1e-12 puts
@@ -490,7 +524,7 @@ class TestPooledMap:
         p = pipe2x2
         args = (units, reduction._M1_stack(p.sys, p.eq), p.rbc.coefficient @ p.eq.P1, 1)
         serial, _ = pooled(1, spectral.map_chunks, *args)
-        (vals, skipped), started = pooled(2, spectral.map_chunks, *args)
+        (vals, skipped, _), started = pooled(2, spectral.map_chunks, *args)
         assert started == [2]
         assert np.array_equal(np.flatnonzero(np.isnan(vals)), planted)
         assert np.array_equal(np.array([row for row, _ in skipped]), units[planted])

@@ -193,7 +193,7 @@ class TestCheckGkc:
         spec = SamplingSpec(resolution=6, rim_points=8)
         report = check_gkc(b.sys, b.frame, spec)
         tensor = directions(b.sys.d + 2, replace(spec, rim_points=0))
-        vals, _ = gkc_ratios(b.sys, b.frame, tensor)
+        vals, _, _ = gkc_ratios(b.sys, b.frame, tensor)
         re_xi = np.cos(np.linspace(0.0, np.arccos(spec.delta), spec.resolution))
         want = [[r, np.nanmin(vals[tensor[:, 0] == r])] for r in re_xi]
         assert report.re_xi_slice_minima == want
