@@ -396,7 +396,7 @@ def cmd_gkc(args) -> int:
           f"over {report.samples} points "
           f"(eta=inf minimum {report.eta_inf_min_ratio})")
     if report.argmin_point is not None:
-        print(f"argmin point: {report.argmin_point.as_tuple()}")
+        print(f"argmin point: {tuple(report.argmin_point.tolist())}")
     print(report.note)
     print("result:", "pass" if report.passed else "FAIL")
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED

@@ -25,7 +25,7 @@ from .model import (
 )
 from .reduction import Pipeline, derive_all
 from .sim import Scenario
-from .spectral import FrequencyPoint, SamplingSpec
+from .spectral import SamplingSpec
 from .tolerances import (
     FIXTURE_A1_HAT_COND_MAX,
     FIXTURE_BOUNDARY_ROW_MIN,
@@ -305,13 +305,10 @@ def well_conditioned(bundle: Pipeline, cond_max: float = FIXTURE_A1_HAT_COND_MAX
 
 def random_frequency_point(
     rng: np.random.Generator, d: int, eta_max: float = 10.0
-) -> FrequencyPoint:
-    """Re xi > 0, arbitrary Im xi and omega, eta >= 0."""
-    return FrequencyPoint(
-        xi=complex(rng.uniform(0.05, 2.0), rng.uniform(-2.0, 2.0)),
-        omega=rng.uniform(-2.0, 2.0, size=d - 1),
-        eta=float(rng.uniform(0.0, eta_max)),
-    )
+) -> np.ndarray:
+    """A row (Re xi, Im xi, omega..., eta): Re xi > 0, eta >= 0."""
+    return np.r_[rng.uniform(0.05, 2.0), rng.uniform(-2.0, 2.0),
+                 rng.uniform(-2.0, 2.0, size=d - 1), rng.uniform(0.0, eta_max)]
 
 
 __all__ = [

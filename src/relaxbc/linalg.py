@@ -14,8 +14,6 @@ ratios on them divide by their volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -36,15 +34,6 @@ from .tolerances import (
     spectral_norm,
     tau_axis,
 )
-
-
-@dataclass(frozen=True)
-class StableSubspace:
-    """Orthonormal basis ``basis_s`` of the stable invariant subspace of M,
-    of dimension ``k``: M basis_s = basis_s (basis_s^* M basis_s)."""
-
-    basis_s: np.ndarray
-    k: int
 
 
 def guarded_eigvals(M) -> np.ndarray:
@@ -112,22 +101,23 @@ def _stable_bases(M: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.linalg.svd(P)[0]
 
 
-def split_invariant_subspaces(M) -> StableSubspace:
-    """Split C^n into stable/unstable invariant subspaces of a square matrix.
+def split_invariant_subspaces(M) -> np.ndarray:
+    """Orthonormal basis Z (n, k) of the stable invariant subspace of a square
+    matrix M, k its count of stable eigenvalues: M Z = Z (Z^* M Z).
 
-    The basis spans the range of the spectral projector (I - sign M) / 2,
-    which needs no eigenvectors, so a defective M is split as accurately as
-    any other.  Raises NearImaginaryEigenvalue as ``guarded_eigvals`` does.
+    Z spans the range of the spectral projector (I - sign M) / 2, which
+    needs no eigenvectors, so a defective M is split as accurately as any
+    other.  Raises NearImaginaryEigenvalue as ``guarded_eigvals`` does.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     if M.shape != (n, n):
         raise RankMismatch(f"expected square matrix, got {M.shape}")
     if n == 0:
-        return StableSubspace(np.zeros((0, 0), dtype=complex), 0)
+        return np.zeros((0, 0), dtype=complex)
 
     k = int(np.sum(guarded_eigvals(M).real < 0))
-    return StableSubspace(basis_s=_stable_bases(M[None], np.array([k]))[0][:, :k], k=k)
+    return _stable_bases(M[None], np.array([k]))[0][:, :k]
 
 
 def stable_basis_real(M) -> np.ndarray:

@@ -253,6 +253,7 @@ def validate_structural_stability(raw: RawSystem) -> ValidationReport:
         raise NonSymmetricSymmetrizer("A0 is not positive definite")
 
     P = np.eye(n) if raw.P is None else np.asarray(raw.P, dtype=float)
+    full_rank_cond(P, ValidationFailed("the splitting matrix P is singular"))
     scale_q = max(spectral_norm(raw.Q), 1.0)
 
     # (i) P Q = diag(0, S) P with S the lower-right r x r block of P Q P^{-1}
@@ -421,6 +422,9 @@ def raw_system_from_dict(doc: dict) -> RawSystem:
         if key not in doc:
             raise ParseError(f"missing field '{key}'")
     d, n, r = (_as_int(doc, key) for key in ("d", "n", "r"))
+    if d < 1 or not 1 <= r <= n:
+        bad = "d" if d < 1 else "n" if n < 1 else "r"
+        raise ParseError(f"field '{bad}' breaks d >= 1, 1 <= r <= n: d={d}, n={n}, r={r}")
     if not isinstance(doc["A"], list) or len(doc["A"]) != d:
         raise ParseError(f"field 'A' must be a list of {d} matrices")
     A = tuple(_as_matrix(m, f"A[{j}]") for j, m in enumerate(doc["A"]))
@@ -446,6 +450,8 @@ def raw_system_from_dict(doc: dict) -> RawSystem:
 
     A0 = _as_matrix(doc["A0"], "A0") if "A0" in doc else np.eye(n)
     P = _as_matrix(doc["P"], "P") if "P" in doc else None
+    if P is not None and P.shape != (n, n):
+        raise ParseError(f"field 'P' has shape {P.shape}, expected ({n}, {n})")
     return RawSystem(A0=A0, A=A, Q=Q, B=B, d=d, n=n, r=r, P=P, labels=tuple(labels))
 
 

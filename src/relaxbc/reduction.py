@@ -40,7 +40,7 @@ from .linalg import (
 )
 from .model import RelaxationSystem, compute_indices, split_speeds
 from .spectral import (
-    KernelFrame, SamplingSpec, map_chunks, require_real, symbol_stack,
+    KernelFrame, SamplingSpec, map_chunks, require_real, sample_minimum, symbol_stack,
     xi_omega_directions,
 )
 from .tolerances import B_O_ENTRY_ABS, C_THRESHOLD, spectral_norm, tau_axis
@@ -235,16 +235,14 @@ def limit_stable_matrix(
     frame: KernelFrame,
     eq: EquilibriumFrame,
     data: ReductionData,
-    xi: complex,
-    omega,
+    p,
 ) -> np.ndarray:
-    """The eta -> infinity limit of a stable basis of M at (xi, omega), an
+    """The eta -> infinity limit of a stable basis of M at the point
+    p = (Re xi, Im xi, omega...), a row of ``eta_inf_ratios``: an
     (n - n0) x n_+ matrix (see ``_limit_basis``), with the stable subspace of
     M1 from ``split_invariant_subspaces``."""
-    xi = complex(xi)
-    M1 = _M1_stack(sys, eq)(np.array([[xi.real, xi.imag, *np.atleast_1d(omega)]]))[0]
-    R1S = split_invariant_subspaces(M1).basis_s
-    return _limit_basis(sys, frame, eq, data, R1S[None])[0]
+    M1 = _M1_stack(sys, eq)(np.array([p], dtype=float))[0]
+    return _limit_basis(sys, frame, eq, data, split_invariant_subspaces(M1)[None])[0]
 
 
 def eta_inf_ratios(
@@ -328,10 +326,12 @@ def derive_reduced_bc(
 
     # UKC sampling over the (Re xi, Im xi, omega) hemisphere
     coeff = B_o @ B_u
-    vals, split = ukc_ratios(sys, eq, coeff, xi_omega_directions(sys.d, spec))
-    skipped = int(np.count_nonzero(np.isnan(vals)))
-    count = len(vals) - skipped
-    best = float(np.nanmin(vals)) if count else (0.0 if n1_plus else 1.0)
+    units = xi_omega_directions(sys.d, spec)
+    vals, split = ukc_ratios(sys, eq, coeff, units)
+    _, kept, best, _ = sample_minimum(units, vals)
+    count, skipped = len(kept), len(vals) - len(kept)
+    if not count:
+        best = 0.0 if n1_plus else 1.0
     log.debug("ukc: %d directions, %d skipped, %d sign-split, minimum %.6g",
               len(vals), skipped, split, best)
     if n1_plus > 0 and skipped:

@@ -78,23 +78,6 @@ class KernelFrame:
         return self.R0.shape[1]
 
 
-@dataclass(frozen=True)
-class FrequencyPoint:
-    """A point (xi, omega, eta) with Re xi > 0, eta >= 0 (or math.inf)."""
-
-    xi: complex
-    omega: np.ndarray
-    eta: float
-
-    def as_tuple(self) -> tuple:
-        return (
-            float(self.xi.real),
-            float(self.xi.imag),
-            *map(float, np.atleast_1d(self.omega)),
-            float(self.eta),
-        )
-
-
 @dataclass
 class SamplingSpec:
     """Grid of the hemisphere GKC sampler; its threshold is C_THRESHOLD."""
@@ -118,10 +101,12 @@ class GkcReport:
     ``directions``, which lists one member of each conjugate pair
     (xi, omega, eta), (conj xi, -omega, eta): for real A, Q and B the ratio
     is equal at the two.  ``ratios`` lists them as (row tuple, ratio)
-    pairs, built afresh on each read."""
+    pairs, built afresh on each read.  ``argmin_point`` is the row of the
+    first minimum, with eta = inf when the eta = infinity limit attains it,
+    or None when every row was skipped."""
 
     min_ratio: float
-    argmin_point: FrequencyPoint | None
+    argmin_point: np.ndarray | None
     samples: int
     includes_eta_infinity: bool
     passed: bool
@@ -146,9 +131,7 @@ class GkcReport:
     def to_dict(self) -> dict:
         return {
             "min_ratio": float(self.min_ratio),
-            "argmin_point": None
-            if self.argmin_point is None
-            else list(self.argmin_point.as_tuple()),
+            "argmin_point": None if self.argmin_point is None else self.argmin_point.tolist(),
             "samples": self.samples,
             "includes_eta_infinity": self.includes_eta_infinity,
             "eta_inf_min_ratio": None
@@ -248,21 +231,22 @@ def _M_stack(sys: RelaxationSystem, frame):
     return symbol_stack(sys.A, sys.Q, frame.R1, frame.R0)
 
 
-def build_M(sys: RelaxationSystem, frame, p: FrequencyPoint) -> np.ndarray:
-    """M(xi, omega, eta) at a finite point (see ``_M_stack``)."""
-    return _M_stack(sys, frame)(np.array([p.as_tuple()]))[0]
+def build_M(sys: RelaxationSystem, frame, p) -> np.ndarray:
+    """M at the finite point p = (Re xi, Im xi, omega..., eta): ``_M_stack`` of one row."""
+    return _M_stack(sys, frame)(np.array([p], dtype=float))[0]
 
 
-def gkc_ratio(sys: RelaxationSystem, frame, p: FrequencyPoint) -> float:
-    """|det(B R1 R_M^S)| / sqrt(det(R_M^{S*} R_M^S)) at a finite point, R_M^S a
-    basis of the stable subspace of M: ``gkc_ratios`` at the single point p.
+def gkc_ratio(sys: RelaxationSystem, frame, p) -> float:
+    """|det(B R1 R_M^S)| / sqrt(det(R_M^{S*} R_M^S)) at the finite point
+    p = (Re xi, Im xi, omega..., eta), R_M^S a basis of the stable subspace
+    of M: ``gkc_ratios`` at the single row p.
 
     The ratio is invariant under right multiplication of the basis by
     invertible matrices and under frame changes.  Raises
     NearImaginaryEigenvalue where ``gkc_ratios`` would skip p.
     """
     vals, skipped, _ = map_chunks(
-        np.array([p.as_tuple()]), _M_stack(sys, frame), sys.B @ frame.R1, sys.B.shape[0]
+        np.array([p], dtype=float), _M_stack(sys, frame), sys.B @ frame.R1, sys.B.shape[0]
     )
     if skipped:
         raise skipped[0][1]
@@ -348,9 +332,11 @@ def _directions(m: int, spec: SamplingSpec, conjugate_half: bool = True):
     table ends at SOBOL_MAX_DIM = 32 dimensions, so rim points need
     m <= 33 (d <= 31 on the GKC hemisphere); past that they raise
     ``ConfigError``.  The tensor
-    grid repeats its pole points; a row equal to an earlier one (with -0.0
-    read as 0.0) is dropped, so every direction is evaluated once, in
-    first-occurrence order.
+    grid repeats its pole points: where an angle before the last is a pole
+    (phi_1 = 0, or phi_k in {0, pi} for 2 <= k < m - 1), every row with a
+    nonzero later index repeats the row whose later indices are all 0.
+    Those repeats are dropped by their indices, before any trigonometry, so
+    every direction is evaluated once, in tensor order.
 
     The grid is a conjugate half.  Reflecting phi_2 ... phi_{m-1} to
     pi - phi maps u to its mirror u * (1, -1, ..., -1, 1), in GKC
@@ -380,9 +366,14 @@ def _directions(m: int, spec: SamplingSpec, conjugate_half: bool = True):
         for side in np.sign(res - 1 - 2 * idx).T[::-1]:
             lead = np.where(side != 0, side, lead)
         idx = idx[lead >= 0]
+    # drop the repeats of the poles phi_2 ... phi_{m-2}; the slice phi_1 = 0
+    # keeps its first row alone, every later index 0
+    pole = (line == 0.0) | (line == math.pi)
+    later = np.logical_or.accumulate(idx[:, ::-1] != 0, axis=1)[:, ::-1]
+    idx = idx[~(pole[idx[:, :-1]] & later[:, 1:]).any(axis=1)]
     angles = np.column_stack([
-        np.repeat(np.linspace(0.0, phi_max, res), len(idx)),
-        np.tile(line[idx], (res, 1)),
+        np.repeat(np.linspace(0.0, phi_max, res), [1] + [len(idx)] * (res - 1)),
+        line[np.vstack([idx[:1], np.tile(idx, (res - 1, 1))])],
     ])  # (N, m-1), phi_1 outermost
     tensor = len(angles)
 
@@ -398,10 +389,7 @@ def _directions(m: int, spec: SamplingSpec, conjugate_half: bool = True):
         rim2[:, -1] = math.pi / 2 * (1 - 0.02 * rim2[:, -1])
         angles = np.vstack([angles, rim1, rim2])
 
-    units = _angles_to_unit(angles, m) + 0.0  # + 0.0 turns -0.0 into 0.0
-    _, first = np.unique(units, axis=0, return_index=True)
-    first.sort()
-    return units[first], int(np.searchsorted(first, tensor))
+    return _angles_to_unit(angles, m), tensor
 
 
 def xi_omega_directions(d: int, spec: SamplingSpec) -> np.ndarray:
@@ -427,18 +415,11 @@ def _angles_to_unit(angles: np.ndarray, m: int) -> np.ndarray:
         # cos(a) is 6e-17 at a = pi / 2: taken as 0 there, a row on the
         # middle slices of an odd grid is its own mirror exactly
         u[:, k] = sin_prod * np.where(a == math.pi / 2, 0.0, np.cos(a))
-        # sin(pi - a) is exactly 0 at a = pi, where sin(a) is 1.2e-16: rows
-        # repeating a pole are then exact repeats, which the dedup drops
+        # sin(pi - a) is exactly 0 at a = pi, where sin(a) is 1.2e-16: the
+        # coordinates after a pole are exact zeros
         sin_prod = sin_prod * np.sin(np.minimum(a, math.pi - a))
     u[:, m - 1] = sin_prod
     return u
-
-
-def _unit_to_point(u: np.ndarray, d: int) -> FrequencyPoint:
-    xi = complex(u[0], u[1])
-    omega = np.array(u[2 : 2 + (d - 1)], dtype=float)
-    eta = float(u[-1])
-    return FrequencyPoint(xi=xi, omega=omega, eta=eta)
 
 
 def det_ratio(X: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -506,7 +487,7 @@ def gkc_ratios(
     vals, skipped, split = map_chunks(
         units, _M_stack(sys, frame), sys.B @ frame.R1, sys.B.shape[0]
     )
-    failures = [f"{_unit_to_point(u, sys.d).as_tuple()}: {exc}" for u, exc in skipped]
+    failures = [f"{tuple(u.tolist())}: {exc}" for u, exc in skipped]
     return vals, failures, split
 
 
@@ -542,7 +523,7 @@ def check_gkc(
     require_real(sys, frame)
     units, tensor = _directions(sys.d + 2, spec)
     vals, failures, split = gkc_ratios(sys, frame, units)
-    points, values, best, best_point = _collect(units, vals, sys.d)
+    points, values, best, best_point = sample_minimum(units, vals)
     slices = _slice_minima(units[:tensor, 0], vals[:tensor])
     sub = _subthreshold(points, values)
     log.debug("gkc: %d directions, %d skipped, %d sign-split, minimum %.6g",
@@ -555,7 +536,7 @@ def check_gkc(
         best, best_point = eta_inf_min, eta_inf_point
 
     # local refinement: distinguish a true zero from slow decay
-    if best_point is not None and math.isfinite(best_point.eta) and best < 10 * C_THRESHOLD:
+    if best_point is not None and math.isfinite(best_point[-1]) and best < 10 * C_THRESHOLD:
         best, best_point, extra_sub, extra_failures = _refine_minimum(
             sys, frame, spec, best, best_point
         )
@@ -594,16 +575,16 @@ def _slice_minima(re_xi, vals):
     return [[-r, None if v == math.inf else v] for r, v in zip(levels.tolist(), low.tolist())]
 
 
-def _collect(units, vals, d):
-    """The rows not skipped (NaN) and their ratios, and the first minimum
-    with its point (inf and None when every row was skipped)."""
+def sample_minimum(units, vals):
+    """The rows of ``units`` not skipped (NaN in ``vals``) and their ratios,
+    and the first minimum with its row (inf and None when every row was
+    skipped)."""
     kept = ~np.isnan(vals)
     units, vals = units[kept], vals[kept]
     if not vals.size:
         return units, vals, math.inf, None
     i = int(np.argmin(vals))  # first occurrence, as a strict-< scan
-    # a point's as_tuple() is its unit row
-    return units, vals, float(vals[i]), _unit_to_point(units[i], d)
+    return units, vals, float(vals[i]), units[i]
 
 
 def _subthreshold(points, values):
@@ -613,21 +594,20 @@ def _subthreshold(points, values):
 
 
 def _refine_minimum(sys, frame, spec, best, best_point):
-    """Refine the sampling x4 locally around the current argmin.  Returns the
-    new minimum and its point, the subthreshold (row, ratio) pairs and the
+    """Refine the sampling x4 locally around the current argmin row.  Returns
+    the new minimum and its row, the subthreshold (row, ratio) pairs and the
     failures of the skipped refinement points."""
-    center = np.array(best_point.as_tuple())
-    scale = max(np.linalg.norm(center), 1.0)
+    scale = max(np.linalg.norm(best_point), 1.0)
     rng = np.random.default_rng(spec.seed + 1)
     n_local = REFINE_FACTOR * spec.resolution
-    u = center + rng.normal(
-        scale=scale / (4 * spec.resolution), size=(n_local, center.size)
+    u = best_point + rng.normal(
+        scale=scale / (4 * spec.resolution), size=(n_local, best_point.size)
     )
     u[:, 0] = np.maximum(u[:, 0], spec.delta * scale)  # keep Re xi positive
     u[:, -1] = np.maximum(u[:, -1], 0.0)
     u = u / np.linalg.norm(u, axis=1, keepdims=True)
     vals, failures, _ = gkc_ratios(sys, frame, u)
-    points, values, val, point = _collect(u, vals, sys.d)
+    points, values, val, point = sample_minimum(u, vals)
     if val < best:
         best, best_point = val, point
     return best, best_point, _subthreshold(points, values), failures
@@ -635,12 +615,13 @@ def _refine_minimum(sys, frame, spec, best, best_point):
 
 def _eta_infinity_min_ratio(
     sys, frame, spec
-) -> tuple[float | None, FrequencyPoint | None, int, str | None]:
+) -> tuple[float | None, np.ndarray | None, int, str | None]:
     """Min of the limit ratio |det(B R1 R_M^S(xi, omega, inf))| / sqrt(det(.))
     over the (xi, omega) hemisphere, via the large-eta limit matrix.
 
-    Returns ``(minimum, argmin, skipped, error)``, ``argmin`` the point
-    (xi, omega, eta = inf) of the first direction attaining the minimum.
+    Returns ``(minimum, argmin, skipped, error)``, ``argmin`` the row
+    (Re xi, Im xi, omega..., inf) of the first direction attaining the
+    minimum.
     The minimum and argmin are None and ``error`` says why when the limit
     cannot be formed for this system, or when every direction was skipped
     for an eigenvalue near the imaginary axis.
@@ -655,19 +636,17 @@ def _eta_infinity_min_ratio(
 
     units = xi_omega_directions(sys.d, spec)
     vals, split = reduction.eta_inf_ratios(sys, frame, eq, data, units)
-    skipped = int(np.count_nonzero(np.isnan(vals)))
+    kept, _, best, row = sample_minimum(units, vals)
+    skipped = len(units) - len(kept)
     log.debug("gkc eta = inf: %d directions, %d skipped, %d sign-split, minimum %.6g",
-              len(vals), skipped, split, np.nanmin(vals, initial=math.inf))
-    if skipped == len(vals):
+              len(units), skipped, split, best)
+    if row is None:
         return None, None, skipped, "every eta = inf direction was skipped"
-    i = int(np.nanargmin(vals))
-    point = _unit_to_point(np.append(units[i], math.inf), sys.d)
-    return float(vals[i]), point, skipped, None
+    return best, np.append(row, math.inf), skipped, None
 
 
 __all__ = [
     "KernelFrame",
-    "FrequencyPoint",
     "SamplingSpec",
     "GkcReport",
     "build_kernel_frame",

@@ -13,7 +13,7 @@ from relaxbc.errors import FrameMismatch, SpectralCountMismatch
 from relaxbc.linalg import guarded_eigvals, split_invariant_subspaces
 from relaxbc.model import RelaxationSystem, compute_indices
 from relaxbc.reduction import EquilibriumFrame, ReductionData, limit_stable_matrix
-from relaxbc.spectral import FrequencyPoint, KernelFrame, _M_stack, build_M
+from relaxbc.spectral import KernelFrame, _M_stack, build_M
 from relaxbc.tolerances import spectral_norm
 
 #: relative residual up to which the large-eta expansion counts as exact
@@ -49,9 +49,10 @@ def count_stable_eigenvalues(
 
 
 def frame_independence_check(
-    sys: RelaxationSystem, frame_a, frame_b, p: FrequencyPoint
+    sys: RelaxationSystem, frame_a, frame_b, p
 ) -> dict:
-    """Verify that M and the Kreiss determinant do not depend on the frame.
+    """Verify that M and the Kreiss determinant do not depend on the frame,
+    at the point p = (Re xi, Im xi, omega..., eta).
 
     frame_b must be expressible over frame_a as R0' = R0 D0,
     R1' = R1 C1 + R0 C0 (raises FrameMismatch otherwise).  Returns the
@@ -74,7 +75,7 @@ def frame_independence_check(
     Mb = build_M(sys, frame_b, p)
     sim_residual = spectral_norm(Mb - np.linalg.solve(C1.astype(complex), Ma @ C1))
 
-    RMS = split_invariant_subspaces(Ma).basis_s
+    RMS = split_invariant_subspaces(Ma)
     det_a = abs(np.linalg.det(sys.B @ R1a @ RMS))
     RMS_b = np.linalg.solve(C1.astype(complex), RMS)
     det_b = abs(np.linalg.det(sys.B @ R1b @ RMS_b))
@@ -94,8 +95,9 @@ class PlainFrame:
     R1: np.ndarray
 
 
-def verify_stable_count(sys: RelaxationSystem, frame: KernelFrame, p: FrequencyPoint):
-    """Stable/unstable counts at p, asserted against (n_+, n - n0 - n_+).
+def verify_stable_count(sys: RelaxationSystem, frame: KernelFrame, p):
+    """Stable/unstable counts at the row p = (Re xi, Im xi, omega..., eta),
+    asserted against (n_+, n - n0 - n_+).
 
     M has dimension n - n0 and, past the axis guard, no eigenvalue on the
     imaginary axis, so the stable count fixes the unstable one."""
@@ -106,10 +108,11 @@ def verify_stable_count(sys: RelaxationSystem, frame: KernelFrame, p: FrequencyP
 def large_eta_expansion_check(
     sys: RelaxationSystem,
     frame: KernelFrame,
-    p: FrequencyPoint,
+    p,
     etas=(1e2, 1e3, 1e4),
 ) -> dict:
-    """Diagnostics for M(xi, omega, eta) ~ A1_hat^{-1}[eta Q_hat + H_hat].
+    """Diagnostics for M(xi, omega, eta) ~ A1_hat^{-1}[eta Q_hat + H_hat] at
+    the (Re xi, Im xi, omega...) of the row p = (Re xi, Im xi, omega..., eta).
 
     Returns the fitted decay slope of || M(eta) - A1_hat^{-1}(eta Q_hat + H_hat) ||
     against eta (expected near -1) and the residual of the top-left block of
@@ -118,8 +121,8 @@ def large_eta_expansion_check(
     n1, n0 = sys.n - sys.r, frame.n0
     R0, R1 = frame.R0, frame.R1
     Q = sys.Q
-    C = sum(w * Aj for w, Aj in zip(np.atleast_1d(p.omega), sys.A[1:]))
-    H = -(p.xi * np.eye(sys.n) + 1j * C)
+    C = sum(w * Aj for w, Aj in zip(p[2:-1], sys.A[1:]))
+    H = -(complex(p[0], p[1]) * np.eye(sys.n) + 1j * C)
     if n0 > 0:
         QR00_inv = np.linalg.inv(R0.T @ Q @ R0)
         left = R1.T - (R1.T @ Q @ R0) @ QR00_inv @ R0.T
@@ -130,7 +133,7 @@ def large_eta_expansion_check(
     top_left_residual = spectral_norm(H_hat[:n1, :n1] - H[:n1, :n1])
 
     A1_hat_inv = np.linalg.inv(frame.A1_hat)
-    Ms = _M_stack(sys, frame)(np.array([[*p.as_tuple()[:-1], eta] for eta in etas]))
+    Ms = _M_stack(sys, frame)(np.array([[*p[:-1], eta] for eta in etas]))
     resids = [spectral_norm(M - A1_hat_inv @ (eta * frame.Q_hat + H_hat))
               for M, eta in zip(Ms, etas)]
     m_norms = [spectral_norm(M) for M in Ms]
@@ -156,16 +159,13 @@ def limit_subspace_angle(
     frame: KernelFrame,
     eq: EquilibriumFrame,
     data: ReductionData,
-    xi: complex,
-    omega,
+    p,
     eta: float = 1e4,
 ) -> float:
     """Largest principal angle between the stable subspace of M at finite eta
-    and the eta = infinity limit subspace."""
-    p = FrequencyPoint(xi=xi, omega=np.atleast_1d(omega), eta=eta)
-    M = build_M(sys, frame, p)
-    finite = split_invariant_subspaces(M).basis_s
-    limit = limit_stable_matrix(sys, frame, eq, data, xi, omega)
+    and the eta = infinity limit subspace, at p = (Re xi, Im xi, omega...)."""
+    finite = split_invariant_subspaces(build_M(sys, frame, np.append(p, eta)))
+    limit = limit_stable_matrix(sys, frame, eq, data, p)
     limit_q, _ = np.linalg.qr(limit)
     angles = sla.subspace_angles(finite, limit_q)
     return float(angles.max()) if angles.size else 0.0

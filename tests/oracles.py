@@ -12,11 +12,12 @@ import scipy.linalg as sla
 from relaxbc.tolerances import MESH_ROUNDOFF_REL, tau_axis
 
 
-def dense_M(sys_obj, frame, xi, omega, eta):
+def dense_M(sys_obj, frame, p):
     """M = A1_hat^{-1}[G11 - G10 G00^{-1} G01] with G_kl = R_k^T G R_l and
-    G = eta Q - xi I - i sum_j omega_j A_j formed densely."""
-    G = eta * sys_obj.Q - xi * np.eye(sys_obj.n)
-    for w, Aj in zip(omega, sys_obj.A[1:]):
+    G = eta Q - xi I - i sum_j omega_j A_j formed densely, at the row
+    p = (Re xi, Im xi, omega..., eta)."""
+    G = p[-1] * sys_obj.Q - complex(p[0], p[1]) * np.eye(sys_obj.n)
+    for w, Aj in zip(p[2:-1], sys_obj.A[1:]):
         G = G - 1j * w * Aj
     k = frame.R1.shape[1]
     F = np.hstack([frame.R1, frame.R0])

@@ -742,6 +742,46 @@ def test_malformed_system_is_parse_error(command, edit, message, tmp_path, capsy
     assert not out.exists() or not any(out.iterdir())
 
 
+def _dims(**fields):
+    def edit(doc):
+        doc.update(fields)
+        if "S" in fields:
+            del doc["Q"]
+    return edit
+
+
+@pytest.mark.parametrize("edit, rc, message", [
+    pytest.param(_dims(d=0, A=[]), 2, "error: field 'd' breaks", id="d-zero"),
+    pytest.param(_dims(n=-1, S=[[-1.0]]), 2, "error: field 'n' breaks", id="n-negative"),
+    pytest.param(_dims(r=3, S=(-np.eye(3)).tolist()), 2, "error: field 'r' breaks", id="r-above-n"),
+    pytest.param(_dims(r=0, Q=np.zeros((2, 2)).tolist()), 2, "error: field 'r' breaks",
+                 id="r-zero"),
+    pytest.param(_dims(P=[[1.0]]), 2, "error: field 'P' has shape (1, 1), expected (2, 2)",
+                 id="P-shape"),
+    pytest.param(_dims(P=[[1.0, 0.0], [0.0, 0.0]]), 1,
+                 "validation FAILED: the splitting matrix P is singular", id="P-singular"),
+])
+def test_malformed_dimensions_exit_without_traceback(edit, rc, message, tmp_path, capsys):
+    # the first five died with a traceback (an empty max, a negative shape,
+    # a broadcast, an empty reduction, a matmul), the sixth exited 3 on a
+    # LinAlgError; a singular P is a failed structural check
+    doc = system_to_dict(fixtures.example_system())
+    edit(doc)
+    path = tmp_path / "bad_system.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert _run(["validate", str(path), "--out", str(out)]) == rc
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    if rc == 1:
+        report = _read(out / "validate.json")
+        assert report["passed"] is False and report["error"] == "the splitting matrix P is singular"
+    else:
+        assert not out.exists() or not any(out.iterdir())
+        assert _run(["gkc", str(path), "--out", str(out), "--resolution", "4"]) == 2
+        assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, spec, key", [
     ("boundary", {"kind": "sin", "amplitude": "loud"}, "amplitude"),
     ("boundary", {"kind": "cos", "frequency": float("nan")}, "frequency"),

@@ -22,7 +22,7 @@ from relaxbc.reduction import (
     solve_closure,
 )
 from relaxbc.errors import AssumptionViolated, NearImaginaryEigenvalue, SingularKtXKt
-from relaxbc.spectral import FrequencyPoint, SamplingSpec, build_kernel_frame, check_gkc
+from relaxbc.spectral import SamplingSpec, build_kernel_frame, check_gkc
 
 
 def _plain(A1, Q, B, r, d=1, A_rest=()):
@@ -95,7 +95,7 @@ class TestReductionData:
 class TestLimitStableMatrix:
     def test_worked_example_span(self, pipe2x2):
         R = limit_stable_matrix(
-            pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data, 1.0, np.zeros(0)
+            pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data, [1.0, 0.0]
         )
         assert R.shape == (2, 2)
         want = np.column_stack([[1.0, 0.0], [-1.0 / 3.0, 1.0]])
@@ -107,7 +107,7 @@ class TestLimitStableMatrix:
         angles = [
             limit_subspace_angle(
                 sys_obj, pipe3.frame, pipe3.eq, pipe3.data,
-                1.0 + 0.3j, np.zeros(sys_obj.d - 1), eta=eta,
+                np.r_[1.0, 0.3, np.zeros(sys_obj.d - 1)], eta=eta,
             )
             for eta in (1e2, 1e3, 1e4)
         ]
@@ -125,13 +125,13 @@ class TestLimitStableMatrix:
 class TestLargeEtaExpansion:
     def test_exact_when_noncharacteristic(self, pipe2x2):
         out = large_eta_expansion_check(
-            pipe2x2.sys, pipe2x2.frame, FrequencyPoint(1.0 + 0.5j, np.zeros(0), 1.0)
+            pipe2x2.sys, pipe2x2.frame, [1.0, 0.5, 1.0]
         )
         assert out["exact"]
         assert out["top_left_residual"] < 1e-10
 
     def test_first_order_decay(self, pipe3):
-        p = FrequencyPoint(0.8 + 0.3j, 0.2 * np.ones(pipe3.sys.d - 1), 1.0)
+        p = np.r_[0.8, 0.3, 0.2 * np.ones(pipe3.sys.d - 1), 1.0]
         out = large_eta_expansion_check(
             pipe3.sys, pipe3.frame, p, etas=(1e2, 1e3)
         )
@@ -142,7 +142,7 @@ class TestLargeEtaExpansion:
     def test_top_left_block_identity(self, rng):
         sys_obj = fixtures.random_system(rng, n_max=6, d=2)
         frame = build_kernel_frame(sys_obj)
-        p = FrequencyPoint(0.9 + 0.4j, np.array([0.7]), 1.0)
+        p = [0.9, 0.4, 0.7, 1.0]
         out = large_eta_expansion_check(sys_obj, frame, p)
         assert out["top_left_residual"] < 1e-10
 
@@ -346,7 +346,7 @@ class TestSharedM1Builder:
         for sys_obj, frame, eq, data in cases:
             xi = complex(rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0))
             omega = rng.uniform(-1.0, 1.0, size=sys_obj.d - 1)
-            got = limit_stable_matrix(sys_obj, frame, eq, data, xi, omega)
+            got = limit_stable_matrix(sys_obj, frame, eq, data, np.r_[xi.real, xi.imag, omega])
             want = _dense_limit(sys_obj, frame, eq, data, xi, omega)
             assert got.shape == want.shape
             assert np.max(sla.subspace_angles(got, want), initial=0.0) < 1e-10

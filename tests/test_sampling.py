@@ -26,11 +26,9 @@ from relaxbc.model import RawSystem, RelaxationSystem, canonicalize, compute_ind
 from relaxbc.reduction import derive_all, eta_inf_ratios, ukc_ratios
 from relaxbc.spectral import (
     SOBOL_MAX_DIM,
-    FrequencyPoint,
     SamplingSpec,
     _sobol,
     _refine_minimum,
-    _unit_to_point,
     build_kernel_frame,
     check_gkc,
     directions,
@@ -54,7 +52,7 @@ def _scalar_gkc(sys_obj, frame, units):
     """Dense GKC ratio per direction, NaN where the split is skipped."""
     vals = []
     for u in units:
-        M = dense_M(sys_obj, frame, complex(u[0], u[1]), u[2:-1], u[-1])
+        M = dense_M(sys_obj, frame, u)
         V = schur_stable_basis(M)
         vals.append(math.nan if V is None else ratio(sys_obj.B @ frame.R1, V))
     return np.array(vals)
@@ -103,8 +101,8 @@ class TestDirections:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("res", [7, 12])
     def test_no_near_repeats(self, d, res):
-        # a polar angle of pi leaves no ulp-sized coordinates, so a pole
-        # repeat is an exact repeat and the dedup drops it
+        # a polar angle of pi leaves no ulp-sized coordinates after it, and
+        # the repeats of a pole are dropped by their grid indices
         spec = SamplingSpec(resolution=res)
         for units in (directions(d + 2, spec), xi_omega_directions(d, spec)):
             assert cKDTree(units).query_pairs(1e-12) == set()
@@ -148,6 +146,62 @@ class TestDirections:
         shared = xi_omega_directions(2, spec)
         tensor = directions(3, SamplingSpec(resolution=5, rim_points=0), _conjugate_half=False)
         assert np.array_equal(shared, tensor)
+
+
+def _unique_directions(m, spec, conjugate_half=True):
+    """``spectral._directions`` as it dropped its pole repeats before they
+    went by index: every row of the tensor and rim grid built, then a row
+    equal to an earlier one (-0.0 read as 0.0) dropped by ``np.unique``."""
+    res = spec.resolution
+    phi_max = math.acos(spec.delta)
+    line = np.linspace(0.0, math.pi, res)
+    if res % 2:
+        line[res // 2] = math.pi / 2
+    idx = np.indices((res,) * (m - 2)).reshape(m - 2, res ** (m - 2)).T
+    if conjugate_half and m > 2:
+        lead = np.zeros(len(idx), dtype=int)
+        for side in np.sign(res - 1 - 2 * idx).T[::-1]:
+            lead = np.where(side != 0, side, lead)
+        idx = idx[lead >= 0]
+    angles = np.column_stack([
+        np.repeat(np.linspace(0.0, phi_max, res), len(idx)),
+        np.tile(line[idx], (res, 1)),
+    ])
+    tensor = len(angles)
+    if spec.rim_points > 0:
+        extra = _sobol(m - 1, 2 * spec.rim_points, spec.seed)
+        rim1 = extra[: spec.rim_points].copy()
+        rim1[:, 0] = phi_max * (1 - 1e-3 * rim1[:, 0])
+        rim1[:, 1:] *= math.pi
+        rim2 = extra[spec.rim_points :].copy()
+        rim2[:, 0] = phi_max * rim2[:, 0]
+        if m > 2:
+            rim2[:, 1:-1] = math.pi * rim2[:, 1:-1]
+        rim2[:, -1] = math.pi / 2 * (1 - 0.02 * rim2[:, -1])
+        angles = np.vstack([angles, rim1, rim2])
+    units = spectral._angles_to_unit(angles, m) + 0.0
+    # np.unique(units, axis=0) on the rows' bytes, which equal where the
+    # rows do once -0.0 is 0.0: the same first indices, three times faster
+    _, first = np.unique(units.view(np.dtype((np.void, 8 * m))).ravel(), return_index=True)
+    first.sort()
+    return units[first], int(np.searchsorted(first, tensor))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_pole_repeats_dropped_by_index_equal_the_unique_dedup(m):
+    # resolutions 1 ... 25 (1 ... 13 at m = 6), both halves, with and
+    # without rim rows: the same rows, bit for bit, and the same tensor count
+    for res in range(1, 14 if m == 6 else 26):
+        for half in (True, False):
+            for rim in (0, 8):
+                spec = SamplingSpec(resolution=res, rim_points=rim)
+                got, tensor = spectral._directions(m, spec, half)
+                want, want_tensor = _unique_directions(m, spec, half)
+                assert tensor == want_tensor
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if m == 5:  # the default d = 3 GKC grid
+        got, want = spectral._directions(5, SamplingSpec()), _unique_directions(5, SamplingSpec())
+        assert got[1] == want[1] and got[0].tobytes() == want[0].tobytes()
 
 
 class TestSobol:
@@ -295,7 +349,7 @@ class TestFallback:
         frame = build_kernel_frame(sys_obj)
         units = np.array([[1.0, 0.0, 0.0, 2.0]])
         with pytest.raises(SpectralCountMismatch) as scalar_exc:
-            gkc_ratio(sys_obj, frame, _unit_to_point(units[0], 2))
+            gkc_ratio(sys_obj, frame, units[0])
         with pytest.raises(SpectralCountMismatch) as batched_exc:
             gkc_ratios(sys_obj, frame, units)
         assert str(batched_exc.value) == str(scalar_exc.value)
@@ -338,16 +392,27 @@ class TestReportedGaps:
         b = random_admissible_bundle(np.random.default_rng(1234))
         report = check_gkc(b.sys, b.frame, SPEC8)
         point = report.argmin_point
-        assert math.isinf(point.eta)
+        assert math.isinf(point[-1])
         assert report.min_ratio == report.eta_inf_min_ratio
-        u = np.array(point.as_tuple()[:-1])
+        u = point[:-1]
         assert _scalar_eta_inf(b, [u])[0] == pytest.approx(
             report.min_ratio, rel=REL
         )
         corner = np.zeros_like(u)
         corner[0] = 1.0
         assert _scalar_eta_inf(b, [corner])[0] > 2.0 * report.min_ratio
-        assert report.to_dict()["argmin_point"] == list(point.as_tuple())
+        assert report.to_dict()["argmin_point"] == point.tolist()
+
+    def test_grid_argmin_is_the_first_row_attaining_the_minimum(self, random_bundles):
+        # members 4 (d = 3) and 9 (d = 1) of the pool take their minimum on
+        # the grid, below the eta = inf minimum and above the refinement band
+        for b in (random_bundles[4], random_bundles[9]):
+            report = check_gkc(b.sys, b.frame, SPEC8)
+            assert report.min_ratio < report.eta_inf_min_ratio
+            assert report.min_ratio >= 10 * spectral.C_THRESHOLD
+            first = np.flatnonzero(report.values == report.min_ratio)[0]
+            assert np.array_equal(report.argmin_point, report.points[first])
+            assert report.to_dict()["argmin_point"] == report.points[first].tolist()
 
     def test_skipped_points_are_counted(self):
         # at Re xi = delta = 1e-12 the eigenvalues of M and M1 sit within the
@@ -398,11 +463,11 @@ class TestReportedGaps:
         spec = SamplingSpec(resolution=6, rim_points=0, delta=1e-12)
         sys_obj = example_system()
         frame = build_kernel_frame(sys_obj)
-        corner = FrequencyPoint(xi=complex(1e-12, 1.0), omega=np.zeros(0), eta=0.0)
+        corner = np.array([1e-12, 1.0, 0.0])
         best, point, sub, failures = _refine_minimum(sys_obj, frame, spec, 1.0, corner)
         assert 0 < len(failures) < 4 * spec.resolution
         assert all("imaginary axis" in f for f in failures)
-        assert best < 1.0 and point.xi.real > 0 and sub == []
+        assert best < 1.0 and point[0] > 0 and sub == []
 
         # check_gkc lists them after the grid's own failures
         monkeypatch.setattr(spectral, "C_THRESHOLD", 2.0)  # forces a refinement
@@ -552,8 +617,7 @@ class TestPooledMap:
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(pool, "ThreadPoolExecutor", refuse)
-        point = _unit_to_point(np.array([1.0, 0.5, 0.2]), 1)
-        value, _ = pooled(4, gkc_ratio, pipe2x2.sys, pipe2x2.frame, point)
+        value, _ = pooled(4, gkc_ratio, pipe2x2.sys, pipe2x2.frame, [1.0, 0.5, 0.2])
         assert value == pytest.approx(
             _scalar_gkc(pipe2x2.sys, pipe2x2.frame, [[1.0, 0.5, 0.2]])[0], rel=REL
         )

@@ -14,7 +14,6 @@ from relaxbc.errors import FrameMismatch, SpectralCountMismatch
 from relaxbc.fixtures import example_system
 from relaxbc.model import RelaxationSystem, compute_indices
 from relaxbc.spectral import (
-    FrequencyPoint,
     SamplingSpec,
     build_kernel_frame,
     build_M,
@@ -69,7 +68,7 @@ class TestKernelFrame:
 class TestBuildM:
     def test_hand_formula(self, pipe2x2):
         for xi, eta in [(1.0, 1.0), (0.7 + 0.2j, 3.0), (2.0, 0.0)]:
-            M = build_M(pipe2x2.sys, pipe2x2.frame, FrequencyPoint(xi, np.zeros(0), eta))
+            M = build_M(pipe2x2.sys, pipe2x2.frame, [xi.real, xi.imag, eta])
             want = 0.5 * np.array([
                 [-xi, eta + xi],
                 [xi, -3 * (eta + xi)],
@@ -80,7 +79,7 @@ class TestBuildM:
         for b in (pipe3, zero_speed_bundle):
             for _ in range(5):
                 p = fixtures.random_frequency_point(rng, b.sys.d)
-                want = dense_M(b.sys, b.frame, p.xi, np.atleast_1d(p.omega), p.eta)
+                want = dense_M(b.sys, b.frame, p)
                 got = build_M(b.sys, b.frame, p)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -88,7 +87,7 @@ class TestBuildM:
         # a bare (R0, R1) pair carries no A1_hat; build_M forms R1^T A1 R1
         frame = random_frame_pair(rng, pipe3.frame)
         p = fixtures.random_frequency_point(rng, pipe3.sys.d)
-        want = dense_M(pipe3.sys, frame, p.xi, np.atleast_1d(p.omega), p.eta)
+        want = dense_M(pipe3.sys, frame, p)
         got = build_M(pipe3.sys, frame, p)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -98,24 +97,23 @@ class TestBuildM:
         sys_obj = char_fixture_3x3()
         frame = build_kernel_frame(sys_obj)
         xi = 1.3 + 0.4j
-        M = build_M(sys_obj, frame, FrequencyPoint(xi, np.zeros(0), 0.0))
+        M = build_M(sys_obj, frame, [xi.real, xi.imag, 0.0])
         want = -xi * np.linalg.inv(frame.A1_hat)
         assert np.allclose(M, want, atol=1e-12)
 
     def test_omega_eta_zero_counts_match_inertia(self, pipe3):
         sys_obj, frame = pipe3.sys, pipe3.frame
         idx = compute_indices(sys_obj)
-        p = FrequencyPoint(1.3 + 0.4j, np.zeros(sys_obj.d - 1), 0.0)
+        p = np.r_[1.3, 0.4, np.zeros(sys_obj.d - 1), 0.0]
         M = build_M(sys_obj, frame, p)
         k_s, k_u = count_stable_eigenvalues(M)
         assert (k_s, k_u) == (idx.n_plus, sys_obj.n - idx.n0 - idx.n_plus)
 
     def test_degree_one_homogeneity(self, pipe3):
         sys_obj, frame = pipe3.sys, pipe3.frame
-        omega = 0.4 * np.ones(sys_obj.d - 1)
-        p = FrequencyPoint(0.8 + 0.1j, omega, 1.5)
+        p = np.r_[0.8, 0.1, 0.4 * np.ones(sys_obj.d - 1), 1.5]
         s = 2.75
-        ps = FrequencyPoint(s * p.xi, s * omega, s * p.eta)
+        ps = s * p
         M1 = build_M(sys_obj, frame, p)
         M2 = build_M(sys_obj, frame, ps)
         assert np.allclose(M2, s * M1, atol=1e-11 * np.linalg.norm(M2))
@@ -123,11 +121,11 @@ class TestBuildM:
 
 class TestStableCounts:
     def test_worked_example(self, pipe2x2):
-        M = build_M(pipe2x2.sys, pipe2x2.frame, FrequencyPoint(1.0, np.zeros(0), 0.0))
+        M = build_M(pipe2x2.sys, pipe2x2.frame, [1.0, 0.0, 0.0])
         assert count_stable_eigenvalues(M) == (2, 0)
 
     def test_mismatch_raises(self, pipe2x2):
-        M = build_M(pipe2x2.sys, pipe2x2.frame, FrequencyPoint(1.0, np.zeros(0), 0.0))
+        M = build_M(pipe2x2.sys, pipe2x2.frame, [1.0, 0.0, 0.0])
         with pytest.raises(SpectralCountMismatch):
             count_stable_eigenvalues(M, expected_stable=1)
 
@@ -135,7 +133,7 @@ class TestStableCounts:
         for _ in range(10):
             sys_obj = fixtures.random_system(rng, n_max=6)
             frame = build_kernel_frame(sys_obj)
-            p = FrequencyPoint(float(rng.uniform(0.1, 2.0)), np.zeros(sys_obj.d - 1), 0.0)
+            p = np.r_[rng.uniform(0.1, 2.0), 0.0, np.zeros(sys_obj.d - 1), 0.0]
             verify_stable_count(sys_obj, frame, p)
 
     def test_counts_at_random_points(self, pipe3, rng):
@@ -146,13 +144,13 @@ class TestStableCounts:
 
 class TestGkcRatio:
     def test_worked_example_is_one(self, pipe2x2):
-        val = gkc_ratio(pipe2x2.sys, pipe2x2.frame, FrequencyPoint(1.0, np.zeros(0), 0.0))
+        val = gkc_ratio(pipe2x2.sys, pipe2x2.frame, [1.0, 0.0, 0.0])
         assert abs(val - 1.0) < 1e-12
 
     def test_scale_invariance(self, pipe3, rng):
         p = fixtures.random_frequency_point(rng, pipe3.sys.d)
         a = gkc_ratio(pipe3.sys, pipe3.frame, p)
-        ps = FrequencyPoint(3.0 * p.xi, 3.0 * np.atleast_1d(p.omega), 3.0 * p.eta)
+        ps = 3.0 * p
         b = gkc_ratio(pipe3.sys, pipe3.frame, ps)
         assert abs(a - b) < 1e-9 * max(a, 1.0)
 
@@ -163,7 +161,7 @@ class TestGkcRatio:
             B=np.array([[1.0, 0.0], [1.0, 0.0]]),
             labels=(), transform=np.eye(2),
         )
-        val = gkc_ratio(bad, pipe2x2.frame, FrequencyPoint(1.0, np.zeros(0), 0.0))
+        val = gkc_ratio(bad, pipe2x2.frame, [1.0, 0.0, 0.0])
         assert val < 1e-12
 
 
