@@ -4,9 +4,15 @@ Subcommands: ``validate | gkc | reduce | simulate | converge``, each reading a
 system file (JSON) and emitting a machine report (JSON), CSV data files, and a
 human-readable summary on stdout.
 
-Exit codes: 0 pass, 1 check failed, 2 config/parse error, 3 numerical failure.
-A failed GKC sample and a failed UKC certificate of the reduced condition
-(``GkcFailed``) are failed checks: ``reduce`` reports them in ``reduce.json``.
+Exit codes: 0 pass, 1 check failed, 2 config/parse error (``ParseError``,
+``ConfigError``), 3 numerical failure (``AssumptionViolated``, any other
+package error, numpy's ``LinAlgError``).  Failed checks are a failed GKC
+sample, a failed UKC certificate of the reduced condition (``GkcFailed``),
+which ``reduce`` reports in ``reduce.json``, and a system that breaks a
+standing hypothesis (``ValidationFailed``), which ``validate`` reports in
+``validate.json`` and every other command as ``validation FAILED`` on
+stderr, with no report (see ``relaxbc.errors``; ``simulate`` does not check
+the Shizuta-Kawashima-like condition).
 The environment variable ``RELAXBC_LOG`` selects the logging verbosity.
 Machine reports exclude wall-clock timings so that rerunning with an identical
 configuration and seed reproduces them byte for byte.
@@ -31,7 +37,7 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, GkcFailed, ParseError, RelaxbcError
+from .errors import ConfigError, GkcFailed, ParseError, RelaxbcError, ValidationFailed
 from .model import (
     check_sk_condition,
     compute_indices,
@@ -284,9 +290,7 @@ def cmd_validate(args) -> int:
     doc = _read_json(args.system)
     try:
         sys_obj = load_system(args.system)
-    except ParseError:
-        raise
-    except RelaxbcError as exc:
+    except ValidationFailed as exc:
         report = {
             "passed": False,
             "error": str(exc),
@@ -644,6 +648,9 @@ def main(argv=None) -> int:
     except (ParseError, ConfigError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
+    except ValidationFailed as exc:
+        print(f"validation FAILED: {exc}", file=_sys.stderr)
+        return EXIT_CHECK_FAILED
     except (RelaxbcError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL

@@ -1,12 +1,37 @@
-"""Exception hierarchy shared across the package."""
+"""Exception classes, one per decision a handler makes.
+
+A failure gets a class of its own only when some handler tells it apart from
+the others; otherwise it raises the class of the decision it calls for, with
+its own message.  The guards on the package's own arguments (a non-square
+matrix, a composite on another grid) raise ``ValueError``.
+
+- ``ParseError``: a system file that cannot be read or parsed, a matrix
+  field of the wrong shape included; exit 2.
+- ``ConfigError``: an option or scenario value out of range; exit 2.
+- ``ValidationFailed``: a system that breaks a standing hypothesis (the
+  canonical form, structural stability, a singular ``P``, a speed in the
+  grey band, a ``B`` with other than n_+ rows); exit 1 from every command,
+  and ``validate`` writes ``validate.json``.  The Shizuta-Kawashima-like
+  condition raises it in ``gkc``, ``reduce`` and ``converge``, which need
+  it for the kernel frame, and fails ``validate``; ``simulate`` does not
+  check it.
+- ``GkcFailed``: the reduced condition's uniform Kreiss certificate fails;
+  exit 1, and ``reduce`` writes ``reduce.json``.
+- ``AssumptionViolated``: a derivation or solver step meets a degenerate
+  matrix (a rank loss, a singular closure or inflow block, no nonzero
+  speed); exit 3.
+- ``NearImaginaryEigenvalue``: the sampler skips the point.
+- ``SpectralCountMismatch``: the sampler names the point in the message.
+- ``SignNotConverged``: the sampler maps ``row`` back to the whole stack.
+
+The last three, when they reach the command line, and numpy's
+``LinAlgError`` exit 3 as well.  ``UnresolvedLayerWarning`` is a warning, not
+an error.
+"""
 
 
 class RelaxbcError(Exception):
     """Base class for all package-specific failures."""
-
-
-class DimensionMismatch(RelaxbcError):
-    pass
 
 
 class ParseError(RelaxbcError):
@@ -17,17 +42,16 @@ class ConfigError(RelaxbcError):
     pass
 
 
-class NonSymmetricSymmetrizer(RelaxbcError):
-    pass
-
-
 class ValidationFailed(RelaxbcError):
     pass
 
 
-class AmbiguousSpectrum(RelaxbcError):
-    """An eigenvalue sits in the grey zone around the zero-classification
-    threshold, so the (negative / zero / positive) counts are unreliable."""
+class GkcFailed(RelaxbcError):
+    pass
+
+
+class AssumptionViolated(RelaxbcError):
+    pass
 
 
 class NearImaginaryEigenvalue(RelaxbcError):
@@ -40,14 +64,6 @@ class NearImaginaryEigenvalue(RelaxbcError):
         super().__init__(
             f"eigenvalue {eigenvalue} lies within {tol:.3e} of the imaginary axis"
         )
-
-
-class RankDeficient(RelaxbcError):
-    pass
-
-
-class RankMismatch(RelaxbcError):
-    pass
 
 
 class SpectralCountMismatch(RelaxbcError):
@@ -66,50 +82,6 @@ class SignNotConverged(RelaxbcError):
     def __init__(self, message, row=None):
         self.row = row
         super().__init__(message)
-
-
-class SkConditionViolated(RelaxbcError):
-    pass
-
-
-class FrameMismatch(RelaxbcError):
-    pass
-
-
-class RankDeficientK(RelaxbcError):
-    pass
-
-
-class SingularKtXKt(RelaxbcError):
-    pass
-
-
-class GkcFailed(RelaxbcError):
-    pass
-
-
-class DegenerateY(RelaxbcError):
-    pass
-
-
-class SingularClosure(RelaxbcError):
-    pass
-
-
-class AssumptionViolated(RelaxbcError):
-    pass
-
-
-class GridMismatch(RelaxbcError):
-    pass
-
-
-class CflViolation(RelaxbcError):
-    pass
-
-
-class BoundarySolveSingular(RelaxbcError):
-    pass
 
 
 class UnresolvedLayerWarning(UserWarning):

@@ -94,9 +94,7 @@ def example_scenario(T: float = 0.5, x_max: float = 2.0) -> Scenario:
     return Scenario(b=b, u0=u0, T=T, x_max=x_max)
 
 
-def make_double_characteristic(
-    rng: np.random.Generator, max_tries: int = 200
-) -> RelaxationSystem:
+def make_double_characteristic(rng: np.random.Generator) -> RelaxationSystem:
     """Rejection-sample a 3x3 system (n = 3, r = 2) with one zero speed of A1
     whose kernel leaves the equilibrium operator characteristic (A11 = 0).
 
@@ -107,7 +105,7 @@ def make_double_characteristic(
     fails on it (the reduction, or the reduced condition's sampled uniform
     Kreiss certificate); the generalized Kreiss condition is not checked.
     """
-    for _ in range(max_tries):
+    for _ in range(200):
         p = rng.normal(size=3)
         p /= np.linalg.norm(p)
         q = rng.normal(size=3)
@@ -185,7 +183,6 @@ def random_system(
     n_max: int = 8,
     d: int | None = None,
     require_n0: int | None = None,
-    max_tries: int = 500,
 ) -> RelaxationSystem:
     """A random structurally stable system in canonical variables that
     satisfies the kernel-overlap (Shizuta-Kawashima-like) condition.
@@ -195,7 +192,7 @@ def random_system(
     kernel basis has a full-rank relaxed block and the spectra are cleanly
     classified.
     """
-    for _ in range(max_tries):
+    for _ in range(500):
         n = int(rng.integers(2, n_max + 1))
         r = int(rng.integers(1, n))
         dd = int(rng.integers(1, 4)) if d is None else d
@@ -260,13 +257,12 @@ def random_admissible_bundle(
     n_max: int = 8,
     d: int | None = None,
     require_n0: int | None = None,
-    max_tries: int = 200,
 ) -> Pipeline:
     """A random system together with its full derivation chain; draws on
     which ``derive_all`` fails (the reduction, or the reduced condition's
     sampled uniform Kreiss certificate) are rejected.  The generalized Kreiss
     condition of the full boundary condition (``check_gkc``) is not checked."""
-    for _ in range(max_tries):
+    for _ in range(200):
         sys = random_system(rng, n_max=n_max, d=d, require_n0=require_n0)
         try:
             return derive_all(sys, spec=SamplingSpec(resolution=8, rim_points=0))
@@ -275,8 +271,7 @@ def random_admissible_bundle(
     raise RelaxbcError("no admissible bundle found")
 
 
-def well_conditioned(bundle: Pipeline, cond_max: float = FIXTURE_A1_HAT_COND_MAX,
-                     gap_min: float = FIXTURE_DAMPING_GAP_MIN) -> bool:
+def well_conditioned(bundle: Pipeline) -> bool:
     """Whether the large-frequency limit of the stable subspace is reached with
     an O(1) constant.
 
@@ -294,21 +289,19 @@ def well_conditioned(bundle: Pipeline, cond_max: float = FIXTURE_A1_HAT_COND_MAX
     if bundle.eq.n10 > 0:
         return False
     frame = bundle.frame
-    if np.linalg.cond(frame.A1_hat) >= cond_max:
+    if np.linalg.cond(frame.A1_hat) >= FIXTURE_A1_HAT_COND_MAX:
         return False
     lam = np.linalg.eigvals(np.linalg.solve(frame.A1_hat, frame.Q_hat))
     nz = lam[np.abs(lam) > FIXTURE_ZERO_EIG_ABS]
-    if nz.size and np.min(np.abs(nz.real)) < gap_min:
+    if nz.size and np.min(np.abs(nz.real)) < FIXTURE_DAMPING_GAP_MIN:
         return False
     return True
 
 
-def random_frequency_point(
-    rng: np.random.Generator, d: int, eta_max: float = 10.0
-) -> np.ndarray:
-    """A row (Re xi, Im xi, omega..., eta): Re xi > 0, eta >= 0."""
+def random_frequency_point(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A row (Re xi, Im xi, omega..., eta): Re xi > 0, 0 <= eta < 10."""
     return np.r_[rng.uniform(0.05, 2.0), rng.uniform(-2.0, 2.0),
-                 rng.uniform(-2.0, 2.0, size=d - 1), rng.uniform(0.0, eta_max)]
+                 rng.uniform(-2.0, 2.0, size=d - 1), rng.uniform(0.0, 10.0)]
 
 
 __all__ = [

@@ -109,10 +109,6 @@ class EpsLayer:
     modes: np.ndarray  # n x k
     rates: np.ndarray  # k, all negative
 
-    @property
-    def mode_count(self) -> int:
-        return self.rates.size
-
     def evaluate(self, y: np.ndarray, w_s: np.ndarray) -> np.ndarray:
         """Profile values, shape (len(y), n)."""
         y = np.atleast_1d(np.asarray(y, dtype=float))

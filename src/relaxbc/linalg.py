@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    NearImaginaryEigenvalue, RankDeficient, RankMismatch, SignNotConverged,
-    SpectralCountMismatch,
+    AssumptionViolated, NearImaginaryEigenvalue, SignNotConverged, SpectralCountMismatch,
 )
 from .tolerances import (
     AXIS_MARGIN,
@@ -112,7 +111,7 @@ def split_invariant_subspaces(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     if M.shape != (n, n):
-        raise RankMismatch(f"expected square matrix, got {M.shape}")
+        raise ValueError(f"expected square matrix, got {M.shape}")
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
 
@@ -265,5 +264,5 @@ def orthonormal_complement(V) -> np.ndarray:
     n, k = V.shape
     if k == 0:
         return np.eye(n)
-    full_rank_cond(V, RankDeficient(f"matrix of shape {V.shape} is column-rank deficient"))
+    full_rank_cond(V, AssumptionViolated(f"matrix of shape {V.shape} is column-rank deficient"))
     return np.linalg.qr(V, mode="complete")[0][:, k:]

@@ -9,16 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AmbiguousSpectrum,
-    DimensionMismatch,
-    NonSymmetricSymmetrizer,
-    ParseError,
-    SkConditionViolated,
-    ValidationFailed,
-)
+from .errors import ParseError, ValidationFailed
 from .linalg import full_rank_cond
-from .tolerances import spectral_norm, tau_eig, tau_rank, tau_sym
+from .tolerances import (
+    EIG_GREY_FACTOR, KERNEL_SPLIT_SLACK, spectral_norm, tau_eig, tau_rank, tau_sym,
+)
 
 
 def _as_matrix(obj, name: str) -> np.ndarray:
@@ -109,15 +104,15 @@ class RelaxationSystem:
         if not (d >= 1 and n >= 2 and 1 <= r < n):
             raise ValidationFailed(f"bad dimensions d={d}, n={n}, r={r}")
         if len(self.A) != d:
-            raise DimensionMismatch(f"expected {d} coefficient matrices")
+            raise ValidationFailed(f"expected {d} coefficient matrices")
         scale = max(spectral_norm(Aj) for Aj in self.A)
         for j, Aj in enumerate(self.A):
             if Aj.shape != (n, n):
-                raise DimensionMismatch(f"A[{j}] has shape {Aj.shape}")
+                raise ValidationFailed(f"A[{j}] has shape {Aj.shape}")
             if spectral_norm(Aj - Aj.T) > tau_sym(scale):
                 raise ValidationFailed(f"A[{j}] is not symmetric")
         if self.Q.shape != (n, n):
-            raise DimensionMismatch(f"Q has shape {self.Q.shape}")
+            raise ValidationFailed(f"Q has shape {self.Q.shape}")
         qs = spectral_norm(self.Q)
         layout = self.Q.copy()
         layout[n - r :, n - r :] = 0.0
@@ -131,7 +126,7 @@ class RelaxationSystem:
         speeds, _ = split_speeds(self)
         n_plus = speeds.pos.size
         if self.B.shape != (n_plus, n):
-            raise DimensionMismatch(
+            raise ValidationFailed(
                 f"B has shape {self.B.shape}, expected ({n_plus}, {n})"
             )
         if np.linalg.matrix_rank(self.B, tol=tau_rank(spectral_norm(self.B))) != n_plus:
@@ -163,8 +158,8 @@ def split_speeds(sys: RelaxationSystem) -> tuple[SpeedSplit, SpeedSplit]:
 
     Both count a speed as zero when its magnitude is at most
     tau = tau_eig(||A1||), so every reduced dimension (n0, n_+, n10, n1_+)
-    rests on one rule.  Raises AmbiguousSpectrum if a speed of either falls
-    in the grey band (tau, 10 tau): misclassifying a zero multiplicity
+    rests on one rule.  Raises ValidationFailed if a speed of either falls
+    in the grey band (tau, EIG_GREY_FACTOR tau): misclassifying a zero multiplicity
     corrupts every downstream dimension, so we fail loudly instead of
     choosing a sign.
     """
@@ -172,11 +167,11 @@ def split_speeds(sys: RelaxationSystem) -> tuple[SpeedSplit, SpeedSplit]:
     tau = tau_eig(float(np.max(np.abs(pairs[0][0]), initial=0.0)))
     splits = []
     for name, (w, V) in zip(("A1", "A11"), pairs):
-        grey = (np.abs(w) > tau) & (np.abs(w) < 10 * tau)
+        grey = (np.abs(w) > tau) & (np.abs(w) < EIG_GREY_FACTOR * tau)
         if np.any(grey):
-            raise AmbiguousSpectrum(
-                f"{name} eigenvalue(s) {w[grey]} within (tau, 10*tau) = "
-                f"({tau:.3e}, {10 * tau:.3e})"
+            raise ValidationFailed(
+                f"{name} eigenvalue(s) {w[grey]} within (tau, {EIG_GREY_FACTOR:g}*tau) = "
+                f"({tau:.3e}, {EIG_GREY_FACTOR * tau:.3e})"
             )
         splits.append(SpeedSplit(
             w, V, np.flatnonzero(w < -tau), np.flatnonzero(np.abs(w) <= tau), np.flatnonzero(w > tau)
@@ -237,20 +232,14 @@ def validate_structural_stability(raw: RawSystem) -> ValidationReport:
     relation A0 Q = Q^T A0.
 
     Item (iii) is tested as lambda_max(A0 Q + Q^T A0 + P^T diag(0, I_r) P) <= tau.
+    The matrices are n x n, as ``raw_system_from_dict`` checks.
     """
     n, r = raw.n, raw.r
     A0 = np.asarray(raw.A0, dtype=float)
-    if A0.shape != (n, n):
-        raise DimensionMismatch(f"A0 has shape {A0.shape}, expected ({n}, {n})")
-    for j, Aj in enumerate(raw.A):
-        if np.asarray(Aj).shape != (n, n):
-            raise DimensionMismatch(f"A[{j}] has shape {np.asarray(Aj).shape}")
-    if raw.Q.shape != (n, n):
-        raise DimensionMismatch(f"Q has shape {raw.Q.shape}")
     if spectral_norm(A0 - A0.T) > tau_sym(spectral_norm(A0)):
-        raise NonSymmetricSymmetrizer("A0 is not symmetric")
+        raise ValidationFailed("A0 is not symmetric")
     if np.min(np.linalg.eigvalsh(A0)) <= 0:
-        raise NonSymmetricSymmetrizer("A0 is not positive definite")
+        raise ValidationFailed("A0 is not positive definite")
 
     P = np.eye(n) if raw.P is None else np.asarray(raw.P, dtype=float)
     full_rank_cond(P, ValidationFailed("the splitting matrix P is singular"))
@@ -263,7 +252,7 @@ def validate_structural_stability(raw: RawSystem) -> ValidationReport:
     blocked = np.zeros_like(ref)
     blocked[n - r :, n - r :] = S_split
     res_i = spectral_norm(PQ - blocked @ P)
-    ok_i = res_i <= tau_sym(scale_q * spectral_norm(P) ** 2) * 1e2
+    ok_i = res_i <= tau_sym(scale_q * spectral_norm(P) ** 2) * KERNEL_SPLIT_SLACK
 
     # (ii) A0 A_j = A_j^T A0
     scale_a = max(spectral_norm(Aj) for Aj in raw.A)
@@ -387,8 +376,8 @@ def check_sk_condition(sys: RelaxationSystem) -> bool:
     package's rank rule, ``linalg.full_rank_cond``."""
     R0 = split_speeds(sys)[0].kernel
     try:
-        full_rank_cond(R0.T @ sys.Q @ R0, SkConditionViolated())
-    except SkConditionViolated:
+        full_rank_cond(R0.T @ sys.Q @ R0, ValidationFailed())
+    except ValidationFailed:
         return False
     return True
 
@@ -450,8 +439,13 @@ def raw_system_from_dict(doc: dict) -> RawSystem:
 
     A0 = _as_matrix(doc["A0"], "A0") if "A0" in doc else np.eye(n)
     P = _as_matrix(doc["P"], "P") if "P" in doc else None
-    if P is not None and P.shape != (n, n):
-        raise ParseError(f"field 'P' has shape {P.shape}, expected ({n}, {n})")
+    square = [("A0", A0), *((f"A[{j}]", Aj) for j, Aj in enumerate(A)), ("Q", Q), ("P", P)]
+    for name, M in square:
+        if M is not None and M.shape != (n, n):
+            raise ParseError(f"field '{name}' has shape {M.shape}, expected ({n}, {n})")
+    # B's row count is n_+, which only the spectrum of A1 decides
+    if B.shape[1] != n:
+        raise ParseError(f"field 'B' has shape {B.shape}, expected {n} columns")
     return RawSystem(A0=A0, A=A, Q=Q, B=B, d=d, n=n, r=r, P=P, labels=tuple(labels))
 
 

@@ -22,15 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolated,
-    DegenerateY,
-    GkcFailed,
-    NearImaginaryEigenvalue,
-    RankDeficientK,
-    SingularClosure,
-    SingularKtXKt,
-)
+from .errors import AssumptionViolated, GkcFailed, NearImaginaryEigenvalue
 # stable_basis_real is not called here; perfbench/spans.py wraps it by this name
 from .linalg import (
     full_rank_cond,
@@ -46,6 +38,9 @@ from .spectral import (
 from .tolerances import B_O_ENTRY_ABS, C_THRESHOLD, spectral_norm, tau_axis
 
 log = logging.getLogger(__name__)
+
+#: decimal places of the coefficients ``render_reduced_bc`` prints
+RENDER_DIGITS = 6
 
 
 @dataclass(frozen=True)
@@ -135,19 +130,18 @@ def build_reduction_data(
     K~^T X K~.  R2^S holds them in ascending mu, each column of unit norm
     with its largest entry in magnitude (the first, on ties) positive.
 
-    Raises RankDeficientK if K = A12_hat^T P0 loses column rank,
-    SingularKtXKt if K~^T X K~ is singular, AssumptionViolated if
-    K~^T S_hat K~ is not negative definite or the number of decaying modes
-    is not n_+ - n1_+ - n10, and NearImaginaryEigenvalue if a rate lies
-    within tau_axis of zero: each places the system outside the admissible
-    class.
+    Raises AssumptionViolated if K = A12_hat^T P0 loses column rank, if
+    K~^T X K~ is singular, if K~^T S_hat K~ is not negative definite or if
+    the number of decaying modes is not n_+ - n1_+ - n10, and
+    NearImaginaryEigenvalue if a rate lies within tau_axis of zero: each
+    places the system outside the admissible class.
     """
     idx = compute_indices(sys)
     A12h, A22h, Sh = frame.A12_hat, frame.A22_hat, frame.S_hat
     P1, P0, Lam1 = eq.P1, eq.P0, eq.Lam1
 
     K = A12h.T @ P0  # (r - n0) x n10
-    full_rank_cond(K, RankDeficientK(
+    full_rank_cond(K, AssumptionViolated(
         "A12_hat^T P0 is column rank deficient; the eps-layer cannot "
         "absorb the characteristic boundary modes"
     ))
@@ -157,7 +151,7 @@ def build_reduction_data(
 
     KtXKt = K_tilde.T @ X @ K_tilde
     KtSKt = K_tilde.T @ Sh @ K_tilde
-    full_rank_cond(KtXKt, SingularKtXKt("K~^T X K~ is singular"))
+    full_rank_cond(KtXKt, AssumptionViolated("K~^T X K~ is singular"))
 
     inner = (K.T @ Sh @ K_tilde) @ np.linalg.solve(KtSKt, KtXKt) - K.T @ X @ K_tilde
     N0 = P0 @ np.linalg.inv(K.T @ K) @ inner
@@ -289,11 +283,12 @@ def derive_reduced_bc(
 
     Y2 = B_u P0 and Y3 = B_u N R2^S + B_v R02_perp K~ R2^S are evaluated at a
     reference point; they are frequency-independent by construction.  Raises
-    DegenerateY if (Y2 Y3) has unexpected rank.  When the reduced condition
-    has rows (n1_+ > 0), raises GkcFailed if a sampled UKC direction was
-    skipped for an eigenvalue near the imaginary axis, or if the sampled
-    minimum falls below the threshold; with n1_+ = 0 there is nothing to
-    certify, and skipped directions are only counted in ``ukc_skipped``.
+    AssumptionViolated if (Y2 Y3) has unexpected rank.  When the reduced
+    condition has rows (n1_+ > 0), raises GkcFailed if a sampled UKC
+    direction was skipped for an eigenvalue near the imaginary axis, or if
+    the sampled minimum falls below the threshold; with n1_+ = 0 there is
+    nothing to certify, and skipped directions are only counted in
+    ``ukc_skipped``.
     """
     spec = spec or SamplingSpec()
     idx = compute_indices(sys)
@@ -306,17 +301,17 @@ def derive_reduced_bc(
     n_plus, n1_plus = idx.n_plus, idx.n1_plus
     expected_rank = n_plus - n1_plus
     if Y23.shape[1] != expected_rank:
-        raise DegenerateY(
+        raise AssumptionViolated(
             f"(Y2 Y3) has {Y23.shape[1]} columns, expected {expected_rank}"
         )
     if Y23.shape[1] > 0:
-        full_rank_cond(Y23, DegenerateY("(Y2 Y3) is column rank deficient"))
+        full_rank_cond(Y23, AssumptionViolated("(Y2 Y3) is column rank deficient"))
         U, _, _ = np.linalg.svd(Y23, full_matrices=True)
         B_o = U[:, Y23.shape[1] :].T
     else:
         B_o = np.eye(n_plus)
     if B_o.shape[0] != n1_plus:
-        raise DegenerateY(
+        raise AssumptionViolated(
             f"B_o has {B_o.shape[0]} rows, expected n1_+ = {n1_plus}"
         )
     B_o = _normalize_rows(B_o)
@@ -386,16 +381,16 @@ def build_closure(
     """Coefficient matrix of the remaining boundary unknowns.
 
     B~_o completes B_o to an orthonormal basis of R^{n_+}; the unknowns are
-    (P0^T mu1(0); w_s) with coefficient B~_o (Y2, Y3).  Raises SingularClosure
-    if the coefficient is not invertible.
+    (P0^T mu1(0); w_s) with coefficient B~_o (Y2, Y3).  Raises
+    AssumptionViolated if the coefficient is not invertible.
     """
     B_tilde_o = orthonormal_complement(rbc.B_o.T).T
     coeff = B_tilde_o @ np.hstack([rbc.Y2, rbc.Y3])
     if coeff.shape[0] != coeff.shape[1]:
-        raise SingularClosure(
+        raise AssumptionViolated(
             f"closure coefficient is {coeff.shape[0]}x{coeff.shape[1]}, not square"
         )
-    cond = full_rank_cond(coeff, SingularClosure("closure coefficient matrix is singular"))
+    cond = full_rank_cond(coeff, AssumptionViolated("closure coefficient matrix is singular"))
     return ClosureSolve(
         coefficient=coeff, B_tilde_o=B_tilde_o, condition_number=cond
     )
@@ -444,7 +439,7 @@ def derive_all(sys: RelaxationSystem, spec: SamplingSpec | None = None) -> Pipel
     return Pipeline(sys=sys, frame=frame, eq=eq, data=data, rbc=rbc, closure=closure)
 
 
-def render_reduced_bc(sys: RelaxationSystem, rbc: ReducedBC, digits: int = 6) -> str:
+def render_reduced_bc(sys: RelaxationSystem, rbc: ReducedBC) -> str:
     """Human-readable rendering of the reduced boundary condition.
 
     The condition acts on the canonical variables V = T U (``sys.transform``
@@ -452,8 +447,8 @@ def render_reduced_bc(sys: RelaxationSystem, rbc: ReducedBC, digits: int = 6) ->
     ``labels`` (u1, u2, ... without them).  Otherwise they are named V1,
     V2, ... and each one the condition reads is written out in the input
     variables, which carry the labels."""
-    coeff = np.round(rbc.coefficient, digits)
-    B_o = np.round(rbc.B_o, digits)
+    coeff = np.round(rbc.coefficient, RENDER_DIGITS)
+    B_o = np.round(rbc.B_o, RENDER_DIGITS)
     lines = ["reduced boundary condition  (B_o B_u) ubar(0, t) = B_o b(t)"]
     raw = [*sys.labels, *(f"u{i+1}" for i in range(len(sys.labels), sys.n))]
     T = sys.transform
@@ -470,7 +465,7 @@ def render_reduced_bc(sys: RelaxationSystem, rbc: ReducedBC, digits: int = 6) ->
     if not same and coeff.shape[0]:
         lines.append("in the canonical variables V = T U:")
         for i in range(coeff.shape[1]):
-            row = np.round(T[i], digits)
+            row = np.round(T[i], RENDER_DIGITS)
             terms = " + ".join(f"{row[j]:+g}*{raw[j]}" for j in np.flatnonzero(row))
             lines.append(f"  {names[i]} = {terms}")
     return "\n".join(lines)

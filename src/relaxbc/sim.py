@@ -35,13 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BoundarySolveSingular,
-    CflViolation,
-    ConfigError,
-    GridMismatch,
-    UnresolvedLayerWarning,
-)
+from .errors import AssumptionViolated, ConfigError, UnresolvedLayerWarning
 from .layers import (
     EpsLayer,
     assemble_composite,
@@ -64,7 +58,9 @@ from .stepping import csr_product, cycle_operator, step_operator, time_levels
 from .tolerances import (
     BOUNDARY_SINGULAR_REL,
     DEGENERATE_ERROR_ABS,
+    LAYER_CELLS_MIN,
     MESH_ROUNDOFF_REL,
+    REFLECTION_TIME_FRAC,
     TOUCHES_V_ABS,
 )
 
@@ -170,7 +166,7 @@ def measure_error(result: SimResult, composite: np.ndarray) -> float:
     evaluated on the same mesh."""
     composite = np.asarray(composite)
     if composite.shape != result.U.shape:
-        raise GridMismatch(
+        raise ValueError(
             f"composite shape {composite.shape} does not match "
             f"simulation state shape {result.U.shape}"
         )
@@ -179,10 +175,10 @@ def measure_error(result: SimResult, composite: np.ndarray) -> float:
 
 def _inflow_inverse(M: np.ndarray, message: str):
     """Inverse and condition number of an inflow boundary block M; raises
-    BoundarySolveSingular when M is singular.  numpy's LAPACK inverts a
+    AssumptionViolated when M is singular.  numpy's LAPACK inverts a
     block this small on the calling thread, leaving no OpenBLAS thread
     spinning against the single-threaded work that follows."""
-    cond = full_rank_cond(M, BoundarySolveSingular(message), BOUNDARY_SINGULAR_REL)
+    cond = full_rank_cond(M, AssumptionViolated(message), BOUNDARY_SINGULAR_REL)
     return np.linalg.inv(M), cond
 
 
@@ -236,23 +232,22 @@ def solve_relaxation(
     dx = np.diff(x)
     rho = np.abs(lam).max()
     if not (pos.size or neg.size):
-        raise CflViolation("A1 has no nonzero characteristic speed")
+        raise AssumptionViolated("A1 has no nonzero characteristic speed")
     level, h = time_levels(dx)
     cycle = 2 ** int(level.max())
     steps = max(int(math.ceil(scenario.T / (CFL * h / rho))), 1)
     steps = -(-steps // cycle) * cycle
     dt = scenario.T / steps
 
-    if scenario.T > 0.9 * scenario.x_max / rho:
+    if scenario.T > REFLECTION_TIME_FRAC * scenario.x_max / rho:
         warnings.warn(
-            "final time exceeds 0.9 * x_max / rho(A1): reflections from the "
-            "truncation boundary may reach x = 0",
+            f"final time exceeds {REFLECTION_TIME_FRAC:g} * x_max / rho(A1): reflections "
+            "from the truncation boundary may reach x = 0",
             UnresolvedLayerWarning,
         )
-    # the eps-layer decays on the scale eps / |Re lambda(M2)| ~ eps; require
-    # at least 4 boundary cells inside it
+    # the eps-layer decays on the scale eps / |Re lambda(M2)| ~ eps
     n_layer_cells = int(np.searchsorted(x, eps))
-    if n_layer_cells < 4:
+    if n_layer_cells < LAYER_CELLS_MIN:
         warnings.warn(
             f"only {n_layer_cells} mesh cells inside the eps-layer width",
             UnresolvedLayerWarning,
@@ -354,8 +349,8 @@ def equilibrium_trace(eq: EquilibriumFrame, rbc: ReducedBC, scenario: Scenario, 
     chi_+(0, t) = (C W_+)^{-1} (rhs(t) - C W_rest chi_rest(0, t)).
 
     ``rhs`` overrides t -> B_o b(t), which maps N times to (N, n1_+); the
-    naive-closure negative control uses it.  Raises BoundarySolveSingular
-    when C W_+ is singular."""
+    naive-closure negative control uses it.  Raises AssumptionViolated when
+    C W_+ is singular."""
     W, lam = _modes(eq)
     pos, rest = np.flatnonzero(lam > 0), np.flatnonzero(lam <= 0)
     if pos.size:

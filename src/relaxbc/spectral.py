@@ -25,8 +25,8 @@ from .errors import (
     AssumptionViolated,
     ConfigError,
     RelaxbcError,
-    SkConditionViolated,
     SpectralCountMismatch,
+    ValidationFailed,
 )
 # split_invariant_subspaces is not called here; perfbench/spans.py wraps it by
 # this name
@@ -36,9 +36,9 @@ from .linalg import (
     split_invariant_subspaces,
     stable_eigvecs,
 )
-from .model import RelaxationSystem, check_sk_condition, split_speeds
+from .model import RelaxationSystem, split_speeds
 from .pool import thread_map
-from .tolerances import C_THRESHOLD
+from .tolerances import C_THRESHOLD, REFINE_MARGIN
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +65,6 @@ class KernelFrame:
 
     R0: np.ndarray
     R1: np.ndarray
-    R02: np.ndarray
     R02_perp: np.ndarray
     A1_hat: np.ndarray
     Q_hat: np.ndarray
@@ -154,7 +153,7 @@ def build_kernel_frame(sys: RelaxationSystem) -> KernelFrame:
     """Construct the kernel frame with the structured choice of R1.
 
     Requires the Shizuta-Kawashima-like condition (the lower block R02 of the
-    kernel basis must have full column rank); raises SkConditionViolated
+    kernel basis must have full column rank); raises ValidationFailed
     otherwise.  With n0 = 0 the frame degenerates to R1 = I, A1_hat = A1,
     S_hat = S.
     """
@@ -163,7 +162,7 @@ def build_kernel_frame(sys: RelaxationSystem) -> KernelFrame:
     R0 = split_speeds(sys)[0].kernel
     n0 = R0.shape[1]
     R02 = R0[n - r :, :]
-    full_rank_cond(R02, SkConditionViolated(
+    full_rank_cond(R02, ValidationFailed(
         "lower block R02 of the kernel basis is rank-deficient"
     ))
     R02_perp = orthonormal_complement(R02)  # r x (r - n0)
@@ -182,7 +181,6 @@ def build_kernel_frame(sys: RelaxationSystem) -> KernelFrame:
     return KernelFrame(
         R0=R0,
         R1=R1,
-        R02=R02,
         R02_perp=R02_perp,
         A1_hat=A1_hat,
         Q_hat=Q_hat,
@@ -536,7 +534,8 @@ def check_gkc(
         best, best_point = eta_inf_min, eta_inf_point
 
     # local refinement: distinguish a true zero from slow decay
-    if best_point is not None and math.isfinite(best_point[-1]) and best < 10 * C_THRESHOLD:
+    near = best < REFINE_MARGIN * C_THRESHOLD
+    if best_point is not None and math.isfinite(best_point[-1]) and near:
         best, best_point, extra_sub, extra_failures = _refine_minimum(
             sys, frame, spec, best, best_point
         )
@@ -655,5 +654,4 @@ __all__ = [
     "check_gkc",
     "directions",
     "gkc_ratios",
-    "check_sk_condition",
 ]

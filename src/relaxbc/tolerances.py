@@ -16,6 +16,17 @@ RANK_REL = 1e-9
 #: eigenvalue zero-classification tolerance, relative to the spectral norm
 EIG_REL = 1e-9
 
+#: a speed whose magnitude lies between tau = tau_eig(||A1||) and this
+#: multiple of it is neither clearly zero nor clearly nonzero: ``split_speeds``
+#: refuses it rather than guess, since a wrong zero count corrupts every
+#: reduced dimension
+EIG_GREY_FACTOR = 10.0
+
+#: item (i) of structural stability compares P Q with diag(0, S) P, S taken
+#: from P Q P^{-1}: the inverse of P carries round-off the other residuals do
+#: not, so that item passes within this multiple of tau_sym
+KERNEL_SPLIT_SLACK = 1e2
+
 #: distance-to-imaginary-axis tolerance for invariant-subspace splits
 AXIS_REL = 1e-8
 
@@ -65,10 +76,25 @@ SIGN_MAX_STEPS = 50
 #: default lower bound c_K for declaring the sampled Kreiss ratio positive
 C_THRESHOLD = 1e-6
 
+#: ``check_gkc`` refines the grid around a minimum below this multiple of
+#: C_THRESHOLD before its verdict: between grid points such a minimum may be
+#: a true zero, or only slow decay
+REFINE_MARGIN = 10.0
+
 #: an inflow boundary block (B R_+ for the stiff solver, B_o B_u W_+ for the
 #: equilibrium solver) is singular when its smallest singular value is at
 #: most this fraction of max(largest singular value, 1)
 BOUNDARY_SINGULAR_REL = 1e-12
+
+#: ``solve_relaxation`` warns when the final time exceeds this fraction of
+#: the time x_max / rho(A1) the fastest wave takes to cross the domain, since
+#: reflections from the truncation boundary may then reach x = 0
+REFLECTION_TIME_FRAC = 0.9
+
+#: ``solve_relaxation`` warns when fewer mesh cells than this fall inside the
+#: eps-layer width: the layer decays on the scale eps, and fewer cells do not
+#: resolve it
+LAYER_CELLS_MIN = 4
 
 #: relative round-off of the stiff mesh's cell lengths: ``graded_mesh`` keeps
 #: a final cell that falls short of dx_min by at most this fraction and merges
@@ -115,7 +141,7 @@ FIXTURE_RATE_SPREAD_MAX = 10.0
 #: this (kernel-overlap margin): weak overlaps give badly scaled reductions
 FIXTURE_KERNEL_OVERLAP_MIN = 0.05
 
-#: ``well_conditioned`` defaults: the largest condition number of A1_hat and
+#: ``well_conditioned`` bounds: the largest condition number of A1_hat and
 #: the smallest damping rate |Re| of a nonzero eigenvalue of A1_hat^-1 Q_hat
 FIXTURE_A1_HAT_COND_MAX = 1e3
 FIXTURE_DAMPING_GAP_MIN = 0.3

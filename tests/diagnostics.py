@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from relaxbc.errors import FrameMismatch, SpectralCountMismatch
+from relaxbc.errors import SpectralCountMismatch
 from relaxbc.linalg import guarded_eigvals, split_invariant_subspaces
 from relaxbc.model import RelaxationSystem, compute_indices
 from relaxbc.reduction import EquilibriumFrame, ReductionData, limit_stable_matrix
@@ -55,7 +55,7 @@ def frame_independence_check(
     at the point p = (Re xi, Im xi, omega..., eta).
 
     frame_b must be expressible over frame_a as R0' = R0 D0,
-    R1' = R1 C1 + R0 C0 (raises FrameMismatch otherwise).  Returns the
+    R1' = R1 C1 + R0 C0 (raises ValueError otherwise).  Returns the
     similarity residual ||M' - C1^{-1} M C1|| and the determinant-consistency
     residual | |det(B R1' R'_M^S)| - |det(B R1 R_M^S)| | with
     R'_M^S := C1^{-1} R_M^S.
@@ -69,7 +69,7 @@ def frame_independence_check(
     if n0 > 0:
         D0, *_ = np.linalg.lstsq(R0a, R0b, rcond=None)
         if spectral_norm(R0a @ D0 - R0b) > FRAME_KERNEL_REL * max(spectral_norm(R0b), 1.0):
-            raise FrameMismatch("frame_b kernel basis is not expressible over frame_a")
+            raise ValueError("frame_b kernel basis is not expressible over frame_a")
 
     Ma = build_M(sys, frame_a, p)
     Mb = build_M(sys, frame_b, p)

@@ -758,13 +758,22 @@ def _dims(**fields):
                  id="r-zero"),
     pytest.param(_dims(P=[[1.0]]), 2, "error: field 'P' has shape (1, 1), expected (2, 2)",
                  id="P-shape"),
+    pytest.param(_dims(A0=[[1.0]]), 2, "error: field 'A0' has shape (1, 1), expected (2, 2)",
+                 id="A0-shape"),
+    pytest.param(_dims(A=[[[1.0]]]), 2, "error: field 'A[0]' has shape (1, 1), expected (2, 2)",
+                 id="A-shape"),
+    pytest.param(_dims(Q=[[-1.0]]), 2, "error: field 'Q' has shape (1, 1), expected (2, 2)",
+                 id="Q-shape"),
+    pytest.param(_dims(B=[[1.0]]), 2, "error: field 'B' has shape (1, 1), expected 2 columns",
+                 id="B-columns"),
     pytest.param(_dims(P=[[1.0, 0.0], [0.0, 0.0]]), 1,
                  "validation FAILED: the splitting matrix P is singular", id="P-singular"),
 ])
 def test_malformed_dimensions_exit_without_traceback(edit, rc, message, tmp_path, capsys):
     # the first five died with a traceback (an empty max, a negative shape,
-    # a broadcast, an empty reduction, a matmul), the sixth exited 3 on a
-    # LinAlgError; a singular P is a failed structural check
+    # a broadcast, an empty reduction, a matmul), the shapes of A0, A, Q and
+    # B read as a failed check or a numerical failure, and the singular P
+    # exited 3 on a LinAlgError; a singular P is a failed structural check
     doc = system_to_dict(fixtures.example_system())
     edit(doc)
     path = tmp_path / "bad_system.json"
@@ -780,6 +789,65 @@ def test_malformed_dimensions_exit_without_traceback(edit, rc, message, tmp_path
         assert not out.exists() or not any(out.iterdir())
         assert _run(["gkc", str(path), "--out", str(out), "--resolution", "4"]) == 2
         assert message in capsys.readouterr().err
+
+
+def _sk_violation(doc):
+    # ker A1 = span(e1) lies in ker Q: the Shizuta-Kawashima-like condition
+    # fails in the kernel frame, though the system loads
+    doc.update(n=3, r=1, A=[np.diag([0.0, 1.0, -1.0]).tolist()],
+               Q=np.diag([0.0, 0.0, -1.0]).tolist(), B=[[0.0, 1.0, 0.0]], labels=[])
+
+
+_SK_SCENARIO = {
+    "boundary": [{"kind": "sin"}],
+    "u0": [{"kind": "bump"}, {"kind": "bump"}],
+    "T": 0.5,
+    "epsilons": [1e-2, 3e-3],
+}
+
+
+@pytest.mark.parametrize("edit, reason, commands", [
+    pytest.param(_dims(r=2, Q=(-np.eye(2)).tolist()), "bad dimensions d=1, n=2, r=2",
+                 ["gkc", "reduce", "simulate", "converge"], id="r-equals-n"),
+    pytest.param(_dims(P=[[1.0, 0.0], [0.0, 0.0]]), "the splitting matrix P is singular",
+                 ["gkc", "reduce", "simulate", "converge"], id="P-singular"),
+    pytest.param(_sk_violation, "lower block R02 of the kernel basis is rank-deficient",
+                 ["gkc", "reduce", "converge"], id="sk-like"),
+])
+def test_failed_validation_exits_1_from_every_command(
+    edit, reason, commands, scen2x2_file, tmp_path, capsys
+):
+    # each command but validate reported these as a numerical failure, exit 3
+    doc = system_to_dict(fixtures.example_system())
+    edit(doc)
+    path = tmp_path / "bad_system.json"
+    path.write_text(json.dumps(doc))
+    scenario = scen2x2_file
+    if edit is _sk_violation:
+        scenario = tmp_path / "sk_scenario.json"
+        scenario.write_text(json.dumps(_SK_SCENARIO))
+    extra = {
+        "gkc": ["--resolution", "4"],
+        "reduce": ["--resolution", "4"],
+        "simulate": ["--scenario", str(scenario), "--eps", "1e-2"],
+        "converge": ["--scenario", str(scenario), "--resolution", "4"],
+    }
+    for command in commands:
+        out = tmp_path / command
+        assert _run([command, str(path), "--out", str(out)] + extra[command]) == 1, command
+        captured = capsys.readouterr()
+        assert f"validation FAILED: {reason}" in captured.err, command
+        assert "numerical failure" not in captured.err
+        assert not out.exists() or not any(out.iterdir()), command
+
+    out = tmp_path / "validate"
+    assert _run(["validate", str(path), "--out", str(out)]) == 1
+    report = _read(out / "validate.json")
+    assert report["passed"] is False
+    if edit is _sk_violation:
+        assert report["checks"] == {"sk_like": False}
+    else:
+        assert report["error"].startswith(reason)
 
 
 @pytest.mark.parametrize("field, spec, key", [

@@ -71,7 +71,7 @@ class TestEpsLayer:
 
     def test_square_transfer_has_no_modes(self, pipe3):
         layer = build_eps_layer(pipe3.sys, pipe3.frame, pipe3.data)
-        assert layer.mode_count == 0
+        assert layer.rates.size == 0
         vals = layer.evaluate(np.array([0.0, 1.0]), np.zeros(0))
         assert vals.shape == (2, pipe3.sys.n)
         assert np.abs(vals).max() == 0.0
@@ -121,7 +121,7 @@ class TestLayerModes:
     def test_profile_matches_expm(self, layer_bundles, rng):
         for b in layer_bundles:
             layer = build_eps_layer(b.sys, b.frame, b.data)
-            ws = rng.normal(size=layer.mode_count)
+            ws = rng.normal(size=layer.rates.size)
             scale = np.abs(layer.evaluate(0.0, ws)).max()
             for y in (0.0, 0.3, 1.0, 4.0):
                 err = np.abs(layer.evaluate(y, ws)[0] - dense_layer_profile(b, y, ws))

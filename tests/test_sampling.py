@@ -409,7 +409,7 @@ class TestReportedGaps:
         for b in (random_bundles[4], random_bundles[9]):
             report = check_gkc(b.sys, b.frame, SPEC8)
             assert report.min_ratio < report.eta_inf_min_ratio
-            assert report.min_ratio >= 10 * spectral.C_THRESHOLD
+            assert report.min_ratio >= spectral.REFINE_MARGIN * spectral.C_THRESHOLD
             first = np.flatnonzero(report.values == report.min_ratio)[0]
             assert np.array_equal(report.argmin_point, report.points[first])
             assert report.to_dict()["argmin_point"] == report.points[first].tolist()
