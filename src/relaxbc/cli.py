@@ -11,8 +11,10 @@ sample, a failed UKC certificate of the reduced condition (``GkcFailed``),
 which ``reduce`` reports in ``reduce.json``, and a system that breaks a
 standing hypothesis (``ValidationFailed``), which ``validate`` reports in
 ``validate.json`` and every other command as ``validation FAILED`` on
-stderr, with no report (see ``relaxbc.errors``; ``simulate`` does not check
-the Shizuta-Kawashima-like condition).
+stderr, with no report (see ``relaxbc.errors``).  Each command runs a prefix
+of one chain, each stage once: parse, canonical system, kernel frame (which
+needs the Shizuta-Kawashima-like condition, ``model.check_sk_condition``,
+the rule ``validate`` reports), then ``reduction.Pipeline``.
 The environment variable ``RELAXBC_LOG`` selects the logging verbosity.
 Machine reports exclude wall-clock timings so that rerunning with an identical
 configuration and seed reproduces them byte for byte.
@@ -39,15 +41,15 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, GkcFailed, ParseError, RelaxbcError, ValidationFailed
 from .model import (
-    check_sk_condition,
-    compute_indices,
-    load_system,
-    raw_system_from_dict,
-    validate_structural_stability,
+    canonicalize, check_sk_condition, compute_indices, raw_system_from_dict, system_from_dict,
 )
-from .reduction import derive_all, render_reduced_bc
-from .spectral import SamplingSpec, build_kernel_frame, check_gkc
-from .sim import Scenario, check_epsilons, run_convergence_study, solve_relaxation
+from .reduction import Pipeline, render_reduced_bc
+from .spectral import SamplingSpec, build_kernel_frame
+from .sim import Scenario, check_epsilons, l2_error, run_convergence_study, solve_relaxation
+# not called here; perfbench/spans.py wraps each by this name
+from .model import load_system, validate_structural_stability
+from .reduction import derive_all
+from .spectral import check_gkc
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -181,7 +183,7 @@ _WAVEFORMS = {
 
 def _make_waveform(spec: dict):
     kind = spec.get("kind")
-    if kind not in _WAVEFORMS:
+    if not isinstance(kind, str) or kind not in _WAVEFORMS:
         raise ConfigError(f"unknown waveform kind {kind!r}")
     return _WAVEFORMS[kind](
         _finite("amplitude", spec.get("amplitude", 1.0)),
@@ -209,7 +211,10 @@ def _make_profile(spec: dict):
 
 
 def _as_float(value) -> float:
-    """``value`` as a float; NaN when it is not a number."""
+    """``value`` as a float; NaN when it is not a number, a bool included
+    (a bool matrix entry is refused too, by ``model._as_matrix``)."""
+    if isinstance(value, bool):
+        return float("nan")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -288,8 +293,9 @@ def _load_scenario(path: str, sys_obj) -> tuple[Scenario, dict]:
 
 def cmd_validate(args) -> int:
     doc = _read_json(args.system)
+    raw = raw_system_from_dict(doc)
     try:
-        sys_obj = load_system(args.system)
+        sys_obj = canonicalize(raw)
     except ValidationFailed as exc:
         report = {
             "passed": False,
@@ -300,17 +306,16 @@ def cmd_validate(args) -> int:
         print(f"validation FAILED: {exc}")
         return EXIT_CHECK_FAILED
 
-    # judge the system as given, with its symmetrizer A0 and splitting P
-    structural = validate_structural_stability(raw_system_from_dict(doc))
     sk = check_sk_condition(sys_obj)
     idx = compute_indices(sys_obj)
 
-    # structural stability and the Onsager relation are not listed: load_system
-    # has already refused a system failing either
+    # structural stability and the Onsager relation are not listed:
+    # canonicalize has already refused a system failing either
     checks = {"sk_like": sk}
     report = {
         "checks": checks,
-        "structural": structural.to_dict(),
+        # the system as given, with its symmetrizer A0 and splitting P
+        "structural": raw.structural.to_dict(),
         "indices": {
             "n0": idx.n0, "n_plus": idx.n_plus,
             "n10": idx.n10, "n1_plus": idx.n1_plus,
@@ -340,6 +345,15 @@ def _sampling_spec(args) -> SamplingSpec:
     )
 
 
+def _system(args):
+    """The validation prefix of every command but ``validate``: the parsed
+    system file, its canonical system and the kernel frame, which exists
+    only under the Shizuta-Kawashima-like condition (ValidationFailed)."""
+    doc = _read_json(args.system)
+    sys_obj = system_from_dict(doc)
+    return doc, sys_obj, build_kernel_frame(sys_obj)
+
+
 def _stored_gkc(path: str, want: dict) -> dict | None:
     """The report in ``path`` without its provenance, or None when the file
     is missing, unreadable, or was not written for provenance ``want``."""
@@ -367,25 +381,23 @@ def _stored_gkc(path: str, want: dict) -> dict | None:
     return doc
 
 
-def _gkc_verdict(args, config_doc: dict, sys_obj, spec: SamplingSpec):
+def _gkc_verdict(args, config_doc: dict, pipeline: Pipeline):
     """``(passed, gkc report dict)`` for the gate of ``reduce`` and
     ``converge``: read from ``<out>/gkc.json`` when ``gkc`` wrote it for the
-    same question, sampled otherwise."""
+    same question, ``pipeline.gkc`` otherwise."""
     path = os.path.join(args.out, "gkc.json")
-    stored = _stored_gkc(path, _gkc_provenance(args, config_doc, spec))
+    stored = _stored_gkc(path, _gkc_provenance(args, config_doc, pipeline.spec))
     if stored is not None:
         print(f"GKC verdict reused from {path}")
         return stored["passed"], stored
-    report = check_gkc(sys_obj, build_kernel_frame(sys_obj), spec=spec)
     print(f"GKC verdict sampled (not reused from {path})")
-    return report.passed, report.to_dict()
+    return pipeline.gkc.passed, pipeline.gkc.to_dict()
 
 
 def cmd_gkc(args) -> int:
-    doc = _read_json(args.system)
-    sys_obj = load_system(args.system)
+    doc, sys_obj, frame = _system(args)
     spec = _sampling_spec(args)
-    report = check_gkc(sys_obj, build_kernel_frame(sys_obj), spec=spec)
+    report = Pipeline(sys_obj, frame, spec).gkc
 
     out = report.to_dict()
     out["provenance"] = _gkc_provenance(args, doc, spec)
@@ -407,43 +419,32 @@ def cmd_gkc(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    doc = _read_json(args.system)
-    sys_obj = load_system(args.system)
-    spec = _sampling_spec(args)
-    gkc_passed, gkc_doc = _gkc_verdict(args, doc, sys_obj, spec)
+    doc, sys_obj, frame = _system(args)
+    pipeline = Pipeline(sys_obj, frame, _sampling_spec(args))
+    gkc_passed, gkc_doc = _gkc_verdict(args, doc, pipeline)
+    path = os.path.join(args.out, "reduce.json")
+    out = {"gkc": gkc_doc,
+           "provenance": _provenance(doc, seed=args.seed, forced=bool(args.force))}
 
     if not gkc_passed and not args.force:
         print("GKC sample check failed; refusing to reduce (use --force)")
-        out = {
-            "gkc": gkc_doc,
-            "provenance": _provenance(doc, seed=args.seed, forced=False),
-        }
-        _write_json(os.path.join(args.out, "reduce.json"), out)
+        _write_json(path, out)
         return EXIT_CHECK_FAILED
 
     try:
-        pipeline = derive_all(sys_obj, spec=spec)
+        rbc, closure = pipeline.rbc, pipeline.closure
     except GkcFailed as exc:
         print(f"UKC certificate failed: {exc}")
-        out = {
-            "gkc": gkc_doc,
-            "ukc": {"passed": False, "error": str(exc)},
-            "provenance": _provenance(doc, seed=args.seed, forced=bool(args.force)),
-        }
-        _write_json(os.path.join(args.out, "reduce.json"), out)
+        out["ukc"] = {"passed": False, "error": str(exc)}
+        _write_json(path, out)
         return EXIT_CHECK_FAILED
-    rbc, closure = pipeline.rbc, pipeline.closure
 
-    out = {
-        "reduced_bc": rbc.to_dict(),
-        "closure": {
-            "coefficient": closure.coefficient.tolist(),
-            "condition_number": float(closure.condition_number),
-        },
-        "gkc": gkc_doc,
-        "provenance": _provenance(doc, seed=args.seed, forced=bool(args.force)),
+    out["reduced_bc"] = rbc.to_dict()
+    out["closure"] = {
+        "coefficient": closure.coefficient.tolist(),
+        "condition_number": float(closure.condition_number),
     }
-    _write_json(os.path.join(args.out, "reduce.json"), out)
+    _write_json(path, out)
 
     print(render_reduced_bc(sys_obj, rbc))
     print(f"UKC certificate: min ratio {rbc.ukc_min_ratio:.6g} "
@@ -456,8 +457,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc = _read_json(args.system)
-    sys_obj = load_system(args.system)
+    doc, sys_obj, _ = _system(args)
     scenario, scen_doc = _load_scenario(args.scenario, sys_obj)
     eps = _finite_positive("--eps", args.eps)
     dx_max = _finite_positive("--dx-max", args.dx_max)
@@ -466,8 +466,6 @@ def cmd_simulate(args) -> int:
     if not np.all(np.isfinite(result.U)):
         print("simulation produced non-finite values")
         return EXIT_NUMERICAL
-
-    from .sim import l2_error
 
     norm = l2_error(result.x, result.U, np.zeros_like(result.U))
     report = {
@@ -502,8 +500,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     threshold = _finite("--threshold", args.threshold)
-    doc = _read_json(args.system)
-    sys_obj = load_system(args.system)
+    doc, sys_obj, frame = _system(args)
     scenario, scen_doc = _load_scenario(args.scenario, sys_obj)
     eps_list = scen_doc.get("epsilons")
     if not isinstance(eps_list, list) or not eps_list:
@@ -514,23 +511,18 @@ def cmd_converge(args) -> int:
         "grid.dx_max", scen_doc.get("grid", {}).get("dx_max", 5e-4)
     )
 
-    spec = _sampling_spec(args)
-    gkc_passed, _ = _gkc_verdict(args, doc, sys_obj, spec)
+    pipeline = Pipeline(sys_obj, frame, _sampling_spec(args))
+    gkc_passed, _ = _gkc_verdict(args, doc, pipeline)
     if not gkc_passed and not args.force:
         print("GKC sample check failed; refusing to run (use --force)")
         return EXIT_CHECK_FAILED
     try:
-        pipeline = derive_all(sys_obj, spec=spec)
+        pipeline.closure
     except GkcFailed as exc:
         print(f"UKC certificate failed: {exc}; refusing to run")
         return EXIT_CHECK_FAILED
 
-    study = run_convergence_study(
-        pipeline.sys, pipeline.frame, pipeline.eq, pipeline.data,
-        pipeline.rbc, pipeline.closure, scenario,
-        eps_list=eps_list,
-        dx_max=dx_max,
-    )
+    study = run_convergence_study(pipeline, scenario, eps_list=eps_list, dx_max=dx_max)
 
     if args.negative_control and not study.control_applicable:
         # the naive closure equals the derived one: nothing to judge

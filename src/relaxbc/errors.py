@@ -12,9 +12,8 @@ matrix, a composite on another grid) raise ``ValueError``.
   canonical form, structural stability, a singular ``P``, a speed in the
   grey band, a ``B`` with other than n_+ rows); exit 1 from every command,
   and ``validate`` writes ``validate.json``.  The Shizuta-Kawashima-like
-  condition raises it in ``gkc``, ``reduce`` and ``converge``, which need
-  it for the kernel frame, and fails ``validate``; ``simulate`` does not
-  check it.
+  condition (``model.check_sk_condition``) fails ``validate`` and raises it
+  in the other four commands, which build the kernel frame first.
 - ``GkcFailed``: the reduced condition's uniform Kreiss certificate fails;
   exit 1, and ``reduce`` writes ``reduce.json``.
 - ``AssumptionViolated``: a derivation or solver step meets a degenerate

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,8 @@ class RelaxationSystem:
     d spatial dimensions, state dimension n, relaxation rank r.  A[0] is the
     boundary-normal coefficient; all A[j] are symmetric, Q = diag(0, S) with S
     symmetric negative definite, and the n_+ x n boundary matrix B has full
-    row rank and annihilates the kernel of A[0].
+    row rank and annihilates the kernel of A[0].  ``speeds`` holds the speed
+    splits of A1 and A11 (``split_speeds``), computed on first read.
     """
 
     d: int
@@ -98,6 +100,10 @@ class RelaxationSystem:
     def B_v(self) -> np.ndarray:
         return self.B[:, self.n - self.r :]
 
+    @cached_property
+    def speeds(self) -> tuple[SpeedSplit, SpeedSplit]:
+        return split_speeds(self)
+
     def validate(self) -> None:
         """Check the canonical-form invariants; raises ValidationFailed."""
         n, r, d = self.n, self.r, self.d
@@ -123,7 +129,7 @@ class RelaxationSystem:
             raise ValidationFailed("S is not symmetric")
         if np.max(np.linalg.eigvalsh(S)) >= -tau_eig(qs):
             raise ValidationFailed("S is not negative definite")
-        speeds, _ = split_speeds(self)
+        speeds = self.speeds[0]
         n_plus = speeds.pos.size
         if self.B.shape != (n_plus, n):
             raise ValidationFailed(
@@ -185,7 +191,8 @@ class RawSystem:
     and the kernel-splitting pair (P, S) of the structural stability condition.
 
     When P is omitted the source is required to already carry the
-    diag(0, S) block layout and P defaults to the identity.
+    diag(0, S) block layout and P defaults to the identity.  ``structural``
+    is its ``validate_structural_stability`` report, computed on first read.
     """
 
     A0: np.ndarray
@@ -197,6 +204,10 @@ class RawSystem:
     r: int
     P: np.ndarray | None = None
     labels: tuple = ()
+
+    @cached_property
+    def structural(self) -> ValidationReport:
+        return validate_structural_stability(self)
 
 
 @dataclass
@@ -308,25 +319,25 @@ def canonicalize(raw: RawSystem) -> RelaxationSystem:
     on the returned system so solutions map back; the input's labels name U,
     not V.  Spectra of the A_j are preserved (the transform is a similarity).
     """
-    report = validate_structural_stability(raw)
-    if not report.passed:
-        raise ValidationFailed(f"structural stability failed: {report.to_dict()}")
-
-    n, r = raw.n, raw.r
+    if not raw.structural.passed:
+        raise ValidationFailed(f"structural stability failed: {raw.structural.to_dict()}")
     if _is_canonical(raw):
-        sys = RelaxationSystem(
-            d=raw.d,
-            n=n,
-            r=r,
-            A=tuple(np.asarray(Aj, dtype=float) for Aj in raw.A),
-            Q=np.asarray(raw.Q, dtype=float),
-            B=np.asarray(raw.B, dtype=float),
-            labels=tuple(raw.labels),
-            transform=np.eye(n),
-        )
-        sys.validate()
-        return sys
+        A, Q, B, T = raw.A, raw.Q, raw.B, np.eye(raw.n)
+    else:
+        A, Q, B, T = _transform(raw)
+    sys = RelaxationSystem(
+        d=raw.d, n=raw.n, r=raw.r, A=tuple(np.asarray(Aj, dtype=float) for Aj in A),
+        Q=np.asarray(Q, dtype=float), B=np.asarray(B, dtype=float),
+        labels=tuple(raw.labels), transform=T,
+    )
+    sys.validate()
+    return sys
 
+
+def _transform(raw: RawSystem) -> tuple:
+    """The coefficients (A, Q, B) in the variables V = T U of
+    ``canonicalize``, and T."""
+    n, r = raw.n, raw.r
     A0 = np.asarray(raw.A0, dtype=float)
     w0, V0 = np.linalg.eigh(A0)
     sq = V0 @ np.diag(np.sqrt(w0)) @ V0.T
@@ -352,39 +363,26 @@ def canonicalize(raw: RawSystem) -> RelaxationSystem:
     O = np.hstack([Vq[:, zero_mask], Vq[:, neg_mask]])
     Qc = np.zeros((n, n))
     Qc[n - r :, n - r :] = np.diag(wq[neg_mask])
-
-    T = O.T @ sq
     A_out = tuple(O.T @ As @ O for As in A_sym)
-    B_out = np.asarray(raw.B, dtype=float) @ sq_inv @ O
-    sys = RelaxationSystem(
-        d=raw.d,
-        n=n,
-        r=r,
-        A=A_out,
-        Q=Qc,
-        B=B_out,
-        labels=tuple(raw.labels),
-        transform=T,
-    )
-    sys.validate()
-    return sys
+    return A_out, Qc, np.asarray(raw.B, dtype=float) @ sq_inv @ O, O.T @ sq
 
 
 def check_sk_condition(sys: RelaxationSystem) -> bool:
-    """Shizuta-Kawashima-like condition ker(A1) intersect ker(Q) = {0},
-    tested as full rank of R0^T Q R0 (R0 an orthonormal kernel basis) by the
-    package's rank rule, ``linalg.full_rank_cond``."""
-    R0 = split_speeds(sys)[0].kernel
+    """Shizuta-Kawashima-like condition ker(A1) intersect ker(Q) = {0}: as
+    Q = diag(0, S) with S definite, full column rank of the lower r rows R02
+    of an orthonormal kernel basis R0 of A1, by the package's rank rule,
+    ``linalg.full_rank_cond``.  ``spectral.build_kernel_frame`` needs it."""
+    R0 = sys.speeds[0].kernel
     try:
-        full_rank_cond(R0.T @ sys.Q @ R0, ValidationFailed())
+        full_rank_cond(R0[sys.n - sys.r :], ValidationFailed())
     except ValidationFailed:
         return False
     return True
 
 
 def compute_indices(sys: RelaxationSystem) -> SystemIndices:
-    """The zero and positive speed counts of A1 and A11 (``split_speeds``)."""
-    a1, a11 = split_speeds(sys)
+    """The zero and positive speed counts of A1 and A11 (``sys.speeds``)."""
+    a1, a11 = sys.speeds
     return SystemIndices(
         n0=a1.zero.size, n_plus=a1.pos.size, n10=a11.zero.size, n1_plus=a11.pos.size
     )

@@ -18,11 +18,13 @@ rates (``build_reduction_data``).  Every matrix of the chain is real;
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AssumptionViolated, GkcFailed, NearImaginaryEigenvalue
+from .errors import AssumptionViolated, GkcFailed, NearImaginaryEigenvalue, RelaxbcError
 # stable_basis_real is not called here; perfbench/spans.py wraps it by this name
 from .linalg import (
     full_rank_cond,
@@ -30,10 +32,10 @@ from .linalg import (
     split_invariant_subspaces,
     stable_basis_real,
 )
-from .model import RelaxationSystem, compute_indices, split_speeds
+from .model import RelaxationSystem, compute_indices
 from .spectral import (
-    KernelFrame, SamplingSpec, map_chunks, require_real, sample_minimum, symbol_stack,
-    xi_omega_directions,
+    GkcReport, KernelFrame, SamplingSpec, build_kernel_frame, check_gkc, map_chunks,
+    require_real, sample_minimum, symbol_stack, xi_omega_directions,
 )
 from .tolerances import B_O_ENTRY_ABS, C_THRESHOLD, spectral_norm, tau_axis
 
@@ -108,8 +110,8 @@ class ClosureSolve:
 
 
 def build_equilibrium_frame(sys: RelaxationSystem) -> EquilibriumFrame:
-    """The frame of A11 from its speed split (``model.split_speeds``)."""
-    speeds = split_speeds(sys)[1]
+    """The frame of A11 from its speed split (``sys.speeds``)."""
+    speeds = sys.speeds[1]
     nonzero = np.concatenate([speeds.neg, speeds.pos])
     return EquilibriumFrame(
         P1=speeds.V[:, nonzero], P0=speeds.kernel, Lam1=speeds.w[nonzero]
@@ -257,6 +259,31 @@ def eta_inf_ratios(
         basis=lambda V_s: _limit_basis(sys, frame, eq, data, V_s),
     )
     return vals, split
+
+
+def eta_inf_minimum(
+    sys: RelaxationSystem,
+    frame: KernelFrame,
+    limit: tuple[EquilibriumFrame, ReductionData] | RelaxbcError,
+    spec: SamplingSpec,
+) -> tuple[float | None, np.ndarray | None, int, str | None]:
+    """The eta = infinity sample of ``check_gkc``: ``(minimum, argmin,
+    skipped, error)`` of ``eta_inf_ratios`` over ``xi_omega_directions``,
+    ``argmin`` the row (Re xi, Im xi, omega..., inf) of the first direction
+    attaining the minimum.  Both are None and ``error`` says why when
+    ``limit`` (``Pipeline.limit``) is the error that stopped the limit, or
+    when every direction was skipped for an eigenvalue near the axis."""
+    if isinstance(limit, RelaxbcError):
+        return None, None, 0, f"{type(limit).__name__}: {limit}"
+    units = xi_omega_directions(sys.d, spec)
+    vals, split = eta_inf_ratios(sys, frame, *limit, units)
+    kept, _, best, row = sample_minimum(units, vals)
+    skipped = len(units) - len(kept)
+    log.debug("gkc eta = inf: %d directions, %d skipped, %d sign-split, minimum %.6g",
+              len(units), skipped, split, best)
+    if row is None:
+        return None, None, skipped, "every eta = inf direction was skipped"
+    return best, np.append(row, math.inf), skipped, None
 
 
 def ukc_ratios(
@@ -414,29 +441,61 @@ def solve_closure(
 
 @dataclass
 class Pipeline:
-    """All derived objects for one system, in dependency order."""
+    """The derivation chain of one system from its kernel frame, each stage
+    built on first read and kept: ``limit`` (``eq``, ``data``), ``gkc``,
+    ``rbc``, ``closure``.  Raises AssumptionViolated, as ``check_gkc`` does,
+    unless A, Q, B and the kernel frame are real."""
 
     sys: RelaxationSystem
     frame: KernelFrame
-    eq: EquilibriumFrame
-    data: ReductionData
-    rbc: ReducedBC
-    closure: ClosureSolve
+    spec: SamplingSpec
+
+    def __post_init__(self):
+        require_real(self.sys, self.frame)
+
+    @cached_property
+    def limit(self) -> tuple[EquilibriumFrame, ReductionData] | RelaxbcError:
+        """``(eq, data)``, or the error that stopped them: the GKC verdict
+        reports it, and ``eq`` and ``data`` raise it."""
+        try:
+            eq = build_equilibrium_frame(self.sys)
+            return eq, build_reduction_data(self.sys, self.frame, eq)
+        except RelaxbcError as exc:
+            return exc
+
+    def _limit(self) -> tuple[EquilibriumFrame, ReductionData]:
+        if isinstance(self.limit, RelaxbcError):
+            raise self.limit
+        return self.limit
+
+    @property
+    def eq(self) -> EquilibriumFrame:
+        return self._limit()[0]
+
+    @property
+    def data(self) -> ReductionData:
+        return self._limit()[1]
+
+    @cached_property
+    def gkc(self) -> GkcReport:
+        eta_inf = eta_inf_minimum(self.sys, self.frame, self.limit, self.spec)
+        return check_gkc(self.sys, self.frame, self.spec, eta_inf)
+
+    @cached_property
+    def rbc(self) -> ReducedBC:
+        return derive_reduced_bc(self.sys, self.frame, self.eq, self.data, spec=self.spec)
+
+    @cached_property
+    def closure(self) -> ClosureSolve:
+        return build_closure(self.sys, self.frame, self.eq, self.data, self.rbc)
 
 
 def derive_all(sys: RelaxationSystem, spec: SamplingSpec | None = None) -> Pipeline:
-    """Run the kernel frame -> reduction -> reduced BC -> closure chain.
-    Raises AssumptionViolated, as ``check_gkc`` does, unless A, Q, B and the
-    kernel frame are real."""
-    from .spectral import build_kernel_frame
-
-    frame = build_kernel_frame(sys)
-    require_real(sys, frame)
-    eq = build_equilibrium_frame(sys)
-    data = build_reduction_data(sys, frame, eq)
-    rbc = derive_reduced_bc(sys, frame, eq, data, spec=spec)
-    closure = build_closure(sys, frame, eq, data, rbc)
-    return Pipeline(sys=sys, frame=frame, eq=eq, data=data, rbc=rbc, closure=closure)
+    """The ``Pipeline`` of ``sys`` in its kernel frame, built through the
+    closure: raises what a stage raises."""
+    pipeline = Pipeline(sys, build_kernel_frame(sys), spec or SamplingSpec())
+    pipeline.closure  # builds every stage it rests on
+    return pipeline
 
 
 def render_reduced_bc(sys: RelaxationSystem, rbc: ReducedBC) -> str:
@@ -480,6 +539,7 @@ __all__ = [
     "build_reduction_data",
     "limit_stable_matrix",
     "eta_inf_ratios",
+    "eta_inf_minimum",
     "ukc_ratios",
     "derive_reduced_bc",
     "build_closure",

@@ -44,16 +44,9 @@ from .layers import (
     solve_sqrt_eps_layer,
 )
 from .linalg import full_rank_cond
-from .model import RelaxationSystem, compute_indices, split_speeds
-from .reduction import (
-    ClosureSolve,
-    EquilibriumFrame,
-    ReducedBC,
-    ReductionData,
-    solve_closure,
-)
+from .model import RelaxationSystem, compute_indices
+from .reduction import ClosureSolve, EquilibriumFrame, Pipeline, ReducedBC, solve_closure
 from .pool import thread_map, workers
-from .spectral import KernelFrame
 from .stepping import csr_product, cycle_operator, step_operator, time_levels
 from .tolerances import (
     BOUNDARY_SINGULAR_REL,
@@ -221,7 +214,7 @@ def solve_relaxation(
     Courant number rho 2^K dt / c on the bulk cell c.
     """
     n = sys.n
-    speeds = split_speeds(sys)[0]
+    speeds = sys.speeds[0]
     lam, R, pos, neg = speeds.w, speeds.V, speeds.pos, speeds.neg
     rest = np.concatenate([neg, speeds.zero])
 
@@ -519,21 +512,17 @@ def composite_at_final_time(
 
 
 def run_convergence_study(
-    sys: RelaxationSystem,
-    frame: KernelFrame,
-    eq: EquilibriumFrame,
-    data: ReductionData,
-    rbc: ReducedBC,
-    closure: ClosureSolve,
+    pipeline: Pipeline,
     scenario: Scenario,
     eps_list=(1e-2, 3e-3, 1e-3, 3e-4),
     dx_max: float = 5e-4,
 ) -> ConvergenceStudy:
-    """Measure ||U^eps - U_eps||_{L2} at t = T for each eps and fit the decay
-    slope, and repeat it against the naive-closure equilibrium solution as a
-    negative control (its error should plateau) whenever the control is
-    applicable (``control_applicable``).  Raises ConfigError, before any
-    run, unless ``eps_list`` holds two distinct values.
+    """Measure ||U^eps - U_eps||_{L2} at t = T for each eps, U_eps the
+    composite expansion that ``pipeline`` derives through its closure, and
+    fit the decay slope, and repeat it against the naive-closure equilibrium
+    solution as a negative control (its error should plateau) whenever the
+    control is applicable (``control_applicable``).  Raises ConfigError,
+    before any run, unless ``eps_list`` holds two distinct values.
 
     ``dx_max`` is the largest cell of the stiff solver's graded mesh.  The
     layers of each equilibrium solution come from its exact boundary trace
@@ -557,8 +546,9 @@ def run_convergence_study(
     ``solve_relaxation``, written from the worker threads, may interleave.
     """
     check_epsilons(eps_list)
+    sys, eq, rbc, closure = pipeline.sys, pipeline.eq, pipeline.rbc, pipeline.closure
     idx = compute_indices(sys)
-    layer0 = build_eps_layer(sys, frame, data)
+    layer0 = build_eps_layer(sys, pipeline.frame, pipeline.data)
 
     def layers_for(rhs):
         trace = equilibrium_trace(eq, rbc, scenario, rhs)

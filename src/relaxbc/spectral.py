@@ -21,22 +21,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolated,
-    ConfigError,
-    RelaxbcError,
-    SpectralCountMismatch,
-    ValidationFailed,
-)
+from .errors import AssumptionViolated, ConfigError, SpectralCountMismatch, ValidationFailed
 # split_invariant_subspaces is not called here; perfbench/spans.py wraps it by
 # this name
-from .linalg import (
-    full_rank_cond,
-    orthonormal_complement,
-    split_invariant_subspaces,
-    stable_eigvecs,
-)
-from .model import RelaxationSystem, split_speeds
+from .linalg import orthonormal_complement, split_invariant_subspaces, stable_eigvecs
+from .model import RelaxationSystem, check_sk_condition
 from .pool import thread_map
 from .tolerances import C_THRESHOLD, REFINE_MARGIN
 
@@ -153,24 +142,22 @@ def build_kernel_frame(sys: RelaxationSystem) -> KernelFrame:
     """Construct the kernel frame with the structured choice of R1.
 
     Requires the Shizuta-Kawashima-like condition (the lower block R02 of the
-    kernel basis must have full column rank); raises ValidationFailed
-    otherwise.  With n0 = 0 the frame degenerates to R1 = I, A1_hat = A1,
-    S_hat = S.
+    kernel basis must have full column rank, ``model.check_sk_condition``);
+    raises ValidationFailed otherwise.  With n0 = 0 the frame degenerates to
+    R1 = I, A1_hat = A1, S_hat = S.
     """
-    n, r = sys.n, sys.r
-    A1, Q, S = sys.A1, sys.Q, sys.S
-    R0 = split_speeds(sys)[0].kernel
+    if not check_sk_condition(sys):
+        raise ValidationFailed("lower block R02 of the kernel basis is rank-deficient")
+    n, r, S = sys.n, sys.r, sys.S
+    R0 = sys.speeds[0].kernel
     n0 = R0.shape[1]
     R02 = R0[n - r :, :]
-    full_rank_cond(R02, ValidationFailed(
-        "lower block R02 of the kernel basis is rank-deficient"
-    ))
     R02_perp = orthonormal_complement(R02)  # r x (r - n0)
     R1 = np.zeros((n, (n - r) + R02_perp.shape[1]))
     R1[: n - r, : n - r] = np.eye(n - r)
     R1[n - r :, n - r :] = R02_perp
 
-    A1_hat = R1.T @ A1 @ R1
+    A1_hat = R1.T @ sys.A1 @ R1
     core = np.linalg.solve(R02.T @ S @ R02, R02.T @ S)
     S_hat = R02_perp.T @ (S - S @ R02 @ core) @ R02_perp
     Q_hat = np.zeros((n - n0, n - n0))
@@ -498,16 +485,16 @@ def require_real(sys: RelaxationSystem, frame: KernelFrame) -> None:
 
 
 def check_gkc(
-    sys: RelaxationSystem,
-    frame: KernelFrame,
-    spec: SamplingSpec | None = None,
+    sys: RelaxationSystem, frame: KernelFrame, spec: SamplingSpec, eta_inf: tuple | None = None
 ) -> GkcReport:
     """Sample the GKC ratio over the compactified parameter hemisphere.
 
     By homogeneity the ratio depends only on the direction of
     (Re xi, Im xi, omega, eta), so the unbounded quantifier reduces to the
-    unit hemisphere plus the eta = infinity limit point (evaluated through
-    the large-eta limit matrix).  For real A, Q and B the ratio is equal at
+    unit hemisphere plus the eta = infinity limit point, which the caller
+    samples through the large-eta limit matrix: ``eta_inf`` is
+    ``reduction.eta_inf_minimum``, and without it the check fails, its
+    ``eta_inf_error`` saying so.  For real A, Q and B the ratio is equal at
     (xi, omega, eta) and (conj xi, -omega, eta), so the hemisphere grid, and
     the report, list one member of each conjugate pair (see ``directions``);
     AssumptionViolated is raised when a matrix is not real.  If the minimum
@@ -517,7 +504,6 @@ def check_gkc(
     when a grid, refinement or eta = infinity direction was skipped for an
     eigenvalue near the imaginary axis.
     """
-    spec = spec or SamplingSpec()
     require_real(sys, frame)
     units, tensor = _directions(sys.d + 2, spec)
     vals, failures, split = gkc_ratios(sys, frame, units)
@@ -528,7 +514,7 @@ def check_gkc(
               len(units), len(failures), split, best)
 
     eta_inf_min, eta_inf_point, eta_inf_skipped, eta_inf_error = (
-        _eta_infinity_min_ratio(sys, frame, spec)
+        eta_inf or (None, None, 0, "the eta = inf limit was not sampled")
     )
     if eta_inf_min is not None and eta_inf_min < best:
         best, best_point = eta_inf_min, eta_inf_point
@@ -610,38 +596,6 @@ def _refine_minimum(sys, frame, spec, best, best_point):
     if val < best:
         best, best_point = val, point
     return best, best_point, _subthreshold(points, values), failures
-
-
-def _eta_infinity_min_ratio(
-    sys, frame, spec
-) -> tuple[float | None, np.ndarray | None, int, str | None]:
-    """Min of the limit ratio |det(B R1 R_M^S(xi, omega, inf))| / sqrt(det(.))
-    over the (xi, omega) hemisphere, via the large-eta limit matrix.
-
-    Returns ``(minimum, argmin, skipped, error)``, ``argmin`` the row
-    (Re xi, Im xi, omega..., inf) of the first direction attaining the
-    minimum.
-    The minimum and argmin are None and ``error`` says why when the limit
-    cannot be formed for this system, or when every direction was skipped
-    for an eigenvalue near the imaginary axis.
-    """
-    from . import reduction  # local import: reduction builds on this module
-
-    try:
-        eq = reduction.build_equilibrium_frame(sys)
-        data = reduction.build_reduction_data(sys, frame, eq)
-    except RelaxbcError as exc:
-        return None, None, 0, f"{type(exc).__name__}: {exc}"
-
-    units = xi_omega_directions(sys.d, spec)
-    vals, split = reduction.eta_inf_ratios(sys, frame, eq, data, units)
-    kept, _, best, row = sample_minimum(units, vals)
-    skipped = len(units) - len(kept)
-    log.debug("gkc eta = inf: %d directions, %d skipped, %d sign-split, minimum %.6g",
-              len(units), skipped, split, best)
-    if row is None:
-        return None, None, skipped, "every eta = inf direction was skipped"
-    return best, np.append(row, math.inf), skipped, None
 
 
 __all__ = [

@@ -16,7 +16,7 @@ from diagnostics import (
 from relaxbc import cli, fixtures
 from relaxbc.model import compute_indices
 from relaxbc.sim import run_convergence_study
-from relaxbc.spectral import SamplingSpec, build_kernel_frame, check_gkc
+from relaxbc.spectral import SamplingSpec, build_kernel_frame
 
 
 def _read(path):
@@ -128,11 +128,10 @@ def test_reduced_bc_certificates_on_gkc_passing_fixtures(random_bundles):
     reduced condition annihilates the layer modes (B_o (Y2 Y3) = 0) and the
     zero-speed directions (B_o B_u P0 = 0) to 1e-10, with a uniform
     certificate margin above 1e-6."""
-    spec = SamplingSpec(resolution=8, rim_points=0)
     checked = 0
     for bundle in random_bundles:
-        report = check_gkc(bundle.sys, bundle.frame, spec)
-        if not report.passed:
+        # the bundle's own spec: resolution 8, no rim points
+        if not bundle.gkc.passed:
             continue
         assert bundle.rbc.annihilation_residual <= 1e-10
         assert bundle.rbc.p0_residual <= 1e-10
@@ -148,8 +147,7 @@ def test_convergence_slope_and_negative_control(pipe2x2):
     scen = fixtures.example_scenario(T=0.5, x_max=2.0)
     t0 = time.perf_counter()
     study = run_convergence_study(
-        pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
-        pipe2x2.rbc, pipe2x2.closure, scen,
+        pipe2x2, scen,
         eps_list=(1e-2, 3e-3, 1e-3, 3e-4),
     )
     elapsed = time.perf_counter() - t0

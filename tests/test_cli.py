@@ -162,12 +162,12 @@ class TestGkcCsv:
         assert b"-0.0" in path.read_bytes() and b"-inf" in path.read_bytes()
 
     def test_cli_csv_in_small_blocks_is_the_report(self, sys2x2_file, tmp_path, monkeypatch):
-        from relaxbc.spectral import SamplingSpec, build_kernel_frame, check_gkc
+        from relaxbc.reduction import derive_all
+        from relaxbc.spectral import SamplingSpec
 
         monkeypatch.setattr(cli, "CSV_BLOCK", 5)
-        sys_obj = fixtures.example_system()
-        report = check_gkc(sys_obj, build_kernel_frame(sys_obj),
-                           SamplingSpec(resolution=8, rim_points=4))
+        report = derive_all(fixtures.example_system(),
+                            SamplingSpec(resolution=8, rim_points=4)).gkc
         assert _run(["gkc", sys2x2_file, "--out", str(tmp_path),
                      "--resolution", "8", "--rim-points", "4"]) == 0
         want = self._csv_writer_bytes(
@@ -175,11 +175,11 @@ class TestGkcCsv:
         assert (tmp_path / "gkc_samples.csv").read_bytes() == want
 
     def test_cli_csv_is_the_report(self, sys2x2_file, tmp_path):
-        from relaxbc.spectral import SamplingSpec, build_kernel_frame, check_gkc
+        from relaxbc.reduction import derive_all
+        from relaxbc.spectral import SamplingSpec
 
-        sys_obj = fixtures.example_system()
-        report = check_gkc(sys_obj, build_kernel_frame(sys_obj),
-                           SamplingSpec(resolution=8, rim_points=4))
+        report = derive_all(fixtures.example_system(),
+                            SamplingSpec(resolution=8, rim_points=4)).gkc
         assert list(report.ratios) == list(zip(
             map(tuple, report.points.tolist()), report.values.tolist()))
         assert len(report.ratios) == report.samples == len(report.points)
@@ -685,6 +685,8 @@ def test_every_command_leaves_scipy_linalg_and_special_out(sys2x2_file, scen2x2_
     {"boundary": [1, {"kind": "cos"}]},
     {"u0": [[0.5]]},
     {"epsilons": 5},
+    {"boundary": [{"kind": ["sin"]}, {"kind": "cos"}]},
+    {"u0": [{"kind": ["bump"]}]},
 ])
 def test_malformed_scenario_is_config_error(
     overrides, sys2x2_file, scen2x2_file, tmp_path, capsys
@@ -812,7 +814,7 @@ _SK_SCENARIO = {
     pytest.param(_dims(P=[[1.0, 0.0], [0.0, 0.0]]), "the splitting matrix P is singular",
                  ["gkc", "reduce", "simulate", "converge"], id="P-singular"),
     pytest.param(_sk_violation, "lower block R02 of the kernel basis is rank-deficient",
-                 ["gkc", "reduce", "converge"], id="sk-like"),
+                 ["gkc", "reduce", "simulate", "converge"], id="sk-like"),
 ])
 def test_failed_validation_exits_1_from_every_command(
     edit, reason, commands, scen2x2_file, tmp_path, capsys
@@ -850,6 +852,26 @@ def test_failed_validation_exits_1_from_every_command(
         assert report["error"].startswith(reason)
 
 
+def test_sk_verdict_is_one_rule_in_validate_and_gkc(tmp_path, capsys):
+    # ker A1 = span(k), k = (1, 3e-5, 0) / |k|, S = -I: sigma(R02) = 3e-5 holds
+    # the SK-like condition, while sigma(R0^T Q R0) = 9e-10 failed validate
+    # alone under a rule of its own; the speeds 1 and -1 take eigenvectors
+    # turned by 0.5 rad in the complement of k, where the GKC holds
+    s, c, t = 3e-5, np.cos(0.5), np.sin(0.5)
+    k, a = np.array([[1.0, s, 0.0], [-s, 1.0, 0.0]]) / np.hypot(1.0, s)
+    e3 = np.eye(3)[2]
+    V = np.column_stack([k, c * a + t * e3, c * e3 - t * a])
+    doc = {"d": 1, "n": 3, "r": 2, "A": [(V @ np.diag([0.0, 1.0, -1.0]) @ V.T).tolist()],
+           "S": (-np.eye(2)).tolist(), "B": [V[:, 1].tolist()]}
+    path = tmp_path / "sk_edge.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    assert _run(["validate", str(path), "--out", out]) == 0
+    assert _read(tmp_path / "out" / "validate.json")["checks"] == {"sk_like": True}
+    assert _run(["gkc", str(path), "--out", out, "--resolution", "8"]) == 0
+    assert "validation FAILED" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, spec, key", [
     ("boundary", {"kind": "sin", "amplitude": "loud"}, "amplitude"),
     ("boundary", {"kind": "cos", "frequency": float("nan")}, "frequency"),
@@ -858,12 +880,15 @@ def test_failed_validation_exits_1_from_every_command(
     ("u0", {"kind": "gauss_ramp", "width": 0.0}, "width"),
     ("u0", {"kind": "bump", "center": "left"}, "center"),
     ("u0", {"kind": "bump", "width": float("nan")}, "width"),
+    ("boundary", {"kind": "sin", "amplitude": True}, "amplitude"),
+    ("u0", {"kind": "bump", "width": True}, "width"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "converge"])
 def test_bad_waveform_or_profile_number_is_config_error(
     command, field, spec, key, sys2x2_file, scen2x2_file, tmp_path, capsys
 ):
-    # a word died in float() with a traceback; NaN or inf ran on NaN data
+    # a word died in float() with a traceback; NaN or inf ran on NaN data; a
+    # bool ran as 1.0
     with open(scen2x2_file) as fh:
         doc = json.load(fh)
     doc[field][0] = spec
@@ -908,14 +933,16 @@ GKC_FAILING = {
 @pytest.fixture
 def gkc_calls(monkeypatch):
     """The specs of every check_gkc call the CLI makes."""
+    from relaxbc import reduction
+
     calls = []
-    sample = cli.check_gkc
+    sample = reduction.check_gkc
 
-    def counted(sys_obj, frame, spec=None):
+    def counted(sys_obj, frame, spec, eta_inf):
         calls.append(spec)
-        return sample(sys_obj, frame, spec=spec)
+        return sample(sys_obj, frame, spec, eta_inf)
 
-    monkeypatch.setattr(cli, "check_gkc", counted)
+    monkeypatch.setattr(reduction, "check_gkc", counted)
     return calls
 
 
@@ -1029,6 +1056,72 @@ class TestGkcReuse:
         assert not [r for r in caplog.records if "not reused" in r.getMessage()]
 
 
+#: the stage functions a command runs at most once, by defining module: those
+#: of _PER_OBJECT once per object they take (a parsed file, a raw or a
+#: canonical system), the rest once per command
+_PER_OBJECT = ("raw_system_from_dict", "validate_structural_stability", "split_speeds")
+_STAGES = {
+    "model": _PER_OBJECT,
+    "spectral": ("build_kernel_frame", "check_gkc"),
+    "reduction": ("build_equilibrium_frame", "build_reduction_data",
+                  "derive_reduced_bc", "build_closure"),
+}
+
+
+def test_each_command_runs_each_stage_once(sys3, tmp_path, monkeypatch):
+    """Every command runs a prefix of one chain, each stage once: counted
+    through the stage functions under every module name a caller looks
+    them up by, on the 3x3 fixture at resolution 8, with reduce both
+    reusing gkc.json and sampling afresh."""
+    import importlib
+    from collections import Counter
+
+    modules = [importlib.import_module(f"relaxbc.{name}") for name in
+               ("cli", "model", "spectral", "reduction", "layers", "sim")]
+    calls = {}
+    for home, names in _STAGES.items():
+        for name in names:
+            fn = getattr(importlib.import_module(f"relaxbc.{home}"), name)
+
+            def counted(first, *args, _fn=fn, _name=name, **kwargs):
+                calls.setdefault(_name, []).append(first)
+                return _fn(first, *args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+
+    system = tmp_path / "sys3.json"
+    system.write_text(json.dumps(system_to_dict(sys3)))
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps({
+        "boundary": [{"kind": "sin"}], "u0": [{"kind": "bump"}] * (sys3.n - sys3.r),
+        "T": 0.5, "epsilons": [1e-2, 3e-3], "grid": {"dx_max": 2e-3},
+    }))
+    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+    sampling = ["--resolution", "8"]
+    runs = {
+        "validate": ["validate", str(system), "--out", out],
+        "gkc": ["gkc", str(system), "--out", out] + sampling,
+        "reduce reusing gkc.json": ["reduce", str(system), "--out", out] + sampling,
+        "reduce sampling afresh": ["reduce", str(system), "--out", fresh] + sampling,
+        "simulate": ["simulate", str(system), "--out", out, "--scenario", str(scenario),
+                     "--eps", "1e-2", "--dx-max", "2e-3"],
+        "converge": ["converge", str(system), "--out", fresh, "--scenario", str(scenario)]
+                    + sampling,
+    }
+    counts = {}
+    for command, argv in runs.items():
+        calls.clear()
+        assert _run(argv) == 0, command
+        for name, firsts in calls.items():
+            per = Counter(map(id, firsts)) if name in _PER_OBJECT else {"": len(firsts)}
+            counts[command, name] = max(per.values())
+    assert {key: n for key, n in counts.items() if n > 1} == {}
+    assert counts["reduce sampling afresh", "check_gkc"] == 1
+    assert ("reduce reusing gkc.json", "check_gkc") not in counts
+
+
 def test_gkc_report_survives_a_json_round_trip(monkeypatch):
     """A reused verdict is gkc.json read back, so it equals the fresh report
     only if to_dict() survives JSON unchanged: on the worked examples, a
@@ -1039,12 +1132,13 @@ def test_gkc_report_survives_a_json_round_trip(monkeypatch):
     from relaxbc import reduction
     from relaxbc.errors import AssumptionViolated
     from relaxbc.model import system_from_dict
-    from relaxbc.spectral import SamplingSpec, build_kernel_frame, check_gkc
+    from relaxbc.reduction import Pipeline
+    from relaxbc.spectral import SamplingSpec, build_kernel_frame
 
     spec = SamplingSpec(resolution=6, rim_points=8)
 
     def sample(sys_obj):
-        return check_gkc(sys_obj, build_kernel_frame(sys_obj), spec)
+        return Pipeline(sys_obj, build_kernel_frame(sys_obj), spec).gkc
 
     reports = {
         "example": sample(fixtures.example_system()),

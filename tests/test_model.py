@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxbc.errors import ParseError, ValidationFailed
-from relaxbc.fixtures import example_system, random_system
+from relaxbc.fixtures import double_characteristic_system, example_system, random_system
 from relaxbc.model import (
     RawSystem,
     RelaxationSystem,
@@ -127,13 +127,24 @@ class TestSkCondition:
         (0.5, 2.0, True), (0.5, 0.5, False), (10.0, 2.0, True), (10.0, 0.5, False),
     ])
     def test_threshold_is_the_rank_rule(self, big, factor, holds):
-        # R0^T Q R0 = diag(-big, -small) on ker(A1) = span(e2, e3): the rank
-        # rule of linalg.full_rank_cond fails it once small <= RANK_REL
-        # max(big, 1), whatever the size of the rest of Q
-        small = factor * RANK_REL * max(big, 1.0)
-        A1 = np.diag([1.0, 0.0, 0.0, -1.0])
-        Q = np.diag([0.0, -big, -small, -1e3])
-        assert check_sk_condition(_plain_system(A1, Q, np.eye(1, 4), r=3)) is holds
+        # ker(A1) = span(k), k = (1, small, 0, 0) / |k|: its lower block R02
+        # has the one singular value small / |k|, and the rank rule of
+        # linalg.full_rank_cond fails it once that is <= RANK_REL, whatever
+        # the size of Q = big diag(0, -I)
+        small = factor * RANK_REL
+        norm = np.hypot(1.0, small)
+        V = np.eye(4)
+        V[:2, :2] = np.array([[1.0, -small], [small, 1.0]]) / norm
+        A1 = V @ np.diag([0.0, 1.0, -1.0, -1.0]) @ V.T
+        Q = big * np.diag([0.0, -1.0, -1.0, -1.0])
+        assert check_sk_condition(_plain_system(A1, Q, V[:, 1:2].T, r=3)) is holds
+
+    def test_verdict_does_not_scale_with_q(self):
+        # the rank of R0^T Q R0 scaled with |Q|: at Q * 1e-9 it failed this
+        # fixture, whose R02 has singular value 0.88
+        sys_obj = double_characteristic_system(7)
+        scaled = dataclasses.replace(sys_obj, Q=sys_obj.Q * 1e-9)
+        assert check_sk_condition(sys_obj) and check_sk_condition(scaled)
 
 
 class TestIndices:

@@ -10,6 +10,7 @@ from oracles import dense_limit, dense_m1, dense_m2
 from relaxbc import fixtures
 from relaxbc.model import RelaxationSystem, compute_indices, system_from_dict
 from relaxbc.reduction import (
+    Pipeline,
     _layer_modes,
     _M1_stack,
     build_closure,
@@ -22,7 +23,7 @@ from relaxbc.reduction import (
     solve_closure,
 )
 from relaxbc.errors import AssumptionViolated, NearImaginaryEigenvalue
-from relaxbc.spectral import SamplingSpec, build_kernel_frame, check_gkc
+from relaxbc.spectral import SamplingSpec, build_kernel_frame
 
 
 def _plain(A1, Q, B, r, d=1, A_rest=()):
@@ -184,7 +185,7 @@ class TestReducedBC:
         assert pipe.eq.n10 == 1
         exact = derive_all(system(0.0))
         np.testing.assert_allclose(pipe.rbc.B_o, exact.rbc.B_o, rtol=0, atol=1e-8)
-        report = check_gkc(sys_obj, pipe.frame, SamplingSpec(resolution=12))
+        report = Pipeline(sys_obj, pipe.frame, SamplingSpec(resolution=12)).gkc
         assert report.passed, report.eta_inf_error
 
     def test_characteristic_fixture_annihilations(self, pipe3):

@@ -23,7 +23,7 @@ from relaxbc.fixtures import (
 )
 from relaxbc.linalg import stable_eigvecs
 from relaxbc.model import RawSystem, RelaxationSystem, canonicalize, compute_indices
-from relaxbc.reduction import derive_all, eta_inf_ratios, ukc_ratios
+from relaxbc.reduction import Pipeline, derive_all, eta_inf_ratios, ukc_ratios
 from relaxbc.spectral import (
     SOBOL_MAX_DIM,
     SamplingSpec,
@@ -289,7 +289,7 @@ def test_mirrored_check_gkc_matches_dense_oracle(random_bundles, zero_speed_bund
         picks.setdefault(b.sys.d, b)
     for b in [*picks.values(), zero_speed_bundle]:
         d = b.sys.d
-        report = check_gkc(b.sys, b.frame, spec)
+        report = Pipeline(b.sys, b.frame, spec).gkc
         rows = np.array([row for row, _ in report.ratios])
         assert report.failures == [] and len(rows) == len(directions(d + 2, spec))
         _close(np.array([v for _, v in report.ratios]), _scalar_gkc(b.sys, b.frame, rows))
@@ -362,7 +362,7 @@ class TestReportedGaps:
             raise AssumptionViolated("M2 has 0 stable eigenvalues, expected 1")
 
         monkeypatch.setattr(reduction, "build_reduction_data", refuse)
-        report = check_gkc(pipe2x2.sys, pipe2x2.frame, SPEC8)
+        report = Pipeline(pipe2x2.sys, pipe2x2.frame, SPEC8).gkc
         assert report.min_ratio > 0.5
         assert report.eta_inf_min_ratio is None
         assert report.eta_inf_error == (
@@ -380,7 +380,7 @@ class TestReportedGaps:
             reduction, "eta_inf_ratios",
             lambda sys_obj, frame, eq, data, units: (np.full(len(units), np.nan), 0),
         )
-        report = check_gkc(pipe2x2.sys, pipe2x2.frame, SPEC8)
+        report = Pipeline(pipe2x2.sys, pipe2x2.frame, SPEC8).gkc
         assert report.eta_inf_min_ratio is None
         assert report.eta_inf_skipped == len(xi_omega_directions(1, SPEC8))
         assert report.eta_inf_error is not None
@@ -390,7 +390,7 @@ class TestReportedGaps:
         # the first bundle of the rng-1234 pool (d = 3) takes its overall
         # minimum at eta = inf, away from (xi, omega) = (1, 0)
         b = random_admissible_bundle(np.random.default_rng(1234))
-        report = check_gkc(b.sys, b.frame, SPEC8)
+        report = Pipeline(b.sys, b.frame, SPEC8).gkc
         point = report.argmin_point
         assert math.isinf(point[-1])
         assert report.min_ratio == report.eta_inf_min_ratio
@@ -407,7 +407,7 @@ class TestReportedGaps:
         # members 4 (d = 3) and 9 (d = 1) of the pool take their minimum on
         # the grid, below the eta = inf minimum and above the refinement band
         for b in (random_bundles[4], random_bundles[9]):
-            report = check_gkc(b.sys, b.frame, SPEC8)
+            report = Pipeline(b.sys, b.frame, SPEC8).gkc
             assert report.min_ratio < report.eta_inf_min_ratio
             assert report.min_ratio >= spectral.REFINE_MARGIN * spectral.C_THRESHOLD
             first = np.flatnonzero(report.values == report.min_ratio)[0]
@@ -423,7 +423,7 @@ class TestReportedGaps:
         rim = int(np.sum(units[:, 0] < 1e-6))
         assert rim > 0
 
-        report = check_gkc(sys_obj, build_kernel_frame(sys_obj), spec)
+        report = Pipeline(sys_obj, build_kernel_frame(sys_obj), spec).gkc
         assert report.eta_inf_skipped == rim
         assert report.to_dict()["eta_inf_skipped"] == rim
         assert len(report.failures) > 0
@@ -475,7 +475,7 @@ class TestReportedGaps:
             spectral, "_refine_minimum",
             lambda s, f, sp, best, _: _refine_minimum(s, f, sp, best, corner),
         )
-        report = check_gkc(sys_obj, frame, spec)
+        report = Pipeline(sys_obj, frame, spec).gkc
         assert report.failures[-len(failures):] == failures
         assert report.samples + len(report.failures) == (
             len(directions(3, spec)) + len(failures)
@@ -500,7 +500,7 @@ class TestSignSplitCount:
         # omega = eta = 0 (GKC) and where omega = 0 (eta = inf and UKC)
         with caplog.at_level(logging.DEBUG, logger="relaxbc"):
             b = derive_all(repeated_speed_system(), SPEC8)
-            report = check_gkc(b.sys, b.frame, SPEC8)
+            report = Pipeline(b.sys, b.frame, SPEC8).gkc
         assert report.passed
         units, shared = directions(4, SPEC8), xi_omega_directions(2, SPEC8)
         vals, _, split = gkc_ratios(b.sys, b.frame, units)
@@ -524,7 +524,7 @@ class TestConjugateMirror:
 
     def test_debug_line_counts_the_half_grid(self, pipe2x2, caplog):
         with caplog.at_level(logging.DEBUG, logger="relaxbc.spectral"):
-            report = check_gkc(pipe2x2.sys, pipe2x2.frame, SPEC8)
+            report = Pipeline(pipe2x2.sys, pipe2x2.frame, SPEC8).gkc
         n = len(directions(3, SPEC8))
         assert report.samples == n
         assert f"gkc: {n} directions, 0 skipped, 0 sign-split, minimum " in caplog.text

@@ -945,8 +945,7 @@ class TestConvergenceStudy:
     def test_errors_decay_with_eps(self, pipe2x2):
         scen = fixtures.example_scenario()
         study = run_convergence_study(
-            pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
-            pipe2x2.rbc, pipe2x2.closure, scen,
+            pipe2x2, scen,
             eps_list=(1e-2, 3e-3),
             dx_max=2e-3,
         )
@@ -962,8 +961,7 @@ class TestConvergenceStudy:
 
         def study():
             return run_convergence_study(
-                pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
-                pipe2x2.rbc, pipe2x2.closure, scen,
+                pipe2x2, scen,
                 eps_list=(1e-2, 3e-3, 1e-3, 3e-4),
             )
 
@@ -999,8 +997,7 @@ class TestConvergenceStudy:
         )
         scen = fixtures.scenario_double_characteristic(pipe3.sys)
         study = run_convergence_study(
-            pipe3.sys, pipe3.frame, pipe3.eq, pipe3.data,
-            pipe3.rbc, pipe3.closure, scen,
+            pipe3, scen,
             eps_list=(1e-2, 3e-3, 1e-3),
             dx_max=2e-3,
         )
@@ -1026,8 +1023,7 @@ class TestConvergenceStudy:
         monkeypatch.setattr(sim, "solve_relaxation", relaxation)
         monkeypatch.setattr(sim, "solve_equilibrium", equilibrium)
         study = run_convergence_study(
-            pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
-            pipe2x2.rbc, pipe2x2.closure, fixtures.example_scenario(),
+            pipe2x2, fixtures.example_scenario(),
             eps_list=(1e-2, 3e-3), dx_max=2e-3,
         )
         assert study.control_applicable and len(meshes) == 2
@@ -1041,8 +1037,7 @@ class TestConvergenceStudy:
         assert not control_applicable(pipe3.sys, pipe3.rbc)
         scen = fixtures.scenario_double_characteristic(pipe3.sys)
         study = run_convergence_study(
-            pipe3.sys, pipe3.frame, pipe3.eq, pipe3.data,
-            pipe3.rbc, pipe3.closure, scen,
+            pipe3, scen,
             eps_list=(1e-2, 3e-3),
             dx_max=2e-3,
         )
@@ -1073,8 +1068,7 @@ class TestConvergenceStudy:
         monkeypatch.setattr(sim, "solve_relaxation", refuse)
         with pytest.raises(ConfigError, match="'epsilons' must hold at least two distinct"):
             run_convergence_study(
-                pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
-                pipe2x2.rbc, pipe2x2.closure, fixtures.example_scenario(),
+                pipe2x2, fixtures.example_scenario(),
                 eps_list=eps_list, dx_max=2e-3,
             )
 
@@ -1086,8 +1080,7 @@ class TestConvergenceStudy:
             x_max=1.0,
         )
         study = run_convergence_study(
-            pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data,
-            pipe2x2.rbc, pipe2x2.closure, scen,
+            pipe2x2, scen,
             eps_list=(1e-2, 3e-3),
             dx_max=2e-3,
         )
@@ -1126,8 +1119,7 @@ class TestPooledLadder:
             submitted.clear()
             monkeypatch.setattr(pool, "cpus", lambda: cpus)
             study = run_convergence_study(
-                pipe.sys, pipe.frame, pipe.eq, pipe.data, pipe.rbc,
-                pipe.closure, scen, eps_list=eps_list,
+                pipe, scen, eps_list=eps_list,
                 dx_max=2e-3,
             )
             return study, list(started), list(submitted)

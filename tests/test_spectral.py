@@ -13,11 +13,11 @@ from relaxbc import fixtures
 from relaxbc.errors import SpectralCountMismatch
 from relaxbc.fixtures import example_system
 from relaxbc.model import RelaxationSystem, compute_indices
+from relaxbc.reduction import Pipeline
 from relaxbc.spectral import (
     SamplingSpec,
     build_kernel_frame,
     build_M,
-    check_gkc,
     directions,
     gkc_ratio,
     gkc_ratios,
@@ -167,7 +167,7 @@ class TestGkcRatio:
 
 class TestCheckGkc:
     def test_worked_example_passes(self, pipe2x2):
-        report = check_gkc(pipe2x2.sys, pipe2x2.frame, SamplingSpec(resolution=8, rim_points=8))
+        report = Pipeline(pipe2x2.sys, pipe2x2.frame, SamplingSpec(resolution=8, rim_points=8)).gkc
         assert report.passed
         assert report.min_ratio > 0.5
         assert report.eta_inf_min_ratio is not None
@@ -179,7 +179,7 @@ class TestCheckGkc:
             B=np.array([[1.0, 0.0], [1.0, 1e-9]]),
             labels=(), transform=np.eye(2),
         )
-        report = check_gkc(bad, pipe2x2.frame, SamplingSpec(resolution=8, rim_points=0))
+        report = Pipeline(bad, pipe2x2.frame, SamplingSpec(resolution=8, rim_points=0)).gkc
         assert not report.passed
         assert report.argmin_point is not None
 
@@ -189,7 +189,7 @@ class TestCheckGkc:
         # per phi_1 of the tensor grid, toward Re xi -> 0, rim rows left out
         b = zero_speed_bundle
         spec = SamplingSpec(resolution=6, rim_points=8)
-        report = check_gkc(b.sys, b.frame, spec)
+        report = Pipeline(b.sys, b.frame, spec).gkc
         tensor = directions(b.sys.d + 2, replace(spec, rim_points=0))
         vals, _, _ = gkc_ratios(b.sys, b.frame, tensor)
         re_xi = np.cos(np.linspace(0.0, np.arccos(spec.delta), spec.resolution))
