@@ -45,7 +45,9 @@ from .model import (
 )
 from .reduction import Pipeline, render_reduced_bc
 from .spectral import SamplingSpec, build_kernel_frame
-from .sim import Scenario, check_epsilons, l2_error, run_convergence_study, solve_relaxation
+from .sim import (
+    Scenario, check_epsilons, check_work, l2_error, run_convergence_study, solve_relaxation,
+)
 # not called here; perfbench/spans.py wraps each by this name
 from .model import load_system, validate_structural_stability
 from .reduction import derive_all
@@ -510,6 +512,8 @@ def cmd_converge(args) -> int:
     dx_max = _finite_positive(
         "grid.dx_max", scen_doc.get("grid", {}).get("dx_max", 5e-4)
     )
+    for eps in eps_list:  # before the sample and the layers are built
+        check_work(sys_obj, scenario, eps, dx_max)
 
     pipeline = Pipeline(sys_obj, frame, _sampling_spec(args))
     gkc_passed, _ = _gkc_verdict(args, doc, pipeline)

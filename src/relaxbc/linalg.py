@@ -136,6 +136,13 @@ def stable_basis_real(M) -> np.ndarray:
     return Z * np.sign(Z[np.abs(Z).argmax(axis=0), np.arange(k)])
 
 
+def volume(L: np.ndarray) -> np.ndarray:
+    """vol(L) = sqrt(det(L^* L)) = |det R| for the QR factorisation L = Q R,
+    of each basis of a stack L (N, m, k)."""
+    R = np.linalg.qr(L, mode="r")
+    return np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
+
+
 def _inverse_iteration(M: np.ndarray, lam: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Unit eigenvectors (N, k, n_s) of a stack M (N, k, k) for its
     eigenvalues lam (N, n_s): INVERSE_STEPS steps of inverse iteration from
@@ -166,10 +173,10 @@ def stable_eigvecs(M: np.ndarray, n_s: int):
     """Bases of the stable invariant subspaces of a stack M (N, k, k) at
     points where that subspace has dimension n_s.
 
-    Returns ``(V_s, skipped, split)``.  The spectrum comes from one stacked
-    ``eigvals``.  V_s (N, k, n_s) holds the unit stable eigenvectors of M[i]
-    from ``_inverse_iteration`` on its stable eigenvalues where they can
-    stand in for a basis: M[i] has n_s stable eigenvalues, every eigenvalue
+    Returns ``(V_s, vol, skipped, split)`` with vol = ``volume(V_s)``.
+    The spectrum comes from one stacked ``eigvals``.  V_s (N, k, n_s) holds
+    the unit stable eigenvectors of M[i] from ``_inverse_iteration`` on its
+    stable eigenvalues where they can stand in for a basis: M[i] has n_s stable eigenvalues, every eigenvalue
     lies at least AXIS_MARGIN * tau_axis(||M[i]||_F) from the imaginary axis
     (checked at n_s = 0 too), each stable eigenvalue lies at least
     EIGVAL_GAP_REL * ||M[i]||_F from each unstable one, each vector's
@@ -179,8 +186,10 @@ def stable_eigvecs(M: np.ndarray, n_s: int):
     orthonormal basis ``split_invariant_subspaces(M[i])`` would return, from
     one stacked sign iteration over those rows; ``split`` lists them.  A
     ratio |det(X V_s)| / vol(V_s) does not depend on the basis, so neither
-    is orthonormalised.  Unless a LinAlgError sends the whole stack to the
-    sign split, a row's result depends on that row alone.
+    is orthonormalised: the eigenvector rows return the volumes of the
+    screen, and only the other rows are factored again.  Unless a
+    LinAlgError sends the whole stack to the sign split, a row's result
+    depends on that row alone.
 
     ``skipped`` maps each i whose axis guard raised NearImaginaryEigenvalue
     to that exception; its row of V_s is zero.  A fallback row with other
@@ -188,6 +197,7 @@ def stable_eigvecs(M: np.ndarray, n_s: int):
     """
     N, k = M.shape[:2]
     V_s, ok = np.zeros((N, k, n_s), dtype=complex), np.zeros(N, dtype=bool)
+    vol, screened = np.empty(N), np.zeros(N, dtype=bool)
     if k:
         try:
             w = np.linalg.eigvals(M)
@@ -210,10 +220,10 @@ def stable_eigvecs(M: np.ndarray, n_s: int):
                 lam, scale = w[live, :n_s], norms[live]
                 V = _inverse_iteration(A, lam, scale)
                 residual = np.linalg.norm(A @ V - V * lam[:, None, :], axis=1).max(axis=1)
-                R = np.linalg.qr(V, mode="r")
-                volume = np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
-                good = (residual <= EIGVEC_RESIDUAL_REL * scale) & (volume >= 1 / EIGVEC_COND_MAX)
-                V_s[live[good]] = V[good]
+                spanned = volume(V)
+                good = (residual <= EIGVEC_RESIDUAL_REL * scale) & (spanned >= 1 / EIGVEC_COND_MAX)
+                V_s[live[good]], vol[live[good]] = V[good], spanned[good]
+                screened[live[good]] = True
                 ok[live[~good]] = False
         except np.linalg.LinAlgError:
             ok[:] = False
@@ -236,7 +246,9 @@ def stable_eigvecs(M: np.ndarray, n_s: int):
             V_s[rows] = _stable_bases(M[rows], np.full(len(rows), n_s))[:, :, :n_s]
         except SignNotConverged as exc:
             raise SignNotConverged(str(exc), row=int(rows[exc.row])) from exc
-    return V_s, skipped, np.array(rows, dtype=int)
+    if not screened.all():
+        vol[~screened] = volume(V_s[~screened])
+    return V_s, vol, skipped, np.array(rows, dtype=int)
 
 
 def full_rank_cond(M, error: Exception, rel: float = RANK_REL) -> float:

@@ -5,8 +5,9 @@ one per CPU in the process's affinity mask, which ``taskset`` or a cgroup
 cpuset restricts; one item, or one CPU, starts no pool.  Results are gathered
 in item order, so a caller whose items do not depend on each other gets the
 same answer, bit for bit, on any number of CPUs.  Threads gain only while the
-work releases the GIL: numpy's stacked LAPACK calls and scipy's sparse
-product kernel do.
+work releases the GIL: numpy's stacked LAPACK calls and scipy's compiled
+sparse product kernel, which ``stepping`` calls without the ``scipy.sparse``
+package, do.
 """
 
 from __future__ import annotations

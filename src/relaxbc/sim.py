@@ -54,6 +54,8 @@ from .tolerances import (
     LAYER_CELLS_MIN,
     MESH_ROUNDOFF_REL,
     REFLECTION_TIME_FRAC,
+    STIFF_NODES_MAX,
+    STIFF_STEPS_MAX,
     TOUCHES_V_ABS,
 )
 
@@ -61,6 +63,9 @@ log = logging.getLogger(__name__)
 
 #: Courant number of the stiff step
 CFL = 0.9
+
+#: length ratio of neighbouring cells where the stiff mesh is graded
+GRADING = 1.05
 
 #: local-time-stepping cycles per block of the stiff time loop, which holds
 #: the block's boundary forcing and trace inputs
@@ -94,7 +99,7 @@ class SimResult:
     cycles: int | None = None  # local-time-stepping cycles of the stiff solver
 
 
-def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = 1.05):
+def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = GRADING):
     """Nodes on [0, x_max]: spacing grows geometrically from dx_min at the
     boundary to dx_max, then stays uniform; the last cell is clipped, and a
     remainder shorter than dx_min is merged into the cell before it, so no
@@ -138,6 +143,35 @@ def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = 1.05)
         xs[-1] = x_max
         return xs
     return np.append(xs, x_max)
+
+
+def check_work(sys: RelaxationSystem, scenario: Scenario, eps: float, dx_max: float) -> None:
+    """Raise ConfigError, naming the fields, unless the stiff run of
+    ``scenario`` at ``eps`` on cells of at most ``dx_max`` is estimated at
+    no more than STIFF_NODES_MAX mesh nodes and STIFF_STEPS_MAX finest time
+    steps, estimates past the float range included.  It allocates nothing.
+
+    The nodes are counted as ``graded_mesh`` bounds them, x_max / dx_max in
+    the bulk plus the cells that grow from dx_min = eps / 4; the finest
+    steps as T rho(A1) / (CFL dx_min), with the smallest cell as the base
+    cell, which ``time_levels`` may halve, doubling the count at most."""
+    rho = np.abs(sys.speeds[0].w).max(initial=0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dx_min = np.float64(eps) / 4.0
+        bulk = max(dx_max, dx_min)
+        grading = min(np.log(bulk / dx_min) / math.log(GRADING), scenario.x_max / dx_min)
+        nodes = scenario.x_max / bulk + grading
+        steps = scenario.T * rho / (CFL * dx_min)
+    if not nodes <= STIFF_NODES_MAX:
+        raise ConfigError(
+            f"x_max {scenario.x_max:g}, dx_max {dx_max:g} and eps {eps:g} (dx_min = "
+            f"eps / 4) ask for about {nodes:.3g} mesh nodes; the limit is {STIFF_NODES_MAX:,}"
+        )
+    if not steps <= STIFF_STEPS_MAX:
+        raise ConfigError(
+            f"T {scenario.T:g} and eps {eps:g} ask for about {steps:.3g} finest time "
+            f"steps; the limit is {STIFF_STEPS_MAX:,}"
+        )
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -213,6 +247,7 @@ def solve_relaxation(
     node-steps, cycles and nonzeros, the base cell h and the top level's
     Courant number rho 2^K dt / c on the bulk cell c.
     """
+    check_work(sys, scenario, eps, dx_max)
     n = sys.n
     speeds = sys.speeds[0]
     lam, R, pos, neg = speeds.w, speeds.V, speeds.pos, speeds.neg

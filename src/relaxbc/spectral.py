@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AssumptionViolated, ConfigError, SpectralCountMismatch, ValidationFailed
 # split_invariant_subspaces is not called here; perfbench/spans.py wraps it by
 # this name
-from .linalg import orthonormal_complement, split_invariant_subspaces, stable_eigvecs
+from .linalg import orthonormal_complement, split_invariant_subspaces, stable_eigvecs, volume
 from .model import RelaxationSystem, check_sk_condition
 from .pool import thread_map
 from .tolerances import C_THRESHOLD, REFINE_MARGIN
@@ -407,23 +407,22 @@ def _angles_to_unit(angles: np.ndarray, m: int) -> np.ndarray:
     return u
 
 
-def det_ratio(X: np.ndarray, L: np.ndarray) -> np.ndarray:
+def det_ratio(X: np.ndarray, L: np.ndarray, vol: np.ndarray | None = None) -> np.ndarray:
     """|det(X L)| / vol(L) for a stack L (N, m, k) of bases, with
-    vol(L) = sqrt(det(L^* L)) = |det R| for the QR factorisation L = Q R;
-    0 where vol(L) = 0."""
+    vol(L) = ``linalg.volume(L)`` unless given; 0 where vol(L) = 0."""
     num = np.abs(np.linalg.det(X @ L))
-    R = np.linalg.qr(L, mode="r")
-    vol = np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
+    if vol is None:
+        vol = volume(L)
     return np.divide(num, vol, out=np.zeros_like(num), where=vol > 0)
 
 
 def _map_chunk(part: np.ndarray, stack, X: np.ndarray, n_s: int, basis):
     """``map_chunks`` on the rows of one chunk: ``(ratios, skipped, split)``."""
     try:
-        V_s, skip, split = stable_eigvecs(stack(part), n_s)
+        V_s, vol, skip, split = stable_eigvecs(stack(part), n_s)
     except SpectralCountMismatch as exc:
         raise SpectralCountMismatch(f"{tuple(part[exc.row].tolist())}: {exc}") from exc
-    vals = det_ratio(X, V_s if basis is None else basis(V_s))
+    vals = det_ratio(X, V_s, vol) if basis is None else det_ratio(X, basis(V_s))
     vals[list(skip)] = math.nan
     return vals, [(part[i], exc) for i, exc in skip.items()], split.size
 

@@ -5,17 +5,103 @@ counted down from the bulk cell where that saves node updates; the sparse
 matrix of one step, assembled once over the whole mesh; and the affine map
 of one cycle of 2^K finest steps with its inflow solves and boundary traces,
 the step matrix with the cycle's products spliced into its rows near the
-boundary, which ``sim.solve_relaxation`` applies through ``csr_product``."""
+boundary, which ``sim.solve_relaxation`` applies through ``csr_product``.
+
+The sparse matrices are plain CSR arrays (``Csr``), and their products are
+scipy's compiled kernels ``csr_matvec`` and ``csr_matvecs``, the ones that
+``scipy.sparse.csr_matrix(...) @ x`` ends in, so the arithmetic is theirs.
+The kernels' extension module is loaded from its file under scipy's
+``sparse/`` directory, without importing the ``scipy.sparse`` package,
+whose import (0.13-0.20 s and about 15 MB, mostly the numpy submodules
+that its array-API layer loads) would otherwise be most of every command's
+start-up."""
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .tolerances import MESH_ROUNDOFF_REL
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, ``scipy.sparse._sparsetools``: the
+    module already imported, or else the extension file under scipy's
+    ``sparse/`` directory, loaded without running scipy's package code and
+    taken out of ``sys.modules`` again, so that a later ``import
+    scipy.sparse`` loads as it would have."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # locates the package, runs none of it
+    roots = scipy.submodule_search_locations if scipy else []
+    paths = [
+        os.path.join(root, "sparse", "_sparsetools" + suffix)
+        for root in roots
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        from importlib import metadata
+
+        try:
+            version = f"scipy {metadata.version('scipy')}"
+        except metadata.PackageNotFoundError:
+            version = "no scipy"
+        raise ImportError(f"{name} not found with {version}: looked for {paths}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules.pop(name, None)
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
+class Csr(NamedTuple):
+    """A sparse matrix in compressed sparse row form, as scipy's kernels read
+    it: the entries of row i are ``data[indptr[i]:indptr[i + 1]]``, in the
+    columns ``indices[indptr[i]:indptr[i + 1]]``, in stored order, and a
+    product sums each row in that order."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
+def _take_rows(A: Csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of the rows ``rows`` of ``A``, row by row and each row in
+    stored order: (position in ``rows``, column, value)."""
+    start = A.indptr[rows]
+    counts = A.indptr[rows + 1] - start
+    first = np.cumsum(counts) - counts
+    take = np.arange(counts.sum()) + np.repeat(start - first, counts)
+    return np.repeat(np.arange(rows.size), counts), A.indices[take], A.data[take]
+
+
+def _matvecs(A: Csr, X: np.ndarray) -> np.ndarray:
+    """A X for a C-contiguous float64 X, by the kernel and the zeroed output
+    of scipy's ``csr_matrix(...) @ X``, so bit for bit that product."""
+    out = np.zeros((A.shape[0], X.shape[1]))
+    _sparsetools.csr_matvecs(
+        *A.shape, X.shape[1], A.indptr, A.indices, A.data,
+        X.ravel(), out.ravel(),
+    )
+    return out
 
 
 def time_levels(dx: np.ndarray) -> tuple[np.ndarray, float]:
@@ -97,25 +183,48 @@ def step_operator(lam, R, pos, neg, dx, dt, level, E, r):
     data = (P[level][:, :, None, :] * w[:, None])[keep]
     indices = np.broadcast_to(cols[:, None], keep.shape)[keep]
     indptr = np.insert(np.cumsum(np.repeat(used.sum(axis=(1, 2)), n), dtype=np.int32), 0, 0)
-    return sp.csr_matrix((data, indices, indptr), shape=(nx * n, nx * n))
+    return Csr(data, indices, indptr, (nx * n, nx * n))
 
 
-def csr_product(C, x: np.ndarray, out: np.ndarray):
+def csr_product(C: Csr, x: np.ndarray, out: np.ndarray):
     """The product with a CSR matrix C of float64 entries from the vector
     ``x`` into the vector ``out``, as a function ``apply()`` that writes
     C x into ``out`` and returns ``out``.
 
-    ``apply`` calls scipy's ``_sparsetools.csr_matvec``, the kernel that
-    ``C @ x`` ends in, so its result is that of ``C @ x`` bit for bit.  The
-    stiff time loop takes one product per cycle, and on the cycle matrices
-    of a convergence study (1,600 to 12,000 rows) the argument checks,
-    dispatch and output allocation of ``@`` add 7-30% to the product.  The
-    kernel is private scipy and reads no shapes, so C, ``x`` and ``out`` are
-    checked here, once: a loop that alternates two state buffers binds one
-    ``apply`` each way.  A test pins the kernel against ``C @ x``."""
-    if C.format != "csr" or C.dtype != np.float64:
-        raise TypeError(f"expected a float64 CSR matrix, got {C.format} {C.dtype}")
+    ``apply`` calls scipy's compiled ``csr_matvec``, the kernel that
+    ``scipy.sparse.csr_matrix(...) @ x`` ends in, so its result is that
+    product's bit for bit.  The stiff time loop takes one product per
+    cycle, and on the cycle matrices of a convergence study (1,600 to 12,000
+    rows) the argument checks, dispatch and output allocation of ``@`` add
+    7-30% to the product.  The kernel is private scipy and checks nothing:
+    it reads the index arrays as given, converts an argument of another
+    dtype to a copy (so a converted ``out`` would be written and lost), and
+    reads and writes out of bounds wherever indptr or indices point past
+    their arrays.  So C, ``x`` and ``out`` are checked here, once, as
+    scipy's constructor and ``@`` checked them, and C's offsets and column
+    indices are bounded too: a loop that alternates two state buffers binds
+    one ``apply`` each way.  A test pins the kernel against scipy's
+    product."""
     m, k = C.shape
+    if C.data.dtype != np.float64:
+        raise TypeError(f"expected float64 entries, got {C.data.dtype}")
+    if C.indices.dtype != C.indptr.dtype or C.indptr.dtype not in (np.int32, np.int64):
+        raise TypeError(
+            f"indices ({C.indices.dtype}) and indptr ({C.indptr.dtype}) must share "
+            "one of int32 and int64"
+        )
+    if (
+        C.indptr.shape != (m + 1,) or C.indptr[0] != 0 or C.indptr[-1] != C.data.size
+        or np.any(np.diff(C.indptr) < 0)
+    ):
+        raise ValueError(
+            f"C is {m} x {k}; its indptr must hold {m + 1} offsets rising from 0 to "
+            f"the {C.data.size} entries"
+        )
+    if C.indices.shape != C.data.shape:
+        raise ValueError(f"C holds {C.data.size} entries and {C.indices.size} indices")
+    if C.indices.size and not (C.indices.min() >= 0 and C.indices.max() < k):
+        raise ValueError(f"C is {m} x {k}; its column indices must lie in [0, {k})")
     for name, v, size in (("x", x, k), ("out", out, m)):
         if v.shape != (size,) or v.dtype != np.float64 or not v.flags.c_contiguous:
             raise ValueError(f"C is {m} x {k}; {name} is {v.dtype} {v.shape}")
@@ -164,24 +273,38 @@ def cycle_operator(A, level, pos, rest, inflow_b, inflow_rest, R):
     def widen(nodes):  # the nodes and their neighbours
         return nodes | np.append(nodes[1:], False) | np.insert(nodes[:-1], 0, False)
 
+    def position(index):  # flat state index -> its place in ``index``, or -1
+        where = np.full(A.shape[1], -1)
+        where[index] = np.arange(index.size)
+        return where
+
     low = level < top
     low[0] = True
     ext = widen(low)
     rows, cols = spread(ext), spread(widen(ext))
     ncol = cols.size
-    head = A[rows]
+
+    # the rows of A at ``rows``, densely on ``cols`` (the rows read only their
+    # own and the neighbouring nodes), summed from zero as scipy's toarray
+    # does; and their entries in the columns of ``rows``, in stored order,
+    # which advance the state a step (each row's product is that row's
+    # alone, so a step keeps the rows of its active nodes)
+    row, col, val = _take_rows(A, rows)
     X = np.zeros((rows.size, ncol + cycle * nb))
-    X[:, :ncol] = head[:, cols].toarray()
-    within = head[:, rows]
+    np.add.at(X, (row, position(cols)[col]), val)
+    col = position(rows)[col]
+    inner = col >= 0
+    indptr = np.zeros(rows.size + 1, dtype=A.indptr.dtype)
+    np.cumsum(np.bincount(row[inner], minlength=rows.size), out=indptr[1:])
+    within = Csr(val[inner], col[inner].astype(A.indptr.dtype), indptr, (rows.size, rows.size))
     row_level = np.repeat(level[ext], n)
     active = [np.flatnonzero(row_level <= v) for v in range(top)]
-    ops = [within[a] for a in active]
     G = np.empty((cycle * n, X.shape[1]))  # the traces, stacked
     # X holds the rows of ``rows``, of which node 0 is the first n
     for s in range(cycle):
         if s:  # the nodes of level <= v_2(s) advance from the current state
             v = (s & -s).bit_length() - 1
-            X[active[v]] = ops[v] @ X
+            X[active[v]] = _matvecs(within, X)[active[v]]
         X[pos] = inflow_rest @ X[rest]
         X[pos, ncol + s * nb : ncol + (s + 1) * nb] += inflow_b
         G[s * n : (s + 1) * n] = R @ X[:n]
@@ -189,7 +312,7 @@ def cycle_operator(A, level, pos, rest, inflow_b, inflow_rest, R):
     # the boundary data reach, up to the last
     low_rows, lows = spread(low), np.repeat(low[ext], n)
     Y = X[lows]
-    del X, head, within, ops  # free the dense rows before C is made
+    del X  # free the dense rows before C is made
     # C takes the nonzeros of Y in low_rows, in ascending column order, and
     # keeps the other rows of A, entries in order, copied a run of rows at a
     # time, so that no full-size temporary is made beside A and C
@@ -204,7 +327,7 @@ def cycle_operator(A, level, pos, rest, inflow_b, inflow_rest, R):
     for lo, hi in np.flatnonzero(np.diff(stay, prepend=False, append=False)).reshape(-1, 2):
         run, a, b = slice(indptr[lo], indptr[hi]), A.indptr[lo], A.indptr[hi]
         data[run], indices[run] = A.data[a:b], A.indices[a:b]
-    C = sp.csr_matrix((data, indices, indptr), shape=A.shape)
+    C = Csr(data, indices, indptr, A.shape)
     hit = np.any(Y[:, ncol:] != 0, axis=1)
     H = np.zeros((low_rows[hit].max(initial=-1) + 1, Y.shape[1] - ncol))
     H[low_rows[hit]] = Y[hit, ncol:]

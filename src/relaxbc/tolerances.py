@@ -102,6 +102,13 @@ LAYER_CELLS_MIN = 4
 #: takes time level k
 MESH_ROUNDOFF_REL = 1e-9
 
+#: largest stiff run ``sim.check_work`` lets start, estimated before
+#: anything is allocated: mesh nodes (the converge fixtures' meshes have
+#: 4,023 nodes at eps 3e-4, x_max 2 over dx_max 5e-4) and finest time steps
+#: (the 2x2 fixture takes 30,352 there)
+STIFF_NODES_MAX = 1_000_000
+STIFF_STEPS_MAX = 10_000_000
+
 #: convergence errors all below this are round-off: the fitted slope is
 #: undefined
 DEGENERATE_ERROR_ABS = 1e-14

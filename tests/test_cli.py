@@ -636,7 +636,7 @@ for argv in json.loads(sys.argv[1]):
         rc = cli.main(argv)
     if rc != 0:
         sys.exit(f"{argv[0]} exited {rc}")
-loaded = [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+loaded = [m for m in ("scipy.linalg", "scipy.special", "scipy.sparse") if m in sys.modules]
 sys.exit(f"imported {loaded}" if loaded else 0)
 """
 
@@ -644,8 +644,8 @@ sys.exit(f"imported {loaded}" if loaded else 0)
 def test_every_command_leaves_scipy_linalg_and_special_out(sys2x2_file, scen2x2_file, tmp_path):
     """validate, gkc, reduce and converge, on the README 2x2 example and on
     the 3x3 double-characteristic fixture, run in one fresh process without
-    importing scipy.linalg or scipy.special: the package needs scipy.sparse
-    only."""
+    importing scipy.linalg, scipy.special or the scipy.sparse package: the
+    stiff loop loads only scipy's compiled sparse kernels."""
     from conftest import write_system_file
 
     sys3 = write_system_file(tmp_path / "double.json", fixtures.double_characteristic_system(7))
@@ -701,6 +701,40 @@ def test_malformed_scenario_is_config_error(
          "--out", str(tmp_path / "out"), "--resolution", "4"]
     ) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # OverflowError: cannot convert float infinity to integer
+    pytest.param("x_max", 1e308, "x_max 1e+308, dx_max 0.0005 and eps 0.01", id="x_max-inf"),
+    pytest.param("T", 1e308, "T 1e+308 and eps 0.01", id="T-inf"),
+    pytest.param("epsilons", 1e-320, "and eps 9.99989e-321 (dx_min = eps / 4) ask for about inf", id="eps-inf"),
+    # ValueError: Maximum allowed dimension exceeded
+    pytest.param("x_max", 1e20, "x_max 1e+20, dx_max 0.0005", id="x_max-too-many-nodes"),
+    # OverflowError: Python int too large to convert to C long
+    pytest.param("T", 1e20, "T 1e+20 and eps 0.01", id="T-too-many-steps"),
+])
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_run_past_the_work_limits_is_config_error(
+    command, field, value, message, sys2x2_file, scen2x2_file, tmp_path, capsys
+):
+    # these died with a traceback; the estimate now comes before anything
+    # is allocated, so converge refuses them before its GKC sample
+    with open(scen2x2_file) as fh:
+        doc = json.load(fh)
+    doc["epsilons"] = [1e-2, value] if field == "epsilons" else [1e-2, 3e-3]
+    if field != "epsilons":
+        doc[field] = value
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, sys2x2_file, "--scenario", str(scen), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--eps", str(value if field == "epsilons" else 1e-2), "--dx-max", "5e-4"]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "mesh nodes" in err if field in ("x_max", "epsilons") else "finest time steps" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def _set(path, value):

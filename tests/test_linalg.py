@@ -158,14 +158,14 @@ class TestFallback:
         lam = np.array([[-1.0, -1.0]], dtype=complex)
         V = linalg._inverse_iteration(M[None], lam, np.linalg.norm(M, keepdims=True)[0])
         assert np.array_equal(V[0, :, 0], V[0, :, 1])
-        V_s, skipped, split = stable_eigvecs(M[None], 2)
+        V_s, _, skipped, split = stable_eigvecs(M[None], 2)
         assert skipped == {} and list(split) == [0]
         assert _spans_stable_subspace(V_s[0], M)
 
     def test_near_jordan_block(self):
         # eigenvalues -1 +- 1e-6 whose eigenvectors are 2e-6 apart
         M = np.array([[-1.0, 1.0, 0.0], [1e-12, -1.0, 0.0], [0.0, 0.0, 3.0]], dtype=complex)
-        V_s, skipped, split = stable_eigvecs(M[None], 2)
+        V_s, _, skipped, split = stable_eigvecs(M[None], 2)
         assert skipped == {} and list(split) == [0]
         assert _spans_stable_subspace(V_s[0], M)
 
@@ -176,7 +176,7 @@ class TestFallback:
         M = (O @ np.diag([-1.0, -3e-7, 3e-7]) @ O.T).astype(complex)
         norm = np.linalg.norm(M)
         assert 6e-7 < linalg.EIGVAL_GAP_REL * norm and 3e-7 > linalg.AXIS_MARGIN * 1e-8 * norm
-        V_s, skipped, split = stable_eigvecs(M[None], 2)
+        V_s, _, skipped, split = stable_eigvecs(M[None], 2)
         assert skipped == {} and list(split) == [0]
         assert _spans_stable_subspace(V_s[0], M)
 
@@ -186,16 +186,16 @@ class TestFallback:
         T = np.array([[-1.0, 2.0, 0.5], [0.0, -2.0, 1.0], [0.0, 0.0, 3.0]], dtype=complex)
         M = np.stack([T, T.T, T + 0.5j * np.eye(3)])
         assert np.array_equal(np.sort_complex(np.linalg.eigvals(T)), [-2.0, -1.0, 3.0])
-        V_s, skipped, split = stable_eigvecs(M, 2)
+        V_s, _, skipped, split = stable_eigvecs(M, 2)
         assert skipped == {} and split.size == 0
         assert all(_spans_stable_subspace(V, A) for V, A in zip(V_s, M))
         # without the offset the solve raises LinAlgError for the whole stack
         monkeypatch.setattr(linalg, "INVERSE_SHIFT_REL", 0.0)
-        assert list(stable_eigvecs(M, 2)[2]) == [0, 1, 2]
+        assert list(stable_eigvecs(M, 2)[3]) == [0, 1, 2]
 
     def test_near_axis_row_is_skipped_without_stable_eigenvalues(self):
         M = np.array([[[2.0, 0.0], [0.0, 3.0]], [[1e-17, 0.0], [0.0, 2.0]]], dtype=complex)
-        V_s, skipped, split = stable_eigvecs(M, 0)
+        V_s, _, skipped, split = stable_eigvecs(M, 0)
         assert V_s.shape == (2, 2, 0) and list(skipped) == [1] and split.size == 0
         assert "imaginary axis" in str(skipped[1])
 
@@ -209,11 +209,28 @@ class TestFallback:
         M = X * lam[:, None, :] @ np.linalg.inv(X)
         M[300] = np.diag([-1.0, -1.0, 1.0, 2.0, 3.0, 4.0]) + np.diag([1.0, 0, 0, 0, 0], 1)
         M[300, 1, 0] = 1e-12
-        V_s, skipped, split = stable_eigvecs(M, 2)
+        V_s, _, skipped, split = stable_eigvecs(M, 2)
         assert skipped == {} and list(split) == [300]
         for i in (0, 1, 300, 511):
             alone = stable_eigvecs(M[i : i + 1], 2)[0][0]
             assert alone.tobytes() == V_s[i].tobytes()
+
+    def test_volume_is_that_of_each_returned_basis(self, rng):
+        # eigenvector rows return the screen's volume; a sign-split row
+        # (5) and a skipped row (9, whose basis is zero) have theirs
+        # computed from the basis returned, bit for bit
+        N = 16
+        X = rng.normal(size=(N, 6, 6)) + 1j * rng.normal(size=(N, 6, 6))
+        lam = rng.uniform(0.2, 2.0, size=(N, 6)) * np.array([-1, -1, 1, 1, 1, 1])
+        M = X * lam[:, None, :] @ np.linalg.inv(X)
+        M[5] = np.diag([-1.0, -1.0, 1.0, 2.0, 3.0, 4.0]) + np.diag([1.0, 0, 0, 0, 0], 1)
+        M[5, 1, 0] = 1e-12
+        M[9] = np.diag([-1.0, -2.0, 1e-17, 2.0, 3.0, 4.0])
+        V_s, vol, skipped, split = stable_eigvecs(M, 2)
+        assert list(skipped) == [9] and list(split) == [5]
+        assert vol.dtype == np.float64 and vol.shape == (N,)
+        assert vol.tobytes() == linalg.volume(V_s).tobytes()
+        assert vol[9] == 0.0 and np.all(vol[vol > 0] >= 1 / linalg.EIGVEC_COND_MAX)
 
 
 class TestFullRankCond:

@@ -14,7 +14,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from oracles import dense_limit, dense_M, dense_m1, dense_m2, ratio, schur_stable_basis
-from relaxbc import pool, reduction, spectral
+from relaxbc import linalg, pool, reduction, spectral
 from relaxbc.errors import (
     AssumptionViolated, ConfigError, GkcFailed, SpectralCountMismatch,
 )
@@ -317,10 +317,10 @@ class TestFallback:
         jordan = np.array([[[-1.0, 1.0], [0.0, -1.0]]], dtype=complex)
         near = jordan + np.array([[[0.0, 0.0], [1e-14, 0.0]]])
         for M in (jordan, near):
-            V_s, skipped, _ = stable_eigvecs(M, 2)
+            V_s, _, skipped, _ = stable_eigvecs(M, 2)
             assert skipped == {} and _orthonormal(V_s[0])
         split = np.array([[[-1.0, 0.0], [0.0, 2.0]]], dtype=complex)
-        V_s, _, _ = stable_eigvecs(split, 1)
+        V_s, _, _, _ = stable_eigvecs(split, 1)
         assert np.allclose(np.abs(V_s[0, :, 0]), [1.0, 0.0])
         with pytest.raises(SpectralCountMismatch) as exc:
             stable_eigvecs(np.concatenate([jordan, split]), 2)
@@ -328,7 +328,7 @@ class TestFallback:
 
     def test_near_axis_row_is_skipped(self):
         M = np.array([[[-1.0, 0.0], [0.0, 2.0]], [[-1e-17, 0.0], [0.0, 2.0]]], dtype=complex)
-        V_s, skipped, _ = stable_eigvecs(M, 1)
+        V_s, _, skipped, _ = stable_eigvecs(M, 1)
         assert list(skipped) == [1] and "imaginary axis" in str(skipped[1])
 
     def test_defective_M_gives_scalar_value(self):
@@ -611,6 +611,26 @@ class TestPooledMap:
             with pytest.raises(SpectralCountMismatch) as exc:
                 pooled(cpus, gkc_ratios, sys_obj, frame, units)
             assert str(exc.value).startswith("(1.0, 0.0, 0.0, 2.0): 1 stable")
+
+    def test_eigenvector_bases_are_factored_once(self, random_bundles, monkeypatch):
+        # the GKC sample divides by the volumes of the eigenvector screen;
+        # spectral.volume factors only the rows that took the sign split
+        b3 = next(b for b in random_bundles if b.sys.d == 3)
+        spec = SamplingSpec(resolution=6, rim_points=4)
+        grid = directions(b3.sys.d + 2, spec)
+        want, _, split = gkc_ratios(b3.sys, b3.frame, grid)
+        factored = []
+
+        def counted(L):
+            factored.append(len(L))
+            return linalg.volume(L)
+
+        monkeypatch.setattr(spectral, "volume", counted)
+        got = gkc_ratios(b3.sys, b3.frame, grid)[0]
+        assert got.tobytes() == want.tobytes()
+        assert sum(factored) == 0 and split == 0
+        eta_inf_ratios(b3.sys, b3.frame, b3.eq, b3.data, xi_omega_directions(b3.sys.d, spec))
+        assert sum(factored) > 0  # a basis transform computes its own volume
 
     def test_single_chunk_starts_no_threads(self, pooled, pipe2x2, monkeypatch):
         def refuse(workers):

@@ -3,7 +3,12 @@ measurement, and the convergence study."""
 
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +55,12 @@ def _split(a):
     neg = np.where(lam < -tol)[0]
     zer = np.where(np.abs(lam) <= tol)[0]
     return lam, R, pos, neg, np.concatenate([neg, zer])
+
+
+def _scipy(M):
+    """A ``stepping.Csr`` as the scipy matrix of the same arrays, so that
+    scipy's product, slicing and conversions are the oracle."""
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
 
 
 def _upwind_step(chi, lam, pos, neg, dxm, dxp, dt):
@@ -103,10 +114,10 @@ def _global_dt_relaxation(sys_obj, scenario, eps, dx_max=1e-3):
     dx = np.diff(x)
     steps = max(int(math.ceil(scenario.T / (sim.CFL * dx.min() / np.abs(lam).max()))), 1)
     dt = scenario.T / steps
-    step_op = stepping.step_operator(
+    step_op = _scipy(stepping.step_operator(
         lam, R, pos, neg, dx, np.full(x.size, dt), np.zeros(x.size, dtype=int),
         [sla.expm(sys_obj.S * dt / eps)], r,
-    )
+    ))
     BRp_lu = sla.lu_factor(sys_obj.B @ R[:, pos])
     B_Rrest = sys_obj.B @ R[:, rest]
     U = np.zeros((x.size, n))
@@ -616,7 +627,7 @@ class TestSparseStepOracle:
             source = np.eye(n)
             source[n - r :, n - r :] = E[level[i]]
             ref[i] = R.T @ (source @ (R @ new[i]))
-        step = stepping.step_operator(lam, R, pos, neg, dx, dt, level, E, r)
+        step = _scipy(stepping.step_operator(lam, R, pos, neg, dx, dt, level, E, r))
         got = (step @ chi.ravel()).reshape(nx, n)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -677,7 +688,7 @@ class TestCycleMapOracle:
         C, H, G, _ = stepping.cycle_operator(
             stepping.step_operator(*step_args), level, pos, rest, inflow_b, inflow_rest, R
         )
-        step = stepping.step_operator(*step_args)
+        C, step = _scipy(C), _scipy(stepping.step_operator(*step_args))
         # every row outside node 0 is the step row, bit for bit
         np.testing.assert_array_equal(np.diff(C.indptr[n:]), np.diff(step.indptr[n:]))
         np.testing.assert_array_equal(C[n:].indices, step[n:].indices)
@@ -756,6 +767,7 @@ class TestCsrProduct:
     def test_matches_matmul_bit_for_bit(self, sys3):
         rng = np.random.default_rng(5)
         random = sp.random(300, 200, density=0.05, format="csr", random_state=rng)
+        random = stepping.Csr(random.data, random.indices, random.indptr, random.shape)
         for C in (self._cycle_matrix(sys3), random):
             x = np.empty(C.shape[1])
             out = np.full(C.shape[0], np.nan)  # stale contents are overwritten
@@ -763,10 +775,15 @@ class TestCsrProduct:
             for _ in range(3):
                 x[:] = rng.normal(size=C.shape[1])
                 assert apply() is out
-                np.testing.assert_array_equal(out, C @ x)
+                np.testing.assert_array_equal(out, _scipy(C) @ x)
 
     def test_refuses_what_the_kernel_cannot_check(self):
-        C = sp.random(4, 3, density=0.5, format="csr", random_state=0)
+        # a CSC matrix, refused before, cannot be passed: a Csr is CSR
+        def random(m, k):
+            A = sp.random(m, k, density=0.5, format="csr", random_state=0)
+            return stepping.Csr(A.data, A.indices, A.indptr, A.shape)
+
+        C = random(4, 3)
         with pytest.raises(ValueError, match="4 x 3"):
             stepping.csr_product(C, np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError, match="4 x 3"):
@@ -775,14 +792,90 @@ class TestCsrProduct:
             stepping.csr_product(C, np.zeros(3, dtype=np.float32), np.zeros(4))
         with pytest.raises(ValueError, match="4 x 3"):
             stepping.csr_product(C, np.zeros(3), np.zeros(8)[::2])
-        square = sp.random(4, 4, density=0.5, format="csr", random_state=0)
+        square = random(4, 4)
         state = np.zeros(4)
         with pytest.raises(ValueError, match="overlap"):
             stepping.csr_product(square, state, state)
-        with pytest.raises(TypeError, match="CSR"):
-            stepping.csr_product(C.tocsc(), np.zeros(3), np.zeros(4))
-        with pytest.raises(TypeError, match="float64"):
-            stepping.csr_product(C.astype(np.complex128), np.zeros(3), np.zeros(4))
+        for data in (C.data.astype(np.complex128), C.data.astype(np.float32)):
+            with pytest.raises(TypeError, match="float64"):
+                stepping.csr_product(C._replace(data=data), np.zeros(3), np.zeros(4))
+        # indptr with one offset too few or too many, or not ending at the
+        # last entry
+        # and offsets that fall, reaching past the entries in between
+        falling = C.indptr.copy()
+        falling[1:-1] = [C.indptr[-1] + 5, 0, C.indptr[-1]]
+        for indptr in (C.indptr[:-1], np.append(C.indptr, C.indptr[-1]),
+                       np.append(C.indptr[:-1], C.indptr[-1] - 1), falling):
+            with pytest.raises(ValueError, match="indptr"):
+                stepping.csr_product(C._replace(indptr=indptr), np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError, match="indices"):
+            stepping.csr_product(C._replace(indices=C.indices[:-1]), np.zeros(3), np.zeros(4))
+        for column in (-1, 3):  # outside the 3 columns of x
+            indices = C.indices.copy()
+            indices[0] = column
+            with pytest.raises(ValueError, match="column indices"):
+                stepping.csr_product(C._replace(indices=indices), np.zeros(3), np.zeros(4))
+        for indices, indptr in ((C.indices.astype(np.int64), C.indptr.astype(np.int32)),
+                                (C.indices.astype(np.int32), C.indptr.astype(np.int64)),
+                                (C.indices.astype(np.int16), C.indptr.astype(np.int16))):
+            with pytest.raises(TypeError, match="indices"):
+                stepping.csr_product(
+                    C._replace(indices=indices, indptr=indptr), np.zeros(3), np.zeros(4)
+                )
+
+    def test_missing_kernel_names_scipy_and_the_file(self, monkeypatch):
+        import importlib.machinery
+
+        import scipy
+
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        with pytest.raises(ImportError) as exc:
+            stepping._load_sparsetools()
+        message = str(exc.value)
+        assert f"scipy {scipy.__version__}" in message
+        assert str(Path(scipy.__file__).parent / "sparse" / "_sparsetools.missing.so") in message
+
+    def test_scipy_sparse_imports_after_the_kernel(self):
+        # a fresh process loads the kernel through the package, then imports
+        # scipy.sparse, which must load its own, and every product of two
+        # stiff runs must equal scipy's on their cycle matrices
+        script = textwrap.dedent("""
+            import sys
+            from relaxbc import fixtures, sim, stepping
+            assert not [m for m in sys.modules if m.startswith("scipy.sparse")]
+            import scipy.sparse as sp
+            from scipy.sparse import _sparsetools
+            assert sys.modules["scipy.sparse._sparsetools"] is _sparsetools
+            shapes = set()
+
+            def checked(C, x, out):
+                apply, M = stepping.csr_product(C, x, out), sp.csr_matrix(
+                    (C.data, C.indices, C.indptr), shape=C.shape)
+
+                def product():
+                    want = M @ x
+                    assert apply().tobytes() == want.tobytes()
+                    shapes.add(C.shape)
+                    return out
+                return product
+
+            sim.csr_product = checked
+            sys3 = fixtures.double_characteristic_system(7)
+            for system, scenario in (
+                (fixtures.example_system(), fixtures.example_scenario(T=0.02)),
+                (sys3, fixtures.scenario_double_characteristic(sys3, T=0.02)),
+            ):
+                sim.solve_relaxation(system, scenario, 3e-4, dx_max=5e-4)
+            assert len(shapes) == 2, shapes
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSolveEquilibrium:
