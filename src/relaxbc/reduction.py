@@ -17,29 +17,27 @@ rates (``build_reduction_data``).  Every matrix of the chain is real;
 
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import AssumptionViolated, GkcFailed, NearImaginaryEigenvalue, RelaxbcError
-# stable_basis_real is not called here; perfbench/spans.py wraps it by this name
+# split_invariant_subspaces and stable_basis_real are not called here;
+# perfbench/spans.py wraps each by this name
 from .linalg import (
     full_rank_cond,
     orthonormal_complement,
     split_invariant_subspaces,
     stable_basis_real,
+    stable_eigvecs,
 )
 from .model import RelaxationSystem, compute_indices
 from .spectral import (
-    GkcReport, KernelFrame, SamplingSpec, build_kernel_frame, check_gkc, map_chunks,
-    require_real, sample_minimum, symbol_stack, xi_omega_directions,
+    GkcReport, KernelFrame, Sample, SamplingSpec, build_kernel_frame, check_gkc, require_real,
+    sample, symbol_stack, xi_omega_directions,
 )
 from .tolerances import B_O_ENTRY_ABS, C_THRESHOLD, spectral_norm, tau_axis
-
-log = logging.getLogger(__name__)
 
 #: decimal places of the coefficients ``render_reduced_bc`` prints
 RENDER_DIGITS = 6
@@ -226,6 +224,11 @@ def _limit_basis(sys, frame, eq, data, V_s) -> np.ndarray:
     return L
 
 
+def _limit_dim(sys: RelaxationSystem, eq: EquilibriumFrame, data: ReductionData) -> int:
+    """The stable dimension of M1 in the eta = infinity limit basis."""
+    return sys.B.shape[0] - eq.P0.shape[1] - data.R2S.shape[1]
+
+
 def limit_stable_matrix(
     sys: RelaxationSystem,
     frame: KernelFrame,
@@ -234,68 +237,35 @@ def limit_stable_matrix(
     p,
 ) -> np.ndarray:
     """The eta -> infinity limit of a stable basis of M at the point
-    p = (Re xi, Im xi, omega...), a row of ``eta_inf_ratios``: an
-    (n - n0) x n_+ matrix (see ``_limit_basis``), with the stable subspace of
-    M1 from ``split_invariant_subspaces``."""
-    M1 = _M1_stack(sys, eq)(np.array([p], dtype=float))[0]
-    return _limit_basis(sys, frame, eq, data, split_invariant_subspaces(M1)[None])[0]
+    p = (Re xi, Im xi, omega...), a row of the eta = infinity sample: an
+    (n - n0) x n_+ matrix (see ``_limit_basis``), with the stable vectors of
+    M1 from ``stable_eigvecs``, as that sample takes them.  Raises
+    NearImaginaryEigenvalue where the sample would skip p."""
+    M1 = _M1_stack(sys, eq)(np.array([p], dtype=float))
+    V_s, _, skipped, _ = stable_eigvecs(M1, _limit_dim(sys, eq, data))
+    if skipped:
+        raise skipped[0]
+    return _limit_basis(sys, frame, eq, data, V_s)[0]
 
 
-def eta_inf_ratios(
-    sys: RelaxationSystem,
-    frame: KernelFrame,
-    eq: EquilibriumFrame,
-    data: ReductionData,
-    units: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """The eta = infinity GKC ratio |det(B R1 L)| / sqrt(det(L^* L)), with L
-    the limit stable basis of ``_limit_basis``, at every row
-    (Re xi, Im xi, omega...) of ``units``, and the count of rows that took
-    the sign split (``map_chunks``).  NaN marks a point skipped for an
-    eigenvalue of M1 near the imaginary axis."""
-    n1s = sys.B.shape[0] - eq.P0.shape[1] - data.R2S.shape[1]  # stable dimension of M1
-    vals, _, split = map_chunks(
-        units, _M1_stack(sys, eq), sys.B @ frame.R1, n1s,
-        basis=lambda V_s: _limit_basis(sys, frame, eq, data, V_s),
-    )
-    return vals, split
-
-
-def eta_inf_minimum(
+def eta_inf_sample(
     sys: RelaxationSystem,
     frame: KernelFrame,
     limit: tuple[EquilibriumFrame, ReductionData] | RelaxbcError,
-    spec: SamplingSpec,
-) -> tuple[float | None, np.ndarray | None, int, str | None]:
-    """The eta = infinity sample of ``check_gkc``: ``(minimum, argmin,
-    skipped, error)`` of ``eta_inf_ratios`` over ``xi_omega_directions``,
-    ``argmin`` the row (Re xi, Im xi, omega..., inf) of the first direction
-    attaining the minimum.  Both are None and ``error`` says why when
-    ``limit`` (``Pipeline.limit``) is the error that stopped the limit, or
-    when every direction was skipped for an eigenvalue near the axis."""
+    units: np.ndarray,
+) -> Sample | str:
+    """The eta = infinity sample of ``check_gkc``: the GKC ratio
+    |det(B R1 L)| / sqrt(det(L^* L)), with L the limit stable basis of
+    ``_limit_basis``, at every row (Re xi, Im xi, omega...) of ``units``.
+    When ``limit`` (``Pipeline.limit``) is the error that stopped the limit,
+    the reason instead."""
     if isinstance(limit, RelaxbcError):
-        return None, None, 0, f"{type(limit).__name__}: {limit}"
-    units = xi_omega_directions(sys.d, spec)
-    vals, split = eta_inf_ratios(sys, frame, *limit, units)
-    kept, _, best, row = sample_minimum(units, vals)
-    skipped = len(units) - len(kept)
-    log.debug("gkc eta = inf: %d directions, %d skipped, %d sign-split, minimum %.6g",
-              len(units), skipped, split, best)
-    if row is None:
-        return None, None, skipped, "every eta = inf direction was skipped"
-    return best, np.append(row, math.inf), skipped, None
-
-
-def ukc_ratios(
-    sys: RelaxationSystem, eq: EquilibriumFrame, B_o_Bu: np.ndarray, units: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """The UKC ratio |det(B_o B_u P1 V_s)| / vol(V_s), V_s a basis of the
-    stable subspace of M1, at every row (Re xi, Im xi, omega...) of
-    ``units``, and the count of rows that took the sign split
-    (``map_chunks``).  NaN marks a point skipped for an eigenvalue of M1
-    near the imaginary axis."""
-    vals, _, split = map_chunks(units, _M1_stack(sys, eq), B_o_Bu @ eq.P1, B_o_Bu.shape[0])
-    return vals, split
+        return f"{type(limit).__name__}: {limit}"
+    eq, data = limit
+    return sample(
+        "gkc eta = inf", units, _M1_stack(sys, eq), sys.B @ frame.R1, _limit_dim(sys, eq, data),
+        basis=lambda V_s: _limit_basis(sys, frame, eq, data, V_s),
+    )
 
 
 def derive_reduced_bc(
@@ -346,20 +316,18 @@ def derive_reduced_bc(
     ann = spectral_norm(B_o @ Y23) if Y23.shape[1] else 0.0
     p0_res = spectral_norm(B_o @ B_u @ eq.P0) if eq.P0.shape[1] else 0.0
 
-    # UKC sampling over the (Re xi, Im xi, omega) hemisphere
+    # UKC sampling over the (Re xi, Im xi, omega) hemisphere: the ratio
+    # |det(B_o B_u P1 V_s)| / vol(V_s), V_s a stable basis of M1
     coeff = B_o @ B_u
-    units = xi_omega_directions(sys.d, spec)
-    vals, split = ukc_ratios(sys, eq, coeff, units)
-    _, kept, best, _ = sample_minimum(units, vals)
-    count, skipped = len(kept), len(vals) - len(kept)
-    if not count:
-        best = 0.0 if n1_plus else 1.0
-    log.debug("ukc: %d directions, %d skipped, %d sign-split, minimum %.6g",
-              len(vals), skipped, split, best)
+    ukc = sample("ukc", xi_omega_directions(sys.d, spec), _M1_stack(sys, eq),
+                 coeff @ eq.P1, coeff.shape[0])
+    skipped = len(ukc.skipped)
+    count = len(ukc.rows) - skipped
+    best = ukc.minimum if count else 0.0 if n1_plus else 1.0
     if n1_plus > 0 and skipped:
         raise GkcFailed(
             f"uniform Kreiss condition not certified for the reduced "
-            f"condition: {skipped} of {len(vals)} sampled directions were "
+            f"condition: {skipped} of {len(ukc.rows)} sampled directions were "
             f"skipped for an eigenvalue of M1 near the imaginary axis"
         )
     if n1_plus > 0 and best <= C_THRESHOLD:
@@ -478,7 +446,8 @@ class Pipeline:
 
     @cached_property
     def gkc(self) -> GkcReport:
-        eta_inf = eta_inf_minimum(self.sys, self.frame, self.limit, self.spec)
+        units = xi_omega_directions(self.sys.d, self.spec)
+        eta_inf = eta_inf_sample(self.sys, self.frame, self.limit, units)
         return check_gkc(self.sys, self.frame, self.spec, eta_inf)
 
     @cached_property
@@ -538,9 +507,7 @@ __all__ = [
     "build_equilibrium_frame",
     "build_reduction_data",
     "limit_stable_matrix",
-    "eta_inf_ratios",
-    "eta_inf_minimum",
-    "ukc_ratios",
+    "eta_inf_sample",
     "derive_reduced_bc",
     "build_closure",
     "solve_closure",

@@ -99,6 +99,23 @@ class SimResult:
     cycles: int | None = None  # local-time-stepping cycles of the stiff solver
 
 
+def _cell_bound(x_max, dx_min, dx_max, fields: str, ratio=GRADING) -> int:
+    """A bound on the cells of ``graded_mesh``, whose cells it counts reach
+    past x_max: the cells shorter than dx_max, log(dx_max / dx_min) /
+    log(ratio) and at most x_max / dx_min of them (these alone span x_max if
+    there are that many), then x_max / dx_max cells and 2 to spare.  Raises
+    ConfigError, naming ``fields``, past STIFF_NODES_MAX nodes or the float range."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x_max, dx_min, dx_max = np.float64(x_max), np.float64(dx_min), np.float64(dx_max)
+        grow = np.log(dx_max / dx_min) / np.log(ratio) if dx_min < dx_max else 0.0
+        cells = np.ceil(x_max / dx_max) + 2 + np.ceil(min(grow, x_max / dx_min))
+    if not cells + 1 <= STIFF_NODES_MAX:
+        raise ConfigError(
+            f"{fields} ask for about {cells + 1:.3g} mesh nodes; the limit is {STIFF_NODES_MAX:,}"
+        )
+    return int(cells)
+
+
 def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = GRADING):
     """Nodes on [0, x_max]: spacing grows geometrically from dx_min at the
     boundary to dx_max, then stays uniform; the last cell is clipped, and a
@@ -107,8 +124,9 @@ def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = GRADI
 
     Raises ConfigError unless x_max, dx_min and dx_max are finite and
     positive and ratio is finite and at least 1 (otherwise the cells stop
-    growing and the node list never ends), and when dx_min exceeds dx_max:
-    such a mesh is not graded to the boundary."""
+    growing and the node list never ends), when dx_min exceeds dx_max (such
+    a mesh is not graded to the boundary), and, before allocating, when the
+    cell bound ``check_work`` applies allows over STIFF_NODES_MAX nodes."""
     for name, value in (("x_max", x_max), ("dx_min", dx_min), ("dx_max", dx_max)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"graded_mesh {name} must be finite and positive, got {value!r}")
@@ -116,26 +134,17 @@ def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = GRADI
         raise ConfigError(f"graded_mesh ratio must be finite and at least 1, got {ratio!r}")
     if dx_min > dx_max:
         raise ConfigError(f"graded_mesh dx_min {dx_min!r} exceeds dx_max {dx_max!r}")
+    fields = f"graded_mesh x_max {x_max!r}, dx_min {dx_min!r} and dx_max {dx_max!r}"
+    count = _cell_bound(x_max, dx_min, dx_max, fields, ratio)
     # cell k > 0 is min(dx_min ratio^k, dx_max), cell 0 is dx_min, and the
     # nodes are their running sum up to the first that reaches x_max:
-    # products and sums in sequence, as a loop over the cells makes them.
-    # At most x_max / dx_min cells are shorter than dx_max, and about
-    # log(dx_max / dx_min) / log(ratio) of them grow; the count is doubled
-    # until the nodes reach x_max
-    count = math.ceil(x_max / dx_max) + 2
-    if dx_min < dx_max:
-        grow = math.log(dx_max / dx_min) / math.log(ratio) if ratio > 1 else math.inf
-        count += math.ceil(min(grow, x_max / dx_min))
-    while True:
-        cells = np.full(count, ratio, dtype=float)
-        cells[0] = dx_min
-        with np.errstate(over="ignore"):  # a product past dx_max is clipped
-            np.cumprod(cells, out=cells)
-        np.minimum(cells, dx_max, out=cells)
-        nodes = np.concatenate([[0.0], np.cumsum(cells)])
-        if nodes[-1] >= x_max:
-            break
-        count *= 2
+    # products and sums in sequence, as a loop over the cells makes them
+    cells = np.full(count, ratio, dtype=float)
+    cells[0] = dx_min
+    with np.errstate(over="ignore"):  # a product past dx_max is clipped
+        np.cumprod(cells, out=cells)
+    np.minimum(cells, dx_max, out=cells)
+    nodes = np.concatenate([[0.0], np.cumsum(cells)])
     xs = nodes[: np.searchsorted(nodes, x_max)]
     # the smallest cell sets the time step: a remainder short of dx_min by
     # more than round-off would shrink it below dx_min
@@ -147,26 +156,29 @@ def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = GRADI
 
 def check_work(sys: RelaxationSystem, scenario: Scenario, eps: float, dx_max: float) -> None:
     """Raise ConfigError, naming the fields, unless the stiff run of
-    ``scenario`` at ``eps`` on cells of at most ``dx_max`` is estimated at
-    no more than STIFF_NODES_MAX mesh nodes and STIFF_STEPS_MAX finest time
-    steps, estimates past the float range included.  It allocates nothing.
+    ``scenario`` at ``eps`` on cells of at most ``dx_max`` is bounded by no
+    more than STIFF_NODES_MAX mesh nodes and STIFF_STEPS_MAX finest time
+    steps, bounds past the float range included.  It allocates nothing.
 
-    The nodes are counted as ``graded_mesh`` bounds them, x_max / dx_max in
-    the bulk plus the cells that grow from dx_min = eps / 4; the finest
-    steps as T rho(A1) / (CFL dx_min), with the smallest cell as the base
-    cell, which ``time_levels`` may halve, doubling the count at most."""
+    The nodes are bounded as ``graded_mesh`` bounds them, dx_min = eps / 4;
+    the finest steps as ``solve_relaxation`` counts them (up to round-off)
+    on the smallest base cell ``time_levels`` can pick, rounded up to the
+    cycle: the bulk cell halved K times down to at most dx_min, once more
+    where the mesh may end before a cell reaches it."""
     rho = np.abs(sys.speeds[0].w).max(initial=0.0)
+    dx_min = np.float64(eps) / 4.0
+    bulk = max(dx_max, dx_min)
+    _cell_bound(scenario.x_max, dx_min, bulk,
+                f"x_max {scenario.x_max:g}, dx_max {dx_max:g} and eps {eps:g} (dx_min = eps / 4)")
+    # dx_min > 0 here; the growing cells span less than bulk GRADING / (GRADING - 1)
+    h, cycle = bulk, 1.0
+    while h > dx_min:
+        h, cycle = h / 2.0, 2.0 * cycle
+    if scenario.x_max < bulk * (GRADING / (GRADING - 1.0) + 2.0):
+        h, cycle = h / 2.0, 2.0 * cycle
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dx_min = np.float64(eps) / 4.0
-        bulk = max(dx_max, dx_min)
-        grading = min(np.log(bulk / dx_min) / math.log(GRADING), scenario.x_max / dx_min)
-        nodes = scenario.x_max / bulk + grading
-        steps = scenario.T * rho / (CFL * dx_min)
-    if not nodes <= STIFF_NODES_MAX:
-        raise ConfigError(
-            f"x_max {scenario.x_max:g}, dx_max {dx_max:g} and eps {eps:g} (dx_min = "
-            f"eps / 4) ask for about {nodes:.3g} mesh nodes; the limit is {STIFF_NODES_MAX:,}"
-        )
+        finest = np.ceil(scenario.T / (CFL * h * (1.0 - MESH_ROUNDOFF_REL) / rho))
+        steps = np.ceil(finest / cycle) * cycle
     if not steps <= STIFF_STEPS_MAX:
         raise ConfigError(
             f"T {scenario.T:g} and eps {eps:g} ask for about {steps:.3g} finest time "

@@ -37,7 +37,7 @@ REFINE_FACTOR = 4
 #: directions per batched evaluation.  It bounds the memory of the stacked
 #: eigenproblems: evaluating 16,233 d = 3 directions in one stack raised the
 #: peak resident memory by 44 MB, in chunks of 1024 by 0.2 MB.  The pool of
-#: ``map_chunks`` holds one chunk per CPU in flight: on two CPUs the certify-d3
+#: ``sample`` holds one chunk per CPU in flight: on two CPUs the certify-d3
 #: peak was 77.1 MB with chunks of 1024 and 73.8 MB with chunks of 512.
 CHUNK = 512
 
@@ -89,16 +89,14 @@ class GkcReport:
     ``directions``, which lists one member of each conjugate pair
     (xi, omega, eta), (conj xi, -omega, eta): for real A, Q and B the ratio
     is equal at the two.  ``ratios`` lists them as (row tuple, ratio)
-    pairs, built afresh on each read.  ``argmin_point`` is the row of the
-    first minimum, with eta = inf when the eta = infinity limit attains it,
-    or None when every row was skipped."""
+    pairs, built afresh on each read, and ``samples`` counts them.
+    ``argmin_point`` is the row of the first minimum, with eta = inf when
+    the eta = infinity limit attains it, or None when every row was
+    skipped."""
 
     min_ratio: float
     argmin_point: np.ndarray | None
-    samples: int
-    includes_eta_infinity: bool
     passed: bool
-    c_threshold: float
     points: np.ndarray
     values: np.ndarray
     eta_inf_min_ratio: float | None = None
@@ -116,6 +114,14 @@ class GkcReport:
     def ratios(self) -> list:
         return _pairs(self.points, self.values)
 
+    @property
+    def samples(self) -> int:
+        return len(self.values)
+
+    @property
+    def includes_eta_infinity(self) -> bool:
+        return self.eta_inf_error is None
+
     def to_dict(self) -> dict:
         return {
             "min_ratio": float(self.min_ratio),
@@ -128,7 +134,7 @@ class GkcReport:
             "eta_inf_skipped": self.eta_inf_skipped,
             "eta_inf_error": self.eta_inf_error,
             "passed": self.passed,
-            "c_threshold": self.c_threshold,
+            "c_threshold": C_THRESHOLD,
             "subthreshold_points": [
                 [list(p), float(v)] for p, v in self.subthreshold_points
             ],
@@ -224,18 +230,23 @@ def build_M(sys: RelaxationSystem, frame, p) -> np.ndarray:
 def gkc_ratio(sys: RelaxationSystem, frame, p) -> float:
     """|det(B R1 R_M^S)| / sqrt(det(R_M^{S*} R_M^S)) at the finite point
     p = (Re xi, Im xi, omega..., eta), R_M^S a basis of the stable subspace
-    of M: ``gkc_ratios`` at the single row p.
+    of M: the GKC sample of the single row p.
 
     The ratio is invariant under right multiplication of the basis by
     invertible matrices and under frame changes.  Raises
-    NearImaginaryEigenvalue where ``gkc_ratios`` would skip p.
+    NearImaginaryEigenvalue where the sample would skip p.
     """
-    vals, skipped, _ = map_chunks(
-        np.array([p], dtype=float), _M_stack(sys, frame), sys.B @ frame.R1, sys.B.shape[0]
-    )
-    if skipped:
-        raise skipped[0][1]
-    return float(vals[0])
+    point = _gkc_sample("gkc point", sys, frame, np.array([p], dtype=float))
+    if point.skipped:
+        raise point.skipped[0][1]
+    return float(point.ratios[0])
+
+
+def _gkc_sample(label: str, sys: RelaxationSystem, frame, units: np.ndarray) -> Sample:
+    """The GKC ratio |det(B R1 V_s)| / vol(V_s) at every row
+    (Re xi, Im xi, omega..., eta) of ``units``, V_s a basis of the stable
+    subspace of M: ``sample`` of M in ``frame``."""
+    return sample(label, units, _M_stack(sys, frame), sys.B @ frame.R1, sys.B.shape[0])
 
 
 #: Joe and Kuo (2008) direction numbers of Sobol dimensions 2 ... 32, as
@@ -416,8 +427,42 @@ def det_ratio(X: np.ndarray, L: np.ndarray, vol: np.ndarray | None = None) -> np
     return np.divide(num, vol, out=np.zeros_like(num), where=vol > 0)
 
 
-def _map_chunk(part: np.ndarray, stack, X: np.ndarray, n_s: int, basis):
-    """``map_chunks`` on the rows of one chunk: ``(ratios, skipped, split)``."""
+@dataclass(frozen=True)
+class Sample:
+    """The determinant ratio of ``sample`` at each row of ``rows``:
+    ``ratios`` is NaN where a row was skipped, and ``skipped`` lists those
+    rows with the NearImaginaryEigenvalue each raised, in row order;
+    ``split`` counts the rows whose basis came from the sign split, not from
+    eigenvectors (see ``linalg.stable_eigvecs``)."""
+
+    rows: np.ndarray
+    ratios: np.ndarray
+    skipped: list
+    split: int
+
+    @property
+    def kept(self) -> np.ndarray:
+        """The mask of the rows not skipped."""
+        return ~np.isnan(self.ratios)
+
+    @property
+    def minimum(self) -> float:
+        """The smallest ratio; inf when every row was skipped."""
+        return float(np.fmin.reduce(self.ratios, initial=math.inf))
+
+    @property
+    def argmin(self) -> np.ndarray | None:
+        """The first row attaining ``minimum``; None when every row was skipped."""
+        return self.rows[np.nanargmin(self.ratios)] if self.kept.any() else None
+
+    @property
+    def failures(self) -> list:
+        """Each skipped row as the line ``"(row tuple): reason"``."""
+        return [f"{tuple(row.tolist())}: {exc}" for row, exc in self.skipped]
+
+
+def _sample_chunk(part: np.ndarray, stack, X: np.ndarray, n_s: int, basis):
+    """``sample`` on the rows of one chunk: ``(ratios, skipped, split)``."""
     try:
         V_s, vol, skip, split = stable_eigvecs(stack(part), n_s)
     except SpectralCountMismatch as exc:
@@ -427,52 +472,38 @@ def _map_chunk(part: np.ndarray, stack, X: np.ndarray, n_s: int, basis):
     return vals, [(part[i], exc) for i, exc in skip.items()], split.size
 
 
-def map_chunks(units: np.ndarray, stack, X: np.ndarray, n_s: int, basis=None):
+def sample(label: str, units: np.ndarray, stack, X: np.ndarray, n_s: int, basis=None) -> Sample:
     """The determinant ratio ``det_ratio(X, L)`` at every row of ``units``,
     CHUNK rows at a time: ``stack(rows)`` builds the matrices, whose stable
     bases (of dimension n_s) come from ``stable_eigvecs``, and L is that
-    basis, or ``basis`` of it.
+    basis, or ``basis`` of it.  The GKC grid and its refinement, the
+    eta = infinity sample, the UKC certificate and ``gkc_ratio`` are each
+    one call.  Logs the debug line ``"<label>: N directions, k skipped,
+    s sign-split, minimum m"``.
 
     The chunks run through ``pool.thread_map`` (one thread per CPU; one
     chunk, or one CPU, runs without a pool): numpy's stacked LAPACK calls
     release the GIL.  ``stack`` and ``basis`` must therefore be safe to call
     from several threads at once.  Each row's value depends on its chunk
-    only, and results are gathered in chunk order, so the output is the same,
-    bit for bit, whatever the number of workers.
+    only, and results are gathered in chunk order, so the ``Sample`` is the
+    same, bit for bit, whatever the number of workers.
 
-    Returns ``(ratios, skipped, split)``: a row whose stable split raised
-    NearImaginaryEigenvalue is NaN and listed in ``skipped`` as
-    ``(row, exception)``, in row order; ``split`` counts the rows whose
-    basis came from the sign split, not from eigenvectors (see
-    ``stable_eigvecs``).  A row with other than n_s stable
-    eigenvalues raises SpectralCountMismatch naming the row; when several
-    chunks raise, the first in row order does.
+    A row whose stable split raised NearImaginaryEigenvalue is skipped.  A
+    row with other than n_s stable eigenvalues raises SpectralCountMismatch
+    naming the row; when several chunks raise, the first in row order does.
     """
-    run = functools.partial(_map_chunk, stack=stack, X=X, n_s=n_s, basis=basis)
+    run = functools.partial(_sample_chunk, stack=stack, X=X, n_s=n_s, basis=basis)
     parts = [units[start : start + CHUNK] for start in range(0, len(units), CHUNK)]
     results = thread_map(run, parts)
-    out = np.concatenate([vals for vals, _, _ in results]) if results else np.empty(0)
-    return (out, [row for _, skip, _ in results for row in skip],
-            sum(split for _, _, split in results))
-
-
-def gkc_ratios(
-    sys: RelaxationSystem, frame: KernelFrame, units: np.ndarray
-) -> tuple[np.ndarray, list, int]:
-    """The GKC ratio |det(B R1 V_s)| / vol(V_s) at every row
-    (Re xi, Im xi, omega..., eta) of ``units``, V_s a basis of the stable
-    subspace of M.
-
-    Returns ``(ratios, failures, split)``.  A point whose M has an
-    eigenvalue within the axis tolerance is NaN in ``ratios`` and described
-    in ``failures``, in point order; ``split`` counts the points that took
-    the sign split (``map_chunks``).
-    """
-    vals, skipped, split = map_chunks(
-        units, _M_stack(sys, frame), sys.B @ frame.R1, sys.B.shape[0]
+    out = Sample(
+        rows=units,
+        ratios=np.concatenate([vals for vals, _, _ in results]) if results else np.empty(0),
+        skipped=[row for _, skip, _ in results for row in skip],
+        split=sum(split for _, _, split in results),
     )
-    failures = [f"{tuple(u.tolist())}: {exc}" for u, exc in skipped]
-    return vals, failures, split
+    log.debug("%s: %d directions, %d skipped, %d sign-split, minimum %.6g",
+              label, len(units), len(out.skipped), out.split, out.minimum)
+    return out
 
 
 def require_real(sys: RelaxationSystem, frame: KernelFrame) -> None:
@@ -484,7 +515,7 @@ def require_real(sys: RelaxationSystem, frame: KernelFrame) -> None:
 
 
 def check_gkc(
-    sys: RelaxationSystem, frame: KernelFrame, spec: SamplingSpec, eta_inf: tuple | None = None
+    sys: RelaxationSystem, frame: KernelFrame, spec: SamplingSpec, eta_inf: Sample | str
 ) -> GkcReport:
     """Sample the GKC ratio over the compactified parameter hemisphere.
 
@@ -492,31 +523,35 @@ def check_gkc(
     (Re xi, Im xi, omega, eta), so the unbounded quantifier reduces to the
     unit hemisphere plus the eta = infinity limit point, which the caller
     samples through the large-eta limit matrix: ``eta_inf`` is
-    ``reduction.eta_inf_minimum``, and without it the check fails, its
-    ``eta_inf_error`` saying so.  For real A, Q and B the ratio is equal at
-    (xi, omega, eta) and (conj xi, -omega, eta), so the hemisphere grid, and
-    the report, list one member of each conjugate pair (see ``directions``);
-    AssumptionViolated is raised when a matrix is not real.  If the minimum
-    is merely close to the threshold, the grid is refined around the argmin
-    before declaring failure.
+    ``reduction.eta_inf_sample`` over ``xi_omega_directions``, a ``Sample``,
+    or the reason the limit was not formed.  For real A, Q and B the ratio
+    is equal at (xi, omega, eta) and (conj xi, -omega, eta), so the
+    hemisphere grid, and the report, list one member of each conjugate pair
+    (see ``directions``); AssumptionViolated is raised when a matrix is not
+    real.  If the minimum is merely close to the threshold, the grid is
+    refined around the argmin before declaring failure.
     The check fails when the eta = infinity limit could not be formed, and
     when a grid, refinement or eta = infinity direction was skipped for an
     eigenvalue near the imaginary axis.
     """
     require_real(sys, frame)
     units, tensor = _directions(sys.d + 2, spec)
-    vals, failures, split = gkc_ratios(sys, frame, units)
-    points, values, best, best_point = sample_minimum(units, vals)
-    slices = _slice_minima(units[:tensor, 0], vals[:tensor])
-    sub = _subthreshold(points, values)
-    log.debug("gkc: %d directions, %d skipped, %d sign-split, minimum %.6g",
-              len(units), len(failures), split, best)
+    grid = _gkc_sample("gkc", sys, frame, units)
+    points, values = grid.rows[grid.kept], grid.ratios[grid.kept]
+    best, best_point, failures = grid.minimum, grid.argmin, grid.failures
+    slices = _slice_minima(units[:tensor, 0], grid.ratios[:tensor])
+    sub = _subthreshold(grid)
 
-    eta_inf_min, eta_inf_point, eta_inf_skipped, eta_inf_error = (
-        eta_inf or (None, None, 0, "the eta = inf limit was not sampled")
-    )
-    if eta_inf_min is not None and eta_inf_min < best:
-        best, best_point = eta_inf_min, eta_inf_point
+    eta_inf_min, eta_inf_skipped, eta_inf_error = None, 0, None
+    if isinstance(eta_inf, str):
+        eta_inf_error = eta_inf
+    elif eta_inf.argmin is None:
+        eta_inf_skipped = len(eta_inf.skipped)
+        eta_inf_error = "every eta = inf direction was skipped"
+    else:
+        eta_inf_min, eta_inf_skipped = eta_inf.minimum, len(eta_inf.skipped)
+        if eta_inf_min < best:
+            best, best_point = eta_inf_min, np.append(eta_inf.argmin, math.inf)
 
     # local refinement: distinguish a true zero from slow decay
     near = best < REFINE_MARGIN * C_THRESHOLD
@@ -534,13 +569,10 @@ def check_gkc(
     return GkcReport(
         min_ratio=best if math.isfinite(best) else 0.0,
         argmin_point=best_point,
-        samples=len(values),
-        includes_eta_infinity=eta_inf_error is None,
         eta_inf_min_ratio=eta_inf_min,
         eta_inf_skipped=eta_inf_skipped,
         eta_inf_error=eta_inf_error,
         passed=bool(passed),
-        c_threshold=C_THRESHOLD,
         subthreshold_points=sub,
         failures=failures,
         re_xi_slice_minima=slices,
@@ -559,22 +591,10 @@ def _slice_minima(re_xi, vals):
     return [[-r, None if v == math.inf else v] for r, v in zip(levels.tolist(), low.tolist())]
 
 
-def sample_minimum(units, vals):
-    """The rows of ``units`` not skipped (NaN in ``vals``) and their ratios,
-    and the first minimum with its row (inf and None when every row was
-    skipped)."""
-    kept = ~np.isnan(vals)
-    units, vals = units[kept], vals[kept]
-    if not vals.size:
-        return units, vals, math.inf, None
-    i = int(np.argmin(vals))  # first occurrence, as a strict-< scan
-    return units, vals, float(vals[i]), units[i]
-
-
-def _subthreshold(points, values):
-    """The (row tuple, ratio) pairs with ratio <= C_THRESHOLD."""
-    low = values <= C_THRESHOLD
-    return _pairs(points[low], values[low])
+def _subthreshold(found: Sample):
+    """The (row tuple, ratio) pairs of a sample with ratio <= C_THRESHOLD."""
+    low = found.ratios <= C_THRESHOLD  # False at the NaN of a skipped row
+    return _pairs(found.rows[low], found.ratios[low])
 
 
 def _refine_minimum(sys, frame, spec, best, best_point):
@@ -590,21 +610,21 @@ def _refine_minimum(sys, frame, spec, best, best_point):
     u[:, 0] = np.maximum(u[:, 0], spec.delta * scale)  # keep Re xi positive
     u[:, -1] = np.maximum(u[:, -1], 0.0)
     u = u / np.linalg.norm(u, axis=1, keepdims=True)
-    vals, failures, _ = gkc_ratios(sys, frame, u)
-    points, values, val, point = sample_minimum(u, vals)
-    if val < best:
-        best, best_point = val, point
-    return best, best_point, _subthreshold(points, values), failures
+    local = _gkc_sample("gkc refinement", sys, frame, u)
+    if local.minimum < best:
+        best, best_point = local.minimum, local.argmin
+    return best, best_point, _subthreshold(local), local.failures
 
 
 __all__ = [
     "KernelFrame",
     "SamplingSpec",
     "GkcReport",
+    "Sample",
     "build_kernel_frame",
     "build_M",
     "gkc_ratio",
     "check_gkc",
     "directions",
-    "gkc_ratios",
+    "sample",
 ]

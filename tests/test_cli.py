@@ -281,11 +281,16 @@ class TestFailedUkcCertificate:
     @pytest.fixture(autouse=True)
     def skip_every_direction(self, monkeypatch):
         from relaxbc import reduction
+        from relaxbc.errors import NearImaginaryEigenvalue
+        from relaxbc.spectral import Sample
 
-        monkeypatch.setattr(
-            reduction, "ukc_ratios",
-            lambda sys_obj, eq, coeff, units: (np.full(len(units), np.nan), 0),
-        )
+        def skip_ukc(label, units, *args, _sample=reduction.sample, **kwargs):
+            if label != "ukc":
+                return _sample(label, units, *args, **kwargs)
+            reason = NearImaginaryEigenvalue(0j, 1.0)
+            return Sample(units, np.full(len(units), np.nan), [(u, reason) for u in units], 0)
+
+        monkeypatch.setattr(reduction, "sample", skip_ukc)
 
     def test_reduce_reports_both_verdicts(self, sys2x2_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -583,8 +588,12 @@ def test_perfbench_observers_read_what_the_package_returns(pipe2x2, pipe3):
     spans = _perfbench_spans()
     scen = fixtures.example_scenario()
     spec = spectral.SamplingSpec(resolution=4)
+    eta_inf = reduction.eta_inf_sample(
+        pipe2x2.sys, pipe2x2.frame, (pipe2x2.eq, pipe2x2.data),
+        spectral.xi_omega_directions(pipe2x2.sys.d, spec),
+    )
     returned = {
-        "spectral.check_gkc": spectral.check_gkc(pipe2x2.sys, pipe2x2.frame, spec),
+        "spectral.check_gkc": spectral.check_gkc(pipe2x2.sys, pipe2x2.frame, spec, eta_inf),
         "sim.solve_relaxation": sim.solve_relaxation(pipe2x2.sys, scen, 1e-2),
         "sim.solve_equilibrium": sim.solve_equilibrium(
             pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, np.linspace(0.0, 2.0, 11)
@@ -1102,6 +1111,37 @@ _STAGES = {
 }
 
 
+def _chain_runs(sys3, tmp_path) -> dict:
+    """The argv of each command on the 3x3 fixture at resolution 8, by name
+    and in order, with reduce both reusing gkc.json and sampling afresh."""
+    system = tmp_path / "sys3.json"
+    system.write_text(json.dumps(system_to_dict(sys3)))
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps({
+        "boundary": [{"kind": "sin"}], "u0": [{"kind": "bump"}] * (sys3.n - sys3.r),
+        "T": 0.5, "epsilons": [1e-2, 3e-3], "grid": {"dx_max": 2e-3},
+    }))
+    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+    sampling = ["--resolution", "8"]
+    return {
+        "validate": ["validate", str(system), "--out", out],
+        "gkc": ["gkc", str(system), "--out", out] + sampling,
+        "reduce reusing gkc.json": ["reduce", str(system), "--out", out] + sampling,
+        "reduce sampling afresh": ["reduce", str(system), "--out", fresh] + sampling,
+        "simulate": ["simulate", str(system), "--out", out, "--scenario", str(scenario),
+                     "--eps", "1e-2", "--dx-max", "2e-3"],
+        "converge": ["converge", str(system), "--out", fresh, "--scenario", str(scenario)]
+                    + sampling,
+    }
+
+
+def _modules():
+    import importlib
+
+    return [importlib.import_module(f"relaxbc.{name}") for name in
+            ("cli", "model", "spectral", "reduction", "layers", "sim")]
+
+
 def test_each_command_runs_each_stage_once(sys3, tmp_path, monkeypatch):
     """Every command runs a prefix of one chain, each stage once: counted
     through the stage functions under every module name a caller looks
@@ -1110,8 +1150,7 @@ def test_each_command_runs_each_stage_once(sys3, tmp_path, monkeypatch):
     import importlib
     from collections import Counter
 
-    modules = [importlib.import_module(f"relaxbc.{name}") for name in
-               ("cli", "model", "spectral", "reduction", "layers", "sim")]
+    modules = _modules()
     calls = {}
     for home, names in _STAGES.items():
         for name in names:
@@ -1125,27 +1164,8 @@ def test_each_command_runs_each_stage_once(sys3, tmp_path, monkeypatch):
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counted)
 
-    system = tmp_path / "sys3.json"
-    system.write_text(json.dumps(system_to_dict(sys3)))
-    scenario = tmp_path / "scen.json"
-    scenario.write_text(json.dumps({
-        "boundary": [{"kind": "sin"}], "u0": [{"kind": "bump"}] * (sys3.n - sys3.r),
-        "T": 0.5, "epsilons": [1e-2, 3e-3], "grid": {"dx_max": 2e-3},
-    }))
-    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
-    sampling = ["--resolution", "8"]
-    runs = {
-        "validate": ["validate", str(system), "--out", out],
-        "gkc": ["gkc", str(system), "--out", out] + sampling,
-        "reduce reusing gkc.json": ["reduce", str(system), "--out", out] + sampling,
-        "reduce sampling afresh": ["reduce", str(system), "--out", fresh] + sampling,
-        "simulate": ["simulate", str(system), "--out", out, "--scenario", str(scenario),
-                     "--eps", "1e-2", "--dx-max", "2e-3"],
-        "converge": ["converge", str(system), "--out", fresh, "--scenario", str(scenario)]
-                    + sampling,
-    }
     counts = {}
-    for command, argv in runs.items():
+    for command, argv in _chain_runs(sys3, tmp_path).items():
         calls.clear()
         assert _run(argv) == 0, command
         for name, firsts in calls.items():
@@ -1154,6 +1174,37 @@ def test_each_command_runs_each_stage_once(sys3, tmp_path, monkeypatch):
     assert {key: n for key, n in counts.items() if n > 1} == {}
     assert counts["reduce sampling afresh", "check_gkc"] == 1
     assert ("reduce reusing gkc.json", "check_gkc") not in counts
+
+
+def test_each_command_counts_its_frequency_samples(sys3, tmp_path, monkeypatch):
+    """The GKC grid, the eta = inf sample and the UKC certificate are one
+    ``spectral.sample`` call each: counted by label under every module name
+    a caller looks ``sample`` up by, on the 3x3 fixture at resolution 8."""
+    from relaxbc import spectral
+
+    fn, labels = spectral.sample, []
+
+    def counted(label, *args, **kwargs):
+        labels.append(label)
+        return fn(label, *args, **kwargs)
+
+    for module in _modules():
+        if getattr(module, "sample", None) is fn:
+            monkeypatch.setattr(module, "sample", counted)
+    sampled = {}
+    for command, argv in _chain_runs(sys3, tmp_path).items():
+        labels.clear()
+        assert _run(argv) == 0, command
+        sampled[command] = list(labels)
+    everything = ["gkc eta = inf", "gkc", "ukc"]
+    assert sampled == {
+        "validate": [],
+        "gkc": ["gkc eta = inf", "gkc"],
+        "reduce reusing gkc.json": ["ukc"],
+        "reduce sampling afresh": everything,
+        "simulate": [],
+        "converge": everything,
+    }
 
 
 def test_gkc_report_survives_a_json_round_trip(monkeypatch):

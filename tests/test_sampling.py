@@ -16,29 +16,53 @@ from scipy.spatial import cKDTree
 from oracles import dense_limit, dense_M, dense_m1, dense_m2, ratio, schur_stable_basis
 from relaxbc import linalg, pool, reduction, spectral
 from relaxbc.errors import (
-    AssumptionViolated, ConfigError, GkcFailed, SpectralCountMismatch,
+    AssumptionViolated, ConfigError, GkcFailed, NearImaginaryEigenvalue, SpectralCountMismatch,
 )
 from relaxbc.fixtures import (
     example_system, random_admissible_bundle, repeated_speed_system,
 )
 from relaxbc.linalg import stable_eigvecs
 from relaxbc.model import RawSystem, RelaxationSystem, canonicalize, compute_indices
-from relaxbc.reduction import Pipeline, derive_all, eta_inf_ratios, ukc_ratios
+from relaxbc.reduction import Pipeline, derive_all, eta_inf_sample
 from relaxbc.spectral import (
     SOBOL_MAX_DIM,
+    Sample,
     SamplingSpec,
+    _gkc_sample,
     _sobol,
     _refine_minimum,
     build_kernel_frame,
     check_gkc,
     directions,
     gkc_ratio,
-    gkc_ratios,
+    sample,
     xi_omega_directions,
 )
 
 REL = 1e-10
 SPEC8 = SamplingSpec(resolution=8, rim_points=0)
+
+
+def _gkc(sys_obj, frame, units):
+    """The GKC sample of ``check_gkc`` at the rows ``units``."""
+    return _gkc_sample("gkc", sys_obj, frame, units)
+
+
+def _eta_inf(b, units):
+    """The eta = infinity sample of ``Pipeline.gkc`` at the rows ``units``."""
+    return eta_inf_sample(b.sys, b.frame, (b.eq, b.data), units)
+
+
+def _ukc(b, units):
+    """The UKC sample of ``derive_reduced_bc`` at the rows ``units``."""
+    coeff = b.rbc.coefficient
+    return sample("ukc", units, reduction._M1_stack(b.sys, b.eq), coeff @ b.eq.P1, coeff.shape[0])
+
+
+def _all_skipped(units):
+    """A ``Sample`` of ``units`` that skipped every row."""
+    reason = NearImaginaryEigenvalue(0j, 1.0)
+    return Sample(units, np.full(len(units), np.nan), [(u, reason) for u in units], 0)
 
 
 def _close(batched, scalar):
@@ -231,10 +255,10 @@ def test_batched_gkc_matches_scalar_on_random_pool(random_bundles, zero_speed_bu
     zero equilibrium speed, at resolution 8."""
     for b in [*random_bundles, zero_speed_bundle]:
         units = directions(b.sys.d + 2, SPEC8)
-        vals, failures, _ = gkc_ratios(b.sys, b.frame, units)
+        got = _gkc(b.sys, b.frame, units)
         want = _scalar_gkc(b.sys, b.frame, units)
-        _close(vals, want)
-        assert [f.split(": eigenvalue")[0] for f in failures] == [
+        _close(got.ratios, want)
+        assert [f.split(": eigenvalue")[0] for f in got.failures] == [
             str(tuple(u)) for u in units[np.isnan(want)].tolist()
         ]
 
@@ -246,9 +270,8 @@ def test_batched_limits_match_scalar_on_random_pool(random_bundles, zero_speed_b
     that varies over the directions."""
     for b in [*random_bundles, zero_speed_bundle]:
         units = xi_omega_directions(b.sys.d, SPEC8)
-        _close(eta_inf_ratios(b.sys, b.frame, b.eq, b.data, units)[0],
-               _scalar_eta_inf(b, units))
-        got, _ = ukc_ratios(b.sys, b.eq, b.rbc.coefficient, units)
+        _close(_eta_inf(b, units).ratios, _scalar_eta_inf(b, units))
+        got = _ukc(b, units).ratios
         want = _scalar_ukc(b, units)
         _close(got, want)
         assert abs(b.rbc.ukc_min_ratio - np.nanmin(want)) <= REL * np.nanmin(want)
@@ -266,15 +289,12 @@ def test_ratios_are_equal_at_conjugate_mirrors(random_bundles):
         d = b.sys.d
         units = directions(d + 2, spec)
         mirrored = units * np.r_[1.0, -np.ones(d), 1.0]
-        _close(gkc_ratios(b.sys, b.frame, mirrored)[0],
-               gkc_ratios(b.sys, b.frame, units)[0])
+        _close(_gkc(b.sys, b.frame, mirrored).ratios, _gkc(b.sys, b.frame, units).ratios)
         half = xi_omega_directions(d, spec)
         conj = half * np.r_[1.0, -np.ones(d)]
         assert np.all(conj[:, -1] <= 0.0)  # the half the grids leave out
-        _close(eta_inf_ratios(b.sys, b.frame, b.eq, b.data, conj)[0],
-               eta_inf_ratios(b.sys, b.frame, b.eq, b.data, half)[0])
-        coeff = b.rbc.coefficient
-        _close(ukc_ratios(b.sys, b.eq, coeff, conj)[0], ukc_ratios(b.sys, b.eq, coeff, half)[0])
+        _close(_eta_inf(b, conj).ratios, _eta_inf(b, half).ratios)
+        _close(_ukc(b, conj).ratios, _ukc(b, half).ratios)
 
 
 def test_mirrored_check_gkc_matches_dense_oracle(random_bundles, zero_speed_bundle):
@@ -339,9 +359,9 @@ class TestFallback:
         units = np.array([[1.0, 0.0, 0.5, 1.0], [1.0, 0.2, 0.3, 1.0]])
         M = -units[0, 0] * np.eye(2) + np.diag([0.0, -1.0]) - 0.5j * sys_obj.A[1]
         assert _orthonormal(stable_eigvecs(M[None], 2)[0][0])
-        vals, failures, _ = gkc_ratios(sys_obj, frame, units)
-        assert failures == []
-        _close(vals, _scalar_gkc(sys_obj, frame, units))
+        got = _gkc(sys_obj, frame, units)
+        assert got.failures == []
+        _close(got.ratios, _scalar_gkc(sys_obj, frame, units))
 
     def test_stable_count_mismatch_raises_as_scalar(self):
         # an anti-damped Q leaves one stable eigenvalue where n_+ = 2
@@ -351,7 +371,7 @@ class TestFallback:
         with pytest.raises(SpectralCountMismatch) as scalar_exc:
             gkc_ratio(sys_obj, frame, units[0])
         with pytest.raises(SpectralCountMismatch) as batched_exc:
-            gkc_ratios(sys_obj, frame, units)
+            _gkc(sys_obj, frame, units)
         assert str(batched_exc.value) == str(scalar_exc.value)
         assert str(batched_exc.value).startswith("(1.0, 0.0, 0.0, 2.0): 1 stable")
 
@@ -377,8 +397,8 @@ class TestReportedGaps:
         self, pipe2x2, monkeypatch
     ):
         monkeypatch.setattr(
-            reduction, "eta_inf_ratios",
-            lambda sys_obj, frame, eq, data, units: (np.full(len(units), np.nan), 0),
+            reduction, "eta_inf_sample",
+            lambda sys_obj, frame, limit, units: _all_skipped(units),
         )
         report = Pipeline(pipe2x2.sys, pipe2x2.frame, SPEC8).gkc
         assert report.eta_inf_min_ratio is None
@@ -483,17 +503,17 @@ class TestReportedGaps:
 
 
 class TestSignSplitCount:
-    """``map_chunks`` counts the rows whose basis came from the sign split,
+    """``sample`` counts the rows whose basis came from the sign split,
     and the debug lines of the three samples report the count."""
 
     @pytest.mark.parametrize("seed", [1234, 2523, 2691])
     def test_certify_pool_sends_no_row_to_the_sign_split(self, seed):
         b = random_admissible_bundle(np.random.default_rng(seed), d=3, require_n0=1)
         spec = SamplingSpec(resolution=12, rim_points=64)
-        assert gkc_ratios(b.sys, b.frame, directions(5, spec))[2] == 0
+        assert _gkc(b.sys, b.frame, directions(5, spec)).split == 0
         shared = xi_omega_directions(3, spec)
-        assert eta_inf_ratios(b.sys, b.frame, b.eq, b.data, shared)[1] == 0
-        assert ukc_ratios(b.sys, b.eq, b.rbc.coefficient, shared)[1] == 0
+        assert _eta_inf(b, shared).split == 0
+        assert _ukc(b, shared).split == 0
 
     def test_debug_lines_count_the_sign_split_rows(self, caplog):
         # the double speed of A1 gives double stable eigenvalues where
@@ -503,24 +523,23 @@ class TestSignSplitCount:
             report = Pipeline(b.sys, b.frame, SPEC8).gkc
         assert report.passed
         units, shared = directions(4, SPEC8), xi_omega_directions(2, SPEC8)
-        vals, _, split = gkc_ratios(b.sys, b.frame, units)
-        eta_inf, eta_split = eta_inf_ratios(b.sys, b.frame, b.eq, b.data, shared)
-        ukc, ukc_split = ukc_ratios(b.sys, b.eq, b.rbc.coefficient, shared)
+        grid, eta_inf, ukc = _gkc(b.sys, b.frame, units), _eta_inf(b, shared), _ukc(b, shared)
+        split, eta_split, ukc_split = grid.split, eta_inf.split, ukc.split
         assert min(split, eta_split, ukc_split) > 0
         for line in (f"gkc: {len(units)} directions, 0 skipped, {split} sign-split, ",
                      f"gkc eta = inf: {len(shared)} directions, 0 skipped, {eta_split} sign-split, ",
                      f"ukc: {len(shared)} directions, 0 skipped, {ukc_split} sign-split, "):
             assert line in caplog.text
-        _close(vals, _scalar_gkc(b.sys, b.frame, units))
-        _close(eta_inf, _scalar_eta_inf(b, shared))
-        _close(ukc, _scalar_ukc(b, shared))
+        _close(grid.ratios, _scalar_gkc(b.sys, b.frame, units))
+        _close(eta_inf.ratios, _scalar_eta_inf(b, shared))
+        _close(ukc.ratios, _scalar_ukc(b, shared))
 
 
 class TestConjugateMirror:
     def test_complex_system_is_refused(self, pipe2x2):
         sys_c = dataclasses.replace(pipe2x2.sys, B=pipe2x2.sys.B + 0j)
         with pytest.raises(AssumptionViolated, match="real"):
-            check_gkc(sys_c, pipe2x2.frame, SPEC8)
+            check_gkc(sys_c, pipe2x2.frame, SPEC8, "not sampled")
 
     def test_debug_line_counts_the_half_grid(self, pipe2x2, caplog):
         with caplog.at_level(logging.DEBUG, logger="relaxbc.spectral"):
@@ -531,7 +550,7 @@ class TestConjugateMirror:
 
 
 class TestPooledMap:
-    """``map_chunks`` runs its chunks on a thread pool; CHUNK is lowered so
+    """``sample`` runs its chunks on a thread pool; CHUNK is lowered so
     that each sample spans several chunks."""
 
     @pytest.fixture
@@ -567,15 +586,15 @@ class TestPooledMap:
             shared = xi_omega_directions(b.sys.d, spec)
             assert min(len(grid), len(shared)) >= 3 * spectral.CHUNK
             for fn, args in (
-                (gkc_ratios, (b.sys, b.frame, grid)),
-                (eta_inf_ratios, (b.sys, b.frame, b.eq, b.data, shared)),
-                (ukc_ratios, (b.sys, b.eq, b.rbc.coefficient, shared)),
+                (_gkc, (b.sys, b.frame, grid)),
+                (_eta_inf, (b, shared)),
+                (_ukc, (b, shared)),
             ):
                 serial, none = pooled(1, fn, *args)
                 threaded, started = pooled(4, fn, *args)
                 assert none == [] and started == [4]
-                assert threaded[1:] == serial[1:]
-                assert self._same_bits(threaded[0], serial[0])
+                assert threaded.failures == serial.failures and threaded.split == serial.split
+                assert self._same_bits(threaded.ratios, serial.ratios)
 
     def test_skipped_rows_keep_row_order_across_chunks(self, pooled, pipe2x2):
         # M1 = -xi / Lam1 on the 2x2 example: a row with Re xi = 1e-12 puts
@@ -587,14 +606,15 @@ class TestPooledMap:
         units[planted, 0] = 1e-12
         assert len(np.unique(planted // spectral.CHUNK)) >= 3
         p = pipe2x2
-        args = (units, reduction._M1_stack(p.sys, p.eq), p.rbc.coefficient @ p.eq.P1, 1)
-        serial, _ = pooled(1, spectral.map_chunks, *args)
-        (vals, skipped, _), started = pooled(2, spectral.map_chunks, *args)
+        args = ("ukc", units, reduction._M1_stack(p.sys, p.eq), p.rbc.coefficient @ p.eq.P1, 1)
+        serial, _ = pooled(1, spectral.sample, *args)
+        got, started = pooled(2, spectral.sample, *args)
+        vals, skipped = got.ratios, got.skipped
         assert started == [2]
         assert np.array_equal(np.flatnonzero(np.isnan(vals)), planted)
         assert np.array_equal(np.array([row for row, _ in skipped]), units[planted])
         assert all("imaginary axis" in str(exc) for _, exc in skipped)
-        assert self._same_bits(vals, serial[0])
+        assert self._same_bits(vals, serial.ratios)
 
     def test_count_mismatch_in_a_later_chunk_names_its_row(self, pooled):
         # an anti-damped Q leaves one stable eigenvalue where eta > Re xi;
@@ -609,7 +629,7 @@ class TestPooledMap:
         units[later] = [1.0, 0.0, 0.0, 3.0]
         for cpus in (1, 3):
             with pytest.raises(SpectralCountMismatch) as exc:
-                pooled(cpus, gkc_ratios, sys_obj, frame, units)
+                pooled(cpus, _gkc, sys_obj, frame, units)
             assert str(exc.value).startswith("(1.0, 0.0, 0.0, 2.0): 1 stable")
 
     def test_eigenvector_bases_are_factored_once(self, random_bundles, monkeypatch):
@@ -618,7 +638,7 @@ class TestPooledMap:
         b3 = next(b for b in random_bundles if b.sys.d == 3)
         spec = SamplingSpec(resolution=6, rim_points=4)
         grid = directions(b3.sys.d + 2, spec)
-        want, _, split = gkc_ratios(b3.sys, b3.frame, grid)
+        want = _gkc(b3.sys, b3.frame, grid)
         factored = []
 
         def counted(L):
@@ -626,10 +646,10 @@ class TestPooledMap:
             return linalg.volume(L)
 
         monkeypatch.setattr(spectral, "volume", counted)
-        got = gkc_ratios(b3.sys, b3.frame, grid)[0]
-        assert got.tobytes() == want.tobytes()
-        assert sum(factored) == 0 and split == 0
-        eta_inf_ratios(b3.sys, b3.frame, b3.eq, b3.data, xi_omega_directions(b3.sys.d, spec))
+        got = _gkc(b3.sys, b3.frame, grid).ratios
+        assert got.tobytes() == want.ratios.tobytes()
+        assert sum(factored) == 0 and want.split == 0
+        _eta_inf(b3, xi_omega_directions(b3.sys.d, spec))
         assert sum(factored) > 0  # a basis transform computes its own volume
 
     def test_single_chunk_starts_no_threads(self, pooled, pipe2x2, monkeypatch):

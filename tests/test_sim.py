@@ -289,6 +289,13 @@ class TestGradedMesh:
         with pytest.raises(ConfigError, match=name):
             graded_mesh(*args)
 
+    @pytest.mark.parametrize("x_max", [1e308, 1e20])
+    def test_too_many_nodes_are_refused_before_allocating(self, x_max):
+        # an OverflowError and a ValueError from the node array before; the
+        # cell bound that check_work applies now comes first
+        with pytest.raises(ConfigError, match=re.escape(f"x_max {x_max!r},") + ".* the limit is 1,000,000"):
+            graded_mesh(x_max, 1e-3, 1e-2)
+
     def test_dx_min_above_dx_max_is_refused(self):
         # this mesh put node 0 at level 2 and the other 4,023 nodes at level
         # 0, and cycle_operator asked for a 12,069 x 12,073 dense block; the
@@ -361,6 +368,28 @@ class TestGradedMesh:
         res = solve_relaxation(pipe2x2.sys, scen, eps, dx_max=5e-4)
         rho = max(abs(np.linalg.eigvalsh(pipe2x2.sys.A1)))
         assert res.steps == math.ceil(T / (0.9 * dx_min / rho))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3, 3e-4])
+def test_check_work_bounds_the_run_it_admits(eps, pipe2x2, sys3, monkeypatch):
+    # at the converge dx_max on both converge fixtures: with either limit
+    # one below the run's count the run is refused, and the step bound is
+    # the count itself (the node bound sits a few cells above it)
+    for sys_obj, scen in (
+        (pipe2x2.sys, fixtures.example_scenario(T=0.5, x_max=2.0)),
+        (sys3, fixtures.scenario_double_characteristic(sys3)),
+    ):
+        res = solve_relaxation(sys_obj, scen, eps, dx_max=5e-4)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "STIFF_NODES_MAX", res.x.size - 1)
+            with pytest.raises(ConfigError, match="mesh nodes"):
+                sim.check_work(sys_obj, scen, eps, 5e-4)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "STIFF_STEPS_MAX", res.steps - 1)
+            with pytest.raises(ConfigError, match="finest time steps"):
+                sim.check_work(sys_obj, scen, eps, 5e-4)
+            m.setattr(sim, "STIFF_STEPS_MAX", res.steps)
+            sim.check_work(sys_obj, scen, eps, 5e-4)
 
 
 class TestTimeLevels:

@@ -19,8 +19,8 @@ from relaxbc.spectral import (
     build_kernel_frame,
     build_M,
     directions,
+    _gkc_sample,
     gkc_ratio,
-    gkc_ratios,
 )
 
 
@@ -191,7 +191,7 @@ class TestCheckGkc:
         spec = SamplingSpec(resolution=6, rim_points=8)
         report = Pipeline(b.sys, b.frame, spec).gkc
         tensor = directions(b.sys.d + 2, replace(spec, rim_points=0))
-        vals, _, _ = gkc_ratios(b.sys, b.frame, tensor)
+        vals = _gkc_sample("gkc", b.sys, b.frame, tensor).ratios
         re_xi = np.cos(np.linspace(0.0, np.arccos(spec.delta), spec.resolution))
         want = [[r, np.nanmin(vals[tensor[:, 0] == r])] for r in re_xi]
         assert report.re_xi_slice_minima == want

@@ -8,9 +8,14 @@
 # example, double_characteristic_system(7), the certify systems 1234, 2523
 # and 2691, and repeated_speed_system) it runs validate, gkc, reduce reusing
 # gkc.json and reduce sampling afresh, at --resolution 8 and 12, then both
-# convergence studies of the CI.  Every report, the console output and the
-# exit codes must be byte-identical, apart from provenance.source in the
-# JSON reports.  Exits 1, naming what differs, otherwise.
+# convergence studies of the CI.  Every command runs with RELAXBC_LOG=debug:
+# the debug lines of the frequency samples (labels "gkc", "gkc eta = inf"
+# and "ukc": directions, skipped and sign-split rows, minimum) go to
+# samples.txt without their logger names, and the other debug lines, some
+# of which carry wall times, are dropped.  Every report, the console
+# output, the sample lines and the exit codes must be byte-identical, apart
+# from provenance.source in the JSON reports.  Exits 1, naming what
+# differs, otherwise.
 set -u
 old=$(cd "$1" && pwd) && new=$(cd "$2" && pwd) || exit 2
 mkdir -p "$3/inputs" && work=$(cd "$3" && pwd) || exit 2
@@ -51,8 +56,11 @@ reports() {  # reports TREE OUT
     local out=$2
     rm -rf "$out" && mkdir -p "$out"
     run() {
-        PYTHONPATH=$1/src python3 -m relaxbc.cli "${@:2}" 2>&1 | sed "s#$out#OUT#g" >> "$out/console.txt"
-        echo "${PIPESTATUS[0]} ${*:2}" | sed "s#$out##g; s#$in/##g" >> "$out/exit_codes.txt"
+        RELAXBC_LOG=debug PYTHONPATH=$1/src python3 -m relaxbc.cli "${@:2}" > "$out/log.tmp" 2>&1
+        echo "$? ${*:2}" | sed "s#$out##g; s#$in/##g" | tee -a "$out/samples.txt" >> "$out/exit_codes.txt"
+        grep -v '^DEBUG:' "$out/log.tmp" | sed "s#$out#OUT#g" >> "$out/console.txt"
+        sed -nE 's/^DEBUG:relaxbc\.[a-z]+:((gkc|gkc eta = inf|ukc): )/\1/p' "$out/log.tmp" >> "$out/samples.txt"
+        rm "$out/log.tmp"
     }
     for s in example double d3_1234 d3_2523 d3_2691 repeated; do
         for res in 8 12; do
