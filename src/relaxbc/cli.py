@@ -48,6 +48,7 @@ from .spectral import SamplingSpec, build_kernel_frame
 from .sim import (
     Scenario, check_epsilons, check_work, l2_error, run_convergence_study, solve_relaxation,
 )
+from .tolerances import INPUT_ABS_MAX
 # not called here; perfbench/spans.py wraps each by this name
 from .model import load_system, validate_structural_stability
 from .reduction import derive_all
@@ -224,11 +225,15 @@ def _as_float(value) -> float:
 
 
 def _finite(key: str, value) -> float:
-    """``value`` as a float; a ConfigError unless it is a finite number (a
-    waveform or profile parameter that is not would feed NaN into a run)."""
+    """``value`` as a float; a ConfigError unless it is a finite number of
+    magnitude at most INPUT_ABS_MAX (a waveform or profile parameter that is
+    not would feed NaN or an overflow into a run)."""
     number = _as_float(value)
-    if not np.isfinite(number):
-        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+    if not (np.isfinite(number) and abs(number) <= INPUT_ABS_MAX):
+        raise ConfigError(
+            f"{key!r} must be a finite number of magnitude at most {INPUT_ABS_MAX:g}, "
+            f"got {value!r}"
+        )
     return number
 
 
@@ -273,15 +278,16 @@ def _load_scenario(path: str, sys_obj) -> tuple[Scenario, dict]:
     def b(t):
         return np.stack([w(t) for w in waves], axis=-1)
 
-    def u0(x):
-        x = np.asarray(x)
-        return np.column_stack([p(x) for p in profiles])
+    def stacked(profiles):
+        def evaluate(x):
+            # far beyond a tiny width a profile's exponent overflows to -inf,
+            # and exp gives its value there, 0, exactly
+            with np.errstate(over="ignore"):
+                return np.column_stack([p(np.asarray(x)) for p in profiles])
+        return evaluate
 
-    v0 = None
-    if v_profiles is not None:
-        def v0(x):
-            x = np.asarray(x)
-            return np.column_stack([p(x) for p in v_profiles])
+    u0 = stacked(profiles)
+    v0 = None if v_profiles is None else stacked(v_profiles)
 
     T = _finite_positive("T", doc["T"])
     x_max = _finite_positive("x_max", doc.get("x_max", 2.0))

@@ -20,8 +20,9 @@ matrix, a composite on another grid) raise ``ValueError``.
   matrix (a rank loss, a singular closure or inflow block, no nonzero
   speed); exit 3.
 - ``NearImaginaryEigenvalue``: the sampler skips the point.
-- ``SpectralCountMismatch``: the sampler names the point in the message.
-- ``SignNotConverged``: the sampler maps ``row`` back to the whole stack.
+- ``SpectralCountMismatch``, ``SignNotConverged``: ``linalg.stable_eigvecs``
+  maps ``row`` back to the whole stack, and the sampler names the point in
+  the message.
 
 The last three, when they reach the command line, and numpy's
 ``LinAlgError`` exit 3 as well.  ``UnresolvedLayerWarning`` is a warning, not

@@ -30,23 +30,32 @@ from .tolerances import (
     SIGN_MAX_STEPS,
     SIGN_REL_CHANGE,
     SIGN_SCALED_STEPS,
-    spectral_norm,
     tau_axis,
 )
 
 
-def guarded_eigvals(M) -> np.ndarray:
+def _axis_guard(M: np.ndarray, w: np.ndarray) -> dict:
+    """The axis guard on a stack M (N, k, k) with eigenvalues w (N, k):
+    {i: NearImaginaryEigenvalue} for each row i with an eigenvalue within
+    tau_axis(||M[i]||_2) of the imaginary axis, naming the first in the
+    order of w that lies nearest it."""
+    tol = tau_axis(np.linalg.norm(M, 2, axis=(1, 2)))
+    dist = np.abs(w.real)
+    near = np.flatnonzero(dist.min(axis=1, initial=np.inf) < tol)
+    return {int(i): NearImaginaryEigenvalue(w[i, dist[i].argmin()], tol[i]) for i in near}
+
+
+def guarded_eigvals(M: np.ndarray) -> np.ndarray:
     """Eigenvalues of a square matrix M.
 
     Raises NearImaginaryEigenvalue if one lies within tau_axis(||M||_2) of the
     imaginary axis: that signals the caller drifted to an inadmissible
-    parameter point.
+    parameter point.  It is the one-row case of ``_axis_guard``.
     """
     eigs = np.linalg.eigvals(M)
-    tol = tau_axis(spectral_norm(M))
-    worst = eigs[np.argmin(np.abs(eigs.real))]
-    if abs(worst.real) < tol:
-        raise NearImaginaryEigenvalue(worst, tol)
+    skip = _axis_guard(M[None], eigs[None])
+    if skip:
+        raise skip[0]
     return eigs
 
 
@@ -173,82 +182,72 @@ def stable_eigvecs(M: np.ndarray, n_s: int):
     """Bases of the stable invariant subspaces of a stack M (N, k, k) at
     points where that subspace has dimension n_s.
 
-    Returns ``(V_s, vol, skipped, split)`` with vol = ``volume(V_s)``.
-    The spectrum comes from one stacked ``eigvals``.  V_s (N, k, n_s) holds
-    the unit stable eigenvectors of M[i] from ``_inverse_iteration`` on its
-    stable eigenvalues where they can stand in for a basis: M[i] has n_s stable eigenvalues, every eigenvalue
+    Returns ``(V_s, vol, skipped, split)`` with vol = ``volume(V_s)``.  One
+    stacked ``eigvals`` decides every row.  V_s (N, k, n_s) holds the unit
+    stable eigenvectors of M[i] from ``_inverse_iteration`` where they can
+    stand in for a basis: M[i] has n_s stable eigenvalues, every eigenvalue
     lies at least AXIS_MARGIN * tau_axis(||M[i]||_F) from the imaginary axis
     (checked at n_s = 0 too), each stable eigenvalue lies at least
     EIGVAL_GAP_REL * ||M[i]||_F from each unstable one, each vector's
     residual |M v - lam v| is at most EIGVEC_RESIDUAL_REL * ||M[i]||_F, and
-    the vectors span a volume of at least 1 / EIGVEC_COND_MAX.  Every other
-    row, and every row when a stacked call raised LinAlgError, takes the
-    orthonormal basis ``split_invariant_subspaces(M[i])`` would return, from
-    one stacked sign iteration over those rows; ``split`` lists them.  A
-    ratio |det(X V_s)| / vol(V_s) does not depend on the basis, so neither
-    is orthonormalised: the eigenvector rows return the volumes of the
-    screen, and only the other rows are factored again.  Unless a
-    LinAlgError sends the whole stack to the sign split, a row's result
-    depends on that row alone.
-
-    ``skipped`` maps each i whose axis guard raised NearImaginaryEigenvalue
-    to that exception; its row of V_s is zero.  A fallback row with other
-    than n_s stable eigenvalues raises SpectralCountMismatch, ``row`` i.
+    the vectors span a volume of at least 1 / EIGVEC_COND_MAX.  The other
+    rows (all, when the inverse iteration raised LinAlgError) meet
+    ``_axis_guard`` on the same eigenvalues: ``skipped`` maps each row it
+    flags to its NearImaginaryEigenvalue, with a zero basis; the first other
+    row with other than n_s stable eigenvalues raises SpectralCountMismatch,
+    ``row`` i; the rest, listed in ``split``, take the orthonormal basis
+    ``split_invariant_subspaces(M[i])`` would return, from one stacked sign
+    iteration.  A ratio |det(X V_s)| / vol(V_s) does not depend on the
+    basis, so neither is orthonormalised, and only the rows not screened are
+    factored for their volume.  Unless a LinAlgError sends the whole stack
+    to the sign split, a row's result depends on that row alone.
     """
     N, k = M.shape[:2]
-    V_s, ok = np.zeros((N, k, n_s), dtype=complex), np.zeros(N, dtype=bool)
-    vol, screened = np.empty(N), np.zeros(N, dtype=bool)
-    if k:
+    V_s, vol, screened = np.zeros((N, k, n_s), dtype=complex), np.empty(N), np.zeros(N, bool)
+    w = np.linalg.eigvals(M)
+    stable = w.real < 0
+    count = stable.sum(axis=1)
+    # the Frobenius norm bounds the spectral norm of the axis guard from
+    # above, so this screen passes no row that guard would skip
+    norms = np.linalg.norm(M, axis=(1, 2))
+    ok = (count == n_s) & (
+        np.abs(w.real).min(axis=1, initial=np.inf) >= AXIS_MARGIN * tau_axis(norms)
+    )
+    if n_s and ok.any():
+        order = np.argsort(~stable, axis=1, kind="stable")
+        lam = np.take_along_axis(w, order, axis=1)
+        gap = np.abs(lam[:, :n_s, None] - lam[:, None, n_s:]).min(axis=(1, 2), initial=np.inf)
+        ok &= gap >= EIGVAL_GAP_REL * norms
+        # a row that passed the axis screen has ||M[i]||_F > 0
+        live = np.flatnonzero(ok)
+        # no copy of M when every row passed
+        A = M if live.size == N else M[live]
+        lam, scale = lam[live, :n_s], norms[live]
         try:
-            w = np.linalg.eigvals(M)
-            stable = w.real < 0
-            # the Frobenius norm bounds the spectral norm of the axis guard
-            # from above, so this screen passes no row that guard would skip
-            norms = np.linalg.norm(M, axis=(1, 2))
-            ok = (stable.sum(axis=1) == n_s) & (
-                np.abs(w.real).min(axis=1) >= AXIS_MARGIN * tau_axis(norms)
-            )
-            if n_s:
-                order = np.argsort(~stable, axis=1, kind="stable")
-                w = np.take_along_axis(w, order, axis=1)
-                gap = np.abs(w[:, :n_s, None] - w[:, None, n_s:]).min(axis=(1, 2), initial=np.inf)
-                ok &= gap >= EIGVAL_GAP_REL * norms
-                # a row that passed the axis screen has ||M[i]||_F > 0
-                live = np.flatnonzero(ok)
-                # no copy of M when every row passed
-                A = M if live.size == N else M[live]
-                lam, scale = w[live, :n_s], norms[live]
-                V = _inverse_iteration(A, lam, scale)
-                residual = np.linalg.norm(A @ V - V * lam[:, None, :], axis=1).max(axis=1)
-                spanned = volume(V)
-                good = (residual <= EIGVEC_RESIDUAL_REL * scale) & (spanned >= 1 / EIGVEC_COND_MAX)
-                V_s[live[good]], vol[live[good]] = V[good], spanned[good]
-                screened[live[good]] = True
-                ok[live[~good]] = False
+            V = _inverse_iteration(A, lam, scale)
         except np.linalg.LinAlgError:
             ok[:] = False
-    else:
-        ok[:] = n_s == 0
-    skipped, rows = {}, []
-    for i in np.flatnonzero(~ok):
+        else:
+            residual = np.linalg.norm(A @ V - V * lam[:, None, :], axis=1).max(axis=1)
+            spanned = volume(V)
+            good = (residual <= EIGVEC_RESIDUAL_REL * scale) & (spanned >= 1 / EIGVEC_COND_MAX)
+            V_s[live[good]], vol[live[good]] = V[good], spanned[good]
+            screened[live[good]] = True
+            ok[live[~good]] = False
+    rows = np.flatnonzero(~ok)
+    near = _axis_guard(M[rows], w[rows])
+    skipped = {int(rows[i]): exc for i, exc in near.items()}
+    rows = np.delete(rows, list(near))
+    for i in rows[count[rows] != n_s][:1]:
+        raise SpectralCountMismatch(f"{count[i]} stable eigenvalues, expected {n_s}", row=int(i))
+    if rows.size:
         try:
-            count = int(np.sum(guarded_eigvals(M[i]).real < 0))
-        except NearImaginaryEigenvalue as exc:
-            skipped[int(i)] = exc
-            continue
-        if count != n_s:
-            raise SpectralCountMismatch(
-                f"{count} stable eigenvalues, expected {n_s}", row=int(i)
-            )
-        rows.append(i)
-    if rows:
-        try:
-            V_s[rows] = _stable_bases(M[rows], np.full(len(rows), n_s))[:, :, :n_s]
+            V_s[rows] = _stable_bases(M[rows], np.full(rows.size, n_s))[:, :, :n_s]
         except SignNotConverged as exc:
             raise SignNotConverged(str(exc), row=int(rows[exc.row])) from exc
     if not screened.all():
         vol[~screened] = volume(V_s[~screened])
-    return V_s, vol, skipped, np.array(rows, dtype=int)
+    return V_s, vol, skipped, rows
 
 
 def full_rank_cond(M, error: Exception, rel: float = RANK_REL) -> float:

@@ -13,13 +13,15 @@ import numpy as np
 from .errors import ParseError, ValidationFailed
 from .linalg import full_rank_cond
 from .tolerances import (
-    EIG_GREY_FACTOR, KERNEL_SPLIT_SLACK, spectral_norm, tau_eig, tau_rank, tau_sym,
+    EIG_GREY_FACTOR, INPUT_ABS_MAX, KERNEL_SPLIT_SLACK, spectral_norm, tau_eig, tau_rank,
+    tau_sym,
 )
 
 
 def _as_matrix(obj, name: str) -> np.ndarray:
     """The 2-D matrix of JSON numbers ``obj``; a string or a bool entry is
-    refused, not converted."""
+    refused, not converted, and so is one that is not finite or exceeds
+    INPUT_ABS_MAX in magnitude."""
     entries = np.array(obj, dtype=object)
     if entries.ndim != 2:
         raise ParseError(f"field '{name}' must be a 2-D matrix, got ndim={entries.ndim}")
@@ -29,6 +31,8 @@ def _as_matrix(obj, name: str) -> np.ndarray:
     arr = entries.astype(float)
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"field '{name}' has an entry that is not finite")
+    if np.abs(arr).max(initial=0.0) > INPUT_ABS_MAX:
+        raise ParseError(f"field '{name}' has an entry larger than {INPUT_ABS_MAX:g} in magnitude")
     return arr
 
 

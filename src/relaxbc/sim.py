@@ -174,9 +174,9 @@ def check_work(sys: RelaxationSystem, scenario: Scenario, eps: float, dx_max: fl
     h, cycle = bulk, 1.0
     while h > dx_min:
         h, cycle = h / 2.0, 2.0 * cycle
-    if scenario.x_max < bulk * (GRADING / (GRADING - 1.0) + 2.0):
-        h, cycle = h / 2.0, 2.0 * cycle
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if scenario.x_max < bulk * (GRADING / (GRADING - 1.0) + 2.0):
+            h, cycle = h / 2.0, 2.0 * cycle
         finest = np.ceil(scenario.T / (CFL * h * (1.0 - MESH_ROUNDOFF_REL) / rho))
         steps = np.ceil(finest / cycle) * cycle
     if not steps <= STIFF_STEPS_MAX:

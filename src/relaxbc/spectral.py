@@ -21,13 +21,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AssumptionViolated, ConfigError, SpectralCountMismatch, ValidationFailed
+from .errors import (
+    AssumptionViolated, ConfigError, SignNotConverged, SpectralCountMismatch, ValidationFailed,
+)
 # split_invariant_subspaces is not called here; perfbench/spans.py wraps it by
 # this name
 from .linalg import orthonormal_complement, split_invariant_subspaces, stable_eigvecs, volume
 from .model import RelaxationSystem, check_sk_condition
 from .pool import thread_map
-from .tolerances import C_THRESHOLD, REFINE_MARGIN
+from .tolerances import C_THRESHOLD, REFINE_MARGIN, SAMPLE_DIRECTIONS_MAX
 
 log = logging.getLogger(__name__)
 
@@ -327,7 +329,10 @@ def _directions(m: int, spec: SamplingSpec, conjugate_half: bool = True):
     ``qmc.Sobol(d=m - 1, scramble=True, seed=seed)``.  Its direction-number
     table ends at SOBOL_MAX_DIM = 32 dimensions, so rim points need
     m <= 33 (d <= 31 on the GKC hemisphere); past that they raise
-    ``ConfigError``.  The tensor
+    ``ConfigError``.  So does a grid estimated, before anything is
+    allocated, at more than SAMPLE_DIRECTIONS_MAX directions:
+    resolution^(m - 1) tensor rows, before the conjugate half and the pole
+    repeats are dropped, and 2 * rim_points.  The tensor
     grid repeats its pole points: where an angle before the last is a pole
     (phi_1 = 0, or phi_k in {0, pi} for 2 <= k < m - 1), every row with a
     nonzero later index repeats the row whose later indices are all 0.
@@ -347,6 +352,13 @@ def _directions(m: int, spec: SamplingSpec, conjugate_half: bool = True):
     and the count of those, first, that are the tensor grid's.
     """
     res = spec.resolution
+    estimate = res ** (m - 1) + 2 * spec.rim_points  # Python ints: no overflow
+    if estimate > SAMPLE_DIRECTIONS_MAX:
+        raise ConfigError(
+            f"resolution {res} with {spec.rim_points} rim points in m = {m} coordinates "
+            f"asks for about {estimate:,} directions, past SAMPLE_DIRECTIONS_MAX = "
+            f"{SAMPLE_DIRECTIONS_MAX:,} (relaxbc/tolerances.py)"
+        )
     phi_max = math.acos(spec.delta)
     # phi_2 ... phi_{m-1} on [0, pi] as grid indices, in tensor order; an odd
     # grid has pi / 2 exactly at its middle index
@@ -465,8 +477,8 @@ def _sample_chunk(part: np.ndarray, stack, X: np.ndarray, n_s: int, basis):
     """``sample`` on the rows of one chunk: ``(ratios, skipped, split)``."""
     try:
         V_s, vol, skip, split = stable_eigvecs(stack(part), n_s)
-    except SpectralCountMismatch as exc:
-        raise SpectralCountMismatch(f"{tuple(part[exc.row].tolist())}: {exc}") from exc
+    except (SpectralCountMismatch, SignNotConverged) as exc:
+        raise type(exc)(f"{tuple(part[exc.row].tolist())}: {exc}") from exc
     vals = det_ratio(X, V_s, vol) if basis is None else det_ratio(X, basis(V_s))
     vals[list(skip)] = math.nan
     return vals, [(part[i], exc) for i, exc in skip.items()], split.size
@@ -489,7 +501,8 @@ def sample(label: str, units: np.ndarray, stack, X: np.ndarray, n_s: int, basis=
     same, bit for bit, whatever the number of workers.
 
     A row whose stable split raised NearImaginaryEigenvalue is skipped.  A
-    row with other than n_s stable eigenvalues raises SpectralCountMismatch
+    row with other than n_s stable eigenvalues raises SpectralCountMismatch,
+    and a row whose sign iteration does not converge SignNotConverged, each
     naming the row; when several chunks raise, the first in row order does.
     """
     run = functools.partial(_sample_chunk, stack=stack, X=X, n_s=n_s, basis=basis)

@@ -109,6 +109,19 @@ MESH_ROUNDOFF_REL = 1e-9
 STIFF_NODES_MAX = 1_000_000
 STIFF_STEPS_MAX = 10_000_000
 
+#: largest magnitude of a matrix entry of a system file and of a waveform or
+#: profile parameter (and ``--threshold``): a Q entry of 1e308 overflowed the
+#: structural checks, and an amplitude of 1e308 the squares of an L2 norm
+INPUT_ABS_MAX = 1e100
+
+#: largest frequency sample ``spectral.directions`` lets start, estimated
+#: as resolution^(m - 1) + 2 * rim_points before anything is allocated, m the
+#: coordinates of a direction.  The default ``gkc`` grid at d = 3 estimates
+#: 331,904 (134,242 rows).  Peak memory measured for ``gkc``: 215 MB at d = 3,
+#: resolution 40 (2,560,000); 273 MB at d = 19, resolution 2 (1,048,576),
+#: where the grid indices of many coordinates dominate
+SAMPLE_DIRECTIONS_MAX = 4_000_000
+
 #: convergence errors all below this are round-off: the fitted slope is
 #: undefined
 DEGENERATE_ERROR_ABS = 1e-14

@@ -15,26 +15,29 @@ from relaxbc.tolerances import MESH_ROUNDOFF_REL, tau_axis
 def dense_M(sys_obj, frame, p):
     """M = A1_hat^{-1}[G11 - G10 G00^{-1} G01] with G_kl = R_k^T G R_l and
     G = eta Q - xi I - i sum_j omega_j A_j formed densely, at the row
-    p = (Re xi, Im xi, omega..., eta)."""
-    G = p[-1] * sys_obj.Q - complex(p[0], p[1]) * np.eye(sys_obj.n)
-    for w, Aj in zip(p[2:-1], sys_obj.A[1:]):
-        G = G - 1j * w * Aj
+    p = (Re xi, Im xi, omega..., eta), or at each row of a stack p (N, m)."""
+    p = np.asarray(p, dtype=float)[..., None, None]
+    G = p[..., -1, :, :] * sys_obj.Q - (p[..., 0, :, :] + 1j * p[..., 1, :, :]) * np.eye(sys_obj.n)
+    for j, Aj in enumerate(sys_obj.A[1:]):
+        G = G - 1j * p[..., 2 + j, :, :] * Aj
     k = frame.R1.shape[1]
     F = np.hstack([frame.R1, frame.R0])
     G = F.T @ G @ F
-    core = G[:k, :k]
+    core = G[..., :k, :k]
     if k < sys_obj.n:
-        core = core - G[:k, k:] @ np.linalg.solve(G[k:, k:], G[k:, :k])
+        core = core - G[..., :k, k:] @ np.linalg.solve(G[..., k:, k:], G[..., k:, :k])
     return np.linalg.solve(frame.R1.T @ sys_obj.A1 @ frame.R1, core)
 
 
 def dense_m1(sys_obj, eq, xi, omega):
     """M1(xi, omega) and X = [xi I + P0^T C P0]^{-1} P0^T C P1 by the dense
-    formula, with C(omega) = i sum_j omega_j A_{j,11} built from sys.A."""
+    formula, with C(omega) = i sum_j omega_j A_{j,11} built from sys.A; or
+    their stacks, for xi (N,) and omega (N, d - 1)."""
     n1 = sys_obj.n - sys_obj.r
+    xi, omega = np.asarray(xi)[..., None, None], np.asarray(omega)[..., None, None]
     C = np.zeros((n1, n1), dtype=complex)
-    for w, Aj in zip(omega, sys_obj.A[1:]):
-        C += 1j * w * Aj[:n1, :n1]
+    for j, Aj in enumerate(sys_obj.A[1:]):
+        C = C + 1j * omega[..., j, :, :] * Aj[:n1, :n1]
     P1, P0 = eq.P1, eq.P0
     X = np.linalg.solve(xi * np.eye(P0.shape[1]) + P0.T @ C @ P0, P0.T @ C @ P1)
     core = xi * np.eye(P1.shape[1]) + P1.T @ C @ P1 - P1.T @ C @ P0 @ X
@@ -77,21 +80,41 @@ def dense_limit(eq, data, R1S, R2S, X):
     return np.vstack([top, low])
 
 
+def schur_stable_bases(Ms):
+    """``schur_stable_basis`` of each matrix of a stack Ms (N, k, k), from
+    one stacked 2-norm; the factorisations stay one per matrix."""
+    tol = tau_axis(np.linalg.norm(Ms, 2, axis=(1, 2)))
+    out = []
+    for M, t in zip(Ms, tol):
+        if M.shape[0] == 0:
+            out.append(np.zeros((0, 0), dtype=complex))
+            continue
+        T, Z, k = sla.schur(M.astype(complex), output="complex", sort="lhp")
+        out.append(None if np.min(np.abs(np.diag(T).real)) < t else Z[:, :k])
+    return out
+
+
 def schur_stable_basis(M):
     """Orthonormal basis of the stable subspace of M from the sorted complex
     Schur form, or None when an eigenvalue lies within the axis tolerance."""
-    if M.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    T, Z, k = sla.schur(M.astype(complex), output="complex", sort="lhp")
-    if np.min(np.abs(np.diag(T).real)) < tau_axis(np.linalg.norm(M, 2)):
-        return None
-    return Z[:, :k]
+    return schur_stable_bases(np.asarray(M)[None])[0]
 
 
 def ratio(X, L):
-    """|det(X L)| / sqrt(det(L^* L))."""
-    den = np.sqrt(max(np.linalg.det(L.conj().T @ L).real, 0.0))
-    return 0.0 if den == 0.0 else abs(np.linalg.det(X @ L)) / den
+    """|det(X L)| / sqrt(det(L^* L)), for a basis L or each of a stack."""
+    den = np.sqrt(np.maximum(np.linalg.det(L.conj().swapaxes(-1, -2) @ L).real, 0.0))
+    num = np.abs(np.linalg.det(X @ L))
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+def stack_ratio(X, bases):
+    """``ratio`` of each basis in a list, NaN where it is None, over one
+    stack of the others."""
+    out = np.full(len(bases), np.nan)
+    kept = [i for i, L in enumerate(bases) if L is not None]
+    if kept:
+        out[kept] = ratio(X, np.stack([bases[i] for i in kept]))
+    return out
 
 
 def graded_mesh_loop(x_max, dx_min, dx_max, ratio=1.05):

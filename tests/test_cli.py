@@ -1,18 +1,23 @@
 """Command-line interface: exit codes, artifacts, and determinism."""
 
+import copy
 import csv
 import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relaxbc import __version__, cli
+from relaxbc import __version__, cli, linalg, spectral
 from relaxbc import fixtures
 from relaxbc.model import system_to_dict
 
@@ -958,6 +963,168 @@ def test_out_naming_a_file_is_config_error(
     assert _run([command, sys2x2_file, "--out", str(taken)] + extra) == 2
     assert "is not a usable directory" in capsys.readouterr().err
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "gkc", "reduce", "simulate", "converge"])
+def test_matrix_entry_past_the_input_range_is_parse_error(command, scen2x2_file, tmp_path, capsys):
+    # Q = diag(1e308, -1) overflowed the structural checks
+    doc = system_to_dict(fixtures.example_system())
+    doc["Q"][0][0] = 1e308
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    extra = {
+        "gkc": ["--resolution", "4"],
+        "reduce": ["--resolution", "4"],
+        "simulate": ["--scenario", scen2x2_file, "--eps", "1e-2"],
+        "converge": ["--scenario", scen2x2_file, "--resolution", "4"],
+    }.get(command, [])
+    assert _run([command, str(path), "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert "error: field 'Q' has an entry larger than 1e+100 in magnitude" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("edit, rc", [
+    # an amplitude of 1e308 overflowed the squares of the L2 norm
+    pytest.param(lambda doc: doc["u0"][0].update(amplitude=1e308), 2, id="amplitude"),
+    pytest.param(lambda doc: doc["boundary"][0].update(frequency=-1e101), 2, id="frequency"),
+    # the exponent of a bump of width 1e-320 overflows to -inf, and exp
+    # gives 0 there exactly
+    pytest.param(lambda doc: doc["u0"][0].update(kind="bump", width=1e-320), 1, id="width"),
+    # the work estimate overflowed its cell bound at eps = 1e308
+    pytest.param(lambda doc: doc.update(epsilons=[1e-2, 1e308]), 1, id="eps"),
+])
+def test_scenario_number_past_the_float_range_exits_without_overflow(
+    edit, rc, sys2x2_file, scen2x2_file, tmp_path, capsys
+):
+    with open(scen2x2_file) as fh:
+        doc = json.load(fh)
+    doc.update(T=0.05, grid={"dx_max": 0.05})
+    edit(doc)
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["converge", sys2x2_file, "--scenario", str(scen), "--out", str(out),
+            "--resolution", "4", "--rim-points", "0"]
+    assert _run(argv) == rc
+    if rc == 2:
+        assert "must be a finite number of magnitude at most 1e+100" in capsys.readouterr().err
+        assert not any(out.iterdir())
+    else:
+        assert (out / "converge.json").exists()
+
+
+def test_unconverged_sign_split_names_its_direction(tmp_path, capsys, monkeypatch):
+    # the double speed of repeated_speed_system sends rows to the sign split
+    from conftest import write_system_file
+
+    path = write_system_file(tmp_path / "repeated.json", fixtures.repeated_speed_system())
+    monkeypatch.setattr(linalg, "SIGN_MAX_STEPS", 1)
+    assert _run(["gkc", path, "--out", str(tmp_path / "out"), "--resolution", "8"]) == 3
+    assert re.fullmatch(
+        r"numerical failure: \((-?[0-9.e+-]+, )+-?[0-9.e+-]+\): "
+        r"sign iteration still moving after 1 steps\n",
+        capsys.readouterr().err,
+    )
+
+
+@pytest.mark.parametrize("flag, value", [("--resolution", "400"), ("--rim-points", "100000000")])
+@pytest.mark.parametrize("command", ["gkc", "reduce", "converge"])
+def test_sample_past_the_direction_limit_is_config_error(
+    command, flag, value, sys2x2_file, scen2x2_file, tmp_path, capsys, monkeypatch
+):
+    # gkc and reduce on a d = 3 system, converge on the 2x2 example, whose
+    # resolution-400 grid (160,000 directions) stays under the limit
+    from conftest import write_system_file
+
+    # without the limit these grids would be allocated: the setattr fails
+    # at once where spectral has no SAMPLE_DIRECTIONS_MAX
+    monkeypatch.setattr(spectral, "SAMPLE_DIRECTIONS_MAX", spectral.SAMPLE_DIRECTIONS_MAX)
+    if command == "converge":
+        if flag == "--resolution":
+            value = "2001"  # 2001^2 = 4,004,001 tensor directions
+        argv = [command, sys2x2_file, "--scenario", scen2x2_file]
+    else:
+        d3 = fixtures.random_admissible_bundle(np.random.default_rng(2691), d=3, require_n0=1).sys
+        argv = [command, write_system_file(tmp_path / "d3.json", d3)]
+    out = tmp_path / "out"
+    assert _run(argv + ["--out", str(out), flag, value]) == 2
+    assert "directions, past SAMPLE_DIRECTIONS_MAX = 4,000,000" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+#: the README's system and scenario documents, the scenario with a short T
+#: and a coarse mesh
+README_SYSTEM = {
+    "d": 1, "n": 2, "r": 1, "A": [[[3.0, 1.0], [1.0, 1.0]]],
+    "Q": [[0.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+}
+README_SCENARIO = {
+    "boundary": [{"kind": "sin"}, {"kind": "cos"}],
+    "u0": [{"kind": "gauss_ramp", "amplitude": 0.3333333, "width": 0.5}],
+    "T": 0.05, "x_max": 2.0, "epsilons": [1e-2, 3e-3, 1e-3, 3e-4], "grid": {"dx_max": 0.05},
+}
+#: replacement values: out of range, past the float range, of another type
+MUTANTS = [0, -1, 2, 0.5, 1e101, -1e308, 1e-320, float("nan"), float("inf"), True, None,
+           "x", "1.0", [], {}, [1.0], {"kind": "sin"}]
+
+
+def _paths(doc, prefix=()):
+    """The path of every value inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_readme(draw):
+    """The README documents with one value replaced, one key or item
+    dropped, or one value's type changed."""
+    docs = copy.deepcopy({"system": README_SYSTEM, "scenario": README_SCENARIO})
+    paths = [(name, path) for name in docs for path in _paths(docs[name])]
+    name, path = draw(st.sampled_from(paths))
+    parent = docs[name]
+    for key in path[:-1]:
+        parent = parent[key]
+    change = draw(st.sampled_from(["replace", "drop", "retype"]))
+    if change == "replace":
+        parent[path[-1]] = draw(st.sampled_from(MUTANTS))
+    elif change == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from([str, lambda v: [v], lambda v: {"value": v}]))(
+            parent[path[-1]]
+        )
+    return docs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(docs=_mutated_readme())
+def test_mutated_readme_documents_exit_with_a_code(docs):
+    """Every command, run in process on a mutated README system or scenario,
+    exits 0, 1, 2 or 3 with no traceback (and, under this suite's warning
+    filter, no overflow), and an exit 2 writes no report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        system, scenario = os.path.join(tmp, "system.json"), os.path.join(tmp, "scenario.json")
+        for path, doc in ((system, docs["system"]), (scenario, docs["scenario"])):
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+        fast = ["--resolution", "4", "--rim-points", "0"]
+        for argv in (["validate", system], ["gkc", system, *fast], ["reduce", system, *fast],
+                     ["simulate", system, "--scenario", scenario, "--eps", "1e-2",
+                      "--dx-max", "0.05"],
+                     ["converge", system, "--scenario", scenario, *fast]):
+            out = os.path.join(tmp, argv[0])
+            rc = cli.main([*argv, "--out", out])
+            assert rc in (0, 1, 2, 3)
+            assert rc != 2 or not os.listdir(out)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,36 @@ class TestFallback:
         assert vol[9] == 0.0 and np.all(vol[vol > 0] >= 1 / linalg.EIGVEC_COND_MAX)
 
 
+    def test_rejected_rows_take_no_second_eigvals(self, monkeypatch):
+        # row 1 is skipped, though its stable count is also wrong; its two
+        # eigenvalues nearest the axis tie, and the first in LAPACK order is
+        # named, as the axis guard of the one matrix names it; row 2 takes
+        # the sign split
+        near = np.diag([-1.0, -2.0, 1e-17 + 1j, -1e-17 + 2j])
+        jordan = np.diag([-1.0, -1.0, 1.0, 2.0]) + np.diag([1.0, 0.0, 0.0], 1)
+        jordan[1, 0] = 1e-12
+        M = np.array([np.diag([-1.0, -2.0, 3.0, 4.0]), near, jordan], dtype=complex)
+        with pytest.raises(NearImaginaryEigenvalue) as alone:
+            linalg.guarded_eigvals(M[1])
+        assert alone.value.eigenvalue == 1e-17 + 1j
+
+        def unreachable(M):
+            raise AssertionError("guarded_eigvals reached")
+
+        monkeypatch.setattr(linalg, "guarded_eigvals", unreachable)
+        _, _, skipped, split = stable_eigvecs(M, 2)
+        assert list(skipped) == [1] and list(split) == [2]
+        assert str(skipped[1]) == str(alone.value)
+
+    def test_linalg_error_from_eigvals_propagates(self, monkeypatch):
+        def fail(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            stable_eigvecs(np.array([np.diag([-1.0, 2.0])], dtype=complex), 1)
+
+
 class TestFullRankCond:
     def test_condition_number(self):
         assert full_rank_cond(np.diag([4.0, 0.5]), AssumptionViolated()) == pytest.approx(8.0)

@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import dense_limit, dense_M, dense_m1, dense_m2, ratio, schur_stable_basis
+from oracles import (
+    dense_limit, dense_M, dense_m1, dense_m2, schur_stable_bases, schur_stable_basis, stack_ratio,
+)
 from relaxbc import linalg, pool, reduction, spectral
 from relaxbc.errors import (
-    AssumptionViolated, ConfigError, GkcFailed, NearImaginaryEigenvalue, SpectralCountMismatch,
+    AssumptionViolated, ConfigError, GkcFailed, NearImaginaryEigenvalue, SignNotConverged,
+    SpectralCountMismatch,
 )
 from relaxbc.fixtures import (
     example_system, random_admissible_bundle, repeated_speed_system,
@@ -74,35 +77,27 @@ def _close(batched, scalar):
 
 def _scalar_gkc(sys_obj, frame, units):
     """Dense GKC ratio per direction, NaN where the split is skipped."""
-    vals = []
-    for u in units:
-        M = dense_M(sys_obj, frame, u)
-        V = schur_stable_basis(M)
-        vals.append(math.nan if V is None else ratio(sys_obj.B @ frame.R1, V))
-    return np.array(vals)
+    Ms = dense_M(sys_obj, frame, np.asarray(units, dtype=float))
+    return stack_ratio(sys_obj.B @ frame.R1, schur_stable_bases(Ms))
+
+
+def _dense_m1_rows(b, units):
+    """``dense_m1`` at each row (Re xi, Im xi, omega...) of ``units``."""
+    u = np.asarray(units, dtype=float)
+    return dense_m1(b.sys, b.eq, u[:, 0] + 1j * u[:, 1], u[:, 2:])
 
 
 def _scalar_eta_inf(b, units):
     R2S = schur_stable_basis(dense_m2(b))
-    vals = []
-    for u in units:
-        M1, X = dense_m1(b.sys, b.eq, complex(u[0], u[1]), u[2:])
-        R1S = schur_stable_basis(M1)
-        if R1S is None:
-            vals.append(math.nan)
-            continue
-        L = dense_limit(b.eq, b.data, R1S, R2S, X)
-        vals.append(ratio(b.sys.B @ b.frame.R1, L))
-    return np.array(vals)
+    M1s, Xs = _dense_m1_rows(b, units)
+    limits = [None if R1S is None else dense_limit(b.eq, b.data, R1S, R2S, X)
+              for R1S, X in zip(schur_stable_bases(M1s), Xs)]
+    return stack_ratio(b.sys.B @ b.frame.R1, limits)
 
 
 def _scalar_ukc(b, units):
-    vals = []
-    for u in units:
-        M1, _ = dense_m1(b.sys, b.eq, complex(u[0], u[1]), u[2:])
-        R1S = schur_stable_basis(M1)
-        vals.append(math.nan if R1S is None else ratio(b.rbc.coefficient @ b.eq.P1, R1S))
-    return np.array(vals)
+    M1s, _ = _dense_m1_rows(b, units)
+    return stack_ratio(b.rbc.coefficient @ b.eq.P1, schur_stable_bases(M1s))
 
 
 class TestDirections:
@@ -170,6 +165,28 @@ class TestDirections:
         shared = xi_omega_directions(2, spec)
         tensor = directions(3, SamplingSpec(resolution=5, rim_points=0), _conjugate_half=False)
         assert np.array_equal(shared, tensor)
+
+    def test_grid_past_the_direction_limit_is_refused_before_allocation(self, monkeypatch):
+        # resolution 200 at d = 3 asks for about 1.6e9 tensor directions,
+        # and 1e8 rim points for 2e8 more: both are refused before the grid
+        # indices exist
+        def unreachable(*args, **kwargs):
+            raise AssertionError("numpy.indices reached")
+
+        monkeypatch.setattr(np, "indices", unreachable)
+        with pytest.raises(ConfigError, match=r"resolution 200 with 64 rim points in m = 5 "
+                           r"coordinates asks for about 1,600,000,128 directions"):
+            directions(5, SamplingSpec(resolution=200))
+        with pytest.raises(ConfigError, match="about 200,000,256 directions"):
+            directions(5, SamplingSpec(resolution=4, rim_points=10**8))
+
+    def test_direction_limit_counts_the_tensor_grid_and_the_rim_points(self, monkeypatch):
+        spec = SamplingSpec(resolution=6, rim_points=4)  # 6^3 + 2 * 4 = 224
+        monkeypatch.setattr(spectral, "SAMPLE_DIRECTIONS_MAX", 224)
+        assert len(directions(4, spec)) < 224
+        monkeypatch.setattr(spectral, "SAMPLE_DIRECTIONS_MAX", 223)
+        with pytest.raises(ConfigError, match="about 224 directions"):
+            directions(4, spec)
 
 
 def _unique_directions(m, spec, conjugate_half=True):
@@ -533,6 +550,36 @@ class TestSignSplitCount:
         _close(grid.ratios, _scalar_gkc(b.sys, b.frame, units))
         _close(eta_inf.ratios, _scalar_eta_inf(b, shared))
         _close(ukc.ratios, _scalar_ukc(b, shared))
+
+
+    def test_rejected_rows_are_decided_from_the_stacked_spectrum(self, monkeypatch):
+        # the screens of stable_eigvecs reject rows of this sample; the
+        # chunk's own eigenvalues decide them, so an axis guard of one
+        # matrix that raises leaves the sample as it was
+        sys_obj = repeated_speed_system()
+        frame = build_kernel_frame(sys_obj)
+        units = directions(4, SPEC8)
+        before = _gkc(sys_obj, frame, units)
+        assert before.split > 0
+
+        def unreachable(M):
+            raise AssertionError("guarded_eigvals reached")
+
+        monkeypatch.setattr(linalg, "guarded_eigvals", unreachable)
+        after = _gkc(sys_obj, frame, units)
+        assert after.ratios.tobytes() == before.ratios.tobytes()
+        assert after.failures == before.failures and after.split == before.split
+
+    def test_unconverged_sign_split_names_its_direction(self, monkeypatch):
+        sys_obj = repeated_speed_system()
+        frame = build_kernel_frame(sys_obj)
+        units = directions(4, SPEC8)
+        split = stable_eigvecs(spectral._M_stack(sys_obj, frame)(units), sys_obj.B.shape[0])[3]
+        monkeypatch.setattr(linalg, "SIGN_MAX_STEPS", 1)
+        with pytest.raises(SignNotConverged) as exc:
+            _gkc(sys_obj, frame, units)
+        row = tuple(units[split[0]].tolist())
+        assert str(exc.value) == f"{row}: sign iteration still moving after 1 steps"
 
 
 class TestConjugateMirror:
