@@ -46,7 +46,7 @@ from .model import (
 from .reduction import Pipeline, render_reduced_bc
 from .spectral import SamplingSpec, build_kernel_frame
 from .sim import (
-    Scenario, check_epsilons, check_work, l2_error, run_convergence_study, solve_relaxation,
+    Scenario, check_epsilons, l2_error, plan_run, run_convergence_study, solve_relaxation,
 )
 from .tolerances import INPUT_ABS_MAX
 # not called here; perfbench/spans.py wraps each by this name
@@ -267,31 +267,23 @@ def _load_scenario(path: str, sys_obj) -> tuple[Scenario, dict]:
     if not isinstance(u_specs, list) or len(u_specs) != n1:
         raise ConfigError(f"'u0' must list {n1} profile specs")
     profiles = [_make_profile(_object("u0", s, _PROFILE_KEYS)) for s in u_specs]
-
-    v_profiles = None
-    if "v0" in doc:
-        v_specs = doc["v0"]
-        if not isinstance(v_specs, list) or len(v_specs) != sys_obj.r:
-            raise ConfigError(f"'v0' must list {sys_obj.r} profile specs")
-        v_profiles = [_make_profile(_object("v0", s, _PROFILE_KEYS)) for s in v_specs]
+    v_specs = doc.get("v0", [{"kind": "zero"}] * sys_obj.r)
+    if not isinstance(v_specs, list) or len(v_specs) != sys_obj.r:
+        raise ConfigError(f"'v0' must list {sys_obj.r} profile specs")
+    profiles += [_make_profile(_object("v0", s, _PROFILE_KEYS)) for s in v_specs]
 
     def b(t):
         return np.stack([w(t) for w in waves], axis=-1)
 
-    def stacked(profiles):
-        def evaluate(x):
-            # far beyond a tiny width a profile's exponent overflows to -inf,
-            # and exp gives its value there, 0, exactly
-            with np.errstate(over="ignore"):
-                return np.column_stack([p(np.asarray(x)) for p in profiles])
-        return evaluate
-
-    u0 = stacked(profiles)
-    v0 = None if v_profiles is None else stacked(v_profiles)
+    def U0(x):
+        # far beyond a tiny width a profile's exponent overflows to -inf,
+        # and exp gives its value there, 0, exactly
+        with np.errstate(over="ignore"):
+            return np.column_stack([p(np.asarray(x)) for p in profiles])
 
     T = _finite_positive("T", doc["T"])
     x_max = _finite_positive("x_max", doc.get("x_max", 2.0))
-    scenario = Scenario(b=b, u0=u0, v0=v0, T=T, x_max=x_max)
+    scenario = Scenario(b=b, U0=U0, T=T, x_max=x_max)
     return scenario, doc
 
 
@@ -519,7 +511,7 @@ def cmd_converge(args) -> int:
         "grid.dx_max", scen_doc.get("grid", {}).get("dx_max", 5e-4)
     )
     for eps in eps_list:  # before the sample and the layers are built
-        check_work(sys_obj, scenario, eps, dx_max)
+        plan_run(sys_obj, scenario, eps, dx_max)
 
     pipeline = Pipeline(sys_obj, frame, _sampling_spec(args))
     gkc_passed, _ = _gkc_verdict(args, doc, pipeline)

@@ -80,16 +80,17 @@ def repeated_speed_system() -> RelaxationSystem:
 def example_scenario(T: float = 0.5, x_max: float = 2.0) -> Scenario:
     """Standard scenario for example_system: b = (sin t, cos t) and a smooth outer
     initial profile whose boundary value and slope match the reduced boundary
-    condition at t = 0 (value 1/3, slope -1/3)."""
+    condition at t = 0 (value 1/3, slope -1/3), with v = 0."""
 
     def b(t):
         return np.stack([np.sin(t), np.cos(t)], axis=-1)
 
-    def u0(x):
+    def U0(x):
         x = np.asarray(x, dtype=float)
-        return (1.0 / 3.0) * (1.0 - x) * np.exp(-(x**2) / 0.5)
+        u = (1.0 / 3.0) * (1.0 - x) * np.exp(-(x**2) / 0.5)
+        return np.column_stack([u, np.zeros_like(u)])
 
-    return Scenario(b=b, u0=u0, T=T, x_max=x_max)
+    return Scenario(b=b, U0=U0, T=T, x_max=x_max)
 
 
 def make_double_characteristic(rng: np.random.Generator) -> RelaxationSystem:
@@ -160,20 +161,20 @@ def scenario_double_characteristic(
     sys: RelaxationSystem, T: float = 0.5, x_max: float = 2.0
 ) -> Scenario:
     """Boundary signal b(t) = sin(t) * e (per boundary row) with b(0) = 0 and
-    an interior bump initial profile vanishing at x = 0, so the layer data
-    start from zero (compatible initial state)."""
+    an interior bump initial profile in every u component, vanishing at
+    x = 0, with v = 0, so the layer data start from zero (compatible initial
+    state)."""
     m = sys.B.shape[0]
 
     def b(t):
         return np.multiply.outer(np.sin(t), np.ones(m))
 
-    def u0(x):
+    def U0(x):
         x = np.asarray(x, dtype=float)
         bump = 0.5 * np.exp(-((x - 0.6) ** 2) / 0.05)
-        cols = [bump] * (sys.n - sys.r)
-        return np.stack(cols, axis=-1) if len(cols) > 1 else bump
+        return np.column_stack([bump] * (sys.n - sys.r) + [np.zeros_like(bump)] * sys.r)
 
-    return Scenario(b=b, u0=u0, T=T, x_max=x_max)
+    return Scenario(b=b, U0=U0, T=T, x_max=x_max)
 
 
 def random_system(
@@ -228,7 +229,7 @@ def random_system(
         sys = RelaxationSystem(
             d=dd, n=n, r=r,
             A=tuple([A1] + A_rest), Q=Q, B=B,
-            labels=None, transform=np.eye(n),
+            labels=(), transform=np.eye(n),
         )
         try:
             # the B-operator annihilates the kernel basis of A1

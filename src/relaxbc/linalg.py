@@ -39,6 +39,8 @@ def _axis_guard(M: np.ndarray, w: np.ndarray) -> dict:
     {i: NearImaginaryEigenvalue} for each row i with an eigenvalue within
     tau_axis(||M[i]||_2) of the imaginary axis, naming the first in the
     order of w that lies nearest it."""
+    if not len(M):
+        return {}
     tol = tau_axis(np.linalg.norm(M, 2, axis=(1, 2)))
     dist = np.abs(w.real)
     near = np.flatnonzero(dist.min(axis=1, initial=np.inf) < tol)

@@ -31,7 +31,8 @@ import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,12 +76,12 @@ CYCLE_BLOCK = 128
 @dataclass
 class Scenario:
     """Problem data for a half-line run: boundary data b(t), shape (n_+,) at
-    a scalar t and (N, n_+) at an array of N times; initial data u0(x)
-    (shape (nx, n - r)) and v0(x) (shape (nx, r))."""
+    a scalar t and (N, n_+) at an array of N times; the initial state U0(x),
+    shape (nx, n), the equilibrium variables u in its first n - r columns
+    and the relaxed variables v in the last r."""
 
     b: callable
-    u0: callable
-    v0: callable = None
+    U0: callable
     T: float = 0.5
     x_max: float = 2.0
 
@@ -126,7 +127,7 @@ def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = GRADI
     positive and ratio is finite and at least 1 (otherwise the cells stop
     growing and the node list never ends), when dx_min exceeds dx_max (such
     a mesh is not graded to the boundary), and, before allocating, when the
-    cell bound ``check_work`` applies allows over STIFF_NODES_MAX nodes."""
+    cell bound ``plan_run`` applies allows over STIFF_NODES_MAX nodes."""
     for name, value in (("x_max", x_max), ("dx_min", dx_min), ("dx_max", dx_max)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"graded_mesh {name} must be finite and positive, got {value!r}")
@@ -154,36 +155,44 @@ def graded_mesh(x_max: float, dx_min: float, dx_max: float, ratio: float = GRADI
     return np.append(xs, x_max)
 
 
-def check_work(sys: RelaxationSystem, scenario: Scenario, eps: float, dx_max: float) -> None:
-    """Raise ConfigError, naming the fields, unless the stiff run of
-    ``scenario`` at ``eps`` on cells of at most ``dx_max`` is bounded by no
-    more than STIFF_NODES_MAX mesh nodes and STIFF_STEPS_MAX finest time
-    steps, bounds past the float range included.  It allocates nothing.
+class RunPlan(NamedTuple):
+    """The numbers a stiff run steps on (``plan_run``)."""
 
-    The nodes are bounded as ``graded_mesh`` bounds them, dx_min = eps / 4;
-    the finest steps as ``solve_relaxation`` counts them (up to round-off)
-    on the smallest base cell ``time_levels`` can pick, rounded up to the
-    cycle: the bulk cell halved K times down to at most dx_min, once more
-    where the mesh may end before a cell reaches it."""
-    rho = np.abs(sys.speeds[0].w).max(initial=0.0)
-    dx_min = np.float64(eps) / 4.0
+    x: np.ndarray  # the graded mesh
+    level: np.ndarray  # time level of each node (``stepping.time_levels``)
+    h: float  # base cell
+    cycle: int  # finest steps per cycle, 2^K for the top level K
+    steps: int  # finest steps, a multiple of ``cycle``
+    dt: float  # finest step
+
+
+def plan_run(sys: RelaxationSystem, scenario: Scenario, eps: float, dx_max: float) -> RunPlan:
+    """The stiff run of ``scenario`` at ``eps`` on cells of at most ``dx_max``
+    as ``solve_relaxation`` takes it: the mesh graded with dx_min = eps / 4
+    (so the eps-layer has the same number of cells per decay length at
+    every eps), the levels and base cell h of ``stepping.time_levels``, the
+    finest steps of dt <= CFL h / rho(A1) rounded up to whole cycles, and
+    dt.  Raises ConfigError, naming the fields, when ``graded_mesh``'s cell
+    bound allows more than STIFF_NODES_MAX nodes, before anything is
+    allocated, and when the run takes more than STIFF_STEPS_MAX finest
+    steps, counts past the float range included."""
+    dx_min = eps / 4.0
     bulk = max(dx_max, dx_min)
     _cell_bound(scenario.x_max, dx_min, bulk,
                 f"x_max {scenario.x_max:g}, dx_max {dx_max:g} and eps {eps:g} (dx_min = eps / 4)")
-    # dx_min > 0 here; the growing cells span less than bulk GRADING / (GRADING - 1)
-    h, cycle = bulk, 1.0
-    while h > dx_min:
-        h, cycle = h / 2.0, 2.0 * cycle
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if scenario.x_max < bulk * (GRADING / (GRADING - 1.0) + 2.0):
-            h, cycle = h / 2.0, 2.0 * cycle
-        finest = np.ceil(scenario.T / (CFL * h * (1.0 - MESH_ROUNDOFF_REL) / rho))
-        steps = np.ceil(finest / cycle) * cycle
+    x = graded_mesh(scenario.x_max, dx_min, bulk)
+    level, h = time_levels(np.diff(x))
+    cycle = 2 ** int(level.max())
+    rho = np.abs(sys.speeds[0].w).max(initial=0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        steps = np.ceil(max(np.ceil(scenario.T / (CFL * h / rho)), 1.0) / cycle) * cycle
     if not steps <= STIFF_STEPS_MAX:
         raise ConfigError(
             f"T {scenario.T:g} and eps {eps:g} ask for about {steps:.3g} finest time "
             f"steps; the limit is {STIFF_STEPS_MAX:,}"
         )
+    steps = int(steps)
+    return RunPlan(x, level, h, cycle, steps, scenario.T / steps)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -231,7 +240,8 @@ def solve_relaxation(
 
         U_t + A1 U_x = Q U / eps,  B U(0, t) = b(t).
 
-    The mesh is graded with dx_min = eps / 4 so the eps-layer is represented.
+    ``plan_run`` sets the mesh, graded with dx_min = eps / 4 so the
+    eps-layer is represented, and the steps, and raises its ConfigErrors.
     Time steps are local, by power-of-two levels: with h the base cell of
     ``stepping.time_levels`` (the smallest cell, or the bulk cell halved K
     times down to it, whichever takes fewer node updates), node i takes
@@ -259,25 +269,15 @@ def solve_relaxation(
     node-steps, cycles and nonzeros, the base cell h and the top level's
     Courant number rho 2^K dt / c on the bulk cell c.
     """
-    check_work(sys, scenario, eps, dx_max)
+    x, level, h, cycle, steps, dt = plan_run(sys, scenario, eps, dx_max)
     n = sys.n
     speeds = sys.speeds[0]
     lam, R, pos, neg = speeds.w, speeds.V, speeds.pos, speeds.neg
     rest = np.concatenate([neg, speeds.zero])
-
-    # the boundary cell scales with eps so the eps-layer is always represented
-    # with the same number of cells per decay length
-    dx_min = eps / 4.0
-    x = graded_mesh(scenario.x_max, dx_min, max(dx_max, dx_min))
     dx = np.diff(x)
     rho = np.abs(lam).max()
     if not (pos.size or neg.size):
         raise AssumptionViolated("A1 has no nonzero characteristic speed")
-    level, h = time_levels(dx)
-    cycle = 2 ** int(level.max())
-    steps = max(int(math.ceil(scenario.T / (CFL * h / rho))), 1)
-    steps = -(-steps // cycle) * cycle
-    dt = scenario.T / steps
 
     if scenario.T > REFLECTION_TIME_FRAC * scenario.x_max / rho:
         warnings.warn(
@@ -325,13 +325,7 @@ def solve_relaxation(
         cycles, C.nnz, step_nnz, h, courant,
     )
 
-    U = np.empty((x.size, n))
-    U[:, : n - sys.r] = np.atleast_2d(scenario.u0(x).T).T
-    if scenario.v0 is not None:
-        U[:, n - sys.r :] = np.atleast_2d(scenario.v0(x).T).T
-    else:
-        U[:, n - sys.r :] = 0.0
-
+    U = np.array(scenario.U0(x), dtype=float, order="C")
     times = np.arange(steps + 1, dtype=float)
     times *= dt
     trace = np.empty((steps + 1, n))
@@ -407,7 +401,7 @@ def equilibrium_trace(eq: EquilibriumFrame, rbc: ReducedBC, scenario: Scenario, 
         chi = np.empty((ts.size, lam.size))
         for k in rest:
             feet = np.minimum(-lam[k] * ts, scenario.x_max)
-            chi[:, k] = np.atleast_2d(scenario.u0(feet).T).T @ W[:, k]
+            chi[:, k] = scenario.U0(feet)[:, : lam.size] @ W[:, k]
         if pos.size:
             r = np.reshape(rhs(ts), (ts.size, pos.size)) - chi[:, rest] @ C_rest.T
             chi[:, pos] = r @ CWp_inv.T
@@ -436,7 +430,7 @@ def solve_equilibrium(
     chi = np.empty((x.size, sys.n - sys.r))
     for k in range(lam.size):
         foot = np.clip(x - lam[k] * T, 0.0, scenario.x_max)
-        chi[:, k] = np.atleast_2d(scenario.u0(foot).T).T @ W[:, k]
+        chi[:, k] = scenario.U0(foot)[:, : lam.size] @ W[:, k]
     for k in np.flatnonzero(lam > 0):
         inflow = x < lam[k] * T
         chi[inflow, k] = trace(T - x[inflow] / lam[k]) @ W[:, k]
@@ -458,21 +452,7 @@ class ConvergenceStudy:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        opt = lambda v: None if v is None else float(v)
-        opt_list = lambda v: None if v is None else [float(e) for e in v]
-        return {
-            "eps": [float(e) for e in self.eps],
-            "errors": [float(e) for e in self.errors],
-            "slope": opt(self.slope),
-            "fit_residual": opt(self.fit_residual),
-            "outer_errors": opt_list(self.outer_errors),
-            "outer_slope": opt(self.outer_slope),
-            "control_applicable": bool(self.control_applicable),
-            "control_errors": opt_list(self.control_errors),
-            "control_slope": opt(self.control_slope),
-            "degenerate": bool(self.degenerate),
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def check_epsilons(eps_list) -> None:
@@ -576,10 +556,10 @@ def run_convergence_study(
     (``equilibrium_trace``), once per study; its outer solution is evaluated
     in closed form on each stiff mesh, once per eps (``solve_equilibrium``).
 
-    ``scenario.u0``/``scenario.v0`` describe the outer initial data.  The
-    stiff runs start from well-prepared data that already carry the eps-layer
-    at its t = 0 amplitude, so the measured gap is the expansion error rather
-    than an initial-relaxation transient.
+    ``scenario.U0`` is the outer initial data.  The stiff runs start from
+    well-prepared data that already carry the eps-layer at its t = 0
+    amplitude, so the measured gap is the expansion error rather than an
+    initial-relaxation transient.
 
     The runs at different eps are independent: each (well-prepared data,
     ``solve_relaxation``, composites, errors) is one item of
@@ -606,12 +586,10 @@ def run_convergence_study(
     control_rhs = naive_rhs(sys, rbc, scenario) if applicable else None
     control = layers_for(control_rhs) if applicable else None
 
-    u0_at_0 = np.atleast_1d(np.asarray(scenario.u0(np.zeros(1))).ravel())
-    _, w_s0 = solve_closure(
-        closure, sys, scenario.b(0.0), u0_at_0, idx.n10
-    )
-
     n1 = sys.n - sys.r
+    _, w_s0 = solve_closure(
+        closure, sys, scenario.b(0.0), scenario.U0(np.zeros(1))[0, :n1], idx.n10
+    )
 
     def at(eps):
         """The stiff run at eps from its well-prepared data, and its errors:
@@ -619,18 +597,8 @@ def run_convergence_study(
         start = time.perf_counter()
         stiff_scenario = scenario
         if np.size(w_s0):
-            def u0_eps(x):
-                base = np.atleast_2d(scenario.u0(x).T).T
-                return base + layer0.evaluate(x / eps, w_s0)[:, :n1]
-            def v0_eps(x):
-                if scenario.v0 is not None:
-                    base = np.atleast_2d(scenario.v0(x).T).T
-                else:
-                    base = np.zeros((np.size(x), sys.r))
-                return base + layer0.evaluate(x / eps, w_s0)[:, n1:]
-            stiff_scenario = Scenario(
-                b=scenario.b, u0=u0_eps, v0=v0_eps,
-                T=scenario.T, x_max=scenario.x_max,
+            stiff_scenario = replace(
+                scenario, U0=lambda x: scenario.U0(x) + layer0.evaluate(x / eps, w_s0)
             )
         stiff = solve_relaxation(sys, stiff_scenario, eps, dx_max=dx_max)
         ubar = solve_equilibrium(sys, eq, rbc, scenario, stiff.x).U
@@ -690,6 +658,7 @@ __all__ = [
     "SimResult",
     "ConvergenceStudy",
     "graded_mesh",
+    "plan_run",
     "l2_error",
     "measure_error",
     "solve_relaxation",

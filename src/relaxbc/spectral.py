@@ -315,7 +315,9 @@ def directions(m: int, spec: SamplingSpec, _conjugate_half: bool = True) -> np.n
     return _directions(m, spec, _conjugate_half)[0]  # the rows alone
 
 
-def _directions(m: int, spec: SamplingSpec, conjugate_half: bool = True):
+def _directions(
+    m: int, spec: SamplingSpec, conjugate_half: bool = True, grid: str = "the gkc grid"
+):
     """Distinct unit directions on {u in R^m : |u| = 1, u_0 >= delta, u_{m-1} >= 0}.
 
     Coordinates are ordered (Re xi, Im xi, omega..., eta) for the GKC
@@ -332,7 +334,8 @@ def _directions(m: int, spec: SamplingSpec, conjugate_half: bool = True):
     ``ConfigError``.  So does a grid estimated, before anything is
     allocated, at more than SAMPLE_DIRECTIONS_MAX directions:
     resolution^(m - 1) tensor rows, before the conjugate half and the pole
-    repeats are dropped, and 2 * rim_points.  The tensor
+    repeats are dropped, and 2 * rim_points; the message names ``grid``,
+    and its rim points when it has any.  The tensor
     grid repeats its pole points: where an angle before the last is a pole
     (phi_1 = 0, or phi_k in {0, pi} for 2 <= k < m - 1), every row with a
     nonzero later index repeats the row whose later indices are all 0.
@@ -354,9 +357,10 @@ def _directions(m: int, spec: SamplingSpec, conjugate_half: bool = True):
     res = spec.resolution
     estimate = res ** (m - 1) + 2 * spec.rim_points  # Python ints: no overflow
     if estimate > SAMPLE_DIRECTIONS_MAX:
+        rim = f" with {spec.rim_points} rim points" if spec.rim_points else ""
         raise ConfigError(
-            f"resolution {res} with {spec.rim_points} rim points in m = {m} coordinates "
-            f"asks for about {estimate:,} directions, past SAMPLE_DIRECTIONS_MAX = "
+            f"{grid}: resolution {res}{rim} in m = {m} coordinates asks for about "
+            f"{estimate:,} directions, past SAMPLE_DIRECTIONS_MAX = "
             f"{SAMPLE_DIRECTIONS_MAX:,} (relaxbc/tolerances.py)"
         )
     phi_max = math.acos(spec.delta)
@@ -411,7 +415,8 @@ def xi_omega_directions(d: int, spec: SamplingSpec) -> np.ndarray:
     coordinate but Re xi, the last one too, so the half u_{m-1} >= 0
     (omega_{d-1} >= 0, or Im xi >= 0 when d = 1) holds a member of every
     pair."""
-    return directions(d + 1, replace(spec, rim_points=0), _conjugate_half=False)
+    grid = "the (Re xi, Im xi, omega) grid of the eta = infinity and UKC samples"
+    return _directions(d + 1, replace(spec, rim_points=0), False, grid)[0]
 
 
 def _angles_to_unit(angles: np.ndarray, m: int) -> np.ndarray:

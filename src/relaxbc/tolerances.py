@@ -102,8 +102,8 @@ LAYER_CELLS_MIN = 4
 #: takes time level k
 MESH_ROUNDOFF_REL = 1e-9
 
-#: largest stiff run ``sim.check_work`` lets start, estimated before
-#: anything is allocated: mesh nodes (the converge fixtures' meshes have
+#: largest stiff run ``sim.plan_run`` lets start: mesh nodes, bounded
+#: before the mesh is allocated (the converge fixtures' meshes have
 #: 4,023 nodes at eps 3e-4, x_max 2 over dx_max 5e-4) and finest time steps
 #: (the 2x2 fixture takes 30,352 there)
 STIFF_NODES_MAX = 1_000_000

@@ -1054,6 +1054,30 @@ def test_sample_past_the_direction_limit_is_config_error(
     assert not any(out.iterdir())
 
 
+def test_direction_limit_names_the_grid_it_refused(tmp_path, capsys, monkeypatch):
+    # at d = 3 the (Re xi, Im xi, omega) grid of resolution 400 is refused
+    # first; at resolution 100 it holds 1e6 directions and the gkc grid,
+    # with its 64 rim points, is refused.  The eta = infinity sample over
+    # those 1e6 directions runs before the gkc grid is built and takes
+    # seconds, so it is stubbed out at resolution 100
+    from conftest import write_system_file
+    from relaxbc import reduction
+
+    d3 = fixtures.random_admissible_bundle(np.random.default_rng(2691), d=3, require_n0=1).sys
+    argv = ["gkc", write_system_file(tmp_path / "d3.json", d3), "--out", str(tmp_path / "out")]
+    assert _run(argv + ["--resolution", "400"]) == 2
+    err = capsys.readouterr().err
+    assert "the (Re xi, Im xi, omega) grid of the eta = infinity and UKC samples: " \
+           "resolution 400 in m = 4 coordinates asks for about 64,000,000 directions" in err
+    assert "rim points" not in err
+    monkeypatch.setattr(reduction, "eta_inf_sample", lambda *args: "not sampled")
+    assert _run(argv + ["--resolution", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "the gkc grid: resolution 100 with 64 rim points in m = 5 coordinates " \
+           "asks for about 100,000,128 directions" in err
+    assert not any((tmp_path / "out").iterdir())
+
+
 #: the README's system and scenario documents, the scenario with a short T
 #: and a coarse mesh
 README_SYSTEM = {

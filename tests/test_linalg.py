@@ -19,6 +19,24 @@ from relaxbc.reduction import _M1_stack
 from relaxbc.spectral import SamplingSpec, _M_stack, directions, xi_omega_directions
 
 
+def test_axis_guard_takes_no_2_norm_of_an_empty_stack(monkeypatch):
+    # every row of this stack passes the screens of stable_eigvecs, so the
+    # axis guard gets no row and takes no stacked 2-norm
+    frobenius = np.linalg.norm
+
+    def no_2_norm(x, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            raise AssertionError("2-norm taken")
+        return frobenius(x, ord, axis, keepdims)
+
+    M = np.tile(np.diag([-1.0, -2.0, 3.0]), (4, 1, 1))
+    monkeypatch.setattr(np.linalg, "norm", no_2_norm)
+    V_s, vol, skipped, split = stable_eigvecs(M, 2)
+    assert skipped == {} and split.size == 0
+    np.testing.assert_allclose(vol, 1.0)
+    assert linalg._axis_guard(M[:0], np.zeros((0, 3), complex)) == {}
+
+
 class TestSplitInvariantSubspaces:
     def test_diagonal(self):
         Z = split_invariant_subspaces(np.diag([-1.0, 2.0]))

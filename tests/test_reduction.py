@@ -217,6 +217,14 @@ class TestReducedBC:
             "  V1 = +2*rho",
         ]
 
+    def test_render_names_an_unlabelled_random_system_by_position(self):
+        # a random fixture has no labels and the identity transform: its
+        # variables are named u1, u2, ...
+        bundle = fixtures.random_admissible_bundle(np.random.default_rng(2691), d=3, require_n0=1)
+        text = render_reduced_bc(bundle.sys, bundle.rbc)
+        assert bundle.sys.labels == ()
+        assert "*u1(0,t)" in text and "canonical variables" not in text
+
     def test_render_keeps_labels_under_the_identity(self, pipe2x2):
         head = "reduced boundary condition  (B_o B_u) ubar(0, t) = B_o b(t)\n"
         line = " = +0.948683*b1(t) + +0.316228*b2(t)"

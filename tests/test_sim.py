@@ -86,9 +86,7 @@ def _stiff_loop(sys_obj, scenario, eps, dx_max):
     B_Rrest = sys_obj.B @ R[:, rest]
     E = sla.expm(sys_obj.S * dt / eps)
     U = np.zeros((x.size, n))
-    U[:, : n - r] = np.atleast_2d(scenario.u0(x).T).T
-    if scenario.v0 is not None:
-        U[:, n - r :] = np.atleast_2d(scenario.v0(x).T).T
+    U[:] = scenario.U0(x)
     trace = [U[0].copy()]
     for step in range(steps):
         chi = _upwind_step(U @ R, lam, pos, neg, dxm, dxm, dt)
@@ -121,9 +119,7 @@ def _global_dt_relaxation(sys_obj, scenario, eps, dx_max=1e-3):
     BRp_lu = sla.lu_factor(sys_obj.B @ R[:, pos])
     B_Rrest = sys_obj.B @ R[:, rest]
     U = np.zeros((x.size, n))
-    U[:, : n - r] = np.atleast_2d(scenario.u0(x).T).T
-    if scenario.v0 is not None:
-        U[:, n - r :] = np.atleast_2d(scenario.v0(x).T).T
+    U[:] = scenario.U0(x)
     chi = (U @ R).ravel()
     times = np.arange(steps + 1) * dt
     b = scenario.b(times[1:])
@@ -186,9 +182,7 @@ def _per_substep_relaxation(sys_obj, scenario, eps, dx_max=1e-3):
     BRp_lu = sla.lu_factor(sys_obj.B @ R[:, pos])
     B_Rrest = sys_obj.B @ R[:, rest]
     U = np.zeros((x.size, n))
-    U[:, : n - r] = np.atleast_2d(scenario.u0(x).T).T
-    if scenario.v0 is not None:
-        U[:, n - r :] = np.atleast_2d(scenario.v0(x).T).T
+    U[:] = scenario.U0(x)
     chi = (U @ R).ravel()
     times = np.arange(steps + 1) * dt
     b = scenario.b(times[1:])
@@ -222,7 +216,7 @@ def _upwind_equilibrium(pipe, scenario, dx):
     coeff = pipe.rbc.coefficient
     CWp_lu = sla.lu_factor(coeff @ W[:, pos])
     C_rest = coeff @ W[:, rest]
-    u = np.atleast_2d(scenario.u0(x).T).T.copy()
+    u = scenario.U0(x)[:, : pipe.sys.n - pipe.sys.r].copy()
     for step in range(steps):
         chi = _upwind_step(u @ W, lam, pos, neg, dxm, dxm, dt)
         if neg.size:
@@ -292,7 +286,7 @@ class TestGradedMesh:
     @pytest.mark.parametrize("x_max", [1e308, 1e20])
     def test_too_many_nodes_are_refused_before_allocating(self, x_max):
         # an OverflowError and a ValueError from the node array before; the
-        # cell bound that check_work applies now comes first
+        # cell bound that plan_run applies now comes first
         with pytest.raises(ConfigError, match=re.escape(f"x_max {x_max!r},") + ".* the limit is 1,000,000"):
             graded_mesh(x_max, 1e-3, 1e-2)
 
@@ -372,9 +366,10 @@ class TestGradedMesh:
 
 @pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3, 3e-4])
 def test_check_work_bounds_the_run_it_admits(eps, pipe2x2, sys3, monkeypatch):
-    # at the converge dx_max on both converge fixtures: with either limit
-    # one below the run's count the run is refused, and the step bound is
-    # the count itself (the node bound sits a few cells above it)
+    # ``plan_run``, the work check of the converge pre-flight, at the
+    # converge dx_max on both converge fixtures: with either limit one below
+    # the run's count the run is refused, and the step bound is the count
+    # itself (the node bound sits a few cells above it)
     for sys_obj, scen in (
         (pipe2x2.sys, fixtures.example_scenario(T=0.5, x_max=2.0)),
         (sys3, fixtures.scenario_double_characteristic(sys3)),
@@ -383,13 +378,24 @@ def test_check_work_bounds_the_run_it_admits(eps, pipe2x2, sys3, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(sim, "STIFF_NODES_MAX", res.x.size - 1)
             with pytest.raises(ConfigError, match="mesh nodes"):
-                sim.check_work(sys_obj, scen, eps, 5e-4)
+                sim.plan_run(sys_obj, scen, eps, 5e-4)
         with monkeypatch.context() as m:
             m.setattr(sim, "STIFF_STEPS_MAX", res.steps - 1)
             with pytest.raises(ConfigError, match="finest time steps"):
-                sim.check_work(sys_obj, scen, eps, 5e-4)
+                sim.plan_run(sys_obj, scen, eps, 5e-4)
             m.setattr(sim, "STIFF_STEPS_MAX", res.steps)
-            sim.check_work(sys_obj, scen, eps, 5e-4)
+            sim.plan_run(sys_obj, scen, eps, 5e-4)
+
+
+def test_work_limit_admits_a_short_mesh_run_at_its_step_count(pipe2x2, monkeypatch):
+    # a mesh too short for its cells to grow to dx_max: the run takes 152
+    # finest steps, so the step limit admits it at 152 and refuses it at 151
+    scen = fixtures.example_scenario(T=0.01, x_max=0.05)
+    monkeypatch.setattr(sim, "STIFF_STEPS_MAX", 152)
+    assert solve_relaxation(pipe2x2.sys, scen, 1e-3, dx_max=3e-3).steps == 152
+    monkeypatch.setattr(sim, "STIFF_STEPS_MAX", 151)
+    with pytest.raises(ConfigError, match="T 0.01 and eps 0.001 ask for about 152 finest"):
+        solve_relaxation(pipe2x2.sys, scen, 1e-3, dx_max=3e-3)
 
 
 class TestTimeLevels:
@@ -504,7 +510,7 @@ class TestSolveRelaxation:
     def test_zero_data_stays_zero(self, pipe2x2):
         scen = Scenario(
             b=lambda t: np.zeros(np.shape(t) + (2,)),
-            u0=lambda x: np.zeros((np.size(x), 1)),
+            U0=lambda x: np.zeros((np.size(x), 2)),
             T=0.3,
             x_max=2.0,
         )
@@ -544,7 +550,7 @@ class TestSolveRelaxation:
     def test_energy_decays_with_homogeneous_boundary(self, pipe2x2):
         scen = Scenario(
             b=lambda t: np.zeros(np.shape(t) + (2,)),
-            u0=lambda x: _bump(x)[:, None],
+            U0=lambda x: np.column_stack([_bump(x), np.zeros(np.size(x))]),
             T=0.4,
             x_max=2.0,
         )
@@ -918,7 +924,7 @@ class TestSolveEquilibrium:
         assert res.steps == 0
         T = scen.T
         inflow = np.sin(T - x / 3.0) + np.cos(T - x / 3.0) / 3.0
-        exact = np.where(x < 3.0 * T, inflow, scen.u0(np.maximum(x - 3.0 * T, 0.0)))
+        exact = np.where(x < 3.0 * T, inflow, scen.U0(np.maximum(x - 3.0 * T, 0.0))[:, 0])
         np.testing.assert_allclose(res.U[:, 0], exact, rtol=0, atol=1e-14)
 
     def test_boundary_trace_satisfies_reduced_bc(self, pipe2x2):
@@ -960,8 +966,8 @@ class TestSolveEquilibrium:
         pipe = derive_all(sys_obj)
         scen = Scenario(
             b=lambda t: np.stack([np.sin(t), np.zeros_like(t)], axis=-1),
-            u0=lambda x: np.column_stack(
-                [np.zeros(np.size(x)), _bump(x)]
+            U0=lambda x: np.column_stack(
+                [np.zeros(np.size(x)), _bump(x), np.zeros(np.size(x))]
             ),
             T=0.4,
             x_max=2.0,
@@ -995,7 +1001,7 @@ class TestSolveEquilibrium:
         u2 = lambda x: 1.0 + np.sin(3.0 * np.asarray(x, dtype=float))
         scen = Scenario(
             b=lambda t: np.expand_dims(0.5 + np.sin(2.0 * t), -1),
-            u0=lambda x: np.column_stack([_bump(x, 0.6), u2(x)]),
+            U0=lambda x: np.column_stack([_bump(x, 0.6), u2(x), np.zeros(np.size(x))]),
             T=T, x_max=x_max,
         )
         x = np.linspace(0.0, x_max, 1001)
@@ -1197,7 +1203,7 @@ class TestConvergenceStudy:
     def test_zero_data_is_degenerate(self, pipe2x2):
         scen = Scenario(
             b=lambda t: np.zeros(np.shape(t) + (2,)),
-            u0=lambda x: np.zeros((np.size(x), 1)),
+            U0=lambda x: np.zeros((np.size(x), 2)),
             T=0.2,
             x_max=1.0,
         )
