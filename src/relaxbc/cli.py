@@ -463,9 +463,6 @@ def cmd_simulate(args) -> int:
     dx_max = _finite_positive("--dx-max", args.dx_max)
 
     result = solve_relaxation(sys_obj, scenario, eps, dx_max=dx_max)
-    if not np.all(np.isfinite(result.U)):
-        print("simulation produced non-finite values")
-        return EXIT_NUMERICAL
 
     norm = l2_error(result.x, result.U, np.zeros_like(result.U))
     report = {

@@ -26,13 +26,20 @@ from .sim import Scenario
 from .spectral import SamplingSpec
 from .tolerances import (
     FIXTURE_A1_HAT_COND_MAX,
+    FIXTURE_ALPHA_RANGE,
+    FIXTURE_BETA_BAND,
     FIXTURE_BOUNDARY_ROW_MIN,
     FIXTURE_DAMPING_GAP_MIN,
+    FIXTURE_ETA_RANGE,
     FIXTURE_FIRST_COMPONENT_MIN,
+    FIXTURE_IM_XI_OMEGA_RANGE,
     FIXTURE_KERNEL_OVERLAP_MIN,
     FIXTURE_KERNEL_RELAXED_MIN,
     FIXTURE_ORTHOGONAL_MIN,
     FIXTURE_RATE_SPREAD_MAX,
+    FIXTURE_RE_XI_RANGE,
+    FIXTURE_S_SHIFT_MIN,
+    FIXTURE_SPEED_RANGE,
     FIXTURE_ZERO_EIG_ABS,
 )
 
@@ -117,9 +124,9 @@ def make_double_characteristic(rng: np.random.Generator) -> RelaxationSystem:
         ):
             continue
         q /= nq
-        alpha = rng.uniform(0.5, 2.0)
+        alpha = rng.uniform(*FIXTURE_ALPHA_RANGE)
         beta = alpha * p[0] ** 2 / q[0] ** 2
-        if not 0.1 < beta < 10.0:
+        if not FIXTURE_BETA_BAND[0] < beta < FIXTURE_BETA_BAND[1]:
             continue
         A1 = alpha * np.outer(p, p) - beta * np.outer(q, q)
         A1 = 0.5 * (A1 + A1.T)
@@ -201,7 +208,7 @@ def random_system(
             n0 = require_n0
             if n0 > min(r, n - 1):
                 continue
-        mags = rng.uniform(0.5, 2.5, size=n - n0)
+        mags = rng.uniform(*FIXTURE_SPEED_RANGE, size=n - n0)
         signs = np.where(rng.random(n - n0) < 0.5, -1.0, 1.0)
         eigs = np.concatenate([mags * signs, np.zeros(n0)])
         if not np.any(eigs > 0):
@@ -211,7 +218,7 @@ def random_system(
         A1 = 0.5 * (A1 + A1.T)
 
         G = rng.normal(size=(r, r))
-        S = -(G @ G.T + (0.2 + rng.random()) * np.eye(r))
+        S = -(G @ G.T + (FIXTURE_S_SHIFT_MIN + rng.random()) * np.eye(r))
         sv_s = np.linalg.svd(S, compute_uv=False)
         if sv_s[0] / sv_s[-1] > FIXTURE_RATE_SPREAD_MAX:
             continue
@@ -298,8 +305,9 @@ def well_conditioned(bundle: Pipeline) -> bool:
 
 def random_frequency_point(rng: np.random.Generator, d: int) -> np.ndarray:
     """A row (Re xi, Im xi, omega..., eta): Re xi > 0, 0 <= eta < 10."""
-    return np.r_[rng.uniform(0.05, 2.0), rng.uniform(-2.0, 2.0),
-                 rng.uniform(-2.0, 2.0, size=d - 1), rng.uniform(0.0, 10.0)]
+    return np.r_[rng.uniform(*FIXTURE_RE_XI_RANGE), rng.uniform(*FIXTURE_IM_XI_OMEGA_RANGE),
+                 rng.uniform(*FIXTURE_IM_XI_OMEGA_RANGE, size=d - 1),
+                 rng.uniform(*FIXTURE_ETA_RANGE)]
 
 
 __all__ = [

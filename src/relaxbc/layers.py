@@ -178,7 +178,8 @@ def solve_sqrt_eps_layer(
 ) -> SqrtEpsLayer:
     """Exact final-time solution of  m_t = (-D) m_zz  on z > 0, t in (0, T],
     with m(z, 0) = 0 and m(0, t) = boundary(t) interpolated linearly between
-    the SQRT_LAYER_NT + 1 equispaced times 0, T / SQRT_LAYER_NT, ..., T.
+    the SQRT_LAYER_NT + 1 equispaced times 0, T / SQRT_LAYER_NT, ..., T, for
+    an ``eq`` with n10 >= 1 zero-speed modes.
 
     ``boundary`` maps an array of times to their (len(t), n10) data and is
     called once.  In each eigenmode q_k = (V^T m)_k, -D = V diag(lam) V^T, the
@@ -188,12 +189,7 @@ def solve_sqrt_eps_layer(
     bounds the profile beyond the table by 2e-17 max |g_k|, so no truncation
     boundary enters the solution.
     """
-    D = diffusion_matrix(sys, eq)
-    if D.shape[0] == 0:
-        z = np.linspace(0.0, 1.0, 2)
-        empty = np.zeros((2, 0))
-        return SqrtEpsLayer(z=z, m=empty, dm_dz=empty, P0=eq.P0)
-    lam, V = np.linalg.eigh(-D)  # lam > 0
+    lam, V = np.linalg.eigh(-diffusion_matrix(sys, eq))  # lam > 0
     z = np.linspace(0.0, 12.0 * math.sqrt(lam.max() * T), SQRT_LAYER_NZ)
     times = np.arange(SQRT_LAYER_NT + 1) * (T / SQRT_LAYER_NT)
     g = np.asarray(boundary(times), dtype=float) @ V
@@ -243,34 +239,13 @@ def _erfc_superposition(lam, g, T, z):
     return q, dq
 
 
-@dataclass
-class SecondCorrection:
-    """sqrt(eps)-weighted correction (mu2; nu2)(z, t) built from dm/dz."""
-
-    layer: SqrtEpsLayer
-    mu2_coeff: np.ndarray  # (n - r) x n10, applied to dm/dz
-    nu2_coeff: np.ndarray  # r x n10
-
-    def evaluate(self, z: np.ndarray) -> np.ndarray:
-        """(len(z), n) values of (mu2; nu2) at the final time."""
-        dm = self.layer.interp_dm_dz(z)
-        mu2 = dm @ self.mu2_coeff.T
-        nu2 = dm @ self.nu2_coeff.T
-        return np.hstack([mu2, nu2])
-
-
-def build_second_correction(
-    sys: RelaxationSystem, eq: EquilibriumFrame, layer: SqrtEpsLayer
-) -> SecondCorrection:
-    """nu2 = S^{-1} A12^T P0 dm/dz and
+def build_second_correction(sys: RelaxationSystem, eq: EquilibriumFrame) -> np.ndarray:
+    """The n x n10 matrix C2 of the second correction (mu2; nu2) = C2 dm/dz:
+    nu2 = S^{-1} A12^T P0 dm/dz and
     mu2 = -P1 Lam1^{-1} P1^T A12 S^{-1} A12^T P0 dm/dz (P0^T mu2 = 0)."""
-    Sinv_A12T_P0 = np.linalg.solve(sys.S, sys.A12.T @ eq.P0)
-    nu2_coeff = Sinv_A12T_P0
-    if eq.Lam1.size:
-        mu2_coeff = -eq.P1 @ np.diag(1.0 / eq.Lam1) @ eq.P1.T @ sys.A12 @ Sinv_A12T_P0
-    else:
-        mu2_coeff = np.zeros((sys.n - sys.r, eq.P0.shape[1]))
-    return SecondCorrection(layer=layer, mu2_coeff=mu2_coeff, nu2_coeff=nu2_coeff)
+    nu2 = np.linalg.solve(sys.S, sys.A12.T @ eq.P0)
+    mu2 = -eq.P1 @ np.diag(1.0 / eq.Lam1) @ eq.P1.T @ sys.A12 @ nu2
+    return np.vstack([mu2, nu2])
 
 
 def assemble_composite(
@@ -281,32 +256,32 @@ def assemble_composite(
     eps_layer: EpsLayer | None = None,
     w_s: np.ndarray | None = None,
     sqrt_layer: SqrtEpsLayer | None = None,
-    second: SecondCorrection | None = None,
+    second: np.ndarray | None = None,
 ) -> np.ndarray:
     """Composite approximation at one time instant, shape (len(x), n).
 
     ``ubar`` is the outer equilibrium solution sampled on ``x`` (shape
     (len(x), n - r)); the layer objects are evaluated at y = x/eps and
-    z = x/sqrt(eps).
+    z = x/sqrt(eps).  ``sqrt_layer`` and ``second``, the matrix C2 of
+    ``build_second_correction``, are None together: there is no
+    sqrt(eps)-layer without zero-speed equilibrium modes.
     """
     x = np.asarray(x, dtype=float)
     n1 = sys.n - sys.r
     U = np.zeros((x.size, sys.n))
-    U[:, :n1] = np.atleast_2d(ubar.T).T if ubar.ndim == 1 else ubar
+    U[:, :n1] = ubar
     if eps_layer is not None and w_s is not None and np.size(w_s):
         U += eps_layer.evaluate(x / eps, w_s)
-    if sqrt_layer is not None and sqrt_layer.m.shape[1] > 0:
+    if sqrt_layer is not None:
         z = x / math.sqrt(eps)
         U[:, :n1] += sqrt_layer.interp_m(z) @ sqrt_layer.P0.T
-        if second is not None:
-            U += math.sqrt(eps) * second.evaluate(z)
+        U += math.sqrt(eps) * (sqrt_layer.interp_dm_dz(z) @ second.T)
     return U
 
 
 __all__ = [
     "EpsLayer",
     "SqrtEpsLayer",
-    "SecondCorrection",
     "build_eps_layer",
     "diffusion_matrix",
     "solve_sqrt_eps_layer",

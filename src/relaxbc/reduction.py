@@ -34,8 +34,8 @@ from .linalg import (
 )
 from .model import RelaxationSystem, compute_indices
 from .spectral import (
-    GkcReport, KernelFrame, Sample, SamplingSpec, build_kernel_frame, check_gkc, require_real,
-    sample, symbol_stack, xi_omega_directions,
+    GkcReport, KernelFrame, Sample, SamplingSpec, build_kernel_frame, check_gkc, gkc_directions,
+    require_real, sample, symbol_stack, xi_omega_directions,
 )
 from .tolerances import B_O_ENTRY_ABS, C_THRESHOLD, spectral_norm, tau_axis
 
@@ -446,9 +446,12 @@ class Pipeline:
 
     @cached_property
     def gkc(self) -> GkcReport:
+        # both grids are built, so a grid past the direction limit is
+        # refused, before either is sampled
         units = xi_omega_directions(self.sys.d, self.spec)
+        hemisphere = gkc_directions(self.sys.d, self.spec)
         eta_inf = eta_inf_sample(self.sys, self.frame, self.limit, units)
-        return check_gkc(self.sys, self.frame, self.spec, eta_inf)
+        return check_gkc(self.sys, self.frame, self.spec, hemisphere, eta_inf)
 
     @cached_property
     def rbc(self) -> ReducedBC:

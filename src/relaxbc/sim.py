@@ -267,7 +267,9 @@ def solve_relaxation(
     steps; ``node_steps`` counts the node updates of the scheme.  With
     ``RELAXBC_LOG=debug`` the run logs one line: its steps, nodes, levels,
     node-steps, cycles and nonzeros, the base cell h and the top level's
-    Courant number rho 2^K dt / c on the bulk cell c.
+    Courant number rho 2^K dt / c on the bulk cell c.  Raises
+    AssumptionViolated, naming eps, with no RuntimeWarning, when the state
+    at T is not finite: it grew past the float range, or started so.
     """
     x, level, h, cycle, steps, dt = plan_run(sys, scenario, eps, dx_max)
     n = sys.n
@@ -338,31 +340,40 @@ def solve_relaxation(
         )
     nf, g = H.shape[0], G.shape[1] - H.shape[1]
     traces = trace[1:].reshape(cycles, cycle * n)
-    # the state alternates between two buffers; a pass is the product from
-    # one into the other, the head chi[:g] it starts from and the forced
-    # rows chi[:nf] it ends in, bound once, so a cycle slices nothing
-    a = (U @ R).ravel()
-    b = np.empty_like(a)
-    passes = itertools.cycle(
-        [(csr_product(C, a, b), a[:g], b[:nf]), (csr_product(C, b, a), b[:g], a[:nf])]
-    )
-    # a block of cycles at a time holds its forcing H beta and its inputs
-    # (chi[:g] at the cycle start, beta) to the traces G (head, beta);
-    # einsum, not BLAS, whose threads would spin against the loop
-    for first in range(0, cycles, CYCLE_BLOCK):
-        part = slice(first, first + CYCLE_BLOCK)
-        forcing = np.einsum("ck,hk->ch", beta[part], H)
-        inputs = np.empty((forcing.shape[0], G.shape[1]))
-        inputs[:, g:] = beta[part]
-        # zip draws from ``passes`` last, so a block's end loses no pass
-        for head, f, (advance, start, forced) in zip(inputs[:, :g], forcing, passes):
-            head[:] = start
-            advance()
-            forced += f
-        np.einsum("ck,ik->ci", inputs, G, out=traces[part])
-    chi = (a, b)[cycles % 2]
+    # a state that grows past the float range or starts non-finite is
+    # refused below, once, from the final state
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the state alternates between two buffers; a pass is the product
+        # from one into the other, the head chi[:g] it starts from and the
+        # forced rows chi[:nf] it ends in, bound once, so a cycle slices
+        # nothing
+        a = (U @ R).ravel()
+        b = np.empty_like(a)
+        passes = itertools.cycle(
+            [(csr_product(C, a, b), a[:g], b[:nf]), (csr_product(C, b, a), b[:g], a[:nf])]
+        )
+        # a block of cycles at a time holds its forcing H beta and its
+        # inputs (chi[:g] at the cycle start, beta) to the traces
+        # G (head, beta); einsum, not BLAS, whose threads would spin against
+        # the loop
+        for first in range(0, cycles, CYCLE_BLOCK):
+            part = slice(first, first + CYCLE_BLOCK)
+            forcing = np.einsum("ck,hk->ch", beta[part], H)
+            inputs = np.empty((forcing.shape[0], G.shape[1]))
+            inputs[:, g:] = beta[part]
+            # zip draws from ``passes`` last, so a block's end loses no pass
+            for head, f, (advance, start, forced) in zip(inputs[:, :g], forcing, passes):
+                head[:] = start
+                advance()
+                forced += f
+            np.einsum("ck,ik->ci", inputs, G, out=traces[part])
+        U = (a, b)[cycles % 2].reshape(x.size, n) @ R.T
+    if not np.all(np.isfinite(U)):
+        raise AssumptionViolated(
+            f"the stiff state at eps {eps:g} is not finite at T = {scenario.T:g}"
+        )
     return SimResult(
-        x=x, U=chi.reshape(x.size, n) @ R.T, t_final=scenario.T, steps=steps,
+        x=x, U=U, t_final=scenario.T, steps=steps,
         dt=dt, boundary_times=times, boundary_values=trace,
         boundary_cond=boundary_cond, node_steps=node_steps, cycles=cycles,
     )
@@ -410,24 +421,17 @@ def equilibrium_trace(eq: EquilibriumFrame, rbc: ReducedBC, scenario: Scenario, 
     return trace
 
 
-def solve_equilibrium(
-    sys: RelaxationSystem,
-    eq: EquilibriumFrame,
-    rbc: ReducedBC,
-    scenario: Scenario,
-    x: np.ndarray,
-    rhs=None,
-) -> SimResult:
+def solve_equilibrium(eq: EquilibriumFrame, trace, scenario: Scenario, x: np.ndarray) -> SimResult:
     """The method-of-characteristics solution at t = T on the nodes ``x`` of
-    the equilibrium problem of ``equilibrium_trace`` (``rhs`` as there), in
-    closed form: no grid, no time step (``steps`` is 0).  Each mode chi_k
-    reads its initial data at clip(x - lam_k T, 0, x_max), so zero-speed
-    modes keep theirs, except an incoming mode where x < lam_k T, which reads
-    the exact boundary trace at its foot time T - x / lam_k."""
+    the equilibrium problem whose exact boundary trace is ``trace``
+    (``equilibrium_trace``), in closed form: no grid, no time step
+    (``steps`` is 0).  Each mode chi_k reads its initial data at
+    clip(x - lam_k T, 0, x_max), so zero-speed modes keep theirs, except an
+    incoming mode where x < lam_k T, which reads the trace at its foot time
+    T - x / lam_k."""
     W, lam = _modes(eq)
-    trace = equilibrium_trace(eq, rbc, scenario, rhs)
     T, x = scenario.T, np.asarray(x, dtype=float)
-    chi = np.empty((x.size, sys.n - sys.r))
+    chi = np.empty((x.size, lam.size))
     for k in range(lam.size):
         foot = np.clip(x - lam[k] * T, 0.0, scenario.x_max)
         chi[:, k] = scenario.U0(foot)[:, : lam.size] @ W[:, k]
@@ -511,9 +515,10 @@ def layers_at_final_time(
     depend on eps, once per equilibrium solution, from its boundary trace
     ubar(0, t) (``equilibrium_trace``): the keyword arguments of
     ``assemble_composite``, the eps-layer with its closure amplitude
-    w_s(T), and the sqrt(eps)-layer with its second correction (None
-    without zero-speed equilibrium modes).  The sqrt(eps)-layer takes its
-    boundary data at all of its sample times from one closure solve."""
+    w_s(T), and the sqrt(eps)-layer with the matrix of its second
+    correction (both None without zero-speed equilibrium modes).  The
+    sqrt(eps)-layer takes its boundary data at all of its sample times from
+    one closure solve."""
     n10 = compute_indices(sys).n10
 
     def layer_data(ts):
@@ -523,10 +528,8 @@ def layers_at_final_time(
     sqrt_layer = second = None
     if n10 > 0:
         sqrt_layer = solve_sqrt_eps_layer(sys, eq, layer_data, scenario.T)
-        second = build_second_correction(sys, eq, sqrt_layer)
-    _, w_s = solve_closure(
-        closure, sys, scenario.b(scenario.T), trace(scenario.T), n10
-    )
+        second = build_second_correction(sys, eq)
+    _, w_s = solve_closure(closure, sys, scenario.b(scenario.T), trace(scenario.T), n10)
     return dict(eps_layer=eps_layer, w_s=w_s, sqrt_layer=sqrt_layer, second=second)
 
 
@@ -552,9 +555,11 @@ def run_convergence_study(
     before any run, unless ``eps_list`` holds two distinct values.
 
     ``dx_max`` is the largest cell of the stiff solver's graded mesh.  The
-    layers of each equilibrium solution come from its exact boundary trace
-    (``equilibrium_trace``), once per study; its outer solution is evaluated
-    in closed form on each stiff mesh, once per eps (``solve_equilibrium``).
+    derived closure and, where applicable, the naive one are keyed by their
+    report fields (``error``, ``control_error``).  Each builds its exact
+    boundary trace (``equilibrium_trace``) and its layers once per study,
+    and reads the trace for its outer solution on each stiff mesh
+    (``solve_equilibrium``).
 
     ``scenario.U0`` is the outer initial data.  The stiff runs start from
     well-prepared data that already carry the eps-layer at its t = 0
@@ -576,15 +581,16 @@ def run_convergence_study(
     sys, eq, rbc, closure = pipeline.sys, pipeline.eq, pipeline.rbc, pipeline.closure
     idx = compute_indices(sys)
     layer0 = build_eps_layer(sys, pipeline.frame, pipeline.data)
-
-    def layers_for(rhs):
-        trace = equilibrium_trace(eq, rbc, scenario, rhs)
-        return layers_at_final_time(sys, eq, closure, scenario, trace, layer0)
-
-    layers = layers_for(None)
     applicable = control_applicable(sys, rbc)
-    control_rhs = naive_rhs(sys, rbc, scenario) if applicable else None
-    control = layers_for(control_rhs) if applicable else None
+    traces = {"error": equilibrium_trace(eq, rbc, scenario)}
+    if applicable:
+        naive = naive_rhs(sys, rbc, scenario)
+        traces["control_error"] = equilibrium_trace(eq, rbc, scenario, naive)
+    # each closure's trace with the layers it makes, by report field
+    expansions = {
+        name: (trace, layers_at_final_time(sys, eq, closure, scenario, trace, layer0))
+        for name, trace in traces.items()
+    }
 
     n1 = sys.n - sys.r
     _, w_s0 = solve_closure(
@@ -601,24 +607,18 @@ def run_convergence_study(
                 scenario, U0=lambda x: scenario.U0(x) + layer0.evaluate(x / eps, w_s0)
             )
         stiff = solve_relaxation(sys, stiff_scenario, eps, dx_max=dx_max)
-        ubar = solve_equilibrium(sys, eq, rbc, scenario, stiff.x).U
-        comp = composite_at_final_time(sys, layers, stiff.x, ubar, eps)
-        # against the bare outer solution (ubar; 0): same rate away from the
-        # boundary layers, slower globally
-        outer = np.zeros_like(stiff.U)
-        outer[:, :n1] = ubar
-        entry = {
-            "eps": float(eps),
-            "error": float(measure_error(stiff, comp)),
-            "outer_error": float(measure_error(stiff, outer)),
-            "steps": stiff.steps,
-            "nodes": int(stiff.x.size),
-            "node_steps": stiff.node_steps,
-        }
-        if control is not None:
-            ubar = solve_equilibrium(sys, eq, rbc, scenario, stiff.x, control_rhs).U
-            ctrl = composite_at_final_time(sys, control, stiff.x, ubar, eps)
-            entry["control_error"] = float(l2_error(stiff.x, stiff.U, ctrl))
+        entry = {"eps": float(eps), "steps": stiff.steps, "nodes": int(stiff.x.size),
+                 "node_steps": stiff.node_steps}
+        for name, (trace, layers) in expansions.items():
+            ubar = solve_equilibrium(eq, trace, scenario, stiff.x).U
+            comp = composite_at_final_time(sys, layers, stiff.x, ubar, eps)
+            entry[name] = float(measure_error(stiff, comp))
+            if name == "error":
+                # against the bare outer solution (ubar; 0): same rate away
+                # from the boundary layers, slower globally
+                outer = np.zeros_like(stiff.U)
+                outer[:, :n1] = ubar
+                entry["outer_error"] = float(measure_error(stiff, outer))
         return entry, time.perf_counter() - start, stiff.cycles
 
     # the smallest eps takes the most cycles: submitted first, it is not
@@ -635,7 +635,7 @@ def run_convergence_study(
     slope, fit_residual = _fit_slope(eps_list, errors)
     outer_slope, _ = _fit_slope(eps_list, outer_errors)
     control_errors = cslope = None
-    if control is not None:
+    if applicable:
         control_errors = [e["control_error"] for e in per_eps]
         cslope, _ = _fit_slope(eps_list, control_errors)
     return ConvergenceStudy(

@@ -404,6 +404,13 @@ def _directions(
     return _angles_to_unit(angles, m), tensor
 
 
+def gkc_directions(d: int, spec: SamplingSpec) -> tuple[np.ndarray, int]:
+    """The gkc grid of ``check_gkc`` on the (Re xi, Im xi, omega, eta)
+    hemisphere: its rows and the count of those, first, that are the tensor
+    grid's (``_directions``)."""
+    return _directions(d + 2, spec)
+
+
 def xi_omega_directions(d: int, spec: SamplingSpec) -> np.ndarray:
     """The (Re xi, Im xi, omega) grid shared by the eta = infinity and UKC
     samples: the tensor part of ``directions``, whose every row has
@@ -533,14 +540,19 @@ def require_real(sys: RelaxationSystem, frame: KernelFrame) -> None:
 
 
 def check_gkc(
-    sys: RelaxationSystem, frame: KernelFrame, spec: SamplingSpec, eta_inf: Sample | str
+    sys: RelaxationSystem,
+    frame: KernelFrame,
+    spec: SamplingSpec,
+    hemisphere: tuple[np.ndarray, int],
+    eta_inf: Sample | str,
 ) -> GkcReport:
     """Sample the GKC ratio over the compactified parameter hemisphere.
 
     By homogeneity the ratio depends only on the direction of
     (Re xi, Im xi, omega, eta), so the unbounded quantifier reduces to the
-    unit hemisphere plus the eta = infinity limit point, which the caller
-    samples through the large-eta limit matrix: ``eta_inf`` is
+    unit hemisphere plus the eta = infinity limit point.  The caller builds
+    both grids, each refused past the direction limit, before it samples
+    either: ``hemisphere`` is ``gkc_directions``, and ``eta_inf`` is
     ``reduction.eta_inf_sample`` over ``xi_omega_directions``, a ``Sample``,
     or the reason the limit was not formed.  For real A, Q and B the ratio
     is equal at (xi, omega, eta) and (conj xi, -omega, eta), so the
@@ -553,7 +565,7 @@ def check_gkc(
     eigenvalue near the imaginary axis.
     """
     require_real(sys, frame)
-    units, tensor = _directions(sys.d + 2, spec)
+    units, tensor = hemisphere
     grid = _gkc_sample("gkc", sys, frame, units)
     points, values = grid.rows[grid.kept], grid.ratios[grid.kept]
     best, best_point, failures = grid.minimum, grid.argmin, grid.failures
@@ -644,5 +656,6 @@ __all__ = [
     "gkc_ratio",
     "check_gkc",
     "directions",
+    "gkc_directions",
     "sample",
 ]

@@ -149,6 +149,26 @@ FIXTURE_KERNEL_RELAXED_MIN = 0.2
 #: kernel direction projected out, is shorter than this
 FIXTURE_BOUNDARY_ROW_MIN = 1e-2
 
+#: ``make_double_characteristic`` draws the scale alpha of A1 = alpha p p^T -
+#: beta q q^T uniformly from this range, and rejects a draw whose beta =
+#: alpha p_1^2 / q_1^2 falls outside the open band after it
+FIXTURE_ALPHA_RANGE = (0.5, 2.0)
+FIXTURE_BETA_BAND = (0.1, 10.0)
+
+#: ``random_system`` draws the magnitude of each nonzero speed of A1
+#: uniformly from this range
+FIXTURE_SPEED_RANGE = (0.5, 2.5)
+
+#: ``random_system`` draws S = -(G G^T + (this + U(0, 1)) I), so no rate of
+#: S is smaller than this before the rates are normalised
+FIXTURE_S_SHIFT_MIN = 0.2
+
+#: ``random_frequency_point`` draws Re xi, then Im xi and each omega, then
+#: eta uniformly from these ranges
+FIXTURE_RE_XI_RANGE = (0.05, 2.0)
+FIXTURE_IM_XI_OMEGA_RANGE = (-2.0, 2.0)
+FIXTURE_ETA_RANGE = (0.0, 10.0)
+
 #: ``well_conditioned`` counts an eigenvalue of A1_hat^-1 Q_hat this small in
 #: magnitude as a zero rate
 FIXTURE_ZERO_EIG_ABS = 1e-8

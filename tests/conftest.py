@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -73,6 +74,17 @@ def write_system_file(path, sys_obj):
     with open(path, "w") as fh:
         json.dump(system_to_dict(sys_obj), fh)
     return str(path)
+
+
+def with_infinite_v(scenario):
+    """``scenario`` with its last relaxed variable infinite at t = 0, so no
+    stiff state that starts from it is finite."""
+    def U0(x):
+        U = np.array(scenario.U0(x), dtype=float)
+        U[:, -1] = np.inf
+        return U
+
+    return dataclasses.replace(scenario, U0=U0)
 
 
 @pytest.fixture

@@ -323,6 +323,32 @@ class TestFailedUkcCertificate:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("command", ["simulate", "converge"])
+    def test_nonfinite_stiff_state_exits_3_without_a_report(
+        self, sys2x2_file, scen2x2_file, tmp_path, capsys, monkeypatch, command
+    ):
+        # v(x, 0) = inf leaves the stiff state at T non-finite: both commands
+        # refuse it as one numerical failure, on stderr, with no report
+        from conftest import with_infinite_v
+
+        load = cli._load_scenario
+
+        def nonfinite(path, sys_obj):
+            scenario, doc = load(path, sys_obj)
+            return with_infinite_v(scenario), doc
+
+        monkeypatch.setattr(cli, "_load_scenario", nonfinite)
+        out = tmp_path / "out"
+        argv = [command, sys2x2_file, "--scenario", scen2x2_file, "--out", str(out)]
+        if command == "simulate":
+            argv += ["--eps", "1e-2", "--dx-max", "2e-3"]
+        else:
+            argv += ["--resolution", "8", "--rim-points", "0"]
+        assert _run(argv) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: the stiff state at eps 0.01 is not finite at T = 0.5" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_artifacts(self, sys2x2_file, scen2x2_file, tmp_path):
         out = tmp_path / "out"
         assert _run(
@@ -598,10 +624,13 @@ def test_perfbench_observers_read_what_the_package_returns(pipe2x2, pipe3):
         spectral.xi_omega_directions(pipe2x2.sys.d, spec),
     )
     returned = {
-        "spectral.check_gkc": spectral.check_gkc(pipe2x2.sys, pipe2x2.frame, spec, eta_inf),
+        "spectral.check_gkc": spectral.check_gkc(
+            pipe2x2.sys, pipe2x2.frame, spec, spectral.gkc_directions(pipe2x2.sys.d, spec), eta_inf
+        ),
         "sim.solve_relaxation": sim.solve_relaxation(pipe2x2.sys, scen, 1e-2),
         "sim.solve_equilibrium": sim.solve_equilibrium(
-            pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, np.linspace(0.0, 2.0, 11)
+            pipe2x2.eq, sim.equilibrium_trace(pipe2x2.eq, pipe2x2.rbc, scen), scen,
+            np.linspace(0.0, 2.0, 11),
         ),
         "layers.solve_sqrt_eps_layer": layers.solve_sqrt_eps_layer(
             pipe3.sys, pipe3.eq, lambda t: np.ones((np.size(t), pipe3.eq.n10)), 0.5
@@ -1057,20 +1086,23 @@ def test_sample_past_the_direction_limit_is_config_error(
 def test_direction_limit_names_the_grid_it_refused(tmp_path, capsys, monkeypatch):
     # at d = 3 the (Re xi, Im xi, omega) grid of resolution 400 is refused
     # first; at resolution 100 it holds 1e6 directions and the gkc grid,
-    # with its 64 rim points, is refused.  The eta = infinity sample over
-    # those 1e6 directions runs before the gkc grid is built and takes
-    # seconds, so it is stubbed out at resolution 100
+    # with its 64 rim points, is refused.  Both grids are built before
+    # either is sampled, so neither run takes a sample
     from conftest import write_system_file
     from relaxbc import reduction
 
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a frequency sample was taken")
+
     d3 = fixtures.random_admissible_bundle(np.random.default_rng(2691), d=3, require_n0=1).sys
     argv = ["gkc", write_system_file(tmp_path / "d3.json", d3), "--out", str(tmp_path / "out")]
+    monkeypatch.setattr(spectral, "sample", no_sample)
+    monkeypatch.setattr(reduction, "sample", no_sample)
     assert _run(argv + ["--resolution", "400"]) == 2
     err = capsys.readouterr().err
     assert "the (Re xi, Im xi, omega) grid of the eta = infinity and UKC samples: " \
            "resolution 400 in m = 4 coordinates asks for about 64,000,000 directions" in err
     assert "rim points" not in err
-    monkeypatch.setattr(reduction, "eta_inf_sample", lambda *args: "not sampled")
     assert _run(argv + ["--resolution", "100"]) == 2
     err = capsys.readouterr().err
     assert "the gkc grid: resolution 100 with 64 rim points in m = 5 coordinates " \
@@ -1172,9 +1204,9 @@ def gkc_calls(monkeypatch):
     calls = []
     sample = reduction.check_gkc
 
-    def counted(sys_obj, frame, spec, eta_inf):
+    def counted(sys_obj, frame, spec, hemisphere, eta_inf):
         calls.append(spec)
-        return sample(sys_obj, frame, spec, eta_inf)
+        return sample(sys_obj, frame, spec, hemisphere, eta_inf)
 
     monkeypatch.setattr(reduction, "check_gkc", counted)
     return calls

@@ -258,13 +258,6 @@ class TestSqrtEpsLayer:
         )
         assert np.abs(layer.m).max() == 0.0
 
-    def test_empty_when_no_zero_speed_modes(self, pipe2x2):
-        layer = solve_sqrt_eps_layer(
-            pipe2x2.sys, pipe2x2.eq, lambda t: np.zeros((np.size(t), 0)), T=0.4
-        )
-        assert layer.m.shape[1] == 0
-        assert layer.interp_m(np.array([0.0, 1.0])).shape == (2, 0)
-
     def test_constant_boundary_matches_erfc(self, pipe3):
         # with constant Dirichlet data the layer is the classical similarity
         # solution m0 * erfc(z / (2 sqrt(delta t)))
@@ -288,17 +281,17 @@ class TestSqrtEpsLayer:
 class TestSecondCorrection:
     def test_coefficient_formulas(self, pipe3):
         sys_obj, eq = pipe3.sys, pipe3.eq
-        layer = solve_sqrt_eps_layer(
-            sys_obj, eq, lambda t: np.ones((np.size(t), 1)), T=0.2
-        )
-        second = build_second_correction(sys_obj, eq, layer)
+        C2 = build_second_correction(sys_obj, eq)
+        n1 = sys_obj.n - sys_obj.r
+        assert C2.shape == (sys_obj.n, eq.n10)
         want_nu2 = np.linalg.solve(sys_obj.S, sys_obj.A12.T @ eq.P0)
-        np.testing.assert_allclose(second.nu2_coeff, want_nu2, atol=1e-12)
+        np.testing.assert_allclose(C2[n1:], want_nu2, atol=1e-12)
         # the fast-mode correction carries no zero-speed component
-        assert np.abs(eq.P0.T @ second.mu2_coeff).max() < 1e-12
+        assert np.abs(eq.P0.T @ C2[:n1]).max() < 1e-12
 
     def test_evaluate_synthetic_profile(self, pipe3):
-        # plant m(z) = exp(-z) so dm/dz is known in closed form
+        # plant m(z) = exp(-z) so dm/dz is known in closed form; at eps = 1
+        # the composite adds P0 m and C2 dm/dz to the outer solution
         z = np.linspace(0.0, 8.0, 400)
         m = np.exp(-z)[:, None]
         synthetic = SqrtEpsLayer(
@@ -307,16 +300,20 @@ class TestSecondCorrection:
             dm_dz=-m,
             P0=pipe3.eq.P0,
         )
-        second = build_second_correction(pipe3.sys, pipe3.eq, synthetic)
+        second = build_second_correction(pipe3.sys, pipe3.eq)
         zq = z[[0, 50, 150]]  # on-grid queries keep the interpolation exact
-        vals = second.evaluate(zq)
         n1 = pipe3.sys.n - pipe3.sys.r
+        vals = assemble_composite(
+            pipe3.sys, zq, np.zeros((zq.size, n1)), 1.0,
+            sqrt_layer=synthetic, second=second,
+        )
+        vals[:, :n1] -= np.exp(-zq)[:, None] @ pipe3.eq.P0.T
         dm = -np.exp(-zq)[:, None]
         np.testing.assert_allclose(
-            vals[:, :n1], dm @ second.mu2_coeff.T, atol=1e-12
+            vals[:, :n1], dm @ second[:n1].T, atol=1e-12
         )
         np.testing.assert_allclose(
-            vals[:, n1:], dm @ second.nu2_coeff.T, atol=1e-12
+            vals[:, n1:], dm @ second[n1:].T, atol=1e-12
         )
 
 
@@ -349,7 +346,7 @@ class TestComposite:
         sqrt_layer = solve_sqrt_eps_layer(
             sys_obj, eq, lambda t: np.full((np.size(t), 1), 0.4), T=0.3
         )
-        second = build_second_correction(sys_obj, eq, sqrt_layer)
+        second = build_second_correction(sys_obj, eq)
         x = np.array([0.9 * sqrt_layer.z[-1] * math.sqrt(1e-4), 50.0])
         n1 = sys_obj.n - sys_obj.r
         ubar = np.ones((x.size, n1))

@@ -37,6 +37,7 @@ from relaxbc.spectral import (
     build_kernel_frame,
     check_gkc,
     directions,
+    gkc_directions,
     gkc_ratio,
     sample,
     xi_omega_directions,
@@ -586,7 +587,7 @@ class TestConjugateMirror:
     def test_complex_system_is_refused(self, pipe2x2):
         sys_c = dataclasses.replace(pipe2x2.sys, B=pipe2x2.sys.B + 0j)
         with pytest.raises(AssumptionViolated, match="real"):
-            check_gkc(sys_c, pipe2x2.frame, SPEC8, "not sampled")
+            check_gkc(sys_c, pipe2x2.frame, SPEC8, gkc_directions(1, SPEC8), "not sampled")
 
     def test_debug_line_counts_the_half_grid(self, pipe2x2, caplog):
         with caplog.at_level(logging.DEBUG, logger="relaxbc.spectral"):

@@ -17,9 +17,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import with_infinite_v
 from oracles import graded_mesh_loop, time_levels_from_smallest_cell
 from relaxbc import fixtures, pool, sim, stepping
-from relaxbc.errors import ConfigError, UnresolvedLayerWarning
+from relaxbc.errors import AssumptionViolated, ConfigError, UnresolvedLayerWarning
 from relaxbc.model import RelaxationSystem
 from relaxbc.reduction import derive_all
 from relaxbc.sim import (
@@ -559,6 +560,14 @@ class TestSolveRelaxation:
         zero = np.zeros_like(res.U)
         assert l2_error(res.x, res.U, zero) < l2_error(res.x, U0, zero)
 
+    def test_nonfinite_final_state_is_refused(self, pipe2x2):
+        # an infinite initial v reaches every state through the source; the
+        # run raises, naming eps, and no RuntimeWarning escapes the loop
+        scen = with_infinite_v(fixtures.example_scenario(T=0.05))
+        with pytest.raises(AssumptionViolated) as exc:
+            solve_relaxation(pipe2x2.sys, scen, eps=3e-3, dx_max=2e-3)
+        assert str(exc.value) == "the stiff state at eps 0.003 is not finite at T = 0.05"
+
     @pytest.mark.parametrize("fixture", ["2x2", "3x3-7", "3x3-22"])
     def test_level_sources_match_scipy_expm(self, fixture, monkeypatch):
         # the source E[k] = exp(S dt_k / eps) of every time level k that
@@ -913,13 +922,18 @@ class TestCsrProduct:
         assert proc.returncode == 0, proc.stderr
 
 
+def _trace(pipe, scenario):
+    """The derived closure's exact boundary trace of ``scenario``."""
+    return equilibrium_trace(pipe.eq, pipe.rbc, scenario)
+
+
 class TestSolveEquilibrium:
     def test_matches_method_of_characteristics(self, pipe2x2):
         # ubar_t + 3 ubar_x = 0 with ubar(0, t) = g(t) + h(t)/3: the exact
         # solution transports the boundary trace along x = 3t
         scen = fixtures.example_scenario()
         x = np.linspace(0.0, scen.x_max, 1001)
-        res = solve_equilibrium(pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, x)
+        res = solve_equilibrium(pipe2x2.eq, _trace(pipe2x2, scen), scen, x)
         assert np.array_equal(res.x, x)
         assert res.steps == 0
         T = scen.T
@@ -929,12 +943,10 @@ class TestSolveEquilibrium:
 
     def test_boundary_trace_satisfies_reduced_bc(self, pipe2x2):
         scen = fixtures.example_scenario(T=0.3)
-        res = solve_equilibrium(
-            pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, np.array([0.0, 0.5])
-        )
+        trace = equilibrium_trace(pipe2x2.eq, pipe2x2.rbc, scen)
+        res = solve_equilibrium(pipe2x2.eq, trace, scen, np.array([0.0, 0.5]))
         want = math.sin(0.3) + math.cos(0.3) / 3.0
         assert res.U[0, 0] == pytest.approx(want, abs=1e-12)
-        trace = equilibrium_trace(pipe2x2.eq, pipe2x2.rbc, scen)
         assert trace(0.3).shape == (1,)
         assert trace(0.3)[0] == pytest.approx(want, abs=1e-12)
 
@@ -951,9 +963,7 @@ class TestSolveEquilibrium:
         assert got.shape == want.shape == (1000, 1)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         # the solution at x = 0 is the trace at T
-        res = solve_equilibrium(
-            pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, np.zeros(1), rhs
-        )
+        res = solve_equilibrium(pipe2x2.eq, trace, scen, np.zeros(1))
         np.testing.assert_allclose(res.U[0], trace(scen.T), rtol=0, atol=1e-14)
 
     def test_zero_speed_mode_stays_at_initial_data(self):
@@ -973,10 +983,10 @@ class TestSolveEquilibrium:
             x_max=2.0,
         )
         x = np.linspace(0.0, 2.0, 1001)
-        res = solve_equilibrium(sys_obj, pipe.eq, pipe.rbc, scen, x)
+        trace = equilibrium_trace(pipe.eq, pipe.rbc, scen)
+        res = solve_equilibrium(pipe.eq, trace, scen, x)
         np.testing.assert_allclose(res.U[:, 1], _bump(x), atol=1e-14)
         t = np.linspace(0.0, 0.4, 101)
-        trace = equilibrium_trace(pipe.eq, pipe.rbc, scen)
         np.testing.assert_allclose(trace(t)[:, 1], _bump(0.0), atol=1e-14)
 
     def test_closed_form_is_the_upwind_limit(self, pipe2x2):
@@ -986,9 +996,7 @@ class TestSolveEquilibrium:
         dist = []
         for dx in (4e-3, 2e-3, 1e-3):
             x, u = _upwind_equilibrium(pipe2x2, scen, dx)
-            res = solve_equilibrium(
-                pipe2x2.sys, pipe2x2.eq, pipe2x2.rbc, scen, x
-            )
+            res = solve_equilibrium(pipe2x2.eq, _trace(pipe2x2, scen), scen, x)
             dist.append(l2_error(x, res.U, u))
         for coarse, fine in zip(dist, dist[1:]):
             assert 1.7 <= coarse / fine <= 2.3
@@ -1005,7 +1013,7 @@ class TestSolveEquilibrium:
             T=T, x_max=x_max,
         )
         x = np.linspace(0.0, x_max, 1001)
-        res = solve_equilibrium(pipe.sys, pipe.eq, pipe.rbc, scen, x)
+        res = solve_equilibrium(pipe.eq, _trace(pipe, scen), scen, x)
         # the outgoing mode u2 moves left at speed 1 and holds u2(x_max)
         # where its characteristic starts beyond x_max
         np.testing.assert_allclose(
@@ -1136,19 +1144,25 @@ class TestConvergenceStudy:
     def test_one_outer_evaluation_per_eps_and_equilibrium(self, pipe2x2, monkeypatch):
         # the derived equilibrium and the negative control are each evaluated
         # once per eps, on that eps's stiff mesh
-        meshes, evaluated = [], []
+        meshes, evaluated, derived = [], [], {}
 
         def relaxation(*args, **kwargs):
             res = solve_relaxation(*args, **kwargs)
             meshes.append(res.x)
             return res
 
-        def equilibrium(sys_obj, eq, rbc, scenario, x, rhs=None):
-            evaluated.append((x, rhs is None))
-            return solve_equilibrium(sys_obj, eq, rbc, scenario, x, rhs)
+        def boundary_trace(eq, rbc, scenario, rhs=None):
+            trace = equilibrium_trace(eq, rbc, scenario, rhs)
+            derived[trace] = rhs is None
+            return trace
+
+        def equilibrium(eq, trace, scenario, x):
+            evaluated.append((x, derived[trace]))
+            return solve_equilibrium(eq, trace, scenario, x)
 
         monkeypatch.setattr(pool, "cpus", lambda: 1)
         monkeypatch.setattr(sim, "solve_relaxation", relaxation)
+        monkeypatch.setattr(sim, "equilibrium_trace", boundary_trace)
         monkeypatch.setattr(sim, "solve_equilibrium", equilibrium)
         study = run_convergence_study(
             pipe2x2, fixtures.example_scenario(),
@@ -1158,6 +1172,34 @@ class TestConvergenceStudy:
         assert [derived for _, derived in evaluated] == [True, False] * 2
         for k, (x, _) in enumerate(evaluated):
             assert x is meshes[k // 2]
+
+    @pytest.mark.parametrize("study, traces", [("2x2", 2), ("3x3", 1)])
+    def test_one_boundary_trace_per_closure(self, pipe2x2, pipe3, monkeypatch, study, traces):
+        # the derived closure's trace and, on the 2x2 example, the negative
+        # control's are each built once per study, not once more per eps
+        pipe, scen = {
+            "2x2": (pipe2x2, fixtures.example_scenario()),
+            "3x3": (pipe3, fixtures.scenario_double_characteristic(pipe3.sys)),
+        }[study]
+        calls = []
+
+        def boundary_trace(*args, **kwargs):
+            calls.append(args)
+            return equilibrium_trace(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "equilibrium_trace", boundary_trace)
+        result = run_convergence_study(
+            pipe, scen, eps_list=(1e-2, 3e-3, 1e-3, 3e-4), dx_max=2e-3
+        )
+        assert len(result.errors) == 4
+        assert len(calls) == traces
+
+    def test_nonfinite_stiff_state_is_refused(self, pipe2x2):
+        # the first run in eps order raises, naming its eps, before any
+        # error or slope is formed from a non-finite state
+        scen = with_infinite_v(fixtures.example_scenario(T=0.05))
+        with pytest.raises(AssumptionViolated, match=r"stiff state at eps 0\.01 is not finite"):
+            run_convergence_study(pipe2x2, scen, eps_list=(1e-2, 3e-3), dx_max=2e-3)
 
     def test_vacuous_control_is_not_computed(self, pipe3):
         # n1_+ = 0: B_o has no rows, so the naive closure changes nothing
