@@ -5,9 +5,10 @@ one per CPU in the process's affinity mask, which ``taskset`` or a cgroup
 cpuset restricts; one item, or one CPU, starts no pool.  Results are gathered
 in item order, so a caller whose items do not depend on each other gets the
 same answer, bit for bit, on any number of CPUs.  Threads gain only while the
-work releases the GIL: numpy's stacked LAPACK calls and scipy's compiled
-sparse product kernel, which ``stepping`` calls without the ``scipy.sparse``
-package, do.
+work releases the GIL, as numpy's stacked LAPACK calls do.  Scipy's compiled
+sparse product in ``stepping`` gains only on long calls: on 2 vCPUs, two
+threads making 21 or 118 us ``csr_matvec`` calls ran at a median 1.0x one
+thread's speed, and only calls of 0.55 ms or more gained, 1.5-2.4x.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ rates (``build_reduction_data``).  Every matrix of the chain is real;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -71,16 +71,16 @@ class ReductionData:
 
 @dataclass
 class ReducedBC:
-    """B_o B_u ubar(0, t) = B_o b(t), with the UKC certificate."""
+    """B_o B_u ubar(0, t) = B_o b(t), with the UKC certificate of ``derive_reduced_bc``."""
 
     B_o: np.ndarray
     Y2: np.ndarray
     Y3: np.ndarray
-    ukc_min_ratio: float
-    ukc_samples: int
     annihilation_residual: float
     p0_residual: float
-    coefficient: np.ndarray = field(default=None)  # B_o B_u, convenience
+    coefficient: np.ndarray  # B_o B_u
+    ukc_min_ratio: float | None = None
+    ukc_samples: int = 0
     ukc_skipped: int = 0  # UKC directions skipped near the imaginary axis
 
     def to_dict(self) -> dict:
@@ -224,17 +224,8 @@ def _limit_basis(sys, frame, eq, data, V_s) -> np.ndarray:
     return L
 
 
-def _limit_dim(sys: RelaxationSystem, eq: EquilibriumFrame, data: ReductionData) -> int:
-    """The stable dimension of M1 in the eta = infinity limit basis."""
-    return sys.B.shape[0] - eq.P0.shape[1] - data.R2S.shape[1]
-
-
 def limit_stable_matrix(
-    sys: RelaxationSystem,
-    frame: KernelFrame,
-    eq: EquilibriumFrame,
-    data: ReductionData,
-    p,
+    sys: RelaxationSystem, frame: KernelFrame, eq: EquilibriumFrame, data: ReductionData, p
 ) -> np.ndarray:
     """The eta -> infinity limit of a stable basis of M at the point
     p = (Re xi, Im xi, omega...), a row of the eta = infinity sample: an
@@ -242,85 +233,58 @@ def limit_stable_matrix(
     M1 from ``stable_eigvecs``, as that sample takes them.  Raises
     NearImaginaryEigenvalue where the sample would skip p."""
     M1 = _M1_stack(sys, eq)(np.array([p], dtype=float))
-    V_s, _, skipped, _ = stable_eigvecs(M1, _limit_dim(sys, eq, data))
+    V_s, _, skipped, _ = stable_eigvecs(M1, compute_indices(sys).n1_plus)
     if skipped:
         raise skipped[0]
     return _limit_basis(sys, frame, eq, data, V_s)[0]
 
 
-def eta_inf_sample(
-    sys: RelaxationSystem,
-    frame: KernelFrame,
-    limit: tuple[EquilibriumFrame, ReductionData] | RelaxbcError,
-    units: np.ndarray,
-) -> Sample | str:
-    """The eta = infinity sample of ``check_gkc``: the GKC ratio
-    |det(B R1 L)| / sqrt(det(L^* L)), with L the limit stable basis of
-    ``_limit_basis``, at every row (Re xi, Im xi, omega...) of ``units``.
-    When ``limit`` (``Pipeline.limit``) is the error that stopped the limit,
-    the reason instead."""
-    if isinstance(limit, RelaxbcError):
-        return f"{type(limit).__name__}: {limit}"
-    eq, data = limit
-    return sample(
-        "gkc eta = inf", units, _M1_stack(sys, eq), sys.B @ frame.R1, _limit_dim(sys, eq, data),
-        basis=lambda V_s: _limit_basis(sys, frame, eq, data, V_s),
-    )
-
-
-def derive_reduced_bc(
-    sys: RelaxationSystem,
-    frame: KernelFrame,
-    eq: EquilibriumFrame,
-    data: ReductionData,
-    spec: SamplingSpec | None = None,
+def reduced_algebra(
+    sys: RelaxationSystem, frame: KernelFrame, eq: EquilibriumFrame, data: ReductionData
 ) -> ReducedBC:
-    """Compute B_o, verify B_o (Y2 Y3) = 0 and B_o B_u P0 = 0, and certify
-    the UKC for the reduced condition by hemisphere sampling.
+    """The reduced condition before its UKC certificate: B_o, and the
+    residuals of B_o (Y2 Y3) = 0 and B_o B_u P0 = 0.
 
     Y2 = B_u P0 and Y3 = B_u N R2^S + B_v R02_perp K~ R2^S are evaluated at a
     reference point; they are frequency-independent by construction.  Raises
-    AssumptionViolated if (Y2 Y3) has unexpected rank.  When the reduced
-    condition has rows (n1_+ > 0), raises GkcFailed if a sampled UKC
-    direction was skipped for an eigenvalue near the imaginary axis, or if
-    the sampled minimum falls below the threshold; with n1_+ = 0 there is
-    nothing to certify, and skipped directions are only counted in
-    ``ukc_skipped``.
+    AssumptionViolated if (Y2 Y3) has unexpected rank.
     """
-    spec = spec or SamplingSpec()
     idx = compute_indices(sys)
     B_u, B_v = sys.B_u, sys.B_v
 
     Y2 = B_u @ eq.P0
     Y3 = (B_u @ data.N + B_v @ frame.R02_perp @ data.K_tilde) @ data.R2S
     Y23 = np.hstack([Y2, Y3])
-
-    n_plus, n1_plus = idx.n_plus, idx.n1_plus
-    expected_rank = n_plus - n1_plus
+    expected_rank = idx.n_plus - idx.n1_plus
     if Y23.shape[1] != expected_rank:
-        raise AssumptionViolated(
-            f"(Y2 Y3) has {Y23.shape[1]} columns, expected {expected_rank}"
-        )
+        raise AssumptionViolated(f"(Y2 Y3) has {Y23.shape[1]} columns, expected {expected_rank}")
     if Y23.shape[1] > 0:
         full_rank_cond(Y23, AssumptionViolated("(Y2 Y3) is column rank deficient"))
         U, _, _ = np.linalg.svd(Y23, full_matrices=True)
         B_o = U[:, Y23.shape[1] :].T
     else:
-        B_o = np.eye(n_plus)
-    if B_o.shape[0] != n1_plus:
-        raise AssumptionViolated(
-            f"B_o has {B_o.shape[0]} rows, expected n1_+ = {n1_plus}"
-        )
+        B_o = np.eye(idx.n_plus)
+    if B_o.shape[0] != idx.n1_plus:
+        raise AssumptionViolated(f"B_o has {B_o.shape[0]} rows, expected n1_+ = {idx.n1_plus}")
     B_o = _normalize_rows(B_o)
 
     ann = spectral_norm(B_o @ Y23) if Y23.shape[1] else 0.0
     p0_res = spectral_norm(B_o @ B_u @ eq.P0) if eq.P0.shape[1] else 0.0
+    return ReducedBC(B_o, Y2, Y3, float(ann), float(p0_res), coefficient=B_o @ B_u)
 
-    # UKC sampling over the (Re xi, Im xi, omega) hemisphere: the ratio
-    # |det(B_o B_u P1 V_s)| / vol(V_s), V_s a stable basis of M1
-    coeff = B_o @ B_u
-    ukc = sample("ukc", xi_omega_directions(sys.d, spec), _M1_stack(sys, eq),
-                 coeff @ eq.P1, coeff.shape[0])
+
+def derive_reduced_bc(algebra: ReducedBC, ukc: Sample) -> ReducedBC:
+    """The reduced condition ``algebra`` (``reduced_algebra``) with the UKC
+    certificate of its sample ``ukc``, the ratio |det(B_o B_u P1 V_s)| /
+    vol(V_s), V_s a stable basis of M1 (``Pipeline.m1``).
+
+    When the reduced condition has rows (n1_+ > 0), raises GkcFailed if a
+    sampled UKC direction was skipped for an eigenvalue near the imaginary
+    axis, or if the sampled minimum falls below the threshold; with
+    n1_+ = 0 there is nothing to certify, and skipped directions are only
+    counted in ``ukc_skipped``.
+    """
+    n1_plus = algebra.B_o.shape[0]
     skipped = len(ukc.skipped)
     count = len(ukc.rows) - skipped
     best = ukc.minimum if count else 0.0 if n1_plus else 1.0
@@ -335,17 +299,7 @@ def derive_reduced_bc(
             f"uniform Kreiss condition fails for the reduced condition: "
             f"sampled minimum {best:.3e} <= {C_THRESHOLD:.0e}"
         )
-    return ReducedBC(
-        B_o=B_o,
-        Y2=Y2,
-        Y3=Y3,
-        ukc_min_ratio=best,
-        ukc_samples=count,
-        ukc_skipped=skipped,
-        annihilation_residual=float(ann),
-        p0_residual=float(p0_res),
-        coefficient=coeff,
-    )
+    return replace(algebra, ukc_min_ratio=best, ukc_samples=count, ukc_skipped=skipped)
 
 
 def _normalize_rows(B_o: np.ndarray) -> np.ndarray:
@@ -407,12 +361,22 @@ def solve_closure(
     return sol[:n10], sol[n10:]
 
 
+def _raised(stage):
+    """``stage``, a ``Pipeline`` stage; raised when it is the error that
+    stopped the stage."""
+    if isinstance(stage, RelaxbcError):
+        raise stage
+    return stage
+
+
 @dataclass
 class Pipeline:
     """The derivation chain of one system from its kernel frame, each stage
-    built on first read and kept: ``limit`` (``eq``, ``data``), ``gkc``,
-    ``rbc``, ``closure``.  Raises AssumptionViolated, as ``check_gkc`` does,
-    unless A, Q, B and the kernel frame are real."""
+    built on first read and kept: ``limit`` (``eq``, ``data``), ``algebra``,
+    the M1 split ``m1`` on the grid ``units``, ``gkc``, ``rbc``,
+    ``closure``.  The eta = infinity sample of ``gkc`` and the UKC
+    certificate of ``rbc`` read the one split.  Raises AssumptionViolated,
+    as ``check_gkc`` does, unless A, Q, B and the kernel frame are real."""
 
     sys: RelaxationSystem
     frame: KernelFrame
@@ -431,31 +395,56 @@ class Pipeline:
         except RelaxbcError as exc:
             return exc
 
-    def _limit(self) -> tuple[EquilibriumFrame, ReductionData]:
-        if isinstance(self.limit, RelaxbcError):
-            raise self.limit
-        return self.limit
-
     @property
     def eq(self) -> EquilibriumFrame:
-        return self._limit()[0]
+        return _raised(self.limit)[0]
 
     @property
     def data(self) -> ReductionData:
-        return self._limit()[1]
+        return _raised(self.limit)[1]
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The (Re xi, Im xi, omega) grid of the M1 split (``xi_omega_directions``)."""
+        return xi_omega_directions(self.sys.d, self.spec)
+
+    @cached_property
+    def algebra(self) -> ReducedBC | RelaxbcError:
+        """The reduced condition before its certificate (``reduced_algebra``),
+        or the error that stopped it: ``rbc`` raises it."""
+        try:
+            return reduced_algebra(self.sys, self.frame, self.eq, self.data)
+        except RelaxbcError as exc:
+            return exc
+
+    @cached_property
+    def m1(self) -> dict:
+        """The ``Sample`` of each target of one stable split of M1 at the
+        rows ``units``: "gkc eta = inf", the GKC ratio of the limit basis
+        ``_limit_basis``, and "ukc", the UKC ratio, when ``algebra`` holds
+        the reduced condition."""
+        eq, data = _raised(self.limit)
+        limit_basis = partial(_limit_basis, self.sys, self.frame, eq, data)
+        targets = {"gkc eta = inf": (self.sys.B @ self.frame.R1, limit_basis)}
+        if not isinstance(self.algebra, RelaxbcError):
+            targets["ukc"] = (self.algebra.coefficient @ eq.P1, None)
+        n1_plus = compute_indices(self.sys).n1_plus
+        return sample(self.units, _M1_stack(self.sys, eq), n1_plus, targets)
 
     @cached_property
     def gkc(self) -> GkcReport:
         # both grids are built, so a grid past the direction limit is
         # refused, before either is sampled
-        units = xi_omega_directions(self.sys.d, self.spec)
+        self.units
         hemisphere = gkc_directions(self.sys.d, self.spec)
-        eta_inf = eta_inf_sample(self.sys, self.frame, self.limit, units)
+        limit = self.limit
+        eta_inf = (f"{type(limit).__name__}: {limit}" if isinstance(limit, RelaxbcError)
+                   else self.m1["gkc eta = inf"])
         return check_gkc(self.sys, self.frame, self.spec, hemisphere, eta_inf)
 
     @cached_property
     def rbc(self) -> ReducedBC:
-        return derive_reduced_bc(self.sys, self.frame, self.eq, self.data, spec=self.spec)
+        return derive_reduced_bc(_raised(self.algebra), self.m1["ukc"])
 
     @cached_property
     def closure(self) -> ClosureSolve:
@@ -510,7 +499,7 @@ __all__ = [
     "build_equilibrium_frame",
     "build_reduction_data",
     "limit_stable_matrix",
-    "eta_inf_sample",
+    "reduced_algebra",
     "derive_reduced_bc",
     "build_closure",
     "solve_closure",

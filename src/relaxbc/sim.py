@@ -569,8 +569,11 @@ def run_convergence_study(
     The runs at different eps are independent: each (well-prepared data,
     ``solve_relaxation``, composites, errors) is one item of
     ``pool.thread_map``, one thread per CPU in the affinity mask, the
-    smallest eps submitted first.  The sparse product of the stiff loop
-    releases the GIL.  Results are gathered in eps order, so the study is
+    smallest eps submitted first.  The stiff loops do not overlap (see
+    ``pool``): on 2 vCPUs two concurrent ``solve_relaxation(eps=3e-4)`` runs
+    of the 2x2 study took 0.187 s, 0.184 s back to back, so the pool's gain
+    (0.47 s against 0.63 s serial on converge's ladders) is the numpy work
+    around the loops.  Results are gathered in eps order, so the study is
     the same, bit for bit, on any number of CPUs, and when several runs
     raise, the first in eps order does.  With ``RELAXBC_LOG=debug`` the study
     logs one line after gathering: the thread count, then each eps with its

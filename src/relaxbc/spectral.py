@@ -39,8 +39,8 @@ REFINE_FACTOR = 4
 #: directions per batched evaluation.  It bounds the memory of the stacked
 #: eigenproblems: evaluating 16,233 d = 3 directions in one stack raised the
 #: peak resident memory by 44 MB, in chunks of 1024 by 0.2 MB.  The pool of
-#: ``sample`` holds one chunk per CPU in flight: on two CPUs the certify-d3
-#: peak was 77.1 MB with chunks of 1024 and 73.8 MB with chunks of 512.
+#: ``sample`` holds one chunk per CPU in flight; on two CPUs the certify-d3
+#: peak was 47.0-47.2 MB with chunks of 512 and 46.9-47.0 MB with 1024.
 CHUNK = 512
 
 
@@ -248,7 +248,8 @@ def _gkc_sample(label: str, sys: RelaxationSystem, frame, units: np.ndarray) -> 
     """The GKC ratio |det(B R1 V_s)| / vol(V_s) at every row
     (Re xi, Im xi, omega..., eta) of ``units``, V_s a basis of the stable
     subspace of M: ``sample`` of M in ``frame``."""
-    return sample(label, units, _M_stack(sys, frame), sys.B @ frame.R1, sys.B.shape[0])
+    target = {label: (sys.B @ frame.R1, None)}
+    return sample(units, _M_stack(sys, frame), sys.B.shape[0], target)[label]
 
 
 #: Joe and Kuo (2008) direction numbers of Sobol dimensions 2 ... 32, as
@@ -485,49 +486,54 @@ class Sample:
         return [f"{tuple(row.tolist())}: {exc}" for row, exc in self.skipped]
 
 
-def _sample_chunk(part: np.ndarray, stack, X: np.ndarray, n_s: int, basis):
-    """``sample`` on the rows of one chunk: ``(ratios, skipped, split)``."""
+def _sample_chunk(part: np.ndarray, stack, n_s: int, targets: dict):
+    """``sample`` on the rows of one chunk: ``(ratios by target, skipped, split)``."""
     try:
         V_s, vol, skip, split = stable_eigvecs(stack(part), n_s)
     except (SpectralCountMismatch, SignNotConverged) as exc:
         raise type(exc)(f"{tuple(part[exc.row].tolist())}: {exc}") from exc
-    vals = det_ratio(X, V_s, vol) if basis is None else det_ratio(X, basis(V_s))
-    vals[list(skip)] = math.nan
-    return vals, [(part[i], exc) for i, exc in skip.items()], split.size
+    ratios = [det_ratio(X, V_s, vol) if basis is None else det_ratio(X, basis(V_s))
+              for X, basis in targets.values()]
+    for vals in ratios:
+        vals[list(skip)] = math.nan
+    return ratios, [(part[i], exc) for i, exc in skip.items()], split.size
 
 
-def sample(label: str, units: np.ndarray, stack, X: np.ndarray, n_s: int, basis=None) -> Sample:
-    """The determinant ratio ``det_ratio(X, L)`` at every row of ``units``,
-    CHUNK rows at a time: ``stack(rows)`` builds the matrices, whose stable
-    bases (of dimension n_s) come from ``stable_eigvecs``, and L is that
-    basis, or ``basis`` of it.  The GKC grid and its refinement, the
-    eta = infinity sample, the UKC certificate and ``gkc_ratio`` are each
-    one call.  Logs the debug line ``"<label>: N directions, k skipped,
-    s sign-split, minimum m"``.
+def sample(units: np.ndarray, stack, n_s: int, targets: dict) -> dict:
+    """The determinant ratio ``det_ratio(X, L)`` of each target
+    ``name: (X, basis)`` at every row of ``units``, CHUNK rows at a time:
+    ``stack(rows)`` builds the matrices, whose stable bases (of dimension
+    n_s) ``stable_eigvecs`` splits once for every target, and L is that
+    basis, or ``basis`` of it.  Returns the ``Sample`` of each target by
+    name.  The GKC grid, its refinement, ``gkc_ratio`` and
+    ``reduction.Pipeline.m1`` are each one call.  Logs the debug line
+    ``"<names>: N directions, k skipped, s sign-split, minimum m[, m...]"``.
 
     The chunks run through ``pool.thread_map`` (one thread per CPU; one
     chunk, or one CPU, runs without a pool): numpy's stacked LAPACK calls
-    release the GIL.  ``stack`` and ``basis`` must therefore be safe to call
-    from several threads at once.  Each row's value depends on its chunk
-    only, and results are gathered in chunk order, so the ``Sample`` is the
-    same, bit for bit, whatever the number of workers.
+    release the GIL.  ``stack`` and each ``basis`` must therefore be safe to
+    call from several threads at once.  Each row's value depends on its
+    chunk only, and results are gathered in chunk order, so each ``Sample``
+    is the same, bit for bit, whatever the number of workers.
 
     A row whose stable split raised NearImaginaryEigenvalue is skipped.  A
     row with other than n_s stable eigenvalues raises SpectralCountMismatch,
     and a row whose sign iteration does not converge SignNotConverged, each
     naming the row; when several chunks raise, the first in row order does.
     """
-    run = functools.partial(_sample_chunk, stack=stack, X=X, n_s=n_s, basis=basis)
+    run = functools.partial(_sample_chunk, stack=stack, n_s=n_s, targets=targets)
     parts = [units[start : start + CHUNK] for start in range(0, len(units), CHUNK)]
     results = thread_map(run, parts)
-    out = Sample(
-        rows=units,
-        ratios=np.concatenate([vals for vals, _, _ in results]) if results else np.empty(0),
-        skipped=[row for _, skip, _ in results for row in skip],
-        split=sum(split for _, _, split in results),
-    )
-    log.debug("%s: %d directions, %d skipped, %d sign-split, minimum %.6g",
-              label, len(units), len(out.skipped), out.split, out.minimum)
+    skipped = [row for _, skip, _ in results for row in skip]
+    split = sum(split for _, _, split in results)
+    out = {
+        name: Sample(units, np.concatenate([r[k] for r, _, _ in results]) if results
+                     else np.empty(0), skipped, split)
+        for k, name in enumerate(targets)
+    }
+    log.debug("%s: %d directions, %d skipped, %d sign-split, minimum %s",
+              ", ".join(out), len(units), len(skipped), split,
+              ", ".join(f"{found.minimum:.6g}" for found in out.values()))
     return out
 
 
@@ -552,15 +558,15 @@ def check_gkc(
     (Re xi, Im xi, omega, eta), so the unbounded quantifier reduces to the
     unit hemisphere plus the eta = infinity limit point.  The caller builds
     both grids, each refused past the direction limit, before it samples
-    either: ``hemisphere`` is ``gkc_directions``, and ``eta_inf`` is
-    ``reduction.eta_inf_sample`` over ``xi_omega_directions``, a ``Sample``,
-    or the reason the limit was not formed.  For real A, Q and B the ratio
-    is equal at (xi, omega, eta) and (conj xi, -omega, eta), so the
-    hemisphere grid, and the report, list one member of each conjugate pair
-    (see ``directions``); AssumptionViolated is raised when a matrix is not
-    real.  If the minimum is merely close to the threshold, the grid is
-    refined around the argmin before declaring failure.
-    The check fails when the eta = infinity limit could not be formed, and
+    either: ``hemisphere`` is ``gkc_directions``, and ``eta_inf`` is the
+    eta = infinity ``Sample`` of ``reduction.Pipeline.m1`` over
+    ``xi_omega_directions``, or the reason the limit was not formed.  For
+    real A, Q and B the ratio is equal at (xi, omega, eta) and
+    (conj xi, -omega, eta), so the hemisphere grid, and the report, list one
+    member of each conjugate pair (see ``directions``); AssumptionViolated
+    is raised when a matrix is not real.  If the minimum is merely close to
+    the threshold, the grid is refined around the argmin before declaring
+    failure.  The check fails when the eta = infinity limit could not be formed, and
     when a grid, refinement or eta = infinity direction was skipped for an
     eigenvalue near the imaginary axis.
     """

@@ -289,11 +289,10 @@ class TestFailedUkcCertificate:
         from relaxbc.errors import NearImaginaryEigenvalue
         from relaxbc.spectral import Sample
 
-        def skip_ukc(label, units, *args, _sample=reduction.sample, **kwargs):
-            if label != "ukc":
-                return _sample(label, units, *args, **kwargs)
+        def skip_ukc(units, *args, _sample=reduction.sample):
             reason = NearImaginaryEigenvalue(0j, 1.0)
-            return Sample(units, np.full(len(units), np.nan), [(u, reason) for u in units], 0)
+            skipped = Sample(units, np.full(len(units), np.nan), [(u, reason) for u in units], 0)
+            return {**_sample(units, *args), "ukc": skipped}
 
         monkeypatch.setattr(reduction, "sample", skip_ukc)
 
@@ -478,7 +477,7 @@ class TestConverge:
         caplog.set_level(logging.DEBUG, logger="relaxbc")
         assert _run(argv + ["--out", str(tmp_path / "debug")]) == 0
         lines = [r.getMessage() for r in caplog.records if r.name.startswith("relaxbc")]
-        for head in ("gkc: ", "gkc eta = inf: ", "ukc: ", "eps 0.01: ", "eps 0.003: "):
+        for head in ("gkc: ", "gkc eta = inf, ukc: ", "eps 0.01: ", "eps 0.003: "):
             assert any(line.startswith(head) for line in lines), head
         assert (tmp_path / "quiet" / "converge.json").read_bytes() == (
             tmp_path / "debug" / "converge.json"
@@ -619,13 +618,11 @@ def test_perfbench_observers_read_what_the_package_returns(pipe2x2, pipe3):
     spans = _perfbench_spans()
     scen = fixtures.example_scenario()
     spec = spectral.SamplingSpec(resolution=4)
-    eta_inf = reduction.eta_inf_sample(
-        pipe2x2.sys, pipe2x2.frame, (pipe2x2.eq, pipe2x2.data),
-        spectral.xi_omega_directions(pipe2x2.sys.d, spec),
-    )
+    m1 = reduction.Pipeline(pipe2x2.sys, pipe2x2.frame, spec).m1
     returned = {
         "spectral.check_gkc": spectral.check_gkc(
-            pipe2x2.sys, pipe2x2.frame, spec, spectral.gkc_directions(pipe2x2.sys.d, spec), eta_inf
+            pipe2x2.sys, pipe2x2.frame, spec, spectral.gkc_directions(pipe2x2.sys.d, spec),
+            m1["gkc eta = inf"],
         ),
         "sim.solve_relaxation": sim.solve_relaxation(pipe2x2.sys, scen, 1e-2),
         "sim.solve_equilibrium": sim.solve_equilibrium(
@@ -635,9 +632,7 @@ def test_perfbench_observers_read_what_the_package_returns(pipe2x2, pipe3):
         "layers.solve_sqrt_eps_layer": layers.solve_sqrt_eps_layer(
             pipe3.sys, pipe3.eq, lambda t: np.ones((np.size(t), pipe3.eq.n10)), 0.5
         ),
-        "reduction.derive_reduced_bc": reduction.derive_reduced_bc(
-            pipe2x2.sys, pipe2x2.frame, pipe2x2.eq, pipe2x2.data, spec=spec
-        ),
+        "reduction.derive_reduced_bc": reduction.derive_reduced_bc(pipe2x2.algebra, m1["ukc"]),
     }
     assert set(returned) == set(spans.OBSERVERS)
     counts = defaultdict(int)
@@ -1400,16 +1395,17 @@ def test_each_command_runs_each_stage_once(sys3, tmp_path, monkeypatch):
 
 
 def test_each_command_counts_its_frequency_samples(sys3, tmp_path, monkeypatch):
-    """The GKC grid, the eta = inf sample and the UKC certificate are one
-    ``spectral.sample`` call each: counted by label under every module name
-    a caller looks ``sample`` up by, on the 3x3 fixture at resolution 8."""
+    """The GKC grid is one ``spectral.sample`` call, and the eta = inf
+    sample and the UKC certificate share another, the M1 split: counted by
+    target names under every module name a caller looks ``sample`` up by,
+    on the 3x3 fixture at resolution 8."""
     from relaxbc import spectral
 
     fn, labels = spectral.sample, []
 
-    def counted(label, *args, **kwargs):
-        labels.append(label)
-        return fn(label, *args, **kwargs)
+    def counted(units, stack, n_s, targets):
+        labels.append(", ".join(targets))
+        return fn(units, stack, n_s, targets)
 
     for module in _modules():
         if getattr(module, "sample", None) is fn:
@@ -1419,11 +1415,11 @@ def test_each_command_counts_its_frequency_samples(sys3, tmp_path, monkeypatch):
         labels.clear()
         assert _run(argv) == 0, command
         sampled[command] = list(labels)
-    everything = ["gkc eta = inf", "gkc", "ukc"]
+    everything = ["gkc eta = inf, ukc", "gkc"]
     assert sampled == {
         "validate": [],
-        "gkc": ["gkc eta = inf", "gkc"],
-        "reduce reusing gkc.json": ["ukc"],
+        "gkc": everything,
+        "reduce reusing gkc.json": ["gkc eta = inf, ukc"],
         "reduce sampling afresh": everything,
         "simulate": [],
         "converge": everything,

@@ -17,7 +17,6 @@ from relaxbc.reduction import (
     build_equilibrium_frame,
     build_reduction_data,
     derive_all,
-    derive_reduced_bc,
     limit_stable_matrix,
     render_reduced_bc,
     solve_closure,
@@ -161,10 +160,7 @@ class TestReducedBC:
     def test_pass_through_when_no_layers(self):
         A1 = np.diag([2.0, -1.0])
         sys_obj = _plain(A1, np.diag([0.0, -1.0]), np.array([[1.0, 0.0]]), r=1)
-        frame = build_kernel_frame(sys_obj)
-        eq = build_equilibrium_frame(sys_obj)
-        data = build_reduction_data(sys_obj, frame, eq)
-        rbc = derive_reduced_bc(sys_obj, frame, eq, data)
+        rbc = derive_all(sys_obj).rbc
         assert np.allclose(np.abs(rbc.B_o), [[1.0]])
         assert np.allclose(np.abs(rbc.coefficient), np.abs(sys_obj.B_u))
 

@@ -26,7 +26,7 @@ from relaxbc.fixtures import (
 )
 from relaxbc.linalg import stable_eigvecs
 from relaxbc.model import RawSystem, RelaxationSystem, canonicalize, compute_indices
-from relaxbc.reduction import Pipeline, derive_all, eta_inf_sample
+from relaxbc.reduction import Pipeline, derive_all
 from relaxbc.spectral import (
     SOBOL_MAX_DIM,
     Sample,
@@ -52,15 +52,26 @@ def _gkc(sys_obj, frame, units):
     return _gkc_sample("gkc", sys_obj, frame, units)
 
 
+def _m1_target(b, units, name, X, basis=None):
+    """The M1 split of ``Pipeline.m1`` at the rows ``units`` with the one
+    target ``name``."""
+    n_s = compute_indices(b.sys).n1_plus
+    return sample(units, reduction._M1_stack(b.sys, b.eq), n_s, {name: (X, basis)})[name]
+
+
 def _eta_inf(b, units):
-    """The eta = infinity sample of ``Pipeline.gkc`` at the rows ``units``."""
-    return eta_inf_sample(b.sys, b.frame, (b.eq, b.data), units)
+    """The eta = infinity sample of ``Pipeline.gkc`` at the rows ``units``,
+    split on its own."""
+    def basis(V_s):
+        return reduction._limit_basis(b.sys, b.frame, b.eq, b.data, V_s)
+
+    return _m1_target(b, units, "gkc eta = inf", b.sys.B @ b.frame.R1, basis)
 
 
 def _ukc(b, units):
-    """The UKC sample of ``derive_reduced_bc`` at the rows ``units``."""
-    coeff = b.rbc.coefficient
-    return sample("ukc", units, reduction._M1_stack(b.sys, b.eq), coeff @ b.eq.P1, coeff.shape[0])
+    """The UKC sample of ``Pipeline.rbc`` at the rows ``units``, split on its
+    own."""
+    return _m1_target(b, units, "ukc", b.rbc.coefficient @ b.eq.P1)
 
 
 def _all_skipped(units):
@@ -411,13 +422,32 @@ class TestReportedGaps:
         assert doc["passed"] is False
         assert doc["eta_inf_error"] == report.eta_inf_error
 
+    def test_unformed_eta_infinity_limit_fails_the_check(self):
+        # S = diag(-1, -2e-9) is negative definite, but its small entry
+        # gives an eps-layer mode decaying at the rate 2e-9, within the axis
+        # tolerance: the eta = infinity limit is not formed.  (A rank-
+        # deficient A12_hat^T P0 cannot serve here: under the SK-like
+        # condition it has full column rank.)
+        Q = np.zeros((3, 3))
+        Q[1:, 1:] = np.diag([-1.0, -2e-9])
+        sys_obj = RelaxationSystem(
+            d=1, n=3, r=2, A=(np.diag([1.0, 1.0, -1.0]),), Q=Q,
+            B=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]), labels=(), transform=np.eye(3),
+        )
+        sys_obj.validate()
+        report = Pipeline(sys_obj, build_kernel_frame(sys_obj), SPEC8).gkc
+        assert report.eta_inf_error.startswith("NearImaginaryEigenvalue: eigenvalue 1.99")
+        assert report.failures == [] and report.min_ratio > spectral.C_THRESHOLD
+        assert not report.includes_eta_infinity and not report.passed
+        assert report.to_dict()["eta_inf_error"] == report.eta_inf_error
+
     def test_eta_infinity_skipped_everywhere_fails_the_check(
         self, pipe2x2, monkeypatch
     ):
-        monkeypatch.setattr(
-            reduction, "eta_inf_sample",
-            lambda sys_obj, frame, limit, units: _all_skipped(units),
-        )
+        def skip_eta_inf(units, *args, _sample=reduction.sample):
+            return {**_sample(units, *args), "gkc eta = inf": _all_skipped(units)}
+
+        monkeypatch.setattr(reduction, "sample", skip_eta_inf)
         report = Pipeline(pipe2x2.sys, pipe2x2.frame, SPEC8).gkc
         assert report.eta_inf_min_ratio is None
         assert report.eta_inf_skipped == len(xi_omega_directions(1, SPEC8))
@@ -542,11 +572,12 @@ class TestSignSplitCount:
         assert report.passed
         units, shared = directions(4, SPEC8), xi_omega_directions(2, SPEC8)
         grid, eta_inf, ukc = _gkc(b.sys, b.frame, units), _eta_inf(b, shared), _ukc(b, shared)
-        split, eta_split, ukc_split = grid.split, eta_inf.split, ukc.split
-        assert min(split, eta_split, ukc_split) > 0
-        for line in (f"gkc: {len(units)} directions, 0 skipped, {split} sign-split, ",
-                     f"gkc eta = inf: {len(shared)} directions, 0 skipped, {eta_split} sign-split, ",
-                     f"ukc: {len(shared)} directions, 0 skipped, {ukc_split} sign-split, "):
+        split, m1_split = grid.split, eta_inf.split
+        assert min(split, m1_split) > 0 and ukc.split == m1_split
+        for line in (
+            f"gkc: {len(units)} directions, 0 skipped, {split} sign-split, ",
+            f"gkc eta = inf, ukc: {len(shared)} directions, 0 skipped, {m1_split} sign-split, ",
+        ):
             assert line in caplog.text
         _close(grid.ratios, _scalar_gkc(b.sys, b.frame, units))
         _close(eta_inf.ratios, _scalar_eta_inf(b, shared))
@@ -581,6 +612,55 @@ class TestSignSplitCount:
             _gkc(sys_obj, frame, units)
         row = tuple(units[split[0]].tolist())
         assert str(exc.value) == f"{row}: sign iteration still moving after 1 steps"
+
+
+class TestOneM1Split:
+    """``Pipeline.m1`` splits M1 once for both of its targets: every row of
+    the (Re xi, Im xi, omega) grid reaches ``stable_eigvecs`` once, and
+    each target's ``Sample`` equals, bit for bit, the one its own split
+    gives."""
+
+    @pytest.fixture
+    def split_rows(self, monkeypatch):
+        """The (rows, order) of each stack handed to ``stable_eigvecs``."""
+        shapes, fn = [], spectral.stable_eigvecs
+
+        def recorded(M, n_s):
+            shapes.append(M.shape[:2])
+            return fn(M, n_s)
+
+        monkeypatch.setattr(spectral, "stable_eigvecs", recorded)
+        return shapes
+
+    @staticmethod
+    def _rows(shapes, order):
+        return sum(rows for rows, k in shapes if k == order)
+
+    def test_converge_splits_each_row_once(self, pipe2x2, sys2x2_file, scen2x2_file, tmp_path,
+                                           split_rows):
+        from relaxbc.cli import main
+
+        order = pipe2x2.eq.P1.shape[1]
+        assert order != pipe2x2.sys.n - pipe2x2.frame.n0  # M1 and M stacks differ in order
+        argv = ["converge", sys2x2_file, "--scenario", scen2x2_file, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert self._rows(split_rows, order) == len(xi_omega_directions(1, SamplingSpec()))
+
+    def test_gkc_then_rbc_split_each_row_once(self, split_rows):
+        b = random_admissible_bundle(np.random.default_rng(2523), d=3, require_n0=1)
+        split_rows.clear()
+        p = Pipeline(b.sys, b.frame, SamplingSpec(resolution=8))
+        p.gkc
+        p.rbc
+        order = p.eq.P1.shape[1]
+        assert order != p.sys.n - p.frame.n0
+        assert self._rows(split_rows, order) == len(p.units) == 351
+        for got, want in ((p.m1["gkc eta = inf"], _eta_inf(b, p.units)),
+                          (p.m1["ukc"], _ukc(b, p.units))):
+            assert got.ratios.tobytes() == want.ratios.tobytes()
+            assert got.failures == want.failures and got.split == want.split
+        assert p.rbc.ukc_min_ratio == p.m1["ukc"].minimum
+        assert p.gkc.eta_inf_min_ratio == p.m1["gkc eta = inf"].minimum
 
 
 class TestConjugateMirror:
@@ -654,9 +734,8 @@ class TestPooledMap:
         units[planted, 0] = 1e-12
         assert len(np.unique(planted // spectral.CHUNK)) >= 3
         p = pipe2x2
-        args = ("ukc", units, reduction._M1_stack(p.sys, p.eq), p.rbc.coefficient @ p.eq.P1, 1)
-        serial, _ = pooled(1, spectral.sample, *args)
-        got, started = pooled(2, spectral.sample, *args)
+        serial, _ = pooled(1, _ukc, p, units)
+        got, started = pooled(2, _ukc, p, units)
         vals, skipped = got.ratios, got.skipped
         assert started == [2]
         assert np.array_equal(np.flatnonzero(np.isnan(vals)), planted)

@@ -9,10 +9,14 @@
 # and 2691, and repeated_speed_system) it runs validate, gkc, reduce reusing
 # gkc.json and reduce sampling afresh, at --resolution 8 and 12, then both
 # convergence studies of the CI.  Every command runs with RELAXBC_LOG=debug:
-# the debug lines of the frequency samples (labels "gkc", "gkc eta = inf"
-# and "ukc": directions, skipped and sign-split rows, minimum) go to
-# samples.txt without their logger names, and the other debug lines, some
-# of which carry wall times, are dropped.  Every report, the console
+# the debug lines of the frequency splits go to samples.txt without their
+# logger names: "gkc", the GKC grid, and "gkc eta = inf, ukc", the one M1
+# split on the (Re xi, Im xi, omega) grid with its two targets, or
+# "gkc eta = inf" alone where the reduced condition's algebra fails
+# (directions, skipped and sign-split rows, each target's minimum).  Trees
+# that split M1 once per target log "gkc eta = inf" and "ukc" lines
+# instead.  The other debug lines, some of which carry wall times, are
+# dropped.  Every report, the console
 # output, the sample lines and the exit codes must be byte-identical, apart
 # from provenance.source in the JSON reports.  Exits 1, naming what
 # differs, otherwise.
@@ -59,7 +63,7 @@ reports() {  # reports TREE OUT
         RELAXBC_LOG=debug PYTHONPATH=$1/src python3 -m relaxbc.cli "${@:2}" > "$out/log.tmp" 2>&1
         echo "$? ${*:2}" | sed "s#$out##g; s#$in/##g" | tee -a "$out/samples.txt" >> "$out/exit_codes.txt"
         grep -v '^DEBUG:' "$out/log.tmp" | sed "s#$out#OUT#g" >> "$out/console.txt"
-        sed -nE 's/^DEBUG:relaxbc\.[a-z]+:((gkc|gkc eta = inf|ukc): )/\1/p' "$out/log.tmp" >> "$out/samples.txt"
+        sed -nE 's/^DEBUG:relaxbc\.[a-z]+:((gkc|gkc eta = inf|gkc eta = inf, ukc|ukc): )/\1/p' "$out/log.tmp" >> "$out/samples.txt"
         rm "$out/log.tmp"
     }
     for s in example double d3_1234 d3_2523 d3_2691 repeated; do
